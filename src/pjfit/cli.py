@@ -10,8 +10,8 @@ embed no timestamps except in a leading ``#`` header line, which also
 carries wall-clock timings; everything after that line is byte-stable
 across reruns.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 runtime
-or divergence error.
+Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 runtime,
+divergence or internal error (an operand shape mismatch inside the model).
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from pjfit.config import (
 from pjfit.domain import Dataset, DatasetError, load_data_dir, validate_records
 from pjfit.domain.records import save_data_dir
 from pjfit.metrics import UndefinedMetricError
-from pjfit.numerics import TrainingDivergedError
+from pjfit.numerics import DimensionError, TrainingDivergedError
 from pjfit.synth import SynthConfig, generate_dataset, synth_config_from_dict
-from pjfit.training import SequenceCache, evaluate, score_pair, train
+from pjfit.training import evaluate, rank_candidates, train
 
 
 class UsageError(Exception):
@@ -228,31 +228,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def rank_candidates(job_id: str, candidate_ids, store, cfg: ModelConfig,
-                    dataset: Dataset) -> list[tuple[str, float]]:
-    """Scores sorted descending; ties broken by candidate id. Duplicate
-    input ids are dropped with a warning, unknown ids are an error."""
-    unknown = [c for c in candidate_ids if c not in dataset.candidates]
-    if job_id not in dataset.jobs:
-        unknown.append(job_id)
-    if unknown:
-        raise DatasetError("unknown ids: " + ", ".join(repr(u) for u in unknown))
-    seen = set()
-    deduped = []
-    for cid in candidate_ids:
-        if cid in seen:
-            print(f"warning: duplicate candidate id {cid!r} ignored", file=sys.stderr)
-            continue
-        seen.add(cid)
-        deduped.append(cid)
-    bound = store.bind()
-    cache = SequenceCache(dataset, cfg)
-    job = dataset.jobs[job_id]
-    scored = [(cid, score_pair(dataset.candidates[cid], job, bound, cfg, cache).item())
-              for cid in deduped]
-    return sorted(scored, key=lambda t: (-t[1], t[0]))
-
-
 def cmd_rank(args) -> int:
     started = time.perf_counter()
     store, cfg = load_checkpoint(args.checkpoint)
@@ -344,6 +319,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except DimensionError as exc:
+        # a shape bug in the program, not bad input; caught before ValueError
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (DatasetError, CheckpointError, TemplateError, UndefinedMetricError,
             KeyError, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Bilateral historical-interaction encoders.
+"""Bilateral historical-interaction encoders, batched over packed histories.
 
 Each side (candidate-to-job, job-to-candidate) attends its own text
 embedding over six history sequences: per recruitment stage (evaluated,
@@ -7,6 +7,13 @@ against counterpart-kind history and an external interaction against
 same-kind history. The six attention outputs are concatenated in fixed
 order, stage-major with internal before external, and fused by a two-layer
 DNN down to a compact side representation.
+
+A batch of pairs is encoded in one pass. Histories are packed: the valid
+rows of every distinct entity in the batch are stacked per stage, and each
+attention query reads its own [lo, hi) row range. Each attention set then
+projects its keys and values with one GEMM per head over all packed rows.
+Internal interactions depend on one entity only and are computed once per
+distinct entity; external interactions are computed per pair.
 
 The two sides share architecture but never parameters: every
 (side, stage, direction) triple owns an independent attention set.
@@ -72,38 +79,43 @@ def bound_attention_set(bound: BoundParams, prefix: str, heads: int) -> Attentio
     )
 
 
-def multi_head_interaction(query: Matrix, seq: Matrix, valid: np.ndarray,
-                           params: AttentionSet) -> Matrix:
-    """Concat over heads of attention(query Wq_i, seq Wk_i, seq Wv_i), times Wo.
+def segment_interaction(query: Matrix, rows: Matrix, ranges: np.ndarray,
+                        params: AttentionSet) -> Matrix:
+    """Concat over heads of attention(query Wq_i, rows Wk_i, rows Wv_i), times Wo.
 
-    A fully padded sequence yields the zero vector: each head attends over
-    nothing and contributes zeros, so the output projection sees zeros.
+    ``rows`` holds packed history rows; query row j attends only the rows
+    in ``ranges[j]``. An empty range yields the zero vector: each head
+    attends over nothing and contributes zeros, so the output projection
+    sees zeros.
     """
     heads = [
-        ops.scaled_dot_attention(
-            ops.matmul(query, wq), ops.matmul(seq, wk), ops.matmul(seq, wv), valid)
+        ops.segment_attention(
+            ops.matmul(query, wq), ops.matmul(rows, wk), ops.matmul(rows, wv), ranges)
         for wq, wk, wv in zip(params.wq, params.wk, params.wv)
     ]
     return ops.matmul(ops.concat_cols(heads), params.wo)
 
 
-def encode_side(self_vec: Matrix, own_seqs, cross_seqs, bound: BoundParams,
-                side: str, cfg: ModelConfig) -> Matrix:
-    """Fuse the per-stage internal and external interactions of one side.
+def encode_side_batch(text: Matrix, index: np.ndarray, own, cross, bound: BoundParams,
+                      side: str, cfg: ModelConfig) -> Matrix:
+    """Fused (B, fusion_out) representations of one side of B pairs.
 
-    ``own_seqs`` and ``cross_seqs`` are (matrix, valid) tuples per active
-    stage: own history holds counterpart-kind embeddings (internal
-    interaction), the paired entity's history holds same-kind embeddings
-    (external interaction).
+    ``text`` holds the (U, d) text embeddings of the side's U distinct
+    entities and ``index`` the entity of each pair. ``own`` and ``cross``
+    are (rows, ranges) tuples per active stage: own history holds
+    counterpart-kind embeddings with one range per distinct entity
+    (internal interaction), the paired entity's history holds same-kind
+    embeddings with one range per pair (external interaction).
     """
-    if len(own_seqs) != len(cfg.stages) or len(cross_seqs) != len(cfg.stages):
+    if len(own) != len(cfg.stages) or len(cross) != len(cfg.stages):
         raise ValueError(f"expected {len(cfg.stages)} sequences per direction")
+    queries = ops.gather_rows(text, index)
     parts = []
-    for stage, (own, own_valid), (cross, cross_valid) in zip(cfg.stages, own_seqs, cross_seqs):
+    for stage, (own_rows, own_ranges), (cross_rows, cross_ranges) in zip(cfg.stages, own, cross):
         internal = bound_attention_set(bound, f"{side}.{stage}.internal", cfg.heads)
         external = bound_attention_set(bound, f"{side}.{stage}.external", cfg.heads)
-        parts.append(multi_head_interaction(self_vec, own, own_valid, internal))
-        parts.append(multi_head_interaction(self_vec, cross, cross_valid, external))
+        parts.append(ops.gather_rows(segment_interaction(text, own_rows, own_ranges, internal), index))
+        parts.append(segment_interaction(queries, cross_rows, cross_ranges, external))
     hidden = ops.relu(ops.affine(ops.concat_cols(parts),
                                  bound[f"{side}.fusion.w1"], bound[f"{side}.fusion.b1"]))
     return ops.affine(hidden, bound[f"{side}.fusion.w2"], bound[f"{side}.fusion.b2"])

@@ -4,7 +4,9 @@ A trainable category embedding table drives a two-layer gating net whose
 softmax output weights the expert FFNs. Each expert is a three-affine
 network with ReLU after the first two layers; the prediction is the
 gate-weighted sum of expert outputs, an unbounded real (pairwise training
-works on score differences).
+works on score differences). Every function works on a batch: one row of
+the joint representation per pair, one (candidate, job) category pair per
+row.
 
 Head ablations: ``no_moe`` and ``simple_match`` replace the whole head by
 a single expert-shaped FFN (the latter sees an extra binary same-category
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from pjfit.config import ModelConfig
-from pjfit.numerics import BoundParams, Matrix, ops
+from pjfit.numerics import BoundParams, DimensionError, Matrix, ops
 
 
 def head_param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
@@ -64,27 +66,29 @@ def expert_forward(x: Matrix, i: int, bound: BoundParams, cfg: ModelConfig) -> M
     return _ffn(x, bound, f"moe.expert{i}")
 
 
-def moe_predict(x: Matrix, candidate_category: int, job_category: int,
-                bound: BoundParams, cfg: ModelConfig) -> Matrix:
-    """Gate-weighted sum of expert outputs for one joint representation.
+def moe_scores(x: Matrix, candidate_categories, job_categories,
+               bound: BoundParams, cfg: ModelConfig) -> Matrix:
+    """(B, 1) gate-weighted sums of expert outputs, one per row of ``x``.
 
-    The gate input concatenates the candidate and job category embeddings;
-    for confusable category pairs both sides matter.
+    The gate input of row i concatenates the category embeddings of its
+    candidate and job; for confusable category pairs both sides matter.
     """
     if not cfg.gated_head:
         return _ffn(x, bound, "head")
-    if not 0 <= candidate_category < cfg.n_categories:
-        raise IndexError(f"candidate category id {candidate_category} out of range")
-    if not 0 <= job_category < cfg.n_categories:
-        raise IndexError(f"job category id {job_category} out of range")
+    categories = []
+    for kind, ids in (("candidate", candidate_categories), ("job", job_categories)):
+        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        if ids.shape != (x.rows,):
+            raise DimensionError(f"moe: {ids.size} {kind} categories for {x.rows} rows")
+        if ((ids < 0) | (ids >= cfg.n_categories)).any():
+            raise IndexError(f"{kind} category id out of range [0, {cfg.n_categories}): {ids}")
+        categories.append(ids)
     if cfg.ablation == "no_category":
-        e_c = bound.constant(np.zeros((1, cfg.gate_in)))
+        e_c = bound.constant(np.zeros((x.rows, cfg.gate_in)))
     else:
         table = bound["moe.categories"]
-        e_c = ops.concat_cols([
-            ops.gather_rows(table, [candidate_category]),
-            ops.gather_rows(table, [job_category]),
-        ])
+        e_c = ops.concat_cols([ops.gather_rows(table, ids) for ids in categories])
     gate = gate_weights(e_c, bound)
     outputs = ops.concat_cols([expert_forward(x, i, bound, cfg) for i in range(cfg.n_experts)])
-    return ops.sum_all(ops.mul(gate, outputs))
+    # row sums of the gate-weighted outputs
+    return ops.matmul(ops.mul(gate, outputs), bound.constant(np.ones((cfg.n_experts, 1))))

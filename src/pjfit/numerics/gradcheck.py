@@ -26,7 +26,8 @@ def finite_diff_check(f, store: ParamStore, h: float = 1e-5,
     if not isinstance(out, Matrix) or out.tape is None:
         raise TypeError("f must return a taped scalar Matrix")
     out.tape.backward(out)
-    analytic = {name: p.grad.copy() for name, p in store.items() if p.trainable}
+    analytic = {name: p.grad.copy() if p.has_grad else np.zeros_like(p.value)
+                for name, p in store.items() if p.trainable}
     store.zero_grads()
 
     def value() -> float:

@@ -14,7 +14,8 @@ class Matrix:
 
     The gradient buffer is allocated lazily. Parameters bound through a
     ParamStore pass their own grad array in, so backward passes accumulate
-    straight into the store.
+    straight into the store. Backward passes write gradients only into
+    matrices on a tape; an untaped input (a constant) never gets a buffer.
     """
 
     __slots__ = ("data", "tape", "_grad")
@@ -39,6 +40,10 @@ class Matrix:
     def grad(self, value: np.ndarray) -> None:
         # in-place ops on the property (grad += g) assign back through here
         self._grad = value
+
+    @property
+    def has_grad(self) -> bool:
+        return self._grad is not None
 
     @property
     def rows(self) -> int:
@@ -76,14 +81,20 @@ class Tape:
         return len(self._steps)
 
     def backward(self, out: Matrix) -> None:
-        """Seed d(out)/d(out)=1 and accumulate gradients into every input."""
+        """Seed d(out)/d(out)=1 and accumulate gradients into every input.
+
+        The pass consumes the tape. Each recorded step holds its output node,
+        which holds the tape, so releasing the steps here breaks that cycle
+        and frees the graph without waiting for the cyclic collector.
+        """
         if out.shape != (1, 1):
             raise DimensionError(f"backward seeds a scalar, got {out.shape}")
         if out.tape is not self:
             raise ValueError("output was not recorded on this tape")
         out.grad[...] += 1.0
-        for step in reversed(self._steps):
-            step()
+        steps, self._steps = self._steps, []
+        while steps:
+            steps.pop()()
 
 
 def tape_of(*matrices: Matrix) -> Tape | None:

@@ -1,7 +1,8 @@
 """Forward operations with hand-derived backward passes.
 
 Every function returns a new Matrix and, when any input sits on a tape,
-records one closure that accumulates exact gradients into the inputs.
+records one closure that accumulates exact gradients into the inputs that
+sit on that tape. Untaped inputs (constants) get no gradient computed.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     out = Matrix(a.data @ b.data, tape)
     if tape is not None:
         def backward():
-            a.grad += out.grad @ b.data.T
-            b.grad += a.data.T @ out.grad
+            if a.tape is not None:
+                a.grad += out.grad @ b.data.T
+            if b.tape is not None:
+                b.grad += a.data.T @ out.grad
         tape.record(backward)
     return out
 
@@ -36,9 +39,12 @@ def affine(x: Matrix, w: Matrix, b: Matrix) -> Matrix:
     out = Matrix(x.data @ w.data + b.data, tape)
     if tape is not None:
         def backward():
-            x.grad += out.grad @ w.data.T
-            w.grad += x.data.T @ out.grad
-            b.grad += out.grad.sum(axis=0, keepdims=True)
+            if x.tape is not None:
+                x.grad += out.grad @ w.data.T
+            if w.tape is not None:
+                w.grad += x.data.T @ out.grad
+            if b.tape is not None:
+                b.grad += out.grad.sum(axis=0, keepdims=True)
         tape.record(backward)
     return out
 
@@ -69,42 +75,56 @@ def softmax_rows(x: Matrix) -> Matrix:
     return out
 
 
-def scaled_dot_attention(q: Matrix, k: Matrix, v: Matrix, valid: np.ndarray) -> Matrix:
-    """softmax(q k^T / sqrt(d_k)) v over the key rows flagged valid.
+def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges) -> Matrix:
+    """Row i is softmax(q_i K_s^T / sqrt(d_k)) V_s over the key rows s = [lo_i, hi_i).
 
-    ``valid`` is a boolean vector over key rows; padded rows get softmax
-    weight exactly 0. When no row is valid the result is all zeros and no
-    gradient flows to q, k or v.
+    ``ranges`` is an (n, 2) integer array holding one [lo, hi) range of
+    k/v rows per query row; several queries may share a range. A query with
+    an empty range gets a zero row and passes no gradient.
     """
-    valid = np.asarray(valid, dtype=bool).reshape(-1)
+    ranges = np.asarray(ranges, dtype=np.intp)
     if q.cols != k.cols:
         raise DimensionError(f"attention: q {q.shape} vs k {k.shape}")
     if k.rows != v.rows:
         raise DimensionError(f"attention: k {k.shape} vs v {v.shape}")
-    if valid.shape[0] != k.rows:
-        raise DimensionError(f"attention: mask length {valid.shape[0]} vs {k.rows} key rows")
+    if ranges.shape != (q.rows, 2):
+        raise DimensionError(f"attention: ranges {ranges.shape} for {q.rows} query rows")
+    lo, hi = ranges[:, 0], ranges[:, 1]
+    if (lo < 0).any() or (hi < lo).any() or (hi > k.rows).any():
+        raise IndexError(f"attention: key range outside [0, {k.rows})")
     tape = tape_of(q, k, v)
-    if not valid.any():
+    lengths = hi - lo
+    nonempty = lengths > 0
+    if not nonempty.any():
         return Matrix(np.zeros((q.rows, v.cols)), tape)
 
+    # one slot per (query, key row in its range), query-major; a segment is
+    # the run of slots of one query, so segment sums are reduceat calls
+    offsets = np.cumsum(lengths) - lengths
+    query = np.repeat(np.arange(q.rows), lengths)
+    key = np.arange(query.size) + np.repeat(lo - offsets, lengths)
+    first = offsets[nonempty]
+    seg_len = lengths[nonempty]
+
     scale = 1.0 / math.sqrt(q.cols)
-    logits = (q.data @ k.data.T) * scale
-    weights = np.zeros_like(logits)
-    lv = logits[:, valid]
-    lv = lv - lv.max(axis=1, keepdims=True)
-    e = np.exp(lv)
-    weights[:, valid] = e / e.sum(axis=1, keepdims=True)
-    out = Matrix(weights @ v.data, tape)
+    logits = np.einsum("ij,ij->i", q.data[query], k.data[key]) * scale
+    e = np.exp(logits - np.repeat(np.maximum.reduceat(logits, first), seg_len))
+    weights = e / np.repeat(np.add.reduceat(e, first), seg_len)
+    data = np.zeros((q.rows, v.cols))
+    data[nonempty] = np.add.reduceat(weights[:, None] * v.data[key], first, axis=0)
+    out = Matrix(data, tape)
     if tape is not None:
         def backward():
-            g = out.grad
-            v.grad += weights.T @ g
-            dw = g @ v.data.T
-            # softmax jacobian; padded columns stay zero because weights are zero there
-            dlogits = weights * (dw - (dw * weights).sum(axis=1, keepdims=True))
+            g = out.grad[query]
+            if v.tape is not None:
+                np.add.at(v.grad, key, weights[:, None] * g)
+            dw = np.einsum("ij,ij->i", g, v.data[key])
+            dlogits = weights * (dw - np.repeat(np.add.reduceat(dw * weights, first), seg_len))
             dlogits *= scale
-            q.grad += dlogits @ k.data
-            k.grad += dlogits.T @ q.data
+            if q.tape is not None:
+                q.grad[nonempty] += np.add.reduceat(dlogits[:, None] * k.data[key], first, axis=0)
+            if k.tape is not None:
+                np.add.at(k.grad, key, dlogits[:, None] * q.data[query])
         tape.record(backward)
     return out
 
@@ -121,7 +141,8 @@ def concat_cols(parts: list[Matrix]) -> Matrix:
         offsets = np.cumsum([0] + [p.cols for p in parts])
         def backward():
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                p.grad += out.grad[:, lo:hi]
+                if p.tape is not None:
+                    p.grad += out.grad[:, lo:hi]
         tape.record(backward)
     return out
 
@@ -138,7 +159,8 @@ def concat_rows(parts: list[Matrix]) -> Matrix:
         offsets = np.cumsum([0] + [p.rows for p in parts])
         def backward():
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                p.grad += out.grad[lo:hi, :]
+                if p.tape is not None:
+                    p.grad += out.grad[lo:hi, :]
         tape.record(backward)
     return out
 
@@ -163,8 +185,10 @@ def add(a: Matrix, b: Matrix) -> Matrix:
     out = Matrix(a.data + b.data, tape)
     if tape is not None:
         def backward():
-            a.grad += out.grad
-            b.grad += out.grad
+            if a.tape is not None:
+                a.grad += out.grad
+            if b.tape is not None:
+                b.grad += out.grad
         tape.record(backward)
     return out
 
@@ -176,8 +200,10 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
     out = Matrix(a.data - b.data, tape)
     if tape is not None:
         def backward():
-            a.grad += out.grad
-            b.grad -= out.grad
+            if a.tape is not None:
+                a.grad += out.grad
+            if b.tape is not None:
+                b.grad -= out.grad
         tape.record(backward)
     return out
 
@@ -190,8 +216,10 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     out = Matrix(a.data * b.data, tape)
     if tape is not None:
         def backward():
-            a.grad += out.grad * b.data
-            b.grad += out.grad * a.data
+            if a.tape is not None:
+                a.grad += out.grad * b.data
+            if b.tape is not None:
+                b.grad += out.grad * a.data
         tape.record(backward)
     return out
 

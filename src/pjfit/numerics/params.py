@@ -12,11 +12,26 @@ from pjfit.numerics.matrix import Matrix, Tape
 @dataclass
 class Param:
     value: np.ndarray
-    grad: np.ndarray
     trainable: bool = True
     # Adam moments, allocated on first optimizer step
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
+    _grad: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The gradient buffer, allocated on first access.
+
+        Binding the parameter on a tape is the first access in a training
+        step; inference never allocates one.
+        """
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @property
+    def has_grad(self) -> bool:
+        return self._grad is not None
 
 
 class ParamStore:
@@ -34,7 +49,7 @@ class ParamStore:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ValueError(f"parameter {name!r} must be 2-D, got shape {arr.shape}")
-        p = Param(value=arr, grad=np.zeros_like(arr), trainable=trainable)
+        p = Param(value=arr, trainable=trainable)
         self._params[name] = p
         return p
 
@@ -55,7 +70,8 @@ class ParamStore:
 
     def zero_grads(self) -> None:
         for p in self._params.values():
-            p.grad[...] = 0.0
+            if p.has_grad:
+                p.grad[...] = 0.0
 
     def n_values(self) -> int:
         return sum(p.value.size for p in self._params.values())
@@ -73,8 +89,9 @@ class ParamStore:
 class BoundParams:
     """Parameters viewed as Matrix nodes on one tape.
 
-    Each Matrix shares the Param's grad buffer, so a backward pass writes
-    gradients directly into the store.
+    On a tape, each Matrix shares the Param's grad buffer, so a backward
+    pass writes gradients directly into the store. Without a tape no
+    buffer is touched.
     """
 
     def __init__(self, store: ParamStore, tape: Tape | None):
@@ -86,16 +103,20 @@ class BoundParams:
         m = self._cache.get(name)
         if m is None:
             p = self._store[name]
-            m = Matrix(p.value, tape=self.tape, grad=p.grad)
+            if self.tape is None:
+                m = Matrix(p.value)
+            else:
+                m = Matrix(p.value, tape=self.tape, grad=p.grad)
             self._cache[name] = m
         return m
 
     def constant(self, data) -> Matrix:
-        """Wrap input data (embeddings, padded histories) for this tape.
+        """Wrap input data (embeddings, packed histories) as an untaped Matrix.
 
-        Constants take part in the graph but nothing reads their gradients.
+        Constants take part in the graph, but no backward pass computes or
+        stores a gradient for them.
         """
-        return Matrix(data, tape=self.tape)
+        return Matrix(data)
 
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

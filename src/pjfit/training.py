@@ -1,9 +1,13 @@
-"""End-to-end scoring, pairwise loss, training loop, evaluation.
+"""End-to-end scoring, pairwise loss, training loop, evaluation, ranking.
 
-Scores are produced by encoding both sides over their padded histories,
-concatenating [candidate fusion, job fusion, resume embedding, JD
-embedding] into the joint representation, and applying the scoring head.
-Training minimizes the pairwise loss
+``score_pairs`` is the one forward pass. It scores a batch of pairs at
+once: the distinct candidates and jobs of the batch each get their packed
+histories (valid rows only, no padding) projected once per attention set,
+both sides are encoded, [candidate fusion, job fusion, resume embedding,
+JD embedding] forms each pair's joint representation, and the scoring head
+maps the batch to a (B, 1) column. Training builds one graph per batch
+with positives and negatives stacked; evaluation and ranking score
+fixed-size chunks of pairs. Training minimizes the pairwise loss
 
     L = -(1/|B|) sum log sigma(y+ - y-) + lambda (1/|B|) sum ((y+)^2 + (y-)^2)
 
@@ -13,15 +17,16 @@ category table and every network weight are.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from pjfit.config import ModelConfig, TrainConfig
 from pjfit.domain import Dataset, DatasetError, EntityRecord, pad_sequence, sample_training_pairs
-from pjfit.encoder import encode_side, encoder_param_spec
+from pjfit.encoder import encode_side_batch, encoder_param_spec
 from pjfit.metrics import RankedPrediction, ap, auc, gauc, ndcg
-from pjfit.moe import head_param_spec, moe_predict
+from pjfit.moe import head_param_spec, moe_scores
 from pjfit.numerics import (
     BoundParams,
     Matrix,
@@ -51,51 +56,105 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
     return store
 
 
+# Pairs per batched forward in score_all and rank_candidates. Each forward
+# reads every weight once, so larger chunks read them fewer times; a chunk's
+# working memory grows with its packed rows, at most SCORE_CHUNK * seq_len
+# per stage and entity kind.
+SCORE_CHUNK = 256
+
+
 class SequenceCache:
-    """Padded history blocks per entity, built once per dataset."""
+    """Packed history rows per (entity, stage), built once per dataset.
+
+    A stage keeps the embeddings of its ``seq_len`` most recent ids, most
+    recent first: exactly the rows ``pad_sequence`` marks valid, in the
+    same order. An empty stage has zero rows.
+    """
 
     def __init__(self, dataset: Dataset, cfg: ModelConfig):
         self._dataset = dataset
         self._cfg = cfg
-        self._cache: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._cache: dict[str, list[np.ndarray]] = {}
 
-    def get(self, record: EntityRecord) -> list[tuple[np.ndarray, np.ndarray]]:
+    def rows(self, record: EntityRecord) -> list[np.ndarray]:
+        """One (n, d) block per active stage, n <= seq_len."""
         key = f"{record.kind}:{record.id}"
-        seqs = self._cache.get(key)
-        if seqs is None:
+        blocks = self._cache.get(key)
+        if blocks is None:
             counterpart = "job" if record.kind == "candidate" else "candidate"
-            seqs = [
-                pad_sequence(record.history(stage), self._dataset,
-                             max_len=self._cfg.seq_len, kind=counterpart)
-                for stage in self._cfg.stages
-            ]
-            self._cache[key] = seqs
-        return seqs
+            blocks = []
+            for stage in self._cfg.stages:
+                padded, valid = pad_sequence(record.history(stage), self._dataset,
+                                             max_len=self._cfg.seq_len, kind=counterpart)
+                blocks.append(padded[valid])
+            self._cache[key] = blocks
+        return blocks
+
+    def pack(self, records) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per active stage: the records' rows stacked in record order, and
+        the (len(records), 2) array of each record's [lo, hi) row range."""
+        per_record = [self.rows(r) for r in records]
+        packed = []
+        for stage in range(len(self._cfg.stages)):
+            blocks = [rows[stage] for rows in per_record]
+            lengths = np.array([len(b) for b in blocks], dtype=np.intp)
+            ends = np.cumsum(lengths)
+            packed.append((np.concatenate(blocks), np.stack([ends - lengths, ends], axis=1)))
+        return packed
 
 
-def score_pair(candidate: EntityRecord, job: EntityRecord, bound: BoundParams,
-               cfg: ModelConfig, cache: SequenceCache) -> Matrix:
-    """Match score for one candidate-job pair as a 1x1 node.
+def _distinct(records) -> tuple[list[EntityRecord], np.ndarray]:
+    """The distinct records by id, in first-seen order, and each input's position among them."""
+    position: dict[str, int] = {}
+    distinct: list[EntityRecord] = []
+    index = np.empty(len(records), dtype=np.intp)
+    for i, record in enumerate(records):
+        j = position.get(record.id)
+        if j is None:
+            j = position[record.id] = len(distinct)
+            distinct.append(record)
+        index[i] = j
+    return distinct, index
+
+
+def score_pairs(candidates, jobs, bound: BoundParams, cfg: ModelConfig,
+                cache: SequenceCache) -> Matrix:
+    """Match scores of the pairs (candidates[i], jobs[i]) as a (B, 1) column.
 
     Internal interactions attend each side's text over its own
     counterpart-kind history; external interactions attend it over the
-    paired entity's same-kind history. Entities with empty histories are
-    scorable: fully padded stages contribute zero vectors.
+    paired entity's same-kind history. Each distinct entity's histories are
+    projected once, so the positive and the negative of a training entry
+    share their job's projections. Entities with empty histories are
+    scorable: empty stages contribute zero vectors. A pair's score depends
+    on the rest of the batch only through rounding.
     """
-    resume = bound.constant(candidate.embedding)
-    jd = bound.constant(job.embedding)
-    cand_hist = [(bound.constant(m), v) for m, v in cache.get(candidate)]
-    job_hist = [(bound.constant(m), v) for m, v in cache.get(job)]
+    if len(candidates) != len(jobs):
+        raise ValueError(f"{len(candidates)} candidates for {len(jobs)} jobs")
+    if not candidates:
+        raise ValueError("no pairs to score")
+    cands, cand_index = _distinct(candidates)
+    job_records, job_index = _distinct(jobs)
+    resume = bound.constant(np.stack([c.embedding for c in cands]))
+    jd = bound.constant(np.stack([j.embedding for j in job_records]))
+    cand_hist = [(bound.constant(rows), ranges) for rows, ranges in cache.pack(cands)]
+    job_hist = [(bound.constant(rows), ranges) for rows, ranges in cache.pack(job_records)]
+    # the paired entity's history, one range per pair
+    cand_cross = [(rows, ranges[job_index]) for rows, ranges in job_hist]
+    job_cross = [(rows, ranges[cand_index]) for rows, ranges in cand_hist]
 
-    cand_fused = encode_side(resume, cand_hist, job_hist, bound, "cand", cfg)
-    job_fused = encode_side(jd, job_hist, cand_hist, bound, "job", cfg)
+    cand_fused = encode_side_batch(resume, cand_index, cand_hist, cand_cross, bound, "cand", cfg)
+    job_fused = encode_side_batch(jd, job_index, job_hist, job_cross, bound, "job", cfg)
 
-    parts = [cand_fused, job_fused, resume, jd]
+    cand_categories = np.array([c.category_id for c in candidates], dtype=np.intp)
+    job_categories = np.array([j.category_id for j in jobs], dtype=np.intp)
+    parts = [cand_fused, job_fused, ops.gather_rows(resume, cand_index),
+             ops.gather_rows(jd, job_index)]
     if cfg.ablation == "simple_match":
-        same = 1.0 if candidate.category_id == job.category_id else 0.0
-        parts.append(bound.constant([[same]]))
+        same = (cand_categories == job_categories).astype(np.float64)
+        parts.append(bound.constant(same.reshape(-1, 1)))
     x = ops.concat_cols(parts)
-    return moe_predict(x, candidate.category_id, job.category_id, bound, cfg)
+    return moe_scores(x, cand_categories, job_categories, bound, cfg)
 
 
 def bpr_loss_graph(pos: Matrix, neg: Matrix, lambda_reg: float) -> Matrix:
@@ -155,15 +214,14 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
         for batch_index, batch in enumerate(epoch.batches):
             tape = Tape()
             bound = store.bind(tape)
-            pos_scores, neg_scores = [], []
-            for pos_pair, neg_pair in batch.entries:
-                cand = train_dataset.candidates[pos_pair.candidate_id]
-                neg_cand = train_dataset.candidates[neg_pair.candidate_id]
-                job = train_dataset.jobs[pos_pair.job_id]
-                pos_scores.append(score_pair(cand, job, bound, config.model, cache))
-                neg_scores.append(score_pair(neg_cand, job, bound, config.model, cache))
-            loss = bpr_loss_graph(ops.concat_rows(pos_scores),
-                                  ops.concat_rows(neg_scores), config.lambda_reg)
+            # positives first, then their negatives, in one graph
+            pairs = [pos for pos, _ in batch.entries] + [neg for _, neg in batch.entries]
+            scores = score_pairs([train_dataset.candidates[p.candidate_id] for p in pairs],
+                                 [train_dataset.jobs[p.job_id] for p in pairs],
+                                 bound, config.model, cache)
+            n = len(batch)
+            loss = bpr_loss_graph(ops.gather_rows(scores, np.arange(n)),
+                                  ops.gather_rows(scores, np.arange(n, 2 * n)), config.lambda_reg)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(f"non-finite loss at batch {batch_index}")
@@ -174,16 +232,26 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
     return result
 
 
-def score_all(dataset: Dataset, store: ParamStore, cfg: ModelConfig) -> list[RankedPrediction]:
-    """Score every pair in the dataset with frozen parameters."""
+def _score_chunks(candidates, jobs, store: ParamStore, cfg: ModelConfig,
+                  dataset: Dataset) -> list[float]:
+    """Frozen-parameter scores of (candidates[i], jobs[i]), SCORE_CHUNK pairs per forward."""
     bound = store.bind(tape=None)
     cache = SequenceCache(dataset, cfg)
-    preds = []
-    for p in dataset.pairs:
-        score = score_pair(dataset.candidates[p.candidate_id], dataset.jobs[p.job_id],
-                           bound, cfg, cache).item()
-        preds.append(RankedPrediction(p.candidate_id, p.job_id, score, p.label))
-    return preds
+    scores: list[float] = []
+    for lo in range(0, len(candidates), SCORE_CHUNK):
+        out = score_pairs(candidates[lo:lo + SCORE_CHUNK], jobs[lo:lo + SCORE_CHUNK],
+                          bound, cfg, cache)
+        scores.extend(out.data[:, 0].tolist())
+    return scores
+
+
+def score_all(dataset: Dataset, store: ParamStore, cfg: ModelConfig) -> list[RankedPrediction]:
+    """Score every pair in the dataset with frozen parameters, in pair order."""
+    scores = _score_chunks([dataset.candidates[p.candidate_id] for p in dataset.pairs],
+                           [dataset.jobs[p.job_id] for p in dataset.pairs],
+                           store, cfg, dataset)
+    return [RankedPrediction(p.candidate_id, p.job_id, score, p.label)
+            for p, score in zip(dataset.pairs, scores)]
 
 
 def evaluate(test_dataset: Dataset, store: ParamStore, cfg: ModelConfig) -> dict:
@@ -196,3 +264,26 @@ def evaluate(test_dataset: Dataset, store: ParamStore, cfg: ModelConfig) -> dict
         "ap": ap(preds),
         "n_pairs": len(preds),
     }
+
+
+def rank_candidates(job_id: str, candidate_ids, store: ParamStore, cfg: ModelConfig,
+                    dataset: Dataset) -> list[tuple[str, float]]:
+    """Scores sorted descending; ties broken by candidate id. Duplicate
+    input ids are dropped with a warning on stderr, unknown ids are an error."""
+    unknown = [c for c in candidate_ids if c not in dataset.candidates]
+    if job_id not in dataset.jobs:
+        unknown.append(job_id)
+    if unknown:
+        raise DatasetError("unknown ids: " + ", ".join(repr(u) for u in unknown))
+    seen = set()
+    deduped = []
+    for cid in candidate_ids:
+        if cid in seen:
+            print(f"warning: duplicate candidate id {cid!r} ignored", file=sys.stderr)
+            continue
+        seen.add(cid)
+        deduped.append(cid)
+    job = dataset.jobs[job_id]
+    scores = _score_chunks([dataset.candidates[cid] for cid in deduped], [job] * len(deduped),
+                           store, cfg, dataset)
+    return sorted(zip(deduped, scores), key=lambda t: (-t[1], t[0]))

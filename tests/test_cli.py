@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from pjfit import cli
 from pjfit.checkpoint import load_checkpoint
 from pjfit.cli import main, read_report
+from pjfit.numerics import DimensionError
 
 SYNTH_CFG = {
     "n_candidates": 48,
@@ -154,3 +156,16 @@ def test_usage_and_data_error_exit_codes(tmp_path, capsys):
                  "--checkpoint", str(tmp_path / "none.ckpt"),
                  "--report-out", str(tmp_path / "r.json")]) == 2
     capsys.readouterr()
+
+
+def test_internal_shape_error_is_not_a_data_error(tmp_path, monkeypatch, capsys):
+    # DimensionError subclasses ValueError, but it marks a bug in the model
+    # code, not bad input
+    def broken(path, expected=None):
+        raise DimensionError("matmul: (1, 3) @ (2, 2)")
+
+    monkeypatch.setattr(cli, "load_checkpoint", broken)
+    assert main(["eval", "--data", str(tmp_path), "--checkpoint", str(tmp_path / "m.ckpt"),
+                 "--report-out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" in err and "data error" not in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pjfit.encoder import AttentionSet, bound_attention_set, encode_side, multi_head_interaction
+from pjfit.encoder import AttentionSet, bound_attention_set, encode_side_batch, segment_interaction
 from pjfit.numerics import Matrix, ParamStore, Tape, finite_diff_check, ops, seeded_rng
 from pjfit.training import init_params
 
@@ -20,29 +20,37 @@ def store(cfg):
 
 
 def rand_seqs(rng, cfg, lengths):
-    """One (matrix, valid) per stage with the given unpadded lengths."""
-    seqs = []
-    for n in lengths:
-        m = rng.normal(size=(cfg.seq_len, cfg.d_model))
-        valid = np.zeros(cfg.seq_len, dtype=bool)
-        valid[:n] = True
-        m[~valid] = 0.0
-        seqs.append((m, valid))
-    return seqs
+    """One packed (rows, ranges) per stage: n history rows of a single entity."""
+    return [(rng.normal(size=(n, cfg.d_model)), np.array([[0, n]])) for n in lengths]
 
 
 def as_matrices(seqs, tape=None):
-    return [(Matrix(m, tape), v) for m, v in seqs]
+    return [(Matrix(rows, tape), ranges) for rows, ranges in seqs]
+
+
+def padded(seqs, cfg):
+    """The oracle's (seq_len, d) block and validity mask for each single-entity stage."""
+    out = []
+    for rows, _ in seqs:
+        block = np.zeros((cfg.seq_len, cfg.d_model))
+        block[:len(rows)] = rows
+        out.append((block, np.arange(cfg.seq_len) < len(rows)))
+    return out
+
+
+def encode_one(self_vec, own, cross, bound, side, cfg):
+    """encode_side_batch for one pair of single entities."""
+    return encode_side_batch(self_vec, np.array([0]), own, cross, bound, side, cfg)
 
 
 def test_fully_masked_sequence_gives_zero_vector(cfg, store):
     rng = seeded_rng(1)
     bound = store.bind()
     aset = bound_attention_set(bound, "cand.evaluated.internal", cfg.heads)
-    query = Matrix(rng.normal(size=(1, cfg.d_model)))
-    seq = Matrix(rng.normal(size=(cfg.seq_len, cfg.d_model)))
-    out = multi_head_interaction(query, seq, np.zeros(cfg.seq_len, dtype=bool), aset)
-    np.testing.assert_array_equal(out.data, np.zeros((1, cfg.d_model)))
+    query = Matrix(rng.normal(size=(2, cfg.d_model)))
+    rows = Matrix(rng.normal(size=(cfg.seq_len, cfg.d_model)))
+    out = segment_interaction(query, rows, np.array([[0, 0], [2, 2]]), aset)
+    np.testing.assert_array_equal(out.data, np.zeros((2, cfg.d_model)))
 
 
 def test_single_unmasked_row_with_identity_value_path_returns_that_row():
@@ -57,22 +65,27 @@ def test_single_unmasked_row_with_identity_value_path_returns_that_row():
         wv=tuple(Matrix(eye[:, i * dk:(i + 1) * dk]) for i in range(heads)),
         wo=Matrix(eye),
     )
-    seq = rng.normal(size=(3, d_model))
-    valid = np.array([False, True, False])
-    out = multi_head_interaction(Matrix(rng.normal(size=(1, d_model))), Matrix(seq), valid, aset)
-    np.testing.assert_allclose(out.data, seq[1:2], atol=1e-14)
+    rows = rng.normal(size=(3, d_model))
+    out = segment_interaction(Matrix(rng.normal(size=(1, d_model))), Matrix(rows),
+                              np.array([[1, 2]]), aset)
+    np.testing.assert_allclose(out.data, rows[1:2], atol=1e-14)
 
 
 def test_multi_head_matches_per_head_oracle(cfg, store):
     rng = seeded_rng(3)
-    query = rng.normal(size=(1, cfg.d_model))
-    seq = rng.normal(size=(cfg.seq_len, cfg.d_model))
-    valid = np.array([True, True, True, False])
-    expected = np_mha(query, seq, valid, store, "job.passed_eval.external", cfg)
+    query = rng.normal(size=(2, cfg.d_model))
+    rows = rng.normal(size=(cfg.seq_len, cfg.d_model))
     bound = store.bind()
     aset = bound_attention_set(bound, "job.passed_eval.external", cfg.heads)
-    out = multi_head_interaction(Matrix(query), Matrix(seq), valid, aset)
-    np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+    out = segment_interaction(Matrix(query), Matrix(rows), np.array([[0, 3], [1, 4]]), aset)
+    prefix = np.array([True, True, True, False])
+    np.testing.assert_allclose(
+        out.data[:1], np_mha(query[:1], rows, prefix, store, "job.passed_eval.external", cfg),
+        rtol=1e-12)
+    np.testing.assert_allclose(
+        out.data[1:], np_mha(query[1:], rows[1:4], np.ones(3, dtype=bool), store,
+                             "job.passed_eval.external", cfg),
+        rtol=1e-12)
 
 
 def test_encode_side_empty_histories_is_the_bias_chain(cfg, store):
@@ -81,8 +94,8 @@ def test_encode_side_empty_histories_is_the_bias_chain(cfg, store):
     store["cand.fusion.b1"].value[...] = rng.normal(size=store["cand.fusion.b1"].value.shape)
     store["cand.fusion.b2"].value[...] = rng.normal(size=store["cand.fusion.b2"].value.shape)
     empty = rand_seqs(rng, cfg, [0, 0, 0])
-    out = encode_side(Matrix(rng.normal(size=(1, cfg.d_model))),
-                      as_matrices(empty), as_matrices(empty), store.bind(), "cand", cfg)
+    out = encode_one(Matrix(rng.normal(size=(1, cfg.d_model))),
+                     as_matrices(empty), as_matrices(empty), store.bind(), "cand", cfg)
     expected = (np.maximum(store["cand.fusion.b1"].value, 0.0)
                 @ store["cand.fusion.w2"].value + store["cand.fusion.b2"].value)
     np.testing.assert_allclose(out.data, expected, atol=1e-14)
@@ -93,8 +106,8 @@ def test_encode_side_is_pure(cfg, store):
     self_vec = rng.normal(size=(1, cfg.d_model))
     own = rand_seqs(rng, cfg, [2, 1, 0])
     cross = rand_seqs(rng, cfg, [3, 0, 1])
-    a = encode_side(Matrix(self_vec), as_matrices(own), as_matrices(cross), store.bind(), "cand", cfg)
-    b = encode_side(Matrix(self_vec), as_matrices(own), as_matrices(cross), store.bind(), "cand", cfg)
+    a = encode_one(Matrix(self_vec), as_matrices(own), as_matrices(cross), store.bind(), "cand", cfg)
+    b = encode_one(Matrix(self_vec), as_matrices(own), as_matrices(cross), store.bind(), "cand", cfg)
     np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -103,8 +116,8 @@ def test_encode_side_matches_transcript_oracle(cfg, store):
     self_vec = rng.normal(size=(1, cfg.d_model))
     own = rand_seqs(rng, cfg, [3, 2, 1])
     cross = rand_seqs(rng, cfg, [1, 4, 2])
-    expected = np_encode_side(self_vec, own, cross, store, "job", cfg)
-    out = encode_side(Matrix(self_vec), as_matrices(own), as_matrices(cross), store.bind(), "job", cfg)
+    expected = np_encode_side(self_vec, padded(own, cfg), padded(cross, cfg), store, "job", cfg)
+    out = encode_one(Matrix(self_vec), as_matrices(own), as_matrices(cross), store.bind(), "job", cfg)
     assert out.shape == (1, cfg.fusion_out)
     np.testing.assert_allclose(out.data, expected, rtol=1e-11)
 
@@ -114,29 +127,29 @@ def test_permuting_unpadded_rows_leaves_output_unchanged(cfg, store):
     self_vec = Matrix(rng.normal(size=(1, cfg.d_model)))
     own = rand_seqs(rng, cfg, [4, 2, 3])
     cross = rand_seqs(rng, cfg, [2, 2, 2])
-    base = encode_side(self_vec, as_matrices(own), as_matrices(cross), store.bind(), "cand", cfg)
-    # shuffle the 4 real rows of the first own-history stage
-    mat, valid = own[0]
-    shuffled = mat.copy()
-    shuffled[:4] = mat[[2, 0, 3, 1]]
-    own_perm = [(shuffled, valid)] + own[1:]
-    permuted = encode_side(self_vec, as_matrices(own_perm), as_matrices(cross), store.bind(), "cand", cfg)
+    base = encode_one(self_vec, as_matrices(own), as_matrices(cross), store.bind(), "cand", cfg)
+    # shuffle the 4 rows of the first own-history stage
+    rows, ranges = own[0]
+    own_perm = [(rows[[2, 0, 3, 1]], ranges)] + own[1:]
+    permuted = encode_one(self_vec, as_matrices(own_perm), as_matrices(cross), store.bind(), "cand", cfg)
     np.testing.assert_allclose(permuted.data, base.data, atol=1e-10)
 
 
 def test_padded_garbage_rows_never_leak(cfg, store):
+    # rows packed around an entity's range belong to other entities; they
+    # must not reach its output
     rng = seeded_rng(7)
     self_vec = Matrix(rng.normal(size=(1, cfg.d_model)))
     own = rand_seqs(rng, cfg, [2, 0, 1])
     cross = rand_seqs(rng, cfg, [1, 1, 0])
-    base = encode_side(self_vec, as_matrices(own), as_matrices(cross), store.bind(), "cand", cfg)
+    base = encode_one(self_vec, as_matrices(own), as_matrices(cross), store.bind(), "cand", cfg)
     poisoned_own = []
-    for mat, valid in own:
-        bad = mat.copy()
-        bad[~valid] = 1e6  # garbage where the mask says padded
-        poisoned_own.append((bad, valid))
-    out = encode_side(self_vec, as_matrices(poisoned_own), as_matrices(cross), store.bind(), "cand", cfg)
-    np.testing.assert_array_equal(out.data, base.data)
+    for rows, _ in own:
+        garbage = np.full((3, cfg.d_model), 1e6)
+        poisoned_own.append((np.concatenate([garbage, rows, garbage]),
+                             np.array([[3, 3 + len(rows)]])))
+    out = encode_one(self_vec, as_matrices(poisoned_own), as_matrices(cross), store.bind(), "cand", cfg)
+    np.testing.assert_allclose(out.data, base.data, rtol=1e-12)
 
 
 def test_sides_share_architecture_but_not_parameters(cfg, store):
@@ -144,29 +157,43 @@ def test_sides_share_architecture_but_not_parameters(cfg, store):
     self_vec = Matrix(rng.normal(size=(1, cfg.d_model)))
     own = as_matrices(rand_seqs(rng, cfg, [2, 1, 1]))
     cross = as_matrices(rand_seqs(rng, cfg, [1, 2, 0]))
-    before = encode_side(self_vec, own, cross, store.bind(), "cand", cfg).data.copy()
+    before = encode_one(self_vec, own, cross, store.bind(), "cand", cfg).data.copy()
     for name, p in store.items():
         if name.startswith("job."):
             p.value += 0.37
-    after = encode_side(self_vec, own, cross, store.bind(), "cand", cfg).data
+    after = encode_one(self_vec, own, cross, store.bind(), "cand", cfg).data
     np.testing.assert_array_equal(after, before)
 
 
+def batch_seqs(rng, cfg, lengths, ranges_of):
+    """Per stage: rows for entities of the given lengths, packed, with the
+    ranges ``ranges_of`` picks from the per-entity ranges."""
+    out = []
+    for stage_lengths in lengths:
+        ends = np.cumsum(stage_lengths)
+        ranges = np.stack([ends - np.array(stage_lengths), ends], axis=1)
+        out.append((rng.normal(size=(int(ends[-1]), cfg.d_model)), ranges[ranges_of]))
+    return out
+
+
 def test_encoder_gradients_pass_finite_differences(cfg):
+    # two distinct entities in three pairs; the cross histories of the pairs
+    # include a shared and an empty range
+    index = np.array([0, 1, 1])
     worst = 0.0
     for seed in range(3):
         rng = seeded_rng(100 + seed)
         store = init_params(cfg, rng)
-        self_vec = rng.normal(size=(1, cfg.d_model))
-        own = rand_seqs(rng, cfg, [3, 1, 2])
-        cross = rand_seqs(rng, cfg, [2, 2, 1])
-        probe = rng.normal(size=(1, cfg.fusion_out))
+        self_vec = rng.normal(size=(2, cfg.d_model))
+        own = batch_seqs(rng, cfg, [[3, 1], [1, 2], [2, 0]], [0, 1])
+        cross = batch_seqs(rng, cfg, [[2, 1], [2, 0], [1, 3]], [0, 1, 1])
+        probe = rng.normal(size=(3, cfg.fusion_out))
 
         def f(s):
             tape = Tape()
             bound = s.bind(tape)
-            out = encode_side(bound.constant(self_vec), as_matrices(own, tape),
-                              as_matrices(cross, tape), bound, "cand", cfg)
+            out = encode_side_batch(bound.constant(self_vec), index, as_matrices(own, tape),
+                                    as_matrices(cross, tape), bound, "cand", cfg)
             return ops.sum_all(ops.mul(out, bound.constant(probe)))
 
         worst = max(worst, finite_diff_check(f, store, coords_per_param=4, rng=rng))
@@ -177,4 +204,4 @@ def test_encode_side_wrong_stage_count_raises(cfg, store):
     rng = seeded_rng(9)
     seqs = as_matrices(rand_seqs(rng, cfg, [1]))
     with pytest.raises(ValueError, match="sequences per direction"):
-        encode_side(Matrix(rng.normal(size=(1, cfg.d_model))), seqs, seqs, store.bind(), "cand", cfg)
+        encode_one(Matrix(rng.normal(size=(1, cfg.d_model))), seqs, seqs, store.bind(), "cand", cfg)

@@ -182,7 +182,9 @@ def test_ap_matches_threshold_sweep_oracle_on_random_instances():
 @given(st.data())
 def test_ap_invariant_under_monotone_transform(data):
     n = data.draw(st.integers(2, 25))
-    scores = data.draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))
+    # coarse grid keeps tanh collision-free in float64: on arbitrary floats it
+    # maps neighbours such as 3.0 and 3.0 - 4e-16 to one value, creating a tie
+    scores = [k / 1000 for k in data.draw(st.lists(st.integers(-3000, 3000), min_size=n, max_size=n))]
     labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     if sum(labels) == 0:
         labels[0] = 1

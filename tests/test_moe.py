@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pjfit.moe import expert_forward, gate_weights, moe_predict
+from pjfit.moe import expert_forward, gate_weights, moe_scores
 from pjfit.numerics import Matrix, Tape, finite_diff_check, ops, seeded_rng
 from pjfit.training import init_params
 
@@ -78,7 +78,7 @@ def test_constant_experts_make_gate_irrelevant(cfg, store):
             store[f"moe.expert{i}.{layer}"].value[...] = 0.0
         store[f"moe.expert{i}.b3"].value[...] = c
     x = Matrix(seeded_rng(4).normal(size=(1, cfg.joint_dim)))
-    out = moe_predict(x, 0, 1, store.bind(), cfg)
+    out = moe_scores(x, [0], [1], store.bind(), cfg)
     assert abs(out.item() - c) < 1e-12
 
 
@@ -87,16 +87,20 @@ def test_forced_one_hot_gate_selects_single_expert(cfg, store):
     store["moe.gate.b2"].value[...] = 0.0
     store["moe.gate.b2"].value[0, 1] = 200.0  # softmax weight 1.0 in float64
     x = seeded_rng(5).normal(size=(1, cfg.joint_dim))
-    out = moe_predict(Matrix(x), 0, 0, store.bind(), cfg)
+    out = moe_scores(Matrix(x), [0], [0], store.bind(), cfg)
     expected = expert_forward(Matrix(x), 1, store.bind(), cfg)
     np.testing.assert_allclose(out.item(), expected.item(), rtol=1e-15)
 
 
 def test_moe_predict_matches_sum_of_products_oracle(cfg, store):
-    x = seeded_rng(0).normal(size=(1, cfg.joint_dim))
-    expected = np_moe(x, 0, 2, store, cfg)
-    got = moe_predict(Matrix(x), 0, 2, store.bind(), cfg)
-    np.testing.assert_allclose(got.item(), expected, rtol=1e-12)
+    # one row per pair, each with its own category pair
+    x = seeded_rng(0).normal(size=(4, cfg.joint_dim))
+    cand, job = [0, 3, 1, 0], [2, 2, 1, 0]
+    got = moe_scores(Matrix(x), cand, job, store.bind(), cfg)
+    assert got.shape == (4, 1)
+    for i in range(4):
+        expected = np_moe(x[i:i + 1], cand[i], job[i], store, cfg)
+        np.testing.assert_allclose(got.data[i, 0], expected, rtol=1e-12)
 
 
 def test_moe_prediction_bounded_by_expert_range(cfg, store):
@@ -105,15 +109,15 @@ def test_moe_prediction_bounded_by_expert_range(cfg, store):
     for _ in range(50):
         x = Matrix(rng.normal(size=(1, cfg.joint_dim)))
         outputs = [expert_forward(x, i, bound, cfg).item() for i in range(cfg.n_experts)]
-        y = moe_predict(x, int(rng.integers(cfg.n_categories)),
-                        int(rng.integers(cfg.n_categories)), bound, cfg).item()
+        y = moe_scores(x, [int(rng.integers(cfg.n_categories))],
+                       [int(rng.integers(cfg.n_categories))], bound, cfg).item()
         assert min(outputs) - 1e-12 <= y <= max(outputs) + 1e-12
 
 
 def test_swapping_experts_with_gate_columns_is_a_symmetry(cfg, store):
     rng = seeded_rng(7)
     x = rng.normal(size=(1, cfg.joint_dim))
-    base = moe_predict(Matrix(x), 1, 2, store.bind(), cfg).item()
+    base = moe_scores(Matrix(x), [1], [2], store.bind(), cfg).item()
     i, j = 0, 2
     for layer in ("w1", "b1", "w2", "b2", "w3", "b3"):
         a = store[f"moe.expert{i}.{layer}"].value.copy()
@@ -123,14 +127,14 @@ def test_swapping_experts_with_gate_columns_is_a_symmetry(cfg, store):
     w2[:, [i, j]] = w2[:, [j, i]]
     b2 = store["moe.gate.b2"].value
     b2[:, [i, j]] = b2[:, [j, i]]
-    swapped = moe_predict(Matrix(x), 1, 2, store.bind(), cfg).item()
+    swapped = moe_scores(Matrix(x), [1], [2], store.bind(), cfg).item()
     assert abs(swapped - base) < 1e-10
 
 
 def test_unknown_category_id_rejected(cfg, store):
     x = Matrix(np.zeros((1, cfg.joint_dim)))
     with pytest.raises(IndexError, match="category id"):
-        moe_predict(x, cfg.n_categories, 0, store.bind(), cfg)
+        moe_scores(x, [cfg.n_categories], [0], store.bind(), cfg)
 
 
 def test_gate_and_expert_gradients_including_category_rows(cfg):
@@ -142,14 +146,14 @@ def test_gate_and_expert_gradients_including_category_rows(cfg):
 
         def f(s):
             bound = s.bind(Tape())
-            return moe_predict(bound.constant(x), 1, 3, bound, cfg)
+            return moe_scores(bound.constant(x), [1], [3], bound, cfg)
 
         worst = max(worst, finite_diff_check(f, store, coords_per_param=5, rng=rng))
         # the used category-embedding rows must carry gradient
         store.zero_grads()
         tape = Tape()
         bound = store.bind(tape)
-        out = moe_predict(bound.constant(x), 1, 3, bound, cfg)
+        out = moe_scores(bound.constant(x), [1], [3], bound, cfg)
         tape.backward(out)
         grads = store["moe.categories"].grad
         assert np.abs(grads[1]).sum() > 0 and np.abs(grads[3]).sum() > 0
@@ -161,9 +165,9 @@ def test_no_category_ablation_ignores_the_table(cfg):
     cfg0 = toy_model_config(ablation="no_category")
     store = init_params(cfg0, seeded_rng(0))
     x = seeded_rng(1).normal(size=(1, cfg0.joint_dim))
-    a = moe_predict(Matrix(x), 0, 0, store.bind(), cfg0).item()
+    a = moe_scores(Matrix(x), [0], [0], store.bind(), cfg0).item()
     store["moe.categories"].value[...] += 9.0
-    b = moe_predict(Matrix(x), 3, 2, store.bind(), cfg0).item()
+    b = moe_scores(Matrix(x), [3], [2], store.bind(), cfg0).item()
     assert a == b
 
 
@@ -173,5 +177,5 @@ def test_single_head_ablations_score_without_gate(cfg):
         store = init_params(acfg, seeded_rng(0))
         assert "moe.gate.w1" not in store
         x = seeded_rng(2).normal(size=(1, acfg.joint_dim))
-        got = moe_predict(Matrix(x), 0, 1, store.bind(), acfg).item()
+        got = moe_scores(Matrix(x), [0], [1], store.bind(), acfg).item()
         np.testing.assert_allclose(got, float(np_ffn(x, store, "head")[0, 0]), rtol=1e-12)

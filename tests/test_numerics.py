@@ -22,6 +22,9 @@ from pjfit.numerics import (
 )
 
 
+from reference_model import np_attention
+
+
 def taped(*arrays):
     tape = Tape()
     return tape, [Matrix(a, tape) for a in arrays]
@@ -129,21 +132,20 @@ def test_attention_single_unmasked_row_returns_that_v_row():
     q = rng.normal(size=(1, 4))
     k = rng.normal(size=(3, 4))
     v = rng.normal(size=(3, 4))
-    valid = np.array([False, True, False])
     _, (qm, km, vm) = taped(q, k, v)
-    out = ops.scaled_dot_attention(qm, km, vm, valid)
+    out = ops.segment_attention(qm, km, vm, [[1, 2]])
     np.testing.assert_allclose(out.data, v[1:2], atol=1e-15)
 
 
 def test_attention_fully_masked_returns_zeros_and_no_gradients():
     rng = seeded_rng(2)
-    tape, (q, k, v) = taped(rng.normal(size=(1, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
-    out = ops.scaled_dot_attention(q, k, v, np.zeros(3, dtype=bool))
-    np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
+    tape, (q, k, v) = taped(rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
+    out = ops.segment_attention(q, k, v, [[0, 0], [3, 3]])
+    np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
     tape.backward(ops.sum_all(out))
     np.testing.assert_array_equal(k.grad, np.zeros((3, 4)))
     np.testing.assert_array_equal(v.grad, np.zeros((3, 4)))
-    np.testing.assert_array_equal(q.grad, np.zeros((1, 4)))
+    np.testing.assert_array_equal(q.grad, np.zeros((2, 4)))
 
 
 def test_attention_matches_step_by_step_oracle():
@@ -157,22 +159,40 @@ def test_attention_matches_step_by_step_oracle():
     w = e / e.sum()
     expected = sum(w[0, r] * v[r] for r in range(3))
     _, (qm, km, vm) = taped(q, k, v)
-    out = ops.scaled_dot_attention(qm, km, vm, np.ones(3, dtype=bool))
+    out = ops.segment_attention(qm, km, vm, [[0, 3]])
     np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
+
+
+def test_segment_attention_matches_per_query_oracle_with_empty_and_shared_ranges():
+    rng = seeded_rng(3)
+    q = rng.normal(size=(5, 4))
+    k = rng.normal(size=(7, 4))
+    v = rng.normal(size=(7, 3))
+    ranges = np.array([[0, 3], [3, 3], [3, 7], [0, 3], [6, 7]])  # rows 0 and 3 share a range
+    _, (qm, km, vm) = taped(q, k, v)
+    out = ops.segment_attention(qm, km, vm, ranges)
+    for i, (lo, hi) in enumerate(ranges):
+        expected = np_attention(q[i:i + 1], k[lo:hi], v[lo:hi], np.ones(hi - lo, dtype=bool))
+        np.testing.assert_allclose(out.data[i:i + 1], expected, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(out.data[1], np.zeros(3))
 
 
 def test_attention_uniform_logits_returns_mean_of_v_rows():
     rng = seeded_rng(5)
     v = rng.normal(size=(6, 3))
     _, (q, k, vm) = taped(np.zeros((1, 3)), rng.normal(size=(6, 3)), v)
-    out = ops.scaled_dot_attention(q, k, vm, np.ones(6, dtype=bool))
+    out = ops.segment_attention(q, k, vm, [[0, 6]])
     np.testing.assert_allclose(out.data[0], v.mean(axis=0), atol=1e-12)
 
 
 def test_attention_mask_length_mismatch():
     _, (q, k, v) = taped(np.zeros((1, 4)), np.zeros((3, 4)), np.zeros((3, 4)))
     with pytest.raises(DimensionError):
-        ops.scaled_dot_attention(q, k, v, np.ones(2, dtype=bool))
+        ops.segment_attention(q, k, v, [[0, 1], [0, 2]])  # two ranges, one query
+    with pytest.raises(IndexError):
+        ops.segment_attention(q, k, v, [[1, 4]])  # past the last key row
+    with pytest.raises(IndexError):
+        ops.segment_attention(q, k, v, [[2, 1]])  # hi before lo
 
 
 # ------------------------------------------------- per-primitive gradients
@@ -216,13 +236,14 @@ def test_gradients_softmax():
 
 
 def test_gradients_attention_with_partial_mask():
-    valid = np.array([True, True, False, True])
+    # shared, partial and empty ranges over the same packed keys
+    ranges = np.array([[0, 2], [1, 4], [0, 2], [2, 2]])
     def builder(rng):
-        store = _store_with(rng, [("q", (1, 4)), ("k", (4, 4)), ("v", (4, 3))])
-        probe = rng.normal(size=(1, 3))
+        store = _store_with(rng, [("q", (4, 4)), ("k", (4, 4)), ("v", (4, 3))])
+        probe = rng.normal(size=(4, 3))
         def f(s):
             bound = s.bind(Tape())
-            att = ops.scaled_dot_attention(bound["q"], bound["k"], bound["v"], valid)
+            att = ops.segment_attention(bound["q"], bound["k"], bound["v"], ranges)
             return ops.sum_all(ops.mul(att, bound.constant(probe)))
         return store, f
     _fd_case("attention", builder)
@@ -362,6 +383,37 @@ def test_bound_params_share_gradient_buffers():
     out = ops.square(bound["w"])
     tape.backward(out)
     assert p.grad[0, 0] == 4.0  # d(w^2)/dw at w=2
+
+
+def test_constants_get_no_gradient_buffer():
+    store = ParamStore()
+    store.add("w", [[2.0, -1.0], [0.5, 3.0]])
+    tape = Tape()
+    bound = store.bind(tape)
+    x = bound.constant([[1.0, 2.0]])
+    out = ops.sum_all(ops.square(ops.matmul(ops.concat_cols([x, x]), ops.concat_rows([bound["w"]] * 2))))
+    tape.backward(out)
+    assert x.tape is None and not x.has_grad
+    assert store["w"].has_grad and np.abs(store["w"].grad).sum() > 0
+
+
+def test_gradient_buffers_are_allocated_on_first_taped_use():
+    store = ParamStore()
+    p = store.add("w", [[2.0]])
+    store.add("unused", [[1.0]])
+    ops.square(store.bind()["w"])  # untaped: inference allocates nothing
+    store.zero_grads()
+    assert not p.has_grad
+    adam_step(store, lr=0.1, step=1)  # no buffer reads as a zero gradient
+    np.testing.assert_array_equal(p.value, [[2.0]])
+    assert not p.has_grad
+
+    def f(s):
+        bound = s.bind(Tape())
+        return ops.sum_all(ops.square(bound["w"]))
+
+    assert finite_diff_check(f, store) < 1e-9  # "unused" never gets a buffer
+    assert p.has_grad and not store["unused"].has_grad
 
 
 def test_mixing_tapes_is_an_error():

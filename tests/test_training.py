@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from pjfit import training
+from pjfit.checkpoint import load_checkpoint, save_checkpoint
 from pjfit.config import TrainConfig
-from pjfit.domain import DatasetError
-from pjfit.numerics import Tape, finite_diff_check, seeded_rng, spawn_rngs
+from pjfit.domain import DatasetError, sample_training_pairs
+from pjfit.numerics import Tape, finite_diff_check, ops, seeded_rng, spawn_rngs
 from pjfit.synth import SynthConfig, generate_dataset
 from pjfit.training import (
     SequenceCache,
@@ -14,7 +16,9 @@ from pjfit.training import (
     bpr_loss_graph,
     evaluate,
     init_params,
-    score_pair,
+    rank_candidates,
+    score_all,
+    score_pairs,
     train,
 )
 
@@ -71,7 +75,12 @@ def test_bpr_rejects_bad_batches():
         bpr_loss([], [], 0.0)
 
 
-# ------------------------------------------------------------ score_pair
+# ------------------------------------------------------------ score_pairs
+
+# Scores of the batched forward against the numpy oracle, and of one pair
+# scored alone against the same pair inside a batch. Both computations are
+# float64 and differ only in summation order.
+SCORE_TOL = 1e-12
 
 
 def test_cold_start_entities_are_scorable():
@@ -81,8 +90,8 @@ def test_cold_start_entities_are_scorable():
     ds = b.build()
     cfg = toy_model_config()
     store = init_params(cfg, seeded_rng(0))
-    score = score_pair(ds.candidates["c1"], ds.jobs["j1"], store.bind(),
-                       cfg, SequenceCache(ds, cfg)).item()
+    score = score_pairs([ds.candidates["c1"]], [ds.jobs["j1"]], store.bind(),
+                        cfg, SequenceCache(ds, cfg)).item()
     assert np.isfinite(score)
 
 
@@ -90,9 +99,9 @@ def test_score_pair_is_deterministic(small_dataset):
     cfg = toy_model_config()
     store = init_params(cfg, seeded_rng(0))
     cache = SequenceCache(small_dataset, cfg)
-    args = (small_dataset.candidates["c0"], small_dataset.jobs["j0"])
-    a = score_pair(*args, store.bind(), cfg, cache).item()
-    b = score_pair(*args, store.bind(), cfg, cache).item()
+    args = ([small_dataset.candidates["c0"]], [small_dataset.jobs["j0"]])
+    a = score_pairs(*args, store.bind(), cfg, cache).item()
+    b = score_pairs(*args, store.bind(), cfg, cache).item()
     assert a == b
 
 
@@ -101,29 +110,50 @@ def test_score_pair_matches_composition_oracle(small_dataset, ablation):
     cfg = toy_model_config(ablation=ablation)
     store = init_params(cfg, seeded_rng(0))
     cache = SequenceCache(small_dataset, cfg)
-    for cid in ("c0", "c1"):
-        cand = small_dataset.candidates[cid]
-        job = small_dataset.jobs["j0"]
-        got = score_pair(cand, job, store.bind(), cfg, cache).item()
+    pairs = [("c0", "j0"), ("c1", "j0"), ("c2", "j1"), ("c0", "j1"), ("c3", "j1")]
+    cands = [small_dataset.candidates[c] for c, _ in pairs]
+    jobs = [small_dataset.jobs[j] for _, j in pairs]
+    got = score_pairs(cands, jobs, store.bind(), cfg, cache)
+    assert got.shape == (len(pairs), 1)
+    for i, (cand, job) in enumerate(zip(cands, jobs)):
         expected = np_score_pair(cand, job, store, cfg, small_dataset)
-        np.testing.assert_allclose(got, expected, rtol=1e-10)
+        np.testing.assert_allclose(got.data[i, 0], expected, rtol=SCORE_TOL)
+
+
+def test_score_is_independent_of_the_rest_of_the_batch(monkeypatch):
+    monkeypatch.setattr(training, "SCORE_CHUNK", 16)  # several chunks of mixed pairs
+    ds, meta = synth_toy()
+    cfg = toy_model_config()
+    store = init_params(cfg, seeded_rng(4))
+    cache = SequenceCache(ds, cfg)
+    batched = score_all(ds, store, cfg)
+    assert len(batched) == len(ds.pairs) > 3 * 16
+    for pred in batched:
+        alone = score_pairs([ds.candidates[pred.candidate_id]], [ds.jobs[pred.job_id]],
+                            store.bind(), cfg, cache).item()
+        np.testing.assert_allclose(pred.score, alone, rtol=SCORE_TOL)
+    job_id = ds.pairs[0].job_id
+    ranked = dict(rank_candidates(job_id, sorted(ds.candidates), store, cfg, ds))
+    for pred in batched:
+        if pred.job_id == job_id:
+            np.testing.assert_allclose(ranked[pred.candidate_id], pred.score, rtol=SCORE_TOL)
 
 
 def test_end_to_end_gradients_pass_finite_differences(small_dataset):
+    # one batched graph: the positive and the negative share their job
     cfg = toy_model_config()
+    cands = [small_dataset.candidates["c0"], small_dataset.candidates["c1"]]
+    jobs = [small_dataset.jobs["j0"]] * 2
     worst = 0.0
     for seed in range(3):
         rng = seeded_rng(300 + seed)
         store = init_params(cfg, rng)
         cache = SequenceCache(small_dataset, cfg)
-        pos = (small_dataset.candidates["c0"], small_dataset.jobs["j0"])
-        neg = (small_dataset.candidates["c1"], small_dataset.jobs["j0"])
 
         def f(s):
             bound = s.bind(Tape())
-            y_pos = score_pair(*pos, bound, cfg, cache)
-            y_neg = score_pair(*neg, bound, cfg, cache)
-            return bpr_loss_graph(y_pos, y_neg, lambda_reg=0.1)
+            y = score_pairs(cands, jobs, bound, cfg, cache)
+            return bpr_loss_graph(ops.gather_rows(y, [0]), ops.gather_rows(y, [1]), lambda_reg=0.1)
 
         worst = max(worst, finite_diff_check(f, store, coords_per_param=3, rng=rng))
     assert worst < 1e-4, worst
@@ -147,6 +177,37 @@ def test_zero_learning_rate_leaves_parameters_at_init():
     reference = init_params(cfg.model, spawn_rngs(cfg.seed, 2)[0])
     for name, p in result.store.items():
         np.testing.assert_array_equal(p.value, reference[name].value)
+
+
+def test_first_loss_is_bpr_over_oracle_scores_at_init():
+    ds, meta = synth_toy()
+    train_ds, _ = ds.split_temporal(meta["split_ts"])
+    cfg = train_config(epochs=1, batch_size=8)
+    result = train(train_ds, cfg)
+    rng_init, rng_sample = spawn_rngs(cfg.seed, 2)
+    init = init_params(cfg.model, rng_init)
+    entries = sample_training_pairs(train_ds, rng_sample, batch_size=cfg.batch_size).batches[0].entries
+
+    def oracle(pair):
+        return np_score_pair(train_ds.candidates[pair.candidate_id], train_ds.jobs[pair.job_id],
+                             init, cfg.model, train_ds)
+
+    pos = [oracle(p) for p, _ in entries]
+    neg = [oracle(n) for _, n in entries]
+    nll = np.mean([np.logaddexp(0.0, -(p - n)) for p, n in zip(pos, neg)])
+    reg = np.mean(np.square(pos)) + np.mean(np.square(neg))
+    np.testing.assert_allclose(result.losses[0], nll + cfg.lambda_reg * reg, rtol=1e-12)
+
+
+def test_inference_allocates_no_gradient_buffers(tmp_path):
+    ds, meta = synth_toy()
+    train_ds, test_ds = ds.split_temporal(meta["split_ts"])
+    cfg = train_config(epochs=1)
+    save_checkpoint(train(train_ds, cfg).store, cfg.model, tmp_path / "model.ckpt")
+    store, model_cfg = load_checkpoint(tmp_path / "model.ckpt")
+    evaluate(test_ds, store, model_cfg)
+    rank_candidates(test_ds.pairs[0].job_id, sorted(ds.candidates)[:5], store, model_cfg, ds)
+    assert not any(p.has_grad for _, p in store.items())
 
 
 def test_training_is_bitwise_deterministic():
