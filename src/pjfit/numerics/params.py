@@ -73,6 +73,11 @@ class ParamStore:
             if p.has_grad:
                 p.grad[...] = 0.0
 
+    def release_grads(self) -> None:
+        """Drop every gradient buffer; the next taped use allocates a new one."""
+        for p in self._params.values():
+            p._grad = None
+
     def n_values(self) -> int:
         return sum(p.value.size for p in self._params.values())
 

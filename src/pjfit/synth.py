@@ -18,7 +18,7 @@ augmentation pipeline's length and keyword mechanics, not natural language.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class SynthConfig:
     confusable_pairs: tuple[tuple[str, str], ...] = (("Data", "Technology"),)
     prototype_noise: float = 0.3
     short_jd_fraction: float = 0.25
-    history_means: tuple[float, float, float] = (6.0, 3.0, 1.5)
     embedding_dim: int = 1024
     positives_per_job: float = 4.0
     hard_negative_fraction: float = 0.5
@@ -74,13 +73,15 @@ class SynthConfig:
 
 
 def synth_config_from_dict(d: dict) -> SynthConfig:
+    """A SynthConfig from a JSON document; unknown keys raise ValueError."""
+    unknown = sorted(set(d) - {f.name for f in fields(SynthConfig)})
+    if unknown:
+        raise ValueError("unknown synth config keys: " + ", ".join(map(repr, unknown)))
     d = dict(d)
     if "categories" in d:
         d["categories"] = tuple(d["categories"])
     if "confusable_pairs" in d:
         d["confusable_pairs"] = tuple(tuple(p) for p in d["confusable_pairs"])
-    if "history_means" in d:
-        d["history_means"] = tuple(d["history_means"])
     return SynthConfig(**d)
 
 

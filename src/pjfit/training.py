@@ -190,8 +190,9 @@ class TrainResult:
 def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
     """Deterministic training run: sample pair batches, Adam-step per batch.
 
-    Raises TrainingDivergedError naming the batch index if the loss goes
-    non-finite.
+    The returned store keeps its Adam moments but holds no gradient
+    buffers. Raises TrainingDivergedError naming the batch index if the
+    loss goes non-finite.
     """
     if not any(p.label == 1 for p in train_dataset.pairs):
         raise DatasetError("training data contains no positive pairs")
@@ -229,6 +230,8 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
             result.steps += 1
             adam_step(store, config.learning_rate, result.steps)
             result.losses.append(loss_value)
+    # every gradient is zero after the last step and nothing reads them
+    store.release_grads()
     return result
 
 

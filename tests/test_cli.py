@@ -158,6 +158,15 @@ def test_usage_and_data_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unknown_synth_config_key_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "synth.json").write_text(json.dumps({**SYNTH_CFG, "bogus": 1}))
+    assert main(["synth", "--config", str(tmp_path / "synth.json"),
+                 "--out", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "'bogus'" in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_internal_shape_error_is_not_a_data_error(tmp_path, monkeypatch, capsys):
     # DimensionError subclasses ValueError, but it marks a bug in the model
     # code, not bad input

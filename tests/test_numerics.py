@@ -20,6 +20,7 @@ from pjfit.numerics import (
     ops,
     seeded_rng,
 )
+from pjfit.numerics import optim
 
 
 from reference_model import np_attention
@@ -329,6 +330,92 @@ def test_adam_run_is_bitwise_deterministic():
 
     a, b = run(), run()
     assert a.tobytes() == b.tobytes()
+
+
+def _textbook_adam_step(state, lr, step, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The unblocked update over whole arrays, as the oracle for adam_step."""
+    for s in state.values():
+        if s["trainable"]:
+            grad = s["grad"] if s["grad"] is not None else 0.0
+            if s["m"] is None:
+                s["m"] = np.zeros_like(s["value"])
+                s["v"] = np.zeros_like(s["value"])
+            s["m"] = s["m"] * beta1 + (1.0 - beta1) * grad
+            s["v"] = s["v"] * beta2 + (1.0 - beta2) * np.square(grad)
+            m_hat = s["m"] / (1.0 - beta1 ** step)
+            v_hat = s["v"] / (1.0 - beta2 ** step)
+            s["value"] = s["value"] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if s["grad"] is not None:
+            s["grad"] = np.zeros_like(s["value"])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_blocked_adam_is_bitwise_equal_to_the_textbook_update():
+    rng = seeded_rng(5)
+    shapes = {
+        "big": (3, optim.BLOCK + 5),  # four blocks, the last one ragged
+        "bias": (1, 1),
+        "frozen": (2, 3),
+        "sometimes": (4, 7),  # no gradient buffer on steps 1 and 4
+    }
+    store = ParamStore()
+    state = {}
+    for name, shape in shapes.items():
+        value = rng.normal(size=shape)
+        store.add(name, value, trainable=name != "frozen")
+        state[name] = {"value": value.copy(), "m": None, "v": None, "grad": None,
+                       "trainable": name != "frozen"}
+    for step in range(1, 6):
+        store.release_grads()
+        for name, p in store.items():
+            if name == "sometimes" and step in (1, 4):
+                state[name]["grad"] = None
+                if step == 4:
+                    # moments set from outside may hold -0.0; the absent
+                    # gradient still adds 0.0, which turns them into +0.0
+                    for key in ("m", "v"):
+                        getattr(p, key)[0, :3] = -0.0
+                        state[name][key][0, :3] = -0.0
+                continue
+            grad = rng.normal(size=p.value.shape)
+            grad[rng.random(size=grad.shape) < 0.2] = -0.0
+            p.grad[...] = grad
+            state[name]["grad"] = grad.copy()
+        adam_step(store, lr=1e-2, step=step)
+        _textbook_adam_step(state, lr=1e-2, step=step)
+        for name, p in store.items():
+            want = state[name]
+            assert _same_bits(p.value, want["value"]), (name, step)
+            if want["m"] is None:
+                assert p.m is None and p.v is None
+            else:
+                assert _same_bits(p.m, want["m"]) and _same_bits(p.v, want["v"]), (name, step)
+            assert p.has_grad == (want["grad"] is not None)
+            if p.has_grad:
+                assert _same_bits(p.grad, want["grad"]), (name, step)
+
+
+def test_divergent_gradient_changes_nothing():
+    rng = seeded_rng(6)
+    store = ParamStore()
+    for name in ("a", "b", "c"):
+        store.add(name, rng.normal(size=(2, optim.BLOCK + 3)))
+    for _, p in store.items():
+        p.grad[...] = rng.normal(size=p.value.shape)
+    adam_step(store, lr=1e-2, step=1)
+    for _, p in store.items():
+        p.grad[...] = rng.normal(size=p.value.shape)
+    store["c"].grad[1, -1] = np.nan  # the last element of the last parameter
+    before = {name: [a.copy() for a in (p.value, p.m, p.v, p.grad)]
+              for name, p in store.items()}
+    with pytest.raises(TrainingDivergedError, match="'c'"):
+        adam_step(store, lr=1e-2, step=2)
+    for name, p in store.items():
+        for got, want in zip((p.value, p.m, p.v, p.grad), before[name]):
+            assert _same_bits(got, want), name
 
 
 # ------------------------------------------------------- gradcheck harness

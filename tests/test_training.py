@@ -210,6 +210,15 @@ def test_inference_allocates_no_gradient_buffers(tmp_path):
     assert not any(p.has_grad for _, p in store.items())
 
 
+def test_trained_store_holds_no_gradient_buffers():
+    ds, meta = synth_toy()
+    train_ds, _ = ds.split_temporal(meta["split_ts"])
+    result = train(train_ds, train_config(epochs=1))
+    assert result.steps > 0
+    assert not any(p.has_grad for _, p in result.store.items())
+    assert all(p.m is not None and p.v is not None for _, p in result.store.items())
+
+
 def test_training_is_bitwise_deterministic():
     ds, meta = synth_toy()
     train_ds, _ = ds.split_temporal(meta["split_ts"])
