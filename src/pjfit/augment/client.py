@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import json as jsonlib
 import os
 import time
 from typing import Protocol
 
 import numpy as np
-
-import requests
 
 
 class CompletionError(RuntimeError):
@@ -84,13 +83,42 @@ def _extract_fenced(user: str) -> str | None:
     return user[start + 4:end]
 
 
+class _UrllibResponse:
+    def __init__(self, status_code: int, body: bytes):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        return jsonlib.loads(self._body)
+
+
+def _urllib_post(url: str, json=None, headers=None, timeout=None) -> _UrllibResponse:
+    """POST ``json`` as a JSON body with the standard library.
+
+    Returns an object with ``status_code`` and ``json()``, whatever the
+    status; only connection-level failures raise.
+    """
+    import urllib.error
+    import urllib.request  # imported here: only HTTP completions need it
+
+    request = urllib.request.Request(url, data=jsonlib.dumps(json).encode("utf-8"),
+                                     headers=dict(headers or {}), method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return _UrllibResponse(response.status, response.read())
+    except urllib.error.HTTPError as exc:
+        return _UrllibResponse(exc.code, exc.read())
+
+
 class HttpCompletionClient:
     """Chat-completion style HTTP client.
 
     Endpoint, model name and API key come from arguments or the
     ``PJFIT_LLM_ENDPOINT``, ``PJFIT_LLM_MODEL`` and ``PJFIT_LLM_API_KEY``
     environment variables. Retries transient failures with exponential
-    backoff, bounded by ``max_attempts``.
+    backoff, bounded by ``max_attempts``. ``transport(url, json=, headers=,
+    timeout=)`` sends the request; by default the standard library
+    ``urllib.request`` does.
     """
 
     def __init__(self, endpoint: str | None = None, model: str | None = None,
@@ -104,7 +132,7 @@ class HttpCompletionClient:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff = backoff
-        self._post = transport or requests.post
+        self._post = transport or _urllib_post
 
     def complete(self, system: str, user: str) -> str:
         payload = {

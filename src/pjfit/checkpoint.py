@@ -49,37 +49,50 @@ class CheckpointShapeError(CheckpointError):
 
 
 def save_checkpoint(store: ParamStore, cfg: ModelConfig, path) -> None:
+    """Write the store atomically: stream it into ``<path>.tmp``, then
+    rename that over ``path``."""
     config_bytes = json.dumps({"model": model_config_to_dict(cfg)},
                               sort_keys=True).encode("utf-8")
-    chunks = [MAGIC, struct.pack("<I", VERSION),
-              struct.pack("<I", len(config_bytes)), config_bytes,
-              struct.pack("<I", len(store))]
-    for name, p in store.items():
-        name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<I", 2))
-        chunks.append(struct.pack("<II", *p.value.shape))
-        chunks.append(np.ascontiguousarray(p.value, dtype="<f4").tobytes())
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"".join(chunks))
+    with open(tmp, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes
+                 + struct.pack("<I", len(store)))
+        for name, p in store.items():
+            name_bytes = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(name_bytes)) + name_bytes
+                     + struct.pack("<III", 2, *p.value.shape))
+            fh.write(np.ascontiguousarray(p.value, dtype="<f4"))
     os.replace(tmp, path)
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
+    """Reads a checkpoint file front to back. Every read is checked against
+    the file size first, so a short file names the field it cuts off and a
+    corrupt length allocates nothing."""
 
-    def take(self, n: int, context: str) -> bytes:
-        if self.pos + n > len(self.blob):
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.path = path
+        self.pos = 0
+        self.size = os.fstat(fh.fileno()).st_size
+
+    def _advance(self, n: int, context: str) -> None:
+        if self.pos + n > self.size:
             raise TruncatedCheckpointError(
                 f"{self.path}: file ends inside {context} "
                 f"(needed {n} bytes at offset {self.pos})")
-        out = self.blob[self.pos:self.pos + n]
         self.pos += n
+
+    def take(self, n: int, context: str) -> bytes:
+        self._advance(n, context)
+        return self.fh.read(n)
+
+    def take_f4(self, rows: int, cols: int, context: str) -> np.ndarray:
+        """A (rows, cols) little-endian float32 array, read in place."""
+        self._advance(rows * cols * 4, context)
+        out = np.empty((rows, cols), dtype="<f4")
+        self.fh.readinto(out)
         return out
 
     def u32(self, context: str) -> int:
@@ -87,8 +100,16 @@ class _Reader:
 
 
 def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ParamStore, ModelConfig]:
-    """Read a checkpoint; optionally insist it matches an expected config."""
-    reader = _Reader(Path(path).read_bytes(), path)
+    """Read a checkpoint; optionally insist it matches an expected config.
+
+    Tensors are read one at a time straight into their float32 buffers.
+    """
+    with open(path, "rb") as fh:
+        return _read_checkpoint(_Reader(fh, path), expected)
+
+
+def _read_checkpoint(reader: _Reader, expected: ModelConfig | None) -> tuple[ParamStore, ModelConfig]:
+    path = reader.path
     magic = reader.take(4, "magic")
     if magic != MAGIC:
         raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
@@ -132,9 +153,8 @@ def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ParamSto
         if dims != (rows, cols):
             raise CheckpointShapeError(
                 f"{path}: tensor {name!r} has shape {dims}, config implies {(rows, cols)}")
-        raw = reader.take(rows * cols * 4, f"values of tensor {name!r}")
-        values = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float64)
-        store.add(name, values)
-    if reader.pos != len(reader.blob):
-        raise CheckpointError(f"{path}: {len(reader.blob) - reader.pos} trailing bytes")
+        values = reader.take_f4(rows, cols, f"values of tensor {name!r}")
+        store.add(name, values.astype(np.float64))
+    if reader.pos != reader.size:
+        raise CheckpointError(f"{path}: {reader.size - reader.pos} trailing bytes")
     return store, cfg

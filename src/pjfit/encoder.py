@@ -8,12 +8,16 @@ same-kind history. The six attention outputs are concatenated in fixed
 order, stage-major with internal before external, and fused by a two-layer
 DNN down to a compact side representation.
 
-A batch of pairs is encoded in one pass. Histories are packed: the valid
-rows of every distinct entity in the batch are stacked per stage, and each
-attention query reads its own [lo, hi) row range. Each attention set then
-projects its keys and values with one GEMM per head over all packed rows.
-Internal interactions depend on one entity only and are computed once per
-distinct entity; external interactions are computed per pair.
+A batch of pairs is encoded in one pass. Histories are packed by
+reference: per stage, the embeddings of the distinct entities that the
+batch's histories name are stacked once, a row map gives the embedding
+row of each packed history key, and each attention query reads its own
+[lo, hi) range of packed keys. Each attention set then projects keys and
+values with one GEMM per head over the distinct entities only, so an
+entity that sits in many histories is projected once. Queries are
+projected once per distinct text too. Internal interactions depend on
+one entity only and are computed once per distinct entity; external
+interactions gather each pair's projected query and attend per pair.
 
 The two sides share architecture but never parameters: every
 (side, stage, direction) triple owns an independent attention set.
@@ -79,20 +83,25 @@ def bound_attention_set(bound: BoundParams, prefix: str, heads: int) -> Attentio
     )
 
 
-def segment_interaction(query: Matrix, rows: Matrix, ranges: np.ndarray,
-                        params: AttentionSet) -> Matrix:
+def segment_interaction(query: Matrix, rows: Matrix, row_map: np.ndarray, ranges: np.ndarray,
+                        params: AttentionSet, query_index: np.ndarray | None = None) -> Matrix:
     """Concat over heads of attention(query Wq_i, rows Wk_i, rows Wv_i), times Wo.
 
-    ``rows`` holds packed history rows; query row j attends only the rows
-    in ``ranges[j]``. An empty range yields the zero vector: each head
-    attends over nothing and contributes zeros, so the output projection
-    sees zeros.
+    ``rows`` holds the embeddings of the distinct history entities, each
+    projected to keys and values once. The packed history key j is row
+    ``row_map[j]`` of them, and query j attends the packed keys in
+    ``ranges[j]``. With ``query_index``, ``query`` holds distinct texts,
+    each projected once, and query j is row ``query_index[j]`` of them.
+    An empty range yields the zero vector: each head attends over nothing
+    and contributes zeros, so the output projection sees zeros.
     """
-    heads = [
-        ops.segment_attention(
-            ops.matmul(query, wq), ops.matmul(rows, wk), ops.matmul(rows, wv), ranges)
-        for wq, wk, wv in zip(params.wq, params.wk, params.wv)
-    ]
+    heads = []
+    for wq, wk, wv in zip(params.wq, params.wk, params.wv):
+        q = ops.matmul(query, wq)
+        if query_index is not None:
+            q = ops.gather_rows(q, query_index)
+        heads.append(ops.segment_attention(q, ops.matmul(rows, wk), ops.matmul(rows, wv),
+                                           ranges, row_map))
     return ops.matmul(ops.concat_cols(heads), params.wo)
 
 
@@ -102,20 +111,20 @@ def encode_side_batch(text: Matrix, index: np.ndarray, own, cross, bound: BoundP
 
     ``text`` holds the (U, d) text embeddings of the side's U distinct
     entities and ``index`` the entity of each pair. ``own`` and ``cross``
-    are (rows, ranges) tuples per active stage: own history holds
-    counterpart-kind embeddings with one range per distinct entity
-    (internal interaction), the paired entity's history holds same-kind
-    embeddings with one range per pair (external interaction).
+    are (rows, row_map, ranges) tuples per active stage, as
+    ``segment_interaction`` reads them: own history holds counterpart-kind
+    embeddings with one range per distinct entity (internal interaction),
+    the paired entity's history holds same-kind embeddings with one range
+    per pair (external interaction).
     """
     if len(own) != len(cfg.stages) or len(cross) != len(cfg.stages):
         raise ValueError(f"expected {len(cfg.stages)} sequences per direction")
-    queries = ops.gather_rows(text, index)
     parts = []
-    for stage, (own_rows, own_ranges), (cross_rows, cross_ranges) in zip(cfg.stages, own, cross):
+    for stage, own_seq, cross_seq in zip(cfg.stages, own, cross):
         internal = bound_attention_set(bound, f"{side}.{stage}.internal", cfg.heads)
         external = bound_attention_set(bound, f"{side}.{stage}.external", cfg.heads)
-        parts.append(ops.gather_rows(segment_interaction(text, own_rows, own_ranges, internal), index))
-        parts.append(segment_interaction(queries, cross_rows, cross_ranges, external))
+        parts.append(ops.gather_rows(segment_interaction(text, *own_seq, internal), index))
+        parts.append(segment_interaction(text, *cross_seq, external, query_index=index))
     hidden = ops.relu(ops.affine(ops.concat_cols(parts),
                                  bound[f"{side}.fusion.w1"], bound[f"{side}.fusion.b1"]))
     return ops.affine(hidden, bound[f"{side}.fusion.w2"], bound[f"{side}.fusion.b2"])

@@ -75,12 +75,15 @@ def softmax_rows(x: Matrix) -> Matrix:
     return out
 
 
-def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges) -> Matrix:
+def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None) -> Matrix:
     """Row i is softmax(q_i K_s^T / sqrt(d_k)) V_s over the key rows s = [lo_i, hi_i).
 
-    ``ranges`` is an (n, 2) integer array holding one [lo, hi) range of
-    k/v rows per query row; several queries may share a range. A query with
-    an empty range gets a zero row and passes no gradient.
+    ``ranges`` is an (n, 2) integer array holding one [lo, hi) range per
+    query row; several queries may share a range. A query with an empty
+    range gets a zero row and passes no gradient. Without ``row_map`` the
+    ranges index k/v rows directly. With it, they index ``row_map``, whose
+    entries are k/v rows: packed key j is k/v row ``row_map[j]``, so one
+    k/v row can serve many packed keys, and its gradients accumulate.
     """
     ranges = np.asarray(ranges, dtype=np.intp)
     if q.cols != k.cols:
@@ -89,42 +92,63 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges) -> Matrix:
         raise DimensionError(f"attention: k {k.shape} vs v {v.shape}")
     if ranges.shape != (q.rows, 2):
         raise DimensionError(f"attention: ranges {ranges.shape} for {q.rows} query rows")
+    n_keys = k.rows
+    if row_map is not None:
+        row_map = np.asarray(row_map, dtype=np.intp)
+        if row_map.ndim != 1:
+            raise DimensionError(f"attention: row map of shape {row_map.shape} is not a vector")
+        if row_map.size and (row_map.min() < 0 or row_map.max() >= k.rows):
+            raise IndexError(f"attention: row map entry outside [0, {k.rows})")
+        n_keys = row_map.size
     lo, hi = ranges[:, 0], ranges[:, 1]
-    if (lo < 0).any() or (hi < lo).any() or (hi > k.rows).any():
-        raise IndexError(f"attention: key range outside [0, {k.rows})")
+    if (lo < 0).any() or (hi < lo).any() or (hi > n_keys).any():
+        raise IndexError(f"attention: key range outside [0, {n_keys})")
     tape = tape_of(q, k, v)
     lengths = hi - lo
     nonempty = lengths > 0
     if not nonempty.any():
         return Matrix(np.zeros((q.rows, v.cols)), tape)
 
-    # one slot per (query, key row in its range), query-major; a segment is
+    # one slot per (query, key in its range), query-major; a segment is
     # the run of slots of one query, so segment sums are reduceat calls
     offsets = np.cumsum(lengths) - lengths
     query = np.repeat(np.arange(q.rows), lengths)
     key = np.arange(query.size) + np.repeat(lo - offsets, lengths)
+    if row_map is not None:
+        key = row_map[key]
     first = offsets[nonempty]
     seg_len = lengths[nonempty]
 
     scale = 1.0 / math.sqrt(q.cols)
-    logits = np.einsum("ij,ij->i", q.data[query], k.data[key]) * scale
-    e = np.exp(logits - np.repeat(np.maximum.reduceat(logits, first), seg_len))
+    # slot-sized copies come from np.take, faster than fancy indexing, and
+    # products are taken in place, so each is allocated once
+    logits = np.einsum("ij,ij->i", np.take(q.data, query, axis=0), np.take(k.data, key, axis=0))
+    logits *= scale
+    e = logits - np.repeat(np.maximum.reduceat(logits, first), seg_len)
+    np.exp(e, out=e)
     weights = e / np.repeat(np.add.reduceat(e, first), seg_len)
+    weighted = np.take(v.data, key, axis=0)
+    weighted *= weights[:, None]
     data = np.zeros((q.rows, v.cols))
-    data[nonempty] = np.add.reduceat(weights[:, None] * v.data[key], first, axis=0)
+    data[nonempty] = np.add.reduceat(weighted, first, axis=0)
     out = Matrix(data, tape)
     if tape is not None:
         def backward():
-            g = out.grad[query]
+            g = np.take(out.grad, query, axis=0)
+            # np.add.at, not +=: a k/v row may sit in many slots
             if v.tape is not None:
                 np.add.at(v.grad, key, weights[:, None] * g)
-            dw = np.einsum("ij,ij->i", g, v.data[key])
+            dw = np.einsum("ij,ij->i", g, np.take(v.data, key, axis=0))
             dlogits = weights * (dw - np.repeat(np.add.reduceat(dw * weights, first), seg_len))
             dlogits *= scale
             if q.tape is not None:
-                q.grad[nonempty] += np.add.reduceat(dlogits[:, None] * k.data[key], first, axis=0)
+                dq = np.take(k.data, key, axis=0)
+                dq *= dlogits[:, None]
+                q.grad[nonempty] += np.add.reduceat(dq, first, axis=0)
             if k.tape is not None:
-                np.add.at(k.grad, key, dlogits[:, None] * q.data[query])
+                dk = np.take(q.data, query, axis=0)
+                dk *= dlogits[:, None]
+                np.add.at(k.grad, key, dk)
         tape.record(backward)
     return out
 

@@ -1,9 +1,9 @@
 """End-to-end scoring, pairwise loss, training loop, evaluation, ranking.
 
 ``score_pairs`` is the one forward pass. It scores a batch of pairs at
-once: the distinct candidates and jobs of the batch each get their packed
-histories (valid rows only, no padding) projected once per attention set,
-both sides are encoded, [candidate fusion, job fusion, resume embedding,
+once: histories are packed by reference (the ids of the valid entries, no
+padding), every distinct entity they name is projected once per attention
+set, both sides are encoded, [candidate fusion, job fusion, resume embedding,
 JD embedding] forms each pair's joint representation, and the scoring head
 maps the batch to a (B, 1) column. Training builds one graph per batch
 with positives and negatives stacked; evaluation and ranking score
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pjfit.config import ModelConfig, TrainConfig
-from pjfit.domain import Dataset, DatasetError, EntityRecord, pad_sequence, sample_training_pairs
+from pjfit.domain import Dataset, DatasetError, EntityRecord, sample_training_pairs
 from pjfit.encoder import encode_side_batch, encoder_param_spec
 from pjfit.metrics import RankedPrediction, ap, auc, gauc, ndcg
 from pjfit.moe import head_param_spec, moe_scores
@@ -58,48 +58,54 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
 
 # Pairs per batched forward in score_all and rank_candidates. Each forward
 # reads every weight once, so larger chunks read them fewer times; a chunk's
-# working memory grows with its packed rows, at most SCORE_CHUNK * seq_len
-# per stage and entity kind.
+# working memory grows with the distinct entities its histories name, at
+# most SCORE_CHUNK * seq_len per stage and entity kind.
 SCORE_CHUNK = 256
 
 
 class SequenceCache:
-    """Packed history rows per (entity, stage), built once per dataset.
+    """History ids per (entity, stage), built once per dataset.
 
-    A stage keeps the embeddings of its ``seq_len`` most recent ids, most
-    recent first: exactly the rows ``pad_sequence`` marks valid, in the
-    same order. An empty stage has zero rows.
+    A stage keeps the ids of its ``seq_len`` most recent counterparts, most
+    recent first: the entities whose rows ``pad_sequence`` marks valid, in
+    the same order. An empty stage has no ids. Embeddings are not copied
+    until ``pack`` stacks those a batch needs.
     """
 
     def __init__(self, dataset: Dataset, cfg: ModelConfig):
         self._dataset = dataset
         self._cfg = cfg
-        self._cache: dict[str, list[np.ndarray]] = {}
+        self._cache: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
 
-    def rows(self, record: EntityRecord) -> list[np.ndarray]:
-        """One (n, d) block per active stage, n <= seq_len."""
-        key = f"{record.kind}:{record.id}"
-        blocks = self._cache.get(key)
-        if blocks is None:
-            counterpart = "job" if record.kind == "candidate" else "candidate"
-            blocks = []
-            for stage in self._cfg.stages:
-                padded, valid = pad_sequence(record.history(stage), self._dataset,
-                                             max_len=self._cfg.seq_len, kind=counterpart)
-                blocks.append(padded[valid])
-            self._cache[key] = blocks
-        return blocks
+    def _ids(self, record: EntityRecord) -> tuple[tuple[str, ...], ...]:
+        """One tuple of at most seq_len counterpart ids per active stage."""
+        key = (record.kind, record.id)
+        ids = self._cache.get(key)
+        if ids is None:
+            n = self._cfg.seq_len
+            ids = self._cache[key] = tuple(record.history(stage)[::-1][:n]
+                                           for stage in self._cfg.stages)
+        return ids
 
-    def pack(self, records) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per active stage: the records' rows stacked in record order, and
-        the (len(records), 2) array of each record's [lo, hi) row range."""
-        per_record = [self.rows(r) for r in records]
+    def pack(self, records) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per active stage, for records of one kind: the (U, d) embeddings
+        of the U distinct entities their histories name, in first-seen order;
+        the row among them of each packed history entry, record after record;
+        and the (len(records), 2) array of each record's [lo, hi) range of
+        packed entries."""
+        counterpart = "job" if records[0].kind == "candidate" else "candidate"
+        per_record = [self._ids(r) for r in records]
         packed = []
         for stage in range(len(self._cfg.stages)):
-            blocks = [rows[stage] for rows in per_record]
-            lengths = np.array([len(b) for b in blocks], dtype=np.intp)
+            position: dict[str, int] = {}
+            row_map = np.array([position.setdefault(i, len(position))
+                                for ids in per_record for i in ids[stage]], dtype=np.intp)
+            embeddings = [self._dataset.entity(counterpart, i).embedding for i in position]
+            rows = (np.stack(embeddings) if embeddings
+                    else np.zeros((0, self._dataset.embedding_dim)))
+            lengths = np.array([len(ids[stage]) for ids in per_record], dtype=np.intp)
             ends = np.cumsum(lengths)
-            packed.append((np.concatenate(blocks), np.stack([ends - lengths, ends], axis=1)))
+            packed.append((rows, row_map, np.stack([ends - lengths, ends], axis=1)))
         return packed
 
 
@@ -123,9 +129,11 @@ def score_pairs(candidates, jobs, bound: BoundParams, cfg: ModelConfig,
 
     Internal interactions attend each side's text over its own
     counterpart-kind history; external interactions attend it over the
-    paired entity's same-kind history. Each distinct entity's histories are
-    projected once, so the positive and the negative of a training entry
-    share their job's projections. Entities with empty histories are
+    paired entity's same-kind history. Each entity that the batch's
+    histories name is projected once per attention set, however many
+    histories name it, and each distinct text once per query projection,
+    so the positive and the negative of a training entry share their job's
+    projections. Entities with empty histories are
     scorable: empty stages contribute zero vectors. A pair's score depends
     on the rest of the batch only through rounding.
     """
@@ -137,11 +145,13 @@ def score_pairs(candidates, jobs, bound: BoundParams, cfg: ModelConfig,
     job_records, job_index = _distinct(jobs)
     resume = bound.constant(np.stack([c.embedding for c in cands]))
     jd = bound.constant(np.stack([j.embedding for j in job_records]))
-    cand_hist = [(bound.constant(rows), ranges) for rows, ranges in cache.pack(cands)]
-    job_hist = [(bound.constant(rows), ranges) for rows, ranges in cache.pack(job_records)]
+    cand_hist = [(bound.constant(rows), row_map, ranges)
+                 for rows, row_map, ranges in cache.pack(cands)]
+    job_hist = [(bound.constant(rows), row_map, ranges)
+                for rows, row_map, ranges in cache.pack(job_records)]
     # the paired entity's history, one range per pair
-    cand_cross = [(rows, ranges[job_index]) for rows, ranges in job_hist]
-    job_cross = [(rows, ranges[cand_index]) for rows, ranges in cand_hist]
+    cand_cross = [(rows, row_map, ranges[job_index]) for rows, row_map, ranges in job_hist]
+    job_cross = [(rows, row_map, ranges[cand_index]) for rows, row_map, ranges in cand_hist]
 
     cand_fused = encode_side_batch(resume, cand_index, cand_hist, cand_cross, bound, "cand", cfg)
     job_fused = encode_side_batch(jd, job_index, job_hist, job_cross, bound, "job", cfg)

@@ -271,3 +271,85 @@ def test_http_client_requires_endpoint(monkeypatch):
     monkeypatch.delenv("PJFIT_LLM_ENDPOINT", raising=False)
     with pytest.raises(CompletionError, match="endpoint"):
         HttpCompletionClient()
+
+
+class FakeUrlopenResponse:
+    def __init__(self, body, status=200):
+        self.status = status
+        self._body = body
+
+    def read(self):
+        return self._body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def fake_urlopen(monkeypatch, outcomes):
+    """Patch urllib.request.urlopen to play ``outcomes`` in order: a status
+    code raises HTTPError with it, a dict is a 200 response with that body."""
+    import io
+    import urllib.error
+    import urllib.request
+
+    sent = []
+
+    def urlopen(request, timeout=None):
+        sent.append((request, timeout))
+        outcome = outcomes.pop(0)
+        if isinstance(outcome, int):
+            raise urllib.error.HTTPError(request.full_url, outcome, "error", {}, io.BytesIO(b"{}"))
+        return FakeUrlopenResponse(json.dumps(outcome).encode("utf-8"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return sent
+
+
+def chat_reply(content):
+    return {"choices": [{"message": {"content": content}}]}
+
+
+def test_default_transport_posts_json_with_urllib(monkeypatch):
+    sent = fake_urlopen(monkeypatch, [chat_reply("rewritten")])
+    client = HttpCompletionClient(endpoint="http://llm.internal/v1/chat", model="m",
+                                  api_key="k", timeout=7.0)
+    assert client.complete("sys", "usr") == "rewritten"
+    (request, timeout), = sent
+    assert request.get_method() == "POST"
+    assert request.full_url == "http://llm.internal/v1/chat"
+    assert timeout == 7.0
+    assert json.loads(request.data)["messages"][1] == {"role": "user", "content": "usr"}
+    assert request.get_header("Authorization") == "Bearer k"
+    assert request.get_header("Content-type") == "application/json"
+
+
+def test_default_transport_retries_server_error_then_succeeds(monkeypatch):
+    sent = fake_urlopen(monkeypatch, [503, chat_reply("ok")])
+    client = HttpCompletionClient(endpoint="http://x", max_attempts=3, backoff=0.0)
+    assert client.complete("s", "u") == "ok"
+    assert len(sent) == 2
+
+
+def test_default_transport_fails_on_client_error_without_retry(monkeypatch):
+    sent = fake_urlopen(monkeypatch, [400, chat_reply("never read")])
+    client = HttpCompletionClient(endpoint="http://x", max_attempts=3, backoff=0.0)
+    with pytest.raises(CompletionError, match="failed: 400"):
+        client.complete("s", "u")
+    assert len(sent) == 1
+
+
+def test_cli_import_does_not_load_requests():
+    import os
+    import subprocess
+    import sys
+
+    import pjfit
+
+    src = str(Path(pjfit.__file__).resolve().parent.parent)
+    code = "import sys, pjfit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -20,18 +20,19 @@ def store(cfg):
 
 
 def rand_seqs(rng, cfg, lengths):
-    """One packed (rows, ranges) per stage: n history rows of a single entity."""
-    return [(rng.normal(size=(n, cfg.d_model)), np.array([[0, n]])) for n in lengths]
+    """One packed (rows, row_map, ranges) per stage: a single entity's
+    history of n distinct entities."""
+    return [(rng.normal(size=(n, cfg.d_model)), np.arange(n), np.array([[0, n]])) for n in lengths]
 
 
 def as_matrices(seqs, tape=None):
-    return [(Matrix(rows, tape), ranges) for rows, ranges in seqs]
+    return [(Matrix(rows, tape), row_map, ranges) for rows, row_map, ranges in seqs]
 
 
 def padded(seqs, cfg):
     """The oracle's (seq_len, d) block and validity mask for each single-entity stage."""
     out = []
-    for rows, _ in seqs:
+    for rows, _, _ in seqs:
         block = np.zeros((cfg.seq_len, cfg.d_model))
         block[:len(rows)] = rows
         out.append((block, np.arange(cfg.seq_len) < len(rows)))
@@ -49,7 +50,7 @@ def test_fully_masked_sequence_gives_zero_vector(cfg, store):
     aset = bound_attention_set(bound, "cand.evaluated.internal", cfg.heads)
     query = Matrix(rng.normal(size=(2, cfg.d_model)))
     rows = Matrix(rng.normal(size=(cfg.seq_len, cfg.d_model)))
-    out = segment_interaction(query, rows, np.array([[0, 0], [2, 2]]), aset)
+    out = segment_interaction(query, rows, np.arange(cfg.seq_len), np.array([[0, 0], [2, 2]]), aset)
     np.testing.assert_array_equal(out.data, np.zeros((2, cfg.d_model)))
 
 
@@ -67,7 +68,7 @@ def test_single_unmasked_row_with_identity_value_path_returns_that_row():
     )
     rows = rng.normal(size=(3, d_model))
     out = segment_interaction(Matrix(rng.normal(size=(1, d_model))), Matrix(rows),
-                              np.array([[1, 2]]), aset)
+                              np.arange(3), np.array([[1, 2]]), aset)
     np.testing.assert_allclose(out.data, rows[1:2], atol=1e-14)
 
 
@@ -77,7 +78,8 @@ def test_multi_head_matches_per_head_oracle(cfg, store):
     rows = rng.normal(size=(cfg.seq_len, cfg.d_model))
     bound = store.bind()
     aset = bound_attention_set(bound, "job.passed_eval.external", cfg.heads)
-    out = segment_interaction(Matrix(query), Matrix(rows), np.array([[0, 3], [1, 4]]), aset)
+    out = segment_interaction(Matrix(query), Matrix(rows), np.arange(cfg.seq_len),
+                              np.array([[0, 3], [1, 4]]), aset)
     prefix = np.array([True, True, True, False])
     np.testing.assert_allclose(
         out.data[:1], np_mha(query[:1], rows, prefix, store, "job.passed_eval.external", cfg),
@@ -129,25 +131,25 @@ def test_permuting_unpadded_rows_leaves_output_unchanged(cfg, store):
     cross = rand_seqs(rng, cfg, [2, 2, 2])
     base = encode_one(self_vec, as_matrices(own), as_matrices(cross), store.bind(), "cand", cfg)
     # shuffle the 4 rows of the first own-history stage
-    rows, ranges = own[0]
-    own_perm = [(rows[[2, 0, 3, 1]], ranges)] + own[1:]
+    rows, row_map, ranges = own[0]
+    own_perm = [(rows[[2, 0, 3, 1]], row_map, ranges)] + own[1:]
     permuted = encode_one(self_vec, as_matrices(own_perm), as_matrices(cross), store.bind(), "cand", cfg)
     np.testing.assert_allclose(permuted.data, base.data, atol=1e-10)
 
 
 def test_padded_garbage_rows_never_leak(cfg, store):
-    # rows packed around an entity's range belong to other entities; they
-    # must not reach its output
+    # distinct rows the entity's history does not reference belong to other
+    # entities; they must not reach its output
     rng = seeded_rng(7)
     self_vec = Matrix(rng.normal(size=(1, cfg.d_model)))
     own = rand_seqs(rng, cfg, [2, 0, 1])
     cross = rand_seqs(rng, cfg, [1, 1, 0])
     base = encode_one(self_vec, as_matrices(own), as_matrices(cross), store.bind(), "cand", cfg)
     poisoned_own = []
-    for rows, _ in own:
+    for rows, _, ranges in own:
         garbage = np.full((3, cfg.d_model), 1e6)
         poisoned_own.append((np.concatenate([garbage, rows, garbage]),
-                             np.array([[3, 3 + len(rows)]])))
+                             np.arange(3, 3 + len(rows)), ranges))
     out = encode_one(self_vec, as_matrices(poisoned_own), as_matrices(cross), store.bind(), "cand", cfg)
     np.testing.assert_allclose(out.data, base.data, rtol=1e-12)
 
@@ -166,13 +168,17 @@ def test_sides_share_architecture_but_not_parameters(cfg, store):
 
 
 def batch_seqs(rng, cfg, lengths, ranges_of):
-    """Per stage: rows for entities of the given lengths, packed, with the
-    ranges ``ranges_of`` picks from the per-entity ranges."""
+    """Per stage: histories of the given lengths packed by reference, with
+    the ranges ``ranges_of`` picks from the per-entity ranges. The entries
+    share rows: they name one row fewer than there are entries, so one row
+    twice, and one more row is named by none."""
     out = []
     for stage_lengths in lengths:
         ends = np.cumsum(stage_lengths)
         ranges = np.stack([ends - np.array(stage_lengths), ends], axis=1)
-        out.append((rng.normal(size=(int(ends[-1]), cfg.d_model)), ranges[ranges_of]))
+        named = int(ends[-1]) - 1
+        row_map = rng.permutation(np.arange(int(ends[-1])) % named)
+        out.append((rng.normal(size=(named + 1, cfg.d_model)), row_map, ranges[ranges_of]))
     return out
 
 

@@ -178,6 +178,29 @@ def test_segment_attention_matches_per_query_oracle_with_empty_and_shared_ranges
     np.testing.assert_array_equal(out.data[1], np.zeros(3))
 
 
+def test_segment_attention_reads_keys_through_a_row_map():
+    # 8 packed keys over 5 k/v rows: row 1 is named three times, row 3 twice,
+    # row 4 by no key; the oracle attends over the gathered rows
+    rng = seeded_rng(4)
+    q = rng.normal(size=(4, 4))
+    k = rng.normal(size=(5, 4))
+    v = rng.normal(size=(5, 3))
+    row_map = np.array([1, 0, 3, 1, 2, 3, 1, 0])
+    ranges = np.array([[0, 3], [3, 8], [2, 2], [0, 3]])
+    _, (qm, km, vm) = taped(q, k, v)
+    out = ops.segment_attention(qm, km, vm, ranges, row_map)
+    for i, (lo, hi) in enumerate(ranges):
+        rows = row_map[lo:hi]
+        expected = np_attention(q[i:i + 1], k[rows], v[rows], np.ones(hi - lo, dtype=bool))
+        np.testing.assert_allclose(out.data[i:i + 1], expected, rtol=1e-12, atol=1e-15)
+    with pytest.raises(IndexError):
+        ops.segment_attention(qm, km, vm, [[0, 9]] * 4, row_map)  # past the last packed key
+    with pytest.raises(IndexError):
+        ops.segment_attention(qm, km, vm, ranges, [1, 0, 5, 1, 2, 3, 1, 0])  # past the last k/v row
+    with pytest.raises(IndexError):
+        ops.segment_attention(qm, km, vm, ranges, [1, 0, -1, 1, 2, 3, 1, 0])
+
+
 def test_attention_uniform_logits_returns_mean_of_v_rows():
     rng = seeded_rng(5)
     v = rng.normal(size=(6, 3))
@@ -248,6 +271,22 @@ def test_gradients_attention_with_partial_mask():
             return ops.sum_all(ops.mul(att, bound.constant(probe)))
         return store, f
     _fd_case("attention", builder)
+
+
+def test_gradients_attention_through_a_row_map():
+    # repeated k/v rows accumulate the gradients of every key that names
+    # them; row 4 is named by none and gets none
+    row_map = np.array([1, 0, 3, 1, 2, 3, 1, 0])
+    ranges = np.array([[0, 3], [3, 8], [2, 2], [1, 7]])
+    def builder(rng):
+        store = _store_with(rng, [("q", (4, 4)), ("k", (5, 4)), ("v", (5, 3))])
+        probe = rng.normal(size=(4, 3))
+        def f(s):
+            bound = s.bind(Tape())
+            att = ops.segment_attention(bound["q"], bound["k"], bound["v"], ranges, row_map)
+            return ops.sum_all(ops.mul(att, bound.constant(probe)))
+        return store, f
+    _fd_case("attention through a row map", builder)
 
 
 def test_gradients_glue_ops():

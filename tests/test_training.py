@@ -120,6 +120,46 @@ def test_score_pair_matches_composition_oracle(small_dataset, ablation):
         np.testing.assert_allclose(got.data[i, 0], expected, rtol=SCORE_TOL)
 
 
+def shared_history_dataset():
+    """Candidates and jobs whose histories name the same counterparts, one
+    longer than the toy seq_len of 4."""
+    b = DatasetBuilder()
+    for j in range(4):
+        b.entity(f"j{j}", "job", category=("Technology", "Data")[j % 2],
+                 hist_eval=("c0", "c1", "c2", "c3", "c4", "c0")[j:],
+                 hist_pass_eval=("c1", "c0")[:j], hist_pass_interview=("c1",) if j else ())
+    for c in range(5):
+        b.entity(f"c{c}", "candidate", category=("Technology", "Data", "Sales")[c % 3],
+                 hist_eval=("j0", "j1", "j2", "j3", "j0", "j1")[c:],
+                 hist_pass_eval=("j2", "j0")[c % 2:], hist_pass_interview=("j2",) if c % 2 else ())
+    return b.build()
+
+
+def test_shared_history_entities_are_packed_once_and_score_like_the_oracle():
+    ds = shared_history_dataset()
+    cfg = toy_model_config()
+    store = init_params(cfg, seeded_rng(2))
+    cache = SequenceCache(ds, cfg)
+    pairs = [("c0", "j0"), ("c1", "j0"), ("c2", "j1"), ("c3", "j2"), ("c4", "j3"), ("c0", "j3")]
+    cands = [ds.candidates[c] for c, _ in pairs]
+    jobs = [ds.jobs[j] for _, j in pairs]
+    got = score_pairs(cands, jobs, store.bind(), cfg, cache)
+    for i, (cand, job) in enumerate(zip(cands, jobs)):
+        np.testing.assert_allclose(got.data[i, 0], np_score_pair(cand, job, store, cfg, ds),
+                                   rtol=SCORE_TOL)
+
+    records = [ds.candidates[f"c{c}"] for c in range(5)]
+    for stage, (rows, row_map, ranges) in zip(cfg.stages, cache.pack(records)):
+        histories = [r.history(stage)[::-1][:cfg.seq_len] for r in records]
+        named = {entity_id for ids in histories for entity_id in ids}
+        assert rows.shape == (len(named), cfg.d_model)
+        assert row_map.size > len(named)  # some entity sits in several histories
+        for ids, (lo, hi) in zip(histories, ranges):
+            expected = [ds.jobs[entity_id].embedding for entity_id in ids]
+            np.testing.assert_array_equal(rows[row_map[lo:hi]].reshape(-1, cfg.d_model),
+                                          np.array(expected).reshape(-1, cfg.d_model))
+
+
 def test_score_is_independent_of_the_rest_of_the_batch(monkeypatch):
     monkeypatch.setattr(training, "SCORE_CHUNK", 16)  # several chunks of mixed pairs
     ds, meta = synth_toy()
