@@ -47,6 +47,9 @@ class MockCompletionClient:
 
     def __init__(self, seed: int = 0, failure_rate: float = 0.0,
                  keyword_drop_rate: float = 0.0):
+        for name, rate in (("failure_rate", failure_rate), ("keyword_drop_rate", keyword_drop_rate)):
+            if not 0.0 <= rate <= 1.0:  # also false for NaN
+                raise ValueError(f"mock {name} must be in [0, 1], got {rate}")
         self.seed = seed
         self.failure_rate = failure_rate
         self.keyword_drop_rate = keyword_drop_rate

@@ -145,7 +145,9 @@ def _resolve_train_config(args, dataset: Dataset) -> TrainConfig:
     file pins them explicitly.
     """
     doc = _load_json(args.config) if args.config else {}
-    model_doc = dict(doc.pop("model", {}))
+    model_doc = doc.pop("model", {})
+    if not isinstance(model_doc, dict):
+        raise DatasetError(f"config {args.config}: \"model\" must be a JSON object")
     if args.ablation is not None:
         model_doc["ablation"] = args.ablation
     model_doc.setdefault("d_model", dataset.embedding_dim)
@@ -158,7 +160,11 @@ def _resolve_train_config(args, dataset: Dataset) -> TrainConfig:
     model_fields = model_config_to_dict(ModelConfig())
     model_fields.update(model_doc)
     fields["model"] = model_fields
-    return train_config_from_dict(fields)
+    try:
+        return train_config_from_dict(fields)
+    except TypeError as exc:
+        # only the config file can hold a value of the wrong type
+        raise DatasetError(f"config {args.config}: {exc}") from exc
 
 
 def _split(dataset: Dataset, meta: dict) -> tuple[Dataset, Dataset]:
@@ -252,9 +258,12 @@ def cmd_rank(args) -> int:
 
 def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise DatasetError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DatasetError(f"config {path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def build_parser() -> _Parser:

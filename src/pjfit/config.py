@@ -120,8 +120,26 @@ def model_config_to_dict(cfg: ModelConfig) -> dict:
     return d
 
 
+def _checked_fields(cls, d: dict, what: str) -> dict:
+    """A copy of ``d`` after checking its keys and scalar value types against ``cls``.
+
+    An unknown key raises ValueError; a value whose type does not match an
+    int, float or str field (bool is not an int here) raises TypeError.
+    """
+    known = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} config keys: " + ", ".join(map(repr, unknown)))
+    for name, value in d.items():
+        want = type(known[name].default)
+        allowed = {int: (int,), float: (int, float), str: (str,)}.get(want)
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            raise TypeError(f"{what} config key {name!r} must be {want.__name__}, got {value!r}")
+    return dict(d)
+
+
 def model_config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
+    d = _checked_fields(ModelConfig, d, "model")
     if "expert_hidden" in d:
         d["expert_hidden"] = tuple(d["expert_hidden"])
     return ModelConfig(**d)
@@ -134,7 +152,7 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def train_config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
+    d = _checked_fields(TrainConfig, d, "train")
     if "model" in d:
         d["model"] = model_config_from_dict(d["model"])
     return TrainConfig(**d)

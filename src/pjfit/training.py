@@ -57,9 +57,12 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
 
 
 # Pairs per batched forward in score_all and rank_candidates. Each forward
-# reads every weight once, so larger chunks read them fewer times; a chunk's
+# reads every weight once, so larger chunks read them fewer times. A chunk's
 # working memory grows with the distinct entities its histories name, at
-# most SCORE_CHUNK * seq_len per stage and entity kind.
+# most SCORE_CHUNK * seq_len per stage and entity kind; attention adds the
+# dense (tile queries x tile keys) blocks of ops.segment_attention, about
+# ops.TILE_CELLS_PER_SLOT cells per (query, key) slot and at most
+# SCORE_CHUNK x (distinct entities) cells per call.
 SCORE_CHUNK = 256
 
 

@@ -167,6 +167,43 @@ def test_unknown_synth_config_key_is_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+def test_synth_config_that_is_not_an_object_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "synth.json").write_text("[]")
+    assert main(["synth", "--config", str(tmp_path / "synth.json"),
+                 "--out", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "JSON object" in err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("doc, named", [
+    pytest.param({"bogus": 1}, "'bogus'", id="unknown-key"),
+    pytest.param({"model": {"bogus": 1}}, "'bogus'", id="unknown-model-key"),
+    pytest.param({"model": 5}, "JSON object", id="model-not-an-object"),
+    pytest.param([], "JSON object", id="not-an-object"),
+    pytest.param({"epochs": "3"}, "'epochs'", id="string-for-int"),
+    pytest.param({"model": {"heads": True}}, "'heads'", id="bool-for-int"),
+])
+def test_bad_train_config_is_a_data_error(pipeline, tmp_path, capsys, doc, named):
+    (tmp_path / "train.json").write_text(json.dumps(doc))
+    assert main(["train", "--data", str(pipeline / "aug"), "--config", str(tmp_path / "train.json"),
+                 "--checkpoint-out", str(tmp_path / "m.ckpt"),
+                 "--report-out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and named in err and "Traceback" not in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--mock-failure-rate", "--mock-keyword-drop-rate"])
+@pytest.mark.parametrize("rate", ["2", "-0.1", "nan"])
+def test_mock_rate_outside_unit_interval_is_a_data_error(pipeline, tmp_path, capsys, flag, rate):
+    assert main(["augment", "--data", str(pipeline / "data"), "--client", "mock",
+                 flag, rate, "--out", str(tmp_path / "aug")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "[0, 1]" in err
+    assert not (tmp_path / "aug").exists()
+
+
 def test_internal_shape_error_is_not_a_data_error(tmp_path, monkeypatch, capsys):
     # DimensionError subclasses ValueError, but it marks a bug in the model
     # code, not bad input

@@ -201,6 +201,81 @@ def test_segment_attention_reads_keys_through_a_row_map():
         ops.segment_attention(qm, km, vm, ranges, [1, 0, -1, 1, 2, 3, 1, 0])
 
 
+def _tiled_attention_case(rng, n, n_rows, tiles, dk=4, dv=3):
+    """Queries over packed keys that exercise every tiling path.
+
+    Each query names 3-5 random k/v rows through a row map, except that
+    one range names a row twice, two ranges are empty, the queries on each
+    side of every cut between ``tiles`` tiles share one range, and row 7 is
+    named by the first and the last query.
+    """
+    keys, ranges = [], []
+    cuts = set((np.arange(1, tiles) * n // tiles).tolist())
+    for i in range(n):
+        if i in (5, n - 8):
+            ranges.append((len(keys), len(keys)))
+            continue
+        if i in cuts:
+            ranges.append(ranges[-1])
+            continue
+        named = rng.integers(0, n_rows, size=rng.integers(3, 6)).tolist()
+        if i == 2:
+            named.append(named[0])
+        if i in (0, n - 1):
+            named[-1] = 7
+        ranges.append((len(keys), len(keys) + len(named)))
+        keys += named
+    q = rng.normal(size=(n, dk))
+    k = rng.normal(size=(n_rows, dk))
+    v = rng.normal(size=(n_rows, dv))
+    return q, k, v, np.array(ranges), np.array(keys)
+
+
+def test_tiled_segment_attention_matches_per_query_oracle():
+    q, k, v, ranges, row_map = _tiled_attention_case(seeded_rng(6), 48, 400, tiles=3)
+    slots = int((ranges[:, 1] - ranges[:, 0]).sum())
+    assert ops.segment_tiles(48, 400, slots) == 3
+    _, (qm, km, vm) = taped(q, k, v)
+    out = ops.segment_attention(qm, km, vm, ranges, row_map)
+    for i, (lo, hi) in enumerate(ranges):
+        rows = row_map[lo:hi]
+        expected = np_attention(q[i:i + 1], k[rows], v[rows], np.ones(hi - lo, dtype=bool))
+        np.testing.assert_allclose(out.data[i:i + 1], expected, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(out.data[[5, 40]], np.zeros((2, 3)))
+
+
+def test_tiled_segment_attention_is_bitwise_repeatable():
+    q, k, v, ranges, row_map = _tiled_attention_case(seeded_rng(7), 48, 400, tiles=3)
+    slots = int((ranges[:, 1] - ranges[:, 0]).sum())
+    assert ops.segment_tiles(48, 400, slots) == 3
+    probe = seeded_rng(8).normal(size=(48, 3))
+
+    def run():
+        tape, (qm, km, vm) = taped(q, k, v)
+        out = ops.segment_attention(qm, km, vm, ranges, row_map)
+        tape.backward(ops.sum_all(ops.mul(out, Matrix(probe))))
+        return [m.tobytes() for m in (out.data, qm.grad, km.grad, vm.grad)]
+
+    assert run() == run()
+
+
+def test_gradients_tiled_attention():
+    # two tiles; rows shared across the cut and a row named twice in one
+    # range accumulate every gradient, empty ranges pass none
+    def builder(rng):
+        q, k, v, ranges, row_map = _tiled_attention_case(rng, 17, 160, tiles=2, dk=3, dv=2)
+        slots = int((ranges[:, 1] - ranges[:, 0]).sum())
+        assert ops.segment_tiles(17, 160, slots) == 2
+        store = _store_with(rng, [("q", q.shape), ("k", k.shape), ("v", v.shape)])
+        probe = rng.normal(size=(17, 2))
+        def f(s):
+            bound = s.bind(Tape())
+            att = ops.segment_attention(bound["q"], bound["k"], bound["v"], ranges, row_map)
+            return ops.sum_all(ops.mul(att, bound.constant(probe)))
+        return store, f
+    _fd_case("tiled attention", builder, seeds=range(3))
+
+
 def test_attention_uniform_logits_returns_mean_of_v_rows():
     rng = seeded_rng(5)
     v = rng.normal(size=(6, 3))
