@@ -12,7 +12,14 @@ from pjfit.domain.records import (
     save_dataset,
     validate_records,
 )
-from pjfit.domain.sampling import PairBatch, SampledEpoch, pad_sequence, sample_training_pairs
+from pjfit.domain.sampling import (
+    PairBatch,
+    SampledEpoch,
+    SequenceCache,
+    distinct_records,
+    pad_sequence,
+    sample_training_pairs,
+)
 
 __all__ = [
     "DEFAULT_CATEGORIES",
@@ -28,6 +35,8 @@ __all__ = [
     "validate_records",
     "PairBatch",
     "SampledEpoch",
+    "SequenceCache",
+    "distinct_records",
     "pad_sequence",
     "sample_training_pairs",
 ]

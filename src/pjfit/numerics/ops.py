@@ -10,7 +10,9 @@ min(ceil(n / 16), ceil(n U / (32 slots))))`` for n queries over U k/v rows
 with ``slots`` (query, key) pairs, and each tile works on one dense block
 of (tile queries) x (distinct k/v rows the tile names). When the tiles'
 keys are disjoint that is about 32 dense cells per slot; a single tile
-spends n U cells. Outputs and gradients differ from those of per-slot dot
+spends n U cells, and ``query_tiles`` falls back to it when the tiles'
+keys overlap so much that their blocks would hold more than half of
+those cells. Outputs and gradients differ from those of per-slot dot
 products and scatters only in summation order: on the attention calls of
 a converge-d64 benchmark run by at most 3.1e-15 of each result's largest
 entry, and the tests hold them to 1e-12 relative of a per-query oracle.
@@ -89,9 +91,14 @@ def softmax_rows(x: Matrix) -> Matrix:
 # segment_attention cuts n query rows into at most ceil(n / TILE_QUERIES)
 # tiles, and into no more than it takes to bring the dense (queries x
 # distinct keys) blocks to about TILE_CELLS_PER_SLOT cells per (query, key)
-# slot; see segment_tiles.
+# slot; see segment_tiles. query_tiles keeps those tiles only when their
+# blocks, over the rows they actually name, hold at most TILE_MAX_CELL_SHARE
+# of the n U cells of a single block: each tile gathers its own k/v rows, and
+# on the converge-d64 benchmark two tiles that each named ~250 of 320 rows
+# ran ~20% slower than one tile.
 TILE_QUERIES = 16
 TILE_CELLS_PER_SLOT = 32
+TILE_MAX_CELL_SHARE = 0.5
 
 
 def segment_tiles(n_queries: int, n_rows: int, n_slots: int) -> int:
@@ -108,6 +115,42 @@ def segment_tiles(n_queries: int, n_rows: int, n_slots: int) -> int:
     return max(1, min(by_queries, by_cells))
 
 
+def query_tiles(starts: np.ndarray, query: np.ndarray, key: np.ndarray, n_rows: int) -> list[tuple]:
+    """The contiguous query tiles segment_attention works on.
+
+    Slot s pairs query ``query[s]`` with k/v row ``key[s]``; the slots are
+    query-major and query i owns slots ``[starts[i], starts[i + 1])``. A
+    tile is a tuple (a, b, s0, s1, rows, flat): query rows [a, b), their
+    slots [s0, s1), the ascending k/v rows they name (None for a single
+    tile, which reads all ``n_rows``) and each slot's flat index into the
+    dense (b - a) x (tile rows) block. The ``segment_tiles`` tiles are
+    kept only when their blocks hold at most ``TILE_MAX_CELL_SHARE`` of the
+    n ``n_rows`` cells of a single tile.
+    """
+    n = starts.size - 1
+    m = segment_tiles(n, n_rows, query.size)
+    single = [(0, n, 0, query.size, None, query * n_rows + key)]
+    if m == 1:
+        return single
+    tiles = []
+    cells = 0
+    cuts = np.arange(m + 1) * n // m
+    named = np.zeros(n_rows, dtype=bool)
+    column = np.empty(n_rows, dtype=np.intp)
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        s0, s1 = int(starts[a]), int(starts[b])
+        if s0 == s1:
+            continue
+        # the tile's distinct rows in ascending order, without a sort
+        named[:] = False
+        named[key[s0:s1]] = True
+        rows = np.flatnonzero(named)
+        column[rows] = np.arange(rows.size)
+        cells += (b - a) * rows.size
+        tiles.append((a, b, s0, s1, rows, (query[s0:s1] - a) * rows.size + column[key[s0:s1]]))
+    return single if cells > TILE_MAX_CELL_SHARE * n * n_rows else tiles
+
+
 def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None) -> Matrix:
     """Row i is softmax(q_i K_s^T / sqrt(d_k)) V_s over the key rows s = [lo_i, hi_i).
 
@@ -118,7 +161,7 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None) -> 
     entries are k/v rows: packed key j is k/v row ``row_map[j]``, so one
     k/v row can serve many packed keys, and its gradients accumulate.
 
-    The query rows are cut into ``segment_tiles`` contiguous tiles. Each
+    The query rows are cut into ``query_tiles`` contiguous tiles. Each
     tile gathers the distinct k/v rows its slots name (a single tile uses
     k and v as they are) and works on a dense block of (tile queries)
     x (tile rows): each slot's logit is read by flat index from one GEMM
@@ -165,26 +208,7 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None) -> 
     first = starts[:-1][nonempty]
     seg_len = lengths[nonempty]
 
-    # a tile is query rows [a, b), its slots [s0, s1), the k/v rows it reads
-    # (None: all of them) and each slot's flat index into its dense block
-    m = segment_tiles(q.rows, k.rows, query.size)
-    if m == 1:
-        tiles = [(0, q.rows, 0, query.size, None, query * k.rows + key)]
-    else:
-        tiles = []
-        cuts = np.arange(m + 1) * q.rows // m
-        named = np.zeros(k.rows, dtype=bool)
-        column = np.empty(k.rows, dtype=np.intp)
-        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            s0, s1 = int(starts[a]), int(starts[b])
-            if s0 == s1:
-                continue
-            # the tile's distinct rows in ascending order, without a sort
-            named[:] = False
-            named[key[s0:s1]] = True
-            rows = np.flatnonzero(named)
-            column[rows] = np.arange(rows.size)
-            tiles.append((a, b, s0, s1, rows, (query[s0:s1] - a) * rows.size + column[key[s0:s1]]))
+    tiles = query_tiles(starts, query, key, k.rows)
 
     def block(x, rows):
         return x.data if rows is None else np.take(x.data, rows, axis=0)

@@ -6,8 +6,11 @@ padding), every distinct entity they name is projected once per attention
 set, both sides are encoded, [candidate fusion, job fusion, resume embedding,
 JD embedding] forms each pair's joint representation, and the scoring head
 maps the batch to a (B, 1) column. Training builds one graph per batch
-with positives and negatives stacked; evaluation and ranking score
-fixed-size chunks of pairs. Training minimizes the pairwise loss
+with positives and negatives stacked. Evaluation and ranking run on frozen
+weights: they score fixed-size chunks of pairs through the store's
+``serve.ServingIndex``, which keeps each entity's share of that forward
+across calls and equals ``score_pairs`` up to rounding (1e-12 relative in
+the tests). Training minimizes the pairwise loss
 
     L = -(1/|B|) sum log sigma(y+ - y-) + lambda (1/|B|) sum ((y+)^2 + (y-)^2)
 
@@ -23,7 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pjfit.config import ModelConfig, TrainConfig
-from pjfit.domain import Dataset, DatasetError, EntityRecord, sample_training_pairs
+from pjfit.domain import (
+    Dataset,
+    DatasetError,
+    SequenceCache,
+    distinct_records,
+    sample_training_pairs,
+)
 from pjfit.encoder import encode_side_batch, encoder_param_spec
 from pjfit.metrics import RankedPrediction, ap, auc, gauc, ndcg
 from pjfit.moe import head_param_spec, moe_scores
@@ -38,6 +47,7 @@ from pjfit.numerics import (
     ops,
     spawn_rngs,
 )
+from pjfit.serve import check_fits, index_for
 
 
 def param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
@@ -56,74 +66,17 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
     return store
 
 
-# Pairs per batched forward in score_all and rank_candidates. Each forward
-# reads every weight once, so larger chunks read them fewer times. A chunk's
-# working memory grows with the distinct entities its histories name, at
-# most SCORE_CHUNK * seq_len per stage and entity kind; attention adds the
+# Pairs per ServingIndex.score call in score_all and rank_candidates. Each
+# call reads the folded fusion matrices and the head layers once, so larger
+# chunks read them fewer times. Entities a chunk meets for the first time
+# are computed in one batch, as score_pairs would, so a cold chunk's working
+# memory grows with the distinct entities its histories name, at most
+# SCORE_CHUNK * seq_len per stage and entity kind. Per pair, a chunk holds
+# the external attention heads and fusion hidden rows; attention adds the
 # dense (tile queries x tile keys) blocks of ops.segment_attention, about
 # ops.TILE_CELLS_PER_SLOT cells per (query, key) slot and at most
 # SCORE_CHUNK x (distinct entities) cells per call.
 SCORE_CHUNK = 256
-
-
-class SequenceCache:
-    """History ids per (entity, stage), built once per dataset.
-
-    A stage keeps the ids of its ``seq_len`` most recent counterparts, most
-    recent first: the entities whose rows ``pad_sequence`` marks valid, in
-    the same order. An empty stage has no ids. Embeddings are not copied
-    until ``pack`` stacks those a batch needs.
-    """
-
-    def __init__(self, dataset: Dataset, cfg: ModelConfig):
-        self._dataset = dataset
-        self._cfg = cfg
-        self._cache: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
-
-    def _ids(self, record: EntityRecord) -> tuple[tuple[str, ...], ...]:
-        """One tuple of at most seq_len counterpart ids per active stage."""
-        key = (record.kind, record.id)
-        ids = self._cache.get(key)
-        if ids is None:
-            n = self._cfg.seq_len
-            ids = self._cache[key] = tuple(record.history(stage)[::-1][:n]
-                                           for stage in self._cfg.stages)
-        return ids
-
-    def pack(self, records) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per active stage, for records of one kind: the (U, d) embeddings
-        of the U distinct entities their histories name, in first-seen order;
-        the row among them of each packed history entry, record after record;
-        and the (len(records), 2) array of each record's [lo, hi) range of
-        packed entries."""
-        counterpart = "job" if records[0].kind == "candidate" else "candidate"
-        per_record = [self._ids(r) for r in records]
-        packed = []
-        for stage in range(len(self._cfg.stages)):
-            position: dict[str, int] = {}
-            row_map = np.array([position.setdefault(i, len(position))
-                                for ids in per_record for i in ids[stage]], dtype=np.intp)
-            embeddings = [self._dataset.entity(counterpart, i).embedding for i in position]
-            rows = (np.stack(embeddings) if embeddings
-                    else np.zeros((0, self._dataset.embedding_dim)))
-            lengths = np.array([len(ids[stage]) for ids in per_record], dtype=np.intp)
-            ends = np.cumsum(lengths)
-            packed.append((rows, row_map, np.stack([ends - lengths, ends], axis=1)))
-        return packed
-
-
-def _distinct(records) -> tuple[list[EntityRecord], np.ndarray]:
-    """The distinct records by id, in first-seen order, and each input's position among them."""
-    position: dict[str, int] = {}
-    distinct: list[EntityRecord] = []
-    index = np.empty(len(records), dtype=np.intp)
-    for i, record in enumerate(records):
-        j = position.get(record.id)
-        if j is None:
-            j = position[record.id] = len(distinct)
-            distinct.append(record)
-        index[i] = j
-    return distinct, index
 
 
 def score_pairs(candidates, jobs, bound: BoundParams, cfg: ModelConfig,
@@ -144,8 +97,8 @@ def score_pairs(candidates, jobs, bound: BoundParams, cfg: ModelConfig,
         raise ValueError(f"{len(candidates)} candidates for {len(jobs)} jobs")
     if not candidates:
         raise ValueError("no pairs to score")
-    cands, cand_index = _distinct(candidates)
-    job_records, job_index = _distinct(jobs)
+    cands, cand_index = distinct_records(candidates)
+    job_records, job_index = distinct_records(jobs)
     resume = bound.constant(np.stack([c.embedding for c in cands]))
     jd = bound.constant(np.stack([j.embedding for j in job_records]))
     cand_hist = [(bound.constant(rows), row_map, ranges)
@@ -209,10 +162,7 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
     """
     if not any(p.label == 1 for p in train_dataset.pairs):
         raise DatasetError("training data contains no positive pairs")
-    if train_dataset.embedding_dim != config.model.d_model:
-        raise DatasetError(
-            f"dataset embedding dim {train_dataset.embedding_dim} "
-            f"!= model d_model {config.model.d_model}")
+    check_fits(config.model, train_dataset)
 
     rng_init, rng_sample = spawn_rngs(config.seed, 2)
     store = init_params(config.model, rng_init)
@@ -250,14 +200,12 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
 
 def _score_chunks(candidates, jobs, store: ParamStore, cfg: ModelConfig,
                   dataset: Dataset) -> list[float]:
-    """Frozen-parameter scores of (candidates[i], jobs[i]), SCORE_CHUNK pairs per forward."""
-    bound = store.bind(tape=None)
-    cache = SequenceCache(dataset, cfg)
+    """Frozen-parameter scores of (candidates[i], jobs[i]), SCORE_CHUNK pairs per index call."""
+    index = index_for(store, cfg, dataset)
     scores: list[float] = []
     for lo in range(0, len(candidates), SCORE_CHUNK):
-        out = score_pairs(candidates[lo:lo + SCORE_CHUNK], jobs[lo:lo + SCORE_CHUNK],
-                          bound, cfg, cache)
-        scores.extend(out.data[:, 0].tolist())
+        scores.extend(index.score(candidates[lo:lo + SCORE_CHUNK],
+                                  jobs[lo:lo + SCORE_CHUNK]).tolist())
     return scores
 
 

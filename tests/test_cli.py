@@ -8,6 +8,7 @@ import pytest
 from pjfit import cli
 from pjfit.checkpoint import load_checkpoint
 from pjfit.cli import main, read_report
+from pjfit.domain import load_data_dir
 from pjfit.numerics import DimensionError
 
 SYNTH_CFG = {
@@ -215,3 +216,36 @@ def test_internal_shape_error_is_not_a_data_error(tmp_path, monkeypatch, capsys)
                  "--report-out", str(tmp_path / "r.json")]) == 3
     err = capsys.readouterr().err
     assert "internal error" in err and "data error" not in err
+
+
+def _synth(tmp_path, **overrides):
+    (tmp_path / "synth.json").write_text(json.dumps({**SYNTH_CFG, **overrides}))
+    assert main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(tmp_path / "data")]) == 0
+    return tmp_path / "data"
+
+
+def _eval_and_rank_errors(pipeline, data, tmp_path, capsys):
+    """stderr of `eval` and of `rank` on ``data`` with the pipeline's checkpoint,
+    after checking that both exit 2."""
+    job = sorted(load_data_dir(data)[0].jobs)[0]
+    errors = []
+    for argv in (["eval", "--report-out", str(tmp_path / "r.json")],
+                 ["rank", "--job", job, "--out", str(tmp_path / "rank.tsv")]):
+        capsys.readouterr()
+        assert main(argv + ["--data", str(data), "--checkpoint", str(pipeline / "model.ckpt")]) == 2
+        errors.append(capsys.readouterr().err)
+    return errors
+
+
+def test_embedding_width_that_does_not_fit_the_checkpoint_is_a_data_error(pipeline, tmp_path, capsys):
+    data = _synth(tmp_path, embedding_dim=16)
+    for err in _eval_and_rank_errors(pipeline, data, tmp_path, capsys):
+        assert "data error" in err and "embedding dim 16" in err and "d_model 8" in err
+
+
+def test_categories_beyond_the_checkpoints_are_a_data_error(pipeline, tmp_path, capsys):
+    data = _synth(tmp_path, categories=SYNTH_CFG["categories"] + ["Marketing", "Finance"])
+    assert max(r.category_id for r in load_data_dir(data)[0].jobs.values()) >= 4
+    for err in _eval_and_rank_errors(pipeline, data, tmp_path, capsys):
+        assert "data error" in err and "outside the model's 4 categories" in err
+        assert "Traceback" not in err

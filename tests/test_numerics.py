@@ -244,6 +244,31 @@ def test_tiled_segment_attention_matches_per_query_oracle():
     np.testing.assert_array_equal(out.data[[5, 40]], np.zeros((2, 3)))
 
 
+def _slots(ranges, row_map):
+    """segment_attention's slot arrays: each query's first slot, and the
+    query and k/v row of every slot."""
+    lengths = ranges[:, 1] - ranges[:, 0]
+    keys = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
+    return (np.concatenate(([0], np.cumsum(lengths))), np.repeat(np.arange(len(ranges)), lengths),
+            row_map[keys])
+
+
+def test_query_tiles_keep_disjoint_tiles_and_merge_overlapping_ones():
+    q, k, v, ranges, row_map = _tiled_attention_case(seeded_rng(6), 48, 400, tiles=3)
+    assert len(ops.query_tiles(*_slots(ranges, row_map), 400)) == 3
+    # the shape of a converge-d64 rank request's job-side call: 224 queries
+    # over 320 rows with ~2200 slots, whose halves each name ~250 rows
+    rng = seeded_rng(9)
+    lengths = rng.integers(5, 15, size=224)
+    ranges = np.stack([np.cumsum(lengths) - lengths, np.cumsum(lengths)], axis=1)
+    row_map = np.concatenate([rng.integers(0, 250, size=lengths[:112].sum()),
+                              rng.integers(70, 320, size=lengths[112:].sum())])
+    starts, query, key = _slots(ranges, row_map)
+    assert ops.segment_tiles(224, 320, query.size) == 2
+    (tile,) = ops.query_tiles(starts, query, key, 320)
+    assert tile[:4] == (0, 224, 0, query.size) and tile[4] is None
+
+
 def test_tiled_segment_attention_is_bitwise_repeatable():
     q, k, v, ranges, row_map = _tiled_attention_case(seeded_rng(7), 48, 400, tiles=3)
     slots = int((ranges[:, 1] - ranges[:, 0]).sum())
