@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from pjfit.config import ModelConfig, model_config_from_dict, model_config_to_dict
+from pjfit.model import param_spec
 from pjfit.numerics import ParamStore
 
 MAGIC = b"PJF1"
@@ -122,8 +123,6 @@ def _read_checkpoint(reader: _Reader, expected: ModelConfig | None) -> tuple[Par
         cfg = model_config_from_dict(config_doc["model"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: invalid embedded config: {exc}") from exc
-
-    from pjfit.training import param_spec  # deferred: avoids a module cycle
 
     if expected is not None:
         ours, theirs = param_spec(expected), param_spec(cfg)

@@ -17,7 +17,6 @@ from pjfit.domain.sampling import (
     SampledEpoch,
     SequenceCache,
     distinct_records,
-    pad_sequence,
     sample_training_pairs,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "SampledEpoch",
     "SequenceCache",
     "distinct_records",
-    "pad_sequence",
     "sample_training_pairs",
 ]

@@ -70,10 +70,6 @@ class EntityRecord:
     def history(self, stage: str) -> tuple[str, ...]:
         return getattr(self, _STAGE_TO_FIELD[stage])
 
-    @property
-    def histories(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(self.history(stage) for stage in STAGES)
-
 
 @dataclass(frozen=True)
 class Pair:
@@ -141,6 +137,9 @@ def _parse_entity(doc: dict, vocab: CategoryVocab, lineno: int, path: str) -> En
     embedding = np.asarray(doc["embedding"], dtype=np.float64)
     if embedding.ndim != 1:
         raise DatasetError(f"{where}: embedding of {doc['id']!r} must be a flat array")
+    # json reads the NaN and Infinity literals; a model cannot score them
+    if not np.isfinite(embedding).all():
+        raise DatasetError(f"{where}: embedding of {doc['id']!r} holds a non-finite value")
     hists = {}
     for field_name in ("hist_eval", "hist_pass_eval", "hist_pass_interview"):
         ids = doc[field_name]
@@ -292,7 +291,7 @@ def validate_records(dataset: Dataset, short_jd_threshold: int = 200) -> Dataset
     """Composition summary: sizes, label balance, history lengths, short-JD share."""
     hist = Counter()
     for record in list(dataset.candidates.values()) + list(dataset.jobs.values()):
-        for stage_ids in record.histories:
+        for stage_ids in (record.history(stage) for stage in STAGES):
             hist[len(stage_ids)] += 1
     n_jobs = len(dataset.jobs)
     short = sum(1 for j in dataset.jobs.values() if len(j.text) < short_jd_threshold)

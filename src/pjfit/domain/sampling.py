@@ -1,4 +1,4 @@
-"""History padding and packing, and pairwise training-batch sampling."""
+"""History packing and pairwise training-batch sampling."""
 
 from __future__ import annotations
 
@@ -10,29 +10,11 @@ from pjfit.config import ModelConfig
 from pjfit.domain.records import Dataset, DatasetError, EntityRecord, Pair
 
 
-def pad_sequence(ids, dataset: Dataset, max_len: int = 20,
-                 kind: str = "job") -> tuple[np.ndarray, np.ndarray]:
-    """Embed a history id list into a fixed (max_len, dim) block.
-
-    Input ids are chronological (oldest first); only the most recent
-    ``max_len`` survive and they fill the block most-recent-first. The
-    boolean mask flags real rows; padded rows are zero.
-    """
-    matrix = np.zeros((max_len, dataset.embedding_dim))
-    valid = np.zeros(max_len, dtype=bool)
-    kept = list(ids)[-max_len:][::-1]
-    for row, entity_id in enumerate(kept):
-        matrix[row] = dataset.entity(kind, entity_id).embedding
-        valid[row] = True
-    return matrix, valid
-
-
 class SequenceCache:
     """History ids per (entity, stage), built once per dataset.
 
     A stage keeps the ids of its ``seq_len`` most recent counterparts, most
-    recent first: the entities whose rows ``pad_sequence`` marks valid, in
-    the same order. An empty stage has no ids. Embeddings are not copied
+    recent first. An empty stage has no ids. Embeddings are not copied
     until ``pack`` stacks those a batch needs.
     """
 

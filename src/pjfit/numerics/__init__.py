@@ -9,7 +9,6 @@ from pjfit.numerics.matrix import DimensionError, Matrix, Tape
 from pjfit.numerics.params import BoundParams, Param, ParamStore, glorot_uniform
 from pjfit.numerics.optim import TrainingDivergedError, adam_step
 from pjfit.numerics.rng import seeded_rng, spawn_rngs
-from pjfit.numerics.gradcheck import finite_diff_check
 from pjfit.numerics import ops
 
 __all__ = [
@@ -24,6 +23,5 @@ __all__ = [
     "adam_step",
     "seeded_rng",
     "spawn_rngs",
-    "finite_diff_check",
     "ops",
 ]

@@ -78,17 +78,8 @@ class ParamStore:
         for p in self._params.values():
             p._grad = None
 
-    def n_values(self) -> int:
-        return sum(p.value.size for p in self._params.values())
-
     def bind(self, tape: Tape | None = None) -> "BoundParams":
         return BoundParams(self, tape)
-
-    def clone(self) -> "ParamStore":
-        out = ParamStore()
-        for name, p in self._params.items():
-            out.add(name, p.value.copy(), trainable=p.trainable)
-        return out
 
 
 class BoundParams:
@@ -102,17 +93,25 @@ class BoundParams:
     def __init__(self, store: ParamStore, tape: Tape | None):
         self._store = store
         self.tape = tape
-        self._cache: dict[str, Matrix] = {}
+        self._cache: dict[tuple[str, int, int], Matrix] = {}
 
     def __getitem__(self, name: str) -> Matrix:
-        m = self._cache.get(name)
+        return self.rows(name, 0, self._store[name].value.shape[0])
+
+    def rows(self, name: str, lo: int, hi: int) -> Matrix:
+        """Rows [lo, hi) of a parameter as a view of its value; on a tape its
+        gradient is the same rows of the parameter's gradient buffer."""
+        key = (name, lo, hi)
+        m = self._cache.get(key)
         if m is None:
             p = self._store[name]
+            if not 0 <= lo <= hi <= p.value.shape[0]:
+                raise IndexError(f"rows [{lo}, {hi}) of {name!r} with {p.value.shape[0]} rows")
             if self.tape is None:
-                m = Matrix(p.value)
+                m = Matrix(p.value[lo:hi])
             else:
-                m = Matrix(p.value, tape=self.tape, grad=p.grad)
-            self._cache[name] = m
+                m = Matrix(p.value[lo:hi], tape=self.tape, grad=p.grad[lo:hi])
+            self._cache[key] = m
         return m
 
     def constant(self, data) -> Matrix:

@@ -1,16 +1,13 @@
-"""End-to-end scoring, pairwise loss, training loop, evaluation, ranking.
+"""Pairwise loss, training loop, evaluation, ranking.
 
-``score_pairs`` is the one forward pass. It scores a batch of pairs at
-once: histories are packed by reference (the ids of the valid entries, no
-padding), every distinct entity they name is projected once per attention
-set, both sides are encoded, [candidate fusion, job fusion, resume embedding,
-JD embedding] forms each pair's joint representation, and the scoring head
-maps the batch to a (B, 1) column. Training builds one graph per batch
-with positives and negatives stacked. Evaluation and ranking run on frozen
-weights: they score fixed-size chunks of pairs through the store's
-``serve.ServingIndex``, which keeps each entity's share of that forward
-across calls and equals ``score_pairs`` up to rounding (1e-12 relative in
-the tests). Training minimizes the pairwise loss
+``model.score_pairs`` is the one forward pass (read from this module
+too). Training builds one taped graph per batch with positives and
+negatives stacked. Evaluation and ranking run on frozen weights: they
+score fixed-size chunks of pairs through the store's
+``serve.ServingIndex``, which runs the same per-entity and per-pair
+functions, keeps the per-entity outputs across calls, and equals
+``score_pairs`` up to rounding (1e-12 relative in the tests). Training
+minimizes the pairwise loss
 
     L = -(1/|B|) sum log sigma(y+ - y-) + lambda (1/|B|) sum ((y+)^2 + (y-)^2)
 
@@ -26,44 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pjfit.config import ModelConfig, TrainConfig
-from pjfit.domain import (
-    Dataset,
-    DatasetError,
-    SequenceCache,
-    distinct_records,
-    sample_training_pairs,
-)
-from pjfit.encoder import encode_side_batch, encoder_param_spec
+from pjfit.domain import Dataset, DatasetError, SequenceCache, sample_training_pairs
 from pjfit.metrics import RankedPrediction, ap, auc, gauc, ndcg
-from pjfit.moe import head_param_spec, moe_scores
-from pjfit.numerics import (
-    BoundParams,
-    Matrix,
-    ParamStore,
-    Tape,
-    TrainingDivergedError,
-    adam_step,
-    glorot_uniform,
-    ops,
-    spawn_rngs,
-)
-from pjfit.serve import check_fits, index_for
-
-
-def param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
-    """Every trainable tensor's (name, rows, cols), in checkpoint order."""
-    return encoder_param_spec(cfg) + head_param_spec(cfg)
-
-
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
-    """Glorot-uniform weights, zero biases, insertion order per param_spec."""
-    store = ParamStore()
-    for name, rows, cols in param_spec(cfg):
-        if name.rsplit(".", 1)[-1].startswith("b"):
-            store.add(name, np.zeros((rows, cols)))
-        else:
-            store.add(name, glorot_uniform(rng, rows, cols))
-    return store
+# param_spec, init_params and score_pairs are read from this module too
+from pjfit.model import check_fits, init_params, param_spec, score_pairs
+from pjfit.numerics import Matrix, ParamStore, Tape, TrainingDivergedError, adam_step, ops
+from pjfit.numerics import spawn_rngs
+from pjfit.serve import index_for
 
 
 # Pairs per ServingIndex.score call in score_all and rank_candidates. Each
@@ -77,50 +43,6 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
 # ops.TILE_CELLS_PER_SLOT cells per (query, key) slot and at most
 # SCORE_CHUNK x (distinct entities) cells per call.
 SCORE_CHUNK = 256
-
-
-def score_pairs(candidates, jobs, bound: BoundParams, cfg: ModelConfig,
-                cache: SequenceCache) -> Matrix:
-    """Match scores of the pairs (candidates[i], jobs[i]) as a (B, 1) column.
-
-    Internal interactions attend each side's text over its own
-    counterpart-kind history; external interactions attend it over the
-    paired entity's same-kind history. Each entity that the batch's
-    histories name is projected once per attention set, however many
-    histories name it, and each distinct text once per query projection,
-    so the positive and the negative of a training entry share their job's
-    projections. Entities with empty histories are
-    scorable: empty stages contribute zero vectors. A pair's score depends
-    on the rest of the batch only through rounding.
-    """
-    if len(candidates) != len(jobs):
-        raise ValueError(f"{len(candidates)} candidates for {len(jobs)} jobs")
-    if not candidates:
-        raise ValueError("no pairs to score")
-    cands, cand_index = distinct_records(candidates)
-    job_records, job_index = distinct_records(jobs)
-    resume = bound.constant(np.stack([c.embedding for c in cands]))
-    jd = bound.constant(np.stack([j.embedding for j in job_records]))
-    cand_hist = [(bound.constant(rows), row_map, ranges)
-                 for rows, row_map, ranges in cache.pack(cands)]
-    job_hist = [(bound.constant(rows), row_map, ranges)
-                for rows, row_map, ranges in cache.pack(job_records)]
-    # the paired entity's history, one range per pair
-    cand_cross = [(rows, row_map, ranges[job_index]) for rows, row_map, ranges in job_hist]
-    job_cross = [(rows, row_map, ranges[cand_index]) for rows, row_map, ranges in cand_hist]
-
-    cand_fused = encode_side_batch(resume, cand_index, cand_hist, cand_cross, bound, "cand", cfg)
-    job_fused = encode_side_batch(jd, job_index, job_hist, job_cross, bound, "job", cfg)
-
-    cand_categories = np.array([c.category_id for c in candidates], dtype=np.intp)
-    job_categories = np.array([j.category_id for j in jobs], dtype=np.intp)
-    parts = [cand_fused, job_fused, ops.gather_rows(resume, cand_index),
-             ops.gather_rows(jd, job_index)]
-    if cfg.ablation == "simple_match":
-        same = (cand_categories == job_categories).astype(np.float64)
-        parts.append(bound.constant(same.reshape(-1, 1)))
-    x = ops.concat_cols(parts)
-    return moe_scores(x, cand_categories, job_categories, bound, cfg)
 
 
 def bpr_loss_graph(pos: Matrix, neg: Matrix, lambda_reg: float) -> Matrix:
@@ -156,8 +78,8 @@ class TrainResult:
 def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
     """Deterministic training run: sample pair batches, Adam-step per batch.
 
-    The returned store keeps its Adam moments but holds no gradient
-    buffers. Raises TrainingDivergedError naming the batch index if the
+    The returned store holds the trained values only: no gradient buffers
+    and no Adam moments. Raises TrainingDivergedError naming the batch index if the
     loss goes non-finite.
     """
     if not any(p.label == 1 for p in train_dataset.pairs):
@@ -193,8 +115,11 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
             result.steps += 1
             adam_step(store, config.learning_rate, result.steps)
             result.losses.append(loss_value)
-    # every gradient is zero after the last step and nothing reads them
+    # nothing reads the gradients (all zero after the last step) or the
+    # moments after training; at d=1024 the moments alone take ~1 GB
     store.release_grads()
+    for _, p in store.items():
+        p.m = p.v = None
     return result
 
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pjfit.numerics.matrix import Matrix
-from pjfit.numerics.params import ParamStore
+from pjfit.numerics import Matrix, ParamStore
 
 
 def finite_diff_check(f, store: ParamStore, h: float = 1e-5,

@@ -7,7 +7,22 @@ without touching the library's op graph.
 
 import numpy as np
 
-from pjfit.domain import pad_sequence
+
+def pad_sequence(ids, dataset, max_len: int = 20,
+                 kind: str = "job") -> tuple[np.ndarray, np.ndarray]:
+    """Embed a history id list into a fixed (max_len, dim) block.
+
+    Input ids are chronological (oldest first); only the most recent
+    ``max_len`` survive and they fill the block most-recent-first. The
+    boolean mask flags real rows; padded rows are zero.
+    """
+    matrix = np.zeros((max_len, dataset.embedding_dim))
+    valid = np.zeros(max_len, dtype=bool)
+    kept = list(ids)[-max_len:][::-1]
+    for row, entity_id in enumerate(kept):
+        matrix[row] = dataset.entity(kind, entity_id).embedding
+        valid[row] = True
+    return matrix, valid
 
 
 def np_attention(q, k, v, valid):

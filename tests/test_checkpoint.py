@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pjfit
 from pjfit.checkpoint import (
     BadMagicError,
     CheckpointError,
@@ -97,3 +103,13 @@ def test_ablation_configs_round_trip(tmp_path):
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg.ablation == ablation
         assert loaded.names() == store.names()
+
+
+def test_importing_checkpoint_loads_the_model_but_not_training():
+    # a fresh interpreter that finds the same pjfit package
+    code = ("import sys, pjfit.checkpoint; "
+            "print('pjfit.model' in sys.modules, 'pjfit.training' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(pjfit.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split() == ["True", "False"]

@@ -249,3 +249,16 @@ def test_categories_beyond_the_checkpoints_are_a_data_error(pipeline, tmp_path, 
     for err in _eval_and_rank_errors(pipeline, data, tmp_path, capsys):
         assert "data error" in err and "outside the model's 4 categories" in err
         assert "Traceback" not in err
+
+
+def test_non_finite_embedding_is_a_data_error_for_rank(pipeline, tmp_path, capsys):
+    data = _synth(tmp_path)
+    docs = [json.loads(l) for l in (data / "entities.jsonl").read_text().splitlines()]
+    docs[0]["embedding"][0] = float("nan")
+    (data / "entities.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+    job = next(d["id"] for d in docs if d["kind"] == "job")
+    capsys.readouterr()
+    assert main(["rank", "--job", job, "--out", str(tmp_path / "rank.tsv"), "--data", str(data),
+                 "--checkpoint", str(pipeline / "model.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"entities.jsonl:1: embedding of {docs[0]['id']!r}" in err

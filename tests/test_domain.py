@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pjfit.config import STAGES
 from pjfit.domain import (
     CategoryVocab,
     Dataset,
     DatasetError,
     load_dataset,
-    pad_sequence,
     sample_training_pairs,
     save_dataset,
     validate_records,
@@ -18,6 +18,7 @@ from pjfit.domain import (
 from pjfit.numerics import seeded_rng
 
 from conftest import DatasetBuilder
+from reference_model import pad_sequence
 
 
 def entity_doc(entity_id, kind, dim=4, **overrides):
@@ -68,6 +69,18 @@ def test_wrong_embedding_length_names_the_id(paths):
     ])
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match="'c2'.*3 entries, expected 4"):
+        load_dataset(entities, pairs)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_embedding_names_line_and_id(paths, value):
+    entities, pairs = paths
+    bad = entity_doc("c2", "candidate")
+    bad["embedding"][2] = value
+    # json.dumps writes NaN, Infinity and -Infinity, which json.loads reads
+    write_jsonl(entities, [entity_doc("c1", "candidate"), bad])
+    write_jsonl(pairs, [])
+    with pytest.raises(DatasetError, match=r"entities.jsonl:2: embedding of 'c2' holds a non-finite"):
         load_dataset(entities, pairs)
 
 
@@ -142,7 +155,8 @@ def test_round_trip_is_identity(tmp_path, small_dataset):
         got = loaded.candidates[cid]
         assert got.text == rec.text
         assert got.category_id == rec.category_id
-        assert got.histories == rec.histories
+        for stage in STAGES:
+            assert got.history(stage) == rec.history(stage)
         np.testing.assert_array_equal(got.embedding, rec.embedding)
     # a second save of the loaded dataset is byte-identical
     entities2, pairs2 = tmp_path / "e2.jsonl", tmp_path / "p2.jsonl"

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from pjfit.encoder import AttentionSet, bound_attention_set, encode_side_batch, segment_interaction
-from pjfit.numerics import Matrix, ParamStore, Tape, finite_diff_check, ops, seeded_rng
+from pjfit.encoder import (
+    external_keys,
+    external_projections,
+    external_queries,
+    fuse_pairs,
+    interaction,
+    internal_hidden,
+)
+from pjfit.numerics import Matrix, ParamStore, Tape, ops, seeded_rng
 from pjfit.training import init_params
 
 from conftest import toy_model_config
+from gradcheck import finite_diff_check
 from reference_model import np_encode_side, np_mha
 
 
@@ -39,18 +47,32 @@ def padded(seqs, cfg):
     return out
 
 
+def encode_side(text, index, own, cross, bound, side, cfg):
+    """Fused vectors of one side of a batch of pairs, from the per-entity
+    and per-pair encoder functions as ``model.score_pairs`` composes them.
+
+    ``text`` holds the side's distinct entities, ``index`` the entity of
+    each pair; ``own`` holds (rows, row_map, ranges) per stage with one
+    range per entity, ``cross`` the same with one range per pair."""
+    keys = [(external_keys(rows, bound, side, stage, cfg), row_map, ranges)
+            for stage, (rows, row_map, ranges) in zip(cfg.stages, cross)]
+    return fuse_pairs(external_queries(text, bound, side, cfg),
+                      internal_hidden(text, own, bound, side, cfg), index, keys,
+                      external_projections(bound, side, cfg), bound, side, cfg)
+
+
 def encode_one(self_vec, own, cross, bound, side, cfg):
-    """encode_side_batch for one pair of single entities."""
-    return encode_side_batch(self_vec, np.array([0]), own, cross, bound, side, cfg)
+    """encode_side for one pair of single entities."""
+    return encode_side(self_vec, np.array([0]), own, cross, bound, side, cfg)
 
 
 def test_fully_masked_sequence_gives_zero_vector(cfg, store):
     rng = seeded_rng(1)
     bound = store.bind()
-    aset = bound_attention_set(bound, "cand.evaluated.internal", cfg.heads)
     query = Matrix(rng.normal(size=(2, cfg.d_model)))
     rows = Matrix(rng.normal(size=(cfg.seq_len, cfg.d_model)))
-    out = segment_interaction(query, rows, np.arange(cfg.seq_len), np.array([[0, 0], [2, 2]]), aset)
+    out = interaction(query, rows, np.arange(cfg.seq_len), np.array([[0, 0], [2, 2]]), bound,
+                      "cand.evaluated.internal", cfg.heads)
     np.testing.assert_array_equal(out.data, np.zeros((2, cfg.d_model)))
 
 
@@ -60,15 +82,16 @@ def test_single_unmasked_row_with_identity_value_path_returns_that_row():
     d_model, heads, dk = 4, 2, 2
     rng = seeded_rng(2)
     eye = np.eye(d_model)
-    aset = AttentionSet(
-        wq=tuple(Matrix(rng.normal(size=(d_model, dk))) for _ in range(heads)),
-        wk=tuple(Matrix(rng.normal(size=(d_model, dk))) for _ in range(heads)),
-        wv=tuple(Matrix(eye[:, i * dk:(i + 1) * dk]) for i in range(heads)),
-        wo=Matrix(eye),
-    )
+    store = ParamStore()
+    for w in ("wq", "wk"):
+        for i in range(heads):
+            store.add(f"set.h{i}.{w}", rng.normal(size=(d_model, dk)))
+    for i in range(heads):
+        store.add(f"set.h{i}.wv", eye[:, i * dk:(i + 1) * dk])
+    store.add("set.wo", eye)
     rows = rng.normal(size=(3, d_model))
-    out = segment_interaction(Matrix(rng.normal(size=(1, d_model))), Matrix(rows),
-                              np.arange(3), np.array([[1, 2]]), aset)
+    out = interaction(Matrix(rng.normal(size=(1, d_model))), Matrix(rows),
+                      np.arange(3), np.array([[1, 2]]), store.bind(), "set", heads)
     np.testing.assert_allclose(out.data, rows[1:2], atol=1e-14)
 
 
@@ -76,10 +99,9 @@ def test_multi_head_matches_per_head_oracle(cfg, store):
     rng = seeded_rng(3)
     query = rng.normal(size=(2, cfg.d_model))
     rows = rng.normal(size=(cfg.seq_len, cfg.d_model))
-    bound = store.bind()
-    aset = bound_attention_set(bound, "job.passed_eval.external", cfg.heads)
-    out = segment_interaction(Matrix(query), Matrix(rows), np.arange(cfg.seq_len),
-                              np.array([[0, 3], [1, 4]]), aset)
+    out = interaction(Matrix(query), Matrix(rows), np.arange(cfg.seq_len),
+                      np.array([[0, 3], [1, 4]]), store.bind(), "job.passed_eval.external",
+                      cfg.heads)
     prefix = np.array([True, True, True, False])
     np.testing.assert_allclose(
         out.data[:1], np_mha(query[:1], rows, prefix, store, "job.passed_eval.external", cfg),
@@ -198,8 +220,8 @@ def test_encoder_gradients_pass_finite_differences(cfg):
         def f(s):
             tape = Tape()
             bound = s.bind(tape)
-            out = encode_side_batch(bound.constant(self_vec), index, as_matrices(own, tape),
-                                    as_matrices(cross, tape), bound, "cand", cfg)
+            out = encode_side(bound.constant(self_vec), index, as_matrices(own, tape),
+                              as_matrices(cross, tape), bound, "cand", cfg)
             return ops.sum_all(ops.mul(out, bound.constant(probe)))
 
         worst = max(worst, finite_diff_check(f, store, coords_per_param=4, rng=rng))

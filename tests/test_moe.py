@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
 
-from pjfit.moe import expert_forward, gate_weights, moe_scores
-from pjfit.numerics import Matrix, Tape, finite_diff_check, ops, seeded_rng
+from pjfit.moe import expert_forward, gate_weights, head_input, moe_scores
+from pjfit.numerics import Matrix, Tape, ops, seeded_rng
 from pjfit.training import init_params
 
 from conftest import toy_model_config
+from gradcheck import finite_diff_check
 from reference_model import np_ffn, np_gate, np_moe
+
+
+def joint_scores(x, candidate_categories, job_categories, bound, cfg):
+    """moe_scores of whole joint vectors: each first layer reads all of x."""
+    return moe_scores(head_input(x, bound, cfg), candidate_categories, job_categories, bound, cfg)
+
+
+def joint_expert(x, i, bound, cfg):
+    """Expert i's output for whole joint vectors x."""
+    return expert_forward(head_input(x, bound, cfg)[i], i, bound, cfg)
 
 
 @pytest.fixture
@@ -48,26 +59,28 @@ def test_gate_matches_layer_by_layer_oracle(cfg, store):
 
 def test_expert_zero_input_zero_biases_gives_zero(cfg, store):
     x = Matrix(np.zeros((1, cfg.joint_dim)))
-    out = expert_forward(x, 0, store.bind(), cfg)
+    out = joint_expert(x, 0, store.bind(), cfg)
     assert out.item() == 0.0  # biases initialize to zero
 
 
 def test_expert_output_bias_passes_through(cfg, store):
     store["moe.expert1.b3"].value[...] = 2.5
-    out = expert_forward(Matrix(np.zeros((1, cfg.joint_dim))), 1, store.bind(), cfg)
+    out = joint_expert(Matrix(np.zeros((1, cfg.joint_dim))), 1, store.bind(), cfg)
     assert out.item() == 2.5
 
 
 def test_expert_matches_manual_layer_oracle(cfg, store):
     x = seeded_rng(3).normal(size=(1, cfg.joint_dim))
     expected = np_ffn(x, store, "moe.expert2")
-    got = expert_forward(Matrix(x), 2, store.bind(), cfg)
+    got = joint_expert(Matrix(x), 2, store.bind(), cfg)
     np.testing.assert_allclose(got.data, expected, rtol=1e-12)
 
 
 def test_expert_index_out_of_range(cfg, store):
+    bound = store.bind()
+    first = head_input(Matrix(np.zeros((1, cfg.joint_dim))), bound, cfg)[0]
     with pytest.raises(IndexError, match="expert index"):
-        expert_forward(Matrix(np.zeros((1, cfg.joint_dim))), cfg.n_experts, store.bind(), cfg)
+        expert_forward(first, cfg.n_experts, bound, cfg)
 
 
 def test_constant_experts_make_gate_irrelevant(cfg, store):
@@ -78,7 +91,7 @@ def test_constant_experts_make_gate_irrelevant(cfg, store):
             store[f"moe.expert{i}.{layer}"].value[...] = 0.0
         store[f"moe.expert{i}.b3"].value[...] = c
     x = Matrix(seeded_rng(4).normal(size=(1, cfg.joint_dim)))
-    out = moe_scores(x, [0], [1], store.bind(), cfg)
+    out = joint_scores(x, [0], [1], store.bind(), cfg)
     assert abs(out.item() - c) < 1e-12
 
 
@@ -87,8 +100,8 @@ def test_forced_one_hot_gate_selects_single_expert(cfg, store):
     store["moe.gate.b2"].value[...] = 0.0
     store["moe.gate.b2"].value[0, 1] = 200.0  # softmax weight 1.0 in float64
     x = seeded_rng(5).normal(size=(1, cfg.joint_dim))
-    out = moe_scores(Matrix(x), [0], [0], store.bind(), cfg)
-    expected = expert_forward(Matrix(x), 1, store.bind(), cfg)
+    out = joint_scores(Matrix(x), [0], [0], store.bind(), cfg)
+    expected = joint_expert(Matrix(x), 1, store.bind(), cfg)
     np.testing.assert_allclose(out.item(), expected.item(), rtol=1e-15)
 
 
@@ -96,7 +109,7 @@ def test_moe_predict_matches_sum_of_products_oracle(cfg, store):
     # one row per pair, each with its own category pair
     x = seeded_rng(0).normal(size=(4, cfg.joint_dim))
     cand, job = [0, 3, 1, 0], [2, 2, 1, 0]
-    got = moe_scores(Matrix(x), cand, job, store.bind(), cfg)
+    got = joint_scores(Matrix(x), cand, job, store.bind(), cfg)
     assert got.shape == (4, 1)
     for i in range(4):
         expected = np_moe(x[i:i + 1], cand[i], job[i], store, cfg)
@@ -108,8 +121,8 @@ def test_moe_prediction_bounded_by_expert_range(cfg, store):
     bound = store.bind()
     for _ in range(50):
         x = Matrix(rng.normal(size=(1, cfg.joint_dim)))
-        outputs = [expert_forward(x, i, bound, cfg).item() for i in range(cfg.n_experts)]
-        y = moe_scores(x, [int(rng.integers(cfg.n_categories))],
+        outputs = [joint_expert(x, i, bound, cfg).item() for i in range(cfg.n_experts)]
+        y = joint_scores(x, [int(rng.integers(cfg.n_categories))],
                        [int(rng.integers(cfg.n_categories))], bound, cfg).item()
         assert min(outputs) - 1e-12 <= y <= max(outputs) + 1e-12
 
@@ -117,7 +130,7 @@ def test_moe_prediction_bounded_by_expert_range(cfg, store):
 def test_swapping_experts_with_gate_columns_is_a_symmetry(cfg, store):
     rng = seeded_rng(7)
     x = rng.normal(size=(1, cfg.joint_dim))
-    base = moe_scores(Matrix(x), [1], [2], store.bind(), cfg).item()
+    base = joint_scores(Matrix(x), [1], [2], store.bind(), cfg).item()
     i, j = 0, 2
     for layer in ("w1", "b1", "w2", "b2", "w3", "b3"):
         a = store[f"moe.expert{i}.{layer}"].value.copy()
@@ -127,14 +140,14 @@ def test_swapping_experts_with_gate_columns_is_a_symmetry(cfg, store):
     w2[:, [i, j]] = w2[:, [j, i]]
     b2 = store["moe.gate.b2"].value
     b2[:, [i, j]] = b2[:, [j, i]]
-    swapped = moe_scores(Matrix(x), [1], [2], store.bind(), cfg).item()
+    swapped = joint_scores(Matrix(x), [1], [2], store.bind(), cfg).item()
     assert abs(swapped - base) < 1e-10
 
 
 def test_unknown_category_id_rejected(cfg, store):
     x = Matrix(np.zeros((1, cfg.joint_dim)))
     with pytest.raises(IndexError, match="category id"):
-        moe_scores(x, [cfg.n_categories], [0], store.bind(), cfg)
+        joint_scores(x, [cfg.n_categories], [0], store.bind(), cfg)
 
 
 def test_gate_and_expert_gradients_including_category_rows(cfg):
@@ -146,14 +159,14 @@ def test_gate_and_expert_gradients_including_category_rows(cfg):
 
         def f(s):
             bound = s.bind(Tape())
-            return moe_scores(bound.constant(x), [1], [3], bound, cfg)
+            return joint_scores(bound.constant(x), [1], [3], bound, cfg)
 
         worst = max(worst, finite_diff_check(f, store, coords_per_param=5, rng=rng))
         # the used category-embedding rows must carry gradient
         store.zero_grads()
         tape = Tape()
         bound = store.bind(tape)
-        out = moe_scores(bound.constant(x), [1], [3], bound, cfg)
+        out = joint_scores(bound.constant(x), [1], [3], bound, cfg)
         tape.backward(out)
         grads = store["moe.categories"].grad
         assert np.abs(grads[1]).sum() > 0 and np.abs(grads[3]).sum() > 0
@@ -165,9 +178,9 @@ def test_no_category_ablation_ignores_the_table(cfg):
     cfg0 = toy_model_config(ablation="no_category")
     store = init_params(cfg0, seeded_rng(0))
     x = seeded_rng(1).normal(size=(1, cfg0.joint_dim))
-    a = moe_scores(Matrix(x), [0], [0], store.bind(), cfg0).item()
+    a = joint_scores(Matrix(x), [0], [0], store.bind(), cfg0).item()
     store["moe.categories"].value[...] += 9.0
-    b = moe_scores(Matrix(x), [3], [2], store.bind(), cfg0).item()
+    b = joint_scores(Matrix(x), [3], [2], store.bind(), cfg0).item()
     assert a == b
 
 
@@ -177,5 +190,5 @@ def test_single_head_ablations_score_without_gate(cfg):
         store = init_params(acfg, seeded_rng(0))
         assert "moe.gate.w1" not in store
         x = seeded_rng(2).normal(size=(1, acfg.joint_dim))
-        got = moe_scores(Matrix(x), [0], [1], store.bind(), acfg).item()
+        got = joint_scores(Matrix(x), [0], [1], store.bind(), acfg).item()
         np.testing.assert_allclose(got, float(np_ffn(x, store, "head")[0, 0]), rtol=1e-12)

@@ -15,7 +15,6 @@ from pjfit.numerics import (
     Tape,
     TrainingDivergedError,
     adam_step,
-    finite_diff_check,
     glorot_uniform,
     ops,
     seeded_rng,
@@ -23,6 +22,7 @@ from pjfit.numerics import (
 from pjfit.numerics import optim
 
 
+from gradcheck import finite_diff_check
 from reference_model import np_attention
 
 
@@ -348,6 +348,22 @@ def test_gradients_affine_relu_chain():
     _fd_case("affine+relu", builder)
 
 
+def test_gradients_affine_with_a_whole_matrix_bias():
+    def builder(rng):
+        store = _store_with(rng, [("x", (3, 2)), ("w", (2, 4)), ("b", (3, 4))])
+        def f(s):
+            bound = s.bind(Tape())
+            return ops.mean_all(ops.relu(ops.affine(bound["x"], bound["w"], bound["b"])))
+        return store, f
+    _fd_case("affine with a whole bias", builder)
+
+
+def test_affine_bias_of_another_shape_is_rejected():
+    x, w = Matrix(np.zeros((3, 2))), Matrix(np.zeros((2, 4)))
+    with pytest.raises(DimensionError, match=r"\(1, 4\) or \(3, 4\)"):
+        ops.affine(x, w, Matrix(np.zeros((2, 4))))
+
+
 def test_gradients_softmax():
     def builder(rng):
         store = _store_with(rng, [("x", (3, 5))])
@@ -395,22 +411,13 @@ def test_gradients_glue_ops():
         store = _store_with(rng, [("table", (5, 3)), ("a", (2, 3)), ("b", (2, 3))])
         def f(s):
             bound = s.bind(Tape())
-            picked = ops.gather_rows(bound["table"], [4, 0])
-            joined = ops.concat_cols([picked, ops.sub(bound["a"], bound["b"])])
+            picked = ops.gather_rows(bound["table"], [4, 0, 4])
+            # repeated indices: their gradients add up
+            diff = ops.gather_rows(ops.sub(bound["a"], bound["b"]), [0, 1, 1])
+            joined = ops.concat_cols([picked, diff])
             return ops.mean_all(ops.add(ops.logsigmoid(joined), ops.scale(ops.square(joined), 0.3)))
         return store, f
     _fd_case("glue", builder)
-
-
-def test_gradients_concat_rows_matmul():
-    def builder(rng):
-        store = _store_with(rng, [("a", (1, 3)), ("b", (2, 3)), ("w", (3, 2))])
-        def f(s):
-            bound = s.bind(Tape())
-            stacked = ops.concat_rows([bound["a"], bound["b"]])
-            return ops.sum_all(ops.matmul(stacked, bound["w"]))
-        return store, f
-    _fd_case("concat_rows+matmul", builder)
 
 
 # ---------------------------------------------------------------- adam
@@ -617,10 +624,38 @@ def test_constants_get_no_gradient_buffer():
     tape = Tape()
     bound = store.bind(tape)
     x = bound.constant([[1.0, 2.0]])
-    out = ops.sum_all(ops.square(ops.matmul(ops.concat_cols([x, x]), ops.concat_rows([bound["w"]] * 2))))
+    out = ops.sum_all(ops.square(ops.concat_cols([ops.matmul(x, bound["w"]), x])))
     tape.backward(out)
     assert x.tape is None and not x.has_grad
     assert store["w"].has_grad and np.abs(store["w"].grad).sum() > 0
+
+
+def test_row_block_gradient_lands_in_exactly_its_rows():
+    rng = seeded_rng(12)
+    store = ParamStore()
+    p = store.add("w", rng.normal(size=(6, 3)))
+    tape = Tape()
+    bound = store.bind(tape)
+    block = bound.rows("w", 2, 5)
+    assert np.shares_memory(block.data, p.value) and np.shares_memory(block.grad, p.grad)
+    x = rng.normal(size=(4, 3))
+    probe = rng.normal(size=(4, 3))
+    out = ops.sum_all(ops.mul(ops.matmul(bound.constant(x), block), bound.constant(probe)))
+    tape.backward(out)
+    want = np.zeros((6, 3))
+    want[2:5] = x.T @ probe
+    np.testing.assert_array_equal(p.grad, want)
+    # a block and the whole parameter in one graph add up
+    store.zero_grads()
+    tape = Tape()
+    bound = store.bind(tape)
+    out = ops.add(ops.sum_all(bound.rows("w", 0, 1)), ops.sum_all(bound["w"]))
+    tape.backward(out)
+    want = np.ones((6, 3))
+    want[0] += 1.0
+    np.testing.assert_array_equal(p.grad, want)
+    with pytest.raises(IndexError, match="rows"):
+        bound.rows("w", 4, 7)
 
 
 def test_gradient_buffers_are_allocated_on_first_taped_use():

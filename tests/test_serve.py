@@ -114,7 +114,7 @@ def test_eval_and_rank_on_splits_of_one_dataset_share_one_index(monkeypatch):
     assert len(built) == 1
     assert index_for(store, cfg, test_ds) is built[0]
 
-    other = store.clone()
+    other = random_store(cfg, 9)  # equal values, another store
     rank_candidates("j0", ["c0", "c1"], other, cfg, train_ds)
     assert len(built) == 2
     evaluate(test_ds.with_entities({}), store, cfg)  # same records, new entity tables

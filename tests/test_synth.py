@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pjfit.config import STAGES
 from pjfit.domain import load_data_dir, validate_records
 from pjfit.domain.records import save_data_dir
 from pjfit.synth import SynthConfig, generate_dataset
@@ -81,7 +82,7 @@ def test_temporal_split_is_strict_and_histories_only_replay_train(generated):
     # nothing that only happens in the test period may appear in a history
     train_links = {(p.candidate_id, p.job_id) for p in train.pairs}
     for job in ds.jobs.values():
-        for stage_ids in job.histories:
+        for stage_ids in (job.history(stage) for stage in STAGES):
             for cid in stage_ids:
                 assert (cid, job.id) in train_links
 

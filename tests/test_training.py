@@ -5,9 +5,9 @@ import pytest
 
 from pjfit import training
 from pjfit.checkpoint import load_checkpoint, save_checkpoint
-from pjfit.config import TrainConfig
+from pjfit.config import ABLATIONS, TrainConfig
 from pjfit.domain import DatasetError, sample_training_pairs
-from pjfit.numerics import Tape, finite_diff_check, ops, seeded_rng, spawn_rngs
+from pjfit.numerics import Tape, ops, seeded_rng, spawn_rngs
 from pjfit.synth import SynthConfig, generate_dataset
 from pjfit.training import (
     SequenceCache,
@@ -23,6 +23,7 @@ from pjfit.training import (
 )
 
 from conftest import TOY_VOCAB_NAMES, DatasetBuilder, toy_model_config
+from gradcheck import finite_diff_check
 from reference_model import np_score_pair
 
 
@@ -179,15 +180,23 @@ def test_score_is_independent_of_the_rest_of_the_batch(monkeypatch):
             np.testing.assert_allclose(ranked[pred.candidate_id], pred.score, rtol=SCORE_TOL)
 
 
-def test_end_to_end_gradients_pass_finite_differences(small_dataset):
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_end_to_end_gradients_pass_finite_differences(small_dataset, ablation):
     # one batched graph: the positive and the negative share their job
-    cfg = toy_model_config()
+    cfg = toy_model_config(ablation=ablation)
     cands = [small_dataset.candidates["c0"], small_dataset.candidates["c1"]]
     jobs = [small_dataset.jobs["j0"]] * 2
     worst = 0.0
     for seed in range(3):
         rng = seeded_rng(300 + seed)
         store = init_params(cfg, rng)
+        # biases away from zero: with the zero biases of init_params, the
+        # no_category gate (zero input) has every hidden pre-activation on
+        # the ReLU kink, where central differences read a slope of 1/2 and
+        # the subgradient is 0
+        for name, p in store.items():
+            if name.rsplit(".", 1)[-1].startswith("b"):
+                p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
         cache = SequenceCache(small_dataset, cfg)
 
         def f(s):
@@ -256,7 +265,7 @@ def test_trained_store_holds_no_gradient_buffers():
     result = train(train_ds, train_config(epochs=1))
     assert result.steps > 0
     assert not any(p.has_grad for _, p in result.store.items())
-    assert all(p.m is not None and p.v is not None for _, p in result.store.items())
+    assert all(p.m is None and p.v is None for _, p in result.store.items())
 
 
 def test_training_is_bitwise_deterministic():
