@@ -54,6 +54,10 @@ class ModelConfig:
                      "n_categories", "category_dim", "gate_hidden", "n_experts"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        hidden = self.expert_hidden
+        if not (isinstance(hidden, tuple) and len(hidden) == 2 and all(
+                isinstance(h, int) and not isinstance(h, bool) and h > 0 for h in hidden)):
+            raise ValueError(f"expert_hidden must be two positive ints, got {hidden!r}")
 
     @property
     def head_dim(self) -> int:
@@ -140,7 +144,7 @@ def _checked_fields(cls, d: dict, what: str) -> dict:
 
 def model_config_from_dict(d: dict) -> ModelConfig:
     d = _checked_fields(ModelConfig, d, "model")
-    if "expert_hidden" in d:
+    if isinstance(d.get("expert_hidden"), list):
         d["expert_hidden"] = tuple(d["expert_hidden"])
     return ModelConfig(**d)
 

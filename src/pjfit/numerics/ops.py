@@ -4,18 +4,14 @@ Every function returns a new Matrix and, when any input sits on a tape,
 records one closure that accumulates exact gradients into the inputs that
 sit on that tape. Untaped inputs (constants) get no gradient computed.
 
-``segment_attention`` runs on dense GEMMs, not on per-slot row copies. It
-cuts its query rows into ``segment_tiles`` contiguous tiles, ``m = max(1,
-min(ceil(n / 16), ceil(n U / (32 slots))))`` for n queries over U k/v rows
-with ``slots`` (query, key) pairs, and each tile works on one dense block
-of (tile queries) x (distinct k/v rows the tile names). When the tiles'
-keys are disjoint that is about 32 dense cells per slot; a single tile
-spends n U cells, and ``query_tiles`` falls back to it when the tiles'
-keys overlap so much that their blocks would hold more than half of
-those cells. Outputs and gradients differ from those of per-slot dot
-products and scatters only in summation order: on the attention calls of
-a converge-d64 benchmark run by at most 3.1e-15 of each result's largest
-entry, and the tests hold them to 1e-12 relative of a per-query oracle.
+``segment_attention`` runs on dense GEMMs, not on per-slot row copies:
+each call works on one dense block of (n queries) x (U k/v rows), n U
+cells, so callers pass only the k/v rows their ranges name, and those
+rows must be finite. Outputs and gradients differ from those of
+per-slot dot products and scatters only in summation order: on the
+attention calls of a converge-d64 benchmark run by at most 3.1e-15 of
+each result's largest entry, and the tests hold them to 1e-12 relative
+of a per-query oracle.
 """
 
 from __future__ import annotations
@@ -92,69 +88,6 @@ def softmax_rows(x: Matrix) -> Matrix:
     return out
 
 
-# segment_attention cuts n query rows into at most ceil(n / TILE_QUERIES)
-# tiles, and into no more than it takes to bring the dense (queries x
-# distinct keys) blocks to about TILE_CELLS_PER_SLOT cells per (query, key)
-# slot; see segment_tiles. query_tiles keeps those tiles only when their
-# blocks, over the rows they actually name, hold at most TILE_MAX_CELL_SHARE
-# of the n U cells of a single block: each tile gathers its own k/v rows, and
-# on the converge-d64 benchmark two tiles that each named ~250 of 320 rows
-# ran ~20% slower than one tile.
-TILE_QUERIES = 16
-TILE_CELLS_PER_SLOT = 32
-TILE_MAX_CELL_SHARE = 0.5
-
-
-def segment_tiles(n_queries: int, n_rows: int, n_slots: int) -> int:
-    """How many contiguous query tiles segment_attention cuts its rows into.
-
-    ``m = max(1, min(ceil(n / TILE_QUERIES), ceil(n U / (TILE_CELLS_PER_SLOT
-    slots))))`` for n queries over U k/v rows with ``slots`` (query, key)
-    pairs. One tile over all U rows costs n U dense cells; when the tiles'
-    keys are disjoint, m tiles cost about n U / m, that is about
-    TILE_CELLS_PER_SLOT cells per slot.
-    """
-    by_queries = -(-n_queries // TILE_QUERIES)
-    by_cells = -(-(n_queries * n_rows) // (TILE_CELLS_PER_SLOT * max(n_slots, 1)))
-    return max(1, min(by_queries, by_cells))
-
-
-def query_tiles(starts: np.ndarray, query: np.ndarray, key: np.ndarray, n_rows: int) -> list[tuple]:
-    """The contiguous query tiles segment_attention works on.
-
-    Slot s pairs query ``query[s]`` with k/v row ``key[s]``; the slots are
-    query-major and query i owns slots ``[starts[i], starts[i + 1])``. A
-    tile is a tuple (a, b, s0, s1, rows, flat): query rows [a, b), their
-    slots [s0, s1), the ascending k/v rows they name (None for a single
-    tile, which reads all ``n_rows``) and each slot's flat index into the
-    dense (b - a) x (tile rows) block. The ``segment_tiles`` tiles are
-    kept only when their blocks hold at most ``TILE_MAX_CELL_SHARE`` of the
-    n ``n_rows`` cells of a single tile.
-    """
-    n = starts.size - 1
-    m = segment_tiles(n, n_rows, query.size)
-    single = [(0, n, 0, query.size, None, query * n_rows + key)]
-    if m == 1:
-        return single
-    tiles = []
-    cells = 0
-    cuts = np.arange(m + 1) * n // m
-    named = np.zeros(n_rows, dtype=bool)
-    column = np.empty(n_rows, dtype=np.intp)
-    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        s0, s1 = int(starts[a]), int(starts[b])
-        if s0 == s1:
-            continue
-        # the tile's distinct rows in ascending order, without a sort
-        named[:] = False
-        named[key[s0:s1]] = True
-        rows = np.flatnonzero(named)
-        column[rows] = np.arange(rows.size)
-        cells += (b - a) * rows.size
-        tiles.append((a, b, s0, s1, rows, (query[s0:s1] - a) * rows.size + column[key[s0:s1]]))
-    return single if cells > TILE_MAX_CELL_SHARE * n * n_rows else tiles
-
-
 def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None) -> Matrix:
     """Row i is softmax(q_i K_s^T / sqrt(d_k)) V_s over the key rows s = [lo_i, hi_i).
 
@@ -165,18 +98,17 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None) -> 
     entries are k/v rows: packed key j is k/v row ``row_map[j]``, so one
     k/v row can serve many packed keys, and its gradients accumulate.
 
-    The query rows are cut into ``query_tiles`` contiguous tiles. Each
-    tile gathers the distinct k/v rows its slots name (a single tile uses
-    k and v as they are) and works on a dense block of (tile queries)
-    x (tile rows): each slot's logit is read by flat index from one GEMM
-    ``L_t = Q_t K_t^T``, the slot weights are summed into ``P_t`` with
+    The call works on one dense block of (n queries) x (all k/v rows):
+    each slot's logit is read by flat index ``query * k.rows + key`` from
+    one GEMM ``L = Q K^T``, the slot weights are summed into ``P`` with
     ``bincount`` (so a row named twice in a range counts twice) and the
-    output is ``P_t V_t``. The backward is GEMMs on the same blocks:
-    ``dV_t = P_t^T G_t``, slot weight gradients read from ``G_t V_t^T``,
-    ``dQ_t = dL_t K_t`` and ``dK_t = dL_t^T Q_t``. No slot copies a q, k
-    or v row; see the module docstring for the cost and the tolerance. A
-    block row meets the k/v rows its query does not name with weight 0, so
-    they leave its output unchanged only while they are finite.
+    output is ``P V``. The backward is GEMMs on the same block: ``dV =
+    P^T G``, slot weight gradients read from ``G V^T``, ``dQ = dL K`` and
+    ``dK = dL^T Q``. No slot copies a q, k or v row. The block costs n
+    ``k.rows`` cells, so pass only the k/v rows the ranges name; a query
+    meets every row it does not name with weight 0, which leaves its
+    output unchanged only while that row is finite. See the module
+    docstring for the tolerance.
     """
     ranges = np.asarray(ranges, dtype=np.intp)
     if q.cols != k.cols:
@@ -209,56 +141,33 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None) -> 
     key = np.arange(query.size) + np.repeat(lo - starts[:-1], lengths)
     if row_map is not None:
         key = row_map[key]
+    flat = query * k.rows + key
     first = starts[:-1][nonempty]
     seg_len = lengths[nonempty]
 
-    tiles = query_tiles(starts, query, key, k.rows)
-
-    def block(x, rows):
-        return x.data if rows is None else np.take(x.data, rows, axis=0)
-
-    def dense(a, b, rows, flat, slot_values):
-        width = v.rows if rows is None else rows.size
-        return np.bincount(flat, slot_values, minlength=(b - a) * width).reshape(b - a, width)
+    def dense(slot_values):
+        return np.bincount(flat, slot_values, minlength=q.rows * k.rows).reshape(q.rows, k.rows)
 
     scale = 1.0 / math.sqrt(q.cols)
-    logits = np.empty(query.size)
-    for a, b, s0, s1, rows, flat in tiles:
-        logits[s0:s1] = np.take(q.data[a:b] @ block(k, rows).T, flat)
+    logits = np.take(q.data @ k.data.T, flat)
     logits *= scale
     e = logits - np.repeat(np.maximum.reduceat(logits, first), seg_len)
     np.exp(e, out=e)
     weights = e / np.repeat(np.add.reduceat(e, first), seg_len)
-    data = np.zeros((q.rows, v.cols))
-    for a, b, s0, s1, rows, flat in tiles:
-        np.matmul(dense(a, b, rows, flat, weights[s0:s1]), block(v, rows), out=data[a:b])
-    out = Matrix(data, tape)
+    out = Matrix(dense(weights) @ v.data, tape)
     if tape is not None:
         def backward():
-            # a tile's rows are distinct, so a fancy-index += adds each
-            # tile's gradient block once per row
-            dw = np.empty(query.size)
-            for a, b, s0, s1, rows, flat in tiles:
-                g = out.grad[a:b]
-                dw[s0:s1] = np.take(g @ block(v, rows).T, flat)
-                if v.tape is not None:
-                    dv = dense(a, b, rows, flat, weights[s0:s1]).T @ g
-                    if rows is None:
-                        v.grad += dv
-                    else:
-                        v.grad[rows] += dv
+            g = out.grad
+            dw = np.take(g @ v.data.T, flat)
+            if v.tape is not None:
+                v.grad += dense(weights).T @ g
             dlogits = weights * (dw - np.repeat(np.add.reduceat(dw * weights, first), seg_len))
             dlogits *= scale
-            for a, b, s0, s1, rows, flat in tiles:
-                dl = dense(a, b, rows, flat, dlogits[s0:s1])
-                if q.tape is not None:
-                    q.grad[a:b] += dl @ block(k, rows)
-                if k.tape is not None:
-                    dk = dl.T @ q.data[a:b]
-                    if rows is None:
-                        k.grad += dk
-                    else:
-                        k.grad[rows] += dk
+            dl = dense(dlogits)
+            if q.tape is not None:
+                q.grad += dl @ k.data
+            if k.tape is not None:
+                k.grad += dl.T @ q.data
         tape.record(backward)
     return out
 

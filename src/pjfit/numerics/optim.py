@@ -21,7 +21,7 @@ def adam_step(store: ParamStore, lr: float, step: int,
 
     First every gradient is checked: a non-finite one raises
     TrainingDivergedError naming its parameter before any value or moment
-    changes. Then one pass walks each trainable parameter in blocks of
+    changes. Then one pass walks each parameter in blocks of
     BLOCK elements, reading value, gradient and moments once and writing
     them once: the moments are updated, the value takes its step, and the
     gradient block is zeroed while still in cache, which replaces a
@@ -37,8 +37,7 @@ def adam_step(store: ParamStore, lr: float, step: int,
 
     with c1 = 1 - beta1**step and c2 = 1 - beta2**step. A parameter with no
     gradient buffer takes g = 0.0 (still added, which turns a -0.0 moment
-    into +0.0). Frozen parameters keep their values and moments; their
-    gradients are zeroed.
+    into +0.0).
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
@@ -52,10 +51,6 @@ def adam_step(store: ParamStore, lr: float, step: int,
     scratch_a = np.empty(BLOCK)
     scratch_b = np.empty(BLOCK)
     for _, p in store.items():
-        if not p.trainable:
-            if p.has_grad:
-                p.grad.fill(0.0)
-            continue
         if p.m is None:
             p.m = np.zeros(p.value.shape)
             p.v = np.zeros(p.value.shape)

@@ -1,4 +1,4 @@
-"""Named parameter storage with per-entry gradients and freeze flags."""
+"""Named parameter storage with per-entry gradients."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from pjfit.numerics.matrix import Matrix, Tape
 @dataclass
 class Param:
     value: np.ndarray
-    trainable: bool = True
     # Adam moments, allocated on first optimizer step
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
@@ -41,7 +40,7 @@ class ParamStore:
     def __init__(self) -> None:
         self._params: dict[str, Param] = {}
 
-    def add(self, name: str, value, trainable: bool = True) -> Param:
+    def add(self, name: str, value) -> Param:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         arr = np.ascontiguousarray(value, dtype=np.float64)
@@ -49,7 +48,7 @@ class ParamStore:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ValueError(f"parameter {name!r} must be 2-D, got shape {arr.shape}")
-        p = Param(value=arr, trainable=trainable)
+        p = Param(value=arr)
         self._params[name] = p
         return p
 

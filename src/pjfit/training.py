@@ -39,9 +39,8 @@ from pjfit.serve import index_for
 # memory grows with the distinct entities its histories name, at most
 # SCORE_CHUNK * seq_len per stage and entity kind. Per pair, a chunk holds
 # the external attention heads and fusion hidden rows; attention adds the
-# dense (tile queries x tile keys) blocks of ops.segment_attention, about
-# ops.TILE_CELLS_PER_SLOT cells per (query, key) slot and at most
-# SCORE_CHUNK x (distinct entities) cells per call.
+# one dense block of each ops.segment_attention call, SCORE_CHUNK x
+# (distinct entities) cells at most.
 SCORE_CHUNK = 256
 
 
@@ -158,7 +157,8 @@ def evaluate(test_dataset: Dataset, store: ParamStore, cfg: ModelConfig) -> dict
 def rank_candidates(job_id: str, candidate_ids, store: ParamStore, cfg: ModelConfig,
                     dataset: Dataset) -> list[tuple[str, float]]:
     """Scores sorted descending; ties broken by candidate id. Duplicate
-    input ids are dropped with a warning on stderr, unknown ids are an error."""
+    input ids are dropped with a warning on stderr; unknown ids and an empty
+    candidate list are errors."""
     unknown = [c for c in candidate_ids if c not in dataset.candidates]
     if job_id not in dataset.jobs:
         unknown.append(job_id)
@@ -172,6 +172,8 @@ def rank_candidates(job_id: str, candidate_ids, store: ParamStore, cfg: ModelCon
             continue
         seen.add(cid)
         deduped.append(cid)
+    if not deduped:
+        raise DatasetError(f"no candidates to rank for job {job_id!r}")
     job = dataset.jobs[job_id]
     scores = _score_chunks([dataset.candidates[cid] for cid in deduped], [job] * len(deduped),
                            store, cfg, dataset)

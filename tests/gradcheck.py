@@ -18,7 +18,7 @@ def finite_diff_check(f, store: ParamStore, h: float = 1e-5,
     The per-coordinate error is |a - n| / max(1e-8, |a| + |n|).
 
     With ``coords_per_param`` set, that many coordinates are sampled per
-    trainable entry instead of sweeping all of them.
+    entry instead of sweeping all of them.
     """
     store.zero_grads()
     out = f(store)
@@ -26,7 +26,7 @@ def finite_diff_check(f, store: ParamStore, h: float = 1e-5,
         raise TypeError("f must return a taped scalar Matrix")
     out.tape.backward(out)
     analytic = {name: p.grad.copy() if p.has_grad else np.zeros_like(p.value)
-                for name, p in store.items() if p.trainable}
+                for name, p in store.items()}
     store.zero_grads()
 
     def value() -> float:
@@ -34,8 +34,6 @@ def finite_diff_check(f, store: ParamStore, h: float = 1e-5,
 
     worst = 0.0
     for name, p in store.items():
-        if not p.trainable:
-            continue
         coords = _coords(p.value.shape, coords_per_param, rng)
         for i, j in coords:
             orig = p.value[i, j]

@@ -184,6 +184,12 @@ def test_synth_config_that_is_not_an_object_is_a_data_error(tmp_path, capsys):
     pytest.param([], "JSON object", id="not-an-object"),
     pytest.param({"epochs": "3"}, "'epochs'", id="string-for-int"),
     pytest.param({"model": {"heads": True}}, "'heads'", id="bool-for-int"),
+    pytest.param({"model": {"expert_hidden": [1.5, 2]}}, "expert_hidden", id="float-expert-width"),
+    pytest.param({"model": {"expert_hidden": "ab"}}, "expert_hidden", id="string-expert-widths"),
+    pytest.param({"model": {"expert_hidden": [0, 6]}}, "expert_hidden", id="zero-expert-width"),
+    pytest.param({"model": {"expert_hidden": [-3, 6]}}, "expert_hidden", id="negative-expert-width"),
+    pytest.param({"model": {"expert_hidden": [10]}}, "expert_hidden", id="one-expert-width"),
+    pytest.param({"model": {"expert_hidden": [10, 6, 4]}}, "expert_hidden", id="three-expert-widths"),
 ])
 def test_bad_train_config_is_a_data_error(pipeline, tmp_path, capsys, doc, named):
     (tmp_path / "train.json").write_text(json.dumps(doc))
@@ -262,3 +268,18 @@ def test_non_finite_embedding_is_a_data_error_for_rank(pipeline, tmp_path, capsy
                  "--checkpoint", str(pipeline / "model.ckpt")]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and f"entities.jsonl:1: embedding of {docs[0]['id']!r}" in err
+
+
+def test_rank_on_a_data_directory_without_candidates_is_a_data_error(pipeline, tmp_path, capsys):
+    data = _synth(tmp_path)
+    docs = [json.loads(l) for l in (data / "entities.jsonl").read_text().splitlines()]
+    jobs = [{**d, "hist_eval": [], "hist_pass_eval": [], "hist_pass_interview": []}
+            for d in docs if d["kind"] == "job"]
+    (data / "entities.jsonl").write_text("".join(json.dumps(d) + "\n" for d in jobs))
+    (data / "pairs.jsonl").write_text("")
+    capsys.readouterr()
+    assert main(["rank", "--job", jobs[0]["id"], "--out", str(tmp_path / "rank.tsv"),
+                 "--data", str(data), "--checkpoint", str(pipeline / "model.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "no candidates" in err and "Traceback" not in err
+    assert not (tmp_path / "rank.tsv").exists()

@@ -202,12 +202,12 @@ def test_segment_attention_reads_keys_through_a_row_map():
 
 
 def _tiled_attention_case(rng, n, n_rows, tiles, dk=4, dv=3):
-    """Queries over packed keys that exercise every tiling path.
+    """Queries over packed keys, most of the k/v rows named by no query.
 
     Each query names 3-5 random k/v rows through a row map, except that
     one range names a row twice, two ranges are empty, the queries on each
-    side of every cut between ``tiles`` tiles share one range, and row 7 is
-    named by the first and the last query.
+    side of every cut between ``tiles`` equal parts share one range, and
+    row 7 is named by the first and the last query.
     """
     keys, ranges = [], []
     cuts = set((np.arange(1, tiles) * n // tiles).tolist())
@@ -233,8 +233,6 @@ def _tiled_attention_case(rng, n, n_rows, tiles, dk=4, dv=3):
 
 def test_tiled_segment_attention_matches_per_query_oracle():
     q, k, v, ranges, row_map = _tiled_attention_case(seeded_rng(6), 48, 400, tiles=3)
-    slots = int((ranges[:, 1] - ranges[:, 0]).sum())
-    assert ops.segment_tiles(48, 400, slots) == 3
     _, (qm, km, vm) = taped(q, k, v)
     out = ops.segment_attention(qm, km, vm, ranges, row_map)
     for i, (lo, hi) in enumerate(ranges):
@@ -244,35 +242,8 @@ def test_tiled_segment_attention_matches_per_query_oracle():
     np.testing.assert_array_equal(out.data[[5, 40]], np.zeros((2, 3)))
 
 
-def _slots(ranges, row_map):
-    """segment_attention's slot arrays: each query's first slot, and the
-    query and k/v row of every slot."""
-    lengths = ranges[:, 1] - ranges[:, 0]
-    keys = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
-    return (np.concatenate(([0], np.cumsum(lengths))), np.repeat(np.arange(len(ranges)), lengths),
-            row_map[keys])
-
-
-def test_query_tiles_keep_disjoint_tiles_and_merge_overlapping_ones():
-    q, k, v, ranges, row_map = _tiled_attention_case(seeded_rng(6), 48, 400, tiles=3)
-    assert len(ops.query_tiles(*_slots(ranges, row_map), 400)) == 3
-    # the shape of a converge-d64 rank request's job-side call: 224 queries
-    # over 320 rows with ~2200 slots, whose halves each name ~250 rows
-    rng = seeded_rng(9)
-    lengths = rng.integers(5, 15, size=224)
-    ranges = np.stack([np.cumsum(lengths) - lengths, np.cumsum(lengths)], axis=1)
-    row_map = np.concatenate([rng.integers(0, 250, size=lengths[:112].sum()),
-                              rng.integers(70, 320, size=lengths[112:].sum())])
-    starts, query, key = _slots(ranges, row_map)
-    assert ops.segment_tiles(224, 320, query.size) == 2
-    (tile,) = ops.query_tiles(starts, query, key, 320)
-    assert tile[:4] == (0, 224, 0, query.size) and tile[4] is None
-
-
 def test_tiled_segment_attention_is_bitwise_repeatable():
     q, k, v, ranges, row_map = _tiled_attention_case(seeded_rng(7), 48, 400, tiles=3)
-    slots = int((ranges[:, 1] - ranges[:, 0]).sum())
-    assert ops.segment_tiles(48, 400, slots) == 3
     probe = seeded_rng(8).normal(size=(48, 3))
 
     def run():
@@ -285,12 +256,10 @@ def test_tiled_segment_attention_is_bitwise_repeatable():
 
 
 def test_gradients_tiled_attention():
-    # two tiles; rows shared across the cut and a row named twice in one
-    # range accumulate every gradient, empty ranges pass none
+    # rows shared across queries and a row named twice in one range
+    # accumulate every gradient, empty ranges pass none
     def builder(rng):
         q, k, v, ranges, row_map = _tiled_attention_case(rng, 17, 160, tiles=2, dk=3, dv=2)
-        slots = int((ranges[:, 1] - ranges[:, 0]).sum())
-        assert ops.segment_tiles(17, 160, slots) == 2
         store = _store_with(rng, [("q", q.shape), ("k", k.shape), ("v", v.shape)])
         probe = rng.normal(size=(17, 2))
         def f(s):
@@ -443,15 +412,6 @@ def test_adam_first_step_matches_hand_evaluated_recurrence():
     assert abs(p.value[0, 0] + 1e-4) < 1e-10
 
 
-def test_adam_frozen_entry_with_gradient_is_untouched():
-    store = ParamStore()
-    frozen = store.add("text_embedding", [[1.0, -1.0]], trainable=False)
-    frozen.grad[...] = 5.0
-    adam_step(store, lr=0.5, step=1)
-    np.testing.assert_array_equal(frozen.value, [[1.0, -1.0]])
-    np.testing.assert_array_equal(frozen.grad, np.zeros((1, 2)))  # still zeroed
-
-
 def test_adam_nan_gradient_names_parameter():
     store = ParamStore()
     store.add("ok", [[1.0]])
@@ -481,16 +441,15 @@ def test_adam_run_is_bitwise_deterministic():
 def _textbook_adam_step(state, lr, step, beta1=0.9, beta2=0.999, eps=1e-8):
     """The unblocked update over whole arrays, as the oracle for adam_step."""
     for s in state.values():
-        if s["trainable"]:
-            grad = s["grad"] if s["grad"] is not None else 0.0
-            if s["m"] is None:
-                s["m"] = np.zeros_like(s["value"])
-                s["v"] = np.zeros_like(s["value"])
-            s["m"] = s["m"] * beta1 + (1.0 - beta1) * grad
-            s["v"] = s["v"] * beta2 + (1.0 - beta2) * np.square(grad)
-            m_hat = s["m"] / (1.0 - beta1 ** step)
-            v_hat = s["v"] / (1.0 - beta2 ** step)
-            s["value"] = s["value"] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        grad = s["grad"] if s["grad"] is not None else 0.0
+        if s["m"] is None:
+            s["m"] = np.zeros_like(s["value"])
+            s["v"] = np.zeros_like(s["value"])
+        s["m"] = s["m"] * beta1 + (1.0 - beta1) * grad
+        s["v"] = s["v"] * beta2 + (1.0 - beta2) * np.square(grad)
+        m_hat = s["m"] / (1.0 - beta1 ** step)
+        v_hat = s["v"] / (1.0 - beta2 ** step)
+        s["value"] = s["value"] - lr * m_hat / (np.sqrt(v_hat) + eps)
         if s["grad"] is not None:
             s["grad"] = np.zeros_like(s["value"])
 
@@ -504,16 +463,14 @@ def test_blocked_adam_is_bitwise_equal_to_the_textbook_update():
     shapes = {
         "big": (3, optim.BLOCK + 5),  # four blocks, the last one ragged
         "bias": (1, 1),
-        "frozen": (2, 3),
         "sometimes": (4, 7),  # no gradient buffer on steps 1 and 4
     }
     store = ParamStore()
     state = {}
     for name, shape in shapes.items():
         value = rng.normal(size=shape)
-        store.add(name, value, trainable=name != "frozen")
-        state[name] = {"value": value.copy(), "m": None, "v": None, "grad": None,
-                       "trainable": name != "frozen"}
+        store.add(name, value)
+        state[name] = {"value": value.copy(), "m": None, "v": None, "grad": None}
     for step in range(1, 6):
         store.release_grads()
         for name, p in store.items():
