@@ -6,6 +6,12 @@ Layout (all integers little-endian u32):
     tensor count | per tensor: name length + UTF-8 name, rank, dims...,
     row-major float32 values
 
+Tensors follow ``model.param_spec`` of the embedded config. Version 2
+stores each attention set as four tensors, ``wq``, ``wk``, ``wv`` and
+``wo``, all (d x d), with the heads as column blocks of the first three.
+Version 1 stored a (d x d_k) query, key and value tensor per head; it is
+rejected with ``UnsupportedVersionError``.
+
 Training math runs in float64; checkpoints narrow to float32 on save and
 widen on load, so round-trips are bit-exact at 32-bit precision. Loading
 validates magic, version, and every tensor name and shape against the
@@ -26,7 +32,7 @@ from pjfit.model import param_spec
 from pjfit.numerics import ParamStore
 
 MAGIC = b"PJF1"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):

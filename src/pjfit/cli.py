@@ -97,7 +97,11 @@ def cmd_synth(args) -> int:
     overrides = _load_json(args.config) if args.config else {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    cfg = synth_config_from_dict(overrides)
+    try:
+        cfg = synth_config_from_dict(overrides)
+    except TypeError as exc:
+        # only the config file can hold a value of the wrong type
+        raise DatasetError(f"config {args.config}: {exc}") from exc
     dataset, meta = generate_dataset(cfg)
     save_data_dir(dataset, meta, args.out)
     print(f"wrote {meta['n_candidates']} candidates, {meta['n_jobs']} jobs, "

@@ -7,9 +7,13 @@ File formats (UTF-8, one JSON document per line):
   augmentation markers ``"augmented"`` and ``"text_original"``. Any other
   field is rejected: the schema is the fairness boundary, so sensitive or
   proxy attributes (gender, age, school, graduation year, location) are
-  structurally unrepresentable.
-* pairs file: ``{"candidate_id", "job_id", "label", "ts"}`` with label in
-  {0,1} and ts in integer seconds.
+  structurally unrepresentable. ``id``, ``kind``, ``text`` and
+  ``category`` are strings, ``embedding`` a list of numbers, each history
+  a list of id strings, ``augmented`` true or false and
+  ``text_original`` a string or null.
+* pairs file: ``{"candidate_id", "job_id", "label", "ts"}`` with string
+  ids, label the integer 0 or 1 and ts in integer seconds (a bool or a
+  float such as 1.0 is not an integer here).
 
 A data directory bundles ``entities.jsonl``, ``pairs.jsonl`` and an
 optional ``meta.json`` carrying the category list, the temporal split
@@ -130,13 +134,25 @@ def _parse_entity(doc: dict, vocab: CategoryVocab, lineno: int, path: str) -> En
     missing = _REQUIRED_ENTITY_FIELDS - set(doc)
     if missing:
         raise DatasetError(f"{where}: missing fields {sorted(missing)}")
+    if not isinstance(doc["id"], str):
+        raise DatasetError(f"{where}: id must be a string, got {doc['id']!r}")
+    for name in ("kind", "text", "category"):
+        if not isinstance(doc[name], str):
+            raise DatasetError(f"{where}: {name} of {doc['id']!r} must be a string, "
+                               f"got {doc[name]!r}")
     if doc["kind"] not in ("candidate", "job"):
         raise DatasetError(f"{where}: kind must be 'candidate' or 'job', got {doc['kind']!r}")
     if doc["category"] not in vocab:
         raise DatasetError(f"{where}: unknown category {doc['category']!r} for id {doc['id']!r}")
-    embedding = np.asarray(doc["embedding"], dtype=np.float64)
-    if embedding.ndim != 1:
-        raise DatasetError(f"{where}: embedding of {doc['id']!r} must be a flat array")
+    values = doc["embedding"]
+    # a bool is not a number here, and json reads integers of any size
+    if not (isinstance(values, list) and set(map(type, values)) <= {float, int}):
+        raise DatasetError(f"{where}: embedding of {doc['id']!r} must be a flat list of numbers")
+    try:
+        embedding = np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise DatasetError(f"{where}: embedding of {doc['id']!r} holds a number "
+                           f"too large for float64") from None
     # json reads the NaN and Infinity literals; a model cannot score them
     if not np.isfinite(embedding).all():
         raise DatasetError(f"{where}: embedding of {doc['id']!r} holds a non-finite value")
@@ -146,8 +162,14 @@ def _parse_entity(doc: dict, vocab: CategoryVocab, lineno: int, path: str) -> En
         if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
             raise DatasetError(f"{where}: {field_name} of {doc['id']!r} must be a list of id strings")
         hists[field_name] = tuple(ids)
-    augmented = bool(doc.get("augmented", False))
+    augmented = doc.get("augmented", False)
+    if not isinstance(augmented, bool):
+        raise DatasetError(f"{where}: augmented of {doc['id']!r} must be true or false, "
+                           f"got {augmented!r}")
     text_original = doc.get("text_original")
+    if not isinstance(text_original, (str, type(None))):
+        raise DatasetError(f"{where}: text_original of {doc['id']!r} must be a string or null, "
+                           f"got {text_original!r}")
     if augmented and text_original is None:
         raise DatasetError(f"{where}: augmented record {doc['id']!r} lacks text_original")
     return EntityRecord(
@@ -198,13 +220,20 @@ def load_dataset(entities_path, pairs_path, vocab: CategoryVocab | None = None,
         where = f"{pairs_path}:{lineno}"
         if set(doc) != _PAIR_FIELDS:
             raise DatasetError(f"{where}: pair must have exactly fields {sorted(_PAIR_FIELDS)}")
-        if doc["label"] not in (0, 1):
-            raise DatasetError(f"{where}: label must be 0 or 1")
-        if doc["candidate_id"] not in candidates:
-            raise DatasetError(f"{where}: pair references missing candidate {doc['candidate_id']!r}")
-        if doc["job_id"] not in jobs:
-            raise DatasetError(f"{where}: pair references missing job {doc['job_id']!r}")
-        pairs.append(Pair(doc["candidate_id"], doc["job_id"], int(doc["label"]), int(doc["ts"])))
+        cid, jid, label, ts = doc["candidate_id"], doc["job_id"], doc["label"], doc["ts"]
+        if type(cid) is not str or type(jid) is not str:
+            raise DatasetError(f"{where}: candidate_id and job_id must be strings, "
+                               f"got {cid!r} and {jid!r}")
+        # a bool is not an int here, nor is a float such as 1.0
+        if type(label) is not int or label not in (0, 1):
+            raise DatasetError(f"{where}: label must be the integer 0 or 1, got {label!r}")
+        if type(ts) is not int:
+            raise DatasetError(f"{where}: ts must be an integer, got {ts!r}")
+        if cid not in candidates:
+            raise DatasetError(f"{where}: pair references missing candidate {cid!r}")
+        if jid not in jobs:
+            raise DatasetError(f"{where}: pair references missing job {jid!r}")
+        pairs.append(Pair(cid, jid, label, ts))
 
     return Dataset(vocab, candidates, jobs, pairs, dim or 0)
 
@@ -215,9 +244,12 @@ def _iter_jsonl(path):
             if not line.strip():
                 continue
             try:
-                yield lineno, json.loads(line)
+                doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+            if not isinstance(doc, dict):
+                raise DatasetError(f"{path}:{lineno}: a line must hold a JSON object")
+            yield lineno, doc
 
 
 def _entity_doc(record: EntityRecord, vocab: CategoryVocab) -> dict:

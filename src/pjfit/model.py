@@ -40,10 +40,24 @@ def param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
-    """Glorot-uniform weights, zero biases, insertion order per param_spec."""
+    """Glorot-uniform weights, zero biases, insertion order per param_spec.
+
+    An attention set's ``wq``, ``wk`` and ``wv`` are drawn head by head,
+    per head a (d x d_k) Glorot block of each in the order q, k, v, into
+    the head's columns: each head is its own projection, so its limit is
+    sqrt(6 / (d + d_k)), not the fused shape's sqrt(6 / 2d).
+    """
     store = ParamStore()
+    drawn: dict[str, np.ndarray] = {}
     for name, rows, cols in param_spec(cfg):
-        if name.rsplit(".", 1)[-1].startswith("b"):
+        prefix, leaf = name.rsplit(".", 1)
+        if leaf == "wq":
+            heads = [[glorot_uniform(rng, rows, cfg.head_dim) for _ in "qkv"]
+                     for _ in range(cfg.heads)]
+            drawn.update((f"{prefix}.w{r}", np.hstack(blocks)) for r, blocks in zip("qkv", zip(*heads)))
+        if name in drawn:
+            store.add(name, drawn.pop(name))
+        elif leaf.startswith("b"):
             store.add(name, np.zeros((rows, cols)))
         else:
             store.add(name, glorot_uniform(rng, rows, cols))
@@ -66,7 +80,7 @@ def check_fits(cfg: ModelConfig, dataset: Dataset) -> None:
 def entity_rows(text: Matrix, own, bound: BoundParams, side: str, cfg: ModelConfig) -> list[Matrix]:
     """The per-entity outputs of U entities of one side, from their (U, d)
     texts and own histories (one (rows, row_map, ranges) per stage): the
-    external query rows per (stage, head), the internal hidden row, and
+    external query rows per stage, the internal hidden row, and
     per expert (or the single head) the text times its first-layer rows.
     """
     lo = 2 * cfg.fusion_out + (0 if side == "cand" else cfg.d_model)
@@ -96,7 +110,7 @@ def pair_scores(sides, candidate_categories: np.ndarray, job_categories: np.ndar
     keys and projections ``encoder.fuse_pairs`` reads. The category arrays
     hold each pair's category ids.
     """
-    n = len(cfg.stages) * cfg.heads
+    n = len(cfg.stages)
     fused = ops.concat_cols([
         fuse_pairs(rows[:n], rows[n], index, keys, projections, bound, side, cfg)
         for side, (rows, index, keys, projections) in zip(SIDES, sides)])

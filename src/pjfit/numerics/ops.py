@@ -4,8 +4,10 @@ Every function returns a new Matrix and, when any input sits on a tape,
 records one closure that accumulates exact gradients into the inputs that
 sit on that tape. Untaped inputs (constants) get no gradient computed.
 
-``segment_attention`` runs on dense GEMMs, not on per-slot row copies:
-each call works on one dense block of (n queries) x (U k/v rows), n U
+``segment_attention`` runs on dense GEMMs, not on per-slot row copies.
+Its heads are column blocks of q, k and v, and its output holds them side
+by side; the slot indices are built once per call and serve every head.
+Each head works on one dense block of (n queries) x (U k/v rows), n U
 cells, so callers pass only the k/v rows their ranges name, and those
 rows must be finite. Outputs and gradients differ from those of
 per-slot dot products and scatters only in summation order: on the
@@ -88,8 +90,16 @@ def softmax_rows(x: Matrix) -> Matrix:
     return out
 
 
-def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None) -> Matrix:
-    """Row i is softmax(q_i K_s^T / sqrt(d_k)) V_s over the key rows s = [lo_i, hi_i).
+def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None,
+                      heads: int = 1) -> Matrix:
+    """Multi-head attention of each query row over its own segment of key rows.
+
+    q, k and v hold ``heads`` column blocks each, head h's block being
+    columns [h w, (h + 1) w) for w the width divided by ``heads``. Row i of
+    head h's output is softmax(q_i K_s^T / sqrt(d_k)) V_s over the key rows
+    s = [lo_i, hi_i), with q, K and V read in that head's blocks and d_k
+    the head's q width; the output holds the heads side by side, (n x
+    v.cols).
 
     ``ranges`` is an (n, 2) integer array holding one [lo, hi) range per
     query row; several queries may share a range. A query with an empty
@@ -98,23 +108,26 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None) -> 
     entries are k/v rows: packed key j is k/v row ``row_map[j]``, so one
     k/v row can serve many packed keys, and its gradients accumulate.
 
-    The call works on one dense block of (n queries) x (all k/v rows):
-    each slot's logit is read by flat index ``query * k.rows + key`` from
-    one GEMM ``L = Q K^T``, the slot weights are summed into ``P`` with
-    ``bincount`` (so a row named twice in a range counts twice) and the
-    output is ``P V``. The backward is GEMMs on the same block: ``dV =
-    P^T G``, slot weight gradients read from ``G V^T``, ``dQ = dL K`` and
-    ``dK = dL^T Q``. No slot copies a q, k or v row. The block costs n
-    ``k.rows`` cells, so pass only the k/v rows the ranges name; a query
-    meets every row it does not name with weight 0, which leaves its
-    output unchanged only while that row is finite. See the module
-    docstring for the tolerance.
+    The slot and segment index arithmetic is built once per call and
+    serves every head. Each head works on one dense block of (n queries)
+    x (all k/v rows): each slot's logit is read by flat index ``query *
+    k.rows + key`` from one GEMM ``L = Q K^T``, the slot weights are
+    summed into ``P`` with ``bincount`` (so a row named twice in a range
+    counts twice) and the output is ``P V``. The backward is GEMMs on the
+    same block: ``dV = P^T G``, slot weight gradients read from ``G
+    V^T``, ``dQ = dL K`` and ``dK = dL^T Q``. No slot copies a q, k or v
+    row. A call costs one block of n ``k.rows`` cells per head, so pass
+    only the k/v rows the ranges name; a query meets every row it does not
+    name with weight 0, which leaves its output unchanged only while that
+    row is finite. See the module docstring for the tolerance.
     """
     ranges = np.asarray(ranges, dtype=np.intp)
     if q.cols != k.cols:
         raise DimensionError(f"attention: q {q.shape} vs k {k.shape}")
     if k.rows != v.rows:
         raise DimensionError(f"attention: k {k.shape} vs v {v.shape}")
+    if heads < 1 or q.cols % heads or v.cols % heads:
+        raise DimensionError(f"attention: {heads} heads do not divide q {q.shape} and v {v.shape}")
     if ranges.shape != (q.rows, 2):
         raise DimensionError(f"attention: ranges {ranges.shape} for {q.rows} query rows")
     n_keys = k.rows
@@ -148,26 +161,34 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None) -> 
     def dense(slot_values):
         return np.bincount(flat, slot_values, minlength=q.rows * k.rows).reshape(q.rows, k.rows)
 
-    scale = 1.0 / math.sqrt(q.cols)
-    logits = np.take(q.data @ k.data.T, flat)
-    logits *= scale
-    e = logits - np.repeat(np.maximum.reduceat(logits, first), seg_len)
-    np.exp(e, out=e)
-    weights = e / np.repeat(np.add.reduceat(e, first), seg_len)
-    out = Matrix(dense(weights) @ v.data, tape)
+    dk, dv = q.cols // heads, v.cols // heads
+    # per head, its columns of q and k, and of v and the output
+    blocks = [(slice(h * dk, (h + 1) * dk), slice(h * dv, (h + 1) * dv)) for h in range(heads)]
+    scale = 1.0 / math.sqrt(dk)
+    weights = []
+    data = np.empty((q.rows, v.cols))
+    for cq, cv in blocks:
+        logits = np.take(q.data[:, cq] @ k.data[:, cq].T, flat)
+        logits *= scale
+        e = logits - np.repeat(np.maximum.reduceat(logits, first), seg_len)
+        np.exp(e, out=e)
+        weights.append(e / np.repeat(np.add.reduceat(e, first), seg_len))
+        data[:, cv] = dense(weights[-1]) @ v.data[:, cv]
+    out = Matrix(data, tape)
     if tape is not None:
         def backward():
-            g = out.grad
-            dw = np.take(g @ v.data.T, flat)
-            if v.tape is not None:
-                v.grad += dense(weights).T @ g
-            dlogits = weights * (dw - np.repeat(np.add.reduceat(dw * weights, first), seg_len))
-            dlogits *= scale
-            dl = dense(dlogits)
-            if q.tape is not None:
-                q.grad += dl @ k.data
-            if k.tape is not None:
-                k.grad += dl.T @ q.data
+            for (cq, cv), w in zip(blocks, weights):
+                g = out.grad[:, cv]
+                dw = np.take(g @ v.data[:, cv].T, flat)
+                if v.tape is not None:
+                    v.grad[:, cv] += dense(w).T @ g
+                dlogits = w * (dw - np.repeat(np.add.reduceat(dw * w, first), seg_len))
+                dlogits *= scale
+                dl = dense(dlogits)
+                if q.tape is not None:
+                    q.grad[:, cq] += dl @ k.data[:, cq]
+                if k.tape is not None:
+                    k.grad[:, cq] += dl.T @ q.data[:, cq]
         tape.record(backward)
     return out
 

@@ -15,9 +15,12 @@ its experts:
 
 * per index: per side, the S folds stacked, (S d x h);
 * per entity, as the query of its own side, S d + h + E values: the
-  outputs of ``model.entity_rows``;
+  outputs of ``model.entity_rows``, one table array per stage's external
+  query (all heads side by side), one for the hidden row and one per
+  expert;
 * per entity and stage, as a key in a partner's same-kind history, 2 d
-  values: the outputs of ``encoder.external_keys``.
+  values: the outputs of ``encoder.external_keys``, one table array for
+  the keys and one for the values, all heads side by side.
 
 At the production width (d = 1024, S = 3, h = 1024, E = 1280) that is
 43 KB per entity as a query and 16 KB per entity and stage as a key; the

@@ -18,10 +18,11 @@ augmentation pipeline's length and keyword mechanics, not natural language.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from pjfit.config import _checked_fields
 from pjfit.domain import CategoryVocab, Dataset, EntityRecord, Pair
 from pjfit.domain.vocab import DEFAULT_CATEGORIES
 from pjfit.metrics import RankedPrediction, UndefinedMetricError, auc
@@ -72,16 +73,26 @@ class SynthConfig:
             raise ValueError("prototype_noise must be >= 0")
 
 
+def _string_list(value, key: str, length: int | None = None) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and length in (None, len(value))):
+        shape = f"{length} strings" if length else "strings"
+        raise TypeError(f"synth config key {key!r} must be a JSON list of {shape}, got {value!r}")
+    return tuple(value)
+
+
 def synth_config_from_dict(d: dict) -> SynthConfig:
-    """A SynthConfig from a JSON document; unknown keys raise ValueError."""
-    unknown = sorted(set(d) - {f.name for f in fields(SynthConfig)})
-    if unknown:
-        raise ValueError("unknown synth config keys: " + ", ".join(map(repr, unknown)))
-    d = dict(d)
+    """A SynthConfig from a JSON document. An unknown key raises ValueError;
+    a value of the wrong type raises TypeError: ``categories`` must be a
+    list of names and ``confusable_pairs`` a list of two-name lists."""
+    d = _checked_fields(SynthConfig, d, "synth")
     if "categories" in d:
-        d["categories"] = tuple(d["categories"])
+        d["categories"] = _string_list(d["categories"], "categories")
     if "confusable_pairs" in d:
-        d["confusable_pairs"] = tuple(tuple(p) for p in d["confusable_pairs"])
+        pairs = d["confusable_pairs"]
+        if not isinstance(pairs, list):
+            raise TypeError(f"synth config key 'confusable_pairs' must be a JSON list, got {pairs!r}")
+        d["confusable_pairs"] = tuple(_string_list(p, "confusable_pairs", 2) for p in pairs)
     return SynthConfig(**d)
 
 

@@ -38,9 +38,9 @@ from pjfit.serve import index_for
 # are computed in one batch, as score_pairs would, so a cold chunk's working
 # memory grows with the distinct entities its histories name, at most
 # SCORE_CHUNK * seq_len per stage and entity kind. Per pair, a chunk holds
-# the external attention heads and fusion hidden rows; attention adds the
-# one dense block of each ops.segment_attention call, SCORE_CHUNK x
-# (distinct entities) cells at most.
+# the external attention outputs and fusion hidden rows; attention adds,
+# one head at a time, a dense block of SCORE_CHUNK x (distinct entities)
+# cells at most per ops.segment_attention call.
 SCORE_CHUNK = 256
 
 

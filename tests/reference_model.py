@@ -37,11 +37,12 @@ def np_attention(q, k, v, valid):
 
 
 def np_mha(query, seq, valid, store, prefix, cfg):
+    """Each head projects with its own column block of wq, wk and wv and
+    attends on its own; the heads are concatenated and multiplied by wo."""
     heads = []
     for i in range(cfg.heads):
-        wq = store[f"{prefix}.h{i}.wq"].value
-        wk = store[f"{prefix}.h{i}.wk"].value
-        wv = store[f"{prefix}.h{i}.wv"].value
+        block = slice(i * cfg.head_dim, (i + 1) * cfg.head_dim)
+        wq, wk, wv = (store[f"{prefix}.{w}"].value[:, block] for w in ("wq", "wk", "wv"))
         heads.append(np_attention(query @ wq, seq @ wk, seq @ wv, valid))
     return np.concatenate(heads, axis=1) @ store[f"{prefix}.wo"].value
 

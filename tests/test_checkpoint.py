@@ -74,6 +74,17 @@ def test_unsupported_version_rejected(saved):
         load_checkpoint(path)
 
 
+def test_version_1_checkpoint_is_rejected(saved):
+    # version 1 stored one (d x d_k) query, key and value tensor per head
+    _, _, path = saved
+    blob = bytearray(path.read_bytes())
+    assert blob[4:8] == (2).to_bytes(4, "little")
+    blob[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(UnsupportedVersionError, match="unsupported format version 1$"):
+        load_checkpoint(path)
+
+
 def test_dimension_mismatch_against_expected_config(saved):
     cfg, _, path = saved
     bigger = toy_model_config(d_model=16)

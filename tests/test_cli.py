@@ -178,6 +178,25 @@ def test_synth_config_that_is_not_an_object_is_a_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc, named", [
+    pytest.param({"n_jobs": "5"}, "'n_jobs'", id="string-for-int"),
+    pytest.param({"n_jobs": True}, "'n_jobs'", id="bool-for-int"),
+    pytest.param({"prototype_noise": "0.3"}, "'prototype_noise'", id="string-for-float"),
+    pytest.param({"categories": "Data"}, "'categories'", id="string-categories"),
+    pytest.param({"categories": ["Data", 5]}, "'categories'", id="int-category"),
+    pytest.param({"confusable_pairs": "DataTechnology"}, "'confusable_pairs'", id="string-pairs"),
+    pytest.param({"confusable_pairs": [["Data", "Technology", "Sales"]]}, "'confusable_pairs'",
+                 id="three-name-pair"),
+])
+def test_bad_synth_config_is_a_data_error(tmp_path, capsys, doc, named):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({**SYNTH_CFG, **doc}))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(path) in err and named in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("doc, named", [
     pytest.param({"bogus": 1}, "'bogus'", id="unknown-key"),
     pytest.param({"model": {"bogus": 1}}, "'bogus'", id="unknown-model-key"),
     pytest.param({"model": 5}, "JSON object", id="model-not-an-object"),
@@ -283,3 +302,33 @@ def test_rank_on_a_data_directory_without_candidates_is_a_data_error(pipeline, t
     err = capsys.readouterr().err
     assert "data error" in err and "no candidates" in err and "Traceback" not in err
     assert not (tmp_path / "rank.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["augment", "train"])
+def test_entity_field_of_the_wrong_type_is_a_data_error(pipeline, tmp_path, capsys, command):
+    data = _synth(tmp_path)
+    docs = [json.loads(l) for l in (data / "entities.jsonl").read_text().splitlines()]
+    docs[1]["text"] = 5
+    (data / "entities.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+    argv = {"augment": ["--client", "mock", "--out", str(tmp_path / "aug")],
+            "train": ["--config", str(pipeline / "train.json"),
+                      "--checkpoint-out", str(tmp_path / "m.ckpt"),
+                      "--report-out", str(tmp_path / "r.json")]}[command]
+    capsys.readouterr()
+    assert main([command, "--data", str(data)] + argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"entities.jsonl:2: text of {docs[1]['id']!r}" in err
+    assert "Traceback" not in err
+
+
+def test_version_1_checkpoint_is_a_data_error(pipeline, tmp_path, capsys):
+    old = tmp_path / "v1.ckpt"
+    blob = bytearray((pipeline / "model.ckpt").read_bytes())
+    blob[4:8] = (1).to_bytes(4, "little")
+    old.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(pipeline / "aug"), "--checkpoint", str(old),
+                 "--report-out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "version 1" in err
+    assert not (tmp_path / "r.json").exists()

@@ -84,6 +84,61 @@ def test_non_finite_embedding_names_line_and_id(paths, value):
         load_dataset(entities, pairs)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param({"text": 5}, "text of 'c2' must be a string", id="int-text"),
+    pytest.param({"category": ["Data"]}, "category of 'c2' must be a string", id="list-category"),
+    pytest.param({"kind": None}, "kind of 'c2' must be a string", id="null-kind"),
+    pytest.param({"id": 7}, "id must be a string, got 7", id="int-id"),
+    pytest.param({"embedding": "0.1 0.1"}, "embedding of 'c2' must be a flat list of numbers",
+                 id="string-embedding"),
+    pytest.param({"embedding": ["0.1"] * 4}, "embedding of 'c2' must be a flat list of numbers",
+                 id="string-entries"),
+    pytest.param({"embedding": [[0.1, 0.1]] * 2}, "embedding of 'c2' must be a flat list",
+                 id="nested-embedding"),
+    pytest.param({"embedding": [True, 0.1, 0.1, 0.1]}, "embedding of 'c2' must be a flat list",
+                 id="bool-entry"),
+    pytest.param({"embedding": [10 ** 400, 0.1, 0.1, 0.1]}, "embedding of 'c2' holds a number too large",
+                 id="huge-int-entry"),
+    pytest.param({"augmented": "yes", "text_original": "x"}, "augmented of 'c2' must be true or false",
+                 id="string-augmented"),
+    pytest.param({"augmented": True, "text_original": 3}, "text_original of 'c2' must be a string or null",
+                 id="int-text-original"),
+])
+def test_entity_field_of_the_wrong_type_names_line_and_id(paths, overrides, message):
+    entities, pairs = paths
+    write_jsonl(entities, [entity_doc("c1", "candidate"), {**entity_doc("c2", "candidate"), **overrides}])
+    write_jsonl(pairs, [])
+    with pytest.raises(DatasetError, match=rf"entities.jsonl:2: {message}"):
+        load_dataset(entities, pairs)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param({"ts": 1.7}, "ts must be an integer, got 1.7", id="float-ts"),
+    pytest.param({"ts": "abc"}, "ts must be an integer, got 'abc'", id="string-ts"),
+    pytest.param({"ts": True}, "ts must be an integer, got True", id="bool-ts"),
+    pytest.param({"label": True}, "label must be the integer 0 or 1, got True", id="bool-label"),
+    pytest.param({"label": 1.0}, "label must be the integer 0 or 1, got 1.0", id="float-label"),
+    pytest.param({"label": 2}, "label must be the integer 0 or 1, got 2", id="label-two"),
+    pytest.param({"job_id": ["j1"]}, r"candidate_id and job_id must be strings, got 'c1' and \['j1'\]",
+                 id="list-job-id"),
+])
+def test_pair_field_of_the_wrong_type_names_the_line(paths, overrides, message):
+    entities, pairs = paths
+    write_jsonl(entities, [entity_doc("c1", "candidate"), entity_doc("j1", "job")])
+    good = {"candidate_id": "c1", "job_id": "j1", "label": 1, "ts": 5}
+    write_jsonl(pairs, [good, {**good, **overrides}])
+    with pytest.raises(DatasetError, match=rf"pairs.jsonl:2: {message}"):
+        load_dataset(entities, pairs)
+
+
+def test_line_that_is_not_an_object_names_the_line(paths):
+    entities, pairs = paths
+    write_jsonl(entities, [entity_doc("c1", "candidate"), ["c2", "candidate"]])
+    write_jsonl(pairs, [])
+    with pytest.raises(DatasetError, match=r"entities.jsonl:2: a line must hold a JSON object"):
+        load_dataset(entities, pairs)
+
+
 def test_pinned_embedding_dim_rejects_first_record_too(paths):
     entities, pairs = paths
     write_jsonl(entities, [entity_doc("c1", "candidate", dim=1023)])

@@ -79,15 +79,13 @@ def test_fully_masked_sequence_gives_zero_vector(cfg, store):
 def test_single_unmasked_row_with_identity_value_path_returns_that_row():
     # W_V for head i selects the i-th d_k-wide block, W_O is identity:
     # concat(head outputs) reproduces the attended row exactly
-    d_model, heads, dk = 4, 2, 2
+    d_model, heads = 4, 2
     rng = seeded_rng(2)
     eye = np.eye(d_model)
     store = ParamStore()
     for w in ("wq", "wk"):
-        for i in range(heads):
-            store.add(f"set.h{i}.{w}", rng.normal(size=(d_model, dk)))
-    for i in range(heads):
-        store.add(f"set.h{i}.wv", eye[:, i * dk:(i + 1) * dk])
+        store.add(f"set.{w}", rng.normal(size=(d_model, d_model)))
+    store.add("set.wv", eye)
     store.add("set.wo", eye)
     rows = rng.normal(size=(3, d_model))
     out = interaction(Matrix(rng.normal(size=(1, d_model))), Matrix(rows),

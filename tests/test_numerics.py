@@ -201,8 +201,11 @@ def test_segment_attention_reads_keys_through_a_row_map():
         ops.segment_attention(qm, km, vm, ranges, [1, 0, -1, 1, 2, 3, 1, 0])
 
 
-def _tiled_attention_case(rng, n, n_rows, tiles, dk=4, dv=3):
+def _tiled_attention_case(rng, n, n_rows, tiles, dk=4, dv=3, heads=1):
     """Queries over packed keys, most of the k/v rows named by no query.
+
+    q and k are ``heads`` blocks of ``dk`` columns wide, v ``heads`` blocks
+    of ``dv``.
 
     Each query names 3-5 random k/v rows through a row map, except that
     one range names a row twice, two ranges are empty, the queries on each
@@ -225,49 +228,57 @@ def _tiled_attention_case(rng, n, n_rows, tiles, dk=4, dv=3):
             named[-1] = 7
         ranges.append((len(keys), len(keys) + len(named)))
         keys += named
-    q = rng.normal(size=(n, dk))
-    k = rng.normal(size=(n_rows, dk))
-    v = rng.normal(size=(n_rows, dv))
+    q = rng.normal(size=(n, heads * dk))
+    k = rng.normal(size=(n_rows, heads * dk))
+    v = rng.normal(size=(n_rows, heads * dv))
     return q, k, v, np.array(ranges), np.array(keys)
 
 
-def test_tiled_segment_attention_matches_per_query_oracle():
-    q, k, v, ranges, row_map = _tiled_attention_case(seeded_rng(6), 48, 400, tiles=3)
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_tiled_segment_attention_matches_per_query_oracle(heads):
+    q, k, v, ranges, row_map = _tiled_attention_case(seeded_rng(6), 48, 400, tiles=3, heads=heads)
     _, (qm, km, vm) = taped(q, k, v)
-    out = ops.segment_attention(qm, km, vm, ranges, row_map)
-    for i, (lo, hi) in enumerate(ranges):
-        rows = row_map[lo:hi]
-        expected = np_attention(q[i:i + 1], k[rows], v[rows], np.ones(hi - lo, dtype=bool))
-        np.testing.assert_allclose(out.data[i:i + 1], expected, rtol=1e-12, atol=1e-15)
-    np.testing.assert_array_equal(out.data[[5, 40]], np.zeros((2, 3)))
+    out = ops.segment_attention(qm, km, vm, ranges, row_map, heads)
+    assert out.shape == (48, 3 * heads)
+    for h in range(heads):
+        qk, vo = slice(4 * h, 4 * h + 4), slice(3 * h, 3 * h + 3)
+        for i, (lo, hi) in enumerate(ranges):
+            rows = row_map[lo:hi]
+            expected = np_attention(q[i:i + 1, qk], k[rows, qk], v[rows, vo],
+                                    np.ones(hi - lo, dtype=bool))
+            np.testing.assert_allclose(out.data[i:i + 1, vo], expected, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(out.data[[5, 40]], np.zeros((2, 3 * heads)))
 
 
-def test_tiled_segment_attention_is_bitwise_repeatable():
-    q, k, v, ranges, row_map = _tiled_attention_case(seeded_rng(7), 48, 400, tiles=3)
-    probe = seeded_rng(8).normal(size=(48, 3))
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_tiled_segment_attention_is_bitwise_repeatable(heads):
+    q, k, v, ranges, row_map = _tiled_attention_case(seeded_rng(7), 48, 400, tiles=3, heads=heads)
+    probe = seeded_rng(8).normal(size=(48, 3 * heads))
 
     def run():
         tape, (qm, km, vm) = taped(q, k, v)
-        out = ops.segment_attention(qm, km, vm, ranges, row_map)
+        out = ops.segment_attention(qm, km, vm, ranges, row_map, heads)
         tape.backward(ops.sum_all(ops.mul(out, Matrix(probe))))
         return [m.tobytes() for m in (out.data, qm.grad, km.grad, vm.grad)]
 
     assert run() == run()
 
 
-def test_gradients_tiled_attention():
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_gradients_tiled_attention(heads):
     # rows shared across queries and a row named twice in one range
     # accumulate every gradient, empty ranges pass none
     def builder(rng):
-        q, k, v, ranges, row_map = _tiled_attention_case(rng, 17, 160, tiles=2, dk=3, dv=2)
+        q, k, v, ranges, row_map = _tiled_attention_case(rng, 17, 160, tiles=2, dk=3, dv=2,
+                                                         heads=heads)
         store = _store_with(rng, [("q", q.shape), ("k", k.shape), ("v", v.shape)])
-        probe = rng.normal(size=(17, 2))
+        probe = rng.normal(size=(17, 2 * heads))
         def f(s):
             bound = s.bind(Tape())
-            att = ops.segment_attention(bound["q"], bound["k"], bound["v"], ranges, row_map)
+            att = ops.segment_attention(bound["q"], bound["k"], bound["v"], ranges, row_map, heads)
             return ops.sum_all(ops.mul(att, bound.constant(probe)))
         return store, f
-    _fd_case("tiled attention", builder, seeds=range(3))
+    _fd_case(f"tiled attention, {heads} heads", builder, seeds=range(3))
 
 
 def test_attention_uniform_logits_returns_mean_of_v_rows():
@@ -286,6 +297,17 @@ def test_attention_mask_length_mismatch():
         ops.segment_attention(q, k, v, [[1, 4]])  # past the last key row
     with pytest.raises(IndexError):
         ops.segment_attention(q, k, v, [[2, 1]])  # hi before lo
+
+
+@pytest.mark.parametrize("q_cols, v_cols, heads", [
+    (6, 4, 4),  # 4 heads divide v but not q and k
+    (6, 3, 2),  # 2 heads divide q and k but not v
+    (6, 6, 0),
+])
+def test_attention_heads_must_divide_q_and_v(q_cols, v_cols, heads):
+    _, (q, k, v) = taped(np.zeros((1, q_cols)), np.zeros((3, q_cols)), np.zeros((3, v_cols)))
+    with pytest.raises(DimensionError, match=f"{heads} heads do not divide"):
+        ops.segment_attention(q, k, v, [[0, 3]], heads=heads)
 
 
 # ------------------------------------------------- per-primitive gradients

@@ -7,7 +7,8 @@ from pjfit import training
 from pjfit.checkpoint import load_checkpoint, save_checkpoint
 from pjfit.config import ABLATIONS, TrainConfig
 from pjfit.domain import DatasetError, sample_training_pairs
-from pjfit.numerics import Tape, ops, seeded_rng, spawn_rngs
+from pjfit.model import param_spec
+from pjfit.numerics import Tape, glorot_uniform, ops, seeded_rng, spawn_rngs
 from pjfit.synth import SynthConfig, generate_dataset
 from pjfit.training import (
     SequenceCache,
@@ -119,6 +120,46 @@ def test_score_pair_matches_composition_oracle(small_dataset, ablation):
     for i, (cand, job) in enumerate(zip(cands, jobs)):
         expected = np_score_pair(cand, job, store, cfg, small_dataset)
         np.testing.assert_allclose(got.data[i, 0], expected, rtol=SCORE_TOL)
+
+
+def test_one_forward_runs_one_attention_per_attention_set(small_dataset, monkeypatch):
+    cfg = toy_model_config()
+    store = init_params(cfg, seeded_rng(0))
+    heads = []
+    attention = ops.segment_attention
+
+    def counted(*args):
+        heads.append(args[-1])
+        return attention(*args)
+
+    monkeypatch.setattr(ops, "segment_attention", counted)
+    pairs = [("c0", "j0"), ("c1", "j0"), ("c2", "j1")]
+    score_pairs([small_dataset.candidates[c] for c, _ in pairs],
+                [small_dataset.jobs[j] for _, j in pairs], store.bind(), cfg,
+                SequenceCache(small_dataset, cfg))
+    # 2 sides x 3 stages x (internal, external): one call per set, all heads in it
+    assert heads == [cfg.heads] * 12
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_weights_are_drawn_head_by_head(heads):
+    # per attention set and head, a (d x d_k) Glorot block of wq, wk and wv
+    # in that order, then wo, and the other tensors in param_spec order
+    cfg = toy_model_config(heads=heads)
+    store = init_params(cfg, seeded_rng(3))
+    rng = seeded_rng(3)
+    dk = cfg.head_dim
+    for name, rows, cols in param_spec(cfg):
+        prefix, leaf = name.rsplit(".", 1)
+        if leaf == "wq":
+            for h in range(heads):
+                for w in ("wq", "wk", "wv"):
+                    np.testing.assert_array_equal(store[f"{prefix}.{w}"].value[:, h * dk:(h + 1) * dk],
+                                                  glorot_uniform(rng, rows, dk))
+        elif leaf.startswith("b"):
+            np.testing.assert_array_equal(store[name].value, np.zeros((rows, cols)))
+        elif leaf not in ("wk", "wv"):
+            np.testing.assert_array_equal(store[name].value, glorot_uniform(rng, rows, cols))
 
 
 def shared_history_dataset():
