@@ -104,9 +104,11 @@ def cmd_synth(args) -> int:
         raise DatasetError(f"config {args.config}: {exc}") from exc
     dataset, meta = generate_dataset(cfg)
     save_data_dir(dataset, meta, args.out)
+    baseline = meta["baseline_cosine_auc"]
+    # the baseline is undefined when the test split lacks a label
+    shown = "n/a" if baseline is None else f"{baseline:.3f}"
     print(f"wrote {meta['n_candidates']} candidates, {meta['n_jobs']} jobs, "
-          f"{meta['n_pairs']} pairs to {args.out} "
-          f"(baseline cosine AUC {meta['baseline_cosine_auc']:.3f})")
+          f"{meta['n_pairs']} pairs to {args.out} (baseline cosine AUC {shown})")
     return 0
 
 
@@ -175,7 +177,7 @@ def _split(dataset: Dataset, meta: dict) -> tuple[Dataset, Dataset]:
     if "split_ts" not in meta:
         raise DatasetError("data directory has no split_ts in meta.json; "
                            "cannot derive the temporal train/test split")
-    return dataset.split_temporal(int(meta["split_ts"]))
+    return dataset.split_temporal(meta["split_ts"])
 
 
 def cmd_train(args) -> int:

@@ -1,30 +1,45 @@
 """Entity records, labeled pairs, dataset files.
 
-File formats (UTF-8, one JSON document per line):
+A data directory holds four files:
 
-* entities file: ``{"id", "kind", "text", "category", "embedding",
-  "hist_eval", "hist_pass_eval", "hist_pass_interview"}`` plus the optional
-  augmentation markers ``"augmented"`` and ``"text_original"``. Any other
-  field is rejected: the schema is the fairness boundary, so sensitive or
-  proxy attributes (gender, age, school, graduation year, location) are
-  structurally unrepresentable. ``id``, ``kind``, ``text`` and
-  ``category`` are strings, ``embedding`` a list of numbers, each history
-  a list of id strings, ``augmented`` true or false and
-  ``text_original`` a string or null.
-* pairs file: ``{"candidate_id", "job_id", "label", "ts"}`` with string
-  ids, label the integer 0 or 1 and ts in integer seconds (a bool or a
-  float such as 1.0 is not an integer here).
-
-A data directory bundles ``entities.jsonl``, ``pairs.jsonl`` and an
-optional ``meta.json`` carrying the category list, the temporal split
-point and generator bookkeeping.
+* ``entities.jsonl`` (UTF-8, one JSON object per line):
+  ``{"id", "kind", "text", "category", "hist_eval", "hist_pass_eval",
+  "hist_pass_interview"}`` plus the optional augmentation markers
+  ``"augmented"`` and ``"text_original"``. Any other field is rejected:
+  the schema is the fairness boundary, so sensitive or proxy attributes
+  (gender, age, school, graduation year, location) are structurally
+  unrepresentable. ``id``, ``kind``, ``text`` and ``category`` are
+  strings, each history a list of id strings, ``augmented`` true or
+  false and ``text_original`` a string or null. A line that still
+  carries an inline ``embedding`` is refused: embeddings live in
+  ``embeddings.npz``.
+* ``embeddings.npz``: a numpy archive of exactly two arrays, ``ids`` (one
+  string per entity record) and ``values`` (an (n, d) float64 matrix).
+  Row i belongs to the i-th record of ``entities.jsonl``, and ``ids[i]``
+  must equal that record's id, so a reordered or stale file is caught
+  rather than silently pairing text with another entity's vector. The
+  array is binary because the embeddings are nearly all of a data
+  directory's bytes: at d=1024 decoding them as JSON decimals took most
+  of a load, while the array reads back the same float64 bits in one
+  copy. Pickled arrays are never loaded. Every record's ``embedding`` is
+  a row view of the one matrix, which is read-only, since the serving
+  index keeps per-entity outputs by id and an edited row would be served
+  stale.
+* ``pairs.jsonl``: ``{"candidate_id", "job_id", "label", "ts"}`` with
+  string ids, label the integer 0 or 1 and ts in integer seconds (a bool
+  or a float such as 1.0 is not an integer here).
+* ``meta.json`` (optional): a JSON object carrying the category list
+  ``categories`` (a list of unique strings), the temporal split point
+  ``split_ts`` (an integer) and generator bookkeeping.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zipfile
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,8 +53,10 @@ class DatasetError(ValueError):
     """Malformed or inconsistent dataset content."""
 
 
+EMBEDDINGS_FILE = "embeddings.npz"
+
 _REQUIRED_ENTITY_FIELDS = {
-    "id", "kind", "text", "category", "embedding",
+    "id", "kind", "text", "category",
     "hist_eval", "hist_pass_eval", "hist_pass_interview",
 }
 _OPTIONAL_ENTITY_FIELDS = {"augmented", "text_original"}
@@ -126,8 +143,11 @@ class Dataset:
         return Dataset(self.vocab, cands, jobs, list(self.pairs), self.embedding_dim)
 
 
-def _parse_entity(doc: dict, vocab: CategoryVocab, lineno: int, path: str) -> EntityRecord:
-    where = f"{path}:{lineno}"
+def _parse_entity(doc: dict, vocab: CategoryVocab, where: str) -> dict:
+    """The EntityRecord fields of one entities line, all but the embedding."""
+    if "embedding" in doc:
+        raise DatasetError(f"{where}: inline embeddings are no longer read; embeddings now "
+                           f"live in {EMBEDDINGS_FILE} (regenerate the directory with pjfit synth)")
     unknown = set(doc) - _REQUIRED_ENTITY_FIELDS - _OPTIONAL_ENTITY_FIELDS
     if unknown:
         raise DatasetError(f"{where}: unknown fields {sorted(unknown)} are not allowed")
@@ -144,18 +164,6 @@ def _parse_entity(doc: dict, vocab: CategoryVocab, lineno: int, path: str) -> En
         raise DatasetError(f"{where}: kind must be 'candidate' or 'job', got {doc['kind']!r}")
     if doc["category"] not in vocab:
         raise DatasetError(f"{where}: unknown category {doc['category']!r} for id {doc['id']!r}")
-    values = doc["embedding"]
-    # a bool is not a number here, and json reads integers of any size
-    if not (isinstance(values, list) and set(map(type, values)) <= {float, int}):
-        raise DatasetError(f"{where}: embedding of {doc['id']!r} must be a flat list of numbers")
-    try:
-        embedding = np.array(values, dtype=np.float64)
-    except OverflowError:
-        raise DatasetError(f"{where}: embedding of {doc['id']!r} holds a number "
-                           f"too large for float64") from None
-    # json reads the NaN and Infinity literals; a model cannot score them
-    if not np.isfinite(embedding).all():
-        raise DatasetError(f"{where}: embedding of {doc['id']!r} holds a non-finite value")
     hists = {}
     for field_name in ("hist_eval", "hist_pass_eval", "hist_pass_interview"):
         ids = doc[field_name]
@@ -172,38 +180,83 @@ def _parse_entity(doc: dict, vocab: CategoryVocab, lineno: int, path: str) -> En
                            f"got {text_original!r}")
     if augmented and text_original is None:
         raise DatasetError(f"{where}: augmented record {doc['id']!r} lacks text_original")
-    return EntityRecord(
-        id=doc["id"], kind=doc["kind"], text=doc["text"],
-        category_id=vocab.id_of(doc["category"]), embedding=embedding,
-        augmented=augmented, text_original=text_original, **hists,
-    )
+    return dict(id=doc["id"], kind=doc["kind"], text=doc["text"],
+                category_id=vocab.id_of(doc["category"]),
+                augmented=augmented, text_original=text_original, **hists)
 
 
-def load_dataset(entities_path, pairs_path, vocab: CategoryVocab | None = None,
+def _load_embeddings(path, ids: list[str], embedding_dim: int | None) -> np.ndarray:
+    """The read-only (len(ids), d) float64 matrix of an embeddings file
+    whose ``ids`` equal ``ids`` row for row."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise DatasetError(f"{path}: not a readable npz archive (a bare .npy array)")
+        with npz:
+            if set(npz.files) != {"ids", "values"}:
+                raise DatasetError(f"{path}: must hold exactly the arrays 'ids' and 'values', "
+                                   f"holds {sorted(npz.files)}")
+            file_ids, values = npz["ids"], npz["values"]
+    except FileNotFoundError:
+        raise DatasetError(f"{path}: missing; a data directory keeps its embeddings "
+                           f"in {EMBEDDINGS_FILE}") from None
+    except (OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise DatasetError(f"{path}: not a readable npz archive ({exc})") from None
+    except ValueError as exc:
+        # numpy refuses pickled and object arrays when allow_pickle is off
+        raise DatasetError(f"{path}: holds a pickled or object array, or is not "
+                           f"a readable npz archive ({exc})") from None
+    if values.ndim != 2 or values.dtype != np.float64:
+        raise DatasetError(f"{path}: values must be a 2-D float64 array, "
+                           f"got {values.ndim}-D {values.dtype}")
+    if file_ids.ndim != 1 or file_ids.dtype.kind != "U":
+        raise DatasetError(f"{path}: ids must be a 1-D array of strings, "
+                           f"got {file_ids.ndim}-D {file_ids.dtype}")
+    if not len(file_ids) == len(values) == len(ids):
+        raise DatasetError(f"{path}: {len(file_ids)} ids and {len(values)} rows "
+                           f"for {len(ids)} entity records")
+    for row, (got, want) in enumerate(zip(file_ids.tolist(), ids)):
+        if got != want:
+            raise DatasetError(f"{path}: row {row} is {got!r}, but entity record {row} is {want!r}")
+    if embedding_dim is not None and values.shape[1] != embedding_dim:
+        raise DatasetError(f"{path}: embeddings have {values.shape[1]} entries, "
+                           f"expected {embedding_dim}")
+    values.flags.writeable = False
+    return values
+
+
+def load_dataset(entities_path, pairs_path, embeddings_path, vocab: CategoryVocab | None = None,
                  embedding_dim: int | None = None) -> Dataset:
-    """Parse and validate an entities/pairs file pair.
+    """Parse and validate an entities/pairs/embeddings file triple.
 
-    The embedding width is taken from the first record unless pinned by
-    ``embedding_dim``; every other record must match it. Errors carry the
-    offending file and line number.
+    The embedding width is the embeddings file's unless pinned by
+    ``embedding_dim``. Errors carry the offending file, and the line
+    number where there is one.
     """
     vocab = vocab or CategoryVocab()
+    fields: list[dict] = []
+    linenos: list[int] = []
+    seen: set[tuple[str, str]] = set()
+    for lineno, doc in _iter_jsonl(entities_path):
+        entity = _parse_entity(doc, vocab, f"{entities_path}:{lineno}")
+        key = (entity["kind"], entity["id"])
+        if key in seen:
+            raise DatasetError(f"{entities_path}:{lineno}: duplicate {key[0]} id {key[1]!r}")
+        seen.add(key)
+        fields.append(entity)
+        linenos.append(lineno)
+
+    values = _load_embeddings(embeddings_path, [f["id"] for f in fields], embedding_dim)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise DatasetError(f"{entities_path}:{linenos[row]}: embedding of {fields[row]['id']!r} "
+                           f"holds a non-finite value")
     candidates: dict[str, EntityRecord] = {}
     jobs: dict[str, EntityRecord] = {}
-    dim = embedding_dim
-
-    for lineno, doc in _iter_jsonl(entities_path):
-        record = _parse_entity(doc, vocab, lineno, str(entities_path))
-        if dim is None:
-            dim = int(record.embedding.size)
-        if record.embedding.size != dim:
-            raise DatasetError(
-                f"{entities_path}:{lineno}: embedding of {record.id!r} has "
-                f"{record.embedding.size} entries, expected {dim}")
-        table = candidates if record.kind == "candidate" else jobs
-        if record.id in table:
-            raise DatasetError(f"{entities_path}:{lineno}: duplicate {record.kind} id {record.id!r}")
-        table[record.id] = record
+    for entity, embedding in zip(fields, values):
+        table = candidates if entity["kind"] == "candidate" else jobs
+        table[entity["id"]] = EntityRecord(embedding=embedding, **entity)
 
     # histories must reference existing entities of the opposite kind
     for record in list(candidates.values()) + list(jobs.values()):
@@ -235,7 +288,7 @@ def load_dataset(entities_path, pairs_path, vocab: CategoryVocab | None = None,
             raise DatasetError(f"{where}: pair references missing job {jid!r}")
         pairs.append(Pair(cid, jid, label, ts))
 
-    return Dataset(vocab, candidates, jobs, pairs, dim or 0)
+    return Dataset(vocab, candidates, jobs, pairs, values.shape[1])
 
 
 def _iter_jsonl(path):
@@ -258,7 +311,6 @@ def _entity_doc(record: EntityRecord, vocab: CategoryVocab) -> dict:
         "kind": record.kind,
         "text": record.text,
         "category": vocab.name_of(record.category_id),
-        "embedding": record.embedding.tolist(),
         "hist_eval": list(record.hist_eval),
         "hist_pass_eval": list(record.hist_pass_eval),
         "hist_pass_interview": list(record.hist_pass_interview),
@@ -269,41 +321,79 @@ def _entity_doc(record: EntityRecord, vocab: CategoryVocab) -> dict:
     return doc
 
 
-def save_dataset(dataset: Dataset, entities_path, pairs_path) -> None:
+def save_dataset(dataset: Dataset, entities_path, pairs_path, embeddings_path) -> None:
     """Inverse of load_dataset; entities sorted by (kind, id) for stable bytes."""
     records = sorted(
         list(dataset.candidates.values()) + list(dataset.jobs.values()),
         key=lambda r: (r.kind, r.id))
     _atomic_write(entities_path, "".join(
         json.dumps(_entity_doc(r, dataset.vocab), ensure_ascii=False) + "\n" for r in records))
+    values = (np.stack([r.embedding for r in records]) if records
+              else np.zeros((0, dataset.embedding_dim)))
+    with _atomic_file(embeddings_path) as fh:
+        np.savez(fh, ids=np.array([r.id for r in records], dtype=str), values=values)
     _atomic_write(pairs_path, "".join(
         json.dumps({"candidate_id": p.candidate_id, "job_id": p.job_id,
                     "label": p.label, "ts": p.ts}) + "\n" for p in dataset.pairs))
 
 
-def _atomic_write(path, content: str) -> None:
+@contextmanager
+def _atomic_file(path):
+    """A binary file handle whose content replaces ``path`` only once
+    the block completes."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
+    with open(tmp, "wb") as fh:
+        yield fh
     os.replace(tmp, path)
+
+
+def _atomic_write(path, content: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(content.encode("utf-8"))
 
 
 def save_data_dir(dataset: Dataset, meta: dict, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_dataset(dataset, out / "entities.jsonl", out / "pairs.jsonl")
+    save_dataset(dataset, out / "entities.jsonl", out / "pairs.jsonl", out / EMBEDDINGS_FILE)
     meta = dict(meta)
     meta.setdefault("categories", list(dataset.vocab.names))
     _atomic_write(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _load_meta(path: Path) -> tuple[dict, CategoryVocab]:
+    """meta.json's document and vocabulary, checked where they are read:
+    an object whose ``categories`` are unique strings and whose
+    ``split_ts`` is an integer. Without the file, the default vocabulary."""
+    if not path.exists():
+        return {}, CategoryVocab()
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DatasetError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise DatasetError(f"{path}: must hold a JSON object, not {type(meta).__name__}")
+    # a bool is not an int here, nor is a float such as 1000420.9
+    if "split_ts" in meta and type(meta["split_ts"]) is not int:
+        raise DatasetError(f"{path}: split_ts must be an integer, got {meta['split_ts']!r}")
+    if "categories" not in meta:
+        return meta, CategoryVocab()
+    names = meta["categories"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise DatasetError(f"{path}: categories must be a list of strings, got {names!r}")
+    try:
+        return meta, CategoryVocab(names)
+    except ValueError as exc:  # repeated or no names
+        raise DatasetError(f"{path}: {exc}") from None
+
+
 def load_data_dir(data_dir) -> tuple[Dataset, dict]:
     """Load a data directory; vocabulary comes from meta.json when present."""
     data_dir = Path(data_dir)
-    meta_path = data_dir / "meta.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
-    vocab = CategoryVocab(meta["categories"]) if "categories" in meta else CategoryVocab()
-    dataset = load_dataset(data_dir / "entities.jsonl", data_dir / "pairs.jsonl", vocab)
+    meta, vocab = _load_meta(data_dir / "meta.json")
+    dataset = load_dataset(data_dir / "entities.jsonl", data_dir / "pairs.jsonl",
+                           data_dir / EMBEDDINGS_FILE, vocab)
     return dataset, meta
 
 

@@ -71,6 +71,8 @@ class SynthConfig:
             raise ValueError("n_jobs and embedding_dim must be meaningful")
         if self.prototype_noise < 0:
             raise ValueError("prototype_noise must be >= 0")
+        if not self.positives_per_job >= 0:  # NaN too
+            raise ValueError("positives_per_job must be >= 0")
 
 
 def _string_list(value, key: str, length: int | None = None) -> tuple[str, ...]:

@@ -13,6 +13,72 @@ from pjfit.numerics import seeded_rng
 TOY_VOCAB_NAMES = ("Technology", "Data", "Sales", "Design")
 
 
+def _write_npy(path, values):
+    with open(path, "wb") as fh:
+        np.save(fh, values)
+
+
+def _truncate(path, ids, values):
+    np.savez(path, ids=ids, values=values)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+# Ways to break a data directory's embeddings.npz, as (damage, message):
+# ``damage(path, ids, values)`` writes a broken file at ``path`` in place of
+# the good ``ids`` and ``values``; ``message`` is in the error that follows.
+BROKEN_EMBEDDINGS = [
+    pytest.param(lambda path, ids, values: path.unlink(missing_ok=True), "missing", id="missing"),
+    pytest.param(lambda path, ids, values: path.write_text("ids,values\n"),
+                 "not a readable npz", id="text-file"),
+    pytest.param(lambda path, ids, values: _write_npy(path, values),
+                 "not a readable npz", id="npy-not-npz"),
+    pytest.param(_truncate, "not a readable npz", id="truncated"),
+    pytest.param(lambda path, ids, values: np.savez(path, ids=ids.astype(object), values=values),
+                 "pickled or object array", id="pickled-ids"),
+    pytest.param(lambda path, ids, values: np.savez(path, values=values),
+                 "exactly the arrays 'ids' and 'values'", id="no-ids"),
+    pytest.param(lambda path, ids, values: np.savez(path, ids=ids, values=values, gender=ids),
+                 "exactly the arrays 'ids' and 'values'", id="extra-array"),
+    pytest.param(lambda path, ids, values: np.savez(path, ids=ids, values=values.astype(np.float32)),
+                 "values must be a 2-D float64 array", id="float32-values"),
+    pytest.param(lambda path, ids, values: np.savez(path, ids=ids, values=values.astype(str)),
+                 "values must be a 2-D float64 array", id="string-values"),
+    pytest.param(lambda path, ids, values: np.savez(path, ids=ids, values=values > 0),
+                 "values must be a 2-D float64 array", id="bool-values"),
+    pytest.param(lambda path, ids, values: np.savez(path, ids=ids, values=values.astype(np.int64)),
+                 "values must be a 2-D float64 array", id="int-values"),
+    pytest.param(lambda path, ids, values: np.savez(path, ids=ids, values=values.ravel()),
+                 "values must be a 2-D float64 array", id="1-d-values"),
+    pytest.param(lambda path, ids, values: np.savez(path, ids=ids,
+                                                    values=values.reshape(len(values), -1, 2)),
+                 "values must be a 2-D float64 array", id="3-d-values"),
+    pytest.param(lambda path, ids, values: np.savez(path, ids=np.arange(len(ids)), values=values),
+                 "ids must be a 1-D array of strings", id="int-ids"),
+    pytest.param(lambda path, ids, values: np.savez(path, ids=ids[:-1], values=values[:-1]),
+                 "ids and .* rows for .* entity records", id="row-missing"),
+    pytest.param(lambda path, ids, values: np.savez(path, ids=np.append(ids, "extra"),
+                                                    values=np.vstack([values, values[:1]])),
+                 "ids and .* rows for .* entity records", id="row-extra"),
+    pytest.param(lambda path, ids, values: np.savez(path, ids=ids[::-1], values=values[::-1]),
+                 "row 0 is .*, but entity record 0 is", id="rows-reordered"),
+]
+
+# Ways to break meta.json, as (file content, message in the error).
+META_DEFECTS = [
+    pytest.param("{broken", "not valid JSON", id="invalid-json"),
+    pytest.param("[]", "must hold a JSON object", id="list"),
+    pytest.param('{"categories": "Data"}', "categories must be a list of strings",
+                 id="string-categories"),
+    pytest.param('{"categories": [1, 2]}', "categories must be a list of strings",
+                 id="int-categories"),
+    pytest.param('{"categories": ["Data", "Data"]}', "category names must be unique",
+                 id="repeated-category"),
+    pytest.param('{"categories": []}', "vocabulary must not be empty", id="no-categories"),
+    pytest.param('{"split_ts": 1000420.9}', "split_ts must be an integer", id="float-split"),
+    pytest.param('{"split_ts": true}', "split_ts must be an integer", id="bool-split"),
+]
+
+
 def toy_model_config(**overrides) -> ModelConfig:
     """Tiny dims used by gradient checks: d_model=8, h=2, seq=4, 3 experts."""
     base = dict(

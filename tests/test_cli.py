@@ -1,8 +1,11 @@
 """End-to-end command tests: synth -> augment -> train -> eval -> rank."""
 
 import json
+import re
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pjfit import cli
@@ -10,6 +13,8 @@ from pjfit.checkpoint import load_checkpoint
 from pjfit.cli import main, read_report
 from pjfit.domain import load_data_dir
 from pjfit.numerics import DimensionError
+
+from conftest import BROKEN_EMBEDDINGS, META_DEFECTS
 
 SYNTH_CFG = {
     "n_candidates": 48,
@@ -60,8 +65,18 @@ def pipeline(tmp_path_factory):
 
 
 def test_synth_writes_expected_layout(pipeline):
-    for name in ("entities.jsonl", "pairs.jsonl", "meta.json"):
+    for name in ("entities.jsonl", "pairs.jsonl", "meta.json", "embeddings.npz"):
         assert (pipeline / "data" / name).exists()
+
+
+def test_augment_keeps_embeddings_bit_for_bit(pipeline):
+    before, after = load_data_dir(pipeline / "data")[0], load_data_dir(pipeline / "aug")[0]
+    assert any(j.augmented for j in after.jobs.values())
+    for table in ("candidates", "jobs"):
+        old, new = getattr(before, table), getattr(after, table)
+        assert old.keys() == new.keys()
+        for entity_id, record in old.items():
+            assert new[entity_id].embedding.tobytes() == record.embedding.tobytes()
 
 
 def test_augment_log_and_markers(pipeline):
@@ -142,12 +157,31 @@ def test_full_chain_is_deterministic(tmp_path):
             "ckpt": (base / "model.ckpt").read_bytes(),
             "report": body(base / "report.json"),
         }
-        for name in ("entities.jsonl", "pairs.jsonl", "augment_log.jsonl"):
+        for name in ("entities.jsonl", "pairs.jsonl", "embeddings.npz", "augment_log.jsonl"):
             snapshot[name] = (base / "aug" / name).read_bytes()
         shutil.rmtree(base)
         return snapshot
 
     assert run_chain() == run_chain()
+
+
+def test_synth_rejects_a_negative_positives_per_job_before_writing(tmp_path, capsys):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({**SYNTH_CFG, "positives_per_job": -1}))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "positives_per_job must be >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
+def test_synth_without_a_defined_cosine_baseline_prints_n_a(tmp_path, capsys):
+    # one positive and one negative per job: the last quarter of the
+    # interleaved timeline holds negatives alone, so the baseline AUC is undefined
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({**SYNTH_CFG, "positives_per_job": 0}))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 0
+    assert "baseline cosine AUC n/a" in capsys.readouterr().out
+    assert load_data_dir(tmp_path / "data")[1]["baseline_cosine_auc"] is None
 
 
 def test_usage_and_data_error_exit_codes(tmp_path, capsys):
@@ -276,11 +310,17 @@ def test_categories_beyond_the_checkpoints_are_a_data_error(pipeline, tmp_path, 
         assert "Traceback" not in err
 
 
+def _embeddings(data):
+    with np.load(data / "embeddings.npz") as npz:
+        return npz["ids"], npz["values"]
+
+
 def test_non_finite_embedding_is_a_data_error_for_rank(pipeline, tmp_path, capsys):
     data = _synth(tmp_path)
     docs = [json.loads(l) for l in (data / "entities.jsonl").read_text().splitlines()]
-    docs[0]["embedding"][0] = float("nan")
-    (data / "entities.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+    ids, values = _embeddings(data)
+    values[0, 0] = float("nan")
+    np.savez(data / "embeddings.npz", ids=ids, values=values)
     job = next(d["id"] for d in docs if d["kind"] == "job")
     capsys.readouterr()
     assert main(["rank", "--job", job, "--out", str(tmp_path / "rank.tsv"), "--data", str(data),
@@ -295,6 +335,9 @@ def test_rank_on_a_data_directory_without_candidates_is_a_data_error(pipeline, t
     jobs = [{**d, "hist_eval": [], "hist_pass_eval": [], "hist_pass_interview": []}
             for d in docs if d["kind"] == "job"]
     (data / "entities.jsonl").write_text("".join(json.dumps(d) + "\n" for d in jobs))
+    ids, values = _embeddings(data)
+    keep = [i for i, d in enumerate(docs) if d["kind"] == "job"]
+    np.savez(data / "embeddings.npz", ids=ids[keep], values=values[keep])
     (data / "pairs.jsonl").write_text("")
     capsys.readouterr()
     assert main(["rank", "--job", jobs[0]["id"], "--out", str(tmp_path / "rank.tsv"),
@@ -319,6 +362,55 @@ def test_entity_field_of_the_wrong_type_is_a_data_error(pipeline, tmp_path, caps
     err = capsys.readouterr().err
     assert "data error" in err and f"entities.jsonl:2: text of {docs[1]['id']!r}" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def synth_dir(tmp_path_factory):
+    """A pristine synth data directory; tests break copies of it."""
+    root = tmp_path_factory.mktemp("synth")
+    (root / "synth.json").write_text(json.dumps(SYNTH_CFG))
+    assert main(["synth", "--config", str(root / "synth.json"), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+def _augment_error(data, tmp_path, capsys):
+    """stderr of `augment` on ``data``, after checking that it exits 2 and
+    writes nothing."""
+    capsys.readouterr()
+    assert main(["augment", "--data", str(data), "--client", "mock",
+                 "--out", str(tmp_path / "aug")]) == 2
+    assert not (tmp_path / "aug").exists()
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("damage, message", BROKEN_EMBEDDINGS)
+def test_broken_embeddings_file_is_a_data_error(synth_dir, tmp_path, capsys, damage, message):
+    data = shutil.copytree(synth_dir, tmp_path / "data")
+    damage(data / "embeddings.npz", *_embeddings(synth_dir))
+    err = _augment_error(data, tmp_path, capsys)
+    assert re.search(rf"{re.escape(str(data / 'embeddings.npz'))}: .*{message}", err)
+
+
+@pytest.mark.parametrize("meta_text, message", META_DEFECTS)
+def test_malformed_meta_is_a_data_error(synth_dir, tmp_path, capsys, meta_text, message):
+    data = shutil.copytree(synth_dir, tmp_path / "data")
+    (data / "meta.json").write_text(meta_text)
+    err = _augment_error(data, tmp_path, capsys)
+    assert f"{data / 'meta.json'}: {message}" in err
+
+
+def test_data_directory_with_inline_embeddings_is_a_data_error(synth_dir, tmp_path, capsys):
+    # the layout written before embeddings moved to embeddings.npz
+    data = shutil.copytree(synth_dir, tmp_path / "data")
+    docs = [json.loads(l) for l in (data / "entities.jsonl").read_text().splitlines()]
+    _, values = _embeddings(data)
+    (data / "entities.jsonl").write_text("".join(
+        json.dumps({**d, "embedding": row.tolist()}) + "\n" for d, row in zip(docs, values)))
+    (data / "embeddings.npz").unlink()
+    err = _augment_error(data, tmp_path, capsys)
+    assert f"{data / 'entities.jsonl'}:1: inline embeddings" in err and "embeddings.npz" in err
 
 
 def test_version_1_checkpoint_is_a_data_error(pipeline, tmp_path, capsys):

@@ -7,27 +7,29 @@ from hypothesis import strategies as st
 
 from pjfit.config import STAGES
 from pjfit.domain import (
+    DEFAULT_CATEGORIES,
     CategoryVocab,
     Dataset,
     DatasetError,
+    load_data_dir,
     load_dataset,
     sample_training_pairs,
     save_dataset,
     validate_records,
 )
+from pjfit.domain.records import save_data_dir
 from pjfit.numerics import seeded_rng
 
-from conftest import DatasetBuilder
+from conftest import BROKEN_EMBEDDINGS, META_DEFECTS, TOY_VOCAB_NAMES, DatasetBuilder
 from reference_model import pad_sequence
 
 
-def entity_doc(entity_id, kind, dim=4, **overrides):
+def entity_doc(entity_id, kind, **overrides):
     doc = {
         "id": entity_id,
         "kind": kind,
         "text": f"text of {entity_id}",
         "category": "Technology",
-        "embedding": [0.1] * dim,
         "hist_eval": [],
         "hist_pass_eval": [],
         "hist_pass_interview": [],
@@ -43,45 +45,77 @@ def write_jsonl(path, docs):
 
 @pytest.fixture
 def paths(tmp_path):
-    return tmp_path / "entities.jsonl", tmp_path / "pairs.jsonl"
+    return tmp_path / "entities.jsonl", tmp_path / "pairs.jsonl", tmp_path / "embeddings.npz"
+
+
+def write_entities(paths, docs, values=None, dim=4):
+    """The entities file and its embeddings file: one row per object line,
+    0.1 everywhere unless ``values`` is given."""
+    ids = [str(d["id"]) for d in docs if isinstance(d, dict)]
+    write_jsonl(paths[0], docs)
+    if values is None:
+        values = np.full((len(ids), dim), 0.1)
+    np.savez(paths[2], ids=np.array(ids, dtype=str), values=values)
 
 
 def test_load_two_candidates_one_job(paths):
-    entities, pairs = paths
-    write_jsonl(entities, [
+    entities, pairs, embeddings = paths
+    write_entities(paths, [
         entity_doc("c1", "candidate"),
         entity_doc("c2", "candidate"),
         entity_doc("j1", "job"),
     ])
     write_jsonl(pairs, [{"candidate_id": "c1", "job_id": "j1", "label": 1, "ts": 5}])
-    ds = load_dataset(entities, pairs)
+    ds = load_dataset(entities, pairs, embeddings)
     assert len(ds.candidates) == 2
     assert len(ds.jobs) == 1
     assert ds.embedding_dim == 4
     assert ds.pairs[0].label == 1
 
 
-def test_wrong_embedding_length_names_the_id(paths):
-    entities, pairs = paths
-    write_jsonl(entities, [
-        entity_doc("c1", "candidate", dim=4),
-        entity_doc("c2", "candidate", dim=3),
-    ])
-    write_jsonl(pairs, [])
-    with pytest.raises(DatasetError, match="'c2'.*3 entries, expected 4"):
-        load_dataset(entities, pairs)
+def test_loaded_embeddings_are_read_only_rows_of_one_matrix(paths):
+    write_entities(paths, [entity_doc("c1", "candidate"), entity_doc("j1", "job")],
+                   values=np.arange(8.0).reshape(2, 4))
+    write_jsonl(paths[1], [])
+    ds = load_dataset(*paths)
+    c1, j1 = ds.candidates["c1"].embedding, ds.jobs["j1"].embedding
+    np.testing.assert_array_equal(j1, [4.0, 5.0, 6.0, 7.0])
+    assert c1.base is j1.base is not None
+    # the serving index keeps per-entity outputs by id, so a row must not change
+    with pytest.raises(ValueError, match="read-only"):
+        c1[0] = 1.0
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_embedding_names_line_and_id(paths, value):
-    entities, pairs = paths
-    bad = entity_doc("c2", "candidate")
-    bad["embedding"][2] = value
-    # json.dumps writes NaN, Infinity and -Infinity, which json.loads reads
-    write_jsonl(entities, [entity_doc("c1", "candidate"), bad])
+    entities, pairs, embeddings = paths
+    values = np.full((2, 4), 0.1)
+    values[1, 2] = value
+    write_entities(paths, [entity_doc("c1", "candidate"), entity_doc("c2", "candidate")], values)
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match=r"entities.jsonl:2: embedding of 'c2' holds a non-finite"):
-        load_dataset(entities, pairs)
+        load_dataset(entities, pairs, embeddings)
+
+
+def test_inline_embedding_is_refused_and_names_the_new_file(paths):
+    entities, pairs, embeddings = paths
+    write_entities(paths, [entity_doc("c1", "candidate"),
+                           entity_doc("c2", "candidate", embedding=[0.1] * 4)])
+    write_jsonl(pairs, [])
+    with pytest.raises(DatasetError, match=r"entities.jsonl:2: inline embeddings .* "
+                                           r"now live in embeddings.npz"):
+        load_dataset(entities, pairs, embeddings)
+
+
+@pytest.mark.parametrize("damage, message", BROKEN_EMBEDDINGS)
+def test_broken_embeddings_file_is_a_data_error(paths, damage, message):
+    entities, pairs, embeddings = paths
+    docs = [entity_doc("c1", "candidate"), entity_doc("c2", "candidate"), entity_doc("j1", "job")]
+    write_entities(paths, docs)
+    damage(embeddings, np.array(["c1", "c2", "j1"]), np.full((3, 4), 0.1))
+    write_jsonl(pairs, [])
+    with pytest.raises(DatasetError, match=rf"embeddings.npz: .*{message}"):
+        load_dataset(entities, pairs, embeddings)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -89,27 +123,17 @@ def test_non_finite_embedding_names_line_and_id(paths, value):
     pytest.param({"category": ["Data"]}, "category of 'c2' must be a string", id="list-category"),
     pytest.param({"kind": None}, "kind of 'c2' must be a string", id="null-kind"),
     pytest.param({"id": 7}, "id must be a string, got 7", id="int-id"),
-    pytest.param({"embedding": "0.1 0.1"}, "embedding of 'c2' must be a flat list of numbers",
-                 id="string-embedding"),
-    pytest.param({"embedding": ["0.1"] * 4}, "embedding of 'c2' must be a flat list of numbers",
-                 id="string-entries"),
-    pytest.param({"embedding": [[0.1, 0.1]] * 2}, "embedding of 'c2' must be a flat list",
-                 id="nested-embedding"),
-    pytest.param({"embedding": [True, 0.1, 0.1, 0.1]}, "embedding of 'c2' must be a flat list",
-                 id="bool-entry"),
-    pytest.param({"embedding": [10 ** 400, 0.1, 0.1, 0.1]}, "embedding of 'c2' holds a number too large",
-                 id="huge-int-entry"),
     pytest.param({"augmented": "yes", "text_original": "x"}, "augmented of 'c2' must be true or false",
                  id="string-augmented"),
     pytest.param({"augmented": True, "text_original": 3}, "text_original of 'c2' must be a string or null",
                  id="int-text-original"),
 ])
 def test_entity_field_of_the_wrong_type_names_line_and_id(paths, overrides, message):
-    entities, pairs = paths
-    write_jsonl(entities, [entity_doc("c1", "candidate"), {**entity_doc("c2", "candidate"), **overrides}])
+    entities, pairs, embeddings = paths
+    write_entities(paths, [entity_doc("c1", "candidate"), {**entity_doc("c2", "candidate"), **overrides}])
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match=rf"entities.jsonl:2: {message}"):
-        load_dataset(entities, pairs)
+        load_dataset(entities, pairs, embeddings)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -123,86 +147,87 @@ def test_entity_field_of_the_wrong_type_names_line_and_id(paths, overrides, mess
                  id="list-job-id"),
 ])
 def test_pair_field_of_the_wrong_type_names_the_line(paths, overrides, message):
-    entities, pairs = paths
-    write_jsonl(entities, [entity_doc("c1", "candidate"), entity_doc("j1", "job")])
+    entities, pairs, embeddings = paths
+    write_entities(paths, [entity_doc("c1", "candidate"), entity_doc("j1", "job")])
     good = {"candidate_id": "c1", "job_id": "j1", "label": 1, "ts": 5}
     write_jsonl(pairs, [good, {**good, **overrides}])
     with pytest.raises(DatasetError, match=rf"pairs.jsonl:2: {message}"):
-        load_dataset(entities, pairs)
+        load_dataset(entities, pairs, embeddings)
 
 
 def test_line_that_is_not_an_object_names_the_line(paths):
-    entities, pairs = paths
-    write_jsonl(entities, [entity_doc("c1", "candidate"), ["c2", "candidate"]])
+    entities, pairs, embeddings = paths
+    write_entities(paths, [entity_doc("c1", "candidate"), ["c2", "candidate"]])
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match=r"entities.jsonl:2: a line must hold a JSON object"):
-        load_dataset(entities, pairs)
+        load_dataset(entities, pairs, embeddings)
 
 
 def test_pinned_embedding_dim_rejects_first_record_too(paths):
-    entities, pairs = paths
-    write_jsonl(entities, [entity_doc("c1", "candidate", dim=1023)])
+    entities, pairs, embeddings = paths
+    write_entities(paths, [entity_doc("c1", "candidate")], dim=1023)
     write_jsonl(pairs, [])
-    with pytest.raises(DatasetError, match="'c1'.*1023 entries, expected 1024"):
-        load_dataset(entities, pairs, embedding_dim=1024)
+    with pytest.raises(DatasetError, match="embeddings.npz: embeddings have 1023 entries, expected 1024"):
+        load_dataset(entities, pairs, embeddings, embedding_dim=1024)
 
 
 def test_pair_referencing_missing_job(paths):
-    entities, pairs = paths
-    write_jsonl(entities, [entity_doc("c1", "candidate")])
+    entities, pairs, embeddings = paths
+    write_entities(paths, [entity_doc("c1", "candidate")])
     write_jsonl(pairs, [{"candidate_id": "c1", "job_id": "ghost", "label": 0, "ts": 1}])
     with pytest.raises(DatasetError, match="missing job 'ghost'"):
-        load_dataset(entities, pairs)
+        load_dataset(entities, pairs, embeddings)
 
 
 def test_dangling_history_id(paths):
-    entities, pairs = paths
-    write_jsonl(entities, [entity_doc("c1", "candidate", hist_eval=["nosuchjob"])])
+    entities, pairs, embeddings = paths
+    write_entities(paths, [entity_doc("c1", "candidate", hist_eval=["nosuchjob"])])
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match="missing counterpart id 'nosuchjob'"):
-        load_dataset(entities, pairs)
+        load_dataset(entities, pairs, embeddings)
 
 
 def test_unknown_category_reports_line_number(paths):
-    entities, pairs = paths
-    write_jsonl(entities, [
+    entities, pairs, embeddings = paths
+    write_entities(paths, [
         entity_doc("c1", "candidate"),
         entity_doc("c2", "candidate", category="Wizardry"),
     ])
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match=r":2: unknown category 'Wizardry'"):
-        load_dataset(entities, pairs)
+        load_dataset(entities, pairs, embeddings)
 
 
 def test_malformed_line_reports_line_number(paths):
-    entities, pairs = paths
+    entities, pairs, embeddings = paths
+    write_entities(paths, [entity_doc("c1", "candidate")])
     entities.write_text(json.dumps(entity_doc("c1", "candidate")) + "\n{broken\n", encoding="utf-8")
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match=r":2: malformed JSON"):
-        load_dataset(entities, pairs)
+        load_dataset(entities, pairs, embeddings)
 
 
 def test_duplicate_id_rejected(paths):
-    entities, pairs = paths
-    write_jsonl(entities, [entity_doc("c1", "candidate"), entity_doc("c1", "candidate")])
+    entities, pairs, embeddings = paths
+    write_entities(paths, [entity_doc("c1", "candidate"), entity_doc("c1", "candidate")])
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match="duplicate candidate id 'c1'"):
-        load_dataset(entities, pairs)
+        load_dataset(entities, pairs, embeddings)
 
 
 def test_sensitive_fields_are_structurally_rejected(paths):
-    entities, pairs = paths
+    entities, pairs, embeddings = paths
     for bad_field in ("gender", "age", "school", "graduation_year", "location"):
-        write_jsonl(entities, [entity_doc("c1", "candidate", **{bad_field: "x"})])
+        write_entities(paths, [entity_doc("c1", "candidate", **{bad_field: "x"})])
         write_jsonl(pairs, [])
         with pytest.raises(DatasetError, match=f"unknown fields.*{bad_field}"):
-            load_dataset(entities, pairs)
+            load_dataset(entities, pairs, embeddings)
 
 
 def test_round_trip_is_identity(tmp_path, small_dataset):
-    entities, pairs = tmp_path / "e.jsonl", tmp_path / "p.jsonl"
-    save_dataset(small_dataset, entities, pairs)
-    loaded = load_dataset(entities, pairs, vocab=small_dataset.vocab)
+    files = tmp_path / "e.jsonl", tmp_path / "p.jsonl", tmp_path / "v.npz"
+    save_dataset(small_dataset, *files)
+    loaded = load_dataset(*files, vocab=small_dataset.vocab)
     assert set(loaded.candidates) == set(small_dataset.candidates)
     assert set(loaded.jobs) == set(small_dataset.jobs)
     assert loaded.pairs == small_dataset.pairs
@@ -212,12 +237,35 @@ def test_round_trip_is_identity(tmp_path, small_dataset):
         assert got.category_id == rec.category_id
         for stage in STAGES:
             assert got.history(stage) == rec.history(stage)
-        np.testing.assert_array_equal(got.embedding, rec.embedding)
+        assert got.embedding.dtype == np.float64
+        assert got.embedding.tobytes() == rec.embedding.tobytes()
     # a second save of the loaded dataset is byte-identical
-    entities2, pairs2 = tmp_path / "e2.jsonl", tmp_path / "p2.jsonl"
-    save_dataset(loaded, entities2, pairs2)
-    assert entities2.read_bytes() == entities.read_bytes()
-    assert pairs2.read_bytes() == pairs.read_bytes()
+    files2 = tmp_path / "e2.jsonl", tmp_path / "p2.jsonl", tmp_path / "v2.npz"
+    save_dataset(loaded, *files2)
+    for first, second in zip(files, files2):
+        assert second.read_bytes() == first.read_bytes()
+
+
+def _meta_dir(tmp_path, small_dataset, meta_text):
+    save_data_dir(small_dataset, {}, tmp_path / "data")
+    (tmp_path / "data" / "meta.json").write_text(meta_text, encoding="utf-8")
+    return tmp_path / "data"
+
+
+@pytest.mark.parametrize("meta_text, message", META_DEFECTS)
+def test_malformed_meta_is_a_data_error_naming_the_file(tmp_path, small_dataset, meta_text, message):
+    with pytest.raises(DatasetError, match=rf"meta.json: {message}"):
+        load_data_dir(_meta_dir(tmp_path, small_dataset, meta_text))
+
+
+def test_meta_is_optional_and_passes_integer_split_through(tmp_path, small_dataset):
+    data = _meta_dir(tmp_path, small_dataset,
+                     json.dumps({"categories": list(TOY_VOCAB_NAMES), "split_ts": 150}))
+    ds, meta = load_data_dir(data)
+    assert meta["split_ts"] == 150 and ds.vocab.names == TOY_VOCAB_NAMES
+    (data / "meta.json").unlink()
+    ds, meta = load_data_dir(data)
+    assert meta == {} and ds.vocab.names == DEFAULT_CATEGORIES
 
 
 # ------------------------------------------------------------ pad_sequence

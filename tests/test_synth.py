@@ -31,7 +31,7 @@ def test_fixed_seed_gives_byte_identical_files(tmp_path):
     for run in ("a", "b"):
         ds, meta = generate_dataset(SMALL)
         save_data_dir(ds, meta, tmp_path / run)
-    for name in ("entities.jsonl", "pairs.jsonl", "meta.json"):
+    for name in ("entities.jsonl", "pairs.jsonl", "meta.json", "embeddings.npz"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -109,3 +109,5 @@ def test_config_validation():
         SynthConfig(categories=("A",), confusable_pairs=())
     with pytest.raises(ValueError, match="short_jd_fraction"):
         SynthConfig(short_jd_fraction=1.5)
+    with pytest.raises(ValueError, match="positives_per_job"):
+        SynthConfig(positives_per_job=-1.0)
