@@ -146,8 +146,9 @@ class Dataset:
 def _parse_entity(doc: dict, vocab: CategoryVocab, where: str) -> dict:
     """The EntityRecord fields of one entities line, all but the embedding."""
     if "embedding" in doc:
-        raise DatasetError(f"{where}: inline embeddings are no longer read; embeddings now "
-                           f"live in {EMBEDDINGS_FILE} (regenerate the directory with pjfit synth)")
+        raise DatasetError(f"{where}: inline embeddings are no longer read (embedding of "
+                           f"{doc.get('id')!r}); embeddings now live in {EMBEDDINGS_FILE} "
+                           f"(regenerate the directory with pjfit synth)")
     unknown = set(doc) - _REQUIRED_ENTITY_FIELDS - _OPTIONAL_ENTITY_FIELDS
     if unknown:
         raise DatasetError(f"{where}: unknown fields {sorted(unknown)} are not allowed")

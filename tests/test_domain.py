@@ -123,6 +123,10 @@ def test_broken_embeddings_file_is_a_data_error(paths, damage, message):
     pytest.param({"category": ["Data"]}, "category of 'c2' must be a string", id="list-category"),
     pytest.param({"kind": None}, "kind of 'c2' must be a string", id="null-kind"),
     pytest.param({"id": 7}, "id must be a string, got 7", id="int-id"),
+    pytest.param({"embedding": "0.1 0.1"}, r"inline embeddings .*embedding of 'c2'.* embeddings.npz",
+                 id="string-embedding"),
+    pytest.param({"embedding": ["0.1"] * 4}, r"inline embeddings .*embedding of 'c2'.* embeddings.npz",
+                 id="string-entries"),
     pytest.param({"augmented": "yes", "text_original": "x"}, "augmented of 'c2' must be true or false",
                  id="string-augmented"),
     pytest.param({"augmented": True, "text_original": 3}, "text_original of 'c2' must be a string or null",
