@@ -21,6 +21,7 @@ from pjfit.augment.pipeline import (
     augment_batch,
     build_prompt,
     keywords,
+    original_jd_texts,
     select_low_quality,
     validate_rewrite,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "augment_batch",
     "build_prompt",
     "keywords",
+    "original_jd_texts",
     "select_low_quality",
     "validate_rewrite",
 ]

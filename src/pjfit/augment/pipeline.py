@@ -154,3 +154,11 @@ def augment_batch(dataset: Dataset, client: CompletionClient,
 
     updated = dataset.with_entities(replacements) if replacements else dataset
     return updated, records
+
+
+def original_jd_texts(dataset: Dataset) -> Dataset:
+    """The dataset with every augmented JD back at its pre-augmentation
+    text; embeddings are untouched."""
+    return dataset.with_entities({
+        j.id: dataclasses.replace(j, text=j.text_original, augmented=False, text_original=None)
+        for j in dataset.jobs.values() if j.augmented})

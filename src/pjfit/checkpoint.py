@@ -6,11 +6,13 @@ Layout (all integers little-endian u32):
     tensor count | per tensor: name length + UTF-8 name, rank, dims...,
     row-major float32 values
 
-Tensors follow ``model.param_spec`` of the embedded config. Version 2
-stores each attention set as four tensors, ``wq``, ``wk``, ``wv`` and
-``wo``, all (d x d), with the heads as column blocks of the first three.
-Version 1 stored a (d x d_k) query, key and value tensor per head; it is
-rejected with ``UnsupportedVersionError``.
+Tensors follow ``model.param_spec`` of the embedded config. An attention
+set is four (d x d) tensors, ``wq``, ``wk``, ``wv`` and ``wo``, with the
+heads as column blocks of the first three. Version 3 made the experts'
+first layers column blocks of one ``moe.w1`` and one ``moe.b1``, the
+single-FFN ablations included as one expert. Version 2 (a ``w1`` and
+``b1`` per expert, ``head.*`` tensors) and version 1 (a tensor per
+attention head) are rejected with ``UnsupportedVersionError``.
 
 Training math runs in float64; checkpoints narrow to float32 on save and
 widen on load, so round-trips are bit-exact at 32-bit precision. Loading
@@ -32,7 +34,8 @@ from pjfit.model import param_spec
 from pjfit.numerics import ParamStore
 
 MAGIC = b"PJF1"
-VERSION = 2
+VERSION = 3
+WIDEN_CHUNK = 1 << 16
 
 
 class CheckpointError(ValueError):
@@ -95,12 +98,20 @@ class _Reader:
         self._advance(n, context)
         return self.fh.read(n)
 
-    def take_f4(self, rows: int, cols: int, context: str) -> np.ndarray:
-        """A (rows, cols) little-endian float32 array, read in place."""
-        self._advance(rows * cols * 4, context)
-        out = np.empty((rows, cols), dtype="<f4")
-        self.fh.readinto(out)
-        return out
+    def take_widened(self, rows: int, cols: int, context: str) -> np.ndarray:
+        """A (rows, cols) little-endian float32 array, widened to float64
+        in place: read into the upper half of the float64 array's bytes,
+        then widened front to back ``WIDEN_CHUNK`` values at a time, each
+        chunk's writes ending below the values still to be read (numpy
+        copies a chunk that overlaps its source through a temporary)."""
+        n = rows * cols
+        self._advance(n * 4, context)
+        out = np.empty(n)
+        narrow = out.view("<f4")[n:]
+        self.fh.readinto(narrow)
+        for lo in range(0, n, WIDEN_CHUNK):
+            out[lo:lo + WIDEN_CHUNK] = narrow[lo:lo + WIDEN_CHUNK]
+        return out.reshape(rows, cols)
 
     def u32(self, context: str) -> int:
         return struct.unpack("<I", self.take(4, context))[0]
@@ -109,7 +120,7 @@ class _Reader:
 def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ParamStore, ModelConfig]:
     """Read a checkpoint; optionally insist it matches an expected config.
 
-    Tensors are read one at a time straight into their float32 buffers.
+    Tensors are read one at a time straight into their float64 arrays.
     """
     with open(path, "rb") as fh:
         return _read_checkpoint(_Reader(fh, path), expected)
@@ -158,8 +169,7 @@ def _read_checkpoint(reader: _Reader, expected: ModelConfig | None) -> tuple[Par
         if dims != (rows, cols):
             raise CheckpointShapeError(
                 f"{path}: tensor {name!r} has shape {dims}, config implies {(rows, cols)}")
-        values = reader.take_f4(rows, cols, f"values of tensor {name!r}")
-        store.add(name, values.astype(np.float64))
+        store.add(name, reader.take_widened(rows, cols, f"values of tensor {name!r}"))
     if reader.pos != reader.size:
         raise CheckpointError(f"{path}: {reader.size - reader.pos} trailing bytes")
     return store, cfg

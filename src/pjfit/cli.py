@@ -34,6 +34,7 @@ from pjfit.augment import (
     augment_batch,
     default_library,
     load_template_dir,
+    original_jd_texts,
 )
 from pjfit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pjfit.config import (
@@ -184,15 +185,9 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     dataset, meta = load_data_dir(args.data)
     config = _resolve_train_config(args, dataset)
+    if args.jd_text == "original":
+        dataset = original_jd_texts(dataset)
     train_ds, test_ds = _split(dataset, meta)
-    if config.model.ablation == "no_jd_aug":
-        # data-pipeline ablation: score from pre-augmentation text; model
-        # inputs are embeddings, so metrics match the tagged baseline run
-        reverted = {j.id: dataclasses.replace(j, text=j.text_original, augmented=False,
-                                              text_original=None)
-                    for j in dataset.jobs.values() if j.augmented}
-        train_ds = train_ds.with_entities(reverted)
-        test_ds = test_ds.with_entities(reverted)
     result = train(train_ds, config)
     save_checkpoint(result.store, config.model, args.checkpoint_out)
     # evaluate from the stored 32-bit weights so `eval` reproduces exactly
@@ -202,6 +197,7 @@ def cmd_train(args) -> int:
         "command": "train",
         "config": train_config_to_dict(config),
         "data": str(args.data),
+        "jd_text": args.jd_text,
         "n_train_pairs": len(train_ds.pairs),
         "n_test_pairs": len(test_ds.pairs),
         "dataset_report": dataclasses.asdict(validate_records(
@@ -304,8 +300,9 @@ def build_parser() -> _Parser:
     p.add_argument("--ablation", choices=ABLATIONS, default=None,
                    help="none | no_moe (single-FFN head) | no_category (zeroed gate input) | "
                         "simple_match (binary category feature, single head) | "
-                        "no_jd_aug (ignore augmented texts) | "
                         "no_fine_interaction (passed-resume-evaluation stage only)")
+    p.add_argument("--jd-text", choices=("augmented", "original"), default="augmented",
+                   help="JD texts to train and evaluate on (default: augmented)")
     p.add_argument("--checkpoint-out", required=True)
     p.add_argument("--report-out", required=True)
     p.set_defaults(func=cmd_train)

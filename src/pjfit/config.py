@@ -12,7 +12,6 @@ ABLATIONS = (
     "no_moe",
     "no_category",
     "simple_match",
-    "no_jd_aug",
     "no_fine_interaction",
 )
 
@@ -24,11 +23,10 @@ class ModelConfig:
     Defaults are the production-scale settings; tests shrink every width
     through the same fields. ``ablation`` swaps whole sub-networks:
 
-    * ``no_moe``: single feed-forward head instead of gated experts.
+    * ``no_moe``: the head is one expert without a gate.
     * ``no_category``: gate input zeroed, experts kept.
-    * ``simple_match``: single head on the joint vector plus a binary
-      same-category feature.
-    * ``no_jd_aug``: identical architecture; a data-pipeline tag only.
+    * ``simple_match``: one expert without a gate, on the joint vector
+      plus a binary same-category feature.
     * ``no_fine_interaction``: only the passed-resume-evaluation stage
       feeds the encoders.
     """
@@ -46,6 +44,9 @@ class ModelConfig:
     ablation: str = "none"
 
     def __post_init__(self) -> None:
+        if self.ablation == "no_jd_aug":
+            raise ValueError("ablation 'no_jd_aug' is no longer a model setting; to train on "
+                             "the pre-augmentation JD texts, run pjfit train --jd-text original")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}, expected one of {ABLATIONS}")
         if self.d_model % self.heads != 0:
@@ -89,7 +90,11 @@ class ModelConfig:
 
     @property
     def gated_head(self) -> bool:
-        return self.ablation in ("none", "no_category", "no_jd_aug")
+        return self.ablation in ("none", "no_category")
+
+    @property
+    def head_experts(self) -> int:
+        return self.n_experts if self.gated_head else 1
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Ranking and funnel metrics over scored candidate-job pairs.
+"""Ranking metrics over scored candidate-job pairs.
 
 Definitions, with labels y in {0,1} and N scored samples:
 
@@ -11,7 +11,6 @@ Definitions, with labels y in {0,1} and N scored samples:
   score (ties keep input order), divided by the same sum over the ideal
   label-sorted order.
 * AP: sum over descending score thresholds of (recall step) x precision.
-* CTCVR: applications / exposures; equals CTR x CVR when clicks > 0.
 """
 
 from __future__ import annotations
@@ -25,10 +24,6 @@ import numpy as np
 
 class UndefinedMetricError(ValueError):
     """The metric is undefined for this input (e.g. single-class labels)."""
-
-
-class InvalidFunnelError(ValueError):
-    """Funnel counts must satisfy exposures >= clicks >= applications >= 0."""
 
 
 @dataclass(frozen=True)
@@ -126,34 +121,3 @@ def ap(preds: Sequence[RankedPrediction]) -> float:
     recall = tp[block_end] / n_pos
     prev_recall = np.concatenate([[0.0], recall[:-1]])
     return float(((recall - prev_recall) * precision).sum())
-
-
-@dataclass(frozen=True)
-class FunnelRates:
-    ctr: float
-    cvr: float
-    ctcvr: float
-    ctr_defined: bool
-    cvr_defined: bool
-    ctcvr_defined: bool
-
-
-def ctcvr(n_pv: int, n_click: int, n_application: int) -> FunnelRates:
-    """Click-through and conversion rates from funnel counts.
-
-    Zero denominators produce a rate of 0.0 with the matching
-    ``*_defined`` flag set to False.
-    """
-    if not (n_pv >= n_click >= n_application >= 0):
-        raise InvalidFunnelError(
-            f"expected exposures >= clicks >= applications >= 0, got {(n_pv, n_click, n_application)}")
-    ctr_defined = n_pv > 0
-    cvr_defined = n_click > 0
-    return FunnelRates(
-        ctr=n_click / n_pv if ctr_defined else 0.0,
-        cvr=n_application / n_click if cvr_defined else 0.0,
-        ctcvr=n_application / n_pv if ctr_defined else 0.0,
-        ctr_defined=ctr_defined,
-        cvr_defined=cvr_defined,
-        ctcvr_defined=ctr_defined,
-    )

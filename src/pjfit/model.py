@@ -45,16 +45,24 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
     An attention set's ``wq``, ``wk`` and ``wv`` are drawn head by head,
     per head a (d x d_k) Glorot block of each in the order q, k, v, into
     the head's columns: each head is its own projection, so its limit is
-    sqrt(6 / (d + d_k)), not the fused shape's sqrt(6 / 2d).
+    sqrt(6 / (d + d_k)), not the fused shape's sqrt(6 / 2d). Likewise per
+    expert its (joint_dim x h1) block of ``moe.w1``, its w2, then its w3.
     """
     store = ParamStore()
     drawn: dict[str, np.ndarray] = {}
+    h1, h2 = cfg.expert_hidden
     for name, rows, cols in param_spec(cfg):
         prefix, leaf = name.rsplit(".", 1)
         if leaf == "wq":
             heads = [[glorot_uniform(rng, rows, cfg.head_dim) for _ in "qkv"]
                      for _ in range(cfg.heads)]
             drawn.update((f"{prefix}.w{r}", np.hstack(blocks)) for r, blocks in zip("qkv", zip(*heads)))
+        elif name == "moe.w1":
+            experts = [[glorot_uniform(rng, r, c) for r, c in ((rows, h1), (h1, h2), (h2, 1))]
+                       for _ in range(cfg.head_experts)]
+            drawn[name] = np.hstack([w1 for w1, _, _ in experts])
+            for i, (_, w2, w3) in enumerate(experts):
+                drawn[f"moe.expert{i}.w2"], drawn[f"moe.expert{i}.w3"] = w2, w3
         if name in drawn:
             store.add(name, drawn.pop(name))
         elif leaf.startswith("b"):
@@ -80,12 +88,12 @@ def check_fits(cfg: ModelConfig, dataset: Dataset) -> None:
 def entity_rows(text: Matrix, own, bound: BoundParams, side: str, cfg: ModelConfig) -> list[Matrix]:
     """The per-entity outputs of U entities of one side, from their (U, d)
     texts and own histories (one (rows, row_map, ranges) per stage): the
-    external query rows per stage, the internal hidden row, and
-    per expert (or the single head) the text times its first-layer rows.
+    external query rows per stage, the internal hidden row, and the text
+    times its rows of the head's first layer (all experts side by side).
     """
     lo = 2 * cfg.fusion_out + (0 if side == "cand" else cfg.d_model)
     return [*external_queries(text, bound, side, cfg), internal_hidden(text, own, bound, side, cfg),
-            *head_rows(text, lo, bound, cfg)]
+            head_rows(text, lo, bound)]
 
 
 def categories(records) -> np.ndarray:
@@ -114,13 +122,12 @@ def pair_scores(sides, candidate_categories: np.ndarray, job_categories: np.ndar
     fused = ops.concat_cols([
         fuse_pairs(rows[:n], rows[n], index, keys, projections, bound, side, cfg)
         for side, (rows, index, keys, projections) in zip(SIDES, sides)])
-    first = head_input(fused, bound, cfg)
+    first = head_input(fused, bound)
     for rows, index, _, _ in sides:
-        first = [ops.add(f, ops.gather_rows(text, index)) for f, text in zip(first, rows[n + 1:])]
+        first = ops.add(first, ops.gather_rows(rows[n + 1], index))
     if cfg.ablation == "simple_match":
         same = (candidate_categories == job_categories).astype(np.float64).reshape(-1, 1)
-        first = [ops.add(f, s) for f, s in
-                 zip(first, head_rows(bound.constant(same), cfg.joint_dim - 1, bound, cfg))]
+        first = ops.add(first, head_rows(bound.constant(same), cfg.joint_dim - 1, bound))
     return moe_scores(first, candidate_categories, job_categories, bound, cfg)
 
 

@@ -7,15 +7,20 @@ gate-weighted sum of expert outputs, an unbounded real (pairwise training
 works on score differences). Every function works on a batch: one row per
 pair, one (candidate, job) category pair per row.
 
-An expert's first layer reads the joint vector as a sum over its column
-blocks, each times its rows of the layer, so the blocks are computed
-apart (``head_input`` with the bias, ``head_rows``) and ``moe_scores``
-runs the rest of the head on their per-pair sum.
+The n experts' first layers are one ``moe.w1`` (joint_dim x n h1) and
+one ``moe.b1``, expert i's in columns [i h1, (i + 1) h1), after the gate
+tensors and before each expert's ``moe.expert{i}.w2/b2/w3/b3``. Every
+expert reads the same joint vector, so one GEMM serves them all (the
+batched-expert layout of Switch Transformer, Fedus et al.,
+arXiv:2101.03961), and ``moe_scores`` cuts the activated result per
+expert with ``ops.split_cols``. The joint vector's column blocks meet
+their rows of ``moe.w1`` apart (``head_input``, ``head_rows``), summed
+per pair.
 
-Head ablations: ``no_moe`` and ``simple_match`` replace the whole head by
-a single expert-shaped FFN (the latter sees an extra binary same-category
-input feature appended to the joint vector by the caller); ``no_category``
-keeps the gated head but feeds the gate an all-zero category vector.
+Head ablations: ``no_moe`` and ``simple_match`` are the one-expert case
+without a gate (the latter sees an extra binary same-category feature
+appended to the joint vector by the caller); ``no_category`` keeps the
+gate but feeds it an all-zero category vector.
 """
 
 from __future__ import annotations
@@ -28,46 +33,34 @@ from pjfit.numerics import BoundParams, DimensionError, Matrix, ops
 
 def head_param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
     h1, h2 = cfg.expert_hidden
-    if not cfg.gated_head:
-        # single FFN on the joint vector (joint_dim already includes the
-        # simple-match feature when that ablation is active)
-        return [
-            ("head.w1", cfg.joint_dim, h1), ("head.b1", 1, h1),
-            ("head.w2", h1, h2), ("head.b2", 1, h2),
-            ("head.w3", h2, 1), ("head.b3", 1, 1),
-        ]
+    n = cfg.head_experts
     spec = [
         ("moe.categories", cfg.n_categories, cfg.category_dim),
         ("moe.gate.w1", cfg.gate_in, cfg.gate_hidden),
         ("moe.gate.b1", 1, cfg.gate_hidden),
         ("moe.gate.w2", cfg.gate_hidden, cfg.n_experts),
         ("moe.gate.b2", 1, cfg.n_experts),
-    ]
-    for i in range(cfg.n_experts):
+    ] if cfg.gated_head else []
+    # joint_dim already includes the simple-match feature when that
+    # ablation is active
+    spec += [("moe.w1", cfg.joint_dim, n * h1), ("moe.b1", 1, n * h1)]
+    for i in range(n):
         spec += [
-            (f"moe.expert{i}.w1", cfg.joint_dim, h1), (f"moe.expert{i}.b1", 1, h1),
             (f"moe.expert{i}.w2", h1, h2), (f"moe.expert{i}.b2", 1, h2),
             (f"moe.expert{i}.w3", h2, 1), (f"moe.expert{i}.b3", 1, 1),
         ]
     return spec
 
 
-def _prefixes(cfg: ModelConfig) -> list[str]:
-    """Parameter prefix of each expert, or of the single head."""
-    return [f"moe.expert{i}" for i in range(cfg.n_experts)] if cfg.gated_head else ["head"]
+def head_input(x: Matrix, bound: BoundParams) -> Matrix:
+    """x times the leading ``x.cols`` rows of ``moe.w1``, plus ``moe.b1``:
+    every expert's share of the first layer, (B x n h1)."""
+    return ops.affine(x, bound.rows("moe.w1", 0, x.cols), bound["moe.b1"])
 
 
-def head_input(x: Matrix, bound: BoundParams, cfg: ModelConfig) -> list[Matrix]:
-    """Per expert (or the single head): x times the leading ``x.cols``
-    rows of its first layer, plus its first-layer bias."""
-    return [ops.affine(x, bound.rows(f"{p}.w1", 0, x.cols), bound[f"{p}.b1"])
-            for p in _prefixes(cfg)]
-
-
-def head_rows(x: Matrix, lo: int, bound: BoundParams, cfg: ModelConfig) -> list[Matrix]:
-    """Per expert (or the single head): x times rows [lo, lo + x.cols) of
-    its first layer."""
-    return [ops.matmul(x, bound.rows(f"{p}.w1", lo, lo + x.cols)) for p in _prefixes(cfg)]
+def head_rows(x: Matrix, lo: int, bound: BoundParams) -> Matrix:
+    """x times rows [lo, lo + x.cols) of ``moe.w1``."""
+    return ops.matmul(x, bound.rows("moe.w1", lo, lo + x.cols))
 
 
 def gate_weights(e_c: Matrix, bound: BoundParams) -> Matrix:
@@ -76,31 +69,27 @@ def gate_weights(e_c: Matrix, bound: BoundParams) -> Matrix:
     return ops.softmax_rows(ops.affine(hidden, bound["moe.gate.w2"], bound["moe.gate.b2"]))
 
 
-def _tail(first: Matrix, bound: BoundParams, prefix: str) -> Matrix:
-    h = ops.relu(first)
-    h = ops.relu(ops.affine(h, bound[f"{prefix}.w2"], bound[f"{prefix}.b2"]))
-    return ops.affine(h, bound[f"{prefix}.w3"], bound[f"{prefix}.b3"])
+def expert_forward(hidden: Matrix, i: int, bound: BoundParams, cfg: ModelConfig) -> Matrix:
+    """Expert i's (B, 1) output from its (B, h1) first hidden layer, after
+    the ReLU."""
+    if not 0 <= i < cfg.head_experts:
+        raise IndexError(f"expert index {i} out of range [0, {cfg.head_experts})")
+    h = ops.relu(ops.affine(hidden, bound[f"moe.expert{i}.w2"], bound[f"moe.expert{i}.b2"]))
+    return ops.affine(h, bound[f"moe.expert{i}.w3"], bound[f"moe.expert{i}.b3"])
 
 
-def expert_forward(first: Matrix, i: int, bound: BoundParams, cfg: ModelConfig) -> Matrix:
-    """Expert i's (B, 1) output from its first layer's pre-activation."""
-    if not 0 <= i < cfg.n_experts:
-        raise IndexError(f"expert index {i} out of range [0, {cfg.n_experts})")
-    return _tail(first, bound, f"moe.expert{i}")
-
-
-def moe_scores(first: list[Matrix], candidate_categories, job_categories,
+def moe_scores(first: Matrix, candidate_categories, job_categories,
                bound: BoundParams, cfg: ModelConfig) -> Matrix:
     """(B, 1) gate-weighted sums of expert outputs, one per pair.
 
-    ``first`` holds per expert (or the single head) the (B, h1) first-layer
-    pre-activation. The gate input of row i concatenates the category
+    ``first`` is the (B, n h1) first-layer pre-activation of all experts
+    side by side. The gate input of row i concatenates the category
     embeddings of its candidate and job; for confusable category pairs
     both sides matter.
     """
     if not cfg.gated_head:
-        return _tail(first[0], bound, "head")
-    rows = first[0].rows
+        return expert_forward(ops.relu(first), 0, bound, cfg)
+    rows = first.rows
     categories = []
     for kind, ids in (("candidate", candidate_categories), ("job", job_categories)):
         ids = np.asarray(ids, dtype=np.intp).reshape(-1)
@@ -115,6 +104,7 @@ def moe_scores(first: list[Matrix], candidate_categories, job_categories,
         table = bound["moe.categories"]
         e_c = ops.concat_cols([ops.gather_rows(table, ids) for ids in categories])
     gate = gate_weights(e_c, bound)
-    outputs = ops.concat_cols([expert_forward(f, i, bound, cfg) for i, f in enumerate(first)])
+    hidden = ops.split_cols(ops.relu(first), cfg.n_experts)
+    outputs = ops.concat_cols([expert_forward(h, i, bound, cfg) for i, h in enumerate(hidden)])
     # row sums of the gate-weighted outputs
     return ops.matmul(ops.mul(gate, outputs), bound.constant(np.ones((cfg.n_experts, 1))))

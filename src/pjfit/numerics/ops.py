@@ -211,6 +211,22 @@ def concat_cols(parts: list[Matrix]) -> Matrix:
     return out
 
 
+def split_cols(x: Matrix, parts: int) -> list[Matrix]:
+    """The inverse of ``concat_cols``: x cut into ``parts`` column blocks
+    of equal width, left to right, with one backward for all of them."""
+    if parts < 1 or x.cols % parts:
+        raise DimensionError(f"split_cols: {parts} parts do not divide {x.shape}")
+    width = x.cols // parts
+    outs = [Matrix(x.data[:, i * width:(i + 1) * width], x.tape) for i in range(parts)]
+    if x.tape is not None:
+        def backward():
+            for i, out in enumerate(outs):
+                if out.has_grad:
+                    x.grad[:, i * width:(i + 1) * width] += out.grad
+        x.tape.record(backward)
+    return outs
+
+
 def gather_rows(x: Matrix, indices) -> Matrix:
     """Select rows by index, e.g. embedding-table lookup.
 

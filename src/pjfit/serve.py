@@ -10,14 +10,14 @@ over the stages: one GEMM per side instead of two per stage.
 ``training.rank_candidates`` score through it.
 
 What the index keeps, in float64, for d = d_model, S active stages,
-h = fusion_hidden and E = the width of the head's first layer summed over
-its experts:
+h = fusion_hidden and E = n h1, the width of the head's first layer
+(``moe.w1``) for n experts of first hidden width h1:
 
 * per index: per side, the S folds stacked, (S d x h);
 * per entity, as the query of its own side, S d + h + E values: the
   outputs of ``model.entity_rows``, one table array per stage's external
-  query (all heads side by side), one for the hidden row and one per
-  expert;
+  query (all heads side by side), one for the hidden row and one head
+  array (all experts side by side);
 * per entity and stage, as a key in a partner's same-kind history, 2 d
   values: the outputs of ``encoder.external_keys``, one table array for
   the keys and one for the values, all heads side by side.

@@ -64,21 +64,24 @@ def np_gate(e_c, store):
     return e / e.sum()
 
 
-def np_ffn(x, store, prefix):
-    h = np.maximum(x @ store[f"{prefix}.w1"].value + store[f"{prefix}.b1"].value, 0.0)
-    h = np.maximum(h @ store[f"{prefix}.w2"].value + store[f"{prefix}.b2"].value, 0.0)
-    return h @ store[f"{prefix}.w3"].value + store[f"{prefix}.b3"].value
+def np_ffn(x, store, i, cfg):
+    """Expert i: its column block of moe.w1 and moe.b1, then its own tail."""
+    h1 = cfg.expert_hidden[0]
+    block = slice(i * h1, (i + 1) * h1)
+    h = np.maximum(x @ store["moe.w1"].value[:, block] + store["moe.b1"].value[:, block], 0.0)
+    h = np.maximum(h @ store[f"moe.expert{i}.w2"].value + store[f"moe.expert{i}.b2"].value, 0.0)
+    return h @ store[f"moe.expert{i}.w3"].value + store[f"moe.expert{i}.b3"].value
 
 
 def np_moe(x, cat_c, cat_j, store, cfg):
     if not cfg.gated_head:
-        return float(np_ffn(x, store, "head")[0, 0])
+        return float(np_ffn(x, store, 0, cfg)[0, 0])
     table = store["moe.categories"].value
     e_c = np.concatenate([table[cat_c:cat_c + 1], table[cat_j:cat_j + 1]], axis=1)
     if cfg.ablation == "no_category":
         e_c = np.zeros_like(e_c)
     gate = np_gate(e_c, store)
-    outputs = np.array([float(np_ffn(x, store, f"moe.expert{i}")[0, 0])
+    outputs = np.array([float(np_ffn(x, store, i, cfg)[0, 0])
                         for i in range(cfg.n_experts)])
     return float((gate.ravel() * outputs).sum())
 

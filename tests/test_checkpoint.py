@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pjfit
+from pjfit import checkpoint
 from pjfit.checkpoint import (
     BadMagicError,
     CheckpointError,
@@ -39,6 +40,17 @@ def test_round_trip_is_bitwise_identical_at_32_bit(saved):
     for name, p in store.items():
         narrowed = p.value.astype(np.float32)
         assert loaded[name].value.astype(np.float32).tobytes() == narrowed.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_widening_in_chunks_reads_every_value(saved, monkeypatch, chunk):
+    # a tensor is widened in place over several chunks, some of whose
+    # float32 sources overlap their float64 destinations
+    cfg, store, path = saved
+    monkeypatch.setattr(checkpoint, "WIDEN_CHUNK", chunk)
+    loaded, _ = load_checkpoint(path)
+    for name, p in store.items():
+        assert loaded[name].value.tobytes() == p.value.astype(np.float32).astype(np.float64).tobytes()
 
 
 def test_save_load_save_is_byte_stable(saved, tmp_path):
@@ -74,14 +86,17 @@ def test_unsupported_version_rejected(saved):
         load_checkpoint(path)
 
 
-def test_version_1_checkpoint_is_rejected(saved):
-    # version 1 stored one (d x d_k) query, key and value tensor per head
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_version_checkpoint_is_rejected(saved, version):
+    # version 1 stored one (d x d_k) query, key and value tensor per head;
+    # version 2 a first layer per expert and head.* tensors for the
+    # single-FFN ablations
     _, _, path = saved
     blob = bytearray(path.read_bytes())
-    assert blob[4:8] == (2).to_bytes(4, "little")
-    blob[4:8] = (1).to_bytes(4, "little")
+    assert blob[4:8] == (3).to_bytes(4, "little")
+    blob[4:8] = version.to_bytes(4, "little")
     path.write_bytes(bytes(blob))
-    with pytest.raises(UnsupportedVersionError, match="unsupported format version 1$"):
+    with pytest.raises(UnsupportedVersionError, match=f"unsupported format version {version}$"):
         load_checkpoint(path)
 
 

@@ -11,7 +11,7 @@ import pytest
 from pjfit import cli
 from pjfit.checkpoint import load_checkpoint
 from pjfit.cli import main, read_report
-from pjfit.domain import load_data_dir
+from pjfit.domain import load_data_dir, validate_records
 from pjfit.numerics import DimensionError
 
 from conftest import BROKEN_EMBEDDINGS, META_DEFECTS
@@ -411,6 +411,43 @@ def test_data_directory_with_inline_embeddings_is_a_data_error(synth_dir, tmp_pa
     (data / "embeddings.npz").unlink()
     err = _augment_error(data, tmp_path, capsys)
     assert f"{data / 'entities.jsonl'}:1: inline embeddings" in err and "embeddings.npz" in err
+
+
+def test_original_jd_text_reports_the_pre_augmentation_short_jds(pipeline, tmp_path):
+    assert main(["train", "--data", str(pipeline / "aug"),
+                 "--config", str(pipeline / "train.json"), "--seed", "1",
+                 "--jd-text", "original",
+                 "--checkpoint-out", str(tmp_path / "model.ckpt"),
+                 "--report-out", str(tmp_path / "report.json")]) == 0
+    report = read_report(tmp_path / "report.json")
+    augmented = read_report(pipeline / "train_report.json")
+    before = validate_records(load_data_dir(pipeline / "data")[0])
+    assert report["jd_text"] == "original" and augmented["jd_text"] == "augmented"
+    assert report["dataset_report"]["short_jd_share"] == before.short_jd_share
+    assert augmented["dataset_report"]["short_jd_share"] < before.short_jd_share
+
+
+def test_no_jd_aug_ablation_points_at_the_jd_text_flag(pipeline, tmp_path, capsys):
+    (tmp_path / "train.json").write_text(json.dumps({"model": {"ablation": "no_jd_aug"}}))
+    assert main(["train", "--data", str(pipeline / "aug"), "--config", str(tmp_path / "train.json"),
+                 "--checkpoint-out", str(tmp_path / "m.ckpt"),
+                 "--report-out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "'no_jd_aug'" in err and "--jd-text original" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+    # a checkpoint whose embedded config names it
+    blob = (pipeline / "model.ckpt").read_bytes()
+    n = int.from_bytes(blob[8:12], "little")
+    config = blob[12:12 + n].replace(b'"ablation": "none"', b'"ablation": "no_jd_aug"')
+    assert config != blob[12:12 + n]
+    (tmp_path / "old.ckpt").write_bytes(blob[:8] + len(config).to_bytes(4, "little") + config
+                                        + blob[12 + n:])
+    assert main(["eval", "--data", str(pipeline / "aug"), "--checkpoint", str(tmp_path / "old.ckpt"),
+                 "--report-out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "'no_jd_aug'" in err and "--jd-text original" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_version_1_checkpoint_is_a_data_error(pipeline, tmp_path, capsys):

@@ -4,13 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pjfit.metrics import (
-    FunnelRates,
-    InvalidFunnelError,
     RankedPrediction,
     UndefinedMetricError,
     ap,
     auc,
-    ctcvr,
     gauc,
     ndcg,
 )
@@ -191,35 +188,3 @@ def test_ap_invariant_under_monotone_transform(data):
     base = ap(preds_from(scores, labels))
     squashed = ap(preds_from([np.tanh(s) for s in scores], labels))
     assert abs(base - squashed) < 1e-9
-
-
-# ------------------------------------------------------------------ ctcvr
-
-
-def test_ctcvr_formula_arithmetic():
-    rates = ctcvr(100, 20, 5)
-    assert rates == FunnelRates(0.2, 0.25, 0.05, True, True, True)
-    assert abs(rates.ctr * rates.cvr - rates.ctcvr) < 1e-15
-
-
-def test_ctcvr_zero_clicks_flags_cvr():
-    rates = ctcvr(50, 0, 0)
-    assert rates.cvr == 0.0 and not rates.cvr_defined
-    assert rates.ctcvr == 0.0
-
-
-def test_ctcvr_identity_on_random_funnels():
-    rng = seeded_rng(4)
-    for _ in range(200):
-        pv = int(rng.integers(1, 10000))
-        click = int(rng.integers(1, pv + 1))
-        app = int(rng.integers(0, click + 1))
-        rates = ctcvr(pv, click, app)
-        assert abs(rates.ctr * rates.cvr - rates.ctcvr) < 1e-12
-
-
-def test_ctcvr_rejects_inverted_funnel():
-    with pytest.raises(InvalidFunnelError):
-        ctcvr(10, 20, 5)
-    with pytest.raises(InvalidFunnelError):
-        ctcvr(10, 5, 6)

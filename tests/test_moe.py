@@ -11,13 +11,14 @@ from reference_model import np_ffn, np_gate, np_moe
 
 
 def joint_scores(x, candidate_categories, job_categories, bound, cfg):
-    """moe_scores of whole joint vectors: each first layer reads all of x."""
-    return moe_scores(head_input(x, bound, cfg), candidate_categories, job_categories, bound, cfg)
+    """moe_scores of whole joint vectors: the first layer reads all of x."""
+    return moe_scores(head_input(x, bound), candidate_categories, job_categories, bound, cfg)
 
 
 def joint_expert(x, i, bound, cfg):
     """Expert i's output for whole joint vectors x."""
-    return expert_forward(head_input(x, bound, cfg)[i], i, bound, cfg)
+    hidden = ops.split_cols(ops.relu(head_input(x, bound)), cfg.head_experts)
+    return expert_forward(hidden[i], i, bound, cfg)
 
 
 @pytest.fixture
@@ -71,23 +72,25 @@ def test_expert_output_bias_passes_through(cfg, store):
 
 def test_expert_matches_manual_layer_oracle(cfg, store):
     x = seeded_rng(3).normal(size=(1, cfg.joint_dim))
-    expected = np_ffn(x, store, "moe.expert2")
+    expected = np_ffn(x, store, 2, cfg)
     got = joint_expert(Matrix(x), 2, store.bind(), cfg)
     np.testing.assert_allclose(got.data, expected, rtol=1e-12)
 
 
 def test_expert_index_out_of_range(cfg, store):
     bound = store.bind()
-    first = head_input(Matrix(np.zeros((1, cfg.joint_dim))), bound, cfg)[0]
+    hidden = ops.split_cols(head_input(Matrix(np.zeros((1, cfg.joint_dim))), bound),
+                            cfg.n_experts)
     with pytest.raises(IndexError, match="expert index"):
-        expert_forward(first, cfg.n_experts, bound, cfg)
+        expert_forward(hidden[0], cfg.n_experts, bound, cfg)
 
 
 def test_constant_experts_make_gate_irrelevant(cfg, store):
     # all experts return exactly c: the convex combination must be c
     c = -1.7
+    store["moe.w1"].value[...] = 0.0
     for i in range(cfg.n_experts):
-        for layer in ("w1", "w2", "w3"):
+        for layer in ("w2", "w3"):
             store[f"moe.expert{i}.{layer}"].value[...] = 0.0
         store[f"moe.expert{i}.b3"].value[...] = c
     x = Matrix(seeded_rng(4).normal(size=(1, cfg.joint_dim)))
@@ -132,7 +135,12 @@ def test_swapping_experts_with_gate_columns_is_a_symmetry(cfg, store):
     x = rng.normal(size=(1, cfg.joint_dim))
     base = joint_scores(Matrix(x), [1], [2], store.bind(), cfg).item()
     i, j = 0, 2
-    for layer in ("w1", "b1", "w2", "b2", "w3", "b3"):
+    h1 = cfg.expert_hidden[0]
+    for layer in ("w1", "b1"):
+        w = store[f"moe.{layer}"].value
+        w[:, i * h1:(i + 1) * h1], w[:, j * h1:(j + 1) * h1] = (
+            w[:, j * h1:(j + 1) * h1].copy(), w[:, i * h1:(i + 1) * h1].copy())
+    for layer in ("w2", "b2", "w3", "b3"):
         a = store[f"moe.expert{i}.{layer}"].value.copy()
         store[f"moe.expert{i}.{layer}"].value[...] = store[f"moe.expert{j}.{layer}"].value
         store[f"moe.expert{j}.{layer}"].value[...] = a
@@ -189,6 +197,7 @@ def test_single_head_ablations_score_without_gate(cfg):
         acfg = toy_model_config(ablation=ablation)
         store = init_params(acfg, seeded_rng(0))
         assert "moe.gate.w1" not in store
+        assert store["moe.w1"].value.shape == (acfg.joint_dim, acfg.expert_hidden[0])
         x = seeded_rng(2).normal(size=(1, acfg.joint_dim))
         got = joint_scores(Matrix(x), [0], [1], store.bind(), acfg).item()
-        np.testing.assert_allclose(got, float(np_ffn(x, store, "head")[0, 0]), rtol=1e-12)
+        np.testing.assert_allclose(got, float(np_ffn(x, store, 0, acfg)[0, 0]), rtol=1e-12)

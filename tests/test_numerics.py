@@ -411,6 +411,34 @@ def test_gradients_glue_ops():
     _fd_case("glue", builder)
 
 
+def test_gradients_split_cols():
+    # each block weighted apart, one block unused: its columns get no gradient
+    def builder(rng):
+        store = _store_with(rng, [("x", (3, 8))])
+        probes = rng.normal(size=(3, 3, 2))
+        def f(s):
+            bound = s.bind(Tape())
+            blocks = ops.split_cols(ops.relu(bound["x"]), 4)
+            return ops.sum_all(ops.concat_cols([ops.mul(b, bound.constant(p))
+                                                for b, p in zip(blocks[:3], probes)]))
+        return store, f
+    _fd_case("split_cols", builder)
+
+
+def test_concat_of_split_cols_is_bitwise_the_input():
+    x = Matrix(seeded_rng(1).normal(size=(5, 12)))
+    for parts in (1, 2, 3, 4, 6, 12):
+        blocks = ops.split_cols(x, parts)
+        assert [b.shape for b in blocks] == [(5, 12 // parts)] * parts
+        assert ops.concat_cols(blocks).data.tobytes() == x.data.tobytes()
+
+
+@pytest.mark.parametrize("parts", [0, 5, 13])
+def test_split_cols_parts_must_divide_the_width(parts):
+    with pytest.raises(DimensionError, match=f"{parts} parts do not divide"):
+        ops.split_cols(Matrix(np.zeros((2, 12))), parts)
+
+
 # ---------------------------------------------------------------- adam
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from pjfit import training
 from pjfit.checkpoint import load_checkpoint, save_checkpoint
-from pjfit.config import ABLATIONS, TrainConfig
+from pjfit.config import ABLATIONS, ModelConfig, TrainConfig
 from pjfit.domain import DatasetError, sample_training_pairs
 from pjfit.model import param_spec
 from pjfit.numerics import Tape, glorot_uniform, ops, seeded_rng, spawn_rngs
@@ -141,14 +141,46 @@ def test_one_forward_runs_one_attention_per_attention_set(small_dataset, monkeyp
     assert heads == [cfg.heads] * 12
 
 
+def test_text_rows_are_gathered_once_per_side_for_any_expert_count(small_dataset, monkeypatch):
+    gathered = []
+    gather = ops.gather_rows
+
+    def counted(x, indices):
+        gathered.append(x.cols)
+        return gather(x, indices)
+
+    monkeypatch.setattr(ops, "gather_rows", counted)
+    pairs = [("c0", "j0"), ("c1", "j0"), ("c2", "j1")]
+    calls = {}
+    for n in (3, 5):
+        cfg = toy_model_config(n_experts=n)
+        gathered.clear()
+        score_pairs([small_dataset.candidates[c] for c, _ in pairs],
+                    [small_dataset.jobs[j] for _, j in pairs],
+                    init_params(cfg, seeded_rng(0)).bind(), cfg, SequenceCache(small_dataset, cfg))
+        # each side's text rows of the first layer, all experts side by side
+        assert gathered.count(n * cfg.expert_hidden[0]) == 2
+        calls[n] = len(gathered)
+    assert calls[3] == calls[5]
+
+
+def test_production_model_size():
+    spec = param_spec(ModelConfig())
+    assert len(spec) == 83
+    assert sum(rows * cols for _, rows, cols in spec) == 66_802_890
+
+
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_weights_are_drawn_head_by_head(heads):
     # per attention set and head, a (d x d_k) Glorot block of wq, wk and wv
-    # in that order, then wo, and the other tensors in param_spec order
+    # in that order, then wo; per expert, a (joint_dim x h1) Glorot block
+    # of moe.w1, then its w2 and its w3; the other tensors in param_spec
+    # order
     cfg = toy_model_config(heads=heads)
     store = init_params(cfg, seeded_rng(3))
     rng = seeded_rng(3)
     dk = cfg.head_dim
+    h1, h2 = cfg.expert_hidden
     for name, rows, cols in param_spec(cfg):
         prefix, leaf = name.rsplit(".", 1)
         if leaf == "wq":
@@ -156,9 +188,17 @@ def test_attention_weights_are_drawn_head_by_head(heads):
                 for w in ("wq", "wk", "wv"):
                     np.testing.assert_array_equal(store[f"{prefix}.{w}"].value[:, h * dk:(h + 1) * dk],
                                                   glorot_uniform(rng, rows, dk))
+        elif name == "moe.w1":
+            for i in range(cfg.n_experts):
+                np.testing.assert_array_equal(store[name].value[:, i * h1:(i + 1) * h1],
+                                              glorot_uniform(rng, rows, h1))
+                np.testing.assert_array_equal(store[f"moe.expert{i}.w2"].value,
+                                              glorot_uniform(rng, h1, h2))
+                np.testing.assert_array_equal(store[f"moe.expert{i}.w3"].value,
+                                              glorot_uniform(rng, h2, 1))
         elif leaf.startswith("b"):
             np.testing.assert_array_equal(store[name].value, np.zeros((rows, cols)))
-        elif leaf not in ("wk", "wv"):
+        elif leaf not in ("wk", "wv") and not name.startswith("moe.expert"):
             np.testing.assert_array_equal(store[name].value, glorot_uniform(rng, rows, cols))
 
 
