@@ -98,20 +98,20 @@ class _Reader:
         self._advance(n, context)
         return self.fh.read(n)
 
-    def take_widened(self, rows: int, cols: int, context: str) -> np.ndarray:
-        """A (rows, cols) little-endian float32 array, widened to float64
-        in place: read into the upper half of the float64 array's bytes,
-        then widened front to back ``WIDEN_CHUNK`` values at a time, each
-        chunk's writes ending below the values still to be read (numpy
-        copies a chunk that overlaps its source through a temporary)."""
-        n = rows * cols
+    def read_widened(self, out: np.ndarray, context: str) -> None:
+        """Fill the C-contiguous float64 array ``out`` from little-endian
+        float32 values, widened in place: read into the upper half of
+        ``out``'s bytes, then widened front to back ``WIDEN_CHUNK`` values
+        at a time, each chunk's writes ending below the values still to be
+        read (numpy copies a chunk that overlaps its source through a
+        temporary)."""
+        out = out.reshape(-1)
+        n = out.size
         self._advance(n * 4, context)
-        out = np.empty(n)
         narrow = out.view("<f4")[n:]
         self.fh.readinto(narrow)
         for lo in range(0, n, WIDEN_CHUNK):
             out[lo:lo + WIDEN_CHUNK] = narrow[lo:lo + WIDEN_CHUNK]
-        return out.reshape(rows, cols)
 
     def u32(self, context: str) -> int:
         return struct.unpack("<I", self.take(4, context))[0]
@@ -120,7 +120,8 @@ class _Reader:
 def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ParamStore, ModelConfig]:
     """Read a checkpoint; optionally insist it matches an expected config.
 
-    Tensors are read one at a time straight into their float64 arrays.
+    The store is built from the config's spec, with one value buffer;
+    tensors are read one at a time straight into their views of it.
     """
     with open(path, "rb") as fh:
         return _read_checkpoint(_Reader(fh, path), expected)
@@ -155,7 +156,13 @@ def _read_checkpoint(reader: _Reader, expected: ModelConfig | None) -> tuple[Par
     if count != len(spec):
         raise CheckpointShapeError(
             f"{path}: {count} tensors stored, config implies {len(spec)}")
-    store = ParamStore()
+    # the one value buffer is allocated up front, so a config that implies
+    # more values than the file can hold must fail before it
+    values = sum(rows * cols for _, rows, cols in spec)
+    if 4 * values > reader.size - reader.pos:
+        raise TruncatedCheckpointError(
+            f"{path}: file ends before the {values} values its config implies")
+    store = ParamStore.from_spec(spec)
     for expected_name, rows, cols in spec:
         name_len = reader.u32(f"name length of {expected_name!r}")
         name = reader.take(name_len, f"name of {expected_name!r}").decode("utf-8")
@@ -169,7 +176,7 @@ def _read_checkpoint(reader: _Reader, expected: ModelConfig | None) -> tuple[Par
         if dims != (rows, cols):
             raise CheckpointShapeError(
                 f"{path}: tensor {name!r} has shape {dims}, config implies {(rows, cols)}")
-        store.add(name, reader.take_widened(rows, cols, f"values of tensor {name!r}"))
+        reader.read_widened(store[name].value, f"values of tensor {name!r}")
     if reader.pos != reader.size:
         raise CheckpointError(f"{path}: {reader.size - reader.pos} trailing bytes")
     return store, cfg

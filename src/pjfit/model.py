@@ -40,35 +40,36 @@ def param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
-    """Glorot-uniform weights, zero biases, insertion order per param_spec.
+    """Glorot-uniform weights, zero biases, as views of one value buffer in
+    param_spec order.
 
     An attention set's ``wq``, ``wk`` and ``wv`` are drawn head by head,
     per head a (d x d_k) Glorot block of each in the order q, k, v, into
     the head's columns: each head is its own projection, so its limit is
     sqrt(6 / (d + d_k)), not the fused shape's sqrt(6 / 2d). Likewise per
     expert its (joint_dim x h1) block of ``moe.w1``, its w2, then its w3.
+    Whole tensors are drawn straight into their views, column blocks into
+    a temporary that is copied into their columns.
     """
-    store = ParamStore()
-    drawn: dict[str, np.ndarray] = {}
-    h1, h2 = cfg.expert_hidden
-    for name, rows, cols in param_spec(cfg):
+    store = ParamStore.from_spec(param_spec(cfg))
+    h1 = cfg.expert_hidden[0]
+    for name, p in store.items():
         prefix, leaf = name.rsplit(".", 1)
+        rows, cols = p.value.shape
+        if leaf.startswith("b") or leaf in ("wk", "wv") or name.startswith("moe.expert"):
+            continue  # biases stay zero; the rest is drawn with its wq or with moe.w1
         if leaf == "wq":
-            heads = [[glorot_uniform(rng, rows, cfg.head_dim) for _ in "qkv"]
-                     for _ in range(cfg.heads)]
-            drawn.update((f"{prefix}.w{r}", np.hstack(blocks)) for r, blocks in zip("qkv", zip(*heads)))
+            for h in range(cfg.heads):
+                block = slice(h * cfg.head_dim, (h + 1) * cfg.head_dim)
+                for r in "qkv":
+                    store[f"{prefix}.w{r}"].value[:, block] = glorot_uniform(rng, rows, cfg.head_dim)
         elif name == "moe.w1":
-            experts = [[glorot_uniform(rng, r, c) for r, c in ((rows, h1), (h1, h2), (h2, 1))]
-                       for _ in range(cfg.head_experts)]
-            drawn[name] = np.hstack([w1 for w1, _, _ in experts])
-            for i, (_, w2, w3) in enumerate(experts):
-                drawn[f"moe.expert{i}.w2"], drawn[f"moe.expert{i}.w3"] = w2, w3
-        if name in drawn:
-            store.add(name, drawn.pop(name))
-        elif leaf.startswith("b"):
-            store.add(name, np.zeros((rows, cols)))
+            for i in range(cfg.head_experts):
+                p.value[:, i * h1:(i + 1) * h1] = glorot_uniform(rng, rows, h1)
+                for tail in (f"moe.expert{i}.w2", f"moe.expert{i}.w3"):
+                    glorot_uniform(rng, *store[tail].value.shape, out=store[tail].value)
         else:
-            store.add(name, glorot_uniform(rng, rows, cols))
+            glorot_uniform(rng, rows, cols, out=p.value)
     return store
 
 

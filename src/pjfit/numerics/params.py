@@ -1,36 +1,89 @@
-"""Named parameter storage with per-entry gradients."""
+"""Named parameters as views of one float64 buffer per role.
+
+The roles are the values, the gradients and Adam's moments ``m`` and
+``v``. A ``Buffers`` holds one 1-D array per role over consecutive
+parameters, and each parameter's arrays are (rows x cols) views of its
+span of them. A store built from a spec (``ParamStore.from_spec``, as
+``model.init_params`` and ``checkpoint.load_checkpoint`` build theirs) is
+flat: all its parameters share one ``Buffers``, in spec order. A store
+built with ``add`` (tests, the serving index's frozen view) gives each
+parameter a ``Buffers`` of its own. Either way the store's values, end
+to end in store order, are its element range, which ``optim.adam_step``
+cuts into shards.
+
+The value buffer exists from the start; the gradient buffer is allocated
+when the first parameter's gradient is first needed, and the moments on
+the first optimizer step (``np.zeros``, so the system zeroes each page on
+first touch). A parameter gets its gradient view on first access, so
+``has_grad`` says whether anything asked for that parameter's gradient;
+the rest of the buffer stays zero.
+
+A writer goes through a parameter's views, so making a value view
+read-only (as the serving index does) stops it: ``adam_step`` checks
+every value view before it writes, though it writes through the buffers.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from pjfit.numerics.matrix import Matrix, Tape
 
 
-@dataclass
+class Buffers:
+    """One 1-D float64 array per role over consecutive parameters; the
+    gradients and moments are None until first needed."""
+
+    __slots__ = ("values", "grads", "m", "v")
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.grads: np.ndarray | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+
+
 class Param:
-    value: np.ndarray
-    # Adam moments, allocated on first optimizer step
-    m: np.ndarray | None = field(default=None, repr=False)
-    v: np.ndarray | None = field(default=None, repr=False)
-    _grad: np.ndarray | None = field(default=None, repr=False)
+    """Elements [lo, lo + rows * cols) of a ``Buffers``, as (rows, cols) views."""
+
+    __slots__ = ("value", "_buffers", "_span", "_grad")
+
+    def __init__(self, buffers: Buffers, lo: int, shape: tuple[int, int]):
+        self._buffers = buffers
+        self._span = slice(lo, lo + shape[0] * shape[1])
+        self.value = buffers.values[self._span].reshape(shape)
+        self._grad: np.ndarray | None = None
+
+    def _view(self, flat: np.ndarray) -> np.ndarray:
+        return flat[self._span].reshape(self.value.shape)
 
     @property
     def grad(self) -> np.ndarray:
-        """The gradient buffer, allocated on first access.
+        """The gradient view, handed out on first access (the buffer is
+        allocated with the first view).
 
         Binding the parameter on a tape is the first access in a training
         step; inference never allocates one.
         """
         if self._grad is None:
-            self._grad = np.zeros_like(self.value)
+            if self._buffers.grads is None:
+                self._buffers.grads = np.zeros(self._buffers.values.size)
+            self._grad = self._view(self._buffers.grads)
         return self._grad
 
     @property
     def has_grad(self) -> bool:
         return self._grad is not None
+
+    @property
+    def m(self) -> np.ndarray | None:
+        """Adam's first moment, None before the first optimizer step."""
+        return None if self._buffers.m is None else self._view(self._buffers.m)
+
+    @property
+    def v(self) -> np.ndarray | None:
+        """Adam's second moment, None before the first optimizer step."""
+        return None if self._buffers.v is None else self._view(self._buffers.v)
 
 
 class ParamStore:
@@ -40,15 +93,31 @@ class ParamStore:
     def __init__(self) -> None:
         self._params: dict[str, Param] = {}
 
+    @classmethod
+    def from_spec(cls, spec) -> "ParamStore":
+        """Zero-valued parameters, one per (name, rows, cols) of ``spec``,
+        as views of one value buffer in spec order."""
+        store = cls()
+        buffers = Buffers(np.zeros(sum(rows * cols for _, rows, cols in spec)))
+        lo = 0
+        for name, rows, cols in spec:
+            store._insert(name, Param(buffers, lo, (rows, cols)))
+            lo += rows * cols
+        return store
+
     def add(self, name: str, value) -> Param:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
+        """A parameter over ``value`` (no copy when it is a C-contiguous
+        float64 array), with buffers of its own."""
         arr = np.ascontiguousarray(value, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ValueError(f"parameter {name!r} must be 2-D, got shape {arr.shape}")
-        p = Param(value=arr)
+        return self._insert(name, Param(Buffers(arr.reshape(-1)), 0, arr.shape))
+
+    def _insert(self, name: str, p: Param) -> Param:
+        if name in self._params:
+            raise ValueError(f"duplicate parameter name {name!r}")
         self._params[name] = p
         return p
 
@@ -67,6 +136,15 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
+    def buffers(self) -> list[Buffers]:
+        """The distinct ``Buffers`` of the parameters, in store order: their
+        values end to end are the store's element range."""
+        out: list[Buffers] = []
+        for p in self._params.values():
+            if not out or out[-1] is not p._buffers:
+                out.append(p._buffers)
+        return out
+
     def zero_grads(self) -> None:
         for p in self._params.values():
             if p.has_grad:
@@ -76,6 +154,13 @@ class ParamStore:
         """Drop every gradient buffer; the next taped use allocates a new one."""
         for p in self._params.values():
             p._grad = None
+            p._buffers.grads = None
+
+    def release_training_buffers(self) -> None:
+        """Drop the gradient and moment buffers; only the values stay."""
+        self.release_grads()
+        for b in self.buffers():
+            b.m = b.v = None
 
     def bind(self, tape: Tape | None = None) -> "BoundParams":
         return BoundParams(self, tape)
@@ -122,7 +207,19 @@ class BoundParams:
         return Matrix(data)
 
 
-def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Uniform(-limit, limit) with limit = sqrt(6 / (fan_in + fan_out))."""
+def glorot_uniform(rng: np.random.Generator, rows: int, cols: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform(-limit, limit) with limit = sqrt(6 / (fan_in + fan_out)),
+    drawn into ``out`` (a C-contiguous (rows, cols) array) or a new array.
+
+    The draw is ``rng.uniform``'s arithmetic done in place: unit draws,
+    times (limit - -limit), plus -limit. So the values are bitwise
+    ``rng.uniform(-limit, limit, (rows, cols))`` and the generator ends at
+    the same position.
+    """
     limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols))
+    out = np.empty((rows, cols)) if out is None else out
+    rng.random(out=out)
+    out *= limit - (-limit)
+    out += -limit
+    return out

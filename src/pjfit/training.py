@@ -116,9 +116,7 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
             result.losses.append(loss_value)
     # nothing reads the gradients (all zero after the last step) or the
     # moments after training; at d=1024 the moments alone take ~1 GB
-    store.release_grads()
-    for _, p in store.items():
-        p.m = p.v = None
+    store.release_training_buffers()
     return result
 
 

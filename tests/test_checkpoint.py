@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -59,6 +60,27 @@ def test_save_load_save_is_byte_stable(saved, tmp_path):
     second = tmp_path / "second.ckpt"
     save_checkpoint(loaded, loaded_cfg, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+def test_loaded_values_are_views_of_one_buffer(saved):
+    _, _, path = saved
+    loaded, _ = load_checkpoint(path)
+    (buffers,) = loaded.buffers()
+    assert all(np.shares_memory(p.value, buffers.values) for _, p in loaded.items())
+
+
+def test_config_larger_than_the_file_fails_before_allocating(saved):
+    # an embedded config of 10^12 values in a file of a few KB: raised from
+    # the file size, before the value buffer (8 TB) is allocated
+    _, _, path = saved
+    blob = path.read_bytes()
+    config_len = int.from_bytes(blob[8:12], "little")
+    doc = json.loads(blob[12:12 + config_len])
+    doc["model"].update(d_model=1 << 20, fusion_hidden=1 << 20)
+    config = json.dumps(doc).encode()
+    path.write_bytes(blob[:8] + len(config).to_bytes(4, "little") + config + blob[12 + config_len:])
+    with pytest.raises(TruncatedCheckpointError, match="values its config implies"):
+        load_checkpoint(path)
 
 
 def test_truncation_mid_tensor_names_the_tensor(saved):

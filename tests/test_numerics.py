@@ -1,6 +1,8 @@
 """Primitive-level oracles, gradient checks, and optimizer behavior."""
 
 import math
+import os
+import threading
 
 import mpmath
 import numpy as np
@@ -571,6 +573,118 @@ def test_divergent_gradient_changes_nothing():
             assert _same_bits(got, want), name
 
 
+def _shard_into(monkeypatch, workers, elements, block):
+    """Make adam_step cut ``elements`` into ``workers`` shards of blocks of
+    ``block``: a lowered cutoff on ``workers`` usable CPUs. Returns the
+    (lo, hi, thread) of every update shard as it runs."""
+    monkeypatch.setattr(optim, "BLOCK", block)
+    monkeypatch.setattr(optim, "CUTOFF", elements // workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    assert optim._workers(elements) == workers
+    shards = []
+    update = optim._update
+
+    def recorded(groups, lo, hi, *args):
+        shards.append((lo, hi, threading.get_ident()))
+        return update(groups, lo, hi, *args)
+
+    monkeypatch.setattr(optim, "_update", recorded)
+    return shards
+
+
+def _flat_store(rng, shapes):
+    store = ParamStore.from_spec([(name, *shape) for name, shape in shapes.items()])
+    for _, p in store.items():
+        p.value[...] = rng.normal(size=p.value.shape)
+    return store
+
+
+def test_worker_count_is_cpus_capped_by_the_cutoff(monkeypatch):
+    monkeypatch.setattr(optim, "CUTOFF", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert [optim._workers(n) for n in (0, 199, 200, 299, 300, 10 ** 9)] == [1, 1, 2, 2, 3, 3]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sharded_adam_is_bitwise_equal_to_the_textbook_update(monkeypatch, workers):
+    # 140 elements in blocks of 16: the cuts at 70 (two shards) and at 46
+    # and 93 (three) fall inside "big" and inside one of its blocks
+    shapes = {"big": (3, 37), "bias": (1, 1), "sometimes": (4, 7)}
+    shards = _shard_into(monkeypatch, workers, 140, 16)
+    rng = seeded_rng(15)
+    store = _flat_store(rng, shapes)
+    state = {name: {"value": p.value.copy(), "m": None, "v": None, "grad": None}
+             for name, p in store.items()}
+    threads = threading.active_count()
+    for step in range(1, 5):
+        store.release_grads()
+        for name, p in store.items():
+            if name == "sometimes" and step in (1, 3):
+                state[name]["grad"] = None  # reads its zeros in the gradient buffer
+                continue
+            grad = rng.normal(size=p.value.shape)
+            grad[rng.random(size=grad.shape) < 0.2] = -0.0
+            p.grad[...] = grad
+            state[name]["grad"] = grad.copy()
+        del shards[:]
+        adam_step(store, lr=1e-2, step=step)
+        _textbook_adam_step(state, lr=1e-2, step=step)
+        cuts = [140 * i // workers for i in range(workers + 1)]
+        assert sorted(s[:2] for s in shards) == list(zip(cuts, cuts[1:]))
+        # the first shard on the calling thread, the rest on pool threads
+        assert [lo == 0 for lo, _, t in shards if t == threading.get_ident()] == [True]
+        assert threading.active_count() == threads  # no thread outlives the call
+        for name, p in store.items():
+            want = state[name]
+            assert _same_bits(p.value, want["value"]), (name, step)
+            assert _same_bits(p.m, want["m"]) and _same_bits(p.v, want["v"]), (name, step)
+            assert p.has_grad == (want["grad"] is not None)
+            if p.has_grad:
+                assert _same_bits(p.grad, want["grad"]), (name, step)
+
+
+@pytest.mark.parametrize("bad", [["d"], ["b", "d"], ["c", "d"]])
+def test_non_finite_check_names_the_first_bad_parameter_across_shards(monkeypatch, bad):
+    # two shards cut at 40: "a" and "b" in the first, "c" and "d" in the second
+    _shard_into(monkeypatch, 2, 80, 8)
+    rng = seeded_rng(16)
+    store = _flat_store(rng, {"a": (2, 10), "b": (4, 5), "c": (3, 10), "d": (1, 10)})
+    for _, p in store.items():
+        p.grad[...] = rng.normal(size=p.value.shape)
+    adam_step(store, lr=1e-2, step=1)
+    for name, p in store.items():
+        p.grad[...] = rng.normal(size=p.value.shape)
+    for name in bad:
+        store[name].grad[-1, -1] = np.inf
+    before = {name: [a.copy() for a in (p.value, p.m, p.v, p.grad)]
+              for name, p in store.items()}
+    with pytest.raises(TrainingDivergedError, match=f"'{bad[0]}'"):
+        adam_step(store, lr=1e-2, step=2)
+    for name, p in store.items():
+        for got, want in zip((p.value, p.m, p.v, p.grad), before[name]):
+            assert _same_bits(got, want), name
+
+
+def test_an_exception_in_a_worker_shard_is_raised_to_the_caller(monkeypatch):
+    _shard_into(monkeypatch, 3, 90, 8)
+    store = _flat_store(seeded_rng(17), {"w": (9, 10)})
+    update = optim._update
+    ran = []
+
+    def failing(groups, lo, hi, *args):
+        ran.append(lo)
+        if lo == 30:
+            raise MemoryError("shard [30, 60)")
+        return update(groups, lo, hi, *args)
+
+    monkeypatch.setattr(optim, "_update", failing)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match=r"shard \[30, 60\)"):
+        adam_step(store, lr=1e-2, step=1)
+    assert sorted(ran) == [0, 30, 60]
+    assert threading.active_count() == threads
+
+
 # ------------------------------------------------------- gradcheck harness
 
 
@@ -689,6 +803,22 @@ def test_mixing_tapes_is_an_error():
     b = Matrix([[1.0]], Tape())
     with pytest.raises(ValueError, match="different tapes"):
         ops.add(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_glorot_draws_in_place_as_rng_uniform_does(seed):
+    # drawn into a view of a larger buffer and into a new array: the bits of
+    # rng.uniform(-limit, limit), and the generator left where it leaves it
+    want, got = seeded_rng(seed), seeded_rng(seed)
+    buffer = np.zeros(200)
+    for rows, cols in ((7, 3), (1, 5), (12, 15)):
+        limit = np.sqrt(6.0 / (rows + cols))
+        view = buffer[3:3 + rows * cols].reshape(rows, cols)
+        assert glorot_uniform(got, rows, cols, out=view) is view
+        assert view.tobytes() == want.uniform(-limit, limit, size=(rows, cols)).tobytes()
+        assert (glorot_uniform(got, rows, cols).tobytes()
+                == want.uniform(-limit, limit, size=(rows, cols)).tobytes())
+    assert got.random() == want.random()
 
 
 def test_seeded_rng_reproduces_stream():

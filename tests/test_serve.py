@@ -125,9 +125,19 @@ def test_writing_to_an_indexed_store_raises():
     ds = serving_dataset()
     cfg = toy_model_config()
     store = random_store(cfg, 10)
+    rng = seeded_rng(11)
+    for _, p in store.items():
+        p.grad[...] = rng.normal(size=p.value.shape)
+    adam_step(store, 1e-3, 1)  # moments exist before the index freezes the store
+    for _, p in store.items():
+        p.grad[...] = rng.normal(size=p.value.shape)
     cands, jobs = all_pairs(ds)
     index_for(store, cfg, ds).score(cands[:3], jobs[:3])
     with pytest.raises(ValueError, match="read-only"):
         store["cand.fusion.w1"].value[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        adam_step(store, 1e-3, 1)
+    before = {name: [a.copy() for a in (p.value, p.m, p.v, p.grad)] for name, p in store.items()}
+    with pytest.raises(ValueError, match=f"{store.names()[0]!r} is read-only"):
+        adam_step(store, 1e-3, 2)
+    for name, p in store.items():
+        for got, want in zip((p.value, p.m, p.v, p.grad), before[name]):
+            assert got.tobytes() == want.tobytes(), name

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from pjfit.checkpoint import load_checkpoint, save_checkpoint
 from pjfit.config import ABLATIONS, ModelConfig, TrainConfig
 from pjfit.domain import DatasetError, sample_training_pairs
 from pjfit.model import param_spec
-from pjfit.numerics import Tape, glorot_uniform, ops, seeded_rng, spawn_rngs
+from pjfit.numerics import Tape, glorot_uniform, ops, optim, seeded_rng, spawn_rngs
 from pjfit.synth import SynthConfig, generate_dataset
 from pjfit.training import (
     SequenceCache,
@@ -356,6 +357,29 @@ def test_training_is_bitwise_deterministic():
     assert runs[0].losses == runs[1].losses
     for name, p in runs[0].store.items():
         assert p.value.tobytes() == runs[1].store[name].value.tobytes()
+
+
+def test_sharded_adam_trains_bitwise_as_one_worker(monkeypatch):
+    ds, meta = synth_toy()
+    train_ds, _ = ds.split_temporal(meta["split_ts"])
+    one = train(train_ds, train_config(epochs=1))
+    # three shards of a few thousand elements each, in blocks of 100
+    monkeypatch.setattr(optim, "BLOCK", 100)
+    monkeypatch.setattr(optim, "CUTOFF", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    three = train(train_ds, train_config(epochs=1))
+    assert three.losses == one.losses
+    for name, p in one.store.items():
+        assert p.value.tobytes() == three.store[name].value.tobytes(), name
+
+
+def test_init_params_values_are_views_of_one_buffer():
+    store = init_params(toy_model_config(), seeded_rng(0))
+    (buffers,) = store.buffers()
+    assert all(np.shares_memory(p.value, buffers.values) for _, p in store.items())
+    # end to end in param_spec order
+    assert np.concatenate([p.value.ravel() for _, p in store.items()]).tobytes() \
+        == buffers.values.tobytes()
 
 
 def test_training_reduces_loss_on_synthetic_data():
