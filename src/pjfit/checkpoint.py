@@ -117,17 +117,14 @@ class _Reader:
         return struct.unpack("<I", self.take(4, context))[0]
 
 
-def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ParamStore, ModelConfig]:
-    """Read a checkpoint; optionally insist it matches an expected config.
-
-    The store is built from the config's spec, with one value buffer;
-    tensors are read one at a time straight into their views of it.
-    """
+def load_checkpoint(path) -> tuple[ParamStore, ModelConfig]:
+    """Read a checkpoint into a store built from its config's spec; tensors
+    are read one at a time straight into their views of the value buffer."""
     with open(path, "rb") as fh:
-        return _read_checkpoint(_Reader(fh, path), expected)
+        return _read_checkpoint(_Reader(fh, path))
 
 
-def _read_checkpoint(reader: _Reader, expected: ModelConfig | None) -> tuple[ParamStore, ModelConfig]:
+def _read_checkpoint(reader: _Reader) -> tuple[ParamStore, ModelConfig]:
     path = reader.path
     magic = reader.take(4, "magic")
     if magic != MAGIC:
@@ -142,15 +139,6 @@ def _read_checkpoint(reader: _Reader, expected: ModelConfig | None) -> tuple[Par
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: invalid embedded config: {exc}") from exc
 
-    if expected is not None:
-        ours, theirs = param_spec(expected), param_spec(cfg)
-        if ours != theirs:
-            diff = next(((a, b) for a, b in zip(ours, theirs) if a != b),
-                        (ours[min(len(theirs), len(ours) - 1)] if len(ours) != len(theirs) else None, None))
-            raise CheckpointShapeError(
-                f"{path}: checkpoint config does not match expected config "
-                f"(first difference: {diff[1]} vs expected {diff[0]})")
-
     spec = param_spec(cfg)
     count = reader.u32("tensor count")
     if count != len(spec):
@@ -162,10 +150,14 @@ def _read_checkpoint(reader: _Reader, expected: ModelConfig | None) -> tuple[Par
     if 4 * values > reader.size - reader.pos:
         raise TruncatedCheckpointError(
             f"{path}: file ends before the {values} values its config implies")
-    store = ParamStore.from_spec(spec)
+    store = ParamStore(spec)
     for expected_name, rows, cols in spec:
         name_len = reader.u32(f"name length of {expected_name!r}")
-        name = reader.take(name_len, f"name of {expected_name!r}").decode("utf-8")
+        try:
+            name = reader.take(name_len, f"name of {expected_name!r}").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointShapeError(
+                f"{path}: tensor name is not UTF-8 where config expects {expected_name!r}") from exc
         if name != expected_name:
             raise CheckpointShapeError(
                 f"{path}: tensor {name!r} where config expects {expected_name!r}")

@@ -51,7 +51,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
     Whole tensors are drawn straight into their views, column blocks into
     a temporary that is copied into their columns.
     """
-    store = ParamStore.from_spec(param_spec(cfg))
+    store = ParamStore(param_spec(cfg))
     h1 = cfg.expert_hidden[0]
     for name, p in store.items():
         prefix, leaf = name.rsplit(".", 1)

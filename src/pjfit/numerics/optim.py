@@ -1,14 +1,15 @@
 """Adam updates over a ParamStore, split across the usable CPUs.
 
-``adam_step`` cuts the store's element range (its values end to end, see
-``params``) into W contiguous shards, W = max(1, min(usable CPUs,
-elements // CUTOFF)), where the usable CPUs are the process's affinity
-mask. The calling thread updates the first shard; the rest run on a pool
-of at most W - 1 threads that the call starts and joins, so no thread
-outlives it. numpy releases the interpreter lock inside each block's
-operations, so the shards run in parallel. Every operation of the update
-is elementwise, so where the shard and block cuts fall changes no bit:
-the result is the same for every W and every BLOCK.
+``adam_step`` works on the store's ``Buffers`` (one array per role, see
+``params``): it cuts their element range [0, n) into W contiguous shards
+[lo, hi), W = max(1, min(usable CPUs, n // CUTOFF)), where the usable
+CPUs are the process's affinity mask. The calling thread updates the
+first shard; the rest run on a pool of at most W - 1 threads that the
+call starts and joins, so no thread outlives it. numpy releases the
+interpreter lock inside each block's operations, so the shards run in
+parallel. Every operation of the update is elementwise, so where the
+shard and block cuts fall changes no bit: the result is the same for
+every W and every BLOCK.
 
 Measured on 2 vCPUs with a 4 MiB L2 each, float64, on the d=1024 store
 (66.8M values, so W = 2): one step after the first takes 0.50 s on two
@@ -64,7 +65,7 @@ def adam_step(store: ParamStore, lr: float, step: int,
     Then each shard walks its elements in blocks of BLOCK, reading value,
     gradient and moments once and writing them once: the moments are
     updated, the value takes its step, and the gradient block is zeroed
-    while still in cache, which replaces a separate ``zero_grads`` pass.
+    while still in cache, so no separate pass zeroes the gradients.
     The moments are allocated on the first step with ``np.zeros``, whose
     pages the system zeroes on first touch inside the same pass. A
     parameter whose gradient nothing asked for reads the zeros of its span
@@ -87,23 +88,22 @@ def adam_step(store: ParamStore, lr: float, step: int,
     for name, p in store.items():
         if not p.value.flags.writeable:
             raise ValueError(f"parameter {name!r} is read-only")
-    groups = store.buffers()
-    bad = [i for i in _sharded(groups, _first_non_finite) if i is not None]
+    buffers = store.buffers
+    bad = [i for i in _sharded(buffers, _first_non_finite) if i is not None]
     if bad:
         first = min(bad)
         for name, p in store.items():
             first -= p.value.size
             if first < 0:
                 raise TrainingDivergedError(f"non-finite gradient in parameter {name!r}")
-    for b in groups:
-        if b.grads is None:
-            b.grads = np.zeros(b.values.size)
-        if b.m is None:
-            b.m = np.zeros(b.values.size)
-            b.v = np.zeros(b.values.size)
+    if buffers.grads is None:
+        buffers.grads = np.zeros(buffers.values.size)
+    if buffers.m is None:
+        buffers.m = np.zeros(buffers.values.size)
+        buffers.v = np.zeros(buffers.values.size)
     c1 = 1.0 - beta1 ** step
     c2 = 1.0 - beta2 ** step
-    _sharded(groups, _update, lr, c1, c2, beta1, beta2, eps)
+    _sharded(buffers, _update, lr, c1, c2, beta1, beta2, eps)
     return store
 
 
@@ -113,48 +113,42 @@ def _workers(elements: int) -> int:
     return max(1, min(cpus, elements // CUTOFF))
 
 
-def _sharded(groups: list[Buffers], shard, *args) -> list:
-    """``shard(groups, lo, hi, *args)`` for each of W contiguous shards
-    [lo, hi) of the elements of ``groups``, in shard order: the first on
+def _sharded(buffers: Buffers, shard, *args) -> list:
+    """``shard(buffers, lo, hi, *args)`` for each of W contiguous shards
+    [lo, hi) of the elements of ``buffers``, in shard order: the first on
     the calling thread, the rest on threads that are joined before this
     returns. An exception in any shard is raised here."""
-    n = sum(b.values.size for b in groups)
+    n = buffers.values.size
     w = _workers(n)
     cuts = [n * i // w for i in range(w + 1)]
     with ThreadPoolExecutor(max(1, w - 1)) as pool:
-        rest = [pool.submit(shard, groups, cuts[i], cuts[i + 1], *args) for i in range(1, w)]
-        return [shard(groups, cuts[0], cuts[1], *args)] + [f.result() for f in rest]
+        rest = [pool.submit(shard, buffers, cuts[i], cuts[i + 1], *args) for i in range(1, w)]
+        return [shard(buffers, cuts[0], cuts[1], *args)] + [f.result() for f in rest]
 
 
-def _blocks(groups: list[Buffers], lo: int, hi: int):
-    """(buffers, start, stop, offset) for each block of at most BLOCK
-    elements of [lo, hi), where start and stop index the buffers' arrays
-    and offset is the block's first element in the whole range."""
-    base = 0
-    for b in groups:
-        n = b.values.size
-        for start in range(max(lo - base, 0), min(hi - base, n), BLOCK):
-            yield b, start, min(start + BLOCK, hi - base, n), base + start
-        base += n
+def _blocks(lo: int, hi: int):
+    """(start, stop) of each block of at most BLOCK elements of [lo, hi)."""
+    for start in range(lo, hi, BLOCK):
+        yield start, min(start + BLOCK, hi)
 
 
-def _first_non_finite(groups: list[Buffers], lo: int, hi: int) -> int | None:
+def _first_non_finite(buffers: Buffers, lo: int, hi: int) -> int | None:
     """The first element of [lo, hi) with a non-finite gradient, or None."""
+    if buffers.grads is None:
+        return None
     finite = np.empty(BLOCK, dtype=bool)
-    for b, start, stop, offset in _blocks(groups, lo, hi):
-        if b.grads is None:
-            continue
-        ok = np.isfinite(b.grads[start:stop], out=finite[:stop - start])
+    for start, stop in _blocks(lo, hi):
+        ok = np.isfinite(buffers.grads[start:stop], out=finite[:stop - start])
         if not ok.all():
-            return offset + int(np.argmin(ok))
+            return start + int(np.argmin(ok))
     return None
 
 
-def _update(groups: list[Buffers], lo: int, hi: int, lr: float, c1: float, c2: float,
+def _update(buffers: Buffers, lo: int, hi: int, lr: float, c1: float, c2: float,
             beta1: float, beta2: float, eps: float) -> None:
     scratch_a = np.empty(BLOCK)
     scratch_b = np.empty(BLOCK)
-    for buffers, start, stop, _ in _blocks(groups, lo, hi):
+    for start, stop in _blocks(lo, hi):
         w = buffers.values[start:stop]
         g = buffers.grads[start:stop]
         mb, vb = buffers.m[start:stop], buffers.v[start:stop]

@@ -1,15 +1,12 @@
 """Named parameters as views of one float64 buffer per role.
 
 The roles are the values, the gradients and Adam's moments ``m`` and
-``v``. A ``Buffers`` holds one 1-D array per role over consecutive
-parameters, and each parameter's arrays are (rows x cols) views of its
-span of them. A store built from a spec (``ParamStore.from_spec``, as
-``model.init_params`` and ``checkpoint.load_checkpoint`` build theirs) is
-flat: all its parameters share one ``Buffers``, in spec order. A store
-built with ``add`` (tests, the serving index's frozen view) gives each
-parameter a ``Buffers`` of its own. Either way the store's values, end
-to end in store order, are its element range, which ``optim.adam_step``
-cuts into shards.
+``v``. A ``ParamStore`` is built from a spec, a list of (name, rows,
+cols): its ``Buffers`` holds one 1-D array per role over all its
+parameters, in spec order, and each parameter's arrays are (rows x cols)
+views of its span of them. ``model.init_params`` and
+``checkpoint.load_checkpoint`` fill the zero values a new store starts
+with; ``optim.adam_step`` cuts the element range into shards.
 
 The value buffer exists from the start; the gradient buffer is allocated
 when the first parameter's gradient is first needed, and the moments on
@@ -18,9 +15,11 @@ first touch). A parameter gets its gradient view on first access, so
 ``has_grad`` says whether anything asked for that parameter's gradient;
 the rest of the buffer stays zero.
 
-A writer goes through a parameter's views, so making a value view
-read-only (as the serving index does) stops it: ``adam_step`` checks
-every value view before it writes, though it writes through the buffers.
+A ``BoundParams`` holds a store's name -> Param map, not the store, so
+the serving index keeps no store alive. A writer goes through a
+parameter's views, so making a value view read-only (as the serving
+index does) stops it: ``adam_step`` checks every value view before it
+writes, though it writes through the buffers.
 """
 
 from __future__ import annotations
@@ -87,39 +86,21 @@ class Param:
 
 
 class ParamStore:
-    """Ordered name -> Param map. Iteration order is insertion order,
-    which fixes checkpoint layout and makes runs reproducible."""
+    """Ordered name -> Param map over one ``Buffers`` (``store.buffers``).
+    Iteration order is spec order, which fixes checkpoint layout and makes
+    runs reproducible."""
 
-    def __init__(self) -> None:
-        self._params: dict[str, Param] = {}
-
-    @classmethod
-    def from_spec(cls, spec) -> "ParamStore":
+    def __init__(self, spec: list[tuple[str, int, int]]) -> None:
         """Zero-valued parameters, one per (name, rows, cols) of ``spec``,
-        as views of one value buffer in spec order."""
-        store = cls()
-        buffers = Buffers(np.zeros(sum(rows * cols for _, rows, cols in spec)))
+        as views of the value buffer in spec order."""
+        self.buffers = Buffers(np.zeros(sum(rows * cols for _, rows, cols in spec)))
+        self._params: dict[str, Param] = {}
         lo = 0
         for name, rows, cols in spec:
-            store._insert(name, Param(buffers, lo, (rows, cols)))
+            if name in self._params:
+                raise ValueError(f"duplicate parameter name {name!r}")
+            self._params[name] = Param(self.buffers, lo, (rows, cols))
             lo += rows * cols
-        return store
-
-    def add(self, name: str, value) -> Param:
-        """A parameter over ``value`` (no copy when it is a C-contiguous
-        float64 array), with buffers of its own."""
-        arr = np.ascontiguousarray(value, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2:
-            raise ValueError(f"parameter {name!r} must be 2-D, got shape {arr.shape}")
-        return self._insert(name, Param(Buffers(arr.reshape(-1)), 0, arr.shape))
-
-    def _insert(self, name: str, p: Param) -> Param:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self._params[name] = p
-        return p
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -136,51 +117,37 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def buffers(self) -> list[Buffers]:
-        """The distinct ``Buffers`` of the parameters, in store order: their
-        values end to end are the store's element range."""
-        out: list[Buffers] = []
-        for p in self._params.values():
-            if not out or out[-1] is not p._buffers:
-                out.append(p._buffers)
-        return out
-
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            if p.has_grad:
-                p.grad[...] = 0.0
-
     def release_grads(self) -> None:
-        """Drop every gradient buffer; the next taped use allocates a new one."""
+        """Drop the gradient buffer; the next taped use allocates a new one."""
         for p in self._params.values():
             p._grad = None
-            p._buffers.grads = None
+        self.buffers.grads = None
 
     def release_training_buffers(self) -> None:
         """Drop the gradient and moment buffers; only the values stay."""
         self.release_grads()
-        for b in self.buffers():
-            b.m = b.v = None
+        self.buffers.m = self.buffers.v = None
 
     def bind(self, tape: Tape | None = None) -> "BoundParams":
-        return BoundParams(self, tape)
+        return BoundParams(self._params, tape)
 
 
 class BoundParams:
-    """Parameters viewed as Matrix nodes on one tape.
+    """The parameters of a name -> Param map (a store's own, from
+    ``ParamStore.bind``) viewed as Matrix nodes on one tape.
 
     On a tape, each Matrix shares the Param's grad buffer, so a backward
     pass writes gradients directly into the store. Without a tape no
     buffer is touched.
     """
 
-    def __init__(self, store: ParamStore, tape: Tape | None):
-        self._store = store
+    def __init__(self, params: dict[str, Param], tape: Tape | None = None):
+        self._params = params
         self.tape = tape
         self._cache: dict[tuple[str, int, int], Matrix] = {}
 
     def __getitem__(self, name: str) -> Matrix:
-        return self.rows(name, 0, self._store[name].value.shape[0])
+        return self.rows(name, 0, self._params[name].value.shape[0])
 
     def rows(self, name: str, lo: int, hi: int) -> Matrix:
         """Rows [lo, hi) of a parameter as a view of its value; on a tape its
@@ -188,7 +155,7 @@ class BoundParams:
         key = (name, lo, hi)
         m = self._cache.get(key)
         if m is None:
-            p = self._store[name]
+            p = self._params[name]
             if not 0 <= lo <= hi <= p.value.shape[0]:
                 raise IndexError(f"rows [{lo}, {hi}) of {name!r} with {p.value.shape[0]} rows")
             if self.tape is None:

@@ -35,13 +35,15 @@ relative. An index returns bitwise the same scores for the same chunk of
 pairs however warm it is.
 
 Lifetime: ``index_for`` keeps one index per ``ParamStore``, held weakly.
-An index serves while the model config is equal and the dataset's
-``candidates`` and ``jobs`` are the same dict objects. Datasets are
-immutable after load, and the splits of one dataset share those dicts, so
-eval and rank on one data directory share one index. Building an index
-makes every parameter array of the store read-only: an in-place update
-after it (an optimizer step) raises instead of leaving the index serving
-stale entries.
+The index binds the store's own name -> Param map, not the store, so it
+copies no weight (its weights are views of the store's value buffer) and
+keeps no store alive. An index serves while the model config is equal
+and the dataset's ``candidates`` and ``jobs`` are the same dict objects.
+Datasets are immutable after load, and the splits of one dataset share
+those dicts, so eval and rank on one data directory share one index.
+Building an index makes every value view of the store read-only: an
+in-place update after it (an optimizer step) raises instead of leaving
+the index serving stale entries.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from pjfit.config import ModelConfig
 from pjfit.domain import Dataset, SequenceCache
 from pjfit.encoder import SIDES, external_keys, external_projections
 from pjfit.model import SIDE, categories, check_fits, distinct_pairs, entity_rows, pair_scores
-from pjfit.numerics import Matrix, ParamStore, ops
+from pjfit.numerics import BoundParams, Matrix, ParamStore, ops
 
 
 class _Table:
@@ -103,13 +105,10 @@ class ServingIndex:
         self.cfg = cfg
         self._records = {"candidate": dataset.candidates, "job": dataset.jobs}
         self._cache = SequenceCache(dataset, cfg)
-        # a store of its own over the same arrays, so that the index does
-        # not keep ``store`` alive (index_for holds it while the store lives)
-        frozen = ParamStore()
-        for name, p in store.items():
+        # the store's own Params, bound without the store (see Lifetime)
+        for _, p in store.items():
             p.value.setflags(write=False)
-            frozen.add(name, p.value)
-        self._bound = frozen.bind()
+        self._bound = BoundParams(dict(store.items()))
         # per side, the folds of all stages stacked into one (S d x h) matrix
         self._projections = {side: [[Matrix(np.concatenate([
             functools.reduce(ops.matmul, chain).data

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # local oracles module
 
 from pjfit.config import ModelConfig
 from pjfit.domain import CategoryVocab, Dataset, EntityRecord, Pair
-from pjfit.numerics import seeded_rng
+from pjfit.numerics import ParamStore, seeded_rng
 
 TOY_VOCAB_NAMES = ("Technology", "Data", "Sales", "Design")
 
@@ -77,6 +77,16 @@ META_DEFECTS = [
     pytest.param('{"split_ts": 1000420.9}', "split_ts must be an integer", id="float-split"),
     pytest.param('{"split_ts": true}', "split_ts must be an integer", id="bool-split"),
 ]
+
+
+def store_of(*params) -> ParamStore:
+    """A store of copies of the given (name, value) pairs, in order; a 1-D
+    value is one row."""
+    values = [np.atleast_2d(np.asarray(value, dtype=np.float64)) for _, value in params]
+    store = ParamStore([(name, *value.shape) for (name, _), value in zip(params, values)])
+    for (name, _), value in zip(params, values):
+        store[name].value[...] = value
+    return store
 
 
 def toy_model_config(**overrides) -> ModelConfig:

@@ -20,14 +20,14 @@ def finite_diff_check(f, store: ParamStore, h: float = 1e-5,
     With ``coords_per_param`` set, that many coordinates are sampled per
     entry instead of sweeping all of them.
     """
-    store.zero_grads()
+    store.release_grads()
     out = f(store)
     if not isinstance(out, Matrix) or out.tape is None:
         raise TypeError("f must return a taped scalar Matrix")
     out.tape.backward(out)
     analytic = {name: p.grad.copy() if p.has_grad else np.zeros_like(p.value)
                 for name, p in store.items()}
-    store.zero_grads()
+    store.release_grads()
 
     def value() -> float:
         return f(store).item()

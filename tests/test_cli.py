@@ -267,7 +267,7 @@ def test_mock_rate_outside_unit_interval_is_a_data_error(pipeline, tmp_path, cap
 def test_internal_shape_error_is_not_a_data_error(tmp_path, monkeypatch, capsys):
     # DimensionError subclasses ValueError, but it marks a bug in the model
     # code, not bad input
-    def broken(path, expected=None):
+    def broken(path):
         raise DimensionError("matmul: (1, 3) @ (2, 2)")
 
     monkeypatch.setattr(cli, "load_checkpoint", broken)

@@ -9,10 +9,10 @@ from pjfit.encoder import (
     interaction,
     internal_hidden,
 )
-from pjfit.numerics import Matrix, ParamStore, Tape, ops, seeded_rng
+from pjfit.numerics import Matrix, Tape, ops, seeded_rng
 from pjfit.training import init_params
 
-from conftest import toy_model_config
+from conftest import store_of, toy_model_config
 from gradcheck import finite_diff_check
 from reference_model import np_encode_side, np_mha
 
@@ -82,11 +82,8 @@ def test_single_unmasked_row_with_identity_value_path_returns_that_row():
     d_model, heads = 4, 2
     rng = seeded_rng(2)
     eye = np.eye(d_model)
-    store = ParamStore()
-    for w in ("wq", "wk"):
-        store.add(f"set.{w}", rng.normal(size=(d_model, d_model)))
-    store.add("set.wv", eye)
-    store.add("set.wo", eye)
+    store = store_of(*((f"set.{w}", rng.normal(size=(d_model, d_model))) for w in ("wq", "wk")),
+                     ("set.wv", eye), ("set.wo", eye))
     rows = rng.normal(size=(3, d_model))
     out = interaction(Matrix(rng.normal(size=(1, d_model))), Matrix(rows),
                       np.arange(3), np.array([[1, 2]]), store.bind(), "set", heads)

@@ -171,7 +171,7 @@ def test_gate_and_expert_gradients_including_category_rows(cfg):
 
         worst = max(worst, finite_diff_check(f, store, coords_per_param=5, rng=rng))
         # the used category-embedding rows must carry gradient
-        store.zero_grads()
+        store.release_grads()
         tape = Tape()
         bound = store.bind(tape)
         out = joint_scores(bound.constant(x), [1], [3], bound, cfg)

@@ -24,6 +24,7 @@ from pjfit.numerics import (
 from pjfit.numerics import optim
 
 
+from conftest import store_of
 from gradcheck import finite_diff_check
 from reference_model import np_attention
 
@@ -325,10 +326,7 @@ def _fd_case(name, builder, seeds=range(50)):
 
 
 def _store_with(rng, specs):
-    store = ParamStore()
-    for name, shape in specs:
-        store.add(name, rng.normal(size=shape))
-    return store
+    return store_of(*((name, rng.normal(size=shape)) for name, shape in specs))
 
 
 def test_gradients_affine_relu_chain():
@@ -445,8 +443,8 @@ def test_split_cols_parts_must_divide_the_width(parts):
 
 
 def test_adam_zero_gradient_leaves_parameter_and_moments_alone():
-    store = ParamStore()
-    p = store.add("w", [[1.0, 2.0]])
+    store = store_of(("w", [[1.0, 2.0]]))
+    p = store["w"]
     adam_step(store, lr=0.1, step=1)
     np.testing.assert_array_equal(p.value, [[1.0, 2.0]])
     np.testing.assert_array_equal(p.m, np.zeros((1, 2)))
@@ -455,8 +453,8 @@ def test_adam_zero_gradient_leaves_parameter_and_moments_alone():
 
 def test_adam_first_step_matches_hand_evaluated_recurrence():
     # grad=1, step=1: m_hat=1, v_hat=1, update = -lr / (1 + eps)
-    store = ParamStore()
-    p = store.add("w", [[0.0]])
+    store = store_of(("w", [[0.0]]))
+    p = store["w"]
     p.grad[...] = 1.0
     adam_step(store, lr=1e-4, step=1)
     expected = -1e-4 * 1.0 / (1.0 + 1e-8)
@@ -465,9 +463,8 @@ def test_adam_first_step_matches_hand_evaluated_recurrence():
 
 
 def test_adam_nan_gradient_names_parameter():
-    store = ParamStore()
-    store.add("ok", [[1.0]])
-    bad = store.add("gate.w1", [[1.0]])
+    store = store_of(("ok", [[1.0]]), ("gate.w1", [[1.0]]))
+    bad = store["gate.w1"]
     bad.grad[...] = np.nan
     with pytest.raises(TrainingDivergedError, match="gate.w1"):
         adam_step(store, lr=0.1, step=1)
@@ -476,8 +473,7 @@ def test_adam_nan_gradient_names_parameter():
 def test_adam_run_is_bitwise_deterministic():
     def run():
         rng = seeded_rng(11)
-        store = ParamStore()
-        store.add("w", glorot_uniform(rng, 4, 4))
+        store = store_of(("w", glorot_uniform(rng, 4, 4)))
         for step in range(1, 6):
             tape = Tape()
             bound = store.bind(tape)
@@ -517,12 +513,10 @@ def test_blocked_adam_is_bitwise_equal_to_the_textbook_update():
         "bias": (1, 1),
         "sometimes": (4, 7),  # no gradient buffer on steps 1 and 4
     }
-    store = ParamStore()
-    state = {}
-    for name, shape in shapes.items():
-        value = rng.normal(size=shape)
-        store.add(name, value)
-        state[name] = {"value": value.copy(), "m": None, "v": None, "grad": None}
+    values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    store = store_of(*values.items())
+    state = {name: {"value": value.copy(), "m": None, "v": None, "grad": None}
+             for name, value in values.items()}
     for step in range(1, 6):
         store.release_grads()
         for name, p in store.items():
@@ -555,9 +549,7 @@ def test_blocked_adam_is_bitwise_equal_to_the_textbook_update():
 
 def test_divergent_gradient_changes_nothing():
     rng = seeded_rng(6)
-    store = ParamStore()
-    for name in ("a", "b", "c"):
-        store.add(name, rng.normal(size=(2, optim.BLOCK + 3)))
+    store = store_of(*((name, rng.normal(size=(2, optim.BLOCK + 3))) for name in ("a", "b", "c")))
     for _, p in store.items():
         p.grad[...] = rng.normal(size=p.value.shape)
     adam_step(store, lr=1e-2, step=1)
@@ -584,19 +576,12 @@ def _shard_into(monkeypatch, workers, elements, block):
     shards = []
     update = optim._update
 
-    def recorded(groups, lo, hi, *args):
+    def recorded(buffers, lo, hi, *args):
         shards.append((lo, hi, threading.get_ident()))
-        return update(groups, lo, hi, *args)
+        return update(buffers, lo, hi, *args)
 
     monkeypatch.setattr(optim, "_update", recorded)
     return shards
-
-
-def _flat_store(rng, shapes):
-    store = ParamStore.from_spec([(name, *shape) for name, shape in shapes.items()])
-    for _, p in store.items():
-        p.value[...] = rng.normal(size=p.value.shape)
-    return store
 
 
 def test_worker_count_is_cpus_capped_by_the_cutoff(monkeypatch):
@@ -612,7 +597,7 @@ def test_sharded_adam_is_bitwise_equal_to_the_textbook_update(monkeypatch, worke
     shapes = {"big": (3, 37), "bias": (1, 1), "sometimes": (4, 7)}
     shards = _shard_into(monkeypatch, workers, 140, 16)
     rng = seeded_rng(15)
-    store = _flat_store(rng, shapes)
+    store = _store_with(rng, shapes.items())
     state = {name: {"value": p.value.copy(), "m": None, "v": None, "grad": None}
              for name, p in store.items()}
     threads = threading.active_count()
@@ -648,7 +633,7 @@ def test_non_finite_check_names_the_first_bad_parameter_across_shards(monkeypatc
     # two shards cut at 40: "a" and "b" in the first, "c" and "d" in the second
     _shard_into(monkeypatch, 2, 80, 8)
     rng = seeded_rng(16)
-    store = _flat_store(rng, {"a": (2, 10), "b": (4, 5), "c": (3, 10), "d": (1, 10)})
+    store = _store_with(rng, [("a", (2, 10)), ("b", (4, 5)), ("c", (3, 10)), ("d", (1, 10))])
     for _, p in store.items():
         p.grad[...] = rng.normal(size=p.value.shape)
     adam_step(store, lr=1e-2, step=1)
@@ -667,15 +652,15 @@ def test_non_finite_check_names_the_first_bad_parameter_across_shards(monkeypatc
 
 def test_an_exception_in_a_worker_shard_is_raised_to_the_caller(monkeypatch):
     _shard_into(monkeypatch, 3, 90, 8)
-    store = _flat_store(seeded_rng(17), {"w": (9, 10)})
+    store = _store_with(seeded_rng(17), [("w", (9, 10))])
     update = optim._update
     ran = []
 
-    def failing(groups, lo, hi, *args):
+    def failing(buffers, lo, hi, *args):
         ran.append(lo)
         if lo == 30:
             raise MemoryError("shard [30, 60)")
-        return update(groups, lo, hi, *args)
+        return update(buffers, lo, hi, *args)
 
     monkeypatch.setattr(optim, "_update", failing)
     threads = threading.active_count()
@@ -689,8 +674,7 @@ def test_an_exception_in_a_worker_shard_is_raised_to_the_caller(monkeypatch):
 
 
 def test_finite_diff_quadratic_is_nearly_exact():
-    store = ParamStore()
-    store.add("theta", [[0.4, -1.2, 2.0]])
+    store = store_of(("theta", [[0.4, -1.2, 2.0]]))
     def f(s):
         bound = s.bind(Tape())
         return ops.sum_all(ops.square(bound["theta"]))
@@ -698,8 +682,7 @@ def test_finite_diff_quadratic_is_nearly_exact():
 
 
 def test_finite_diff_detects_corrupted_gradient():
-    store = ParamStore()
-    store.add("theta", [[0.4, -1.2]])
+    store = store_of(("theta", [[0.4, -1.2]]))
 
     def f(s):
         tape = Tape()
@@ -716,22 +699,18 @@ def test_finite_diff_detects_corrupted_gradient():
 
 
 def test_paramstore_rejects_duplicate_names():
-    store = ParamStore()
-    store.add("w", [[1.0]])
     with pytest.raises(ValueError, match="duplicate"):
-        store.add("w", [[2.0]])
+        ParamStore([("w", 1, 1), ("w", 1, 1)])
 
 
 def test_paramstore_iteration_is_insertion_order():
-    store = ParamStore()
-    for name in ("z", "a", "m"):
-        store.add(name, [[0.0]])
+    store = ParamStore([(name, 1, 1) for name in ("z", "a", "m")])
     assert store.names() == ["z", "a", "m"]
 
 
 def test_bound_params_share_gradient_buffers():
-    store = ParamStore()
-    p = store.add("w", [[2.0]])
+    store = store_of(("w", [[2.0]]))
+    p = store["w"]
     tape = Tape()
     bound = store.bind(tape)
     out = ops.square(bound["w"])
@@ -740,8 +719,7 @@ def test_bound_params_share_gradient_buffers():
 
 
 def test_constants_get_no_gradient_buffer():
-    store = ParamStore()
-    store.add("w", [[2.0, -1.0], [0.5, 3.0]])
+    store = store_of(("w", [[2.0, -1.0], [0.5, 3.0]]))
     tape = Tape()
     bound = store.bind(tape)
     x = bound.constant([[1.0, 2.0]])
@@ -753,8 +731,8 @@ def test_constants_get_no_gradient_buffer():
 
 def test_row_block_gradient_lands_in_exactly_its_rows():
     rng = seeded_rng(12)
-    store = ParamStore()
-    p = store.add("w", rng.normal(size=(6, 3)))
+    store = store_of(("w", rng.normal(size=(6, 3))))
+    p = store["w"]
     tape = Tape()
     bound = store.bind(tape)
     block = bound.rows("w", 2, 5)
@@ -767,7 +745,7 @@ def test_row_block_gradient_lands_in_exactly_its_rows():
     want[2:5] = x.T @ probe
     np.testing.assert_array_equal(p.grad, want)
     # a block and the whole parameter in one graph add up
-    store.zero_grads()
+    store.release_grads()
     tape = Tape()
     bound = store.bind(tape)
     out = ops.add(ops.sum_all(bound.rows("w", 0, 1)), ops.sum_all(bound["w"]))
@@ -780,11 +758,9 @@ def test_row_block_gradient_lands_in_exactly_its_rows():
 
 
 def test_gradient_buffers_are_allocated_on_first_taped_use():
-    store = ParamStore()
-    p = store.add("w", [[2.0]])
-    store.add("unused", [[1.0]])
+    store = store_of(("w", [[2.0]]), ("unused", [[1.0]]))
+    p = store["w"]
     ops.square(store.bind()["w"])  # untaped: inference allocates nothing
-    store.zero_grads()
     assert not p.has_grad
     adam_step(store, lr=0.1, step=1)  # no buffer reads as a zero gradient
     np.testing.assert_array_equal(p.value, [[2.0]])

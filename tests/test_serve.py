@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -119,6 +122,24 @@ def test_eval_and_rank_on_splits_of_one_dataset_share_one_index(monkeypatch):
     assert len(built) == 2
     evaluate(test_ds.with_entities({}), store, cfg)  # same records, new entity tables
     assert len(built) == 3
+
+
+def test_index_binds_the_store_values_and_does_not_keep_the_store_alive():
+    ds = serving_dataset()
+    cfg = toy_model_config()
+    store = random_store(cfg, 12)
+    cands, jobs = all_pairs(ds)
+    gc.collect()
+    indexes = len(serve._INDEXES)  # stores of earlier tests may still be alive
+    index = index_for(store, cfg, ds)
+    index.score(cands[:3], jobs[:3])
+    values = store.buffers.values
+    assert all(np.shares_memory(index._bound[name].data, values) for name in store.names())
+    alive = weakref.ref(store)
+    del store
+    gc.collect()
+    assert alive() is None
+    assert len(serve._INDEXES) == indexes
 
 
 def test_writing_to_an_indexed_store_raises():

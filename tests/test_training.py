@@ -375,7 +375,7 @@ def test_sharded_adam_trains_bitwise_as_one_worker(monkeypatch):
 
 def test_init_params_values_are_views_of_one_buffer():
     store = init_params(toy_model_config(), seeded_rng(0))
-    (buffers,) = store.buffers()
+    buffers = store.buffers
     assert all(np.shares_memory(p.value, buffers.values) for _, p in store.items())
     # end to end in param_spec order
     assert np.concatenate([p.value.ravel() for _, p in store.items()]).tobytes() \
