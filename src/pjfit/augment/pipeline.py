@@ -118,7 +118,7 @@ def augment_batch(dataset: Dataset, client: CompletionClient,
     prompts: dict[str, Prompt] = {}
     for job in selected:
         resumes = [dataset.candidates[cid].text
-                   for cid in reversed(job.hist_pass_interview)]
+                   for cid in reversed(job.history("passed_interview"))]
         template = templates.for_category(dataset.vocab.name_of(job.category_id))
         prompts[job.id] = build_prompt(job, resumes, template)
 

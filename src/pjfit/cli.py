@@ -37,14 +37,7 @@ from pjfit.augment import (
     original_jd_texts,
 )
 from pjfit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from pjfit.config import (
-    ABLATIONS,
-    ModelConfig,
-    TrainConfig,
-    model_config_to_dict,
-    train_config_from_dict,
-    train_config_to_dict,
-)
+from pjfit.config import ABLATIONS, TrainConfig, train_config_from_dict, train_config_to_dict
 from pjfit.domain import Dataset, DatasetError, load_data_dir, validate_records
 from pjfit.domain.records import save_data_dir
 from pjfit.metrics import UndefinedMetricError
@@ -162,13 +155,8 @@ def _resolve_train_config(args, dataset: Dataset) -> TrainConfig:
     if args.seed is not None:
         doc["seed"] = args.seed
 
-    fields = train_config_to_dict(TrainConfig())
-    fields.update(doc)
-    model_fields = model_config_to_dict(ModelConfig())
-    model_fields.update(model_doc)
-    fields["model"] = model_fields
     try:
-        return train_config_from_dict(fields)
+        return train_config_from_dict({**doc, "model": model_doc})
     except TypeError as exc:
         # only the config file can hold a value of the wrong type
         raise DatasetError(f"config {args.config}: {exc}") from exc

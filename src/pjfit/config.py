@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 STAGES = ("evaluated", "passed_eval", "passed_interview")
@@ -113,10 +114,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.lambda_reg < 0:
-            raise ValueError("lambda_reg must be >= 0")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        for name in ("lambda_reg", "learning_rate"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN too
+                raise ValueError(f"{name} must be >= 0 and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.negatives_per_positive < 1:

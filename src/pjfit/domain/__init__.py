@@ -7,9 +7,7 @@ from pjfit.domain.records import (
     DatasetReport,
     EntityRecord,
     Pair,
-    load_dataset,
     load_data_dir,
-    save_dataset,
     validate_records,
 )
 from pjfit.domain.sampling import (
@@ -28,9 +26,7 @@ __all__ = [
     "DatasetReport",
     "EntityRecord",
     "Pair",
-    "load_dataset",
     "load_data_dir",
-    "save_dataset",
     "validate_records",
     "PairBatch",
     "SampledEpoch",

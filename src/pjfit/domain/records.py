@@ -1,6 +1,8 @@
-"""Entity records, labeled pairs, dataset files.
+"""Entity records, labeled pairs, and the data directory that holds them.
 
-A data directory holds four files:
+``load_data_dir`` reads a data directory and ``save_data_dir`` writes
+one; they are the only code that knows the file layout. A directory
+holds four files:
 
 * ``entities.jsonl`` (UTF-8, one JSON object per line):
   ``{"id", "kind", "text", "category", "hist_eval", "hist_pass_eval",
@@ -10,8 +12,12 @@ A data directory holds four files:
   (gender, age, school, graduation year, location) are structurally
   unrepresentable. ``id``, ``kind``, ``text`` and ``category`` are
   strings, each history a list of id strings, ``augmented`` true or
-  false and ``text_original`` a string or null. A line that still
-  carries an inline ``embedding`` is refused: embeddings live in
+  false and ``text_original`` a string or null. The three history
+  fields are the recruitment stages of ``config.STAGES`` in order
+  (evaluated, passed resume evaluation, passed interview); a record
+  keeps them as ``EntityRecord.histories`` in that order, and
+  ``_HISTORY_FIELDS`` is the only code that names them. A line that
+  still carries an inline ``embedding`` is refused: embeddings live in
   ``embeddings.npz``.
 * ``embeddings.npz``: a numpy archive of exactly two arrays, ``ids`` (one
   string per entity record) and ``values`` (an (n, d) float64 matrix).
@@ -55,25 +61,19 @@ class DatasetError(ValueError):
 
 EMBEDDINGS_FILE = "embeddings.npz"
 
-_REQUIRED_ENTITY_FIELDS = {
-    "id", "kind", "text", "category",
-    "hist_eval", "hist_pass_eval", "hist_pass_interview",
-}
+# the entities-file field of each stage's history, in STAGES order
+_HISTORY_FIELDS = ("hist_eval", "hist_pass_eval", "hist_pass_interview")
+_REQUIRED_ENTITY_FIELDS = {"id", "kind", "text", "category", *_HISTORY_FIELDS}
 _OPTIONAL_ENTITY_FIELDS = {"augmented", "text_original"}
 _PAIR_FIELDS = {"candidate_id", "job_id", "label", "ts"}
-
-_STAGE_TO_FIELD = {
-    "evaluated": "hist_eval",
-    "passed_eval": "hist_pass_eval",
-    "passed_interview": "hist_pass_interview",
-}
 
 
 @dataclass(frozen=True, eq=False)
 class EntityRecord:
     """A candidate or a job with its staged interaction history.
 
-    History lists hold ids of the opposite kind in chronological order
+    ``histories`` holds one tuple of ids per stage, in ``STAGES`` order;
+    each names entities of the opposite kind in chronological order
     (oldest first). Only professional content is representable here.
     """
 
@@ -82,14 +82,12 @@ class EntityRecord:
     text: str
     category_id: int
     embedding: np.ndarray
-    hist_eval: tuple[str, ...] = ()
-    hist_pass_eval: tuple[str, ...] = ()
-    hist_pass_interview: tuple[str, ...] = ()
+    histories: tuple[tuple[str, ...], ...]
     augmented: bool = False
     text_original: str | None = None
 
     def history(self, stage: str) -> tuple[str, ...]:
-        return getattr(self, _STAGE_TO_FIELD[stage])
+        return self.histories[STAGES.index(stage)]
 
 
 @dataclass(frozen=True)
@@ -165,12 +163,12 @@ def _parse_entity(doc: dict, vocab: CategoryVocab, where: str) -> dict:
         raise DatasetError(f"{where}: kind must be 'candidate' or 'job', got {doc['kind']!r}")
     if doc["category"] not in vocab:
         raise DatasetError(f"{where}: unknown category {doc['category']!r} for id {doc['id']!r}")
-    hists = {}
-    for field_name in ("hist_eval", "hist_pass_eval", "hist_pass_interview"):
+    histories = []
+    for field_name in _HISTORY_FIELDS:
         ids = doc[field_name]
         if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
             raise DatasetError(f"{where}: {field_name} of {doc['id']!r} must be a list of id strings")
-        hists[field_name] = tuple(ids)
+        histories.append(tuple(ids))
     augmented = doc.get("augmented", False)
     if not isinstance(augmented, bool):
         raise DatasetError(f"{where}: augmented of {doc['id']!r} must be true or false, "
@@ -183,10 +181,10 @@ def _parse_entity(doc: dict, vocab: CategoryVocab, where: str) -> dict:
         raise DatasetError(f"{where}: augmented record {doc['id']!r} lacks text_original")
     return dict(id=doc["id"], kind=doc["kind"], text=doc["text"],
                 category_id=vocab.id_of(doc["category"]),
-                augmented=augmented, text_original=text_original, **hists)
+                histories=tuple(histories), augmented=augmented, text_original=text_original)
 
 
-def _load_embeddings(path, ids: list[str], embedding_dim: int | None) -> np.ndarray:
+def _load_embeddings(path, ids: list[str]) -> np.ndarray:
     """The read-only (len(ids), d) float64 matrix of an embeddings file
     whose ``ids`` equal ``ids`` row for row."""
     try:
@@ -219,77 +217,8 @@ def _load_embeddings(path, ids: list[str], embedding_dim: int | None) -> np.ndar
     for row, (got, want) in enumerate(zip(file_ids.tolist(), ids)):
         if got != want:
             raise DatasetError(f"{path}: row {row} is {got!r}, but entity record {row} is {want!r}")
-    if embedding_dim is not None and values.shape[1] != embedding_dim:
-        raise DatasetError(f"{path}: embeddings have {values.shape[1]} entries, "
-                           f"expected {embedding_dim}")
     values.flags.writeable = False
     return values
-
-
-def load_dataset(entities_path, pairs_path, embeddings_path, vocab: CategoryVocab | None = None,
-                 embedding_dim: int | None = None) -> Dataset:
-    """Parse and validate an entities/pairs/embeddings file triple.
-
-    The embedding width is the embeddings file's unless pinned by
-    ``embedding_dim``. Errors carry the offending file, and the line
-    number where there is one.
-    """
-    vocab = vocab or CategoryVocab()
-    fields: list[dict] = []
-    linenos: list[int] = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, doc in _iter_jsonl(entities_path):
-        entity = _parse_entity(doc, vocab, f"{entities_path}:{lineno}")
-        key = (entity["kind"], entity["id"])
-        if key in seen:
-            raise DatasetError(f"{entities_path}:{lineno}: duplicate {key[0]} id {key[1]!r}")
-        seen.add(key)
-        fields.append(entity)
-        linenos.append(lineno)
-
-    values = _load_embeddings(embeddings_path, [f["id"] for f in fields], embedding_dim)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise DatasetError(f"{entities_path}:{linenos[row]}: embedding of {fields[row]['id']!r} "
-                           f"holds a non-finite value")
-    candidates: dict[str, EntityRecord] = {}
-    jobs: dict[str, EntityRecord] = {}
-    for entity, embedding in zip(fields, values):
-        table = candidates if entity["kind"] == "candidate" else jobs
-        table[entity["id"]] = EntityRecord(embedding=embedding, **entity)
-
-    # histories must reference existing entities of the opposite kind
-    for record in list(candidates.values()) + list(jobs.values()):
-        counterpart = jobs if record.kind == "candidate" else candidates
-        for stage_ids in (record.hist_eval, record.hist_pass_eval, record.hist_pass_interview):
-            for ref in stage_ids:
-                if ref not in counterpart:
-                    raise DatasetError(
-                        f"{record.kind} {record.id!r}: history references "
-                        f"missing counterpart id {ref!r}")
-
-    pairs: list[Pair] = []
-    for lineno, doc in _iter_jsonl(pairs_path):
-        where = f"{pairs_path}:{lineno}"
-        if set(doc) != _PAIR_FIELDS:
-            raise DatasetError(f"{where}: pair must have exactly fields {sorted(_PAIR_FIELDS)}")
-        cid, jid, label, ts = doc["candidate_id"], doc["job_id"], doc["label"], doc["ts"]
-        if type(cid) is not str or type(jid) is not str:
-            raise DatasetError(f"{where}: candidate_id and job_id must be strings, "
-                               f"got {cid!r} and {jid!r}")
-        # a bool is not an int here, nor is a float such as 1.0
-        if type(label) is not int or label not in (0, 1):
-            raise DatasetError(f"{where}: label must be the integer 0 or 1, got {label!r}")
-        if type(ts) is not int:
-            raise DatasetError(f"{where}: ts must be an integer, got {ts!r}")
-        if cid not in candidates:
-            raise DatasetError(f"{where}: pair references missing candidate {cid!r}")
-        if jid not in jobs:
-            raise DatasetError(f"{where}: pair references missing job {jid!r}")
-        pairs.append(Pair(cid, jid, label, ts))
-
-    return Dataset(vocab, candidates, jobs, pairs, values.shape[1])
 
 
 def _iter_jsonl(path):
@@ -312,9 +241,7 @@ def _entity_doc(record: EntityRecord, vocab: CategoryVocab) -> dict:
         "kind": record.kind,
         "text": record.text,
         "category": vocab.name_of(record.category_id),
-        "hist_eval": list(record.hist_eval),
-        "hist_pass_eval": list(record.hist_pass_eval),
-        "hist_pass_interview": list(record.hist_pass_interview),
+        **{name: list(ids) for name, ids in zip(_HISTORY_FIELDS, record.histories)},
     }
     if record.augmented:
         doc["augmented"] = True
@@ -322,20 +249,26 @@ def _entity_doc(record: EntityRecord, vocab: CategoryVocab) -> dict:
     return doc
 
 
-def save_dataset(dataset: Dataset, entities_path, pairs_path, embeddings_path) -> None:
-    """Inverse of load_dataset; entities sorted by (kind, id) for stable bytes."""
+def save_data_dir(dataset: Dataset, meta: dict, out_dir) -> None:
+    """Inverse of load_data_dir; entities sorted by (kind, id) for stable
+    bytes, and meta.json carrying the category list unless ``meta`` does."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     records = sorted(
         list(dataset.candidates.values()) + list(dataset.jobs.values()),
         key=lambda r: (r.kind, r.id))
-    _atomic_write(entities_path, "".join(
+    _atomic_write(out / "entities.jsonl", "".join(
         json.dumps(_entity_doc(r, dataset.vocab), ensure_ascii=False) + "\n" for r in records))
     values = (np.stack([r.embedding for r in records]) if records
               else np.zeros((0, dataset.embedding_dim)))
-    with _atomic_file(embeddings_path) as fh:
+    with _atomic_file(out / EMBEDDINGS_FILE) as fh:
         np.savez(fh, ids=np.array([r.id for r in records], dtype=str), values=values)
-    _atomic_write(pairs_path, "".join(
+    _atomic_write(out / "pairs.jsonl", "".join(
         json.dumps({"candidate_id": p.candidate_id, "job_id": p.job_id,
                     "label": p.label, "ts": p.ts}) + "\n" for p in dataset.pairs))
+    meta = dict(meta)
+    meta.setdefault("categories", list(dataset.vocab.names))
+    _atomic_write(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 @contextmanager
@@ -352,15 +285,6 @@ def _atomic_file(path):
 def _atomic_write(path, content: str) -> None:
     with _atomic_file(path) as fh:
         fh.write(content.encode("utf-8"))
-
-
-def save_data_dir(dataset: Dataset, meta: dict, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_dataset(dataset, out / "entities.jsonl", out / "pairs.jsonl", out / EMBEDDINGS_FILE)
-    meta = dict(meta)
-    meta.setdefault("categories", list(dataset.vocab.names))
-    _atomic_write(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _load_meta(path: Path) -> tuple[dict, CategoryVocab]:
@@ -390,12 +314,68 @@ def _load_meta(path: Path) -> tuple[dict, CategoryVocab]:
 
 
 def load_data_dir(data_dir) -> tuple[Dataset, dict]:
-    """Load a data directory; vocabulary comes from meta.json when present."""
+    """Parse and validate a data directory: its dataset, and meta.json's
+    document (empty without the file). The vocabulary comes from
+    meta.json when present, the embedding width from the embeddings
+    file. Errors carry the offending file, and the line number where
+    there is one.
+    """
     data_dir = Path(data_dir)
     meta, vocab = _load_meta(data_dir / "meta.json")
-    dataset = load_dataset(data_dir / "entities.jsonl", data_dir / "pairs.jsonl",
-                           data_dir / EMBEDDINGS_FILE, vocab)
-    return dataset, meta
+    entities_path, pairs_path = data_dir / "entities.jsonl", data_dir / "pairs.jsonl"
+    fields: list[dict] = []
+    linenos: list[int] = []
+    seen: set[tuple[str, str]] = set()
+    for lineno, doc in _iter_jsonl(entities_path):
+        entity = _parse_entity(doc, vocab, f"{entities_path}:{lineno}")
+        key = (entity["kind"], entity["id"])
+        if key in seen:
+            raise DatasetError(f"{entities_path}:{lineno}: duplicate {key[0]} id {key[1]!r}")
+        seen.add(key)
+        fields.append(entity)
+        linenos.append(lineno)
+
+    values = _load_embeddings(data_dir / EMBEDDINGS_FILE, [f["id"] for f in fields])
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise DatasetError(f"{entities_path}:{linenos[row]}: embedding of {fields[row]['id']!r} "
+                           f"holds a non-finite value")
+    records = [EntityRecord(embedding=embedding, **entity) for entity, embedding in zip(fields, values)]
+    candidates = {r.id: r for r in records if r.kind == "candidate"}
+    jobs = {r.id: r for r in records if r.kind == "job"}
+
+    # histories must reference existing entities of the opposite kind
+    for record, lineno in zip(records, linenos):
+        counterpart = jobs if record.kind == "candidate" else candidates
+        for stage_ids in record.histories:
+            for ref in stage_ids:
+                if ref not in counterpart:
+                    raise DatasetError(
+                        f"{entities_path}:{lineno}: {record.kind} {record.id!r}: history "
+                        f"references missing counterpart id {ref!r}")
+
+    pairs: list[Pair] = []
+    for lineno, doc in _iter_jsonl(pairs_path):
+        where = f"{pairs_path}:{lineno}"
+        if set(doc) != _PAIR_FIELDS:
+            raise DatasetError(f"{where}: pair must have exactly fields {sorted(_PAIR_FIELDS)}")
+        cid, jid, label, ts = doc["candidate_id"], doc["job_id"], doc["label"], doc["ts"]
+        if type(cid) is not str or type(jid) is not str:
+            raise DatasetError(f"{where}: candidate_id and job_id must be strings, "
+                               f"got {cid!r} and {jid!r}")
+        # a bool is not an int here, nor is a float such as 1.0
+        if type(label) is not int or label not in (0, 1):
+            raise DatasetError(f"{where}: label must be the integer 0 or 1, got {label!r}")
+        if type(ts) is not int:
+            raise DatasetError(f"{where}: ts must be an integer, got {ts!r}")
+        if cid not in candidates:
+            raise DatasetError(f"{where}: pair references missing candidate {cid!r}")
+        if jid not in jobs:
+            raise DatasetError(f"{where}: pair references missing job {jid!r}")
+        pairs.append(Pair(cid, jid, label, ts))
+
+    return Dataset(vocab, candidates, jobs, pairs, values.shape[1]), meta
 
 
 @dataclass
@@ -414,7 +394,7 @@ def validate_records(dataset: Dataset, short_jd_threshold: int = 200) -> Dataset
     """Composition summary: sizes, label balance, history lengths, short-JD share."""
     hist = Counter()
     for record in list(dataset.candidates.values()) + list(dataset.jobs.values()):
-        for stage_ids in (record.history(stage) for stage in STAGES):
+        for stage_ids in record.histories:
             hist[len(stage_ids)] += 1
     n_jobs = len(dataset.jobs)
     short = sum(1 for j in dataset.jobs.values() if len(j.text) < short_jd_threshold)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pjfit.config import _checked_fields
+from pjfit.config import STAGES, _checked_fields
 from pjfit.domain import CategoryVocab, Dataset, EntityRecord, Pair
 from pjfit.domain.vocab import DEFAULT_CATEGORIES
 from pjfit.metrics import RankedPrediction, UndefinedMetricError, auc
@@ -69,10 +69,9 @@ class SynthConfig:
             raise ValueError("need at least one candidate per category")
         if self.n_jobs < 1 or self.embedding_dim < 2:
             raise ValueError("n_jobs and embedding_dim must be meaningful")
-        if self.prototype_noise < 0:
-            raise ValueError("prototype_noise must be >= 0")
-        if not self.positives_per_job >= 0:  # NaN too
-            raise ValueError("positives_per_job must be >= 0")
+        for name in ("prototype_noise", "positives_per_job"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN too
+                raise ValueError(f"{name} must be >= 0 and finite")
 
 
 def _string_list(value, key: str, length: int | None = None) -> tuple[str, ...]:
@@ -196,24 +195,22 @@ def generate_dataset(cfg: SynthConfig) -> tuple[Dataset, dict]:
     split_index = max(1, math.floor(len(pairs) * (1.0 - cfg.test_fraction)))
     split_ts = pairs[split_index].ts if split_index < len(pairs) else pairs[-1].ts + 10
 
-    # histories replay only pre-split events; label 1 walks the stage
-    # funnel, label 0 stops at evaluated (sometimes passed_eval)
-    hists: dict[str, dict[str, list[str]]] = {
-        eid: {"hist_eval": [], "hist_pass_eval": [], "hist_pass_interview": []}
-        for eid in list(cand_category) + list(job_category)
-    }
+    # histories replay only pre-split events, one list per stage in STAGES
+    # order; label 1 walks the stage funnel, label 0 stops at evaluated
+    # (sometimes passed_eval)
+    hists = {eid: [[] for _ in STAGES] for eid in list(cand_category) + list(job_category)}
     for p in pairs:
         if p.ts >= split_ts:
             continue
-        stages = ["hist_eval"]
+        reached = 1
         if p.label == 1:
             if rng.random() < 0.9:
-                stages.append("hist_pass_eval")
+                reached = 2
                 if rng.random() < 0.8:
-                    stages.append("hist_pass_interview")
+                    reached = 3
         elif rng.random() < 0.3:
-            stages.append("hist_pass_eval")
-        for stage in stages:
+            reached = 2
+        for stage in range(reached):
             hists[p.candidate_id][stage].append(p.job_id)
             hists[p.job_id][stage].append(p.candidate_id)
 
@@ -226,9 +223,7 @@ def generate_dataset(cfg: SynthConfig) -> tuple[Dataset, dict]:
             id=cid, kind="candidate",
             text=_text(rng, cat, int(rng.integers(240, 420)), "profile"),
             category_id=vocab.id_of(cat), embedding=cand_embedding[cid],
-            hist_eval=tuple(hists[cid]["hist_eval"]),
-            hist_pass_eval=tuple(hists[cid]["hist_pass_eval"]),
-            hist_pass_interview=tuple(hists[cid]["hist_pass_interview"]),
+            histories=tuple(map(tuple, hists[cid])),
         )
     jobs = {}
     for jid, cat in job_category.items():
@@ -237,9 +232,7 @@ def generate_dataset(cfg: SynthConfig) -> tuple[Dataset, dict]:
             id=jid, kind="job",
             text=_text(rng, cat, target, "opening"),
             category_id=vocab.id_of(cat), embedding=job_embedding[jid],
-            hist_eval=tuple(hists[jid]["hist_eval"]),
-            hist_pass_eval=tuple(hists[jid]["hist_pass_eval"]),
-            hist_pass_interview=tuple(hists[jid]["hist_pass_interview"]),
+            histories=tuple(map(tuple, hists[jid])),
         )
 
     dataset = Dataset(vocab, candidates, jobs, pairs, cfg.embedding_dim)

@@ -119,9 +119,7 @@ class DatasetBuilder:
             text=text if text is not None else f"{category} {kind} {entity_id} profile text",
             category_id=self.vocab.id_of(category),
             embedding=np.asarray(embedding) if embedding is not None else self.rng.normal(size=self.dim),
-            hist_eval=tuple(hist_eval),
-            hist_pass_eval=tuple(hist_pass_eval),
-            hist_pass_interview=tuple(hist_pass_interview),
+            histories=(tuple(hist_eval), tuple(hist_pass_eval), tuple(hist_pass_interview)),
             **extra,
         )
         (self.candidates if kind == "candidate" else self.jobs)[entity_id] = record

@@ -165,9 +165,14 @@ def test_full_chain_is_deterministic(tmp_path):
     assert run_chain() == run_chain()
 
 
-def test_synth_rejects_a_negative_positives_per_job_before_writing(tmp_path, capsys):
+@pytest.mark.parametrize("value", [
+    pytest.param(-1, id="-1"),
+    pytest.param(float("nan"), id="NaN"),
+    pytest.param(float("inf"), id="Infinity"),
+])
+def test_synth_rejects_a_negative_positives_per_job_before_writing(tmp_path, capsys, value):
     path = tmp_path / "synth.json"
-    path.write_text(json.dumps({**SYNTH_CFG, "positives_per_job": -1}))
+    path.write_text(json.dumps({**SYNTH_CFG, "positives_per_job": value}))
     assert main(["synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "positives_per_job must be >= 0" in err and "Traceback" not in err
@@ -243,6 +248,9 @@ def test_bad_synth_config_is_a_data_error(tmp_path, capsys, doc, named):
     pytest.param({"model": {"expert_hidden": [-3, 6]}}, "expert_hidden", id="negative-expert-width"),
     pytest.param({"model": {"expert_hidden": [10]}}, "expert_hidden", id="one-expert-width"),
     pytest.param({"model": {"expert_hidden": [10, 6, 4]}}, "expert_hidden", id="three-expert-widths"),
+    pytest.param({"learning_rate": float("nan")}, "learning_rate", id="nan-learning-rate"),
+    pytest.param({"learning_rate": float("inf")}, "learning_rate", id="infinite-learning-rate"),
+    pytest.param({"lambda_reg": float("nan")}, "lambda_reg", id="nan-lambda-reg"),
 ])
 def test_bad_train_config_is_a_data_error(pipeline, tmp_path, capsys, doc, named):
     (tmp_path / "train.json").write_text(json.dumps(doc))

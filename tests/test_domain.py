@@ -12,9 +12,7 @@ from pjfit.domain import (
     Dataset,
     DatasetError,
     load_data_dir,
-    load_dataset,
     sample_training_pairs,
-    save_dataset,
     validate_records,
 )
 from pjfit.domain.records import save_data_dir
@@ -48,6 +46,11 @@ def paths(tmp_path):
     return tmp_path / "entities.jsonl", tmp_path / "pairs.jsonl", tmp_path / "embeddings.npz"
 
 
+def load(paths):
+    """The dataset of the data directory that holds ``paths``."""
+    return load_data_dir(paths[0].parent)[0]
+
+
 def write_entities(paths, docs, values=None, dim=4):
     """The entities file and its embeddings file: one row per object line,
     0.1 everywhere unless ``values`` is given."""
@@ -66,7 +69,7 @@ def test_load_two_candidates_one_job(paths):
         entity_doc("j1", "job"),
     ])
     write_jsonl(pairs, [{"candidate_id": "c1", "job_id": "j1", "label": 1, "ts": 5}])
-    ds = load_dataset(entities, pairs, embeddings)
+    ds = load(paths)
     assert len(ds.candidates) == 2
     assert len(ds.jobs) == 1
     assert ds.embedding_dim == 4
@@ -77,7 +80,7 @@ def test_loaded_embeddings_are_read_only_rows_of_one_matrix(paths):
     write_entities(paths, [entity_doc("c1", "candidate"), entity_doc("j1", "job")],
                    values=np.arange(8.0).reshape(2, 4))
     write_jsonl(paths[1], [])
-    ds = load_dataset(*paths)
+    ds = load(paths)
     c1, j1 = ds.candidates["c1"].embedding, ds.jobs["j1"].embedding
     np.testing.assert_array_equal(j1, [4.0, 5.0, 6.0, 7.0])
     assert c1.base is j1.base is not None
@@ -94,7 +97,7 @@ def test_non_finite_embedding_names_line_and_id(paths, value):
     write_entities(paths, [entity_doc("c1", "candidate"), entity_doc("c2", "candidate")], values)
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match=r"entities.jsonl:2: embedding of 'c2' holds a non-finite"):
-        load_dataset(entities, pairs, embeddings)
+        load(paths)
 
 
 def test_inline_embedding_is_refused_and_names_the_new_file(paths):
@@ -104,7 +107,7 @@ def test_inline_embedding_is_refused_and_names_the_new_file(paths):
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match=r"entities.jsonl:2: inline embeddings .* "
                                            r"now live in embeddings.npz"):
-        load_dataset(entities, pairs, embeddings)
+        load(paths)
 
 
 @pytest.mark.parametrize("damage, message", BROKEN_EMBEDDINGS)
@@ -115,7 +118,7 @@ def test_broken_embeddings_file_is_a_data_error(paths, damage, message):
     damage(embeddings, np.array(["c1", "c2", "j1"]), np.full((3, 4), 0.1))
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match=rf"embeddings.npz: .*{message}"):
-        load_dataset(entities, pairs, embeddings)
+        load(paths)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -137,7 +140,7 @@ def test_entity_field_of_the_wrong_type_names_line_and_id(paths, overrides, mess
     write_entities(paths, [entity_doc("c1", "candidate"), {**entity_doc("c2", "candidate"), **overrides}])
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match=rf"entities.jsonl:2: {message}"):
-        load_dataset(entities, pairs, embeddings)
+        load(paths)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -156,7 +159,7 @@ def test_pair_field_of_the_wrong_type_names_the_line(paths, overrides, message):
     good = {"candidate_id": "c1", "job_id": "j1", "label": 1, "ts": 5}
     write_jsonl(pairs, [good, {**good, **overrides}])
     with pytest.raises(DatasetError, match=rf"pairs.jsonl:2: {message}"):
-        load_dataset(entities, pairs, embeddings)
+        load(paths)
 
 
 def test_line_that_is_not_an_object_names_the_line(paths):
@@ -164,15 +167,7 @@ def test_line_that_is_not_an_object_names_the_line(paths):
     write_entities(paths, [entity_doc("c1", "candidate"), ["c2", "candidate"]])
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match=r"entities.jsonl:2: a line must hold a JSON object"):
-        load_dataset(entities, pairs, embeddings)
-
-
-def test_pinned_embedding_dim_rejects_first_record_too(paths):
-    entities, pairs, embeddings = paths
-    write_entities(paths, [entity_doc("c1", "candidate")], dim=1023)
-    write_jsonl(pairs, [])
-    with pytest.raises(DatasetError, match="embeddings.npz: embeddings have 1023 entries, expected 1024"):
-        load_dataset(entities, pairs, embeddings, embedding_dim=1024)
+        load(paths)
 
 
 def test_pair_referencing_missing_job(paths):
@@ -180,15 +175,16 @@ def test_pair_referencing_missing_job(paths):
     write_entities(paths, [entity_doc("c1", "candidate")])
     write_jsonl(pairs, [{"candidate_id": "c1", "job_id": "ghost", "label": 0, "ts": 1}])
     with pytest.raises(DatasetError, match="missing job 'ghost'"):
-        load_dataset(entities, pairs, embeddings)
+        load(paths)
 
 
 def test_dangling_history_id(paths):
     entities, pairs, embeddings = paths
     write_entities(paths, [entity_doc("c1", "candidate", hist_eval=["nosuchjob"])])
     write_jsonl(pairs, [])
-    with pytest.raises(DatasetError, match="missing counterpart id 'nosuchjob'"):
-        load_dataset(entities, pairs, embeddings)
+    with pytest.raises(DatasetError, match=r"entities.jsonl:1: candidate 'c1': history references "
+                                           r"missing counterpart id 'nosuchjob'"):
+        load(paths)
 
 
 def test_unknown_category_reports_line_number(paths):
@@ -199,7 +195,7 @@ def test_unknown_category_reports_line_number(paths):
     ])
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match=r":2: unknown category 'Wizardry'"):
-        load_dataset(entities, pairs, embeddings)
+        load(paths)
 
 
 def test_malformed_line_reports_line_number(paths):
@@ -208,7 +204,7 @@ def test_malformed_line_reports_line_number(paths):
     entities.write_text(json.dumps(entity_doc("c1", "candidate")) + "\n{broken\n", encoding="utf-8")
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match=r":2: malformed JSON"):
-        load_dataset(entities, pairs, embeddings)
+        load(paths)
 
 
 def test_duplicate_id_rejected(paths):
@@ -216,7 +212,7 @@ def test_duplicate_id_rejected(paths):
     write_entities(paths, [entity_doc("c1", "candidate"), entity_doc("c1", "candidate")])
     write_jsonl(pairs, [])
     with pytest.raises(DatasetError, match="duplicate candidate id 'c1'"):
-        load_dataset(entities, pairs, embeddings)
+        load(paths)
 
 
 def test_sensitive_fields_are_structurally_rejected(paths):
@@ -225,13 +221,13 @@ def test_sensitive_fields_are_structurally_rejected(paths):
         write_entities(paths, [entity_doc("c1", "candidate", **{bad_field: "x"})])
         write_jsonl(pairs, [])
         with pytest.raises(DatasetError, match=f"unknown fields.*{bad_field}"):
-            load_dataset(entities, pairs, embeddings)
+            load(paths)
 
 
 def test_round_trip_is_identity(tmp_path, small_dataset):
-    files = tmp_path / "e.jsonl", tmp_path / "p.jsonl", tmp_path / "v.npz"
-    save_dataset(small_dataset, *files)
-    loaded = load_dataset(*files, vocab=small_dataset.vocab)
+    save_data_dir(small_dataset, {}, tmp_path / "first")
+    loaded, meta = load_data_dir(tmp_path / "first")
+    assert meta == {"categories": list(small_dataset.vocab.names)}
     assert set(loaded.candidates) == set(small_dataset.candidates)
     assert set(loaded.jobs) == set(small_dataset.jobs)
     assert loaded.pairs == small_dataset.pairs
@@ -244,10 +240,22 @@ def test_round_trip_is_identity(tmp_path, small_dataset):
         assert got.embedding.dtype == np.float64
         assert got.embedding.tobytes() == rec.embedding.tobytes()
     # a second save of the loaded dataset is byte-identical
-    files2 = tmp_path / "e2.jsonl", tmp_path / "p2.jsonl", tmp_path / "v2.npz"
-    save_dataset(loaded, *files2)
-    for first, second in zip(files, files2):
-        assert second.read_bytes() == first.read_bytes()
+    save_data_dir(loaded, meta, tmp_path / "second")
+    for name in ("entities.jsonl", "pairs.jsonl", "embeddings.npz", "meta.json"):
+        assert (tmp_path / "second" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+
+
+def test_each_history_field_is_its_own_stage(paths, tmp_path):
+    fields = {"hist_eval": ["j1"], "hist_pass_eval": ["j2"], "hist_pass_interview": ["j3"]}
+    write_entities(paths, [entity_doc("c1", "candidate", **fields)]
+                   + [entity_doc(f"j{i}", "job") for i in (1, 2, 3)])
+    write_jsonl(paths[1], [])
+    ds = load(paths)
+    record = ds.candidates["c1"]
+    assert [record.history(stage) for stage in STAGES] == [("j1",), ("j2",), ("j3",)]
+    save_data_dir(ds, {}, tmp_path / "saved")
+    saved = json.loads((tmp_path / "saved" / "entities.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    assert saved["id"] == "c1" and {name: saved[name] for name in fields} == fields
 
 
 def _meta_dir(tmp_path, small_dataset, meta_text):

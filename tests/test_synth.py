@@ -111,3 +111,6 @@ def test_config_validation():
         SynthConfig(short_jd_fraction=1.5)
     with pytest.raises(ValueError, match="positives_per_job"):
         SynthConfig(positives_per_job=-1.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="prototype_noise must be >= 0 and finite"):
+            SynthConfig(prototype_noise=value)
