@@ -7,12 +7,12 @@ Layout (all integers little-endian u32):
     row-major float32 values
 
 Tensors follow ``model.param_spec`` of the embedded config. An attention
-set is four (d x d) tensors, ``wq``, ``wk``, ``wv`` and ``wo``, with the
-heads as column blocks of the first three. Version 3 made the experts'
-first layers column blocks of one ``moe.w1`` and one ``moe.b1``, the
-single-FFN ablations included as one expert. Version 2 (a ``w1`` and
-``b1`` per expert, ``head.*`` tensors) and version 1 (a tensor per
-attention head) are rejected with ``UnsupportedVersionError``.
+set is three (d x d) tensors, ``wq``, ``wk`` and ``wv``, with the heads as
+column blocks. Version 4 dropped each set's output projection ``wo`` and
+ordered the rows of ``fusion.w1`` internal first, then external.
+Version 3 (a ``wo`` per set, ``fusion.w1`` rows stage-major), version 2
+(a ``w1`` and ``b1`` per expert, ``head.*`` tensors) and version 1 (a
+tensor per attention head) are rejected with ``UnsupportedVersionError``.
 
 Training math runs in float64; checkpoints narrow to float32 on save and
 widen on load, so round-trips are bit-exact at 32-bit precision. Loading
@@ -34,7 +34,7 @@ from pjfit.model import param_spec
 from pjfit.numerics import ParamStore
 
 MAGIC = b"PJF1"
-VERSION = 3
+VERSION = 4
 WIDEN_CHUNK = 1 << 16
 
 

@@ -79,11 +79,6 @@ def write_report(path, command: str, payload: dict, elapsed_ms: float) -> None:
     Path(path).write_text(header + body, encoding="utf-8")
 
 
-def read_report(path) -> dict:
-    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
-    return json.loads("".join(l for l in lines if not l.startswith("#")))
-
-
 # ------------------------------------------------------------ commands
 
 

@@ -3,17 +3,22 @@
 Each side (candidate-to-job, job-to-candidate) attends its text over six
 history sequences: per recruitment stage, an internal interaction with
 the entity's own counterpart-kind history and an external one with the
-paired entity's same-kind history. The six outputs, stage-major with
-internal first, feed a two-layer fusion DNN. Per entity:
-``external_queries``, ``internal_hidden`` (the internal interactions
-through their rows of ``fusion.w1``, plus ``fusion.b1``) and, for
-history entities, ``external_keys``. Per pair: ``fuse_pairs``.
+paired entity's same-kind history. Their outputs feed a two-layer fusion
+DNN. Per entity: ``external_queries``, ``internal_hidden`` (the internal
+interactions through their rows of ``fusion.w1``, plus ``fusion.b1``)
+and, for history entities, ``external_keys``. Per pair: ``fuse_pairs``.
 
-An attention set (one side, stage and direction) is four (d x d)
-matrices: ``wq``, ``wk`` and ``wv``, whose column blocks of width
-d / heads are the heads' projections, and ``wo``, whose row blocks read
-the heads' outputs. Only ``ops.segment_attention`` splits the heads, so
-each set runs one query, key, value and output GEMM per call.
+An attention set (one side, stage and direction) is three (d x d)
+matrices, ``wq``, ``wk`` and ``wv``, whose column blocks of width
+d / heads are the heads' projections. Its output is the heads' outputs
+side by side. No output projection follows: the rows of ``fusion.w1``
+that read a set are a linear map of their own, and a (d x d) projection
+before them would add no function. Only ``ops.segment_attention`` splits
+the heads, so each set runs one query, key and value GEMM per call.
+
+``fusion.w1`` has 2 S d rows for S active stages: rows [0, S d) read the
+internal outputs, stage by stage, and rows [S d, 2 S d) the external
+ones, so each direction's S outputs side by side enter in one GEMM.
 
 Histories are packed by reference: per stage, the distinct entities a
 batch's histories name are stacked once, a row map gives the row of each
@@ -26,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from pjfit.config import ModelConfig
-from pjfit.numerics import BoundParams, DimensionError, Matrix, ops
+from pjfit.numerics import BoundParams, Matrix, ops
 
 SIDES = ("cand", "job")
 
@@ -39,7 +44,7 @@ def encoder_param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
         for stage in cfg.stages:
             for direction in ("internal", "external"):
                 prefix = f"{side}.{stage}.{direction}"
-                spec += [(f"{prefix}.{w}", d, d) for w in ("wq", "wk", "wv", "wo")]
+                spec += [(f"{prefix}.{w}", d, d) for w in ("wq", "wk", "wv")]
         spec.append((f"{side}.fusion.w1", cfg.fusion_in, cfg.fusion_hidden))
         spec.append((f"{side}.fusion.b1", 1, cfg.fusion_hidden))
         spec.append((f"{side}.fusion.w2", cfg.fusion_hidden, cfg.fusion_out))
@@ -50,19 +55,17 @@ def encoder_param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
 def interaction(query: Matrix, rows: Matrix, row_map: np.ndarray, ranges: np.ndarray,
                 bound: BoundParams, prefix: str, heads: int) -> Matrix:
     """Attention of ``query Wq`` over ``rows Wk`` and ``rows Wv`` in ``heads``
-    column blocks, its heads side by side, times Wo.
+    column blocks, its heads side by side.
 
     ``rows`` holds the embeddings of the distinct history entities, each
     projected to keys and values once. The packed history key j is row
     ``row_map[j]`` of them, and query j attends the packed keys in
     ``ranges[j]``. An empty range yields the zero vector: each head
-    attends over nothing and contributes zeros, so the output projection
-    sees zeros.
+    attends over nothing and contributes zeros.
     """
     k, v = (ops.matmul(rows, bound[f"{prefix}.{w}"]) for w in ("wk", "wv"))
-    out = ops.segment_attention(ops.matmul(query, bound[f"{prefix}.wq"]), k, v, ranges, row_map,
-                                heads)
-    return ops.matmul(out, bound[f"{prefix}.wo"])
+    return ops.segment_attention(ops.matmul(query, bound[f"{prefix}.wq"]), k, v, ranges, row_map,
+                                 heads)
 
 
 def _check_stages(seqs, cfg: ModelConfig) -> None:
@@ -70,10 +73,11 @@ def _check_stages(seqs, cfg: ModelConfig) -> None:
         raise ValueError(f"expected {len(cfg.stages)} sequences per direction, got {len(seqs)}")
 
 
-def _w1_rows(bound: BoundParams, side: str, block: int, cfg: ModelConfig) -> Matrix:
-    """The rows of ``fusion.w1`` that read attention output ``block``
-    (stage-major, internal before external)."""
-    return bound.rows(f"{side}.fusion.w1", block * cfg.d_model, (block + 1) * cfg.d_model)
+def _w1_rows(bound: BoundParams, side: str, direction: int, cfg: ModelConfig) -> Matrix:
+    """The rows of ``fusion.w1`` that read the S attention outputs of one
+    direction (0 internal, 1 external), stage by stage."""
+    n = len(cfg.stages) * cfg.d_model
+    return bound.rows(f"{side}.fusion.w1", direction * n, (direction + 1) * n)
 
 
 def external_queries(text: Matrix, bound: BoundParams, side: str, cfg: ModelConfig) -> list[Matrix]:
@@ -92,25 +96,15 @@ def external_keys(rows: Matrix, bound: BoundParams, side: str, stage: str,
 def internal_hidden(text: Matrix, own, bound: BoundParams, side: str, cfg: ModelConfig) -> Matrix:
     """(U, fusion_hidden): the internal interactions of U entities (texts
     ``text``, own histories ``own``, one (rows, row_map, ranges) per stage)
-    times their rows of ``fusion.w1``, summed over stages, plus ``fusion.b1``.
+    side by side, times their rows of ``fusion.w1``, plus ``fusion.b1``.
     """
     _check_stages(own, cfg)
-    hidden = bound[f"{side}.fusion.b1"]
-    for t, (stage, seq) in enumerate(zip(cfg.stages, own)):
-        out = interaction(text, *seq, bound, f"{side}.{stage}.internal", cfg.heads)
-        hidden = ops.affine(out, _w1_rows(bound, side, 2 * t, cfg), hidden)
-    return hidden
+    out = ops.concat_cols([interaction(text, *seq, bound, f"{side}.{stage}.internal", cfg.heads)
+                           for stage, seq in zip(cfg.stages, own)])
+    return ops.affine(out, _w1_rows(bound, side, 0, cfg), bound[f"{side}.fusion.b1"])
 
 
-def external_projections(bound: BoundParams, side: str, cfg: ModelConfig) -> list[list[Matrix]]:
-    """Per active stage, the matrices that carry its external attention
-    output into the fusion hidden layer, in order: ``wo`` and the rows of
-    ``fusion.w1`` that read the external interaction."""
-    return [[bound[f"{side}.{stage}.external.wo"], _w1_rows(bound, side, 2 * t + 1, cfg)]
-            for t, stage in enumerate(cfg.stages)]
-
-
-def fuse_pairs(queries: list[Matrix], hidden: Matrix, index: np.ndarray, keys, projections,
+def fuse_pairs(queries: list[Matrix], hidden: Matrix, index: np.ndarray, keys,
                bound: BoundParams, side: str, cfg: ModelConfig) -> Matrix:
     """(B, fusion_out) fused representations of one side of B pairs.
 
@@ -118,25 +112,13 @@ def fuse_pairs(queries: list[Matrix], hidden: Matrix, index: np.ndarray, keys, p
     ``internal_hidden``, ``index`` each pair's row of them. ``keys`` holds
     per stage ([K, V], row_map, ranges): the ``external_keys`` of the
     entities the partners' same-kind histories name, and one range per
-    pair. Each stage runs one attention over all heads. Each projection is
-    a chain of matrices that reads the concatenated attention outputs of
-    as many stages as its first matrix has rows (d per stage); the chains'
-    outputs are summed. ``external_projections`` has one chain per stage,
-    ``[wo_t, w1_t]``; a frozen-weight caller may pass their products
-    stacked, one GEMM.
+    pair. Each stage runs one attention over all heads; the stages'
+    outputs side by side meet the external rows of ``fusion.w1`` in one
+    GEMM.
     """
     _check_stages(keys, cfg)
-    attended = [ops.segment_attention(ops.gather_rows(q, index), k, v, ranges, row_map, cfg.heads)
-                for q, ((k, v), row_map, ranges) in zip(queries, keys)]
-    h = ops.gather_rows(hidden, index)
-    start = 0
-    for chain in projections:
-        end = start + chain[0].rows // cfg.d_model
-        out = ops.concat_cols(attended[start:end])
-        for m in chain[:-1]:
-            out = ops.matmul(out, m)
-        h = ops.affine(out, chain[-1], h)
-        start = end
-    if start != len(attended):
-        raise DimensionError(f"projections read {start} of {len(attended)} stages")
+    attended = ops.concat_cols([
+        ops.segment_attention(ops.gather_rows(q, index), k, v, ranges, row_map, cfg.heads)
+        for q, ((k, v), row_map, ranges) in zip(queries, keys)])
+    h = ops.affine(attended, _w1_rows(bound, side, 1, cfg), ops.gather_rows(hidden, index))
     return ops.affine(ops.relu(h), bound[f"{side}.fusion.w2"], bound[f"{side}.fusion.b2"])

@@ -1,15 +1,18 @@
 """The model's parameters and its one forward pass.
 
-Each side's text attends its histories (``encoder``); the two fused side
-vectors and the two texts form the joint vector [candidate fusion, job
-fusion, resume embedding, JD embedding] (plus a same-category column for
-``simple_match``), which the scoring head (``moe``) maps to a score. The
-forward is split the way of ColBERT's late interaction (Khattab &
-Zaharia, arXiv:2004.12832): ``entity_rows`` and ``encoder.external_keys``
-hold what depends on one entity only, ``pair_scores`` the rest.
-``score_pairs`` runs both on a batch's distinct entities, taped for
-training; the serving index (``serve``) runs them on frozen weights and
-keeps the per-entity outputs across calls.
+Each side's text attends its histories (``encoder``): per stage and
+direction, one attention set of three (d x d) matrices, whose heads'
+outputs enter ``fusion.w1`` directly, the internal rows first, then the
+external ones. The two fused side vectors and the two texts form the
+joint vector [candidate fusion, job fusion, resume embedding, JD
+embedding] (plus a same-category column for ``simple_match``), which the
+scoring head (``moe``) maps to a score. The forward is split the way of
+ColBERT's late interaction (Khattab & Zaharia, arXiv:2004.12832):
+``entity_rows`` and ``encoder.external_keys`` hold what depends on one
+entity only, ``pair_scores`` the rest. ``score_pairs`` runs both on a
+batch's distinct entities, taped for training; the serving index
+(``serve``) runs them on frozen weights and keeps the per-entity outputs
+across calls.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from pjfit.encoder import (
     SIDES,
     encoder_param_spec,
     external_keys,
-    external_projections,
     external_queries,
     fuse_pairs,
     internal_hidden,
@@ -114,17 +116,17 @@ def pair_scores(sides, candidate_categories: np.ndarray, job_categories: np.ndar
                 bound: BoundParams, cfg: ModelConfig) -> Matrix:
     """(B, 1) scores of B pairs.
 
-    ``sides`` holds, in ``SIDES`` order, (rows, index, keys, projections)
-    per side: the side's ``entity_rows``, each pair's row of them, and the
-    keys and projections ``encoder.fuse_pairs`` reads. The category arrays
-    hold each pair's category ids.
+    ``sides`` holds, in ``SIDES`` order, (rows, index, keys) per side: the
+    side's ``entity_rows``, each pair's row of them, and the keys
+    ``encoder.fuse_pairs`` reads. The category arrays hold each pair's
+    category ids.
     """
     n = len(cfg.stages)
     fused = ops.concat_cols([
-        fuse_pairs(rows[:n], rows[n], index, keys, projections, bound, side, cfg)
-        for side, (rows, index, keys, projections) in zip(SIDES, sides)])
+        fuse_pairs(rows[:n], rows[n], index, keys, bound, side, cfg)
+        for side, (rows, index, keys) in zip(SIDES, sides)])
     first = head_input(fused, bound)
-    for rows, index, _, _ in sides:
+    for rows, index, _ in sides:
         first = ops.add(first, ops.gather_rows(rows[n + 1], index))
     if cfg.ablation == "simple_match":
         same = (candidate_categories == job_categories).astype(np.float64).reshape(-1, 1)
@@ -152,6 +154,5 @@ def score_pairs(candidates, jobs, bound: BoundParams, cfg: ModelConfig,
         # the paired entity's same-kind history, one range per pair
         keys = [(external_keys(rows, bound, side, stage, cfg), row_map, ranges[partner_index])
                 for stage, (rows, row_map, ranges) in zip(cfg.stages, hist[1 - s])]
-        sides.append((entity_rows(text, hist[s], bound, side, cfg), index, keys,
-                      external_projections(bound, side, cfg)))
+        sides.append((entity_rows(text, hist[s], bound, side, cfg), index, keys))
     return pair_scores(sides, categories(candidates), categories(jobs), bound, cfg)

@@ -2,18 +2,16 @@
 
 A ``ServingIndex`` runs the forward of ``model`` on frozen weights. It
 keeps each entity's per-entity outputs from the first call that needs
-them, so a call runs only ``model.pair_scores``. As the external
-projection it passes the folds ``wo_t w1_t`` of the matrices
-``encoder.external_projections`` hands out, computed once and stacked
-over the stages: one GEMM per side instead of two per stage.
-``training.score_all`` (hence ``evaluate``) and
-``training.rank_candidates`` score through it.
+them, so a call runs only ``model.pair_scores``: per side, the external
+attention of each stage and one GEMM of their outputs side by side with
+the external rows of ``fusion.w1``. ``training.score_all`` (hence
+``evaluate``) and ``training.rank_candidates`` score through it.
 
 What the index keeps, in float64, for d = d_model, S active stages,
 h = fusion_hidden and E = n h1, the width of the head's first layer
 (``moe.w1``) for n experts of first hidden width h1:
 
-* per index: per side, the S folds stacked, (S d x h);
+* per index: no weights; it reads the store's own values in place;
 * per entity, as the query of its own side, S d + h + E values: the
   outputs of ``model.entity_rows``, one table array per stage's external
   query (all heads side by side), one for the hidden row and one head
@@ -23,14 +21,13 @@ h = fusion_hidden and E = n h1, the width of the head's first layer
   the keys and one for the values, all heads side by side.
 
 At the production width (d = 1024, S = 3, h = 1024, E = 1280) that is
-43 KB per entity as a query and 16 KB per entity and stage as a key; the
-folds take ~50 MB. Tables grow by doubling, so up to twice that per
-entity may be reserved. A call computes all the entities it lacks in one
-batched pass per kind (and per stage, for keys). Building an index
-computes the six folds, 12.9 GFLOP at d = 1024.
+43 KB per entity as a query and 16 KB per entity and stage as a key.
+Tables grow by doubling, so up to twice that per entity may be reserved.
+A call computes all the entities it lacks in one batched pass per kind
+(and per stage, for keys). Building an index computes nothing.
 
-Scores equal those of ``model.score_pairs`` up to rounding, since folding
-and batching change the order of the sums; the tests hold them to 1e-12
+Scores equal those of ``model.score_pairs`` up to rounding, since
+batching changes the order of the sums; the tests hold them to 1e-12
 relative. An index returns bitwise the same scores for the same chunk of
 pairs however warm it is.
 
@@ -48,16 +45,15 @@ the index serving stale entries.
 
 from __future__ import annotations
 
-import functools
 import weakref
 
 import numpy as np
 
 from pjfit.config import ModelConfig
 from pjfit.domain import Dataset, SequenceCache
-from pjfit.encoder import SIDES, external_keys, external_projections
+from pjfit.encoder import external_keys
 from pjfit.model import SIDE, categories, check_fits, distinct_pairs, entity_rows, pair_scores
-from pjfit.numerics import BoundParams, Matrix, ParamStore, ops
+from pjfit.numerics import BoundParams, Matrix, ParamStore
 
 
 class _Table:
@@ -109,10 +105,6 @@ class ServingIndex:
         for _, p in store.items():
             p.value.setflags(write=False)
         self._bound = BoundParams(dict(store.items()))
-        # per side, the folds of all stages stacked into one (S d x h) matrix
-        self._projections = {side: [[Matrix(np.concatenate([
-            functools.reduce(ops.matmul, chain).data
-            for chain in external_projections(self._bound, side, cfg)]))]] for side in SIDES}
         self._entities = {kind: _Table() for kind in SIDE}
         self._keys = {(kind, stage): _Table() for kind in SIDE for stage in cfg.stages}
 
@@ -149,8 +141,7 @@ class ServingIndex:
         for s, kind in enumerate(SIDE):
             records, index = distinct[s]
             rows, table_rows = self._entity_rows(kind, records)
-            sides.append((rows, table_rows[index], self._attended_keys(kind, *distinct[1 - s]),
-                          self._projections[SIDE[kind]]))
+            sides.append((rows, table_rows[index], self._attended_keys(kind, *distinct[1 - s])))
         return pair_scores(sides, categories(candidates), categories(jobs), self._bound,
                            self.cfg).data[:, 0]
 

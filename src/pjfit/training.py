@@ -33,7 +33,7 @@ from pjfit.serve import index_for
 
 
 # Pairs per ServingIndex.score call in score_all and rank_candidates. Each
-# call reads the folded fusion matrices and the head layers once, so larger
+# call reads the fusion.w1 external rows and the head layers once, so larger
 # chunks read them fewer times. Entities a chunk meets for the first time
 # are computed in one batch, as score_pairs would, so a cold chunk's working
 # memory grows with the distinct entities its histories name, at most
@@ -55,15 +55,6 @@ def bpr_loss_graph(pos: Matrix, neg: Matrix, lambda_reg: float) -> Matrix:
         reg = ops.add(ops.mean_all(ops.square(pos)), ops.mean_all(ops.square(neg)))
         loss = ops.add(loss, ops.scale(reg, lambda_reg))
     return loss
-
-
-def bpr_loss(pos_scores, neg_scores, lambda_reg: float = 0.0) -> float:
-    """Same formula over plain score lists."""
-    if len(pos_scores) != len(neg_scores):
-        raise ValueError("positive and negative score lists must have equal length")
-    pos = Matrix(np.asarray(pos_scores, dtype=np.float64).reshape(-1, 1))
-    neg = Matrix(np.asarray(neg_scores, dtype=np.float64).reshape(-1, 1))
-    return bpr_loss_graph(pos, neg, lambda_reg).item()
 
 
 @dataclass

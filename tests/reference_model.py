@@ -38,20 +38,21 @@ def np_attention(q, k, v, valid):
 
 def np_mha(query, seq, valid, store, prefix, cfg):
     """Each head projects with its own column block of wq, wk and wv and
-    attends on its own; the heads are concatenated and multiplied by wo."""
+    attends on its own; the heads are concatenated."""
     heads = []
     for i in range(cfg.heads):
         block = slice(i * cfg.head_dim, (i + 1) * cfg.head_dim)
         wq, wk, wv = (store[f"{prefix}.{w}"].value[:, block] for w in ("wq", "wk", "wv"))
         heads.append(np_attention(query @ wq, seq @ wk, seq @ wv, valid))
-    return np.concatenate(heads, axis=1) @ store[f"{prefix}.wo"].value
+    return np.concatenate(heads, axis=1)
 
 
 def np_encode_side(self_vec, own_seqs, cross_seqs, store, side, cfg):
-    parts = []
-    for stage, (own, own_valid), (cross, cross_valid) in zip(cfg.stages, own_seqs, cross_seqs):
-        parts.append(np_mha(self_vec, own, own_valid, store, f"{side}.{stage}.internal", cfg))
-        parts.append(np_mha(self_vec, cross, cross_valid, store, f"{side}.{stage}.external", cfg))
+    # all internal outputs, stage by stage, then all external ones
+    parts = [np_mha(self_vec, own, own_valid, store, f"{side}.{stage}.internal", cfg)
+             for stage, (own, own_valid) in zip(cfg.stages, own_seqs)]
+    parts += [np_mha(self_vec, cross, cross_valid, store, f"{side}.{stage}.external", cfg)
+              for stage, (cross, cross_valid) in zip(cfg.stages, cross_seqs)]
     h = np.concatenate(parts, axis=1)
     h = np.maximum(h @ store[f"{side}.fusion.w1"].value + store[f"{side}.fusion.b1"].value, 0.0)
     return h @ store[f"{side}.fusion.w2"].value + store[f"{side}.fusion.b2"].value

@@ -108,14 +108,15 @@ def test_unsupported_version_rejected(saved):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_version_checkpoint_is_rejected(saved, version):
     # version 1 stored one (d x d_k) query, key and value tensor per head;
     # version 2 a first layer per expert and head.* tensors for the
-    # single-FFN ablations
+    # single-FFN ablations; version 3 an output projection wo per attention
+    # set and the rows of fusion.w1 stage-major
     _, _, path = saved
     blob = bytearray(path.read_bytes())
-    assert blob[4:8] == (3).to_bytes(4, "little")
+    assert blob[4:8] == (4).to_bytes(4, "little")
     blob[4:8] = version.to_bytes(4, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(UnsupportedVersionError, match=f"unsupported format version {version}$"):

@@ -10,7 +10,7 @@ import pytest
 
 from pjfit import cli
 from pjfit.checkpoint import load_checkpoint
-from pjfit.cli import main, read_report
+from pjfit.cli import main
 from pjfit.domain import load_data_dir, validate_records
 from pjfit.numerics import DimensionError
 
@@ -42,6 +42,10 @@ def body(path):
     """File content with the volatile header line stripped."""
     return "".join(l for l in Path(path).read_text().splitlines(keepends=True)
                    if not l.startswith("#"))
+
+
+def read_report(path) -> dict:
+    return json.loads(body(path))
 
 
 @pytest.fixture(scope="module")
@@ -459,13 +463,16 @@ def test_no_jd_aug_ablation_points_at_the_jd_text_flag(pipeline, tmp_path, capsy
 
 
 def test_version_1_checkpoint_is_a_data_error(pipeline, tmp_path, capsys):
-    old = tmp_path / "v1.ckpt"
-    blob = bytearray((pipeline / "model.ckpt").read_bytes())
-    blob[4:8] = (1).to_bytes(4, "little")
-    old.write_bytes(bytes(blob))
-    capsys.readouterr()
-    assert main(["eval", "--data", str(pipeline / "aug"), "--checkpoint", str(old),
-                 "--report-out", str(tmp_path / "r.json")]) == 2
-    err = capsys.readouterr().err
-    assert "data error" in err and "version 1" in err
-    assert not (tmp_path / "r.json").exists()
+    # and version 3, the last one with an output projection per attention set
+    for version in (1, 3):
+        old = tmp_path / f"v{version}.ckpt"
+        blob = bytearray((pipeline / "model.ckpt").read_bytes())
+        blob[4:8] = version.to_bytes(4, "little")
+        old.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["eval", "--data", str(pipeline / "aug"), "--checkpoint", str(old),
+                     "--report-out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"version {version}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()

@@ -3,7 +3,6 @@ import pytest
 
 from pjfit.encoder import (
     external_keys,
-    external_projections,
     external_queries,
     fuse_pairs,
     interaction,
@@ -57,8 +56,7 @@ def encode_side(text, index, own, cross, bound, side, cfg):
     keys = [(external_keys(rows, bound, side, stage, cfg), row_map, ranges)
             for stage, (rows, row_map, ranges) in zip(cfg.stages, cross)]
     return fuse_pairs(external_queries(text, bound, side, cfg),
-                      internal_hidden(text, own, bound, side, cfg), index, keys,
-                      external_projections(bound, side, cfg), bound, side, cfg)
+                      internal_hidden(text, own, bound, side, cfg), index, keys, bound, side, cfg)
 
 
 def encode_one(self_vec, own, cross, bound, side, cfg):
@@ -77,13 +75,13 @@ def test_fully_masked_sequence_gives_zero_vector(cfg, store):
 
 
 def test_single_unmasked_row_with_identity_value_path_returns_that_row():
-    # W_V for head i selects the i-th d_k-wide block, W_O is identity:
-    # concat(head outputs) reproduces the attended row exactly
+    # W_V for head i selects the i-th d_k-wide block: concat(head outputs)
+    # reproduces the attended row exactly
     d_model, heads = 4, 2
     rng = seeded_rng(2)
     eye = np.eye(d_model)
     store = store_of(*((f"set.{w}", rng.normal(size=(d_model, d_model))) for w in ("wq", "wk")),
-                     ("set.wv", eye), ("set.wo", eye))
+                     ("set.wv", eye))
     rows = rng.normal(size=(3, d_model))
     out = interaction(Matrix(rng.normal(size=(1, d_model))), Matrix(rows),
                       np.arange(3), np.array([[1, 2]]), store.bind(), "set", heads)

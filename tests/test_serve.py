@@ -12,10 +12,9 @@ from pjfit.training import SequenceCache, evaluate, init_params, rank_candidates
 
 from conftest import DatasetBuilder, toy_model_config
 
-# Index scores against score_pairs. Both are float64; folding each external
-# wo into fusion.w1 and batching per entity change only the order of sums.
-# A score that rounds to exactly zero on one path can be ~1e-16 on the
-# other, hence the absolute floor.
+# Index scores against score_pairs. Both are float64; batching per entity
+# changes only the order of sums. A score that rounds to exactly zero on one
+# path can be ~1e-16 on the other, hence the absolute floor.
 SERVE_RTOL = 1e-12
 SERVE_ATOL = 1e-15
 

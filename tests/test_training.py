@@ -9,12 +9,11 @@ from pjfit.checkpoint import load_checkpoint, save_checkpoint
 from pjfit.config import ABLATIONS, ModelConfig, TrainConfig
 from pjfit.domain import DatasetError, sample_training_pairs
 from pjfit.model import param_spec
-from pjfit.numerics import Tape, glorot_uniform, ops, optim, seeded_rng, spawn_rngs
+from pjfit.numerics import Matrix, Tape, glorot_uniform, ops, optim, seeded_rng, spawn_rngs
 from pjfit.synth import SynthConfig, generate_dataset
 from pjfit.training import (
     SequenceCache,
     TrainResult,
-    bpr_loss,
     bpr_loss_graph,
     evaluate,
     init_params,
@@ -24,7 +23,8 @@ from pjfit.training import (
     train,
 )
 
-from conftest import TOY_VOCAB_NAMES, DatasetBuilder, toy_model_config
+import reference_model
+from conftest import TOY_VOCAB_NAMES, DatasetBuilder, store_of, toy_model_config
 from gradcheck import finite_diff_check
 from reference_model import np_score_pair
 
@@ -40,6 +40,15 @@ def synth_toy(seed=0, **overrides):
 
 
 # ------------------------------------------------------------------ loss
+
+
+def bpr_loss(pos_scores, neg_scores, lambda_reg: float = 0.0) -> float:
+    """The library's loss graph over plain score lists."""
+    if len(pos_scores) != len(neg_scores):
+        raise ValueError("positive and negative score lists must have equal length")
+    pos = Matrix(np.asarray(pos_scores, dtype=np.float64).reshape(-1, 1))
+    neg = Matrix(np.asarray(neg_scores, dtype=np.float64).reshape(-1, 1))
+    return bpr_loss_graph(pos, neg, lambda_reg).item()
 
 
 def test_bpr_equal_scores_is_log_two():
@@ -167,16 +176,16 @@ def test_text_rows_are_gathered_once_per_side_for_any_expert_count(small_dataset
 
 def test_production_model_size():
     spec = param_spec(ModelConfig())
-    assert len(spec) == 83
-    assert sum(rows * cols for _, rows, cols in spec) == 66_802_890
+    assert len(spec) == 71
+    assert sum(rows * cols for _, rows, cols in spec) == 54_219_978
+    assert not any(name.endswith(".wo") for name, _, _ in spec)
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_weights_are_drawn_head_by_head(heads):
     # per attention set and head, a (d x d_k) Glorot block of wq, wk and wv
-    # in that order, then wo; per expert, a (joint_dim x h1) Glorot block
-    # of moe.w1, then its w2 and its w3; the other tensors in param_spec
-    # order
+    # in that order; per expert, a (joint_dim x h1) Glorot block of moe.w1,
+    # then its w2 and its w3; the other tensors in param_spec order
     cfg = toy_model_config(heads=heads)
     store = init_params(cfg, seeded_rng(3))
     rng = seeded_rng(3)
@@ -241,6 +250,44 @@ def test_shared_history_entities_are_packed_once_and_score_like_the_oracle():
             expected = [ds.jobs[entity_id].embedding for entity_id in ids]
             np.testing.assert_array_equal(rows[row_map[lo:hi]].reshape(-1, cfg.d_model),
                                           np.array(expected).reshape(-1, cfg.d_model))
+
+
+@pytest.mark.parametrize("ablation", ["none", "no_fine_interaction"])
+def test_an_output_projection_per_set_folds_into_fusion_w1(monkeypatch, ablation):
+    # The forward with a (d x d) output projection wo after every attention
+    # set equals the forward without it on the store whose fusion.w1 blocks
+    # hold wo_t @ w1_t: deleting wo loses no function. Internal blocks sit at
+    # rows [t d, (t + 1) d), external ones at [(S + t) d, (S + t + 1) d); with
+    # S = 1 (no_fine_interaction) the external block starts at row d.
+    ds = shared_history_dataset()
+    cfg = toy_model_config(ablation=ablation)
+    d, n_stages = cfg.d_model, len(cfg.stages)
+    rng = seeded_rng(14)
+    store = init_params(cfg, rng)
+    for name, p in store.items():
+        if name.rsplit(".", 1)[-1].startswith("b"):
+            p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
+    wo = {}
+    folded = store_of(*((name, p.value) for name, p in store.items()))
+    for side in ("cand", "job"):
+        w1 = folded[f"{side}.fusion.w1"].value
+        for t, stage in enumerate(cfg.stages):
+            for direction, block in (("internal", t), ("external", n_stages + t)):
+                prefix = f"{side}.{stage}.{direction}"
+                wo[prefix] = rng.normal(scale=d ** -0.5, size=(d, d))
+                rows = slice(block * d, (block + 1) * d)
+                w1[rows] = wo[prefix] @ w1[rows]
+
+    mha = reference_model.np_mha
+    monkeypatch.setattr(reference_model, "np_mha",
+                        lambda query, seq, valid, s, prefix, c:
+                        mha(query, seq, valid, s, prefix, c) @ wo[prefix])
+    pairs = [("c0", "j0"), ("c1", "j0"), ("c2", "j1"), ("c3", "j2"), ("c4", "j3"), ("c0", "j3")]
+    cands = [ds.candidates[c] for c, _ in pairs]
+    jobs = [ds.jobs[j] for _, j in pairs]
+    got = score_pairs(cands, jobs, folded.bind(), cfg, SequenceCache(ds, cfg)).data[:, 0]
+    want = [np_score_pair(c, j, store, cfg, ds) for c, j in zip(cands, jobs)]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_score_is_independent_of_the_rest_of_the_batch(monkeypatch):
