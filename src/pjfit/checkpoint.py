@@ -1,40 +1,41 @@
-"""Binary checkpoint format.
+"""Binary checkpoint format, version 5.
 
 Layout (all integers little-endian u32):
 
     magic "PJF1" | version | config-JSON length + bytes |
-    tensor count | per tensor: name length + UTF-8 name, rank, dims...,
-    row-major float32 values
+    the store's value buffer as little-endian float32
 
-Tensors follow ``model.param_spec`` of the embedded config. An attention
-set is three (d x d) tensors, ``wq``, ``wk`` and ``wv``, with the heads as
-column blocks. Version 4 dropped each set's output projection ``wo`` and
-ordered the rows of ``fusion.w1`` internal first, then external.
-Version 3 (a ``wo`` per set, ``fusion.w1`` rows stage-major), version 2
-(a ``w1`` and ``b1`` per expert, ``head.*`` tensors) and version 1 (a
-tensor per attention head) are rejected with ``UnsupportedVersionError``.
+The values follow ``model.param_spec`` of the embedded config, tensor
+by tensor, each row-major. The file names no tensor: the config alone
+places each value, so any change to ``param_spec`` (a tensor added,
+dropped, reshaped or reordered) needs a new version. Versions 1-4 are
+rejected with ``UnsupportedVersionError``: version 4 wrote a name, rank
+and dims record per tensor, version 3 a ``wo`` per attention set,
+version 2 a first layer per expert, version 1 a tensor per head.
 
 Training math runs in float64; checkpoints narrow to float32 on save and
 widen on load, so round-trips are bit-exact at 32-bit precision. Loading
-validates magic, version, and every tensor name and shape against the
-parameter layout implied by the embedded config.
+checks magic, version and config, and that the file holds exactly the
+values the config implies, before it allocates the store.
 """
 
 from __future__ import annotations
 
+import bisect
+import dataclasses
+import itertools
 import json
 import os
 import struct
-from pathlib import Path
 
-import numpy as np
-
-from pjfit.config import ModelConfig, model_config_from_dict, model_config_to_dict
+from pjfit.config import ModelConfig, model_config_from_dict
+from pjfit.domain.records import atomic_file
 from pjfit.model import param_spec
 from pjfit.numerics import ParamStore
 
 MAGIC = b"PJF1"
-VERSION = 4
+VERSION = 5
+WRITE_CHUNK = 1 << 20
 WIDEN_CHUNK = 1 << 16
 
 
@@ -59,116 +60,72 @@ class CheckpointShapeError(CheckpointError):
 
 
 def save_checkpoint(store: ParamStore, cfg: ModelConfig, path) -> None:
-    """Write the store atomically: stream it into ``<path>.tmp``, then
-    rename that over ``path``."""
-    config_bytes = json.dumps({"model": model_config_to_dict(cfg)},
+    """Write the store atomically (``atomic_file``): the header, then the
+    value buffer narrowed to float32 ``WRITE_CHUNK`` values at a time.
+
+    The store's layout must be ``param_spec(cfg)``, since the file keeps
+    only the config to say where each value belongs."""
+    layout = [(name, *p.value.shape) for name, p in store.items()]
+    bad = [pair for pair in itertools.zip_longest(layout, param_spec(cfg)) if pair[0] != pair[1]]
+    if bad:
+        raise CheckpointShapeError(f"{path}: store tensor {bad[0][0]} where the config "
+                                   f"implies {bad[0][1]}")
+    config_bytes = json.dumps({"model": dataclasses.asdict(cfg)},
                               sort_keys=True).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes
-                 + struct.pack("<I", len(store)))
-        for name, p in store.items():
-            name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_bytes)) + name_bytes
-                     + struct.pack("<III", 2, *p.value.shape))
-            fh.write(np.ascontiguousarray(p.value, dtype="<f4"))
-    os.replace(tmp, path)
-
-
-class _Reader:
-    """Reads a checkpoint file front to back. Every read is checked against
-    the file size first, so a short file names the field it cuts off and a
-    corrupt length allocates nothing."""
-
-    def __init__(self, fh, path):
-        self.fh = fh
-        self.path = path
-        self.pos = 0
-        self.size = os.fstat(fh.fileno()).st_size
-
-    def _advance(self, n: int, context: str) -> None:
-        if self.pos + n > self.size:
-            raise TruncatedCheckpointError(
-                f"{self.path}: file ends inside {context} "
-                f"(needed {n} bytes at offset {self.pos})")
-        self.pos += n
-
-    def take(self, n: int, context: str) -> bytes:
-        self._advance(n, context)
-        return self.fh.read(n)
-
-    def read_widened(self, out: np.ndarray, context: str) -> None:
-        """Fill the C-contiguous float64 array ``out`` from little-endian
-        float32 values, widened in place: read into the upper half of
-        ``out``'s bytes, then widened front to back ``WIDEN_CHUNK`` values
-        at a time, each chunk's writes ending below the values still to be
-        read (numpy copies a chunk that overlaps its source through a
-        temporary)."""
-        out = out.reshape(-1)
-        n = out.size
-        self._advance(n * 4, context)
-        narrow = out.view("<f4")[n:]
-        self.fh.readinto(narrow)
-        for lo in range(0, n, WIDEN_CHUNK):
-            out[lo:lo + WIDEN_CHUNK] = narrow[lo:lo + WIDEN_CHUNK]
-
-    def u32(self, context: str) -> int:
-        return struct.unpack("<I", self.take(4, context))[0]
+    values = store.buffers.values
+    with atomic_file(path) as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes)
+        for lo in range(0, values.size, WRITE_CHUNK):
+            fh.write(values[lo:lo + WRITE_CHUNK].astype("<f4"))
 
 
 def load_checkpoint(path) -> tuple[ParamStore, ModelConfig]:
-    """Read a checkpoint into a store built from its config's spec; tensors
-    are read one at a time straight into their views of the value buffer."""
+    """Read a checkpoint into a store built from its config's spec, the
+    float32 block straight into the store's float64 value buffer."""
     with open(path, "rb") as fh:
-        return _read_checkpoint(_Reader(fh, path))
+        size = os.fstat(fh.fileno()).st_size
 
+        def take(n: int, context: str) -> bytes:
+            # checked against the file size, so a corrupt length allocates nothing
+            if fh.tell() + n > size:
+                raise TruncatedCheckpointError(
+                    f"{path}: file ends inside {context} "
+                    f"(needed {n} bytes at offset {fh.tell()})")
+            return fh.read(n)
 
-def _read_checkpoint(reader: _Reader) -> tuple[ParamStore, ModelConfig]:
-    path = reader.path
-    magic = reader.take(4, "magic")
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    version = reader.u32("version")
-    if version != VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported format version {version}")
-    config_len = reader.u32("config length")
-    try:
-        config_doc = json.loads(reader.take(config_len, "config").decode("utf-8"))
-        cfg = model_config_from_dict(config_doc["model"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: invalid embedded config: {exc}") from exc
-
-    spec = param_spec(cfg)
-    count = reader.u32("tensor count")
-    if count != len(spec):
-        raise CheckpointShapeError(
-            f"{path}: {count} tensors stored, config implies {len(spec)}")
-    # the one value buffer is allocated up front, so a config that implies
-    # more values than the file can hold must fail before it
-    values = sum(rows * cols for _, rows, cols in spec)
-    if 4 * values > reader.size - reader.pos:
-        raise TruncatedCheckpointError(
-            f"{path}: file ends before the {values} values its config implies")
-    store = ParamStore(spec)
-    for expected_name, rows, cols in spec:
-        name_len = reader.u32(f"name length of {expected_name!r}")
+        magic = take(4, "magic")
+        if magic != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        version, = struct.unpack("<I", take(4, "version"))
+        if version != VERSION:
+            raise UnsupportedVersionError(f"{path}: unsupported format version {version}")
+        config_len, = struct.unpack("<I", take(4, "config length"))
         try:
-            name = reader.take(name_len, f"name of {expected_name!r}").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointShapeError(
-                f"{path}: tensor name is not UTF-8 where config expects {expected_name!r}") from exc
-        if name != expected_name:
-            raise CheckpointShapeError(
-                f"{path}: tensor {name!r} where config expects {expected_name!r}")
-        rank = reader.u32(f"rank of {name!r}")
-        if rank != 2:
-            raise CheckpointShapeError(f"{path}: tensor {name!r} has rank {rank}, expected 2")
-        dims = struct.unpack("<II", reader.take(8, f"dims of {name!r}"))
-        if dims != (rows, cols):
-            raise CheckpointShapeError(
-                f"{path}: tensor {name!r} has shape {dims}, config implies {(rows, cols)}")
-        reader.read_widened(store[name].value, f"values of tensor {name!r}")
-    if reader.pos != reader.size:
-        raise CheckpointError(f"{path}: {reader.size - reader.pos} trailing bytes")
+            config_doc = json.loads(take(config_len, "config").decode("utf-8"))
+            cfg = model_config_from_dict(config_doc["model"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: invalid embedded config: {exc}") from exc
+
+        spec = param_spec(cfg)
+        ends = list(itertools.accumulate(rows * cols for _, rows, cols in spec))
+        stored = size - fh.tell()
+        # the value buffer is allocated after this, so a config that implies
+        # more values than the file holds fails before it
+        if stored < 4 * ends[-1]:
+            name = spec[bisect.bisect_right(ends, stored // 4)][0]
+            raise TruncatedCheckpointError(
+                f"{path}: file ends inside tensor {name!r}, before the "
+                f"{ends[-1]} values its config implies")
+        if stored > 4 * ends[-1]:
+            raise CheckpointError(f"{path}: {stored - 4 * ends[-1]} trailing bytes")
+        store = ParamStore(spec)
+        # widened in place: read into the upper half of the value buffer's
+        # bytes, then widened front to back WIDEN_CHUNK values at a time,
+        # each chunk's writes ending below the values still to be read
+        # (numpy copies a chunk that overlaps its source through a temporary)
+        out = store.buffers.values
+        narrow = out.view("<f4")[out.size:]
+        fh.readinto(narrow)
+        for lo in range(0, out.size, WIDEN_CHUNK):
+            out[lo:lo + WIDEN_CHUNK] = narrow[lo:lo + WIDEN_CHUNK]
     return store, cfg

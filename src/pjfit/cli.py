@@ -37,7 +37,7 @@ from pjfit.augment import (
     original_jd_texts,
 )
 from pjfit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from pjfit.config import ABLATIONS, TrainConfig, train_config_from_dict, train_config_to_dict
+from pjfit.config import ABLATIONS, TrainConfig, train_config_from_dict
 from pjfit.domain import Dataset, DatasetError, load_data_dir, validate_records
 from pjfit.domain.records import save_data_dir
 from pjfit.metrics import UndefinedMetricError
@@ -178,7 +178,7 @@ def cmd_train(args) -> int:
     metrics = evaluate(test_ds, reloaded, cfg)
     payload = {
         "command": "train",
-        "config": train_config_to_dict(config),
+        "config": dataclasses.asdict(config),
         "data": str(args.data),
         "jd_text": args.jd_text,
         "n_train_pairs": len(train_ds.pairs),

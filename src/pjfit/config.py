@@ -123,12 +123,6 @@ class TrainConfig:
             raise ValueError("negatives_per_positive must be >= 1")
 
 
-def model_config_to_dict(cfg: ModelConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["expert_hidden"] = list(cfg.expert_hidden)
-    return d
-
-
 def _checked_fields(cls, d: dict, what: str) -> dict:
     """A copy of ``d`` after checking its keys and scalar value types against ``cls``.
 
@@ -152,12 +146,6 @@ def model_config_from_dict(d: dict) -> ModelConfig:
     if isinstance(d.get("expert_hidden"), list):
         d["expert_hidden"] = tuple(d["expert_hidden"])
     return ModelConfig(**d)
-
-
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["model"] = model_config_to_dict(cfg.model)
-    return d
 
 
 def train_config_from_dict(d: dict) -> TrainConfig:

@@ -261,7 +261,7 @@ def save_data_dir(dataset: Dataset, meta: dict, out_dir) -> None:
         json.dumps(_entity_doc(r, dataset.vocab), ensure_ascii=False) + "\n" for r in records))
     values = (np.stack([r.embedding for r in records]) if records
               else np.zeros((0, dataset.embedding_dim)))
-    with _atomic_file(out / EMBEDDINGS_FILE) as fh:
+    with atomic_file(out / EMBEDDINGS_FILE) as fh:
         np.savez(fh, ids=np.array([r.id for r in records], dtype=str), values=values)
     _atomic_write(out / "pairs.jsonl", "".join(
         json.dumps({"candidate_id": p.candidate_id, "job_id": p.job_id,
@@ -272,18 +272,23 @@ def save_data_dir(dataset: Dataset, meta: dict, out_dir) -> None:
 
 
 @contextmanager
-def _atomic_file(path):
-    """A binary file handle whose content replaces ``path`` only once
-    the block completes."""
+def atomic_file(path):
+    """A binary file handle on ``<path>.tmp`` whose content replaces
+    ``path`` only once the block completes. If the block raises, the tmp
+    file is deleted and ``path`` keeps its old bytes."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _atomic_write(path, content: str) -> None:
-    with _atomic_file(path) as fh:
+    with atomic_file(path) as fh:
         fh.write(content.encode("utf-8"))
 
 

@@ -1,3 +1,4 @@
+import errno
 import sys
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # local oracles module
 
 from pjfit.config import ModelConfig
-from pjfit.domain import CategoryVocab, Dataset, EntityRecord, Pair
+from pjfit.domain import CategoryVocab, Dataset, EntityRecord, Pair, records
 from pjfit.numerics import ParamStore, seeded_rng
 
 TOY_VOCAB_NAMES = ("Technology", "Data", "Sales", "Design")
@@ -77,6 +78,36 @@ META_DEFECTS = [
     pytest.param('{"split_ts": 1000420.9}', "split_ts must be an integer", id="float-split"),
     pytest.param('{"split_ts": true}', "split_ts must be an integer", id="bool-split"),
 ]
+
+
+class _FullDisk:
+    """A binary file that takes one write, then fails each later one with
+    ENOSPC, as a disk that fills up mid-stream does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Every file ``records.atomic_file`` opens from here on is a ``_FullDisk``."""
+    monkeypatch.setattr(records, "open", lambda *args: _FullDisk(open(*args)), raising=False)
 
 
 def store_of(*params) -> ParamStore:

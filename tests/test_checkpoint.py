@@ -18,8 +18,9 @@ from pjfit.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from pjfit.config import ABLATIONS
+from pjfit.model import init_params, param_spec
 from pjfit.numerics import seeded_rng
-from pjfit.training import init_params
 
 from conftest import toy_model_config
 
@@ -86,8 +87,8 @@ def test_config_larger_than_the_file_fails_before_allocating(saved):
 def test_truncation_mid_tensor_names_the_tensor(saved):
     cfg, _, path = saved
     blob = path.read_bytes()
-    path.write_bytes(blob[:len(blob) - 10])
-    # the store ends with the last expert's output bias
+    path.write_bytes(blob[:len(blob) - 2])
+    # the store ends with the last expert's output bias, one value
     with pytest.raises(TruncatedCheckpointError, match="moe.expert2.b3"):
         load_checkpoint(path)
 
@@ -108,30 +109,60 @@ def test_unsupported_version_rejected(saved):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_version_checkpoint_is_rejected(saved, version):
     # version 1 stored one (d x d_k) query, key and value tensor per head;
     # version 2 a first layer per expert and head.* tensors for the
     # single-FFN ablations; version 3 an output projection wo per attention
-    # set and the rows of fusion.w1 stage-major
+    # set and the rows of fusion.w1 stage-major; version 4 a name, rank and
+    # dims record before each tensor
     _, _, path = saved
     blob = bytearray(path.read_bytes())
-    assert blob[4:8] == (4).to_bytes(4, "little")
+    assert blob[4:8] == (5).to_bytes(4, "little")
     blob[4:8] = version.to_bytes(4, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(UnsupportedVersionError, match=f"unsupported format version {version}$"):
         load_checkpoint(path)
 
 
-def test_tensor_name_that_is_not_utf8_names_the_file_and_the_tensor(saved):
+def test_value_block_is_the_float32_value_buffer(saved):
     _, store, path = saved
-    blob = bytearray(path.read_bytes())
+    blob = path.read_bytes()
     config_len = int.from_bytes(blob[8:12], "little")
-    blob[12 + config_len + 8] = 0xFF  # after the tensor count and the name length
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointShapeError, match="not UTF-8") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value) and repr(store.names()[0]) in str(info.value)
+    assert blob[12 + config_len:] == store.buffers.values.astype("<f4").tobytes()
+
+
+def test_param_spec_is_the_layout_pinned_for_this_version():
+    # a checkpoint names no tensor, so its version stands for the layout:
+    # a change to param_spec needs a new checkpoint.VERSION and a new pin
+    pinned = json.loads((Path(__file__).parent / "data" / "checkpoint_layout.json").read_text())
+    assert checkpoint.VERSION == pinned["version"], (
+        "checkpoint.VERSION changed: pin its param_spec in tests/data/checkpoint_layout.json")
+    for ablation in ABLATIONS:
+        spec = [list(t) for t in param_spec(toy_model_config(ablation=ablation))]
+        assert spec == pinned["toy_param_specs"][ablation], (
+            f"param_spec of the toy {ablation!r} config changed: checkpoints of version "
+            f"{checkpoint.VERSION} would load into the wrong tensors, so bump checkpoint.VERSION "
+            "and re-pin tests/data/checkpoint_layout.json")
+
+
+@pytest.mark.parametrize("other", [dict(d_model=16), dict(expert_hidden=(10, 7)),
+                                   dict(ablation="no_moe")])
+def test_store_of_another_config_is_not_saved(tmp_path, other):
+    store = init_params(toy_model_config(), seeded_rng(0))
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(CheckpointShapeError, match="where the config implies"):
+        save_checkpoint(store, toy_model_config(**other), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_tmp(saved, full_disk):
+    cfg, _, path = saved
+    old = path.read_bytes()
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(init_params(cfg, seeded_rng(1)), cfg, path)
+    assert path.read_bytes() == old
+    assert list(path.parent.iterdir()) == [path]
 
 
 def test_trailing_garbage_rejected(saved):

@@ -463,8 +463,9 @@ def test_no_jd_aug_ablation_points_at_the_jd_text_flag(pipeline, tmp_path, capsy
 
 
 def test_version_1_checkpoint_is_a_data_error(pipeline, tmp_path, capsys):
-    # and version 3, the last one with an output projection per attention set
-    for version in (1, 3):
+    # and version 3, the last one with an output projection per attention
+    # set, and version 4, the last one with a record per tensor
+    for version in (1, 3, 4):
         old = tmp_path / f"v{version}.ckpt"
         blob = bytearray((pipeline / "model.ckpt").read_bytes())
         blob[4:8] = version.to_bytes(4, "little")

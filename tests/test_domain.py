@@ -245,6 +245,17 @@ def test_round_trip_is_identity(tmp_path, small_dataset):
         assert (tmp_path / "second" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
 
 
+def test_failed_write_keeps_the_old_file_and_leaves_no_tmp(tmp_path, small_dataset, full_disk):
+    # the one-write JSON files are replaced; embeddings.npz fails mid-stream
+    out = tmp_path / "data"
+    out.mkdir()
+    (out / "embeddings.npz").write_bytes(b"old bytes")
+    with pytest.raises(OSError, match="No space left"):
+        save_data_dir(small_dataset, {}, out)
+    assert (out / "embeddings.npz").read_bytes() == b"old bytes"
+    assert not list(out.glob("*.tmp"))
+
+
 def test_each_history_field_is_its_own_stage(paths, tmp_path):
     fields = {"hist_eval": ["j1"], "hist_pass_eval": ["j2"], "hist_pass_interview": ["j3"]}
     write_entities(paths, [entity_doc("c1", "candidate", **fields)]
