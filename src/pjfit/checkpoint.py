@@ -29,7 +29,7 @@ import os
 import struct
 
 from pjfit.config import ModelConfig, model_config_from_dict
-from pjfit.domain.records import atomic_file
+from pjfit.domain.records import atomic_files
 from pjfit.model import param_spec
 from pjfit.numerics import ParamStore
 
@@ -60,7 +60,7 @@ class CheckpointShapeError(CheckpointError):
 
 
 def save_checkpoint(store: ParamStore, cfg: ModelConfig, path) -> None:
-    """Write the store atomically (``atomic_file``): the header, then the
+    """Write the store atomically (``atomic_files``): the header, then the
     value buffer narrowed to float32 ``WRITE_CHUNK`` values at a time.
 
     The store's layout must be ``param_spec(cfg)``, since the file keeps
@@ -73,7 +73,7 @@ def save_checkpoint(store: ParamStore, cfg: ModelConfig, path) -> None:
     config_bytes = json.dumps({"model": dataclasses.asdict(cfg)},
                               sort_keys=True).encode("utf-8")
     values = store.buffers.values
-    with atomic_file(path) as fh:
+    with atomic_files(path) as (fh,):
         fh.write(MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes)
         for lo in range(0, values.size, WRITE_CHUNK):
             fh.write(values[lo:lo + WRITE_CHUNK].astype("<f4"))

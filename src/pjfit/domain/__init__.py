@@ -11,10 +11,11 @@ from pjfit.domain.records import (
     validate_records,
 )
 from pjfit.domain.sampling import (
+    COUNTERPART,
     PairBatch,
     SampledEpoch,
     SequenceCache,
-    distinct_records,
+    first_seen,
     sample_training_pairs,
 )
 
@@ -28,9 +29,10 @@ __all__ = [
     "Pair",
     "load_data_dir",
     "validate_records",
+    "COUNTERPART",
     "PairBatch",
     "SampledEpoch",
     "SequenceCache",
-    "distinct_records",
+    "first_seen",
     "sample_training_pairs",
 ]

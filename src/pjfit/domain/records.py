@@ -29,7 +29,7 @@ holds four files:
   of a load, while the array reads back the same float64 bits in one
   copy. Pickled arrays are never loaded. Every record's ``embedding`` is
   a row view of the one matrix, which is read-only, since the serving
-  index keeps per-entity outputs by id and an edited row would be served
+  index keeps per-entity outputs and an edited row would be served
   stale.
 * ``pairs.jsonl``: ``{"candidate_id", "job_id", "label", "ts"}`` with
   string ids, label the integer 0 or 1 and ts in integer seconds (a bool
@@ -45,7 +45,7 @@ import json
 import os
 import zipfile
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -251,45 +251,44 @@ def _entity_doc(record: EntityRecord, vocab: CategoryVocab) -> dict:
 
 def save_data_dir(dataset: Dataset, meta: dict, out_dir) -> None:
     """Inverse of load_data_dir; entities sorted by (kind, id) for stable
-    bytes, and meta.json carrying the category list unless ``meta`` does."""
+    bytes, and meta.json carrying the category list unless ``meta`` does.
+    No file is replaced until all four are written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = sorted(
         list(dataset.candidates.values()) + list(dataset.jobs.values()),
         key=lambda r: (r.kind, r.id))
-    _atomic_write(out / "entities.jsonl", "".join(
-        json.dumps(_entity_doc(r, dataset.vocab), ensure_ascii=False) + "\n" for r in records))
     values = (np.stack([r.embedding for r in records]) if records
               else np.zeros((0, dataset.embedding_dim)))
-    with atomic_file(out / EMBEDDINGS_FILE) as fh:
-        np.savez(fh, ids=np.array([r.id for r in records], dtype=str), values=values)
-    _atomic_write(out / "pairs.jsonl", "".join(
-        json.dumps({"candidate_id": p.candidate_id, "job_id": p.job_id,
-                    "label": p.label, "ts": p.ts}) + "\n" for p in dataset.pairs))
     meta = dict(meta)
     meta.setdefault("categories", list(dataset.vocab.names))
-    _atomic_write(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    names = ("entities.jsonl", EMBEDDINGS_FILE, "pairs.jsonl", "meta.json")
+    with atomic_files(*(out / name for name in names)) as (entities, embeddings, pairs, meta_fh):
+        entities.write("".join(json.dumps(_entity_doc(r, dataset.vocab), ensure_ascii=False) + "\n"
+                               for r in records).encode("utf-8"))
+        np.savez(embeddings, ids=np.array([r.id for r in records], dtype=str), values=values)
+        pairs.write("".join(json.dumps({"candidate_id": p.candidate_id, "job_id": p.job_id,
+                                        "label": p.label, "ts": p.ts}) + "\n"
+                            for p in dataset.pairs).encode("utf-8"))
+        meta_fh.write((json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 @contextmanager
-def atomic_file(path):
-    """A binary file handle on ``<path>.tmp`` whose content replaces
-    ``path`` only once the block completes. If the block raises, the tmp
-    file is deleted and ``path`` keeps its old bytes."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+def atomic_files(*paths):
+    """Binary file handles, one on ``<path>.tmp`` per path, whose contents
+    replace the paths only once the block completes. If the block raises,
+    every tmp file is deleted and every path keeps its old bytes."""
+    paths = [Path(p) for p in paths]
+    tmps = [p.with_name(p.name + ".tmp") for p in paths]
     try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            yield [stack.enter_context(open(tmp, "wb")) for tmp in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
-
-
-def _atomic_write(path, content: str) -> None:
-    with atomic_file(path) as fh:
-        fh.write(content.encode("utf-8"))
 
 
 def _load_meta(path: Path) -> tuple[dict, CategoryVocab]:

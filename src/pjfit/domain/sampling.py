@@ -1,4 +1,4 @@
-"""History packing and pairwise training-batch sampling."""
+"""Entity rows, history packing and pairwise training-batch sampling."""
 
 from __future__ import annotations
 
@@ -7,74 +7,82 @@ from dataclasses import dataclass
 import numpy as np
 
 from pjfit.config import ModelConfig
-from pjfit.domain.records import Dataset, DatasetError, EntityRecord, Pair
+from pjfit.domain.records import Dataset, DatasetError, Pair
+
+# entity kind -> the kind its histories name
+COUNTERPART = {"candidate": "job", "job": "candidate"}
+
+
+def first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a 1-D integer array in first-seen order, and
+    each entry's index among them."""
+    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return distinct[order], np.argsort(order)[inverse]
 
 
 class SequenceCache:
-    """History ids per (entity, stage), built once per dataset.
+    """A dataset's entities as integer rows, built once per dataset; the one
+    place that maps entity ids to rows.
 
-    A stage keeps the ids of its ``seq_len`` most recent counterparts, most
-    recent first. An empty stage has no ids. Embeddings are not copied
-    until ``pack`` stacks those a batch needs.
+    Per kind, ``row`` maps each id to its row (the dataset's order), and
+    ``category`` and ``embedding`` hold the category ids and the stacked
+    embeddings by row. Per kind and active stage, each entity's history is
+    kept as the rows of its ``seq_len`` most recent counterparts, most
+    recent first, in one flat array with offsets; an empty stage keeps none.
     """
 
     def __init__(self, dataset: Dataset, cfg: ModelConfig):
-        self._dataset = dataset
-        self._cfg = cfg
-        self._cache: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
+        tables = {"candidate": dataset.candidates, "job": dataset.jobs}
+        self.row = {kind: {entity_id: i for i, entity_id in enumerate(table)}
+                    for kind, table in tables.items()}
+        self.category = {kind: np.array([r.category_id for r in table.values()], dtype=np.intp)
+                         for kind, table in tables.items()}
+        self.embedding = {kind: np.stack([r.embedding for r in table.values()]) if table
+                          else np.zeros((0, dataset.embedding_dim))
+                          for kind, table in tables.items()}
+        self._histories = {kind: [self._history(kind, list(table.values()), stage, cfg.seq_len)
+                                  for stage in cfg.stages]
+                           for kind, table in tables.items()}
 
-    def _ids(self, record: EntityRecord) -> tuple[tuple[str, ...], ...]:
-        """One tuple of at most seq_len counterpart ids per active stage."""
-        key = (record.kind, record.id)
-        ids = self._cache.get(key)
-        if ids is None:
-            n = self._cfg.seq_len
-            ids = self._cache[key] = tuple(record.history(stage)[::-1][:n]
-                                           for stage in self._cfg.stages)
-        return ids
+    def _history(self, kind: str, records, stage: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The counterpart rows of each record's n most recent entries of
+        one stage, most recent first, record after record, and the offsets
+        of each record's entries. Raises DatasetError naming the record and
+        the id for an entry that names no counterpart in the dataset."""
+        counterpart = self.row[COUNTERPART[kind]]
+        recent = [r.history(stage)[::-1][:n] for r in records]
+        offsets = np.concatenate([[0], np.cumsum([len(ids) for ids in recent], dtype=np.intp)])
+        try:
+            return np.array([counterpart[i] for ids in recent for i in ids], dtype=np.intp), offsets
+        except KeyError as exc:
+            record = next(r for r, ids in zip(records, recent) if exc.args[0] in ids)
+            raise DatasetError(f"{kind} {record.id!r}: {stage} history names unknown "
+                               f"{COUNTERPART[kind]} id {exc.args[0]!r}") from None
 
-    def pack_ids(self, records) -> list[tuple[list[str], np.ndarray, np.ndarray]]:
-        """Per active stage, for records of one kind: the ids of the U
-        distinct entities their histories name, in first-seen order; the
-        index among them of each packed history entry, record after record;
-        and the (len(records), 2) array of each record's [lo, hi) range of
-        packed entries."""
-        per_record = [self._ids(r) for r in records]
+    def rows(self, kind: str, records) -> np.ndarray:
+        """The row of each record of one kind; DatasetError for one not in the dataset."""
+        row = self.row[kind]
+        try:
+            return np.array([row[r.id] for r in records], dtype=np.intp)
+        except KeyError as exc:
+            raise DatasetError(f"{kind} id {exc.args[0]!r} is not in the dataset "
+                               f"being scored") from None
+
+    def pack(self, kind: str, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per active stage, for entity rows of one kind: the counterpart
+        rows their histories name, distinct and in first-seen order
+        (``named``); the index in ``named`` of each packed history entry,
+        entity after entity (``row_map``); and the (len(rows), 2) array of
+        each entity's [lo, hi) range of packed entries."""
         packed = []
-        for stage in range(len(self._cfg.stages)):
-            position: dict[str, int] = {}
-            row_map = np.array([position.setdefault(i, len(position))
-                                for ids in per_record for i in ids[stage]], dtype=np.intp)
-            lengths = np.array([len(ids[stage]) for ids in per_record], dtype=np.intp)
-            ends = np.cumsum(lengths)
-            packed.append((list(position), row_map, np.stack([ends - lengths, ends], axis=1)))
+        for flat, offsets in self._histories[kind]:
+            starts, lengths = offsets[rows], offsets[rows + 1] - offsets[rows]
+            lo = np.cumsum(lengths) - lengths  # each entity's first packed entry
+            entries = flat[np.repeat(starts - lo, lengths) + np.arange(lengths.sum())]
+            named, row_map = first_seen(entries)
+            packed.append((named, row_map, np.stack([lo, lo + lengths], axis=1)))
         return packed
-
-    def pack(self, records) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``pack_ids`` with the ids replaced by the (U, d) stack of their
-        embeddings."""
-        counterpart = "job" if records[0].kind == "candidate" else "candidate"
-        packed = []
-        for ids, row_map, ranges in self.pack_ids(records):
-            embeddings = [self._dataset.entity(counterpart, i).embedding for i in ids]
-            rows = (np.stack(embeddings) if embeddings
-                    else np.zeros((0, self._dataset.embedding_dim)))
-            packed.append((rows, row_map, ranges))
-        return packed
-
-
-def distinct_records(records) -> tuple[list[EntityRecord], np.ndarray]:
-    """The distinct records by id, in first-seen order, and each input's position among them."""
-    position: dict[str, int] = {}
-    distinct: list[EntityRecord] = []
-    index = np.empty(len(records), dtype=np.intp)
-    for i, record in enumerate(records):
-        j = position.get(record.id)
-        if j is None:
-            j = position[record.id] = len(distinct)
-            distinct.append(record)
-        index[i] = j
-    return distinct, index
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ scoring head (``moe``) maps to a score. The forward is split the way of
 ColBERT's late interaction (Khattab & Zaharia, arXiv:2004.12832):
 ``entity_rows`` and ``encoder.external_keys`` hold what depends on one
 entity only, ``pair_scores`` the rest. ``score_pairs`` runs both on a
-batch's distinct entities, taped for training; the serving index
-(``serve``) runs them on frozen weights and keeps the per-entity outputs
-across calls.
+batch's distinct entities, as rows of the dataset's ``SequenceCache``,
+taped for training; the serving index (``serve``) runs them on frozen
+weights and keeps the per-entity outputs across calls.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from pjfit.config import ModelConfig
-from pjfit.domain import Dataset, DatasetError, SequenceCache, distinct_records
+from pjfit.domain import COUNTERPART, Dataset, DatasetError, SequenceCache, first_seen
 from pjfit.encoder import (
     SIDES,
     encoder_param_spec,
@@ -99,17 +99,13 @@ def entity_rows(text: Matrix, own, bound: BoundParams, side: str, cfg: ModelConf
             head_rows(text, lo, bound)]
 
 
-def categories(records) -> np.ndarray:
-    return np.array([r.category_id for r in records], dtype=np.intp)
-
-
-def distinct_pairs(candidates, jobs) -> list[tuple]:
-    """Per side, the distinct records of B pairs and each pair's index among them."""
+def pair_rows(candidates, jobs, cache: SequenceCache) -> list[np.ndarray]:
+    """Per kind, in ``SIDE`` order, the cache row of each of B pairs' records."""
     if len(candidates) != len(jobs):
         raise ValueError(f"{len(candidates)} candidates for {len(jobs)} jobs")
     if not candidates:
         raise ValueError("no pairs to score")
-    return [distinct_records(candidates), distinct_records(jobs)]
+    return [cache.rows(kind, records) for kind, records in zip(SIDE, (candidates, jobs))]
 
 
 def pair_scores(sides, candidate_categories: np.ndarray, job_categories: np.ndarray,
@@ -138,21 +134,24 @@ def score_pairs(candidates, jobs, bound: BoundParams, cfg: ModelConfig,
                 cache: SequenceCache) -> Matrix:
     """Match scores of the pairs (candidates[i], jobs[i]) as a (B, 1) column.
 
-    Per-entity outputs are computed once per distinct entity, and each
-    history entity once per attention set, so the positive and the
+    The records are read as rows of ``cache``, which must be built on their
+    dataset. Per-entity outputs are computed once per distinct entity, and
+    each history entity once per attention set, so the positive and the
     negative of a training entry share their job's work. Empty stages
     contribute zero vectors. A pair's score depends on the rest of the
     batch only through rounding.
     """
-    distinct = distinct_pairs(candidates, jobs)
-    hist = [[(bound.constant(rows), row_map, ranges)
-             for rows, row_map, ranges in cache.pack(records)] for records, _ in distinct]
+    rows = pair_rows(candidates, jobs, cache)
+    distinct = [first_seen(r) for r in rows]
+    hist = [[(bound.constant(cache.embedding[COUNTERPART[kind]][named]), row_map, ranges)
+             for named, row_map, ranges in cache.pack(kind, entities)]
+            for kind, (entities, _) in zip(SIDE, distinct)]
     sides = []
-    for s, side in enumerate(SIDES):
-        (records, index), partner_index = distinct[s], distinct[1 - s][1]
-        text = bound.constant(np.stack([r.embedding for r in records]))
+    for s, (kind, side) in enumerate(SIDE.items()):
+        (entities, index), partner_index = distinct[s], distinct[1 - s][1]
+        text = bound.constant(cache.embedding[kind][entities])
         # the paired entity's same-kind history, one range per pair
-        keys = [(external_keys(rows, bound, side, stage, cfg), row_map, ranges[partner_index])
-                for stage, (rows, row_map, ranges) in zip(cfg.stages, hist[1 - s])]
+        keys = [(external_keys(history, bound, side, stage, cfg), row_map, ranges[partner_index])
+                for stage, (history, row_map, ranges) in zip(cfg.stages, hist[1 - s])]
         sides.append((entity_rows(text, hist[s], bound, side, cfg), index, keys))
-    return pair_scores(sides, categories(candidates), categories(jobs), bound, cfg)
+    return pair_scores(sides, *(cache.category[kind][r] for kind, r in zip(SIDE, rows)), bound, cfg)

@@ -11,7 +11,8 @@ What the index keeps, in float64, for d = d_model, S active stages,
 h = fusion_hidden and E = n h1, the width of the head's first layer
 (``moe.w1``) for n experts of first hidden width h1:
 
-* per index: no weights; it reads the store's own values in place;
+* per index: no weights; it reads the store's own values in place, and
+  the dataset's ``SequenceCache`` (d embedding values per entity);
 * per entity, as the query of its own side, S d + h + E values: the
   outputs of ``model.entity_rows``, one table array per stage's external
   query (all heads side by side), one for the hidden row and one head
@@ -22,9 +23,10 @@ h = fusion_hidden and E = n h1, the width of the head's first layer
 
 At the production width (d = 1024, S = 3, h = 1024, E = 1280) that is
 43 KB per entity as a query and 16 KB per entity and stage as a key.
-Tables grow by doubling, so up to twice that per entity may be reserved.
-A call computes all the entities it lacks in one batched pass per kind
-(and per stage, for keys). Building an index computes nothing.
+A table array has an uninitialised row per entity of its kind, so a row
+takes memory only once a call writes it. A call computes all the
+entities it lacks in one batched pass per kind (and per stage, for
+keys). Building an index computes no model output.
 
 Scores equal those of ``model.score_pairs`` up to rounding, since
 batching changes the order of the sums; the tests hold them to 1e-12
@@ -50,47 +52,34 @@ import weakref
 import numpy as np
 
 from pjfit.config import ModelConfig
-from pjfit.domain import Dataset, SequenceCache
+from pjfit.domain import COUNTERPART, Dataset, SequenceCache, first_seen
 from pjfit.encoder import external_keys
-from pjfit.model import SIDE, categories, check_fits, distinct_pairs, entity_rows, pair_scores
+from pjfit.model import SIDE, check_fits, entity_rows, pair_rows, pair_scores
 from pjfit.numerics import BoundParams, Matrix, ParamStore
 
 
 class _Table:
-    """Per-entity rows of a list of matrices, computed in batches and kept."""
+    """Per-entity outputs of one kind: one array per output with a row per
+    entity, filled in batches and kept."""
 
-    def __init__(self):
+    def __init__(self, n: int):
+        self.filled = np.zeros(n, dtype=bool)
         self.data: list[np.ndarray] = []
-        self._row: dict[str, int] = {}
 
-    def rows(self, records, compute) -> np.ndarray:
-        """The table row of each record. Records not in the table yet are
-        computed first, in one ``compute(missing)`` call that returns one
-        matrix per array (on the first call always, to learn the widths)."""
-        missing = {r.id: r for r in records if r.id not in self._row}
-        if missing or not self.data:
-            values = [m.data for m in compute(list(missing.values()))]
-            n = len(self._row)
-            end = n + len(missing)
+    def fill(self, rows: np.ndarray, compute) -> list[np.ndarray]:
+        """The arrays, with the given distinct entity rows filled. Rows not
+        filled yet are computed first, in one ``compute(missing)`` call that
+        returns one matrix per array (on the first call always, to learn
+        the widths)."""
+        missing = rows[~self.filled[rows]]
+        if missing.size or not self.data:
+            values = [m.data for m in compute(missing)]
             if not self.data:
-                self.data = [np.empty((0, v.shape[1])) for v in values]
-            if end > self.data[0].shape[0]:
-                grown = [np.empty((max(end, 2 * n), a.shape[1])) for a in self.data]
-                for new, old in zip(grown, self.data):
-                    new[:n] = old[:n]
-                self.data = grown
+                self.data = [np.empty((self.filled.size, v.shape[1])) for v in values]
             for a, v in zip(self.data, values):
-                a[n:end] = v
-            self._row.update(zip(missing, range(n, end)))
-        return np.array([self._row[r.id] for r in records], dtype=np.intp)
-
-    def matrices(self) -> list[Matrix]:
-        """The filled rows of each array, without a copy."""
-        return [Matrix(a[:len(self._row)]) for a in self.data]
-
-
-def _embeddings(records, d: int) -> Matrix:
-    return Matrix(np.stack([r.embedding for r in records]) if records else np.zeros((0, d)))
+                a[missing] = v
+            self.filled[missing] = True
+        return self.data
 
 
 class ServingIndex:
@@ -105,45 +94,43 @@ class ServingIndex:
         for _, p in store.items():
             p.value.setflags(write=False)
         self._bound = BoundParams(dict(store.items()))
-        self._entities = {kind: _Table() for kind in SIDE}
-        self._keys = {(kind, stage): _Table() for kind in SIDE for stage in cfg.stages}
+        n = {kind: len(rows) for kind, rows in self._cache.row.items()}
+        self._entities = {kind: _Table(n[kind]) for kind in SIDE}
+        self._keys = {(kind, stage): _Table(n[kind]) for kind in SIDE for stage in cfg.stages}
 
     def serves(self, cfg: ModelConfig, dataset: Dataset) -> bool:
         return (cfg == self.cfg and dataset.candidates is self._records["candidate"]
                 and dataset.jobs is self._records["job"])
 
-    def _entity_rows(self, kind: str, records) -> tuple[list[Matrix], np.ndarray]:
-        """The kind's ``entity_rows`` table and the row of each record."""
+    def _entity_rows(self, kind: str, entities: np.ndarray) -> list[Matrix]:
+        """The kind's ``entity_rows`` table, with the rows of the given
+        distinct entities filled."""
         def compute(new):
-            own = [(Matrix(rows), row_map, ranges)
-                   for rows, row_map, ranges in self._cache.pack(new)]
-            return entity_rows(_embeddings(new, self.cfg.d_model), own, self._bound, SIDE[kind],
-                               self.cfg)
-        table = self._entities[kind]
-        rows = table.rows(records, compute)
-        return table.matrices(), rows
+            own = [(Matrix(self._cache.embedding[COUNTERPART[kind]][named]), row_map, ranges)
+                   for named, row_map, ranges in self._cache.pack(kind, new)]
+            return entity_rows(Matrix(self._cache.embedding[kind][new]), own, self._bound,
+                               SIDE[kind], self.cfg)
+        return [Matrix(a) for a in self._entities[kind].fill(entities, compute)]
 
     def _attended_keys(self, kind: str, partners, partner_index: np.ndarray) -> list[tuple]:
         """Per stage, the keys the side of ``kind`` attends in B pairs: the
         entities the partners' histories name, and each pair's range."""
         keys = []
-        for stage, (ids, row_map, ranges) in zip(self.cfg.stages, self._cache.pack_ids(partners)):
-            table = self._keys[kind, stage]
-            rows = table.rows([self._records[kind][i] for i in ids], lambda new: external_keys(
-                _embeddings(new, self.cfg.d_model), self._bound, SIDE[kind], stage, self.cfg))
-            keys.append(([Matrix(a[rows]) for a in table.data], row_map, ranges[partner_index]))
+        packed = self._cache.pack(COUNTERPART[kind], partners)
+        for stage, (named, row_map, ranges) in zip(self.cfg.stages, packed):
+            table = self._keys[kind, stage].fill(named, lambda new: external_keys(
+                Matrix(self._cache.embedding[kind][new]), self._bound, SIDE[kind], stage, self.cfg))
+            keys.append(([Matrix(a[named]) for a in table], row_map, ranges[partner_index]))
         return keys
 
     def score(self, candidates, jobs) -> np.ndarray:
         """Scores of the pairs (candidates[i], jobs[i]), a (B,) array."""
-        distinct = distinct_pairs(candidates, jobs)
-        sides = []
-        for s, kind in enumerate(SIDE):
-            records, index = distinct[s]
-            rows, table_rows = self._entity_rows(kind, records)
-            sides.append((rows, table_rows[index], self._attended_keys(kind, *distinct[1 - s])))
-        return pair_scores(sides, categories(candidates), categories(jobs), self._bound,
-                           self.cfg).data[:, 0]
+        rows = pair_rows(candidates, jobs, self._cache)
+        distinct = [first_seen(r) for r in rows]
+        sides = [(self._entity_rows(kind, distinct[s][0]), rows[s],
+                  self._attended_keys(kind, *distinct[1 - s])) for s, kind in enumerate(SIDE)]
+        return pair_scores(sides, *(self._cache.category[kind][r] for kind, r in zip(SIDE, rows)),
+                           self._bound, self.cfg).data[:, 0]
 
 
 _INDEXES: "weakref.WeakKeyDictionary[ParamStore, ServingIndex]" = weakref.WeakKeyDictionary()

@@ -106,7 +106,7 @@ class _FullDisk:
 
 @pytest.fixture
 def full_disk(monkeypatch):
-    """Every file ``records.atomic_file`` opens from here on is a ``_FullDisk``."""
+    """Every file ``records.atomic_files`` opens from here on is a ``_FullDisk``."""
     monkeypatch.setattr(records, "open", lambda *args: _FullDisk(open(*args)), raising=False)
 
 

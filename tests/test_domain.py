@@ -11,6 +11,7 @@ from pjfit.domain import (
     CategoryVocab,
     Dataset,
     DatasetError,
+    SequenceCache,
     load_data_dir,
     sample_training_pairs,
     validate_records,
@@ -18,7 +19,7 @@ from pjfit.domain import (
 from pjfit.domain.records import save_data_dir
 from pjfit.numerics import seeded_rng
 
-from conftest import BROKEN_EMBEDDINGS, META_DEFECTS, TOY_VOCAB_NAMES, DatasetBuilder
+from conftest import BROKEN_EMBEDDINGS, META_DEFECTS, TOY_VOCAB_NAMES, DatasetBuilder, toy_model_config
 from reference_model import pad_sequence
 
 
@@ -246,13 +247,17 @@ def test_round_trip_is_identity(tmp_path, small_dataset):
 
 
 def test_failed_write_keeps_the_old_file_and_leaves_no_tmp(tmp_path, small_dataset, full_disk):
-    # the one-write JSON files are replaced; embeddings.npz fails mid-stream
+    # entities.jsonl takes its one write, then embeddings.npz fails mid-stream:
+    # no file of the directory may be replaced
     out = tmp_path / "data"
     out.mkdir()
-    (out / "embeddings.npz").write_bytes(b"old bytes")
+    names = ("entities.jsonl", "embeddings.npz", "pairs.jsonl", "meta.json")
+    for name in names:
+        (out / name).write_bytes(f"old {name}".encode())
     with pytest.raises(OSError, match="No space left"):
         save_data_dir(small_dataset, {}, out)
-    assert (out / "embeddings.npz").read_bytes() == b"old bytes"
+    for name in names:
+        assert (out / name).read_bytes() == f"old {name}".encode(), name
     assert not list(out.glob("*.tmp"))
 
 
@@ -337,6 +342,47 @@ def test_pad_mask_has_exactly_min_len_positions(n_ids):
     ds = b.build()
     _, valid = pad_sequence([f"j{i}" for i in range(n_ids)], ds, max_len=20)
     assert valid.sum() == min(n_ids, 20)
+
+
+# ------------------------------------------------------------ sequence cache
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pack_names_each_history_entity_once_in_first_seen_order(data):
+    # histories with empty stages, a job named twice and more entries than
+    # seq_len; entity rows repeated, or none at all
+    n_jobs, n_candidates = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    history = st.lists(st.integers(0, n_jobs - 1), max_size=8)
+    b = DatasetBuilder()
+    for j in range(n_jobs):
+        b.entity(f"j{j}", "job")
+    for c in range(n_candidates):
+        b.entity(f"c{c}", "candidate", **{field: tuple(f"j{i}" for i in data.draw(history))
+                                          for field in ("hist_eval", "hist_pass_eval",
+                                                        "hist_pass_interview")})
+    ds = b.build()
+    cfg = toy_model_config(seq_len=data.draw(st.integers(1, 5)))
+    cache = SequenceCache(ds, cfg)
+    assert cache.row["candidate"] == {f"c{c}": c for c in range(n_candidates)}
+    rows = np.array(data.draw(st.lists(st.integers(0, n_candidates - 1), max_size=8)), dtype=np.intp)
+    for stage, (named, row_map, ranges) in zip(cfg.stages, cache.pack("candidate", rows)):
+        assert ranges.shape == (len(rows), 2)
+        packed = []
+        for row, (lo, hi) in zip(rows, ranges):
+            recent = ds.candidates[f"c{row}"].history(stage)[::-1][:cfg.seq_len]
+            assert named[row_map[lo:hi]].tolist() == [cache.row["job"][i] for i in recent]
+            packed += named[row_map[lo:hi]].tolist()
+        assert row_map.size == len(packed)
+        assert named.tolist() == list(dict.fromkeys(packed))
+
+
+def test_dangling_history_id_fails_when_the_cache_is_built(builder):
+    # a hand-built dataset skips load_data_dir's reference check
+    builder.entity("j0", "job")
+    builder.entity("c0", "candidate", hist_pass_eval=("j0", "j9"))
+    with pytest.raises(DatasetError, match="candidate 'c0'.*job id 'j9'"):
+        SequenceCache(builder.build(), toy_model_config())
 
 
 # ------------------------------------------------------------ sampling

@@ -6,6 +6,7 @@ import pytest
 
 from pjfit import serve
 from pjfit.config import ABLATIONS
+from pjfit.domain import DatasetError
 from pjfit.numerics import adam_step, seeded_rng
 from pjfit.serve import ServingIndex, index_for
 from pjfit.training import SequenceCache, evaluate, init_params, rank_candidates, score_pairs
@@ -64,13 +65,27 @@ def test_index_scores_equal_score_pairs(ablation):
     np.testing.assert_allclose(got, want, rtol=SERVE_RTOL, atol=SERVE_ATOL)
 
 
+@pytest.mark.parametrize("kind", ["candidate", "job"])
+def test_record_outside_the_dataset_is_a_data_error(kind):
+    ds = serving_dataset()
+    cfg = toy_model_config()
+    store = random_store(cfg, 13)
+    pair = {"candidate": ds.candidates["c0"], "job": ds.jobs["j0"]}
+    pair[kind] = DatasetBuilder().entity("x9", kind)
+    cands, jobs = [pair["candidate"]], [pair["job"]]
+    with pytest.raises(DatasetError, match=f"{kind} id 'x9'"):
+        score_pairs(cands, jobs, store.bind(), cfg, SequenceCache(ds, cfg))
+    with pytest.raises(DatasetError, match=f"{kind} id 'x9'"):
+        ServingIndex(store, cfg, ds).score(cands, jobs)
+
+
 def test_warm_call_returns_the_cold_calls_bytes():
     ds = serving_dataset()
     cfg = toy_model_config()
     index = ServingIndex(random_store(cfg, 6), cfg, ds)
     cands, jobs = all_pairs(ds)
     cold = index.score(cands[:7], jobs[:7]).tobytes()
-    index.score(cands[7:], jobs[7:])  # the tables grow past the first call's entities
+    index.score(cands[7:], jobs[7:])  # the tables fill past the first call's entities
     assert index.score(cands[:7], jobs[:7]).tobytes() == cold
 
 

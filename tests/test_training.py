@@ -241,7 +241,9 @@ def test_shared_history_entities_are_packed_once_and_score_like_the_oracle():
                                    rtol=SCORE_TOL)
 
     records = [ds.candidates[f"c{c}"] for c in range(5)]
-    for stage, (rows, row_map, ranges) in zip(cfg.stages, cache.pack(records)):
+    packed = cache.pack("candidate", cache.rows("candidate", records))
+    for stage, (named_rows, row_map, ranges) in zip(cfg.stages, packed):
+        rows = cache.embedding["job"][named_rows]
         histories = [r.history(stage)[::-1][:cfg.seq_len] for r in records]
         named = {entity_id for ids in histories for entity_id in ids}
         assert rows.shape == (len(named), cfg.d_model)
