@@ -21,13 +21,32 @@ def first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct[order], np.argsort(order)[inverse]
 
 
+def _embedding_rows(rows: list[np.ndarray], dim: int) -> np.ndarray:
+    """The (n, dim) matrix of n embedding rows. When the rows are
+    consecutive rows of one buffer, as ``load_data_dir`` leaves each kind's
+    records (and ``dataclasses.replace`` keeps them), it is a read-only
+    view of that block of the buffer; otherwise a stacked copy."""
+    if not rows:
+        return np.zeros((0, dim))
+    first = rows[0]
+    # one shared base: the block lies inside one allocation, which the view keeps alive
+    if all(r.base is not None and r.base is first.base and r.ndim == 1 and r.shape == first.shape
+           and r.dtype == first.dtype and r.flags.c_contiguous for r in rows):
+        start = np.array([r.__array_interface__["data"][0] for r in rows])
+        if (start == start[0] + first.nbytes * np.arange(len(rows))).all():
+            return np.lib.stride_tricks.as_strided(first, (len(rows), first.size),
+                                                   (first.nbytes, first.itemsize), writeable=False)
+    return np.stack(rows)
+
+
 class SequenceCache:
     """A dataset's entities as integer rows, built once per dataset; the one
     place that maps entity ids to rows.
 
     Per kind, ``row`` maps each id to its row (the dataset's order), and
-    ``category`` and ``embedding`` hold the category ids and the stacked
-    embeddings by row. Per kind and active stage, each entity's history is
+    ``category`` and ``embedding`` hold the category ids and the
+    embeddings by row (see ``_embedding_rows``). Per kind and active
+    stage, each entity's history is
     kept as the rows of its ``seq_len`` most recent counterparts, most
     recent first, in one flat array with offsets; an empty stage keeps none.
     """
@@ -38,8 +57,8 @@ class SequenceCache:
                     for kind, table in tables.items()}
         self.category = {kind: np.array([r.category_id for r in table.values()], dtype=np.intp)
                          for kind, table in tables.items()}
-        self.embedding = {kind: np.stack([r.embedding for r in table.values()]) if table
-                          else np.zeros((0, dataset.embedding_dim))
+        self.embedding = {kind: _embedding_rows([r.embedding for r in table.values()],
+                                                dataset.embedding_dim)
                           for kind, table in tables.items()}
         self._histories = {kind: [self._history(kind, list(table.values()), stage, cfg.seq_len)
                                   for stage in cfg.stages]

@@ -6,7 +6,8 @@ the entity's own counterpart-kind history and an external one with the
 paired entity's same-kind history. Their outputs feed a two-layer fusion
 DNN. Per entity: ``external_queries``, ``internal_hidden`` (the internal
 interactions through their rows of ``fusion.w1``, plus ``fusion.b1``)
-and, for history entities, ``external_keys``. Per pair: ``fuse_pairs``.
+and, for history entities, ``external_keys`` (and optionally
+``fold_values``). Per pair: ``fuse_pairs``.
 
 An attention set (one side, stage and direction) is three (d x d)
 matrices, ``wq``, ``wk`` and ``wv``, whose column blocks of width
@@ -19,6 +20,12 @@ the heads, so each set runs one query, key and value GEMM per call.
 ``fusion.w1`` has 2 S d rows for S active stages: rows [0, S d) read the
 internal outputs, stage by stage, and rows [S d, 2 S d) the external
 ones, so each direction's S outputs side by side enter in one GEMM.
+Since attention is linear in its values, the external rows can also be
+applied before it: ``fold_values`` maps each history key's values, head
+by head, through the head's rows of that GEMM, and ``fuse_pairs``
+attends over those folded values instead. This trades a GEMM over the
+pairs for one over the distinct keys, which pays when a batch attends
+few keys (``serve`` chooses per call).
 
 Histories are packed by reference: per stage, the distinct entities a
 batch's histories name are stacked once, a row map gives the row of each
@@ -104,21 +111,46 @@ def internal_hidden(text: Matrix, own, bound: BoundParams, side: str, cfg: Model
     return ops.affine(out, _w1_rows(bound, side, 0, cfg), bound[f"{side}.fusion.b1"])
 
 
+def fold_values(v: Matrix, bound: BoundParams, side: str, stage: str, cfg: ModelConfig) -> Matrix:
+    """(n, heads fusion_hidden): the (n, d) external values ``v`` of one
+    stage folded through ``fusion.w1``, per head its column block of ``v``
+    times that head's rows of the stage's external block, heads side by
+    side."""
+    lo = (len(cfg.stages) + cfg.stages.index(stage)) * cfg.d_model
+    w = cfg.head_dim
+    return ops.concat_cols([
+        ops.matmul(part, bound.rows(f"{side}.fusion.w1", lo + h * w, lo + (h + 1) * w))
+        for h, part in enumerate(ops.split_cols(v, cfg.heads))])
+
+
 def fuse_pairs(queries: list[Matrix], hidden: Matrix, index: np.ndarray, keys,
-               bound: BoundParams, side: str, cfg: ModelConfig) -> Matrix:
+               bound: BoundParams, side: str, cfg: ModelConfig, folded: bool) -> Matrix:
     """(B, fusion_out) fused representations of one side of B pairs.
 
     ``queries`` and ``hidden`` are the side's ``external_queries`` and
     ``internal_hidden``, ``index`` each pair's row of them. ``keys`` holds
     per stage ([K, V], row_map, ranges): the ``external_keys`` of the
     entities the partners' same-kind histories name, and one range per
-    pair. Each stage runs one attention over all heads; the stages'
-    outputs side by side meet the external rows of ``fusion.w1`` in one
-    GEMM.
+    pair. Each stage runs one attention over all heads.
+
+    The values come in one of two forms, the same for every stage. Plain
+    (``folded`` false), V is the (n, d) values: the stages' outputs side by
+    side meet the external rows of ``fusion.w1`` in one (B x S d) (S d x
+    fusion_hidden) GEMM. Folded, V is ``fold_values`` of them: attention
+    over the folded rows gives each head's product with its rows of
+    ``fusion.w1`` directly, and the heads' blocks are added to the hidden
+    pre-activation, so no GEMM reads ``fusion.w1``. The two forms differ
+    only in the order of the sums.
     """
     _check_stages(keys, cfg)
-    attended = ops.concat_cols([
-        ops.segment_attention(ops.gather_rows(q, index), k, v, ranges, row_map, cfg.heads)
-        for q, ((k, v), row_map, ranges) in zip(queries, keys)])
-    h = ops.affine(attended, _w1_rows(bound, side, 1, cfg), ops.gather_rows(hidden, index))
+    # lazily, so that the folded path holds one stage's (B x heads h) output at a time
+    attended = (ops.segment_attention(ops.gather_rows(q, index), k, v, ranges, row_map, cfg.heads)
+                for q, ((k, v), row_map, ranges) in zip(queries, keys))
+    h = ops.gather_rows(hidden, index)
+    if folded:
+        for a in attended:
+            for head in ops.split_cols(a, cfg.heads):
+                h = ops.add(h, head)
+    else:
+        h = ops.affine(ops.concat_cols(list(attended)), _w1_rows(bound, side, 1, cfg), h)
     return ops.affine(ops.relu(h), bound[f"{side}.fusion.w2"], bound[f"{side}.fusion.b2"])

@@ -13,6 +13,13 @@ entity only, ``pair_scores`` the rest. ``score_pairs`` runs both on a
 batch's distinct entities, as rows of the dataset's ``SequenceCache``,
 taped for training; the serving index (``serve``) runs them on frozen
 weights and keeps the per-entity outputs across calls.
+
+A side's history values reach ``pair_scores`` in one of two forms (see
+``encoder.fuse_pairs``): plain, the values of ``external_keys``, which
+meet the external rows of ``fusion.w1`` after attention; or folded, by
+``encoder.fold_values``, through those rows before it. ``score_pairs``
+always passes plain values; the serving index folds a side's values
+when the call attends few distinct keys.
 """
 
 from __future__ import annotations
@@ -112,17 +119,18 @@ def pair_scores(sides, candidate_categories: np.ndarray, job_categories: np.ndar
                 bound: BoundParams, cfg: ModelConfig) -> Matrix:
     """(B, 1) scores of B pairs.
 
-    ``sides`` holds, in ``SIDES`` order, (rows, index, keys) per side: the
-    side's ``entity_rows``, each pair's row of them, and the keys
-    ``encoder.fuse_pairs`` reads. The category arrays hold each pair's
+    ``sides`` holds, in ``SIDES`` order, (rows, index, keys, folded) per
+    side: the side's ``entity_rows``, each pair's row of them, the keys
+    ``encoder.fuse_pairs`` reads and whether their values are plain or
+    folded through ``fusion.w1``. The category arrays hold each pair's
     category ids.
     """
     n = len(cfg.stages)
     fused = ops.concat_cols([
-        fuse_pairs(rows[:n], rows[n], index, keys, bound, side, cfg)
-        for side, (rows, index, keys) in zip(SIDES, sides)])
+        fuse_pairs(rows[:n], rows[n], index, keys, bound, side, cfg, folded)
+        for side, (rows, index, keys, folded) in zip(SIDES, sides)])
     first = head_input(fused, bound)
-    for rows, index, _ in sides:
+    for rows, index, *_ in sides:
         first = ops.add(first, ops.gather_rows(rows[n + 1], index))
     if cfg.ablation == "simple_match":
         same = (candidate_categories == job_categories).astype(np.float64).reshape(-1, 1)
@@ -153,5 +161,5 @@ def score_pairs(candidates, jobs, bound: BoundParams, cfg: ModelConfig,
         # the paired entity's same-kind history, one range per pair
         keys = [(external_keys(history, bound, side, stage, cfg), row_map, ranges[partner_index])
                 for stage, (history, row_map, ranges) in zip(cfg.stages, hist[1 - s])]
-        sides.append((entity_rows(text, hist[s], bound, side, cfg), index, keys))
+        sides.append((entity_rows(text, hist[s], bound, side, cfg), index, keys, False))
     return pair_scores(sides, *(cache.category[kind][r] for kind, r in zip(SIDE, rows)), bound, cfg)

@@ -11,13 +11,17 @@ parallel. Every operation of the update is elementwise, so where the
 shard and block cuts fall changes no bit: the result is the same for
 every W and every BLOCK.
 
-Measured on 2 vCPUs with a 4 MiB L2 each, float64, on the d=1024 store
-(66.8M values, so W = 2): one step after the first takes 0.50 s on two
-threads against 0.86-0.89 s on one, and in a traced ``sparse-d1024`` run
-(seed 31) a training call's Adam time is 1.60 s (2.80 s on one thread
-over per-tensor arrays). BLOCK was measured on this store at W = 2:
-16384 elements took 0.65-0.71 s per step, 32768 0.50-0.55 s, 65536
-0.50-0.51 s, 131072 0.49-0.57 s and 262144 0.56-0.61 s.
+Measured on 2 vCPUs with a 2 MiB L2 each, float64, on the d=1024 store
+(54,219,978 values, so W = 2): one step after the first takes a median
+0.45 s on two threads against 0.77 s on one (6 steps each, alternating).
+BLOCK was re-measured on this store at W = 2, 9 steps per size with the
+order rotated: 16384 elements took a median 0.56 s per step (0.54-0.62),
+32768 0.46 s (0.43-0.51) and 65536 0.42 s (0.41-0.45). On the d=64
+store (W = 1) the three sizes read 28-31 ms, with no order beyond the
+noise. A block's six arrays (3 MiB at 65536) do not fit in L2, so
+65536 stays because it measured fastest, not for cache residency. (On
+the 66.8M-value store before the attention output projections were
+deleted, 131072 and 262144 were no faster than 65536.)
 
 CUTOFF keeps small stores on the calling thread, since inside training
 two threads lose there: on ``converge-d64`` (2.4M values) a CUTOFF of
@@ -27,7 +31,7 @@ store two threads take 19 ms per step against 31 ms on one, but 36 ms
 against 32 ms right after twenty (256 x 256) GEMMs, and 20 ms again
 after a 0.5 s pause: OpenBLAS's threads go on spinning for a while after
 a GEMM, and the backward ends in GEMMs. 2^22 elements per shard keeps
-the 2.4M-value store on one thread and splits the 66.8M-value one.
+the 2.4M-value store on one thread and splits the 54.2M-value one.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ import numpy as np
 
 from pjfit.numerics.params import Buffers, ParamStore
 
-# Elements per block of the fused update. Value, gradient, both moments and
-# the two scratch buffers of one block (6 x 512 KiB) stay in a core's 4 MiB
-# L2.
+# Elements per block of the fused update: value, gradient, both moments and
+# two scratch buffers of 512 KiB each. The fastest of the sizes measured at
+# d=1024 (module docstring), though the six arrays exceed a core's L2.
 BLOCK = 65536
 # Elements per shard at least: a store smaller than 2 * CUTOFF updates on
 # the calling thread alone.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pjfit.augment import MockCompletionClient, augment_batch, default_library
 from pjfit.config import STAGES
 from pjfit.domain import (
     DEFAULT_CATEGORIES,
@@ -18,6 +19,7 @@ from pjfit.domain import (
 )
 from pjfit.domain.records import save_data_dir
 from pjfit.numerics import seeded_rng
+from pjfit.synth import SynthConfig, generate_dataset
 
 from conftest import BROKEN_EMBEDDINGS, META_DEFECTS, TOY_VOCAB_NAMES, DatasetBuilder, toy_model_config
 from reference_model import pad_sequence
@@ -461,3 +463,38 @@ def test_split_temporal_is_strict(small_dataset):
     train, test = small_dataset.split_temporal(split_ts=150)
     assert max(p.ts for p in train.pairs) < min(p.ts for p in test.pairs)
     assert len(train.pairs) + len(test.pairs) == len(small_dataset.pairs)
+
+
+def test_cache_embeddings_of_a_loaded_and_augmented_dataset_are_views(tmp_path):
+    ds, meta = generate_dataset(SynthConfig(n_candidates=24, n_jobs=8, embedding_dim=8,
+                                            categories=TOY_VOCAB_NAMES, seed=3))
+    save_data_dir(ds, meta, tmp_path)
+    loaded, _ = load_data_dir(tmp_path)
+    augmented, log = augment_batch(loaded, MockCompletionClient(seed=0),
+                                   default_library(loaded.vocab.names), threshold=10_000)
+    assert any(r.accepted for r in log)  # some records are new objects
+    matrix = next(iter(loaded.jobs.values())).embedding.base
+    cache = SequenceCache(augmented, toy_model_config())
+    for kind, table in (("candidate", augmented.candidates), ("job", augmented.jobs)):
+        stacked = np.stack([r.embedding for r in table.values()])
+        assert np.shares_memory(cache.embedding[kind], matrix)
+        assert cache.embedding[kind].tobytes() == stacked.tobytes()
+        assert not cache.embedding[kind].flags.writeable
+
+
+def test_cache_stacks_embeddings_that_are_not_consecutive_rows(paths):
+    b = DatasetBuilder()
+    for entity_id, kind in (("c0", "candidate"), ("c1", "candidate"), ("j0", "job")):
+        b.entity(entity_id, kind)
+    built = b.build()
+    # rows of one matrix, but the candidates are rows 0 and 2
+    write_entities(paths, [entity_doc("c0", "candidate"), entity_doc("j0", "job"),
+                           entity_doc("c1", "candidate")], values=np.arange(12.0).reshape(3, 4))
+    write_jsonl(paths[1], [])
+    loaded = load(paths)
+    for ds in (built, loaded):
+        cache = SequenceCache(ds, toy_model_config(d_model=ds.embedding_dim))
+        embedding = cache.embedding["candidate"]
+        records = list(ds.candidates.values())
+        assert not any(np.shares_memory(embedding, r.embedding) for r in records)
+        assert embedding.tobytes() == np.stack([r.embedding for r in records]).tobytes()

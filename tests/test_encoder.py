@@ -4,6 +4,7 @@ import pytest
 from pjfit.encoder import (
     external_keys,
     external_queries,
+    fold_values,
     fuse_pairs,
     interaction,
     internal_hidden,
@@ -46,17 +47,21 @@ def padded(seqs, cfg):
     return out
 
 
-def encode_side(text, index, own, cross, bound, side, cfg):
+def encode_side(text, index, own, cross, bound, side, cfg, folded=False):
     """Fused vectors of one side of a batch of pairs, from the per-entity
-    and per-pair encoder functions as ``model.score_pairs`` composes them.
+    and per-pair encoder functions as ``model.score_pairs`` composes them
+    (with ``folded``, as the serving index does on a folding side).
 
     ``text`` holds the side's distinct entities, ``index`` the entity of
     each pair; ``own`` holds (rows, row_map, ranges) per stage with one
     range per entity, ``cross`` the same with one range per pair."""
-    keys = [(external_keys(rows, bound, side, stage, cfg), row_map, ranges)
-            for stage, (rows, row_map, ranges) in zip(cfg.stages, cross)]
+    keys = []
+    for stage, (rows, row_map, ranges) in zip(cfg.stages, cross):
+        k, v = external_keys(rows, bound, side, stage, cfg)
+        keys.append(([k, fold_values(v, bound, side, stage, cfg) if folded else v], row_map, ranges))
     return fuse_pairs(external_queries(text, bound, side, cfg),
-                      internal_hidden(text, own, bound, side, cfg), index, keys, bound, side, cfg)
+                      internal_hidden(text, own, bound, side, cfg), index, keys, bound, side, cfg,
+                      folded)
 
 
 def encode_one(self_vec, own, cross, bound, side, cfg):
@@ -226,3 +231,67 @@ def test_encode_side_wrong_stage_count_raises(cfg, store):
     seqs = as_matrices(rand_seqs(rng, cfg, [1]))
     with pytest.raises(ValueError, match="sequences per direction"):
         encode_one(Matrix(rng.normal(size=(1, cfg.d_model))), seqs, seqs, store.bind(), "cand", cfg)
+
+
+@pytest.mark.parametrize("ablation", ["none", "no_fine_interaction"])
+def test_fold_values_is_each_heads_values_times_its_fusion_rows(ablation):
+    cfg = toy_model_config(ablation=ablation)
+    store = init_params(cfg, seeded_rng(20))
+    rows = seeded_rng(21).normal(size=(5, cfg.d_model))
+    w1 = store["job.fusion.w1"].value
+    w = cfg.head_dim
+    for s, stage in enumerate(cfg.stages):
+        v = rows @ store[f"job.{stage}.external.wv"].value
+        got = fold_values(Matrix(v), store.bind(), "job", stage, cfg)
+        assert got.shape == (5, cfg.heads * cfg.fusion_hidden)
+        lo = (len(cfg.stages) + s) * cfg.d_model  # the stage's external rows
+        for h in range(cfg.heads):
+            want = v[:, h * w:(h + 1) * w] @ w1[lo + h * w:lo + (h + 1) * w]
+            np.testing.assert_allclose(
+                got.data[:, h * cfg.fusion_hidden:(h + 1) * cfg.fusion_hidden], want, rtol=1e-12)
+
+
+def random_biases(store, rng):
+    for name, p in store.items():
+        if name.rsplit(".", 1)[-1].startswith("b"):
+            p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
+    return store
+
+
+def folding_batch(rng, cfg):
+    """Two entities in three pairs; the cross histories hold a shared range,
+    an empty range and, at the last stage, no key at all."""
+    own = batch_seqs(rng, cfg, [[3, 1], [1, 2], [2, 0]], [0, 1])
+    cross = batch_seqs(rng, cfg, [[2, 1], [2, 0], [1, 3]], [0, 1, 1])
+    cross[-1] = (np.zeros((0, cfg.d_model)), np.zeros(0, dtype=np.intp), np.zeros((3, 2), int))
+    return rng.normal(size=(2, cfg.d_model)), np.array([0, 1, 1]), own, cross
+
+
+def test_folded_values_fuse_as_plain_ones(cfg):
+    rng = seeded_rng(22)
+    store = random_biases(init_params(cfg, rng), rng)
+    text, index, own, cross = folding_batch(rng, cfg)
+    plain, folded = (encode_side(Matrix(text), index, as_matrices(own), as_matrices(cross),
+                                 store.bind(), "cand", cfg, f).data for f in (False, True))
+    np.testing.assert_allclose(folded, plain, rtol=1e-12)
+
+
+def test_folded_fusion_passes_the_plain_gradients(cfg):
+    rng = seeded_rng(23)
+    store = random_biases(init_params(cfg, rng), rng)
+    text, index, own, cross = folding_batch(rng, cfg)
+    probe = rng.normal(size=(3, cfg.fusion_out))
+    grads = []
+    for folded in (False, True):
+        store.release_grads()
+        tape = Tape()
+        bound = store.bind(tape)
+        out = encode_side(bound.constant(text), index, as_matrices(own), as_matrices(cross),
+                          bound, "cand", cfg, folded)
+        loss = ops.sum_all(ops.mul(out, bound.constant(probe)))
+        tape.backward(loss)
+        grads.append({name: p.grad.copy() for name, p in store.items() if p.has_grad})
+    assert grads[0].keys() == grads[1].keys()
+    assert any(name.endswith(".external.wv") for name in grads[1])
+    for name, want in grads[0].items():
+        np.testing.assert_allclose(grads[1][name], want, rtol=1e-10, atol=1e-13, err_msg=name)

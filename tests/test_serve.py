@@ -12,6 +12,7 @@ from pjfit.serve import ServingIndex, index_for
 from pjfit.training import SequenceCache, evaluate, init_params, rank_candidates, score_pairs
 
 from conftest import DatasetBuilder, toy_model_config
+from reference_model import np_score_pair
 
 # Index scores against score_pairs. Both are float64; batching per entity
 # changes only the order of sums. A score that rounds to exactly zero on one
@@ -176,3 +177,108 @@ def test_writing_to_an_indexed_store_raises():
     for name, p in store.items():
         for got, want in zip((p.value, p.m, p.v, p.grad), before[name]):
             assert got.tobytes() == want.tobytes(), name
+
+
+def folding_config(**overrides):
+    """A width at which the serving index folds: FOLD_FACTOR * heads * U
+    <= d_model holds for U <= 4 distinct keys at a stage."""
+    return toy_model_config(d_model=32, heads=1, seq_len=2, **overrides)
+
+
+def folding_dataset():
+    """At seq_len 2: c0 and c1 name four jobs at the evaluated stage, c2 a
+    fifth; j0 names two candidates. No entity has a passed-interview
+    history, so that stage attends no key."""
+    b = DatasetBuilder(dim=32)
+    b.entity("c0", "candidate", hist_eval=("j0", "j1"), hist_pass_eval=("j0",))
+    b.entity("c1", "candidate", category="Data", hist_eval=("j2", "j3"), hist_pass_eval=("j2",))
+    b.entity("c2", "candidate", hist_eval=("j4",))
+    b.entity("c3", "candidate", category="Sales", hist_eval=("j5", "j1", "j4", "j3"))
+    b.entity("c4", "candidate", category="Design")
+    b.entity("j0", "job", hist_eval=("c0", "c1"), hist_pass_eval=("c1",))
+    b.entity("j1", "job", category="Data", hist_eval=("c2", "c3", "c4"))
+    for j in range(2, 6):
+        b.entity(f"j{j}", "job", category=("Technology", "Sales")[j % 2],
+                 hist_eval=(f"c{j - 2}",) if j < 5 else ())
+    return b.build()
+
+
+# chunks of folding_dataset as (candidate ids, job ids), and whether the
+# candidate side and the job side fold, without and with the one-stage layout
+FOLDING_CHUNKS = [
+    # both sides fold; the job side attends 4 jobs at the evaluated stage,
+    # the limit
+    ((["c0", "c1"], ["j0", "j0"]), (True, True), (True, True)),
+    # the job side attends 5 jobs and does not fold, except in the one-stage
+    # layout, where it attends 2
+    ((["c0", "c1", "c2"], ["j0", "j0", "j0"]), (True, False), (True, True)),
+    # the candidate side attends 5 candidates at the evaluated stage
+    ((["c0", "c4", "c1"], ["j0", "j1", "j4"]), (False, True), (True, True)),
+    # every candidate against every job
+    (None, (False, False), (True, True)),
+]
+
+
+def chunk_records(ds, chunk):
+    if chunk is None:
+        return all_pairs(ds)
+    cands, jobs = chunk
+    return [ds.candidates[c] for c in cands], [ds.jobs[j] for j in jobs]
+
+
+def recording_folds(monkeypatch):
+    """A list that gets, per index call, whether each side folded."""
+    calls = []
+    scores = serve.pair_scores
+
+    def recorded(sides, *args):
+        calls.append(tuple(folded for *_, folded in sides))
+        return scores(sides, *args)
+
+    monkeypatch.setattr(serve, "pair_scores", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("ablation", ["none", "no_fine_interaction"])
+def test_folding_index_scores_equal_score_pairs_and_the_oracle(ablation, monkeypatch):
+    ds = folding_dataset()
+    cfg = folding_config(ablation=ablation)
+    store = random_store(cfg, 30)
+    calls = recording_folds(monkeypatch)
+    index = ServingIndex(store, cfg, ds)
+    for chunk, folds, one_stage_folds in FOLDING_CHUNKS:
+        cands, jobs = chunk_records(ds, chunk)
+        got = index.score(cands, jobs)
+        assert calls.pop() == (one_stage_folds if ablation == "no_fine_interaction" else folds)
+        want = score_pairs(cands, jobs, store.bind(), cfg, SequenceCache(ds, cfg)).data[:, 0]
+        np.testing.assert_allclose(got, want, rtol=SERVE_RTOL, atol=SERVE_ATOL)
+        oracle = [np_score_pair(c, j, store, cfg, ds) for c, j in zip(cands, jobs)]
+        np.testing.assert_allclose(got, oracle, rtol=1e-9)
+    assert index._folds["job", cfg.stages[0]].filled.any()
+
+
+def test_fold_rule_boundary():
+    cfg = folding_config()
+    limit = cfg.d_model // (serve.FOLD_FACTOR * cfg.heads)
+    assert limit == 4
+    named = lambda *sizes: [np.arange(n) for n in sizes]
+    assert serve.folds(cfg, named(limit, 0, 1))
+    assert not serve.folds(cfg, named(2, limit + 1, 0))
+    assert serve.folds(cfg, named(0, 0, 0))
+    assert serve.folds(toy_model_config(d_model=1024, heads=2), named(64))
+    assert not serve.folds(toy_model_config(d_model=1024, heads=2), named(65))
+
+
+def test_cold_and_warm_index_give_the_same_bytes_on_a_folding_chunk(monkeypatch):
+    ds = folding_dataset()
+    cfg = folding_config()
+    store = random_store(cfg, 31)
+    calls = recording_folds(monkeypatch)
+    (chunk, folds, _), *others = FOLDING_CHUNKS
+    cands, jobs = chunk_records(ds, chunk)
+    cold = ServingIndex(store, cfg, ds).score(cands, jobs)
+    warm = ServingIndex(store, cfg, ds)
+    for other, *_ in others:  # fill the tables, folded rows too, from other chunks
+        warm.score(*chunk_records(ds, other))
+    assert warm.score(cands, jobs).tobytes() == cold.tobytes()
+    assert calls[0] == calls[-1] == folds
