@@ -134,7 +134,7 @@ def pair_scores(sides, candidate_categories: np.ndarray, job_categories: np.ndar
         first = ops.add(first, ops.gather_rows(rows[n + 1], index))
     if cfg.ablation == "simple_match":
         same = (candidate_categories == job_categories).astype(np.float64).reshape(-1, 1)
-        first = ops.add(first, head_rows(bound.constant(same), cfg.joint_dim - 1, bound))
+        first = ops.add(first, head_rows(Matrix(same), cfg.joint_dim - 1, bound))
     return moe_scores(first, candidate_categories, job_categories, bound, cfg)
 
 
@@ -151,13 +151,13 @@ def score_pairs(candidates, jobs, bound: BoundParams, cfg: ModelConfig,
     """
     rows = pair_rows(candidates, jobs, cache)
     distinct = [first_seen(r) for r in rows]
-    hist = [[(bound.constant(cache.embedding[COUNTERPART[kind]][named]), row_map, ranges)
+    hist = [[(Matrix(cache.embedding[COUNTERPART[kind]][named]), row_map, ranges)
              for named, row_map, ranges in cache.pack(kind, entities)]
             for kind, (entities, _) in zip(SIDE, distinct)]
     sides = []
     for s, (kind, side) in enumerate(SIDE.items()):
         (entities, index), partner_index = distinct[s], distinct[1 - s][1]
-        text = bound.constant(cache.embedding[kind][entities])
+        text = Matrix(cache.embedding[kind][entities])
         # the paired entity's same-kind history, one range per pair
         keys = [(external_keys(history, bound, side, stage, cfg), row_map, ranges[partner_index])
                 for stage, (history, row_map, ranges) in zip(cfg.stages, hist[1 - s])]

@@ -99,7 +99,7 @@ def moe_scores(first: Matrix, candidate_categories, job_categories,
             raise IndexError(f"{kind} category id out of range [0, {cfg.n_categories}): {ids}")
         categories.append(ids)
     if cfg.ablation == "no_category":
-        e_c = bound.constant(np.zeros((rows, cfg.gate_in)))
+        e_c = Matrix(np.zeros((rows, cfg.gate_in)))
     else:
         table = bound["moe.categories"]
         e_c = ops.concat_cols([ops.gather_rows(table, ids) for ids in categories])
@@ -107,4 +107,4 @@ def moe_scores(first: Matrix, candidate_categories, job_categories,
     hidden = ops.split_cols(ops.relu(first), cfg.n_experts)
     outputs = ops.concat_cols([expert_forward(h, i, bound, cfg) for i, h in enumerate(hidden)])
     # row sums of the gate-weighted outputs
-    return ops.matmul(ops.mul(gate, outputs), bound.constant(np.ones((cfg.n_experts, 1))))
+    return ops.matmul(ops.mul(gate, outputs), Matrix(np.ones((cfg.n_experts, 1))))

@@ -2,7 +2,10 @@
 
 Values are numpy arrays; every operation knows its own vector-Jacobian
 product and records it on a Tape. There is no general graph machinery,
-only the fixed op vocabulary the ranking model needs.
+only the fixed op vocabulary the ranking model needs: ``ops`` holds
+``matmul``, ``affine``, ``relu``, ``softmax_rows``, ``segment_attention``,
+``concat_cols``, ``split_cols``, ``gather_rows``, ``add`` and ``mul``, and
+the training loss is one node of its own (``training.bpr_loss_graph``).
 """
 
 from pjfit.numerics.matrix import DimensionError, Matrix, Tape

@@ -4,6 +4,11 @@ Every function returns a new Matrix and, when any input sits on a tape,
 records one closure that accumulates exact gradients into the inputs that
 sit on that tape. Untaped inputs (constants) get no gradient computed.
 
+The vocabulary is the ten ops the model calls, all on 2-D matrices:
+``matmul``, ``affine``, ``relu``, ``softmax_rows``, ``segment_attention``,
+``concat_cols``, ``split_cols``, ``gather_rows``, ``add`` and ``mul``.
+The pairwise loss is one node of its own, ``training.bpr_loss_graph``.
+
 ``segment_attention`` runs on dense GEMMs, not on per-slot row copies.
 Its heads are column blocks of q, k and v, and its output holds them side
 by side; the slot indices are built once per call and serve every head.
@@ -90,8 +95,7 @@ def softmax_rows(x: Matrix) -> Matrix:
     return out
 
 
-def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None,
-                      heads: int = 1) -> Matrix:
+def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map, heads: int) -> Matrix:
     """Multi-head attention of each query row over its own segment of key rows.
 
     q, k and v hold ``heads`` column blocks each, head h's block being
@@ -102,11 +106,11 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None,
     v.cols).
 
     ``ranges`` is an (n, 2) integer array holding one [lo, hi) range per
-    query row; several queries may share a range. A query with an empty
-    range gets a zero row and passes no gradient. Without ``row_map`` the
-    ranges index k/v rows directly. With it, they index ``row_map``, whose
-    entries are k/v rows: packed key j is k/v row ``row_map[j]``, so one
-    k/v row can serve many packed keys, and its gradients accumulate.
+    query row over the packed keys of ``row_map``; several queries may
+    share a range. A query with an empty range gets a zero row and passes
+    no gradient. ``row_map`` is a vector of k/v rows: packed key j is k/v
+    row ``row_map[j]``, so one k/v row can serve many packed keys, and its
+    gradients accumulate.
 
     The slot and segment index arithmetic is built once per call and
     serves every head. Each head works on one dense block of (n queries)
@@ -130,17 +134,14 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None,
         raise DimensionError(f"attention: {heads} heads do not divide q {q.shape} and v {v.shape}")
     if ranges.shape != (q.rows, 2):
         raise DimensionError(f"attention: ranges {ranges.shape} for {q.rows} query rows")
-    n_keys = k.rows
-    if row_map is not None:
-        row_map = np.asarray(row_map, dtype=np.intp)
-        if row_map.ndim != 1:
-            raise DimensionError(f"attention: row map of shape {row_map.shape} is not a vector")
-        if row_map.size and (row_map.min() < 0 or row_map.max() >= k.rows):
-            raise IndexError(f"attention: row map entry outside [0, {k.rows})")
-        n_keys = row_map.size
+    row_map = np.asarray(row_map, dtype=np.intp)
+    if row_map.ndim != 1:
+        raise DimensionError(f"attention: row map of shape {row_map.shape} is not a vector")
+    if row_map.size and (row_map.min() < 0 or row_map.max() >= k.rows):
+        raise IndexError(f"attention: row map entry outside [0, {k.rows})")
     lo, hi = ranges[:, 0], ranges[:, 1]
-    if (lo < 0).any() or (hi < lo).any() or (hi > n_keys).any():
-        raise IndexError(f"attention: key range outside [0, {n_keys})")
+    if (lo < 0).any() or (hi < lo).any() or (hi > row_map.size).any():
+        raise IndexError(f"attention: key range outside [0, {row_map.size})")
     tape = tape_of(q, k, v)
     lengths = hi - lo
     nonempty = lengths > 0
@@ -151,9 +152,7 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map=None,
     # the run of slots of one query, so segment sums are reduceat calls
     starts = np.concatenate(([0], np.cumsum(lengths)))
     query = np.repeat(np.arange(q.rows), lengths)
-    key = np.arange(query.size) + np.repeat(lo - starts[:-1], lengths)
-    if row_map is not None:
-        key = row_map[key]
+    key = row_map[np.arange(query.size) + np.repeat(lo - starts[:-1], lengths)]
     flat = query * k.rows + key
     first = starts[:-1][nonempty]
     seg_len = lengths[nonempty]
@@ -262,21 +261,6 @@ def add(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def sub(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise DimensionError(f"sub: {a.shape} vs {b.shape}")
-    tape = tape_of(a, b)
-    out = Matrix(a.data - b.data, tape)
-    if tape is not None:
-        def backward():
-            if a.tape is not None:
-                a.grad += out.grad
-            if b.tape is not None:
-                b.grad -= out.grad
-        tape.record(backward)
-    return out
-
-
 def mul(a: Matrix, b: Matrix) -> Matrix:
     """Elementwise product."""
     if a.shape != b.shape:
@@ -290,54 +274,4 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
             if b.tape is not None:
                 b.grad += out.grad * a.data
         tape.record(backward)
-    return out
-
-
-def scale(x: Matrix, c: float) -> Matrix:
-    out = Matrix(x.data * c, x.tape)
-    if x.tape is not None:
-        def backward():
-            x.grad += out.grad * c
-        x.tape.record(backward)
-    return out
-
-
-def square(x: Matrix) -> Matrix:
-    out = Matrix(x.data * x.data, x.tape)
-    if x.tape is not None:
-        def backward():
-            x.grad += out.grad * 2.0 * x.data
-        x.tape.record(backward)
-    return out
-
-
-def logsigmoid(x: Matrix) -> Matrix:
-    """log(sigma(x)) computed as -softplus(-x); safe for |x| > 30."""
-    out = Matrix(-np.logaddexp(0.0, -x.data), x.tape)
-    if x.tape is not None:
-        # d/dx log sigma(x) = sigma(-x), on the overflow-free branch
-        t = np.exp(-np.abs(x.data))
-        sig_neg = np.where(x.data >= 0, t / (1.0 + t), 1.0 / (1.0 + t))
-        def backward():
-            x.grad += out.grad * sig_neg
-        x.tape.record(backward)
-    return out
-
-
-def sum_all(x: Matrix) -> Matrix:
-    out = Matrix(np.array([[x.data.sum()]]), x.tape)
-    if x.tape is not None:
-        def backward():
-            x.grad += out.grad[0, 0]
-        x.tape.record(backward)
-    return out
-
-
-def mean_all(x: Matrix) -> Matrix:
-    n = x.data.size
-    out = Matrix(np.array([[x.data.sum() / n]]), x.tape)
-    if x.tape is not None:
-        def backward():
-            x.grad += out.grad[0, 0] / n
-        x.tape.record(backward)
     return out

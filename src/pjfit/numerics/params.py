@@ -165,14 +165,6 @@ class BoundParams:
             self._cache[key] = m
         return m
 
-    def constant(self, data) -> Matrix:
-        """Wrap input data (embeddings, packed histories) as an untaped Matrix.
-
-        Constants take part in the graph, but no backward pass computes or
-        stores a gradient for them.
-        """
-        return Matrix(data)
-
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int,
                    out: np.ndarray | None = None) -> np.ndarray:

@@ -34,8 +34,9 @@ one batched pass per kind (and per stage, for keys and folds). Building
 an index computes no model output.
 
 Folding. A side of a call folds when FOLD_FACTOR heads U <= d, for U the
-most distinct keys it attends at one stage: at most 64 keys at d = 1024
-and heads = 2, 4 at d = 64. Its keys then carry folded values, and
+most distinct keys it attends at one stage (at most 64 keys at d = 1024
+and heads = 2), and heads h <= FOLD_WIDTH d, the folded attention output
+per stage against the plain one. Its keys then carry folded values, and
 ``encoder.fuse_pairs`` skips the side's (B x S d) (S d x h) GEMM, whose
 weight block (25 MB at d = 1024) a small call reads for a few rows of
 output. In exchange the attention writes heads h columns per stage
@@ -68,9 +69,12 @@ stage, and repeated requests read their folds warm. An eval chunk
 attends hundreds of keys per stage, and would pay a fold per key on its
 first pass. At d = 64 folding does not pay: its attention writes heads h
 = 2048 columns per stage against d = 64, which costs more than the GEMM
-it saves. The rule still admits U <= 4 there (heads = 2); each call of
-the d = 64 benchmark attends 16 keys or more at one stage, and none
-folds.
+it saves, and every B = 224 cell and every cold B = 16 cell is slower.
+So the width rule admits heads h up to 2 d, the production ratio at
+d = 1024 where folding pays, and no side of a d = 64 model at the
+production heads and h folds. A probe of the same cells at d = 64, U
+1-8 (21 runs each) read folded over plain 0.77-1.30 at heads h = d / 4
+and 2 d, but 0.87-2.31 at 4 d.
 
 Scores equal those of ``model.score_pairs`` up to rounding, since
 batching, and folding, change the order of the sums; the tests hold them
@@ -104,13 +108,16 @@ from pjfit.numerics import BoundParams, Matrix, ParamStore
 
 # A side of a call folds its keys' values through fusion.w1 when
 # FOLD_FACTOR * heads * U <= d_model, for U its most distinct keys at one
-# stage; the module docstring gives the timings behind the factor.
+# stage, and heads * fusion_hidden <= FOLD_WIDTH * d_model; the module
+# docstring gives the timings behind both factors.
 FOLD_FACTOR = 8
+FOLD_WIDTH = 2
 
 
 def folds(cfg: ModelConfig, named) -> bool:
     """Whether a side folds, given the distinct keys it attends per stage."""
-    return FOLD_FACTOR * cfg.heads * max(n.size for n in named) <= cfg.d_model
+    return (cfg.heads * cfg.fusion_hidden <= FOLD_WIDTH * cfg.d_model
+            and FOLD_FACTOR * cfg.heads * max(n.size for n in named) <= cfg.d_model)
 
 
 class _Table:

@@ -7,12 +7,14 @@ score fixed-size chunks of pairs through the store's
 ``serve.ServingIndex``, which runs the same per-entity and per-pair
 functions, keeps the per-entity outputs across calls, and equals
 ``score_pairs`` up to rounding (1e-12 relative in the tests). Training
-minimizes the pairwise loss
+minimizes the pairwise (BPR) loss
 
     L = -(1/|B|) sum log sigma(y+ - y-) + lambda (1/|B|) sum ((y+)^2 + (y-)^2)
 
-with Adam. Text embeddings enter as constants and are never trained; the
-category table and every network weight are.
+with Adam. ``bpr_loss_graph`` records it as one tape node over the
+batch's score column, with its own gradient (see there), so the op
+library holds only the model's ops. Text embeddings enter as constants
+and are never trained; the category table and every network weight are.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pjfit.domain import Dataset, DatasetError, SequenceCache, sample_training_p
 from pjfit.metrics import RankedPrediction, ap, auc, gauc, ndcg
 # param_spec, init_params and score_pairs are read from this module too
 from pjfit.model import check_fits, init_params, param_spec, score_pairs
-from pjfit.numerics import Matrix, ParamStore, Tape, TrainingDivergedError, adam_step, ops
+from pjfit.numerics import Matrix, ParamStore, Tape, TrainingDivergedError, adam_step
 from pjfit.numerics import spawn_rngs
 from pjfit.serve import index_for
 
@@ -44,17 +46,44 @@ from pjfit.serve import index_for
 SCORE_CHUNK = 256
 
 
-def bpr_loss_graph(pos: Matrix, neg: Matrix, lambda_reg: float) -> Matrix:
-    """Loss over (B,1) score columns; log-sigmoid on the stable branch."""
-    if pos.shape != neg.shape or pos.cols != 1:
-        raise ValueError(f"expected matching (B,1) score columns, got {pos.shape} and {neg.shape}")
-    if pos.rows < 1:
+def bpr_loss_graph(scores: Matrix, n: int, lambda_reg: float) -> Matrix:
+    """The loss of n pairs as one tape node over their (2n, 1) score column,
+    the n positives first, then their negatives in the same order.
+
+    With y+ = scores[:n] and y- = scores[n:], d = y+ - y- and g the
+    gradient arriving at the loss, the backward adds
+
+        dL/dy+ = (2 g lambda / n) y+ - (g / n) sigma(-d)
+        dL/dy- = (2 g lambda / n) y- + (g / n) sigma(-d)
+
+    to the score column's gradient, the square terms first. log sigma(d)
+    is -softplus(-d) and sigma(-d) is read from exp(-|d|), so neither
+    overflows for |d| > 30.
+    """
+    if n < 1:
         raise ValueError("empty batch")
-    loss = ops.scale(ops.mean_all(ops.logsigmoid(ops.sub(pos, neg))), -1.0)
+    if scores.shape != (2 * n, 1):
+        raise ValueError(f"expected a ({2 * n}, 1) score column, got {scores.shape}")
+    pos, neg = scores.data[:n], scores.data[n:]
+    d = pos - neg
+    # -mean log sigma(d) as the mean of softplus(-d): negation is exact
+    loss = np.logaddexp(0.0, -d).sum() / n
     if lambda_reg != 0.0:
-        reg = ops.add(ops.mean_all(ops.square(pos)), ops.mean_all(ops.square(neg)))
-        loss = ops.add(loss, ops.scale(reg, lambda_reg))
-    return loss
+        loss += ((pos * pos).sum() / n + (neg * neg).sum() / n) * lambda_reg
+    out = Matrix([[loss]], scores.tape)
+    if scores.tape is not None:
+        def backward():
+            g = out.grad[0, 0]
+            t = np.exp(-np.abs(d))
+            dd = -g / n * np.where(d >= 0, t / (1.0 + t), 1.0 / (1.0 + t))
+            if lambda_reg != 0.0:
+                sq = g * lambda_reg / n * 2.0
+                scores.grad[:n] += sq * pos
+                scores.grad[n:] += sq * neg
+            scores.grad[:n] += dd
+            scores.grad[n:] -= dd
+        scores.tape.record(backward)
+    return out
 
 
 @dataclass
@@ -95,9 +124,7 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
             scores = score_pairs([train_dataset.candidates[p.candidate_id] for p in pairs],
                                  [train_dataset.jobs[p.job_id] for p in pairs],
                                  bound, config.model, cache)
-            n = len(batch)
-            loss = bpr_loss_graph(ops.gather_rows(scores, np.arange(n)),
-                                  ops.gather_rows(scores, np.arange(n, 2 * n)), config.lambda_reg)
+            loss = bpr_loss_graph(scores, len(batch), config.lambda_reg)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(f"non-finite loss at batch {batch_index}")

@@ -50,6 +50,17 @@ def finite_diff_check(f, store: ParamStore, h: float = 1e-5,
     return worst
 
 
+def sum_all(x: Matrix) -> Matrix:
+    """The sum of x's entries as a (1, 1) Matrix on x's tape: the scalar a
+    test builds from an op's output to run a backward pass through it."""
+    out = Matrix(np.array([[x.data.sum()]]), x.tape)
+    if x.tape is not None:
+        def backward():
+            x.grad += out.grad[0, 0]
+        x.tape.record(backward)
+    return out
+
+
 def _coords(shape: tuple[int, int], k: int | None, rng: np.random.Generator | None):
     n_rows, n_cols = shape
     total = n_rows * n_cols

@@ -13,7 +13,7 @@ from pjfit.numerics import Matrix, Tape, ops, seeded_rng
 from pjfit.training import init_params
 
 from conftest import store_of, toy_model_config
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, sum_all
 from reference_model import np_encode_side, np_mha
 
 
@@ -218,9 +218,9 @@ def test_encoder_gradients_pass_finite_differences(cfg):
         def f(s):
             tape = Tape()
             bound = s.bind(tape)
-            out = encode_side(bound.constant(self_vec), index, as_matrices(own, tape),
+            out = encode_side(Matrix(self_vec), index, as_matrices(own, tape),
                               as_matrices(cross, tape), bound, "cand", cfg)
-            return ops.sum_all(ops.mul(out, bound.constant(probe)))
+            return sum_all(ops.mul(out, Matrix(probe)))
 
         worst = max(worst, finite_diff_check(f, store, coords_per_param=4, rng=rng))
     assert worst < 1e-4, worst
@@ -286,9 +286,9 @@ def test_folded_fusion_passes_the_plain_gradients(cfg):
         store.release_grads()
         tape = Tape()
         bound = store.bind(tape)
-        out = encode_side(bound.constant(text), index, as_matrices(own), as_matrices(cross),
+        out = encode_side(Matrix(text), index, as_matrices(own), as_matrices(cross),
                           bound, "cand", cfg, folded)
-        loss = ops.sum_all(ops.mul(out, bound.constant(probe)))
+        loss = sum_all(ops.mul(out, Matrix(probe)))
         tape.backward(loss)
         grads.append({name: p.grad.copy() for name, p in store.items() if p.has_grad})
     assert grads[0].keys() == grads[1].keys()

@@ -167,14 +167,14 @@ def test_gate_and_expert_gradients_including_category_rows(cfg):
 
         def f(s):
             bound = s.bind(Tape())
-            return joint_scores(bound.constant(x), [1], [3], bound, cfg)
+            return joint_scores(Matrix(x), [1], [3], bound, cfg)
 
         worst = max(worst, finite_diff_check(f, store, coords_per_param=5, rng=rng))
         # the used category-embedding rows must carry gradient
         store.release_grads()
         tape = Tape()
         bound = store.bind(tape)
-        out = joint_scores(bound.constant(x), [1], [3], bound, cfg)
+        out = joint_scores(Matrix(x), [1], [3], bound, cfg)
         tape.backward(out)
         grads = store["moe.categories"].grad
         assert np.abs(grads[1]).sum() > 0 and np.abs(grads[3]).sum() > 0

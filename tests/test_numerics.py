@@ -25,7 +25,7 @@ from pjfit.numerics import optim
 
 
 from conftest import store_of
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, sum_all
 from reference_model import np_attention
 
 
@@ -81,7 +81,7 @@ def test_relu_clamps_negatives():
 
 def test_relu_all_negative_blocks_gradient():
     tape, (x,) = taped([[-1.0, -5.0]])
-    out = ops.sum_all(ops.relu(x))
+    out = sum_all(ops.relu(x))
     tape.backward(out)
     np.testing.assert_array_equal(x.grad, np.zeros((1, 2)))
 
@@ -137,16 +137,16 @@ def test_attention_single_unmasked_row_returns_that_v_row():
     k = rng.normal(size=(3, 4))
     v = rng.normal(size=(3, 4))
     _, (qm, km, vm) = taped(q, k, v)
-    out = ops.segment_attention(qm, km, vm, [[1, 2]])
+    out = ops.segment_attention(qm, km, vm, [[1, 2]], np.arange(3), 1)
     np.testing.assert_allclose(out.data, v[1:2], atol=1e-15)
 
 
 def test_attention_fully_masked_returns_zeros_and_no_gradients():
     rng = seeded_rng(2)
     tape, (q, k, v) = taped(rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
-    out = ops.segment_attention(q, k, v, [[0, 0], [3, 3]])
+    out = ops.segment_attention(q, k, v, [[0, 0], [3, 3]], np.arange(3), 1)
     np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
-    tape.backward(ops.sum_all(out))
+    tape.backward(sum_all(out))
     np.testing.assert_array_equal(k.grad, np.zeros((3, 4)))
     np.testing.assert_array_equal(v.grad, np.zeros((3, 4)))
     np.testing.assert_array_equal(q.grad, np.zeros((2, 4)))
@@ -163,7 +163,7 @@ def test_attention_matches_step_by_step_oracle():
     w = e / e.sum()
     expected = sum(w[0, r] * v[r] for r in range(3))
     _, (qm, km, vm) = taped(q, k, v)
-    out = ops.segment_attention(qm, km, vm, [[0, 3]])
+    out = ops.segment_attention(qm, km, vm, [[0, 3]], np.arange(3), 1)
     np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
 
 
@@ -174,7 +174,7 @@ def test_segment_attention_matches_per_query_oracle_with_empty_and_shared_ranges
     v = rng.normal(size=(7, 3))
     ranges = np.array([[0, 3], [3, 3], [3, 7], [0, 3], [6, 7]])  # rows 0 and 3 share a range
     _, (qm, km, vm) = taped(q, k, v)
-    out = ops.segment_attention(qm, km, vm, ranges)
+    out = ops.segment_attention(qm, km, vm, ranges, np.arange(7), 1)
     for i, (lo, hi) in enumerate(ranges):
         expected = np_attention(q[i:i + 1], k[lo:hi], v[lo:hi], np.ones(hi - lo, dtype=bool))
         np.testing.assert_allclose(out.data[i:i + 1], expected, rtol=1e-12, atol=1e-15)
@@ -191,17 +191,17 @@ def test_segment_attention_reads_keys_through_a_row_map():
     row_map = np.array([1, 0, 3, 1, 2, 3, 1, 0])
     ranges = np.array([[0, 3], [3, 8], [2, 2], [0, 3]])
     _, (qm, km, vm) = taped(q, k, v)
-    out = ops.segment_attention(qm, km, vm, ranges, row_map)
+    out = ops.segment_attention(qm, km, vm, ranges, row_map, 1)
     for i, (lo, hi) in enumerate(ranges):
         rows = row_map[lo:hi]
         expected = np_attention(q[i:i + 1], k[rows], v[rows], np.ones(hi - lo, dtype=bool))
         np.testing.assert_allclose(out.data[i:i + 1], expected, rtol=1e-12, atol=1e-15)
     with pytest.raises(IndexError):
-        ops.segment_attention(qm, km, vm, [[0, 9]] * 4, row_map)  # past the last packed key
+        ops.segment_attention(qm, km, vm, [[0, 9]] * 4, row_map, 1)  # past the last packed key
     with pytest.raises(IndexError):
-        ops.segment_attention(qm, km, vm, ranges, [1, 0, 5, 1, 2, 3, 1, 0])  # past the last k/v row
+        ops.segment_attention(qm, km, vm, ranges, [1, 0, 5, 1, 2, 3, 1, 0], 1)  # past the last k/v row
     with pytest.raises(IndexError):
-        ops.segment_attention(qm, km, vm, ranges, [1, 0, -1, 1, 2, 3, 1, 0])
+        ops.segment_attention(qm, km, vm, ranges, [1, 0, -1, 1, 2, 3, 1, 0], 1)
 
 
 def _tiled_attention_case(rng, n, n_rows, tiles, dk=4, dv=3, heads=1):
@@ -261,7 +261,7 @@ def test_tiled_segment_attention_is_bitwise_repeatable(heads):
     def run():
         tape, (qm, km, vm) = taped(q, k, v)
         out = ops.segment_attention(qm, km, vm, ranges, row_map, heads)
-        tape.backward(ops.sum_all(ops.mul(out, Matrix(probe))))
+        tape.backward(sum_all(ops.mul(out, Matrix(probe))))
         return [m.tobytes() for m in (out.data, qm.grad, km.grad, vm.grad)]
 
     assert run() == run()
@@ -279,7 +279,7 @@ def test_gradients_tiled_attention(heads):
         def f(s):
             bound = s.bind(Tape())
             att = ops.segment_attention(bound["q"], bound["k"], bound["v"], ranges, row_map, heads)
-            return ops.sum_all(ops.mul(att, bound.constant(probe)))
+            return sum_all(ops.mul(att, Matrix(probe)))
         return store, f
     _fd_case(f"tiled attention, {heads} heads", builder, seeds=range(3))
 
@@ -288,18 +288,18 @@ def test_attention_uniform_logits_returns_mean_of_v_rows():
     rng = seeded_rng(5)
     v = rng.normal(size=(6, 3))
     _, (q, k, vm) = taped(np.zeros((1, 3)), rng.normal(size=(6, 3)), v)
-    out = ops.segment_attention(q, k, vm, [[0, 6]])
+    out = ops.segment_attention(q, k, vm, [[0, 6]], np.arange(6), 1)
     np.testing.assert_allclose(out.data[0], v.mean(axis=0), atol=1e-12)
 
 
 def test_attention_mask_length_mismatch():
     _, (q, k, v) = taped(np.zeros((1, 4)), np.zeros((3, 4)), np.zeros((3, 4)))
     with pytest.raises(DimensionError):
-        ops.segment_attention(q, k, v, [[0, 1], [0, 2]])  # two ranges, one query
+        ops.segment_attention(q, k, v, [[0, 1], [0, 2]], np.arange(3), 1)  # two ranges, one query
     with pytest.raises(IndexError):
-        ops.segment_attention(q, k, v, [[1, 4]])  # past the last key row
+        ops.segment_attention(q, k, v, [[1, 4]], np.arange(3), 1)  # past the last key row
     with pytest.raises(IndexError):
-        ops.segment_attention(q, k, v, [[2, 1]])  # hi before lo
+        ops.segment_attention(q, k, v, [[2, 1]], np.arange(3), 1)  # hi before lo
 
 
 @pytest.mark.parametrize("q_cols, v_cols, heads", [
@@ -310,7 +310,7 @@ def test_attention_mask_length_mismatch():
 def test_attention_heads_must_divide_q_and_v(q_cols, v_cols, heads):
     _, (q, k, v) = taped(np.zeros((1, q_cols)), np.zeros((3, q_cols)), np.zeros((3, v_cols)))
     with pytest.raises(DimensionError, match=f"{heads} heads do not divide"):
-        ops.segment_attention(q, k, v, [[0, 3]], heads=heads)
+        ops.segment_attention(q, k, v, [[0, 3]], np.arange(3), heads)
 
 
 # ------------------------------------------------- per-primitive gradients
@@ -334,7 +334,7 @@ def test_gradients_affine_relu_chain():
         store = _store_with(rng, [("x", (2, 3)), ("w", (3, 4)), ("b", (1, 4))])
         def f(s):
             bound = s.bind(Tape())
-            return ops.mean_all(ops.relu(ops.affine(bound["x"], bound["w"], bound["b"])))
+            return sum_all(ops.relu(ops.affine(bound["x"], bound["w"], bound["b"])))
         return store, f
     _fd_case("affine+relu", builder)
 
@@ -344,7 +344,7 @@ def test_gradients_affine_with_a_whole_matrix_bias():
         store = _store_with(rng, [("x", (3, 2)), ("w", (2, 4)), ("b", (3, 4))])
         def f(s):
             bound = s.bind(Tape())
-            return ops.mean_all(ops.relu(ops.affine(bound["x"], bound["w"], bound["b"])))
+            return sum_all(ops.relu(ops.affine(bound["x"], bound["w"], bound["b"])))
         return store, f
     _fd_case("affine with a whole bias", builder)
 
@@ -361,7 +361,7 @@ def test_gradients_softmax():
         probe = rng.normal(size=(3, 5))
         def f(s):
             bound = s.bind(Tape())
-            return ops.sum_all(ops.mul(ops.softmax_rows(bound["x"]), bound.constant(probe)))
+            return sum_all(ops.mul(ops.softmax_rows(bound["x"]), Matrix(probe)))
         return store, f
     _fd_case("softmax", builder)
 
@@ -374,8 +374,8 @@ def test_gradients_attention_with_partial_mask():
         probe = rng.normal(size=(4, 3))
         def f(s):
             bound = s.bind(Tape())
-            att = ops.segment_attention(bound["q"], bound["k"], bound["v"], ranges)
-            return ops.sum_all(ops.mul(att, bound.constant(probe)))
+            att = ops.segment_attention(bound["q"], bound["k"], bound["v"], ranges, np.arange(4), 1)
+            return sum_all(ops.mul(att, Matrix(probe)))
         return store, f
     _fd_case("attention", builder)
 
@@ -390,23 +390,25 @@ def test_gradients_attention_through_a_row_map():
         probe = rng.normal(size=(4, 3))
         def f(s):
             bound = s.bind(Tape())
-            att = ops.segment_attention(bound["q"], bound["k"], bound["v"], ranges, row_map)
-            return ops.sum_all(ops.mul(att, bound.constant(probe)))
+            att = ops.segment_attention(bound["q"], bound["k"], bound["v"], ranges, row_map, 1)
+            return sum_all(ops.mul(att, Matrix(probe)))
         return store, f
     _fd_case("attention through a row map", builder)
 
 
 def test_gradients_glue_ops():
-    # concat, gather, logsigmoid, square, sub, scale in one composite
+    # concat, gather, add and mul in one composite; mul's two inputs both
+    # on the tape, or one of them a constant
     def builder(rng):
         store = _store_with(rng, [("table", (5, 3)), ("a", (2, 3)), ("b", (2, 3))])
+        probe = rng.normal(size=(3, 6))
         def f(s):
             bound = s.bind(Tape())
             picked = ops.gather_rows(bound["table"], [4, 0, 4])
             # repeated indices: their gradients add up
-            diff = ops.gather_rows(ops.sub(bound["a"], bound["b"]), [0, 1, 1])
-            joined = ops.concat_cols([picked, diff])
-            return ops.mean_all(ops.add(ops.logsigmoid(joined), ops.scale(ops.square(joined), 0.3)))
+            mixed = ops.gather_rows(ops.add(bound["a"], ops.mul(bound["a"], bound["b"])), [0, 1, 1])
+            joined = ops.concat_cols([picked, mixed])
+            return sum_all(ops.mul(ops.add(joined, Matrix(probe)), joined))
         return store, f
     _fd_case("glue", builder)
 
@@ -419,8 +421,8 @@ def test_gradients_split_cols():
         def f(s):
             bound = s.bind(Tape())
             blocks = ops.split_cols(ops.relu(bound["x"]), 4)
-            return ops.sum_all(ops.concat_cols([ops.mul(b, bound.constant(p))
-                                                for b, p in zip(blocks[:3], probes)]))
+            return sum_all(ops.concat_cols([ops.mul(b, Matrix(p))
+                                            for b, p in zip(blocks[:3], probes)]))
         return store, f
     _fd_case("split_cols", builder)
 
@@ -477,7 +479,8 @@ def test_adam_run_is_bitwise_deterministic():
         for step in range(1, 6):
             tape = Tape()
             bound = store.bind(tape)
-            out = ops.mean_all(ops.square(ops.relu(bound["w"])))
+            r = ops.relu(bound["w"])
+            out = sum_all(ops.mul(r, r))
             tape.backward(out)
             adam_step(store, lr=1e-2, step=step)
         return store["w"].value.copy()
@@ -677,7 +680,7 @@ def test_finite_diff_quadratic_is_nearly_exact():
     store = store_of(("theta", [[0.4, -1.2, 2.0]]))
     def f(s):
         bound = s.bind(Tape())
-        return ops.sum_all(ops.square(bound["theta"]))
+        return sum_all(ops.mul(bound["theta"], bound["theta"]))
     assert finite_diff_check(f, store) < 1e-9
 
 
@@ -687,7 +690,7 @@ def test_finite_diff_detects_corrupted_gradient():
     def f(s):
         tape = Tape()
         bound = s.bind(tape)
-        out = ops.sum_all(ops.square(bound["theta"]))
+        out = sum_all(ops.mul(bound["theta"], bound["theta"]))
         # corrupt the analytic gradient by +0.1 on the side
         tape.record(lambda: s["theta"].grad.__iadd__(0.1))
         return out
@@ -713,7 +716,7 @@ def test_bound_params_share_gradient_buffers():
     p = store["w"]
     tape = Tape()
     bound = store.bind(tape)
-    out = ops.square(bound["w"])
+    out = ops.mul(bound["w"], bound["w"])
     tape.backward(out)
     assert p.grad[0, 0] == 4.0  # d(w^2)/dw at w=2
 
@@ -722,8 +725,9 @@ def test_constants_get_no_gradient_buffer():
     store = store_of(("w", [[2.0, -1.0], [0.5, 3.0]]))
     tape = Tape()
     bound = store.bind(tape)
-    x = bound.constant([[1.0, 2.0]])
-    out = ops.sum_all(ops.square(ops.concat_cols([ops.matmul(x, bound["w"]), x])))
+    x = Matrix([[1.0, 2.0]])
+    joined = ops.concat_cols([ops.matmul(x, bound["w"]), x])
+    out = sum_all(ops.mul(joined, joined))
     tape.backward(out)
     assert x.tape is None and not x.has_grad
     assert store["w"].has_grad and np.abs(store["w"].grad).sum() > 0
@@ -739,7 +743,7 @@ def test_row_block_gradient_lands_in_exactly_its_rows():
     assert np.shares_memory(block.data, p.value) and np.shares_memory(block.grad, p.grad)
     x = rng.normal(size=(4, 3))
     probe = rng.normal(size=(4, 3))
-    out = ops.sum_all(ops.mul(ops.matmul(bound.constant(x), block), bound.constant(probe)))
+    out = sum_all(ops.mul(ops.matmul(Matrix(x), block), Matrix(probe)))
     tape.backward(out)
     want = np.zeros((6, 3))
     want[2:5] = x.T @ probe
@@ -748,7 +752,7 @@ def test_row_block_gradient_lands_in_exactly_its_rows():
     store.release_grads()
     tape = Tape()
     bound = store.bind(tape)
-    out = ops.add(ops.sum_all(bound.rows("w", 0, 1)), ops.sum_all(bound["w"]))
+    out = ops.add(sum_all(bound.rows("w", 0, 1)), sum_all(bound["w"]))
     tape.backward(out)
     want = np.ones((6, 3))
     want[0] += 1.0
@@ -760,7 +764,8 @@ def test_row_block_gradient_lands_in_exactly_its_rows():
 def test_gradient_buffers_are_allocated_on_first_taped_use():
     store = store_of(("w", [[2.0]]), ("unused", [[1.0]]))
     p = store["w"]
-    ops.square(store.bind()["w"])  # untaped: inference allocates nothing
+    w = store.bind()["w"]
+    ops.mul(w, w)  # untaped: inference allocates nothing
     assert not p.has_grad
     adam_step(store, lr=0.1, step=1)  # no buffer reads as a zero gradient
     np.testing.assert_array_equal(p.value, [[2.0]])
@@ -768,7 +773,7 @@ def test_gradient_buffers_are_allocated_on_first_taped_use():
 
     def f(s):
         bound = s.bind(Tape())
-        return ops.sum_all(ops.square(bound["w"]))
+        return sum_all(ops.mul(bound["w"], bound["w"]))
 
     assert finite_diff_check(f, store) < 1e-9  # "unused" never gets a buffer
     assert p.has_grad and not store["unused"].has_grad

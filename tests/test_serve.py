@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pjfit import serve
-from pjfit.config import ABLATIONS
+from pjfit.config import ABLATIONS, ModelConfig
 from pjfit.domain import DatasetError
 from pjfit.numerics import adam_step, seeded_rng
 from pjfit.serve import ServingIndex, index_for
@@ -180,8 +180,9 @@ def test_writing_to_an_indexed_store_raises():
 
 
 def folding_config(**overrides):
-    """A width at which the serving index folds: FOLD_FACTOR * heads * U
-    <= d_model holds for U <= 4 distinct keys at a stage."""
+    """A width at which the serving index folds: heads * fusion_hidden (16)
+    is within FOLD_WIDTH * d_model (64), and FOLD_FACTOR * heads * U <=
+    d_model holds for U <= 4 distinct keys at a stage."""
     return toy_model_config(d_model=32, heads=1, seq_len=2, **overrides)
 
 
@@ -267,6 +268,13 @@ def test_fold_rule_boundary():
     assert serve.folds(cfg, named(0, 0, 0))
     assert serve.folds(toy_model_config(d_model=1024, heads=2), named(64))
     assert not serve.folds(toy_model_config(d_model=1024, heads=2), named(65))
+    # the width rule: heads * fusion_hidden at most FOLD_WIDTH * d_model;
+    # the production widths fold at d = 1024 and never at d = 64
+    assert serve.folds(ModelConfig(d_model=1024), named(64, 0, 1))
+    assert not serve.folds(ModelConfig(d_model=64), named(1, 0, 0))
+    assert not serve.folds(ModelConfig(d_model=64), named(0, 0, 0))
+    assert serve.folds(folding_config(fusion_hidden=64), named(limit))
+    assert not serve.folds(folding_config(fusion_hidden=65), named(limit))
 
 
 def test_cold_and_warm_index_give_the_same_bytes_on_a_folding_chunk(monkeypatch):

@@ -43,12 +43,11 @@ def synth_toy(seed=0, **overrides):
 
 
 def bpr_loss(pos_scores, neg_scores, lambda_reg: float = 0.0) -> float:
-    """The library's loss graph over plain score lists."""
+    """The library's loss node over plain score lists."""
     if len(pos_scores) != len(neg_scores):
         raise ValueError("positive and negative score lists must have equal length")
-    pos = Matrix(np.asarray(pos_scores, dtype=np.float64).reshape(-1, 1))
-    neg = Matrix(np.asarray(neg_scores, dtype=np.float64).reshape(-1, 1))
-    return bpr_loss_graph(pos, neg, lambda_reg).item()
+    scores = np.asarray([*pos_scores, *neg_scores], dtype=np.float64).reshape(-1, 1)
+    return bpr_loss_graph(Matrix(scores), len(pos_scores), lambda_reg).item()
 
 
 def test_bpr_equal_scores_is_log_two():
@@ -85,6 +84,71 @@ def test_bpr_rejects_bad_batches():
         bpr_loss([1.0], [0.5, 0.2], 0.0)
     with pytest.raises(ValueError, match="empty batch"):
         bpr_loss([], [], 0.0)
+    with pytest.raises(ValueError, match=r"\(4, 1\) score column, got \(3, 1\)"):
+        bpr_loss_graph(Matrix(np.zeros((3, 1))), 2, 0.0)
+    with pytest.raises(ValueError, match=r"\(2, 1\) score column, got \(1, 2\)"):
+        bpr_loss_graph(Matrix(np.zeros((1, 2))), 1, 0.0)
+
+
+# (positive scores, negative scores): a repeated score (0.4, and a pair
+# with equal scores, where the stable branches meet), and pairs with
+# |y+ - y-| > 30 on either side, alone and together. Central differences
+# check the first three: in the last, at lambda 0, the loss is ~12 while
+# the first pair's gradients are ~1e-16, below their resolution.
+LOSS_BATCHES = [
+    ([0.4, 0.4, -1.3, 2.0], [0.4, 1.1, 0.2, 0.4]),
+    ([20.0], [-15.0]),
+    ([-16.0], [19.0]),
+    ([20.0, -16.0, 0.3], [-15.0, 19.0, 0.3]),
+]
+
+
+def np_bpr(pos, neg, lambda_reg):
+    """The loss and its gradients with respect to y+ and y-, in numpy."""
+    pos, neg = np.asarray(pos), np.asarray(neg)
+    n = pos.size
+    d = pos - neg
+    sig_neg = 1.0 / (1.0 + np.exp(d))  # sigma(-d)
+    loss = np.mean(np.logaddexp(0.0, -d)) + lambda_reg * (np.mean(pos ** 2) + np.mean(neg ** 2))
+    return loss, (-sig_neg + 2.0 * lambda_reg * pos) / n, (sig_neg + 2.0 * lambda_reg * neg) / n
+
+
+@pytest.mark.parametrize("lambda_reg", [0.0, 0.1])
+@pytest.mark.parametrize("pos, neg", LOSS_BATCHES[:3])
+def test_bpr_loss_node_passes_finite_differences(pos, neg, lambda_reg):
+    store = store_of(("y", np.array([*pos, *neg]).reshape(-1, 1)))
+
+    def f(s):
+        return bpr_loss_graph(s.bind(Tape())["y"], len(pos), lambda_reg)
+
+    assert finite_diff_check(f, store) < 1e-6
+
+
+def test_bpr_loss_node_is_exact_far_in_the_tails():
+    # d = +-1000: exp(|d|) overflows, so the node must read only exp(-|d|)
+    tape = Tape()
+    scores = Matrix([[500.0], [-500.0], [-500.0], [500.0]], tape)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        loss = bpr_loss_graph(scores, 2, 0.0)
+        tape.backward(loss)
+    assert loss.item() == 500.0  # (softplus(-1000) + softplus(1000)) / 2
+    np.testing.assert_array_equal(scores.grad[:, 0], [0.0, -0.5, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("lambda_reg", [0.0, 0.1])
+@pytest.mark.parametrize("pos, neg", LOSS_BATCHES)
+def test_bpr_loss_node_matches_numpy(pos, neg, lambda_reg):
+    # one node on the tape; the gradient arriving at it (2.5 here) scales
+    # the gradients it passes
+    want, want_pos, want_neg = np_bpr(pos, neg, lambda_reg)
+    tape = Tape()
+    scores = Matrix(np.array([*pos, *neg]).reshape(-1, 1), tape)
+    loss = bpr_loss_graph(scores, len(pos), lambda_reg)
+    assert len(tape) == 1
+    np.testing.assert_allclose(loss.item(), want, rtol=1e-12, atol=0)
+    tape.backward(ops.mul(loss, Matrix([[2.5]])))
+    np.testing.assert_allclose(scores.grad[:, 0], 2.5 * np.concatenate([want_pos, want_neg]),
+                               rtol=1e-12, atol=0)
 
 
 # ------------------------------------------------------------ score_pairs
@@ -333,7 +397,7 @@ def test_end_to_end_gradients_pass_finite_differences(small_dataset, ablation):
         def f(s):
             bound = s.bind(Tape())
             y = score_pairs(cands, jobs, bound, cfg, cache)
-            return bpr_loss_graph(ops.gather_rows(y, [0]), ops.gather_rows(y, [1]), lambda_reg=0.1)
+            return bpr_loss_graph(y, 1, lambda_reg=0.1)
 
         worst = max(worst, finite_diff_check(f, store, coords_per_param=3, rng=rng))
     assert worst < 1e-4, worst
