@@ -16,7 +16,8 @@ version 2 a first layer per expert, version 1 a tensor per head.
 Training math runs in float64; checkpoints narrow to float32 on save and
 widen on load, so round-trips are bit-exact at 32-bit precision. Loading
 checks magic, version and config, and that the file holds exactly the
-values the config implies, before it allocates the store.
+values the config implies, before it allocates the store; then that every
+value is finite, naming the tensor and element of the first that is not.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import itertools
 import json
 import os
 import struct
+
+import numpy as np
 
 from pjfit.config import ModelConfig, model_config_from_dict
 from pjfit.domain.records import atomic_files
@@ -126,6 +129,19 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig]:
         out = store.buffers.values
         narrow = out.view("<f4")[out.size:]
         fh.readinto(narrow)
-        for lo in range(0, out.size, WIDEN_CHUNK):
-            out[lo:lo + WIDEN_CHUNK] = narrow[lo:lo + WIDEN_CHUNK]
+        # each widened chunk is checked while in cache by its float64 sum:
+        # WIDEN_CHUNK float32 magnitudes (< 3.5e38 each) cannot overflow it,
+        # so only a NaN or an Inf makes it non-finite, and only then is the
+        # chunk scanned; errstate keeps inf - inf from warning
+        with np.errstate(all="ignore"):
+            for lo in range(0, out.size, WIDEN_CHUNK):
+                chunk = out[lo:lo + WIDEN_CHUNK]
+                chunk[...] = narrow[lo:lo + WIDEN_CHUNK]
+                if not np.isfinite(chunk.sum()):
+                    at = lo + int(np.argmin(np.isfinite(chunk)))
+                    k = bisect.bisect_right(ends, at)
+                    name, _, cols = spec[k]
+                    row, col = divmod(at - (ends[k - 1] if k else 0), cols)
+                    raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value "
+                                          f"({out[at]}) at row {row}, column {col}")
     return store, cfg

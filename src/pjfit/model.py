@@ -37,7 +37,7 @@ from pjfit.encoder import (
     internal_hidden,
 )
 from pjfit.moe import head_input, head_param_spec, head_rows, moe_scores
-from pjfit.numerics import BoundParams, Matrix, ParamStore, glorot_uniform, ops
+from pjfit.numerics import BoundParams, Matrix, ParamStore, glorot_fill, ops
 
 # entity kind -> the encoder side that its text is the query of
 SIDE = dict(zip(("candidate", "job"), SIDES))
@@ -57,28 +57,33 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
     the head's columns: each head is its own projection, so its limit is
     sqrt(6 / (d + d_k)), not the fused shape's sqrt(6 / 2d). Likewise per
     expert its (joint_dim x h1) block of ``moe.w1``, its w2, then its w3.
-    Whole tensors are drawn straight into their views, column blocks into
-    a temporary that is copied into their columns.
+
+    These draws form one draw plan: the destination views in stream order,
+    each reading the next rows * cols values of ``rng``'s stream, so a view
+    starts at the sum of the sizes before it. ``optim.glorot_fill`` draws
+    the plan on W threads, W = max(1, min(usable CPUs, drawn values //
+    optim.CUTOFF)) as for Adam: 2 at d=1024 on two CPUs, 1 at d=64. Each
+    thread starts its range of the stream at its offset, so the values are
+    bitwise those of drawing the views one after another, for every W.
     """
     store = ParamStore(param_spec(cfg))
     h1 = cfg.expert_hidden[0]
+    plan = []
     for name, p in store.items():
         prefix, leaf = name.rsplit(".", 1)
-        rows, cols = p.value.shape
         if leaf.startswith("b") or leaf in ("wk", "wv") or name.startswith("moe.expert"):
             continue  # biases stay zero; the rest is drawn with its wq or with moe.w1
         if leaf == "wq":
             for h in range(cfg.heads):
                 block = slice(h * cfg.head_dim, (h + 1) * cfg.head_dim)
-                for r in "qkv":
-                    store[f"{prefix}.w{r}"].value[:, block] = glorot_uniform(rng, rows, cfg.head_dim)
+                plan += [store[f"{prefix}.w{r}"].value[:, block] for r in "qkv"]
         elif name == "moe.w1":
             for i in range(cfg.head_experts):
-                p.value[:, i * h1:(i + 1) * h1] = glorot_uniform(rng, rows, h1)
-                for tail in (f"moe.expert{i}.w2", f"moe.expert{i}.w3"):
-                    glorot_uniform(rng, *store[tail].value.shape, out=store[tail].value)
+                plan += [p.value[:, i * h1:(i + 1) * h1], store[f"moe.expert{i}.w2"].value,
+                         store[f"moe.expert{i}.w3"].value]
         else:
-            glorot_uniform(rng, rows, cols, out=p.value)
+            plan.append(p.value)
+    glorot_fill(plan, rng)
     return store
 
 

@@ -10,7 +10,7 @@ the training loss is one node of its own (``training.bpr_loss_graph``).
 
 from pjfit.numerics.matrix import DimensionError, Matrix, Tape
 from pjfit.numerics.params import BoundParams, Param, ParamStore, glorot_uniform
-from pjfit.numerics.optim import TrainingDivergedError, adam_step
+from pjfit.numerics.optim import TrainingDivergedError, adam_step, glorot_fill
 from pjfit.numerics.rng import seeded_rng, spawn_rngs
 from pjfit.numerics import ops
 
@@ -24,6 +24,7 @@ __all__ = [
     "glorot_uniform",
     "TrainingDivergedError",
     "adam_step",
+    "glorot_fill",
     "seeded_rng",
     "spawn_rngs",
     "ops",

@@ -12,15 +12,21 @@ class DimensionError(ValueError):
 class Matrix:
     """A rows x cols float64 value, optionally tracked on a Tape.
 
-    The gradient buffer is allocated lazily. Parameters bound through a
-    ParamStore pass their own grad array in, so backward passes accumulate
-    straight into the store. Backward passes write gradients only into
-    matrices on a tape; an untaped input (a constant) never gets a buffer.
+    The gradient is allocated lazily. Backward passes write gradients only
+    into matrices on a tape; an untaped input (a constant) never gets one.
+    A backward closure adds its contribution through ``grad_slot``: the
+    first contribution to an activation's gradient becomes that gradient,
+    with no zeros allocated and added to. A parameter's rows bound through
+    a ParamStore (``BoundParams``) pass the store's gradient rows in, and
+    ask the parameter whether a contribution there is the first of the
+    step, since several views of one parameter share its gradient; see
+    ``params``.
     """
 
-    __slots__ = ("data", "tape", "_grad")
+    __slots__ = ("data", "tape", "_grad", "_rows_of")
 
-    def __init__(self, data, tape: Tape | None = None, grad: np.ndarray | None = None):
+    def __init__(self, data, tape: Tape | None = None, grad: np.ndarray | None = None,
+                 rows_of=None):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
@@ -29,17 +35,35 @@ class Matrix:
         self.data = arr
         self.tape = tape
         self._grad = grad
+        # (param, lo, hi) when ``grad`` is rows [lo, hi) of a parameter's gradient
+        self._rows_of = rows_of
 
     @property
     def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        return self._grad
+        """The gradient, with every contribution so far added: zeros when
+        nothing has reached it yet."""
+        grad, first = self.grad_slot()
+        if first:
+            grad.fill(0.0)
+        return grad
 
     @grad.setter
     def grad(self, value: np.ndarray) -> None:
         # in-place ops on the property (grad += g) assign back through here
         self._grad = value
+
+    def grad_slot(self) -> tuple[np.ndarray, bool]:
+        """(buffer, first): the gradient buffer, and whether nothing has
+        reached it yet in this backward pass. When ``first``, its contents
+        are undefined and the caller must write all of it; otherwise the
+        caller adds into it. Either way the gradient counts as reached."""
+        if self._rows_of is not None:
+            param, lo, hi = self._rows_of
+            return self._grad, param.reach_rows(lo, hi)
+        if self._grad is None:
+            self._grad = np.empty_like(self.data)
+            return self._grad, True
+        return self._grad, False
 
     @property
     def has_grad(self) -> bool:
@@ -74,8 +98,11 @@ class Tape:
     def __init__(self) -> None:
         self._steps: list = []
 
-    def record(self, backward) -> None:
-        self._steps.append(backward)
+    def record(self, backward, out: Matrix | None = None) -> None:
+        """Append a backward closure. With ``out``, the node's output, the
+        closure is skipped when nothing reached ``out``'s gradient: it
+        would only add zeros."""
+        self._steps.append((backward, out))
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -94,7 +121,9 @@ class Tape:
         out.grad[...] += 1.0
         steps, self._steps = self._steps, []
         while steps:
-            steps.pop()()
+            backward, node = steps.pop()
+            if node is None or node.has_grad:
+                backward()
 
 
 def tape_of(*matrices: Matrix) -> Tape | None:

@@ -3,6 +3,9 @@
 Every function returns a new Matrix and, when any input sits on a tape,
 records one closure that accumulates exact gradients into the inputs that
 sit on that tape. Untaped inputs (constants) get no gradient computed.
+The first contribution a closure makes to a gradient in a backward pass
+is written into it (``Matrix.grad_slot``), later ones are added, and the
+tape skips a closure whose output nothing reached.
 
 The vocabulary is the ten ops the model calls, all on 2-D matrices:
 ``matmul``, ``affine``, ``relu``, ``softmax_rows``, ``segment_attention``,
@@ -30,6 +33,27 @@ import numpy as np
 from pjfit.numerics.matrix import DimensionError, Matrix, tape_of
 
 
+def _add_result(m: Matrix, op, *args, **kwargs) -> None:
+    """m's gradient += op(*args, **kwargs), for a numpy function ``op``
+    that takes ``out``. The first contribution of a backward pass is
+    computed straight into the gradient (``np.matmul(..., out=)`` for a
+    product), not added to zeros."""
+    grad, first = m.grad_slot()
+    if first:
+        op(*args, out=grad, **kwargs)
+    else:
+        grad += op(*args, **kwargs)
+
+
+def _add_value(m: Matrix, value: np.ndarray) -> None:
+    """m's gradient += value; the first contribution is copied in."""
+    grad, first = m.grad_slot()
+    if first:
+        grad[...] = value
+    else:
+        grad += value
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise DimensionError(f"matmul: {a.shape} @ {b.shape}")
@@ -38,10 +62,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if tape is not None:
         def backward():
             if a.tape is not None:
-                a.grad += out.grad @ b.data.T
+                _add_result(a, np.matmul, out.grad, b.data.T)
             if b.tape is not None:
-                b.grad += a.data.T @ out.grad
-        tape.record(backward)
+                _add_result(b, np.matmul, a.data.T, out.grad)
+        tape.record(backward, out)
     return out
 
 
@@ -60,12 +84,14 @@ def affine(x: Matrix, w: Matrix, b: Matrix) -> Matrix:
     if tape is not None:
         def backward():
             if x.tape is not None:
-                x.grad += out.grad @ w.data.T
+                _add_result(x, np.matmul, out.grad, w.data.T)
             if w.tape is not None:
-                w.grad += x.data.T @ out.grad
-            if b.tape is not None:
-                b.grad += out.grad.sum(axis=0, keepdims=True) if b.rows < out.rows else out.grad
-        tape.record(backward)
+                _add_result(w, np.matmul, x.data.T, out.grad)
+            if b.tape is not None and b.rows < out.rows:
+                _add_result(b, np.sum, out.grad, axis=0, keepdims=True)
+            elif b.tape is not None:
+                _add_value(b, out.grad)
+        tape.record(backward, out)
     return out
 
 
@@ -75,8 +101,8 @@ def relu(x: Matrix) -> Matrix:
     if x.tape is not None:
         mask = x.data > 0.0
         def backward():
-            x.grad += out.grad * mask
-        x.tape.record(backward)
+            _add_result(x, np.multiply, out.grad, mask)
+        x.tape.record(backward, out)
     return out
 
 
@@ -90,8 +116,8 @@ def softmax_rows(x: Matrix) -> Matrix:
         def backward():
             g = out.grad
             # d softmax: s * (g - sum_j g_j s_j) per row
-            x.grad += s * (g - (g * s).sum(axis=1, keepdims=True))
-        x.tape.record(backward)
+            _add_result(x, np.multiply, s, g - (g * s).sum(axis=1, keepdims=True))
+        x.tape.record(backward, out)
     return out
 
 
@@ -176,19 +202,31 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, ranges, row_map, heads: i
     out = Matrix(data, tape)
     if tape is not None:
         def backward():
+            # every head writes or adds its column block of each gradient,
+            # so a gradient first reached here is written whole by the loop;
+            # the slots are taken in the loop's order, v, q, k, so that an
+            # input passed twice is written before it is added to
+            dv_slot, dq_slot, dk_slot = (m.grad_slot() if m.tape is not None else None
+                                         for m in (v, q, k))
+
+            def add(slot, cols, left, right):
+                if slot is not None:
+                    grad, fresh = slot
+                    if fresh:
+                        np.matmul(left, right, out=grad[:, cols])
+                    else:
+                        grad[:, cols] += left @ right
+
             for (cq, cv), w in zip(blocks, weights):
                 g = out.grad[:, cv]
                 dw = np.take(g @ v.data[:, cv].T, flat)
-                if v.tape is not None:
-                    v.grad[:, cv] += dense(w).T @ g
+                add(dv_slot, cv, dense(w).T, g)
                 dlogits = w * (dw - np.repeat(np.add.reduceat(dw * w, first), seg_len))
                 dlogits *= scale
                 dl = dense(dlogits)
-                if q.tape is not None:
-                    q.grad[:, cq] += dl @ k.data[:, cq]
-                if k.tape is not None:
-                    k.grad[:, cq] += dl.T @ q.data[:, cq]
-        tape.record(backward)
+                add(dq_slot, cq, dl, k.data[:, cq])
+                add(dk_slot, cq, dl.T, q.data[:, cq])
+        tape.record(backward, out)
     return out
 
 
@@ -205,8 +243,8 @@ def concat_cols(parts: list[Matrix]) -> Matrix:
         def backward():
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
                 if p.tape is not None:
-                    p.grad += out.grad[:, lo:hi]
-        tape.record(backward)
+                    _add_value(p, out.grad[:, lo:hi])
+        tape.record(backward, out)
     return out
 
 
@@ -240,9 +278,9 @@ def gather_rows(x: Matrix, indices) -> Matrix:
     if x.tape is not None:
         def backward():
             cells = (idx[:, None] * x.cols + np.arange(x.cols)).reshape(-1)
-            x.grad += np.bincount(cells, out.grad.reshape(-1),
-                                  minlength=x.data.size).reshape(x.shape)
-        x.tape.record(backward)
+            _add_value(x, np.bincount(cells, out.grad.reshape(-1),
+                                      minlength=x.data.size).reshape(x.shape))
+        x.tape.record(backward, out)
     return out
 
 
@@ -254,10 +292,10 @@ def add(a: Matrix, b: Matrix) -> Matrix:
     if tape is not None:
         def backward():
             if a.tape is not None:
-                a.grad += out.grad
+                _add_value(a, out.grad)
             if b.tape is not None:
-                b.grad += out.grad
-        tape.record(backward)
+                _add_value(b, out.grad)
+        tape.record(backward, out)
     return out
 
 
@@ -270,8 +308,8 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     if tape is not None:
         def backward():
             if a.tape is not None:
-                a.grad += out.grad * b.data
+                _add_result(a, np.multiply, out.grad, b.data)
             if b.tape is not None:
-                b.grad += out.grad * a.data
-        tape.record(backward)
+                _add_result(b, np.multiply, out.grad, a.data)
+        tape.record(backward, out)
     return out

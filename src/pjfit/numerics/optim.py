@@ -1,4 +1,5 @@
-"""Adam updates over a ParamStore, split across the usable CPUs.
+"""The passes over every value of a ParamStore, split across the usable
+CPUs: the initial Glorot draw (``glorot_fill``) and the Adam update.
 
 ``adam_step`` works on the store's ``Buffers`` (one array per role, see
 ``params``): it cuts their element range [0, n) into W contiguous shards
@@ -9,11 +10,29 @@ call starts and joins, so no thread outlives it. numpy releases the
 interpreter lock inside each block's operations, so the shards run in
 parallel. Every operation of the update is elementwise, so where the
 shard and block cuts fall changes no bit: the result is the same for
-every W and every BLOCK.
+every W and every BLOCK. ``glorot_fill`` cuts its stream of draws by the
+same rule, and its shards draw in parallel from generators moved to
+their offsets (see there).
+
+Who zeroes the gradients: nobody, as a pass of its own. A backward pass
+writes the first contribution to a parameter's rows and adds the rest
+(``params``); ``adam_step`` zeroes only the spans of the gradient buffer
+that nothing reached in the step (the attention sets of a stage that was
+empty in the batch: 11.6% of the d=1024 store on the first step of
+``sparse-d1024`` at seed 1), reads the whole buffer, and leaves it as it
+is, marking every span unreached: the gradients read as zeros through
+``Param.grad`` from then on, and the next backward overwrites them.
 
 Measured on 2 vCPUs with a 2 MiB L2 each, float64, on the d=1024 store
-(54,219,978 values, so W = 2): one step after the first takes a median
-0.45 s on two threads against 0.77 s on one (6 steps each, alternating).
+(54,219,978 values, so W = 2), two runs of 7 steps per setting, the
+settings alternating: a step after the first takes a median 0.34 s on
+two threads (0.29-0.38) against 0.58 s on one (0.54-0.71), and the first
+step, which writes the moments without reading them, 0.39 s against
+0.63 s. Before the gradients were left unzeroed and the first step got
+its own path, the same probe read 0.42 s and 0.63 s for later steps, and
+0.58 s and 0.78 s for the first. The init draw of that store takes a median 0.17 s
+on two threads against 0.29 s on one (5 draws each, sequentially 0.44 s
+before the draw was cut into blocks that are scaled in cache).
 BLOCK was re-measured on this store at W = 2, 9 steps per size with the
 order rotated: 16384 elements took a median 0.56 s per step (0.54-0.62),
 32768 0.46 s (0.43-0.51) and 65536 0.42 s (0.41-0.45). On the d=64
@@ -21,7 +40,10 @@ store (W = 1) the three sizes read 28-31 ms, with no order beyond the
 noise. A block's six arrays (3 MiB at 65536) do not fit in L2, so
 65536 stays because it measured fastest, not for cache residency. (On
 the 66.8M-value store before the attention output projections were
-deleted, 131072 and 262144 were no faster than 65536.)
+deleted, 131072 and 262144 were no faster than 65536.) Once the update
+stopped zeroing the gradients, 6 steps per size at W = 2 in alternating
+order read 0.50 s for 16384, 0.38 s for 32768, 0.37 s for 65536 and
+0.39 s for 131072.
 
 CUTOFF keeps small stores on the calling thread, since inside training
 two threads lose there: on ``converge-d64`` (2.4M values) a CUTOFF of
@@ -36,12 +58,15 @@ the 2.4M-value store on one thread and splits the 54.2M-value one.
 
 from __future__ import annotations
 
+import bisect
+import copy
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from pjfit.numerics.params import Buffers, ParamStore
+from pjfit.numerics.params import Buffers, ParamStore, uniform_into
 
 # Elements per block of the fused update: value, gradient, both moments and
 # two scratch buffers of 512 KiB each. The fastest of the sizes measured at
@@ -66,14 +91,13 @@ def adam_step(store: ParamStore, lr: float, step: int,
     TrainingDivergedError naming the first such parameter in store order.
     The gradient check runs on the shards, like the update.
 
-    Then each shard walks its elements in blocks of BLOCK, reading value,
-    gradient and moments once and writing them once: the moments are
-    updated, the value takes its step, and the gradient block is zeroed
-    while still in cache, so no separate pass zeroes the gradients.
-    The moments are allocated on the first step with ``np.zeros``, whose
-    pages the system zeroes on first touch inside the same pass. A
-    parameter whose gradient nothing asked for reads the zeros of its span
-    of the gradient buffer.
+    Before that, the gradient rows nothing reached in the step are zeroed
+    (``Param.zero_unreached``): a parameter nobody asked about reads as a
+    zero gradient. Then each shard walks its elements in blocks of BLOCK,
+    reading value, gradient and moments once and writing value and
+    moments once: the moments are updated and the value takes its step.
+    The gradients are consumed, not zeroed (``Param.consume_grad``): they
+    read as zeros afterwards without a pass over them.
 
     The arithmetic is the textbook expression's, operation for operation,
     so the result is bitwise equal to it:
@@ -83,7 +107,11 @@ def adam_step(store: ParamStore, lr: float, step: int,
 
     with c1 = 1 - beta1**step and c2 = 1 - beta2**step. A zero gradient is
     still added ((1 - beta1) * 0.0 is +0.0, which turns a -0.0 moment into
-    +0.0).
+    +0.0). On the first step the moments are allocated with ``np.empty``
+    and written without being read, as m = (1 - beta1) * g + 0.0 and v =
+    (1 - beta2) * g^2 + 0.0: from zero moments, m * beta1 is +0.0, and
+    adding +0.0 gives the same bits as adding it first, the sign of a zero
+    included.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
@@ -93,6 +121,10 @@ def adam_step(store: ParamStore, lr: float, step: int,
         if not p.value.flags.writeable:
             raise ValueError(f"parameter {name!r} is read-only")
     buffers = store.buffers
+    if buffers.grads is None:
+        buffers.grads = np.empty(buffers.values.size)
+    for _, p in store.items():
+        p.zero_unreached()
     bad = [i for i in _sharded(buffers, _first_non_finite) if i is not None]
     if bad:
         first = min(bad)
@@ -100,14 +132,15 @@ def adam_step(store: ParamStore, lr: float, step: int,
             first -= p.value.size
             if first < 0:
                 raise TrainingDivergedError(f"non-finite gradient in parameter {name!r}")
-    if buffers.grads is None:
-        buffers.grads = np.zeros(buffers.values.size)
-    if buffers.m is None:
-        buffers.m = np.zeros(buffers.values.size)
-        buffers.v = np.zeros(buffers.values.size)
+    first = buffers.m is None
+    if first:
+        buffers.m = np.empty(buffers.values.size)
+        buffers.v = np.empty(buffers.values.size)
     c1 = 1.0 - beta1 ** step
     c2 = 1.0 - beta2 ** step
-    _sharded(buffers, _update, lr, c1, c2, beta1, beta2, eps)
+    _sharded(buffers, _update, lr, c1, c2, beta1, beta2, eps, first)
+    for _, p in store.items():
+        p.consume_grad()
     return store
 
 
@@ -117,17 +150,81 @@ def _workers(elements: int) -> int:
     return max(1, min(cpus, elements // CUTOFF))
 
 
+def _run(calls: list[tuple]) -> list:
+    """The results of ``fn(*args)`` for each (fn, *args) of ``calls``, in
+    order: the first on the calling thread, the rest on threads that are
+    joined before this returns. An exception in any call is raised here."""
+    with ThreadPoolExecutor(max(1, len(calls) - 1)) as pool:
+        rest = [pool.submit(*call) for call in calls[1:]]
+        return [calls[0][0](*calls[0][1:])] + [f.result() for f in rest]
+
+
 def _sharded(buffers: Buffers, shard, *args) -> list:
     """``shard(buffers, lo, hi, *args)`` for each of W contiguous shards
-    [lo, hi) of the elements of ``buffers``, in shard order: the first on
-    the calling thread, the rest on threads that are joined before this
-    returns. An exception in any shard is raised here."""
+    [lo, hi) of the elements of ``buffers``, in shard order (``_run``)."""
     n = buffers.values.size
     w = _workers(n)
     cuts = [n * i // w for i in range(w + 1)]
-    with ThreadPoolExecutor(max(1, w - 1)) as pool:
-        rest = [pool.submit(shard, buffers, cuts[i], cuts[i + 1], *args) for i in range(1, w)]
-        return [shard(buffers, cuts[0], cuts[1], *args)] + [f.result() for f in rest]
+    return _run([(shard, buffers, cuts[i], cuts[i + 1], *args) for i in range(w)])
+
+
+def glorot_fill(views: list[np.ndarray], rng: np.random.Generator) -> None:
+    """Glorot-uniform values in each (rows, cols) view of ``views``: bitwise
+    ``glorot_uniform(rng, rows, cols, out=view)`` called on the views in
+    order, with ``rng`` left at the same position of its stream.
+
+    The views read one stream of draws, rows * cols each in order. It is
+    cut into W contiguous ranges by the rule of ``_workers``, each cut
+    moved down to a row boundary of the view it falls in. The first range
+    is drawn from ``rng`` on the calling thread; each other from a copy of
+    its bit generator (PCG64, as every generator of ``rng.py``) moved to the
+    range's start with ``advance``, which jumps ahead in O(log n) steps;
+    then ``rng`` is advanced over the rest. Each worker draws about BLOCK
+    values at a time and scales and shifts them while they are in cache.
+    A view that is not C-contiguous (a column block) is drawn through one
+    scratch array per worker and copied in.
+    """
+    ends = list(itertools.accumulate(v.size for v in views))
+    total = ends[-1] if ends else 0
+    w = _workers(total)
+    cuts = [0]
+    for i in range(1, w):
+        at = total * i // w
+        k = bisect.bisect_right(ends, at)
+        start, cols = ends[k] - views[k].size, views[k].shape[1]
+        cuts.append(max(cuts[-1], start + (at - start) // cols * cols))
+    cuts.append(total)
+    generators = [rng]
+    for lo in cuts[1:-1]:
+        bit_generator = copy.deepcopy(rng.bit_generator)
+        bit_generator.advance(lo)
+        generators.append(np.random.Generator(bit_generator))
+    _run([(_draw, views, ends, cuts[i], cuts[i + 1], generators[i]) for i in range(w)])
+    if w > 1:
+        rng.bit_generator.advance(total - cuts[1])
+
+
+def _draw(views: list[np.ndarray], ends: list[int], lo: int, hi: int,
+          rng: np.random.Generator) -> None:
+    """Draws [lo, hi) of ``glorot_fill``'s stream (both at row boundaries)
+    from ``rng``, which stands at ``lo``, about BLOCK values at a time."""
+    scratch = np.empty(0)
+    k = bisect.bisect_right(ends, lo)
+    while lo < hi:
+        view = views[k]
+        rows, cols = view.shape
+        limit = np.sqrt(6.0 / (rows + cols))
+        start, stop = ends[k] - view.size, min(hi, ends[k])
+        step = max(1, BLOCK // cols)
+        for a in range((lo - start) // cols, (stop - start) // cols, step):
+            b = min(a + step, (stop - start) // cols)
+            if view.flags.c_contiguous:
+                uniform_into(rng, view[a:b], limit)
+            else:
+                if scratch.size < (b - a) * cols:
+                    scratch = np.empty(step * cols)
+                view[a:b] = uniform_into(rng, scratch[:(b - a) * cols].reshape(b - a, cols), limit)
+        lo, k = stop, k + 1
 
 
 def _blocks(lo: int, hi: int):
@@ -138,8 +235,6 @@ def _blocks(lo: int, hi: int):
 
 def _first_non_finite(buffers: Buffers, lo: int, hi: int) -> int | None:
     """The first element of [lo, hi) with a non-finite gradient, or None."""
-    if buffers.grads is None:
-        return None
     finite = np.empty(BLOCK, dtype=bool)
     for start, stop in _blocks(lo, hi):
         ok = np.isfinite(buffers.grads[start:stop], out=finite[:stop - start])
@@ -149,7 +244,7 @@ def _first_non_finite(buffers: Buffers, lo: int, hi: int) -> int | None:
 
 
 def _update(buffers: Buffers, lo: int, hi: int, lr: float, c1: float, c2: float,
-            beta1: float, beta2: float, eps: float) -> None:
+            beta1: float, beta2: float, eps: float, first: bool) -> None:
     scratch_a = np.empty(BLOCK)
     scratch_b = np.empty(BLOCK)
     for start, stop in _blocks(lo, hi):
@@ -157,14 +252,22 @@ def _update(buffers: Buffers, lo: int, hi: int, lr: float, c1: float, c2: float,
         g = buffers.grads[start:stop]
         mb, vb = buffers.m[start:stop], buffers.v[start:stop]
         a, b = scratch_a[:stop - start], scratch_b[:stop - start]
-        mb *= beta1
-        vb *= beta2
-        np.multiply(g, 1.0 - beta1, out=a)
-        mb += a
-        np.square(g, out=a)
-        a *= 1.0 - beta2
-        vb += a
-        g.fill(0.0)
+        if first:
+            # the update from zero moments without reading them: 0 * beta
+            # is +0.0, so m is (1 - beta1) g + 0.0, which also turns -0.0 to +0.0
+            np.multiply(g, 1.0 - beta1, out=mb)
+            mb += 0.0
+            np.square(g, out=vb)
+            vb *= 1.0 - beta2
+            vb += 0.0
+        else:
+            mb *= beta1
+            vb *= beta2
+            np.multiply(g, 1.0 - beta1, out=a)
+            mb += a
+            np.square(g, out=a)
+            a *= 1.0 - beta2
+            vb += a
         np.divide(vb, c2, out=a)
         np.sqrt(a, out=a)
         a += eps

@@ -10,10 +10,24 @@ with; ``optim.adam_step`` cuts the element range into shards.
 
 The value buffer exists from the start; the gradient buffer is allocated
 when the first parameter's gradient is first needed, and the moments on
-the first optimizer step (``np.zeros``, so the system zeroes each page on
-first touch). A parameter gets its gradient view on first access, so
-``has_grad`` says whether anything asked for that parameter's gradient;
-the rest of the buffer stays zero.
+the first optimizer step, all with ``np.empty``: nothing reads a value
+that was not written. A parameter gets its gradient view on first
+access, so ``has_grad`` says whether anything asked for that parameter's
+gradient.
+
+Nothing zeroes a gradient ahead of a step. Each parameter keeps the row
+spans of its gradient that the current step has reached, sorted and
+disjoint, on the parameter, not on the Matrix views bound to it, since
+several views of one parameter (row blocks of ``fusion.w1`` or
+``moe.w1``, which may overlap) share its rows. A backward closure that
+reaches rows [lo, hi) (``reach_rows``) writes its product there directly
+when none of them was reached yet, and adds otherwise, after the rows not
+reached yet are zeroed. ``Param.grad`` reaches every row, so what it
+returns is the whole valid gradient and a write through it is added to.
+``adam_step`` zeroes the spans nothing reached, reads the buffer and
+then consumes it (``consume_grad``): no row counts as reached, so the
+stale values left in the buffer read as zeros and the next step
+overwrites them.
 
 A ``BoundParams`` holds a store's name -> Param map, not the store, so
 the serving index keeps no store alive. A writer goes through a
@@ -43,32 +57,90 @@ class Buffers:
 
 
 class Param:
-    """Elements [lo, lo + rows * cols) of a ``Buffers``, as (rows, cols) views."""
+    """Elements [lo, lo + rows * cols) of a ``Buffers``, as (rows, cols) views.
 
-    __slots__ = ("value", "_buffers", "_span", "_grad")
+    The gradient rows a backward pass has reached in the current step are
+    kept as sorted, disjoint row spans; the other rows of the gradient
+    view hold stale or undefined values and read as zero.
+    """
+
+    __slots__ = ("value", "_buffers", "_span", "_grad", "_reached")
 
     def __init__(self, buffers: Buffers, lo: int, shape: tuple[int, int]):
         self._buffers = buffers
         self._span = slice(lo, lo + shape[0] * shape[1])
         self.value = buffers.values[self._span].reshape(shape)
         self._grad: np.ndarray | None = None
+        self._reached: list[tuple[int, int]] = []
 
     def _view(self, flat: np.ndarray) -> np.ndarray:
         return flat[self._span].reshape(self.value.shape)
 
-    @property
-    def grad(self) -> np.ndarray:
-        """The gradient view, handed out on first access (the buffer is
-        allocated with the first view).
-
-        Binding the parameter on a tape is the first access in a training
-        step; inference never allocates one.
-        """
+    def grad_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows [lo, hi) of the gradient view as they are, reached or not:
+        what a bound Matrix holds (see ``reach_rows``). The buffer and the
+        view are allocated with the first call."""
         if self._grad is None:
             if self._buffers.grads is None:
-                self._buffers.grads = np.zeros(self._buffers.values.size)
+                self._buffers.grads = np.empty(self._buffers.values.size)
             self._grad = self._view(self._buffers.grads)
-        return self._grad
+        return self._grad[lo:hi]
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The whole gradient view, valid: rows nothing reached in this step
+        are zeroed first, and every row counts as reached from then on.
+
+        Binding the parameter on a tape hands out the view; inference never
+        allocates one.
+        """
+        rows = self.value.shape[0]
+        grad = self.grad_rows(0, rows)
+        if self.reach_rows(0, rows):
+            grad.fill(0.0)
+        return grad
+
+    def reach_rows(self, lo: int, hi: int) -> bool:
+        """Mark gradient rows [lo, hi) reached. True when none of them was
+        reached before: the caller then writes all of them. Otherwise the
+        ones not reached yet are zeroed, and the caller adds into the rows."""
+        gaps = self._reach(lo, hi)
+        if gaps == [(lo, hi)]:
+            return True
+        for a, b in gaps:
+            self._grad[a:b] = 0.0
+        return False
+
+    def zero_unreached(self) -> None:
+        """Zero the gradient rows nothing reached, so that this parameter's
+        span of the gradient buffer (which must exist) holds its gradient.
+        Hands out no view."""
+        grad = self._view(self._buffers.grads)
+        for a, b in self._reach(0, self.value.shape[0]):
+            grad[a:b] = 0.0
+
+    def consume_grad(self) -> None:
+        """Start a new step: no gradient row counts as reached, so the
+        gradient reads as zeros again without a pass over it."""
+        self._reached = []
+
+    def _reach(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """Mark rows [lo, hi) reached; the spans of them that were not."""
+        gaps, merged = [], []
+        for a, b in self._reached:
+            if a < hi and b > lo:
+                if a > lo:
+                    gaps.append((lo, a))
+                lo = max(lo, b)
+        if lo < hi:
+            gaps.append((lo, hi))
+        for a, b in sorted(self._reached + gaps):
+            if merged and a <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+            else:
+                merged.append((a, b))
+        self._reached = merged
+        return gaps
 
     @property
     def has_grad(self) -> bool:
@@ -121,6 +193,7 @@ class ParamStore:
         """Drop the gradient buffer; the next taped use allocates a new one."""
         for p in self._params.values():
             p._grad = None
+            p.consume_grad()
         self.buffers.grads = None
 
     def release_training_buffers(self) -> None:
@@ -137,8 +210,9 @@ class BoundParams:
     ``ParamStore.bind``) viewed as Matrix nodes on one tape.
 
     On a tape, each Matrix shares the Param's grad buffer, so a backward
-    pass writes gradients directly into the store. Without a tape no
-    buffer is touched.
+    pass writes gradients directly into the store, and asks the Param
+    whether its rows were reached yet in the step (``Param.reach_rows``).
+    Without a tape no buffer is touched.
     """
 
     def __init__(self, params: dict[str, Param], tape: Tape | None = None):
@@ -161,7 +235,8 @@ class BoundParams:
             if self.tape is None:
                 m = Matrix(p.value[lo:hi])
             else:
-                m = Matrix(p.value[lo:hi], tape=self.tape, grad=p.grad[lo:hi])
+                m = Matrix(p.value[lo:hi], tape=self.tape, grad=p.grad_rows(lo, hi),
+                           rows_of=(p, lo, hi))
             self._cache[key] = m
         return m
 
@@ -169,15 +244,18 @@ class BoundParams:
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Uniform(-limit, limit) with limit = sqrt(6 / (fan_in + fan_out)),
-    drawn into ``out`` (a C-contiguous (rows, cols) array) or a new array.
-
-    The draw is ``rng.uniform``'s arithmetic done in place: unit draws,
-    times (limit - -limit), plus -limit. So the values are bitwise
-    ``rng.uniform(-limit, limit, (rows, cols))`` and the generator ends at
-    the same position.
+    drawn into ``out`` (a C-contiguous (rows, cols) array) or a new array,
+    by ``uniform_into``: bitwise ``rng.uniform(-limit, limit, (rows, cols))``,
+    and the generator ends at the same position.
     """
-    limit = np.sqrt(6.0 / (rows + cols))
     out = np.empty((rows, cols)) if out is None else out
+    return uniform_into(rng, out, np.sqrt(6.0 / (rows + cols)))
+
+
+def uniform_into(rng: np.random.Generator, out: np.ndarray, limit) -> np.ndarray:
+    """Uniform(-limit, limit) drawn into the C-contiguous array ``out``:
+    ``rng.uniform``'s arithmetic done in place, unit draws, times
+    (limit - -limit), plus -limit. One draw per element, in order."""
     rng.random(out=out)
     out *= limit - (-limit)
     out += -limit

@@ -82,7 +82,7 @@ def bpr_loss_graph(scores: Matrix, n: int, lambda_reg: float) -> Matrix:
                 scores.grad[n:] += sq * neg
             scores.grad[:n] += dd
             scores.grad[n:] -= dd
-        scores.tape.record(backward)
+        scores.tape.record(backward, out)
     return out
 
 
@@ -132,7 +132,7 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
             result.steps += 1
             adam_step(store, config.learning_rate, result.steps)
             result.losses.append(loss_value)
-    # nothing reads the gradients (all zero after the last step) or the
+    # nothing reads the gradients (consumed by the last step) or the
     # moments after training; at d=1024 the moments alone take ~1 GB
     store.release_training_buffers()
     return result

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +125,54 @@ def test_old_version_checkpoint_is_rejected(saved, version):
     path.write_bytes(bytes(blob))
     with pytest.raises(UnsupportedVersionError, match=f"unsupported format version {version}$"):
         load_checkpoint(path)
+
+
+def _set_values(path, at, values):
+    """Overwrite float32 values at and after position ``at`` of the value block."""
+    blob = bytearray(path.read_bytes())
+    config_len = int.from_bytes(blob[8:12], "little")
+    lo = 12 + config_len + 4 * at
+    raw = np.asarray(values, dtype="<f4").tobytes()
+    blob[lo:lo + len(raw)] = raw
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_is_refused_naming_the_tensor_and_element(saved, monkeypatch, chunk, bad):
+    # row 1, column 2 of the second tensor; raised as CheckpointError even
+    # with RuntimeWarnings as errors
+    cfg, _, path = saved
+    monkeypatch.setattr(checkpoint, "WIDEN_CHUNK", chunk)
+    (_, rows0, cols0), (name, _, cols) = param_spec(cfg)[:2]
+    _set_values(path, rows0 * cols0 + cols + 2, [bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: tensor {name!r} holds a non-finite value ({bad}) at row 1, column 2")):
+            load_checkpoint(path)
+
+
+def test_opposite_infinities_in_one_chunk_are_refused(saved):
+    # their float64 sum is NaN, not Inf; the first one is named
+    _, store, path = saved
+    _set_values(path, store.buffers.values.size - 2, [np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CheckpointError, match=re.escape("(inf)")):
+            load_checkpoint(path)
+
+
+def test_largest_finite_float32_values_load(saved):
+    # every value at the float32 extremes: each chunk's float64 sum stays finite
+    _, store, path = saved
+    n = store.buffers.values.size
+    top = np.finfo(np.float32).max
+    _set_values(path, 0, np.where(np.arange(n) % 3 == 0, -top, top))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        loaded, _ = load_checkpoint(path)
+    assert np.abs(loaded.buffers.values).min() == top
 
 
 def test_value_block_is_the_float32_value_buffer(saved):

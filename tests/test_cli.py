@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,27 @@ def test_non_finite_embedding_is_a_data_error_for_rank(pipeline, tmp_path, capsy
                  "--checkpoint", str(pipeline / "model.ckpt")]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and f"entities.jsonl:1: embedding of {docs[0]['id']!r}" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_checkpoint_value_is_a_data_error(pipeline, tmp_path, capsys, bad):
+    # value 10 of the first tensor; with RuntimeWarnings as errors, as in CI
+    blob = bytearray((pipeline / "model.ckpt").read_bytes())
+    lo = 12 + int.from_bytes(blob[8:12], "little") + 4 * 10
+    blob[lo:lo + 4] = np.float32(bad).tobytes()
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(bytes(blob))
+    job = sorted(load_data_dir(pipeline / "aug")[0].jobs)[0]
+    for argv in (["eval", "--report-out", str(tmp_path / "r.json")],
+                 ["rank", "--job", job, "--out", str(tmp_path / "rank.tsv")]):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--data", str(pipeline / "aug"), "--checkpoint", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "'cand.evaluated.internal.wq'" in err and "row 1, column 2" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "rank.tsv").exists()
 
 
 def test_rank_on_a_data_directory_without_candidates_is_a_data_error(pipeline, tmp_path, capsys):

@@ -673,6 +673,200 @@ def test_an_exception_in_a_worker_shard_is_raised_to_the_caller(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_adam_first_step_writes_the_moments_bitwise_as_the_textbook_update():
+    # the first step writes m and v without reading them: -0.0, +0.0 and
+    # denormal gradients give the bits of the update from zero moments,
+    # +0.0 moments included
+    rng = seeded_rng(18)
+    grad = rng.normal(size=(3, 40))
+    grad[0, :8] = -0.0
+    grad[1, :8] = 0.0
+    grad[2, :8] = [5e-324, -5e-324, 1e-310, -1e-310, 1e150, -1e150, 1e-160, -1e-160]
+    store = store_of(("w", rng.normal(size=(3, 40))))
+    state = {"w": {"value": store["w"].value.copy(), "m": None, "v": None, "grad": grad.copy()}}
+    store["w"].grad[...] = grad
+    adam_step(store, lr=1e-2, step=1)
+    _textbook_adam_step(state, lr=1e-2, step=1)
+    p, want = store["w"], state["w"]
+    assert _same_bits(p.value, want["value"])
+    assert _same_bits(p.m, want["m"]) and _same_bits(p.v, want["v"])
+    assert not np.signbit(p.m[p.m == 0.0]).any()
+    # moments that exist take the general path, which reads them
+    p.m[...] = want["m"] = rng.normal(size=(3, 40))
+    p.v[...] = want["v"] = rng.random(size=(3, 40))
+    p.m[0, :3] = want["m"][0, :3] = -0.0
+    p.grad[...] = want["grad"] = grad[::-1].copy()
+    adam_step(store, lr=1e-2, step=2)
+    _textbook_adam_step(state, lr=1e-2, step=2)
+    assert _same_bits(p.value, want["value"])
+    assert _same_bits(p.m, want["m"]) and _same_bits(p.v, want["v"])
+
+
+# ------------------------------------------------------- gradient lifecycle
+
+
+def _lifecycle_case(seed):
+    """Integer data, so that every sum is exact in any order."""
+    rng = seeded_rng(seed)
+    ints = lambda *shape: rng.integers(-3, 4, size=shape).astype(np.float64)
+    return {"x1": ints(5, 4), "x2": ints(5, 4), "x3": ints(5, 3), "probe": ints(5, 3),
+            "extra": ints(8, 3)}
+
+
+def _lifecycle_step(store, data, reach_dead, grad_write_at):
+    """One taped step over "w" (8 x 3) and "dead" (3 x 3); returns the
+    gradients accumulated from zero.
+
+    Rows [0, 4) and [2, 6) of "w" are two partly overlapping views; rows
+    [6, 8) are in neither. "dead" is bound and multiplied every step, but
+    its product reaches the loss only with ``reach_dead``, as an empty
+    stage's attention set does not. With ``grad_write_at`` 0, 1 or 2, a
+    closure adds ``extra`` to the whole of "w" through ``Param.grad``,
+    running first, between the two views' closures, or last in the
+    backward."""
+    tape = Tape()
+    bound = store.bind(tape)
+
+    def write():
+        store["w"].grad[...] += data["extra"]
+
+    if grad_write_at == 2:
+        tape.record(write)
+    a = ops.matmul(Matrix(data["x1"]), bound.rows("w", 0, 4))
+    if grad_write_at == 1:
+        tape.record(write)
+    b = ops.matmul(Matrix(data["x2"]), bound.rows("w", 2, 6))
+    dead = ops.matmul(Matrix(data["x3"]), bound["dead"])
+    if grad_write_at == 0:
+        tape.record(write)
+    probe = Matrix(data["probe"])
+    loss = sum_all(ops.mul(ops.add(a, b), probe))
+    if reach_dead:
+        loss = ops.add(loss, sum_all(ops.mul(dead, probe)))
+    tape.backward(loss)
+    want = {"w": np.zeros((8, 3)), "dead": np.zeros((3, 3))}
+    want["w"][0:4] += data["x1"].T @ data["probe"]
+    want["w"][2:6] += data["x2"].T @ data["probe"]
+    if grad_write_at is not None:
+        want["w"] += data["extra"]
+    if reach_dead:
+        want["dead"] += data["x3"].T @ data["probe"]
+    return want
+
+
+@pytest.mark.parametrize("read_grads", [True, False])
+@pytest.mark.parametrize("grad_write_at", [0, 1, 2])
+def test_gradients_over_two_steps_equal_accumulation_from_zero(grad_write_at, read_grads):
+    # step 1 reaches "dead" and writes "w" through Param.grad; step 2 does
+    # neither, so "dead" and rows [6, 8) of "w" hold step 1's gradients
+    # until Adam zeroes them. Reading the gradients (read_grads) zeroes
+    # them itself, so the unread runs are the ones that show whether Adam
+    # would consume a stale gradient.
+    rng = seeded_rng(19)
+    store = store_of(("w", rng.normal(size=(8, 3))), ("dead", rng.normal(size=(3, 3))))
+    state = {name: {"value": p.value.copy(), "m": None, "v": None, "grad": None}
+             for name, p in store.items()}
+    for step, (reach_dead, write_at) in enumerate([(True, grad_write_at), (False, None)], 1):
+        want = _lifecycle_step(store, _lifecycle_case(step), reach_dead, write_at)
+        if read_grads:
+            for name, p in store.items():
+                np.testing.assert_array_equal(p.grad, want[name], err_msg=f"{name}, step {step}")
+        for name in store.names():
+            state[name]["grad"] = want[name]
+        adam_step(store, lr=1e-2, step=step)
+        _textbook_adam_step(state, lr=1e-2, step=step)
+        for name, p in store.items():
+            assert _same_bits(p.value, state[name]["value"]), (name, step)
+            assert _same_bits(p.m, state[name]["m"]) and _same_bits(p.v, state[name]["v"]), (name, step)
+    for name, p in store.items():
+        assert _same_bits(p.grad, np.zeros_like(p.value)), name  # consumed: reads as zeros
+
+
+def test_a_bound_view_reads_zeros_over_a_consumed_gradient():
+    # after Adam the buffer still holds the 7s of the last step; a bound
+    # view's gradient read before any closure reached it is zeros, and a
+    # product into rows [2, 5), partly read, adds to those zeros
+    store = store_of(("w", np.ones((6, 2))))
+    store["w"].grad[...] = 7.0
+    adam_step(store, lr=0.0, step=1)
+    assert (store.buffers.grads == 7.0).all()  # consumed, not zeroed
+    tape = Tape()
+    bound = store.bind(tape)
+    top = bound.rows("w", 0, 3)
+    np.testing.assert_array_equal(top.grad, np.zeros((3, 2)))
+    x = Matrix([[1.0, 2.0, 3.0]])
+    tape.backward(sum_all(ops.matmul(x, bound.rows("w", 2, 5))))
+    want = np.zeros((6, 2))
+    want[2:5] = [[1.0], [2.0], [3.0]]
+    np.testing.assert_array_equal(store["w"].grad, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=6))
+def test_reached_rows_behave_as_a_set_of_rows(spans):
+    # reach_rows over any sequence of row spans, against a per-row oracle:
+    # a span no row of which was reached is written, any other is added
+    # to after its unreached rows are zeroed, and Param.grad zeroes the rest
+    p = store_of(("w", np.zeros((8, 1))))["w"]
+    grad = p.grad_rows(0, 8)
+    grad[...] = np.nan  # stale values from an earlier step
+    want, reached = np.full((8, 1), np.nan), np.zeros(8, dtype=bool)
+    for step, (lo, hi) in enumerate(sorted(span) for span in spans):
+        first = p.reach_rows(lo, hi)
+        assert first == (hi > lo and not reached[lo:hi].any())
+        if first:
+            grad[lo:hi] = want[lo:hi] = step
+        else:
+            want[lo:hi][~reached[lo:hi]] = 0.0
+            grad[lo:hi] += 1.0
+            want[lo:hi] += 1.0
+        reached[lo:hi] = True
+    want[~reached] = 0.0
+    np.testing.assert_array_equal(p.grad, want)
+
+
+# ------------------------------------------------------------- init draw
+
+
+def _draw_plan():
+    """A (5 x 12) tensor, a column block of a (20 x 12) one, and a (3 x 2)
+    tensor: 146 draws. Two workers cut at 73, moved down to 72 in the
+    column block; three at 48 (a row boundary of the first tensor) and at
+    97, moved down to 96 in the column block."""
+    return [np.zeros((5, 12)), np.zeros((20, 12))[:, 4:8], np.zeros((3, 2))]
+
+
+def _record_draws(monkeypatch, workers):
+    monkeypatch.setattr(optim, "BLOCK", 16)  # several blocks per view, 4 rows of the column block
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    draws = []
+    draw = optim._draw
+
+    def recorded(views, ends, lo, hi, rng):
+        draws.append((lo, hi, threading.get_ident()))
+        return draw(views, ends, lo, hi, rng)
+
+    monkeypatch.setattr(optim, "_draw", recorded)
+    return draws
+
+
+@pytest.mark.parametrize("workers, cuts", [(1, [0, 146]), (2, [0, 72, 146]), (3, [0, 48, 96, 146])])
+def test_parallel_glorot_fill_is_bitwise_the_sequential_draw(monkeypatch, workers, cuts):
+    monkeypatch.setattr(optim, "CUTOFF", 146 // workers)
+    draws = _record_draws(monkeypatch, workers)
+    views, want = _draw_plan(), seeded_rng(21)
+    rng = seeded_rng(21)
+    threads = threading.active_count()
+    optim.glorot_fill(views, rng)
+    assert sorted(d[:2] for d in draws) == list(zip(cuts, cuts[1:]))
+    assert [lo == 0 for lo, _, t in draws if t == threading.get_ident()] == [True]
+    assert threading.active_count() == threads
+    for view in views:
+        assert view.tobytes() == glorot_uniform(want, *view.shape).tobytes()
+    assert rng.bit_generator.state == want.bit_generator.state
+    assert rng.random() == want.random()
+
+
 # ------------------------------------------------------- gradcheck harness
 
 

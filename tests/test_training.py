@@ -276,6 +276,29 @@ def test_attention_weights_are_drawn_head_by_head(heads):
             np.testing.assert_array_equal(store[name].value, glorot_uniform(rng, rows, cols))
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_init_params_draws_bitwise_alike_on_any_worker_count(monkeypatch, workers):
+    # on the toy store the default is one worker, the sequential draw that
+    # test_attention_weights_are_drawn_head_by_head pins
+    cfg = toy_model_config()
+    sequential_rng = seeded_rng(3)
+    sequential = init_params(cfg, sequential_rng)
+    # the draw stream: every value but the biases
+    drawn = sum(rows * cols for name, rows, cols in param_spec(cfg)
+                if not name.rsplit(".", 1)[1].startswith("b"))
+    assert optim._workers(drawn) == 1
+    monkeypatch.setattr(optim, "CUTOFF", drawn // workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    shards = []
+    draw = optim._draw
+    monkeypatch.setattr(optim, "_draw", lambda *args: shards.append(args[2:4]) or draw(*args))
+    rng = seeded_rng(3)
+    store = init_params(cfg, rng)
+    assert len(shards) == workers and sorted(shards)[-1][1] == drawn
+    assert store.buffers.values.tobytes() == sequential.buffers.values.tobytes()
+    assert rng.bit_generator.state == sequential_rng.bit_generator.state
+
+
 def shared_history_dataset():
     """Candidates and jobs whose histories name the same counterparts, one
     longer than the toy seq_len of 4."""
