@@ -18,6 +18,31 @@ widen on load, so round-trips are bit-exact at 32-bit precision. Loading
 checks magic, version and config, and that the file holds exactly the
 values the config implies, before it allocates the store; then that every
 value is finite, naming the tensor and element of the first that is not.
+
+Both passes over the values are split by ``optim``'s rule: W = max(1,
+min(usable CPUs, n // optim.CUTOFF)) contiguous shards of the n values
+(``optim.shards``), so W = 2 for the d=1024 store on two CPUs and W = 1
+at d=64. No thread outlives the call.
+
+- Save: the calling thread writes the header, then every chunk in file
+  order through the one handle ``atomic_files`` yields. Each shard is
+  narrowed on a thread of its own, ``WRITE_CHUNK`` values at a time, into
+  ``NARROW_AHEAD`` buffers it reuses once the writer hands them back, so
+  no store-sized float32 copy exists.
+- Load: each shard is read with ``os.preadv`` on the checked file's
+  descriptor into a float32 scratch of its own, ``WIDEN_CHUNK`` values at
+  a time, widened into the value buffer and checked while in cache. Each
+  shard stops at its first non-finite value, or where the file ends if it
+  shrank after its size was checked, and the error names the earliest of
+  these over all shards: the one a sequential scan would meet first, so
+  the message does not depend on W.
+
+Measured on 2 vCPUs at d=1024 (W = 2) in the benchmark's set-up order
+(train, then three save+reload cycles; medians over 6 runs): a reload
+takes 74 ms against 137 ms on one thread, a save 124 ms against 160 ms.
+A save over the file saved moments earlier spends 50-130 ms of that in
+``os.replace``, which waits for the old file's writeback. At d=64 (W = 1)
+a load takes 3.6-4.1 ms and a save 8.4-9.2 ms, as on one thread before.
 """
 
 from __future__ import annotations
@@ -27,6 +52,7 @@ import dataclasses
 import itertools
 import json
 import os
+import queue
 import struct
 
 import numpy as np
@@ -34,11 +60,17 @@ import numpy as np
 from pjfit.config import ModelConfig, model_config_from_dict
 from pjfit.domain.records import atomic_files
 from pjfit.model import param_spec
-from pjfit.numerics import ParamStore
+from pjfit.numerics import ParamStore, optim
 
 MAGIC = b"PJF1"
 VERSION = 5
-WRITE_CHUNK = 1 << 20
+# Values per narrowed chunk: 1 MiB of float32, so the NARROW_AHEAD buffers
+# of both shards at d=1024 take 4 MiB in all. A d=1024 save with no old
+# file to replace took a median 75 ms at this size against 70-110 ms at
+# 1 << 16, 1 << 17 and 1 << 20 (6 saves each, 2 vCPUs).
+WRITE_CHUNK = 1 << 18
+# buffers each narrowing thread fills ahead of the writer
+NARROW_AHEAD = 2
 WIDEN_CHUNK = 1 << 16
 
 
@@ -67,7 +99,9 @@ def save_checkpoint(store: ParamStore, cfg: ModelConfig, path) -> None:
     value buffer narrowed to float32 ``WRITE_CHUNK`` values at a time.
 
     The store's layout must be ``param_spec(cfg)``, since the file keeps
-    only the config to say where each value belongs."""
+    only the config to say where each value belongs. Each shard of the
+    values (``optim.shards``) is narrowed on a thread of its own; the
+    calling thread writes the chunks through the handle in file order."""
     layout = [(name, *p.value.shape) for name, p in store.items()]
     bad = [pair for pair in itertools.zip_longest(layout, param_spec(cfg)) if pair[0] != pair[1]]
     if bad:
@@ -76,15 +110,52 @@ def save_checkpoint(store: ParamStore, cfg: ModelConfig, path) -> None:
     config_bytes = json.dumps({"model": dataclasses.asdict(cfg)},
                               sort_keys=True).encode("utf-8")
     values = store.buffers.values
+    shards = optim.shards(values.size)
+    lanes = [(queue.SimpleQueue(), queue.SimpleQueue()) for _ in shards]
     with atomic_files(path) as (fh,):
         fh.write(MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes)
-        for lo in range(0, values.size, WRITE_CHUNK):
-            fh.write(values[lo:lo + WRITE_CHUNK].astype("<f4"))
+        optim.run_calls([(_write_in_order, fh, lanes)]
+                        + [(_narrow, values, lo, hi, *lane) for (lo, hi), lane in zip(shards, lanes)])
+
+
+def _narrow(values: np.ndarray, lo: int, hi: int, ready, free) -> None:
+    """Narrows [lo, hi) of ``values`` to float32 ``WRITE_CHUNK`` values at a
+    time, ahead of the writer, into NARROW_AHEAD buffers that go to it on
+    ``ready`` and come back on ``free``. A None on ``ready`` ends the range;
+    a None on ``free`` means the writer stopped."""
+    try:
+        for _ in range(NARROW_AHEAD):
+            free.put(np.empty(WRITE_CHUNK, dtype="<f4"))
+        for a in range(lo, hi, WRITE_CHUNK):
+            buffer = free.get()
+            if buffer is None:
+                return
+            chunk = buffer[:min(WRITE_CHUNK, hi - a)]
+            chunk[...] = values[a:a + chunk.size]
+            ready.put(chunk)
+    finally:
+        ready.put(None)
+
+
+def _write_in_order(fh, lanes) -> None:
+    """Writes each (ready, free) lane's chunks (``_narrow``) in lane order,
+    handing every buffer back once written. Whether it completes or
+    raises, it leaves a None on every ``free``, so no narrowing thread
+    waits for a buffer that will not come."""
+    try:
+        for ready, free in lanes:
+            while (chunk := ready.get()) is not None:
+                fh.write(chunk)
+                free.put(chunk.base)
+    finally:
+        for _, free in lanes:
+            free.put(None)
 
 
 def load_checkpoint(path) -> tuple[ParamStore, ModelConfig]:
-    """Read a checkpoint into a store built from its config's spec, the
-    float32 block straight into the store's float64 value buffer."""
+    """Read a checkpoint into a store built from its config's spec: each
+    shard of the float32 block is read through a scratch of its own and
+    widened into the store's float64 value buffer."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -111,37 +182,57 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig]:
 
         spec = param_spec(cfg)
         ends = list(itertools.accumulate(rows * cols for _, rows, cols in spec))
-        stored = size - fh.tell()
+
+        def truncated(values_read: int) -> TruncatedCheckpointError:
+            name = spec[bisect.bisect_right(ends, values_read)][0]
+            return TruncatedCheckpointError(f"{path}: file ends inside tensor {name!r}, before "
+                                            f"the {ends[-1]} values its config implies")
+
+        offset = fh.tell()
+        stored = size - offset
         # the value buffer is allocated after this, so a config that implies
         # more values than the file holds fails before it
         if stored < 4 * ends[-1]:
-            name = spec[bisect.bisect_right(ends, stored // 4)][0]
-            raise TruncatedCheckpointError(
-                f"{path}: file ends inside tensor {name!r}, before the "
-                f"{ends[-1]} values its config implies")
+            raise truncated(stored // 4)
         if stored > 4 * ends[-1]:
             raise CheckpointError(f"{path}: {stored - 4 * ends[-1]} trailing bytes")
         store = ParamStore(spec)
-        # widened in place: read into the upper half of the value buffer's
-        # bytes, then widened front to back WIDEN_CHUNK values at a time,
-        # each chunk's writes ending below the values still to be read
-        # (numpy copies a chunk that overlaps its source through a temporary)
-        out = store.buffers.values
-        narrow = out.view("<f4")[out.size:]
-        fh.readinto(narrow)
-        # each widened chunk is checked while in cache by its float64 sum:
-        # WIDEN_CHUNK float32 magnitudes (< 3.5e38 each) cannot overflow it,
-        # so only a NaN or an Inf makes it non-finite, and only then is the
-        # chunk scanned; errstate keeps inf - inf from warning
-        with np.errstate(all="ignore"):
-            for lo in range(0, out.size, WIDEN_CHUNK):
-                chunk = out[lo:lo + WIDEN_CHUNK]
-                chunk[...] = narrow[lo:lo + WIDEN_CHUNK]
-                if not np.isfinite(chunk.sum()):
-                    at = lo + int(np.argmin(np.isfinite(chunk)))
-                    k = bisect.bisect_right(ends, at)
-                    name, _, cols = spec[k]
-                    row, col = divmod(at - (ends[k - 1] if k else 0), cols)
-                    raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value "
-                                          f"({out[at]}) at row {row}, column {col}")
+        values = store.buffers.values
+        found = [f for f in optim.run_calls([(_read_widened, fh.fileno(), offset, values, lo, hi)
+                                             for lo, hi in optim.shards(values.size)])
+                 if f is not None]
+    if found:
+        at, ended = min(found)
+        if ended:
+            raise truncated(at)
+        k = bisect.bisect_right(ends, at)
+        name, _, cols = spec[k]
+        row, col = divmod(at - (ends[k - 1] if k else 0), cols)
+        raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value "
+                              f"({values[at]}) at row {row}, column {col}")
     return store, cfg
+
+
+def _read_widened(fd: int, offset: int, values: np.ndarray, lo: int,
+                  hi: int) -> tuple[int, bool] | None:
+    """Reads the float32 values [lo, hi) of the block that starts at byte
+    ``offset`` of ``fd`` into ``values[lo:hi]``, ``WIDEN_CHUNK`` at a time
+    through a scratch of its own. Returns None, or (i, False) for the first
+    value i that is not finite, or (i, True) if the file ends before value i.
+
+    Each widened chunk is checked while in cache by its float64 sum:
+    WIDEN_CHUNK float32 magnitudes (< 3.5e38 each) cannot overflow it, so
+    only a NaN or an Inf makes it non-finite, and only then is the chunk
+    scanned; errstate (per thread) keeps inf - inf from warning."""
+    scratch = np.empty(min(WIDEN_CHUNK, hi - lo), dtype="<f4")
+    with np.errstate(all="ignore"):
+        for a in range(lo, hi, WIDEN_CHUNK):
+            part = scratch[:min(WIDEN_CHUNK, hi - a)]
+            n = os.preadv(fd, [part], offset + 4 * a) // 4
+            chunk = values[a:a + n]
+            chunk[...] = part[:n]
+            if not np.isfinite(chunk.sum()):
+                return a + int(np.argmin(np.isfinite(chunk))), False
+            if n < part.size:
+                return a + n, True
+    return None

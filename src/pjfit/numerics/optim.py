@@ -1,5 +1,7 @@
 """The passes over every value of a ParamStore, split across the usable
 CPUs: the initial Glorot draw (``glorot_fill``) and the Adam update.
+``checkpoint`` splits its save and load by the same rule (``shards``,
+``run_calls``).
 
 ``adam_step`` works on the store's ``Buffers`` (one array per role, see
 ``params``): it cuts their element range [0, n) into W contiguous shards
@@ -144,28 +146,33 @@ def adam_step(store: ParamStore, lr: float, step: int,
     return store
 
 
-def _workers(elements: int) -> int:
+def worker_count(elements: int) -> int:
     """W: one shard per usable CPU, and at least CUTOFF elements per shard."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(cpus, elements // CUTOFF))
 
 
-def _run(calls: list[tuple]) -> list:
+def shards(elements: int) -> list[tuple[int, int]]:
+    """The W = ``worker_count(elements)`` contiguous shards [lo, hi) of
+    [0, elements), in order, their sizes differing by at most one."""
+    w = worker_count(elements)
+    return [(elements * i // w, elements * (i + 1) // w) for i in range(w)]
+
+
+def run_calls(calls: list[tuple]) -> list:
     """The results of ``fn(*args)`` for each (fn, *args) of ``calls``, in
     order: the first on the calling thread, the rest on threads that are
-    joined before this returns. An exception in any call is raised here."""
+    joined before this returns. An exception in any call is raised here,
+    the first call's before the others'."""
     with ThreadPoolExecutor(max(1, len(calls) - 1)) as pool:
         rest = [pool.submit(*call) for call in calls[1:]]
         return [calls[0][0](*calls[0][1:])] + [f.result() for f in rest]
 
 
 def _sharded(buffers: Buffers, shard, *args) -> list:
-    """``shard(buffers, lo, hi, *args)`` for each of W contiguous shards
-    [lo, hi) of the elements of ``buffers``, in shard order (``_run``)."""
-    n = buffers.values.size
-    w = _workers(n)
-    cuts = [n * i // w for i in range(w + 1)]
-    return _run([(shard, buffers, cuts[i], cuts[i + 1], *args) for i in range(w)])
+    """``shard(buffers, lo, hi, *args)`` for each shard [lo, hi) of the
+    elements of ``buffers`` (``shards``), in shard order (``run_calls``)."""
+    return run_calls([(shard, buffers, lo, hi, *args) for lo, hi in shards(buffers.values.size)])
 
 
 def glorot_fill(views: list[np.ndarray], rng: np.random.Generator) -> None:
@@ -174,7 +181,7 @@ def glorot_fill(views: list[np.ndarray], rng: np.random.Generator) -> None:
     order, with ``rng`` left at the same position of its stream.
 
     The views read one stream of draws, rows * cols each in order. It is
-    cut into W contiguous ranges by the rule of ``_workers``, each cut
+    cut into W contiguous ranges by the rule of ``worker_count``, each cut
     moved down to a row boundary of the view it falls in. The first range
     is drawn from ``rng`` on the calling thread; each other from a copy of
     its bit generator (PCG64, as every generator of ``rng.py``) moved to the
@@ -186,7 +193,7 @@ def glorot_fill(views: list[np.ndarray], rng: np.random.Generator) -> None:
     """
     ends = list(itertools.accumulate(v.size for v in views))
     total = ends[-1] if ends else 0
-    w = _workers(total)
+    w = worker_count(total)
     cuts = [0]
     for i in range(1, w):
         at = total * i // w
@@ -199,7 +206,7 @@ def glorot_fill(views: list[np.ndarray], rng: np.random.Generator) -> None:
         bit_generator = copy.deepcopy(rng.bit_generator)
         bit_generator.advance(lo)
         generators.append(np.random.Generator(bit_generator))
-    _run([(_draw, views, ends, cuts[i], cuts[i + 1], generators[i]) for i in range(w)])
+    run_calls([(_draw, views, ends, cuts[i], cuts[i + 1], generators[i]) for i in range(w)])
     if w > 1:
         rng.bit_generator.advance(total - cuts[1])
 

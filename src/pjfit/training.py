@@ -138,14 +138,30 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
     return result
 
 
+class NonFiniteScoreError(RuntimeError):
+    """A pair scored NaN or infinite. Checkpoints and data directories are
+    refused at load if any value is not finite, so this is overflow in
+    finite weights or inputs, or a bug: a runtime error, not a data error."""
+
+
 def _score_chunks(candidates, jobs, store: ParamStore, cfg: ModelConfig,
                   dataset: Dataset) -> list[float]:
-    """Frozen-parameter scores of (candidates[i], jobs[i]), SCORE_CHUNK pairs per index call."""
-    index = index_for(store, cfg, dataset)
+    """Frozen-parameter scores of (candidates[i], jobs[i]), SCORE_CHUNK pairs
+    per index call. Scoring runs with numpy's floating-point warnings off,
+    and a non-finite score raises NonFiniteScoreError naming the first such
+    pair instead."""
     scores: list[float] = []
-    for lo in range(0, len(candidates), SCORE_CHUNK):
-        scores.extend(index.score(candidates[lo:lo + SCORE_CHUNK],
-                                  jobs[lo:lo + SCORE_CHUNK]).tolist())
+    with np.errstate(all="ignore"):
+        index = index_for(store, cfg, dataset)
+        for lo in range(0, len(candidates), SCORE_CHUNK):
+            chunk = index.score(candidates[lo:lo + SCORE_CHUNK], jobs[lo:lo + SCORE_CHUNK])
+            finite = np.isfinite(chunk)
+            if not finite.all():
+                at = lo + int(np.argmin(finite))
+                raise NonFiniteScoreError(
+                    f"non-finite score ({chunk[at - lo]}) for candidate {candidates[at].id!r} "
+                    f"and job {jobs[at].id!r}")
+            scores.extend(chunk.tolist())
     return scores
 
 

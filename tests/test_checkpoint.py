@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from pjfit.checkpoint import (
 )
 from pjfit.config import ABLATIONS
 from pjfit.model import init_params, param_spec
-from pjfit.numerics import seeded_rng
+from pjfit.numerics import optim, seeded_rng
 
 from conftest import toy_model_config
 
@@ -211,6 +213,166 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_tmp(saved, full_disk):
     old = path.read_bytes()
     with pytest.raises(OSError, match="No space left"):
         save_checkpoint(init_params(cfg, seeded_rng(1)), cfg, path)
+    assert path.read_bytes() == old
+    assert list(path.parent.iterdir()) == [path]
+
+
+def _tensor_at(cfg, at):
+    """(name, row, column) of value ``at`` of the store of ``cfg``."""
+    for name, rows, cols in param_spec(cfg):
+        if at < rows * cols:
+            return (name, *divmod(at, cols))
+        at -= rows * cols
+
+
+def test_a_file_cut_after_its_size_was_checked_is_truncated_not_zeros(saved, monkeypatch):
+    # the file loses its last 100 values between the size check and the read
+    cfg, store, path = saved
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-400])
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=size))
+    name, _, _ = _tensor_at(cfg, store.buffers.values.size - 100)
+    with pytest.raises(TruncatedCheckpointError, match=re.escape(
+            f"{path}: file ends inside tensor {name!r}, before the "
+            f"{store.buffers.values.size} values its config implies")):
+        load_checkpoint(path)
+
+
+def _split_io(monkeypatch, elements, workers):
+    """Forces ``workers`` shards of ``elements`` values, in chunks small
+    enough that each shard takes several and the writer hands buffers back.
+    Returns the (kind, lo, hi, thread) of every shard's call as it runs."""
+    monkeypatch.setattr(optim, "CUTOFF", elements // workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    monkeypatch.setattr(checkpoint, "WRITE_CHUNK", 64)
+    monkeypatch.setattr(checkpoint, "WIDEN_CHUNK", 100)
+    assert len(optim.shards(elements)) == workers
+    calls = []
+    narrow, read = checkpoint._narrow, checkpoint._read_widened
+
+    def narrowing(values, lo, hi, *lane):
+        calls.append(("narrow", lo, hi, threading.get_ident()))
+        return narrow(values, lo, hi, *lane)
+
+    def reading(fd, offset, values, lo, hi):
+        calls.append(("read", lo, hi, threading.get_ident()))
+        return read(fd, offset, values, lo, hi)
+
+    monkeypatch.setattr(checkpoint, "_narrow", narrowing)
+    monkeypatch.setattr(checkpoint, "_read_widened", reading)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_save_and_load_give_the_same_bytes_for_every_worker_count(saved, tmp_path,
+                                                                        monkeypatch, workers):
+    # ``saved`` was written by one worker in the default chunks; a short
+    # switch interval interleaves the writer and the narrowing threads finely
+    cfg, store, path = saved
+    n = store.buffers.values.size
+    calls = _split_io(monkeypatch, n, workers)
+    threads = threading.active_count()
+    split = tmp_path / "split.ckpt"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        save_checkpoint(store, cfg, split)
+        loaded, _ = load_checkpoint(split)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert split.read_bytes() == path.read_bytes()
+    assert loaded.buffers.values.tobytes() == store.buffers.values.astype("<f4").astype(np.float64).tobytes()
+    cuts = [n * i // workers for i in range(workers + 1)]
+    for kind in ("narrow", "read"):
+        assert sorted(c[1:3] for c in calls if c[0] == kind) == list(zip(cuts, cuts[1:]))
+    # every shard narrows on a thread of its own while the caller writes;
+    # the first shard is read on the calling thread
+    narrowing = {c[3] for c in calls if c[0] == "narrow"}
+    assert len(narrowing) == workers and threading.get_ident() not in narrowing
+    assert [c[1] == 0 for c in calls if c[0] == "read" and c[3] == threading.get_ident()] == [True]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_earliest_non_finite_value_over_all_shards_is_named(saved, monkeypatch, workers):
+    # the last value of the first shard, and the first value of every later
+    # shard, which those shards meet at once
+    cfg, store, path = saved
+    n = store.buffers.values.size
+    _split_io(monkeypatch, n, workers)
+    starts = [n * i // workers for i in range(1, workers)]
+    for at in [starts[0] - 1] + starts:
+        _set_values(path, at, [np.nan])
+    name, row, col = _tensor_at(cfg, starts[0] - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: tensor {name!r} holds a non-finite value (nan) at row {row}, column {col}")):
+            load_checkpoint(path)
+
+
+def test_opposite_infinities_in_a_later_shard_are_refused_without_a_warning(saved, monkeypatch):
+    # errstate is per thread: the second shard's inf - inf must not warn
+    _, store, path = saved
+    _split_io(monkeypatch, store.buffers.values.size, 2)
+    _set_values(path, store.buffers.values.size - 2, [np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CheckpointError, match=re.escape("(inf)")):
+            load_checkpoint(path)
+
+
+def test_failed_split_write_keeps_the_old_file_and_leaves_no_tmp(saved, monkeypatch, full_disk):
+    cfg, store, path = saved
+    _split_io(monkeypatch, store.buffers.values.size, 2)
+    old = path.read_bytes()
+    threads = threading.active_count()
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(init_params(cfg, seeded_rng(1)), cfg, path)
+    assert threading.active_count() == threads
+    assert path.read_bytes() == old
+    assert list(path.parent.iterdir()) == [path]
+
+
+class _FailsFrom:
+    """Values whose slices from ``start`` on raise MemoryError."""
+
+    def __init__(self, values, start):
+        self.values, self.start = values, start
+
+    def __getitem__(self, key):
+        if key.stop > self.start:
+            raise MemoryError("no room")
+        return self.values[key]
+
+
+@pytest.mark.parametrize("failing_shard", [0, 1])
+def test_a_failed_narrowing_thread_fails_the_save_without_a_hang(saved, monkeypatch, failing_shard):
+    cfg, store, path = saved
+    n = store.buffers.values.size
+    _split_io(monkeypatch, n, 2)
+    narrow = checkpoint._narrow
+
+    def failing(values, lo, hi, *lane):
+        if lo == n * failing_shard // 2:
+            values = _FailsFrom(values, lo + 200)
+        return narrow(values, lo, hi, *lane)
+
+    monkeypatch.setattr(checkpoint, "_narrow", failing)
+    old = path.read_bytes()
+    raised = []
+
+    def save():
+        try:
+            save_checkpoint(init_params(cfg, seeded_rng(1)), cfg, path)
+        except MemoryError as exc:
+            raised.append(exc)
+
+    saving = threading.Thread(target=save, daemon=True)
+    saving.start()
+    saving.join(timeout=30)
+    assert not saving.is_alive()
+    assert [str(e) for e in raised] == ["no room"]
     assert path.read_bytes() == old
     assert list(path.parent.iterdir()) == [path]
 

@@ -363,6 +363,31 @@ def test_non_finite_checkpoint_value_is_a_data_error(pipeline, tmp_path, capsys,
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "rank.tsv").exists()
 
 
+@pytest.mark.parametrize("warnings_as_errors", [False, True])
+def test_a_non_finite_score_is_a_runtime_error(pipeline, tmp_path, capsys, warnings_as_errors):
+    # a finite but huge embedding overflows inside the model: exit 3 naming
+    # the pair, and no report or table is written
+    data = tmp_path / "aug"
+    shutil.copytree(pipeline / "aug", data)
+    _, test_ds = cli._split(*load_data_dir(data))
+    pair = test_ds.pairs[0]
+    ids, values = _embeddings(data)
+    values[list(ids).index(pair.candidate_id)] = 1e308
+    np.savez(data / "embeddings.npz", ids=ids, values=values)
+    for argv in (["eval", "--report-out", str(tmp_path / "r.json")],
+                 ["rank", "--job", pair.job_id, "--candidates", pair.candidate_id,
+                  "--out", str(tmp_path / "rank.tsv")]):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            if warnings_as_errors:
+                warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--data", str(data), "--checkpoint", str(pipeline / "model.ckpt")]) == 3
+        err = capsys.readouterr().err
+        assert "runtime error: non-finite score" in err and "Traceback" not in err
+    assert f"for candidate {pair.candidate_id!r} and job {pair.job_id!r}" in err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "rank.tsv").exists()
+
+
 def test_rank_on_a_data_directory_without_candidates_is_a_data_error(pipeline, tmp_path, capsys):
     data = _synth(tmp_path)
     docs = [json.loads(l) for l in (data / "entities.jsonl").read_text().splitlines()]

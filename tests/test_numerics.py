@@ -575,7 +575,7 @@ def _shard_into(monkeypatch, workers, elements, block):
     monkeypatch.setattr(optim, "BLOCK", block)
     monkeypatch.setattr(optim, "CUTOFF", elements // workers)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
-    assert optim._workers(elements) == workers
+    assert optim.worker_count(elements) == workers
     shards = []
     update = optim._update
 
@@ -590,7 +590,7 @@ def _shard_into(monkeypatch, workers, elements, block):
 def test_worker_count_is_cpus_capped_by_the_cutoff(monkeypatch):
     monkeypatch.setattr(optim, "CUTOFF", 100)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert [optim._workers(n) for n in (0, 199, 200, 299, 300, 10 ** 9)] == [1, 1, 2, 2, 3, 3]
+    assert [optim.worker_count(n) for n in (0, 199, 200, 299, 300, 10 ** 9)] == [1, 1, 2, 2, 3, 3]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

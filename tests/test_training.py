@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from pjfit.model import param_spec
 from pjfit.numerics import Matrix, Tape, glorot_uniform, ops, optim, seeded_rng, spawn_rngs
 from pjfit.synth import SynthConfig, generate_dataset
 from pjfit.training import (
+    NonFiniteScoreError,
     SequenceCache,
     TrainResult,
     bpr_loss_graph,
@@ -286,7 +289,7 @@ def test_init_params_draws_bitwise_alike_on_any_worker_count(monkeypatch, worker
     # the draw stream: every value but the biases
     drawn = sum(rows * cols for name, rows, cols in param_spec(cfg)
                 if not name.rsplit(".", 1)[1].startswith("b"))
-    assert optim._workers(drawn) == 1
+    assert optim.worker_count(drawn) == 1
     monkeypatch.setattr(optim, "CUTOFF", drawn // workers)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     shards = []
@@ -464,6 +467,27 @@ def test_first_loss_is_bpr_over_oracle_scores_at_init():
     nll = np.mean([np.logaddexp(0.0, -(p - n)) for p, n in zip(pos, neg)])
     reg = np.mean(np.square(pos)) + np.mean(np.square(neg))
     np.testing.assert_allclose(result.losses[0], nll + cfg.lambda_reg * reg, rtol=1e-12)
+
+
+def test_a_non_finite_score_is_refused_naming_the_first_pair():
+    # finite weights whose products overflow: at this seed every toy score
+    # is NaN; raised as a RuntimeError even with RuntimeWarnings as errors
+    ds, _ = synth_toy()
+    cfg = toy_model_config()
+    store = init_params(cfg, seeded_rng(0))
+    store["moe.b1"].value[...] = 1e308
+    first = ds.pairs[0]
+    job_id = first.job_id
+    candidates = sorted(ds.candidates)
+    assert issubclass(NonFiniteScoreError, RuntimeError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteScoreError, match=re.escape(
+                f"for candidate {first.candidate_id!r} and job {first.job_id!r}")):
+            score_all(ds, store, cfg)
+        with pytest.raises(NonFiniteScoreError, match=re.escape(
+                f"for candidate {candidates[0]!r} and job {job_id!r}")):
+            rank_candidates(job_id, candidates, store, cfg, ds)
 
 
 def test_inference_allocates_no_gradient_buffers(tmp_path):
