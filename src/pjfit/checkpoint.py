@@ -9,9 +9,7 @@ The values follow ``model.param_spec`` of the embedded config, tensor
 by tensor, each row-major. The file names no tensor: the config alone
 places each value, so any change to ``param_spec`` (a tensor added,
 dropped, reshaped or reordered) needs a new version. Versions 1-4 are
-rejected with ``UnsupportedVersionError``: version 4 wrote a name, rank
-and dims record per tensor, version 3 a ``wo`` per attention set,
-version 2 a first layer per expert, version 1 a tensor per head.
+rejected with ``UnsupportedVersionError``.
 
 Training math runs in float64; checkpoints narrow to float32 on save and
 widen on load, so round-trips are bit-exact at 32-bit precision. Loading
@@ -24,11 +22,11 @@ min(usable CPUs, n // optim.CUTOFF)) contiguous shards of the n values
 (``optim.shards``), so W = 2 for the d=1024 store on two CPUs and W = 1
 at d=64. No thread outlives the call.
 
-- Save: the calling thread writes the header, then every chunk in file
-  order through the one handle ``atomic_files`` yields. Each shard is
-  narrowed on a thread of its own, ``WRITE_CHUNK`` values at a time, into
-  ``NARROW_AHEAD`` buffers it reuses once the writer hands them back, so
-  no store-sized float32 copy exists.
+- Save: the calling thread writes and flushes the header through the
+  handle ``atomic_files`` yields. Then each shard is narrowed into a
+  float32 scratch of its own, ``WRITE_CHUNK`` values at a time, and each
+  chunk is written with ``os.pwrite`` at its place in the file, so no
+  store-sized float32 copy exists and no shard waits for another.
 - Load: each shard is read with ``os.preadv`` on the checked file's
   descriptor into a float32 scratch of its own, ``WIDEN_CHUNK`` values at
   a time, widened into the value buffer and checked while in cache. Each
@@ -37,12 +35,13 @@ at d=64. No thread outlives the call.
   these over all shards: the one a sequential scan would meet first, so
   the message does not depend on W.
 
-Measured on 2 vCPUs at d=1024 (W = 2) in the benchmark's set-up order
-(train, then three save+reload cycles; medians over 6 runs): a reload
-takes 74 ms against 137 ms on one thread, a save 124 ms against 160 ms.
-A save over the file saved moments earlier spends 50-130 ms of that in
-``os.replace``, which waits for the old file's writeback. At d=64 (W = 1)
-a load takes 3.6-4.1 ms and a save 8.4-9.2 ms, as on one thread before.
+Measured on 2 vCPUs at d=1024 (W = 2): in the benchmark's set-up order
+(train, then three save+reload cycles; medians over 6 runs) a reload
+takes 74 ms against 137 ms on one thread; a save with no old file to
+replace takes a median 67 ms (57-76) against 119 ms (102-129) on one
+CPU, 6 saves each. A save over the file saved moments earlier spends
+another 50-130 ms in ``os.replace``, which waits for the old file's
+writeback. At d=64 (W = 1) a load takes 3.6-4.1 ms and a save 5-7 ms.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import dataclasses
 import itertools
 import json
 import os
-import queue
 import struct
 
 import numpy as np
@@ -64,13 +62,10 @@ from pjfit.numerics import ParamStore, optim
 
 MAGIC = b"PJF1"
 VERSION = 5
-# Values per narrowed chunk: 1 MiB of float32, so the NARROW_AHEAD buffers
-# of both shards at d=1024 take 4 MiB in all. A d=1024 save with no old
-# file to replace took a median 75 ms at this size against 70-110 ms at
-# 1 << 16, 1 << 17 and 1 << 20 (6 saves each, 2 vCPUs).
+# Values per narrowed chunk: 1 MiB of float32 per shard. A d=1024 save
+# with no old file to replace took a median 75 ms at this size against
+# 70-110 ms at 1 << 16, 1 << 17 and 1 << 20 (6 saves each, 2 vCPUs).
 WRITE_CHUNK = 1 << 18
-# buffers each narrowing thread fills ahead of the writer
-NARROW_AHEAD = 2
 WIDEN_CHUNK = 1 << 16
 
 
@@ -96,12 +91,11 @@ class CheckpointShapeError(CheckpointError):
 
 def save_checkpoint(store: ParamStore, cfg: ModelConfig, path) -> None:
     """Write the store atomically (``atomic_files``): the header, then the
-    value buffer narrowed to float32 ``WRITE_CHUNK`` values at a time.
+    value buffer narrowed to float32, each shard of it (``optim.shards``)
+    in place by ``_write_narrowed``.
 
     The store's layout must be ``param_spec(cfg)``, since the file keeps
-    only the config to say where each value belongs. Each shard of the
-    values (``optim.shards``) is narrowed on a thread of its own; the
-    calling thread writes the chunks through the handle in file order."""
+    only the config to say where each value belongs."""
     layout = [(name, *p.value.shape) for name, p in store.items()]
     bad = [pair for pair in itertools.zip_longest(layout, param_spec(cfg)) if pair[0] != pair[1]]
     if bad:
@@ -109,47 +103,27 @@ def save_checkpoint(store: ParamStore, cfg: ModelConfig, path) -> None:
                                    f"implies {bad[0][1]}")
     config_bytes = json.dumps({"model": dataclasses.asdict(cfg)},
                               sort_keys=True).encode("utf-8")
+    header = MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes
     values = store.buffers.values
-    shards = optim.shards(values.size)
-    lanes = [(queue.SimpleQueue(), queue.SimpleQueue()) for _ in shards]
     with atomic_files(path) as (fh,):
-        fh.write(MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes)
-        optim.run_calls([(_write_in_order, fh, lanes)]
-                        + [(_narrow, values, lo, hi, *lane) for (lo, hi), lane in zip(shards, lanes)])
+        fh.write(header)
+        fh.flush()
+        optim.run_calls([(_write_narrowed, fh.fileno(), len(header), values, lo, hi)
+                         for lo, hi in optim.shards(values.size)])
 
 
-def _narrow(values: np.ndarray, lo: int, hi: int, ready, free) -> None:
-    """Narrows [lo, hi) of ``values`` to float32 ``WRITE_CHUNK`` values at a
-    time, ahead of the writer, into NARROW_AHEAD buffers that go to it on
-    ``ready`` and come back on ``free``. A None on ``ready`` ends the range;
-    a None on ``free`` means the writer stopped."""
-    try:
-        for _ in range(NARROW_AHEAD):
-            free.put(np.empty(WRITE_CHUNK, dtype="<f4"))
-        for a in range(lo, hi, WRITE_CHUNK):
-            buffer = free.get()
-            if buffer is None:
-                return
-            chunk = buffer[:min(WRITE_CHUNK, hi - a)]
-            chunk[...] = values[a:a + chunk.size]
-            ready.put(chunk)
-    finally:
-        ready.put(None)
-
-
-def _write_in_order(fh, lanes) -> None:
-    """Writes each (ready, free) lane's chunks (``_narrow``) in lane order,
-    handing every buffer back once written. Whether it completes or
-    raises, it leaves a None on every ``free``, so no narrowing thread
-    waits for a buffer that will not come."""
-    try:
-        for ready, free in lanes:
-            while (chunk := ready.get()) is not None:
-                fh.write(chunk)
-                free.put(chunk.base)
-    finally:
-        for _, free in lanes:
-            free.put(None)
+def _write_narrowed(fd: int, offset: int, values: np.ndarray, lo: int, hi: int) -> None:
+    """Writes ``values[lo:hi]`` as float32 at byte ``offset + 4 * lo`` of
+    ``fd``, ``WRITE_CHUNK`` values at a time through a scratch of its own;
+    a short write is continued where it stopped."""
+    scratch = np.empty(min(WRITE_CHUNK, hi - lo), dtype="<f4")
+    for a in range(lo, hi, WRITE_CHUNK):
+        chunk = scratch[:min(WRITE_CHUNK, hi - a)]
+        chunk[...] = values[a:a + chunk.size]
+        data, at = memoryview(chunk).cast("B"), offset + 4 * a
+        while data:
+            written = os.pwrite(fd, data, at)
+            data, at = data[written:], at + written
 
 
 def load_checkpoint(path) -> tuple[ParamStore, ModelConfig]:

@@ -188,14 +188,16 @@ def _load_embeddings(path, ids: list[str]) -> np.ndarray:
     """The read-only (len(ids), d) float64 matrix of an embeddings file
     whose ``ids`` equal ``ids`` row for row."""
     try:
-        npz = np.load(path, allow_pickle=False)
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            raise DatasetError(f"{path}: not a readable npz archive (a bare .npy array)")
-        with npz:
-            if set(npz.files) != {"ids", "values"}:
-                raise DatasetError(f"{path}: must hold exactly the arrays 'ids' and 'values', "
-                                   f"holds {sorted(npz.files)}")
-            file_ids, values = npz["ids"], npz["values"]
+        # numpy does not close a path it opened when the archive is broken
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise DatasetError(f"{path}: not a readable npz archive (a bare .npy array)")
+            with npz:
+                if set(npz.files) != {"ids", "values"}:
+                    raise DatasetError(f"{path}: must hold exactly the arrays 'ids' and 'values', "
+                                       f"holds {sorted(npz.files)}")
+                file_ids, values = npz["ids"], npz["values"]
     except FileNotFoundError:
         raise DatasetError(f"{path}: missing; a data directory keeps its embeddings "
                            f"in {EMBEDDINGS_FILE}") from None

@@ -49,41 +49,28 @@ def param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
-    """Glorot-uniform weights, zero biases, as views of one value buffer in
-    param_spec order.
+    """Glorot-uniform weights and +0.0 biases, as views of one value buffer
+    in param_spec order, drawn in buffer order (``optim.glorot_fill``):
+    value i is draw i of ``rng``'s stream, biases included, which are drawn
+    with limit 0. ``rng`` ends n draws on, n the number of values. The
+    values are bitwise the same for every worker count.
 
-    An attention set's ``wq``, ``wk`` and ``wv`` are drawn head by head,
-    per head a (d x d_k) Glorot block of each in the order q, k, v, into
-    the head's columns: each head is its own projection, so its limit is
-    sqrt(6 / (d + d_k)), not the fused shape's sqrt(6 / 2d). Likewise per
-    expert its (joint_dim x h1) block of ``moe.w1``, its w2, then its w3.
-
-    These draws form one draw plan: the destination views in stream order,
-    each reading the next rows * cols values of ``rng``'s stream, so a view
-    starts at the sum of the sizes before it. ``optim.glorot_fill`` draws
-    the plan on W threads, W = max(1, min(usable CPUs, drawn values //
-    optim.CUTOFF)) as for Adam: 2 at d=1024 on two CPUs, 1 at d=64. Each
-    thread starts its range of the stream at its offset, so the values are
-    bitwise those of drawing the views one after another, for every W.
+    A weight's limit is sqrt(6 / (fan_in + fan_out)) of the projection it
+    holds: (rows + cols) for most, but each head of ``wq``, ``wk`` and
+    ``wv`` is its own (d x d_k) projection, and each expert's (joint_dim x
+    h1) column block of ``moe.w1`` its own first layer.
     """
     store = ParamStore(param_spec(cfg))
-    h1 = cfg.expert_hidden[0]
-    plan = []
+    limits = []
     for name, p in store.items():
-        prefix, leaf = name.rsplit(".", 1)
-        if leaf.startswith("b") or leaf in ("wk", "wv") or name.startswith("moe.expert"):
-            continue  # biases stay zero; the rest is drawn with its wq or with moe.w1
-        if leaf == "wq":
-            for h in range(cfg.heads):
-                block = slice(h * cfg.head_dim, (h + 1) * cfg.head_dim)
-                plan += [store[f"{prefix}.w{r}"].value[:, block] for r in "qkv"]
+        rows, cols = p.value.shape
+        leaf = name.rsplit(".", 1)[1]
+        if leaf in ("wq", "wk", "wv"):
+            cols = cfg.head_dim
         elif name == "moe.w1":
-            for i in range(cfg.head_experts):
-                plan += [p.value[:, i * h1:(i + 1) * h1], store[f"moe.expert{i}.w2"].value,
-                         store[f"moe.expert{i}.w3"].value]
-        else:
-            plan.append(p.value)
-    glorot_fill(plan, rng)
+            cols = cfg.expert_hidden[0]
+        limits.append((p.value.size, 0.0 if leaf.startswith("b") else np.sqrt(6.0 / (rows + cols))))
+    glorot_fill(store.buffers.values, limits, rng)
     return store
 
 

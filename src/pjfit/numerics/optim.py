@@ -1,20 +1,18 @@
 """The passes over every value of a ParamStore, split across the usable
-CPUs: the initial Glorot draw (``glorot_fill``) and the Adam update.
+CPUs: the initial draw (``glorot_fill``) and the Adam update.
 ``checkpoint`` splits its save and load by the same rule (``shards``,
 ``run_calls``).
 
-``adam_step`` works on the store's ``Buffers`` (one array per role, see
-``params``): it cuts their element range [0, n) into W contiguous shards
-[lo, hi), W = max(1, min(usable CPUs, n // CUTOFF)), where the usable
-CPUs are the process's affinity mask. The calling thread updates the
-first shard; the rest run on a pool of at most W - 1 threads that the
-call starts and joins, so no thread outlives it. numpy releases the
-interpreter lock inside each block's operations, so the shards run in
-parallel. Every operation of the update is elementwise, so where the
-shard and block cuts fall changes no bit: the result is the same for
-every W and every BLOCK. ``glorot_fill`` cuts its stream of draws by the
-same rule, and its shards draw in parallel from generators moved to
-their offsets (see there).
+Each pass cuts the element range [0, n) of the store's ``Buffers`` (one
+array per role, see ``params``) into W contiguous shards [lo, hi), W =
+max(1, min(usable CPUs, n // CUTOFF)), where the usable CPUs are the
+process's affinity mask. The calling thread works the first shard; the
+rest run on a pool of at most W - 1 threads that the call starts and
+joins, so no thread outlives it. numpy releases the interpreter lock
+inside each block's operations, so the shards run in parallel. Every
+operation of both passes is elementwise, and a shard of the draw starts
+its own generator at its offset, so where the shard and block cuts fall
+changes no bit: the result is the same for every W and every BLOCK.
 
 Who zeroes the gradients: nobody, as a pass of its own. A backward pass
 writes the first contribution to a parameter's rows and adds the rest
@@ -30,22 +28,14 @@ Measured on 2 vCPUs with a 2 MiB L2 each, float64, on the d=1024 store
 settings alternating: a step after the first takes a median 0.34 s on
 two threads (0.29-0.38) against 0.58 s on one (0.54-0.71), and the first
 step, which writes the moments without reading them, 0.39 s against
-0.63 s. Before the gradients were left unzeroed and the first step got
-its own path, the same probe read 0.42 s and 0.63 s for later steps, and
-0.58 s and 0.78 s for the first. The init draw of that store takes a median 0.17 s
-on two threads against 0.29 s on one (5 draws each, sequentially 0.44 s
-before the draw was cut into blocks that are scaled in cache).
-BLOCK was re-measured on this store at W = 2, 9 steps per size with the
-order rotated: 16384 elements took a median 0.56 s per step (0.54-0.62),
-32768 0.46 s (0.43-0.51) and 65536 0.42 s (0.41-0.45). On the d=64
-store (W = 1) the three sizes read 28-31 ms, with no order beyond the
-noise. A block's six arrays (3 MiB at 65536) do not fit in L2, so
-65536 stays because it measured fastest, not for cache residency. (On
-the 66.8M-value store before the attention output projections were
-deleted, 131072 and 262144 were no faster than 65536.) Once the update
-stopped zeroing the gradients, 6 steps per size at W = 2 in alternating
-order read 0.50 s for 16384, 0.38 s for 32768, 0.37 s for 65536 and
-0.39 s for 131072.
+0.63 s. The init draw of that store takes a median 0.20 s on two
+threads against 0.38 s on one (6 draws each, alternating). BLOCK was
+measured on this store at W = 2, 6 steps per size in alternating order:
+16384 elements took 0.50 s per step, 32768 0.38 s, 65536 0.37 s and
+131072 0.39 s. On the d=64 store (W = 1) the sizes read 28-31 ms, with
+no order beyond the noise. A block's six arrays (3 MiB at 65536) do not
+fit in L2, so 65536 stays because it measured fastest, not for cache
+residency.
 
 CUTOFF keeps small stores on the calling thread, since inside training
 two threads lose there: on ``converge-d64`` (2.4M values) a CUTOFF of
@@ -60,15 +50,13 @@ the 2.4M-value store on one thread and splits the 54.2M-value one.
 
 from __future__ import annotations
 
-import bisect
 import copy
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from pjfit.numerics.params import Buffers, ParamStore, uniform_into
+from pjfit.numerics.params import Buffers, ParamStore
 
 # Elements per block of the fused update: value, gradient, both moments and
 # two scratch buffers of 512 KiB each. The fastest of the sizes measured at
@@ -175,63 +163,43 @@ def _sharded(buffers: Buffers, shard, *args) -> list:
     return run_calls([(shard, buffers, lo, hi, *args) for lo, hi in shards(buffers.values.size)])
 
 
-def glorot_fill(views: list[np.ndarray], rng: np.random.Generator) -> None:
-    """Glorot-uniform values in each (rows, cols) view of ``views``: bitwise
-    ``glorot_uniform(rng, rows, cols, out=view)`` called on the views in
-    order, with ``rng`` left at the same position of its stream.
+def glorot_fill(values: np.ndarray, limits: list[tuple[int, float]],
+                rng: np.random.Generator) -> None:
+    """Uniform values in the 1-D array ``values``: value i is draw i of
+    ``rng``'s stream, mapped by ``rng.uniform``'s arithmetic (u * (limit -
+    -limit) + -limit) to [-limit, limit) with the limit of its span.
+    ``limits`` holds (count, limit) per consecutive span of ``values``, in
+    order; a limit of 0 gives +0.0. ``rng`` ends at position n =
+    values.size, as after ``rng.uniform`` drew them all.
 
-    The views read one stream of draws, rows * cols each in order. It is
-    cut into W contiguous ranges by the rule of ``worker_count``, each cut
-    moved down to a row boundary of the view it falls in. The first range
-    is drawn from ``rng`` on the calling thread; each other from a copy of
-    its bit generator (PCG64, as every generator of ``rng.py``) moved to the
-    range's start with ``advance``, which jumps ahead in O(log n) steps;
-    then ``rng`` is advanced over the rest. Each worker draws about BLOCK
-    values at a time and scales and shifts them while they are in cache.
-    A view that is not C-contiguous (a column block) is drawn through one
-    scratch array per worker and copied in.
+    Shard 0 (``shards``) is drawn from ``rng`` on the calling thread, each
+    other shard from a copy of its bit generator (PCG64, as every generator
+    of ``rng.py``) moved to the shard's start with ``advance``, which jumps
+    ahead in O(log n) steps. Each shard draws BLOCK values at a time and
+    scales them while they are in cache.
     """
-    ends = list(itertools.accumulate(v.size for v in views))
-    total = ends[-1] if ends else 0
-    w = worker_count(total)
-    cuts = [0]
-    for i in range(1, w):
-        at = total * i // w
-        k = bisect.bisect_right(ends, at)
-        start, cols = ends[k] - views[k].size, views[k].shape[1]
-        cuts.append(max(cuts[-1], start + (at - start) // cols * cols))
-    cuts.append(total)
+    cuts = shards(values.size)
     generators = [rng]
-    for lo in cuts[1:-1]:
+    for lo, _ in cuts[1:]:
         bit_generator = copy.deepcopy(rng.bit_generator)
         bit_generator.advance(lo)
         generators.append(np.random.Generator(bit_generator))
-    run_calls([(_draw, views, ends, cuts[i], cuts[i + 1], generators[i]) for i in range(w)])
-    if w > 1:
-        rng.bit_generator.advance(total - cuts[1])
+    run_calls([(_draw, values, limits, lo, hi, g) for (lo, hi), g in zip(cuts, generators)])
+    rng.bit_generator.advance(values.size - cuts[0][1])
 
 
-def _draw(views: list[np.ndarray], ends: list[int], lo: int, hi: int,
+def _draw(values: np.ndarray, limits: list[tuple[int, float]], lo: int, hi: int,
           rng: np.random.Generator) -> None:
-    """Draws [lo, hi) of ``glorot_fill``'s stream (both at row boundaries)
-    from ``rng``, which stands at ``lo``, about BLOCK values at a time."""
-    scratch = np.empty(0)
-    k = bisect.bisect_right(ends, lo)
-    while lo < hi:
-        view = views[k]
-        rows, cols = view.shape
-        limit = np.sqrt(6.0 / (rows + cols))
-        start, stop = ends[k] - view.size, min(hi, ends[k])
-        step = max(1, BLOCK // cols)
-        for a in range((lo - start) // cols, (stop - start) // cols, step):
-            b = min(a + step, (stop - start) // cols)
-            if view.flags.c_contiguous:
-                uniform_into(rng, view[a:b], limit)
-            else:
-                if scratch.size < (b - a) * cols:
-                    scratch = np.empty(step * cols)
-                view[a:b] = uniform_into(rng, scratch[:(b - a) * cols].reshape(b - a, cols), limit)
-        lo, k = stop, k + 1
+    """Draws [lo, hi) of ``glorot_fill``'s values from ``rng``, which stands
+    at ``lo``, at most BLOCK values at a time and none across a span edge."""
+    stop = 0
+    for count, limit in limits:
+        start, stop = stop, stop + count
+        for a, b in _blocks(max(lo, start), min(hi, stop)):
+            block = values[a:b]
+            rng.random(out=block)
+            block *= limit - -limit
+            block += -limit
 
 
 def _blocks(lo: int, hi: int):

@@ -6,7 +6,7 @@ cols): its ``Buffers`` holds one 1-D array per role over all its
 parameters, in spec order, and each parameter's arrays are (rows x cols)
 views of its span of them. ``model.init_params`` and
 ``checkpoint.load_checkpoint`` fill the zero values a new store starts
-with; ``optim.adam_step`` cuts the element range into shards.
+with; ``optim``'s passes cut the element range into shards.
 
 The value buffer exists from the start; the gradient buffer is allocated
 when the first parameter's gradient is first needed, and the moments on
@@ -240,23 +240,3 @@ class BoundParams:
             self._cache[key] = m
         return m
 
-
-def glorot_uniform(rng: np.random.Generator, rows: int, cols: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Uniform(-limit, limit) with limit = sqrt(6 / (fan_in + fan_out)),
-    drawn into ``out`` (a C-contiguous (rows, cols) array) or a new array,
-    by ``uniform_into``: bitwise ``rng.uniform(-limit, limit, (rows, cols))``,
-    and the generator ends at the same position.
-    """
-    out = np.empty((rows, cols)) if out is None else out
-    return uniform_into(rng, out, np.sqrt(6.0 / (rows + cols)))
-
-
-def uniform_into(rng: np.random.Generator, out: np.ndarray, limit) -> np.ndarray:
-    """Uniform(-limit, limit) drawn into the C-contiguous array ``out``:
-    ``rng.uniform``'s arithmetic done in place, unit draws, times
-    (limit - -limit), plus -limit. One draw per element, in order."""
-    rng.random(out=out)
-    out *= limit - (-limit)
-    out += -limit
-    return out

@@ -1,4 +1,5 @@
 import errno
+import os
 import sys
 from pathlib import Path
 
@@ -82,16 +83,23 @@ META_DEFECTS = [
 
 class _FullDisk:
     """A binary file that takes one write, then fails each later one with
-    ENOSPC, as a disk that fills up mid-stream does."""
+    ENOSPC, as a disk that fills up mid-stream does. Writes through the
+    handle and positional writes to its descriptor (``os.pwrite``, see
+    ``full_disk``) count alike."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, opened):
         self._fh = fh
         self._writes = 0
+        self._opened = opened
+        opened[fh.fileno()] = self
 
-    def write(self, data):
+    def wrote(self):
         self._writes += 1
         if self._writes > 1:
             raise OSError(errno.ENOSPC, "No space left on device")
+
+    def write(self, data):
+        self.wrote()
         return self._fh.write(data)
 
     def __getattr__(self, name):
@@ -101,13 +109,24 @@ class _FullDisk:
         return self
 
     def __exit__(self, *exc):
+        del self._opened[self._fh.fileno()]
         self._fh.close()
 
 
 @pytest.fixture
 def full_disk(monkeypatch):
-    """Every file ``records.atomic_files`` opens from here on is a ``_FullDisk``."""
-    monkeypatch.setattr(records, "open", lambda *args: _FullDisk(open(*args)), raising=False)
+    """Every file ``records.atomic_files`` opens from here on is a
+    ``_FullDisk``, and ``os.pwrite`` to its descriptor goes through it."""
+    opened = {}
+    pwrite = os.pwrite
+
+    def full_pwrite(fd, data, offset):
+        if fd in opened:
+            opened[fd].wrote()
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(records, "open", lambda *args: _FullDisk(open(*args), opened), raising=False)
+    monkeypatch.setattr(os, "pwrite", full_pwrite)
 
 
 def store_of(*params) -> ParamStore:

@@ -240,25 +240,25 @@ def test_a_file_cut_after_its_size_was_checked_is_truncated_not_zeros(saved, mon
 
 def _split_io(monkeypatch, elements, workers):
     """Forces ``workers`` shards of ``elements`` values, in chunks small
-    enough that each shard takes several and the writer hands buffers back.
-    Returns the (kind, lo, hi, thread) of every shard's call as it runs."""
+    enough that each shard takes several. Returns the (kind, lo, hi,
+    thread) of every shard's call as it runs."""
     monkeypatch.setattr(optim, "CUTOFF", elements // workers)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     monkeypatch.setattr(checkpoint, "WRITE_CHUNK", 64)
     monkeypatch.setattr(checkpoint, "WIDEN_CHUNK", 100)
     assert len(optim.shards(elements)) == workers
     calls = []
-    narrow, read = checkpoint._narrow, checkpoint._read_widened
+    write, read = checkpoint._write_narrowed, checkpoint._read_widened
 
-    def narrowing(values, lo, hi, *lane):
-        calls.append(("narrow", lo, hi, threading.get_ident()))
-        return narrow(values, lo, hi, *lane)
+    def writing(fd, offset, values, lo, hi):
+        calls.append(("write", lo, hi, threading.get_ident()))
+        return write(fd, offset, values, lo, hi)
 
     def reading(fd, offset, values, lo, hi):
         calls.append(("read", lo, hi, threading.get_ident()))
         return read(fd, offset, values, lo, hi)
 
-    monkeypatch.setattr(checkpoint, "_narrow", narrowing)
+    monkeypatch.setattr(checkpoint, "_write_narrowed", writing)
     monkeypatch.setattr(checkpoint, "_read_widened", reading)
     return calls
 
@@ -267,7 +267,7 @@ def _split_io(monkeypatch, elements, workers):
 def test_split_save_and_load_give_the_same_bytes_for_every_worker_count(saved, tmp_path,
                                                                         monkeypatch, workers):
     # ``saved`` was written by one worker in the default chunks; a short
-    # switch interval interleaves the writer and the narrowing threads finely
+    # switch interval interleaves the shards' threads finely
     cfg, store, path = saved
     n = store.buffers.values.size
     calls = _split_io(monkeypatch, n, workers)
@@ -284,13 +284,21 @@ def test_split_save_and_load_give_the_same_bytes_for_every_worker_count(saved, t
     assert split.read_bytes() == path.read_bytes()
     assert loaded.buffers.values.tobytes() == store.buffers.values.astype("<f4").astype(np.float64).tobytes()
     cuts = [n * i // workers for i in range(workers + 1)]
-    for kind in ("narrow", "read"):
+    for kind in ("write", "read"):
         assert sorted(c[1:3] for c in calls if c[0] == kind) == list(zip(cuts, cuts[1:]))
-    # every shard narrows on a thread of its own while the caller writes;
-    # the first shard is read on the calling thread
-    narrowing = {c[3] for c in calls if c[0] == "narrow"}
-    assert len(narrowing) == workers and threading.get_ident() not in narrowing
-    assert [c[1] == 0 for c in calls if c[0] == "read" and c[3] == threading.get_ident()] == [True]
+        # the first shard runs on the calling thread
+        assert [c[1] == 0 for c in calls if c[0] == kind and c[3] == threading.get_ident()] == [True]
+
+
+def test_short_positional_writes_are_continued(saved, tmp_path, monkeypatch):
+    # a write that takes 3 bytes of a chunk must be followed by the rest
+    cfg, store, path = saved
+    _split_io(monkeypatch, store.buffers.values.size, 2)
+    pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:3], offset))
+    short = tmp_path / "short.ckpt"
+    save_checkpoint(store, cfg, short)
+    assert short.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -351,14 +359,14 @@ def test_a_failed_narrowing_thread_fails_the_save_without_a_hang(saved, monkeypa
     cfg, store, path = saved
     n = store.buffers.values.size
     _split_io(monkeypatch, n, 2)
-    narrow = checkpoint._narrow
+    write = checkpoint._write_narrowed
 
-    def failing(values, lo, hi, *lane):
+    def failing(fd, offset, values, lo, hi):
         if lo == n * failing_shard // 2:
             values = _FailsFrom(values, lo + 200)
-        return narrow(values, lo, hi, *lane)
+        return write(fd, offset, values, lo, hi)
 
-    monkeypatch.setattr(checkpoint, "_narrow", failing)
+    monkeypatch.setattr(checkpoint, "_write_narrowed", failing)
     old = path.read_bytes()
     raised = []
 

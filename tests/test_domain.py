@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -120,8 +122,12 @@ def test_broken_embeddings_file_is_a_data_error(paths, damage, message):
     write_entities(paths, docs)
     damage(embeddings, np.array(["c1", "c2", "j1"]), np.full((3, 4), 0.1))
     write_jsonl(pairs, [])
-    with pytest.raises(DatasetError, match=rf"embeddings.npz: .*{message}"):
-        load(paths)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(DatasetError, match=rf"embeddings.npz: .*{message}"):
+            load(paths)
+        gc.collect()  # an unclosed file warns when it is collected
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 @pytest.mark.parametrize("overrides, message", [

@@ -17,7 +17,6 @@ from pjfit.numerics import (
     Tape,
     TrainingDivergedError,
     adam_step,
-    glorot_uniform,
     ops,
     seeded_rng,
 )
@@ -475,7 +474,7 @@ def test_adam_nan_gradient_names_parameter():
 def test_adam_run_is_bitwise_deterministic():
     def run():
         rng = seeded_rng(11)
-        store = store_of(("w", glorot_uniform(rng, 4, 4)))
+        store = store_of(("w", rng.uniform(-1.0, 1.0, (4, 4))))
         for step in range(1, 6):
             tape = Tape()
             bound = store.bind(tape)
@@ -828,41 +827,38 @@ def test_reached_rows_behave_as_a_set_of_rows(spans):
 # ------------------------------------------------------------- init draw
 
 
-def _draw_plan():
-    """A (5 x 12) tensor, a column block of a (20 x 12) one, and a (3 x 2)
-    tensor: 146 draws. Two workers cut at 73, moved down to 72 in the
-    column block; three at 48 (a row boundary of the first tensor) and at
-    97, moved down to 96 in the column block."""
-    return [np.zeros((5, 12)), np.zeros((20, 12))[:, 4:8], np.zeros((3, 2))]
+# (count, limit) spans of a 146-value buffer. Two workers cut at 73 and
+# three at 48 and 97, each inside a span; blocks of 16 cut every span.
+_SPANS = [(60, 0.5), (80, 0.25), (6, 0.0)]
 
 
 def _record_draws(monkeypatch, workers):
-    monkeypatch.setattr(optim, "BLOCK", 16)  # several blocks per view, 4 rows of the column block
+    monkeypatch.setattr(optim, "BLOCK", 16)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     draws = []
     draw = optim._draw
 
-    def recorded(views, ends, lo, hi, rng):
+    def recorded(values, limits, lo, hi, rng):
         draws.append((lo, hi, threading.get_ident()))
-        return draw(views, ends, lo, hi, rng)
+        return draw(values, limits, lo, hi, rng)
 
     monkeypatch.setattr(optim, "_draw", recorded)
     return draws
 
 
-@pytest.mark.parametrize("workers, cuts", [(1, [0, 146]), (2, [0, 72, 146]), (3, [0, 48, 96, 146])])
+@pytest.mark.parametrize("workers, cuts", [(1, [0, 146]), (2, [0, 73, 146]), (3, [0, 48, 97, 146])])
 def test_parallel_glorot_fill_is_bitwise_the_sequential_draw(monkeypatch, workers, cuts):
+    want, sequential = seeded_rng(21), np.empty(146)
+    optim.glorot_fill(sequential, _SPANS, want)
     monkeypatch.setattr(optim, "CUTOFF", 146 // workers)
     draws = _record_draws(monkeypatch, workers)
-    views, want = _draw_plan(), seeded_rng(21)
-    rng = seeded_rng(21)
+    values, rng = np.empty(146), seeded_rng(21)
     threads = threading.active_count()
-    optim.glorot_fill(views, rng)
+    optim.glorot_fill(values, _SPANS, rng)
     assert sorted(d[:2] for d in draws) == list(zip(cuts, cuts[1:]))
     assert [lo == 0 for lo, _, t in draws if t == threading.get_ident()] == [True]
     assert threading.active_count() == threads
-    for view in views:
-        assert view.tobytes() == glorot_uniform(want, *view.shape).tobytes()
+    assert values.tobytes() == sequential.tobytes()
     assert rng.bit_generator.state == want.bit_generator.state
     assert rng.random() == want.random()
 
@@ -982,17 +978,19 @@ def test_mixing_tapes_is_an_error():
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_glorot_draws_in_place_as_rng_uniform_does(seed):
-    # drawn into a view of a larger buffer and into a new array: the bits of
-    # rng.uniform(-limit, limit), and the generator left where it leaves it
+    # filled into a view of a larger buffer: per span the bits of
+    # rng.uniform(-limit, limit), a zero limit giving +0.0, the rest of the
+    # buffer untouched and the generator left where rng.uniform leaves it
     want, got = seeded_rng(seed), seeded_rng(seed)
-    buffer = np.zeros(200)
-    for rows, cols in ((7, 3), (1, 5), (12, 15)):
-        limit = np.sqrt(6.0 / (rows + cols))
-        view = buffer[3:3 + rows * cols].reshape(rows, cols)
-        assert glorot_uniform(got, rows, cols, out=view) is view
-        assert view.tobytes() == want.uniform(-limit, limit, size=(rows, cols)).tobytes()
-        assert (glorot_uniform(got, rows, cols).tobytes()
-                == want.uniform(-limit, limit, size=(rows, cols)).tobytes())
+    spans = [(rows * cols, np.sqrt(6.0 / (rows + cols))) for rows, cols in ((7, 3), (1, 5), (12, 15))]
+    spans.insert(2, (4, 0.0))
+    n = sum(count for count, _ in spans)
+    buffer = np.full(n + 6, 9.0)
+    optim.glorot_fill(buffer[3:3 + n], spans, got)
+    expected = np.concatenate([want.uniform(-limit, limit, count) for count, limit in spans])
+    assert buffer[3:3 + n].tobytes() == expected.tobytes()
+    assert not np.signbit(buffer[3 + 26:3 + 30]).any()
+    assert (buffer[:3] == 9.0).all() and (buffer[3 + n:] == 9.0).all()
     assert got.random() == want.random()
 
 

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 import os
 import re
@@ -11,7 +13,7 @@ from pjfit.checkpoint import load_checkpoint, save_checkpoint
 from pjfit.config import ABLATIONS, ModelConfig, TrainConfig
 from pjfit.domain import DatasetError, sample_training_pairs
 from pjfit.model import param_spec
-from pjfit.numerics import Matrix, Tape, glorot_uniform, ops, optim, seeded_rng, spawn_rngs
+from pjfit.numerics import Matrix, Tape, ops, optim, seeded_rng, spawn_rngs
 from pjfit.synth import SynthConfig, generate_dataset
 from pjfit.training import (
     NonFiniteScoreError,
@@ -248,56 +250,62 @@ def test_production_model_size():
     assert not any(name.endswith(".wo") for name, _, _ in spec)
 
 
+def _pinned_limit(cfg, name, rows, cols):
+    """The Glorot limit of every value of tensor ``name`` (rows x cols):
+    each head of an attention matrix is a (d x d_k) projection, each
+    expert's columns of moe.w1 a (joint_dim x h1) one; biases are 0."""
+    leaf = name.rsplit(".", 1)[1]
+    if leaf.startswith("b"):
+        return 0.0
+    if leaf in ("wq", "wk", "wv"):
+        return math.sqrt(6 / (cfg.d_model + cfg.d_model // cfg.heads))
+    if name == "moe.w1":
+        return math.sqrt(6 / (cfg.joint_dim + cfg.expert_hidden[0]))
+    return math.sqrt(6 / (rows + cols))
+
+
+@pytest.mark.parametrize("ablation", ["none", "simple_match"])
 @pytest.mark.parametrize("heads", [1, 2, 4])
-def test_attention_weights_are_drawn_head_by_head(heads):
-    # per attention set and head, a (d x d_k) Glorot block of wq, wk and wv
-    # in that order; per expert, a (joint_dim x h1) Glorot block of moe.w1,
-    # then its w2 and its w3; the other tensors in param_spec order
-    cfg = toy_model_config(heads=heads)
-    store = init_params(cfg, seeded_rng(3))
+def test_init_params_draws_every_value_in_buffer_order(heads, ablation):
+    # value i is draw i of the stream, mapped as rng.uniform maps it by the
+    # limit of its tensor; the generator ends past the last value
+    cfg = toy_model_config(heads=heads, ablation=ablation)
     rng = seeded_rng(3)
-    dk = cfg.head_dim
-    h1, h2 = cfg.expert_hidden
-    for name, rows, cols in param_spec(cfg):
-        prefix, leaf = name.rsplit(".", 1)
-        if leaf == "wq":
-            for h in range(heads):
-                for w in ("wq", "wk", "wv"):
-                    np.testing.assert_array_equal(store[f"{prefix}.{w}"].value[:, h * dk:(h + 1) * dk],
-                                                  glorot_uniform(rng, rows, dk))
-        elif name == "moe.w1":
-            for i in range(cfg.n_experts):
-                np.testing.assert_array_equal(store[name].value[:, i * h1:(i + 1) * h1],
-                                              glorot_uniform(rng, rows, h1))
-                np.testing.assert_array_equal(store[f"moe.expert{i}.w2"].value,
-                                              glorot_uniform(rng, h1, h2))
-                np.testing.assert_array_equal(store[f"moe.expert{i}.w3"].value,
-                                              glorot_uniform(rng, h2, 1))
-        elif leaf.startswith("b"):
-            np.testing.assert_array_equal(store[name].value, np.zeros((rows, cols)))
-        elif leaf not in ("wk", "wv") and not name.startswith("moe.expert"):
-            np.testing.assert_array_equal(store[name].value, glorot_uniform(rng, rows, cols))
+    store = init_params(cfg, rng)
+    want = seeded_rng(3)
+    draws = want.random(store.buffers.values.size)
+    limits = np.concatenate([np.full(rows * cols, _pinned_limit(cfg, name, rows, cols))
+                             for name, rows, cols in param_spec(cfg)])
+    assert store.buffers.values.tobytes() == (draws * (limits - -limits) + -limits).tobytes()
+    assert rng.bit_generator.state == want.bit_generator.state
+    biases = [p.value for name, p in store.items() if name.rsplit(".", 1)[1].startswith("b")]
+    assert biases and not any(b.any() or np.signbit(b).any() for b in biases)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_init_params_draws_bitwise_alike_on_any_worker_count(monkeypatch, workers):
     # on the toy store the default is one worker, the sequential draw that
-    # test_attention_weights_are_drawn_head_by_head pins
+    # test_init_params_draws_every_value_in_buffer_order pins; forced
+    # shards cut mid-row and mid-tensor, and blocks of 50 cut the tensors
     cfg = toy_model_config()
     sequential_rng = seeded_rng(3)
     sequential = init_params(cfg, sequential_rng)
-    # the draw stream: every value but the biases
-    drawn = sum(rows * cols for name, rows, cols in param_spec(cfg)
-                if not name.rsplit(".", 1)[1].startswith("b"))
-    assert optim.worker_count(drawn) == 1
-    monkeypatch.setattr(optim, "CUTOFF", drawn // workers)
+    n = sequential.buffers.values.size
+    assert optim.worker_count(n) == 1
+    spec = param_spec(cfg)
+    starts = [0, *itertools.accumulate(rows * cols for _, rows, cols in spec)]
+    for cut in (n * i // workers for i in range(1, workers)):
+        k = bisect.bisect_right(starts, cut) - 1
+        assert cut > starts[k] and (cut - starts[k]) % spec[k][2]  # mid-tensor, mid-row
+    monkeypatch.setattr(optim, "CUTOFF", n // workers)
+    monkeypatch.setattr(optim, "BLOCK", 50)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     shards = []
     draw = optim._draw
     monkeypatch.setattr(optim, "_draw", lambda *args: shards.append(args[2:4]) or draw(*args))
     rng = seeded_rng(3)
     store = init_params(cfg, rng)
-    assert len(shards) == workers and sorted(shards)[-1][1] == drawn
+    assert sorted(shards) == [(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
     assert store.buffers.values.tobytes() == sequential.buffers.values.tobytes()
     assert rng.bit_generator.state == sequential_rng.bit_generator.state
 
