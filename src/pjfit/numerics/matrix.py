@@ -18,9 +18,9 @@ class Matrix:
     first contribution to an activation's gradient becomes that gradient,
     with no zeros allocated and added to. A parameter's rows bound through
     a ParamStore (``BoundParams``) pass the store's gradient rows in, and
-    ask the parameter whether a contribution there is the first of the
-    step, since several views of one parameter share its gradient; see
-    ``params``.
+    ask the parameter's per-row reached flags whether a contribution there
+    is the first of the step, since several views of one parameter share
+    its gradient; see ``params``.
     """
 
     __slots__ = ("data", "tape", "_grad", "_rows_of")

@@ -16,12 +16,12 @@ changes no bit: the result is the same for every W and every BLOCK.
 
 Who zeroes the gradients: nobody, as a pass of its own. A backward pass
 writes the first contribution to a parameter's rows and adds the rest
-(``params``); ``adam_step`` zeroes only the spans of the gradient buffer
-that nothing reached in the step (the attention sets of a stage that was
-empty in the batch: 11.6% of the d=1024 store on the first step of
-``sparse-d1024`` at seed 1), reads the whole buffer, and leaves it as it
-is, marking every span unreached: the gradients read as zeros through
-``Param.grad`` from then on, and the next backward overwrites them.
+(``params``); ``adam_step`` zeroes only the rows nothing reached in the
+step (the attention sets of a stage that was empty in the batch: 11.6% of
+the d=1024 store on the first step of ``sparse-d1024`` at seed 1), reads
+the whole buffer, and clears every row's reached flag: the gradients read
+as zeros through ``Param.grad`` from then on, and the next backward
+overwrites them.
 
 Measured on 2 vCPUs with a 2 MiB L2 each, float64, on the d=1024 store
 (54,219,978 values, so W = 2), two runs of 7 steps per setting, the

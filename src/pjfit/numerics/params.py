@@ -15,19 +15,16 @@ that was not written. A parameter gets its gradient view on first
 access, so ``has_grad`` says whether anything asked for that parameter's
 gradient.
 
-Nothing zeroes a gradient ahead of a step. Each parameter keeps the row
-spans of its gradient that the current step has reached, sorted and
-disjoint, on the parameter, not on the Matrix views bound to it, since
-several views of one parameter (row blocks of ``fusion.w1`` or
-``moe.w1``, which may overlap) share its rows. A backward closure that
-reaches rows [lo, hi) (``reach_rows``) writes its product there directly
-when none of them was reached yet, and adds otherwise, after the rows not
-reached yet are zeroed. ``Param.grad`` reaches every row, so what it
-returns is the whole valid gradient and a write through it is added to.
-``adam_step`` zeroes the spans nothing reached, reads the buffer and
-then consumes it (``consume_grad``): no row counts as reached, so the
-stale values left in the buffer read as zeros and the next step
-overwrites them.
+Nothing zeroes a gradient ahead of a step. Each parameter keeps one
+flag per gradient row: reached in the current step or not. It lives on
+the parameter, not on the Matrix views bound to it, since several views
+of one parameter (row blocks of ``fusion.w1`` or ``moe.w1``) share its
+rows. A backward closure that reaches rows [lo, hi) (``reach_rows``)
+writes its product there when none of them was reached yet, and adds
+otherwise, after the unreached ones are zeroed. ``Param.grad`` reaches
+every row. ``adam_step`` zeroes the unreached rows, reads the buffer and
+then consumes it (``consume_grad``): the flags are cleared, so the stale
+values read as zeros and the next step overwrites them.
 
 A ``BoundParams`` holds a store's name -> Param map, not the store, so
 the serving index keeps no store alive. A writer goes through a
@@ -59,9 +56,8 @@ class Buffers:
 class Param:
     """Elements [lo, lo + rows * cols) of a ``Buffers``, as (rows, cols) views.
 
-    The gradient rows a backward pass has reached in the current step are
-    kept as sorted, disjoint row spans; the other rows of the gradient
-    view hold stale or undefined values and read as zero.
+    A gradient row no backward pass has reached in the current step holds
+    stale or undefined values and reads as zero.
     """
 
     __slots__ = ("value", "_buffers", "_span", "_grad", "_reached")
@@ -71,7 +67,7 @@ class Param:
         self._span = slice(lo, lo + shape[0] * shape[1])
         self.value = buffers.values[self._span].reshape(shape)
         self._grad: np.ndarray | None = None
-        self._reached: list[tuple[int, int]] = []
+        self._reached = np.zeros(shape[0], dtype=bool)
 
     def _view(self, flat: np.ndarray) -> np.ndarray:
         return flat[self._span].reshape(self.value.shape)
@@ -104,43 +100,25 @@ class Param:
         """Mark gradient rows [lo, hi) reached. True when none of them was
         reached before: the caller then writes all of them. Otherwise the
         ones not reached yet are zeroed, and the caller adds into the rows."""
-        gaps = self._reach(lo, hi)
-        if gaps == [(lo, hi)]:
-            return True
-        for a, b in gaps:
-            self._grad[a:b] = 0.0
-        return False
+        reached = self._reached[lo:hi]
+        marked = np.count_nonzero(reached)
+        if 0 < marked < hi - lo:
+            self._grad[lo:hi][~reached] = 0.0
+        reached.fill(True)
+        return marked == 0 and hi > lo
 
     def zero_unreached(self) -> None:
         """Zero the gradient rows nothing reached, so that this parameter's
         span of the gradient buffer (which must exist) holds its gradient.
         Hands out no view."""
-        grad = self._view(self._buffers.grads)
-        for a, b in self._reach(0, self.value.shape[0]):
-            grad[a:b] = 0.0
+        if np.count_nonzero(self._reached) < self._reached.size:
+            self._view(self._buffers.grads)[~self._reached] = 0.0
+        self._reached.fill(True)
 
     def consume_grad(self) -> None:
         """Start a new step: no gradient row counts as reached, so the
         gradient reads as zeros again without a pass over it."""
-        self._reached = []
-
-    def _reach(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Mark rows [lo, hi) reached; the spans of them that were not."""
-        gaps, merged = [], []
-        for a, b in self._reached:
-            if a < hi and b > lo:
-                if a > lo:
-                    gaps.append((lo, a))
-                lo = max(lo, b)
-        if lo < hi:
-            gaps.append((lo, hi))
-        for a, b in sorted(self._reached + gaps):
-            if merged and a <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-            else:
-                merged.append((a, b))
-        self._reached = merged
-        return gaps
+        self._reached.fill(False)
 
     @property
     def has_grad(self) -> bool:

@@ -7,6 +7,8 @@ without touching the library's op graph.
 
 import numpy as np
 
+from pjfit.domain import DatasetError
+
 
 def pad_sequence(ids, dataset, max_len: int = 20,
                  kind: str = "job") -> tuple[np.ndarray, np.ndarray]:
@@ -19,8 +21,11 @@ def pad_sequence(ids, dataset, max_len: int = 20,
     matrix = np.zeros((max_len, dataset.embedding_dim))
     valid = np.zeros(max_len, dtype=bool)
     kept = list(ids)[-max_len:][::-1]
+    table = dataset.candidates if kind == "candidate" else dataset.jobs
     for row, entity_id in enumerate(kept):
-        matrix[row] = dataset.entity(kind, entity_id).embedding
+        if entity_id not in table:
+            raise DatasetError(f"unknown {kind} id {entity_id!r}")
+        matrix[row] = table[entity_id].embedding
         valid[row] = True
     return matrix, valid
 

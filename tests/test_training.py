@@ -14,6 +14,7 @@ from pjfit.config import ABLATIONS, ModelConfig, TrainConfig
 from pjfit.domain import DatasetError, sample_training_pairs
 from pjfit.model import param_spec
 from pjfit.numerics import Matrix, Tape, ops, optim, seeded_rng, spawn_rngs
+from pjfit.numerics.params import Param
 from pjfit.synth import SynthConfig, generate_dataset
 from pjfit.training import (
     NonFiniteScoreError,
@@ -539,6 +540,90 @@ def test_sharded_adam_trains_bitwise_as_one_worker(monkeypatch):
     assert three.losses == one.losses
     for name, p in one.store.items():
         assert p.value.tobytes() == three.store[name].value.tobytes(), name
+
+
+def sparse_history_dataset():
+    """Entities c0-c3, j0 and j1 carry histories, c4-c7, j2 and j3 carry
+    none or one evaluated entry, and every pair stays within its group: a
+    one-entry batch leaves some stages' histories empty on both sides."""
+    b = DatasetBuilder(seed=5)
+    cats = ("Technology", "Data")
+    for i in range(8):
+        hist = {}
+        if i < 4:
+            hist = dict(hist_eval=("j0", "j1"), hist_pass_eval=("j0",),
+                        hist_pass_interview=("j1",) if i % 2 else ())
+        elif i % 2:
+            hist = dict(hist_eval=("j2",))
+        b.entity(f"c{i}", "candidate", category=cats[i % 2], **hist)
+    for j in range(4):
+        hist = {}
+        if j < 2:
+            hist = dict(hist_eval=("c0", "c1", "c2"), hist_pass_eval=("c1",),
+                        hist_pass_interview=("c0",) if j == 0 else ())
+        b.entity(f"j{j}", "job", category=cats[j % 2], **hist)
+    for j in range(4):
+        for i in range(8):
+            if (i < 4) == (j < 2):
+                b.pair(f"c{i}", f"j{j}", int(i % 2 == j % 2), ts=10 * i + j)
+    return b.build()
+
+
+def _train_lifecycle(monkeypatch, dataset, cfg, add_always):
+    """train() with the gradient buffer refilled whenever a step begins (it
+    is allocated filled, and refilled on each ``consume_grad``): with NaN
+    for the write-first lifecycle, so that a stale row read anywhere shows
+    in the result; with zeros when ``add_always``, where every backward
+    contribution adds into the buffer and nothing else zeroes it. Returns
+    the final value bytes, the loss trace and, per parameter, which steps
+    left its whole gradient unwritten before Adam."""
+    fill = 0.0 if add_always else np.nan
+    names, unwritten = {}, {}
+    consume, zero_unreached = Param.consume_grad, Param.zero_unreached
+
+    def filled_init(*args):
+        store = init_params(*args)
+        store.buffers.grads = np.full(store.buffers.values.size, fill)
+        names.update((id(p), name) for name, p in store.items())
+        return store
+
+    def record_then_zero(p):
+        grad = p.grad_rows(0, p.value.shape[0])
+        unwritten.setdefault(names[id(p)], []).append(bool(np.isnan(grad).all()))
+        zero_unreached(p)
+
+    def refill(p):
+        p.grad_rows(0, p.value.shape[0])[...] = fill
+        consume(p)
+
+    with monkeypatch.context() as m:
+        m.setattr(training, "init_params", filled_init)
+        m.setattr(Param, "consume_grad", refill)
+        if add_always:
+            m.setattr(Param, "reach_rows", lambda p, lo, hi: False)
+            m.setattr(Param, "zero_unreached", lambda p: None)
+        else:
+            m.setattr(Param, "zero_unreached", record_then_zero)
+        result = train(dataset, cfg)
+    return result.store.buffers.values.tobytes(), np.array(result.losses).tobytes(), unwritten
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_write_first_gradients_train_as_zero_then_add(monkeypatch, ablation):
+    # the model's own view layout (two row blocks of each fusion.w1, three
+    # or four of moe.w1, attention sets no pair of a batch reaches) against
+    # the textbook lifecycle: every step's gradient starts as zeros and each
+    # contribution adds
+    ds = sparse_history_dataset()
+    cfg = train_config(epochs=1, batch_size=1, model=toy_model_config(ablation=ablation))
+    values, losses, unwritten = _train_lifecycle(monkeypatch, ds, cfg, add_always=False)
+    want_values, want_losses, _ = _train_lifecycle(monkeypatch, ds, cfg, add_always=True)
+    assert losses == want_losses
+    assert values == want_values
+    # the premise: some attention set is left unreached by one step and
+    # reached by another
+    assert any(".internal." in name or ".external." in name
+               for name, steps in unwritten.items() if any(steps) and not all(steps))
 
 
 def test_init_params_values_are_views_of_one_buffer():
