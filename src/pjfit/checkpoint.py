@@ -7,8 +7,12 @@ Layout (all integers little-endian u32):
 
 The values follow ``model.param_spec`` of the embedded config, tensor
 by tensor, each row-major. The file names no tensor: the config alone
-places each value, so any change to ``param_spec`` (a tensor added,
-dropped, reshaped or reordered) needs a new version. Versions 1-4 are
+places each value. So a change to ``param_spec`` that changes the order
+or the number of the values (a tensor added, dropped, reshaped or
+reordered) needs a new version. A change that keeps each value at its
+place and meaning, such as a tensor renamed or cut into consecutive row
+blocks, does not: version 5 files written before ``fusion.w1`` and
+``moe.w1`` were cut into row blocks load as they did. Versions 1-4 are
 rejected with ``UnsupportedVersionError``.
 
 Training math runs in float64; checkpoints narrow to float32 on save and

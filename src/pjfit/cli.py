@@ -11,7 +11,9 @@ carries wall-clock timings; everything after that line is byte-stable
 across reruns.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 runtime,
-divergence or internal error (an operand shape mismatch inside the model).
+divergence or internal error (an operand shape mismatch inside the model,
+or a ``KeyError``: every data path turns a missing id or key into a data
+error, so one that reaches ``main`` is a fault of the program).
 """
 
 from __future__ import annotations
@@ -314,12 +316,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DimensionError as exc:
-        # a shape bug in the program, not bad input; caught before ValueError
-        print(f"internal error: {exc}", file=sys.stderr)
+    except (DimensionError, KeyError) as exc:
+        # a bug in the program, not bad input; caught before ValueError
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (DatasetError, CheckpointError, TemplateError, UndefinedMetricError,
-            KeyError, ValueError, OSError) as exc:
+            ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (TrainingDivergedError, CompletionError, RuntimeError) as exc:

@@ -5,27 +5,29 @@ history sequences: per recruitment stage, an internal interaction with
 the entity's own counterpart-kind history and an external one with the
 paired entity's same-kind history. Their outputs feed a two-layer fusion
 DNN. Per entity: ``external_queries``, ``internal_hidden`` (the internal
-interactions through their rows of ``fusion.w1``, plus ``fusion.b1``)
-and, for history entities, ``external_keys`` (and optionally
+interactions through ``fusion.w1.internal``, plus ``fusion.b1``) and, for
+history entities, ``external_keys`` (and, when serving,
 ``fold_values``). Per pair: ``fuse_pairs``.
 
 An attention set (one side, stage and direction) is three (d x d)
 matrices, ``wq``, ``wk`` and ``wv``, whose column blocks of width
 d / heads are the heads' projections. Its output is the heads' outputs
-side by side. No output projection follows: the rows of ``fusion.w1``
-that read a set are a linear map of their own, and a (d x d) projection
-before them would add no function. Only ``ops.segment_attention`` splits
-the heads, so each set runs one query, key and value GEMM per call.
+side by side. No output projection follows: the rows of the fusion
+DNN's first layer that read a set are a linear map of their own, and a
+(d x d) projection before them would add no function. Only
+``ops.segment_attention`` splits the heads, so each set runs one query,
+key and value GEMM per call.
 
-``fusion.w1`` has 2 S d rows for S active stages: rows [0, S d) read the
-internal outputs, stage by stage, and rows [S d, 2 S d) the external
-ones, so each direction's S outputs side by side enter in one GEMM.
-Since attention is linear in its values, the external rows can also be
-applied before it: ``fold_values`` maps each history key's values, head
-by head, through the head's rows of that GEMM, and ``fuse_pairs``
-attends over those folded values instead. This trades a GEMM over the
-pairs for one over the distinct keys, which pays when a batch attends
-few keys (``serve`` chooses per call).
+The first layer reads the 2 S d attention outputs of S active stages in
+two tensors of S d rows each, in this order: ``fusion.w1.internal``
+reads the internal outputs, stage by stage, and ``fusion.w1.external``
+the external ones, so each direction's S outputs side by side enter in
+one GEMM. Since attention is linear in its values, the external tensor can
+also be applied before it: ``fold_values`` maps each history key's
+values, head by head, through the head's rows of that GEMM, and
+``fuse_pairs`` attends over those folded values instead. This trades a
+GEMM over the pairs for one over the distinct keys, which pays when a
+batch attends few keys (``serve`` chooses per call, on frozen weights).
 
 Histories are packed by reference: per stage, the distinct entities a
 batch's histories name are stacked once, a row map gives the row of each
@@ -52,7 +54,8 @@ def encoder_param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
             for direction in ("internal", "external"):
                 prefix = f"{side}.{stage}.{direction}"
                 spec += [(f"{prefix}.{w}", d, d) for w in ("wq", "wk", "wv")]
-        spec.append((f"{side}.fusion.w1", cfg.fusion_in, cfg.fusion_hidden))
+        spec += [(f"{side}.fusion.w1.{direction}", len(cfg.stages) * d, cfg.fusion_hidden)
+                 for direction in ("internal", "external")]
         spec.append((f"{side}.fusion.b1", 1, cfg.fusion_hidden))
         spec.append((f"{side}.fusion.w2", cfg.fusion_hidden, cfg.fusion_out))
         spec.append((f"{side}.fusion.b2", 1, cfg.fusion_out))
@@ -80,13 +83,6 @@ def _check_stages(seqs, cfg: ModelConfig) -> None:
         raise ValueError(f"expected {len(cfg.stages)} sequences per direction, got {len(seqs)}")
 
 
-def _w1_rows(bound: BoundParams, side: str, direction: int, cfg: ModelConfig) -> Matrix:
-    """The rows of ``fusion.w1`` that read the S attention outputs of one
-    direction (0 internal, 1 external), stage by stage."""
-    n = len(cfg.stages) * cfg.d_model
-    return bound.rows(f"{side}.fusion.w1", direction * n, (direction + 1) * n)
-
-
 def external_queries(text: Matrix, bound: BoundParams, side: str, cfg: ModelConfig) -> list[Matrix]:
     """(U, d) query rows of U texts, all heads side by side, per stage."""
     return [ops.matmul(text, bound[f"{side}.{stage}.external.wq"]) for stage in cfg.stages]
@@ -103,24 +99,28 @@ def external_keys(rows: Matrix, bound: BoundParams, side: str, stage: str,
 def internal_hidden(text: Matrix, own, bound: BoundParams, side: str, cfg: ModelConfig) -> Matrix:
     """(U, fusion_hidden): the internal interactions of U entities (texts
     ``text``, own histories ``own``, one (rows, row_map, ranges) per stage)
-    side by side, times their rows of ``fusion.w1``, plus ``fusion.b1``.
+    side by side, times ``fusion.w1.internal``, plus ``fusion.b1``.
     """
     _check_stages(own, cfg)
     out = ops.concat_cols([interaction(text, *seq, bound, f"{side}.{stage}.internal", cfg.heads)
                            for stage, seq in zip(cfg.stages, own)])
-    return ops.affine(out, _w1_rows(bound, side, 0, cfg), bound[f"{side}.fusion.b1"])
+    return ops.affine(out, bound[f"{side}.fusion.w1.internal"], bound[f"{side}.fusion.b1"])
 
 
 def fold_values(v: Matrix, bound: BoundParams, side: str, stage: str, cfg: ModelConfig) -> Matrix:
     """(n, heads fusion_hidden): the (n, d) external values ``v`` of one
-    stage folded through ``fusion.w1``, per head its column block of ``v``
-    times that head's rows of the stage's external block, heads side by
-    side."""
-    lo = (len(cfg.stages) + cfg.stages.index(stage)) * cfg.d_model
-    w = cfg.head_dim
-    return ops.concat_cols([
-        ops.matmul(part, bound.rows(f"{side}.fusion.w1", lo + h * w, lo + (h + 1) * w))
-        for h, part in enumerate(ops.split_cols(v, cfg.heads))])
+    stage folded through ``fusion.w1.external``, per head its column block
+    of ``v`` times that head's rows of the stage's block, heads side by
+    side.
+
+    The only reader of part of a parameter, so it runs on frozen weights
+    only: a taped ``bound`` raises ValueError."""
+    if bound.tape is not None:
+        raise ValueError("fold_values reads rows of fusion.w1.external, which a tape cannot bind")
+    w1 = bound[f"{side}.fusion.w1.external"].data
+    lo, w = cfg.stages.index(stage) * cfg.d_model, cfg.head_dim
+    return ops.concat_cols([ops.matmul(part, Matrix(w1[lo + h * w:lo + (h + 1) * w]))
+                            for h, part in enumerate(ops.split_cols(v, cfg.heads))])
 
 
 def fuse_pairs(queries: list[Matrix], hidden: Matrix, index: np.ndarray, keys,
@@ -135,11 +135,11 @@ def fuse_pairs(queries: list[Matrix], hidden: Matrix, index: np.ndarray, keys,
 
     The values come in one of two forms, the same for every stage. Plain
     (``folded`` false), V is the (n, d) values: the stages' outputs side by
-    side meet the external rows of ``fusion.w1`` in one (B x S d) (S d x
-    fusion_hidden) GEMM. Folded, V is ``fold_values`` of them: attention
-    over the folded rows gives each head's product with its rows of
-    ``fusion.w1`` directly, and the heads' blocks are added to the hidden
-    pre-activation, so no GEMM reads ``fusion.w1``. The two forms differ
+    side meet ``fusion.w1.external`` in one (B x S d) (S d x fusion_hidden)
+    GEMM. Folded, V is ``fold_values`` of them: attention over the folded
+    rows gives each head's product with its rows of ``fusion.w1.external``
+    directly, and the heads' blocks are added to the hidden
+    pre-activation, so no GEMM reads that tensor. The two forms differ
     only in the order of the sums.
     """
     _check_stages(keys, cfg)
@@ -152,5 +152,5 @@ def fuse_pairs(queries: list[Matrix], hidden: Matrix, index: np.ndarray, keys,
             for head in ops.split_cols(a, cfg.heads):
                 h = ops.add(h, head)
     else:
-        h = ops.affine(ops.concat_cols(list(attended)), _w1_rows(bound, side, 1, cfg), h)
+        h = ops.affine(ops.concat_cols(list(attended)), bound[f"{side}.fusion.w1.external"], h)
     return ops.affine(ops.relu(h), bound[f"{side}.fusion.w2"], bound[f"{side}.fusion.b2"])

@@ -2,11 +2,14 @@
 
 Each side's text attends its histories (``encoder``): per stage and
 direction, one attention set of three (d x d) matrices, whose heads'
-outputs enter ``fusion.w1`` directly, the internal rows first, then the
-external ones. The two fused side vectors and the two texts form the
-joint vector [candidate fusion, job fusion, resume embedding, JD
-embedding] (plus a same-category column for ``simple_match``), which the
-scoring head (``moe``) maps to a score. The forward is split the way of
+outputs enter the fusion DNN's first layer directly: the internal ones
+through ``fusion.w1.internal``, the external ones through
+``fusion.w1.external``. The two fused side vectors and the two texts
+form the joint vector [candidate fusion, job fusion, resume embedding,
+JD embedding] (plus a same-category column for ``simple_match``), which
+the scoring head (``moe``) maps to a score; each block meets its own
+tensor of the head's first layer, ``moe.w1.fusion``, ``moe.w1.resume``,
+``moe.w1.jd`` and ``moe.w1.same``. The forward is split the way of
 ColBERT's late interaction (Khattab & Zaharia, arXiv:2004.12832):
 ``entity_rows`` and ``encoder.external_keys`` hold what depends on one
 entity only, ``pair_scores`` the rest. ``score_pairs`` runs both on a
@@ -16,8 +19,8 @@ weights and keeps the per-entity outputs across calls.
 
 A side's history values reach ``pair_scores`` in one of two forms (see
 ``encoder.fuse_pairs``): plain, the values of ``external_keys``, which
-meet the external rows of ``fusion.w1`` after attention; or folded, by
-``encoder.fold_values``, through those rows before it. ``score_pairs``
+meet ``fusion.w1.external`` after attention; or folded, by
+``encoder.fold_values``, through that tensor before it. ``score_pairs``
 always passes plain values; the serving index folds a side's values
 when the call attends few distinct keys.
 """
@@ -36,11 +39,13 @@ from pjfit.encoder import (
     fuse_pairs,
     internal_hidden,
 )
-from pjfit.moe import head_input, head_param_spec, head_rows, moe_scores
+from pjfit.moe import head_param_spec, moe_scores
 from pjfit.numerics import BoundParams, Matrix, ParamStore, glorot_fill, ops
 
 # entity kind -> the encoder side that its text is the query of
 SIDE = dict(zip(("candidate", "job"), SIDES))
+# encoder side -> the tensor of the head's first layer that reads its text
+TEXT_W1 = dict(zip(SIDES, ("moe.w1.resume", "moe.w1.jd")))
 
 
 def param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
@@ -57,18 +62,22 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
 
     A weight's limit is sqrt(6 / (fan_in + fan_out)) of the projection it
     holds: (rows + cols) for most, but each head of ``wq``, ``wk`` and
-    ``wv`` is its own (d x d_k) projection, and each expert's (joint_dim x
-    h1) column block of ``moe.w1`` its own first layer.
+    ``wv`` is its own (d x d_k) projection, the two ``fusion.w1`` tensors
+    of a side are one (fusion_in x fusion_hidden) layer, and each expert's
+    column block of the ``moe.w1`` tensors its own (joint_dim x h1) first
+    layer.
     """
     store = ParamStore(param_spec(cfg))
     limits = []
     for name, p in store.items():
         rows, cols = p.value.shape
-        leaf = name.rsplit(".", 1)[1]
+        layer, leaf = name.rsplit(".", 1)
         if leaf in ("wq", "wk", "wv"):
             cols = cfg.head_dim
-        elif name == "moe.w1":
-            cols = cfg.expert_hidden[0]
+        elif layer.endswith("fusion.w1"):
+            rows = cfg.fusion_in
+        elif layer == "moe.w1":
+            rows, cols = cfg.joint_dim, cfg.expert_hidden[0]
         limits.append((p.value.size, 0.0 if leaf.startswith("b") else np.sqrt(6.0 / (rows + cols))))
     glorot_fill(store.buffers.values, limits, rng)
     return store
@@ -91,11 +100,10 @@ def entity_rows(text: Matrix, own, bound: BoundParams, side: str, cfg: ModelConf
     """The per-entity outputs of U entities of one side, from their (U, d)
     texts and own histories (one (rows, row_map, ranges) per stage): the
     external query rows per stage, the internal hidden row, and the text
-    times its rows of the head's first layer (all experts side by side).
+    times its tensor of the head's first layer (all experts side by side).
     """
-    lo = 2 * cfg.fusion_out + (0 if side == "cand" else cfg.d_model)
     return [*external_queries(text, bound, side, cfg), internal_hidden(text, own, bound, side, cfg),
-            head_rows(text, lo, bound)]
+            ops.matmul(text, bound[TEXT_W1[side]])]
 
 
 def pair_rows(candidates, jobs, cache: SequenceCache) -> list[np.ndarray]:
@@ -114,19 +122,19 @@ def pair_scores(sides, candidate_categories: np.ndarray, job_categories: np.ndar
     ``sides`` holds, in ``SIDES`` order, (rows, index, keys, folded) per
     side: the side's ``entity_rows``, each pair's row of them, the keys
     ``encoder.fuse_pairs`` reads and whether their values are plain or
-    folded through ``fusion.w1``. The category arrays hold each pair's
-    category ids.
+    folded through ``fusion.w1.external``. The category arrays hold each
+    pair's category ids.
     """
     n = len(cfg.stages)
     fused = ops.concat_cols([
         fuse_pairs(rows[:n], rows[n], index, keys, bound, side, cfg, folded)
         for side, (rows, index, keys, folded) in zip(SIDES, sides)])
-    first = head_input(fused, bound)
+    first = ops.affine(fused, bound["moe.w1.fusion"], bound["moe.b1"])
     for rows, index, *_ in sides:
         first = ops.add(first, ops.gather_rows(rows[n + 1], index))
     if cfg.ablation == "simple_match":
         same = (candidate_categories == job_categories).astype(np.float64).reshape(-1, 1)
-        first = ops.add(first, head_rows(Matrix(same), cfg.joint_dim - 1, bound))
+        first = ops.add(first, ops.matmul(Matrix(same), bound["moe.w1.same"]))
     return moe_scores(first, candidate_categories, job_categories, bound, cfg)
 
 

@@ -7,15 +7,18 @@ gate-weighted sum of expert outputs, an unbounded real (pairwise training
 works on score differences). Every function works on a batch: one row per
 pair, one (candidate, job) category pair per row.
 
-The n experts' first layers are one ``moe.w1`` (joint_dim x n h1) and
-one ``moe.b1``, expert i's in columns [i h1, (i + 1) h1), after the gate
+The n experts' first layers are one (joint_dim x n h1) layer and one
+``moe.b1``, expert i's in columns [i h1, (i + 1) h1), after the gate
 tensors and before each expert's ``moe.expert{i}.w2/b2/w3/b3``. Every
-expert reads the same joint vector, so one GEMM serves them all (the
-batched-expert layout of Switch Transformer, Fedus et al.,
+expert reads the same joint vector, so one GEMM per input serves them
+all (the batched-expert layout of Switch Transformer, Fedus et al.,
 arXiv:2101.03961), and ``moe_scores`` cuts the activated result per
-expert with ``ops.split_cols``. The joint vector's column blocks meet
-their rows of ``moe.w1`` apart (``head_input``, ``head_rows``), summed
-per pair.
+expert with ``ops.split_cols``. The layer is one tensor per column block
+of the joint vector, in its order: ``moe.w1.fusion`` reads the two fused
+side vectors, ``moe.w1.resume`` and ``moe.w1.jd`` the two texts and,
+under ``simple_match``, ``moe.w1.same`` the same-category column.
+``model`` multiplies each block by its tensor where the block is made,
+and sums the products per pair.
 
 Head ablations: ``no_moe`` and ``simple_match`` are the one-expert case
 without a gate (the latter sees an extra binary same-category feature
@@ -41,26 +44,18 @@ def head_param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
         ("moe.gate.w2", cfg.gate_hidden, cfg.n_experts),
         ("moe.gate.b2", 1, cfg.n_experts),
     ] if cfg.gated_head else []
-    # joint_dim already includes the simple-match feature when that
-    # ablation is active
-    spec += [("moe.w1", cfg.joint_dim, n * h1), ("moe.b1", 1, n * h1)]
+    # one tensor per column block of the joint vector, joint_dim rows in all
+    parts = [("fusion", 2 * cfg.fusion_out), ("resume", cfg.d_model), ("jd", cfg.d_model)]
+    if cfg.ablation == "simple_match":
+        parts.append(("same", 1))
+    spec += [(f"moe.w1.{part}", rows, n * h1) for part, rows in parts]
+    spec.append(("moe.b1", 1, n * h1))
     for i in range(n):
         spec += [
             (f"moe.expert{i}.w2", h1, h2), (f"moe.expert{i}.b2", 1, h2),
             (f"moe.expert{i}.w3", h2, 1), (f"moe.expert{i}.b3", 1, 1),
         ]
     return spec
-
-
-def head_input(x: Matrix, bound: BoundParams) -> Matrix:
-    """x times the leading ``x.cols`` rows of ``moe.w1``, plus ``moe.b1``:
-    every expert's share of the first layer, (B x n h1)."""
-    return ops.affine(x, bound.rows("moe.w1", 0, x.cols), bound["moe.b1"])
-
-
-def head_rows(x: Matrix, lo: int, bound: BoundParams) -> Matrix:
-    """x times rows [lo, lo + x.cols) of ``moe.w1``."""
-    return ops.matmul(x, bound.rows("moe.w1", lo, lo + x.cols))
 
 
 def gate_weights(e_c: Matrix, bound: BoundParams) -> Matrix:

@@ -16,17 +16,16 @@ class Matrix:
     into matrices on a tape; an untaped input (a constant) never gets one.
     A backward closure adds its contribution through ``grad_slot``: the
     first contribution to an activation's gradient becomes that gradient,
-    with no zeros allocated and added to. A parameter's rows bound through
-    a ParamStore (``BoundParams``) pass the store's gradient rows in, and
-    ask the parameter's per-row reached flags whether a contribution there
-    is the first of the step, since several views of one parameter share
-    its gradient; see ``params``.
+    with no zeros allocated and added to. A parameter bound through a
+    ParamStore (``BoundParams``) passes its gradient view and itself in,
+    and the parameter's ``reached`` flag says whether a contribution is
+    the first of the step; see ``params``.
     """
 
-    __slots__ = ("data", "tape", "_grad", "_rows_of")
+    __slots__ = ("data", "tape", "_grad", "_param")
 
     def __init__(self, data, tape: Tape | None = None, grad: np.ndarray | None = None,
-                 rows_of=None):
+                 param=None):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
@@ -35,8 +34,8 @@ class Matrix:
         self.data = arr
         self.tape = tape
         self._grad = grad
-        # (param, lo, hi) when ``grad`` is rows [lo, hi) of a parameter's gradient
-        self._rows_of = rows_of
+        # the Param whose gradient view ``grad`` is
+        self._param = param
 
     @property
     def grad(self) -> np.ndarray:
@@ -57,9 +56,10 @@ class Matrix:
         reached it yet in this backward pass. When ``first``, its contents
         are undefined and the caller must write all of it; otherwise the
         caller adds into it. Either way the gradient counts as reached."""
-        if self._rows_of is not None:
-            param, lo, hi = self._rows_of
-            return self._grad, param.reach_rows(lo, hi)
+        param = self._param
+        if param is not None:
+            first, param.reached = not param.reached, True
+            return self._grad, first
         if self._grad is None:
             self._grad = np.empty_like(self.data)
             return self._grad, True

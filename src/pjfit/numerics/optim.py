@@ -15,13 +15,13 @@ its own generator at its offset, so where the shard and block cuts fall
 changes no bit: the result is the same for every W and every BLOCK.
 
 Who zeroes the gradients: nobody, as a pass of its own. A backward pass
-writes the first contribution to a parameter's rows and adds the rest
-(``params``); ``adam_step`` zeroes only the rows nothing reached in the
-step (the attention sets of a stage that was empty in the batch: 11.6% of
-the d=1024 store on the first step of ``sparse-d1024`` at seed 1), reads
-the whole buffer, and clears every row's reached flag: the gradients read
-as zeros through ``Param.grad`` from then on, and the next backward
-overwrites them.
+writes the first contribution to a parameter and adds the rest
+(``params``); ``adam_step`` zeroes only the parameters nothing reached in
+the step (the attention sets of a stage that was empty in the batch:
+11.6% of the d=1024 store on the first step of ``sparse-d1024`` at seed
+1), reads the whole buffer, and clears every parameter's reached flag:
+the gradients read as zeros through ``Param.grad`` from then on, and the
+next backward overwrites them.
 
 Measured on 2 vCPUs with a 2 MiB L2 each, float64, on the d=1024 store
 (54,219,978 values, so W = 2), two runs of 7 steps per setting, the
@@ -81,7 +81,7 @@ def adam_step(store: ParamStore, lr: float, step: int,
     TrainingDivergedError naming the first such parameter in store order.
     The gradient check runs on the shards, like the update.
 
-    Before that, the gradient rows nothing reached in the step are zeroed
+    Before that, the gradients nothing reached in the step are zeroed
     (``Param.zero_unreached``): a parameter nobody asked about reads as a
     zero gradient. Then each shard walks its elements in blocks of BLOCK,
     reading value, gradient and moments once and writing value and

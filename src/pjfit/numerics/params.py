@@ -16,15 +16,14 @@ access, so ``has_grad`` says whether anything asked for that parameter's
 gradient.
 
 Nothing zeroes a gradient ahead of a step. Each parameter keeps one
-flag per gradient row: reached in the current step or not. It lives on
-the parameter, not on the Matrix views bound to it, since several views
-of one parameter (row blocks of ``fusion.w1`` or ``moe.w1``) share its
-rows. A backward closure that reaches rows [lo, hi) (``reach_rows``)
-writes its product there when none of them was reached yet, and adds
-otherwise, after the unreached ones are zeroed. ``Param.grad`` reaches
-every row. ``adam_step`` zeroes the unreached rows, reads the buffer and
-then consumes it (``consume_grad``): the flags are cleared, so the stale
-values read as zeros and the next step overwrites them.
+flag, ``reached``: whether a backward pass wrote its gradient in the
+current step. A tape binds a parameter whole, as one Matrix that shares
+its gradient view, and the first backward closure to reach it (see
+``Matrix.grad_slot``) writes its product there; the rest add.
+``Param.grad`` reaches the parameter. ``adam_step`` zeroes the gradients
+of the parameters nothing reached, reads the buffer and then consumes it
+(``consume_grad``): the flags are cleared, so the stale values read as
+zeros and the next step overwrites them.
 
 A ``BoundParams`` holds a store's name -> Param map, not the store, so
 the serving index keeps no store alive. A writer goes through a
@@ -56,69 +55,57 @@ class Buffers:
 class Param:
     """Elements [lo, lo + rows * cols) of a ``Buffers``, as (rows, cols) views.
 
-    A gradient row no backward pass has reached in the current step holds
-    stale or undefined values and reads as zero.
+    A gradient no backward pass has reached in the current step
+    (``reached`` false) holds stale or undefined values and reads as zero.
     """
 
-    __slots__ = ("value", "_buffers", "_span", "_grad", "_reached")
+    __slots__ = ("value", "reached", "_buffers", "_span", "_grad")
 
     def __init__(self, buffers: Buffers, lo: int, shape: tuple[int, int]):
         self._buffers = buffers
         self._span = slice(lo, lo + shape[0] * shape[1])
         self.value = buffers.values[self._span].reshape(shape)
+        self.reached = False
         self._grad: np.ndarray | None = None
-        self._reached = np.zeros(shape[0], dtype=bool)
 
     def _view(self, flat: np.ndarray) -> np.ndarray:
         return flat[self._span].reshape(self.value.shape)
 
-    def grad_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows [lo, hi) of the gradient view as they are, reached or not:
-        what a bound Matrix holds (see ``reach_rows``). The buffer and the
-        view are allocated with the first call."""
+    def grad_view(self) -> np.ndarray:
+        """The gradient view as it is, reached or not: what a bound Matrix
+        holds. The buffer and the view are allocated with the first call."""
         if self._grad is None:
             if self._buffers.grads is None:
                 self._buffers.grads = np.empty(self._buffers.values.size)
             self._grad = self._view(self._buffers.grads)
-        return self._grad[lo:hi]
+        return self._grad
 
     @property
     def grad(self) -> np.ndarray:
-        """The whole gradient view, valid: rows nothing reached in this step
-        are zeroed first, and every row counts as reached from then on.
+        """The gradient view, valid: zeroed first when nothing reached it in
+        this step, and reached from then on.
 
         Binding the parameter on a tape hands out the view; inference never
         allocates one.
         """
-        rows = self.value.shape[0]
-        grad = self.grad_rows(0, rows)
-        if self.reach_rows(0, rows):
+        grad = self.grad_view()
+        if not self.reached:
             grad.fill(0.0)
+            self.reached = True
         return grad
 
-    def reach_rows(self, lo: int, hi: int) -> bool:
-        """Mark gradient rows [lo, hi) reached. True when none of them was
-        reached before: the caller then writes all of them. Otherwise the
-        ones not reached yet are zeroed, and the caller adds into the rows."""
-        reached = self._reached[lo:hi]
-        marked = np.count_nonzero(reached)
-        if 0 < marked < hi - lo:
-            self._grad[lo:hi][~reached] = 0.0
-        reached.fill(True)
-        return marked == 0 and hi > lo
-
     def zero_unreached(self) -> None:
-        """Zero the gradient rows nothing reached, so that this parameter's
+        """Zero the gradient if nothing reached it, so that this parameter's
         span of the gradient buffer (which must exist) holds its gradient.
         Hands out no view."""
-        if np.count_nonzero(self._reached) < self._reached.size:
-            self._view(self._buffers.grads)[~self._reached] = 0.0
-        self._reached.fill(True)
+        if not self.reached:
+            self._view(self._buffers.grads).fill(0.0)
+            self.reached = True
 
     def consume_grad(self) -> None:
-        """Start a new step: no gradient row counts as reached, so the
-        gradient reads as zeros again without a pass over it."""
-        self._reached.fill(False)
+        """Start a new step: the gradient counts as not reached, so it reads
+        as zeros again without a pass over it."""
+        self.reached = False
 
     @property
     def has_grad(self) -> bool:
@@ -185,36 +172,27 @@ class ParamStore:
 
 class BoundParams:
     """The parameters of a name -> Param map (a store's own, from
-    ``ParamStore.bind``) viewed as Matrix nodes on one tape.
+    ``ParamStore.bind``) viewed as Matrix nodes on one tape, each bound
+    whole.
 
-    On a tape, each Matrix shares the Param's grad buffer, so a backward
-    pass writes gradients directly into the store, and asks the Param
-    whether its rows were reached yet in the step (``Param.reach_rows``).
-    Without a tape no buffer is touched.
+    On a tape, each Matrix shares the Param's gradient view, so a backward
+    pass writes gradients directly into the store, and tells the Param
+    that it was reached (``Matrix.grad_slot``). Without a tape no buffer is
+    touched.
     """
 
     def __init__(self, params: dict[str, Param], tape: Tape | None = None):
         self._params = params
         self.tape = tape
-        self._cache: dict[tuple[str, int, int], Matrix] = {}
+        self._cache: dict[str, Matrix] = {}
 
     def __getitem__(self, name: str) -> Matrix:
-        return self.rows(name, 0, self._params[name].value.shape[0])
-
-    def rows(self, name: str, lo: int, hi: int) -> Matrix:
-        """Rows [lo, hi) of a parameter as a view of its value; on a tape its
-        gradient is the same rows of the parameter's gradient buffer."""
-        key = (name, lo, hi)
-        m = self._cache.get(key)
+        m = self._cache.get(name)
         if m is None:
             p = self._params[name]
-            if not 0 <= lo <= hi <= p.value.shape[0]:
-                raise IndexError(f"rows [{lo}, {hi}) of {name!r} with {p.value.shape[0]} rows")
             if self.tape is None:
-                m = Matrix(p.value[lo:hi])
+                m = Matrix(p.value)
             else:
-                m = Matrix(p.value[lo:hi], tape=self.tape, grad=p.grad_rows(lo, hi),
-                           rows_of=(p, lo, hi))
-            self._cache[key] = m
+                m = Matrix(p.value, tape=self.tape, grad=p.grad_view(), param=p)
+            self._cache[name] = m
         return m
-

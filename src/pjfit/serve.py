@@ -4,13 +4,13 @@ A ``ServingIndex`` runs the forward of ``model`` on frozen weights. It
 keeps each entity's per-entity outputs from the first call that needs
 them, so a call runs only ``model.pair_scores``: per side, the external
 attention of each stage and either one GEMM of their outputs side by
-side with the external rows of ``fusion.w1`` or, on a side that folds
-(below), the sum of attention over folded values. ``training.score_all``
+side with ``fusion.w1.external`` or, on a side that folds (below), the
+sum of attention over folded values. ``training.score_all``
 (hence ``evaluate``) and ``training.rank_candidates`` score through it.
 
 What the index keeps, in float64, for d = d_model, S active stages,
 h = fusion_hidden and E = n h1, the width of the head's first layer
-(``moe.w1``) for n experts of first hidden width h1:
+(the ``moe.w1`` tensors) for n experts of first hidden width h1:
 
 * per index: no weights; it reads the store's own values in place, and
   the dataset's ``SequenceCache`` (d embedding values per entity);
@@ -22,7 +22,7 @@ h = fusion_hidden and E = n h1, the width of the head's first layer
   values: the outputs of ``encoder.external_keys``, one table array for
   the keys and one for the values, all heads side by side;
 * per entity and stage, once a folding side has attended it as a key,
-  heads h more: its values folded through ``fusion.w1`` by
+  heads h more: its values folded through ``fusion.w1.external`` by
   ``encoder.fold_values``, in a third table per (kind, stage).
 
 At the production width (d = 1024, S = 3, heads = 2, h = 1024,
@@ -38,7 +38,7 @@ most distinct keys it attends at one stage (at most 64 keys at d = 1024
 and heads = 2), and heads h <= FOLD_WIDTH d, the folded attention output
 per stage against the plain one. Its keys then carry folded values, and
 ``encoder.fuse_pairs`` skips the side's (B x S d) (S d x h) GEMM, whose
-weight block (25 MB at d = 1024) a small call reads for a few rows of
+weight tensor (25 MB at d = 1024) a small call reads for a few rows of
 output. In exchange the attention writes heads h columns per stage
 instead of d, and a key met for the first time is folded, d h
 multiply-adds per stage. The rule reads only the config and the call's
@@ -106,7 +106,7 @@ from pjfit.model import SIDE, check_fits, entity_rows, pair_rows, pair_scores
 from pjfit.numerics import BoundParams, Matrix, ParamStore
 
 
-# A side of a call folds its keys' values through fusion.w1 when
+# A side of a call folds its keys' values through fusion.w1.external when
 # FOLD_FACTOR * heads * U <= d_model, for U its most distinct keys at one
 # stage, and heads * fusion_hidden <= FOLD_WIDTH * d_model; the module
 # docstring gives the timings behind both factors.

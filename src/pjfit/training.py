@@ -35,7 +35,7 @@ from pjfit.serve import index_for
 
 
 # Pairs per ServingIndex.score call in score_all and rank_candidates. Each
-# call reads the fusion.w1 external rows and the head layers once, so larger
+# call reads fusion.w1.external and the head layers once, so larger
 # chunks read them fewer times. Entities a chunk meets for the first time
 # are computed in one batch, as score_pairs would, so a cold chunk's working
 # memory grows with the distinct entities its histories name, at most

@@ -59,7 +59,9 @@ def np_encode_side(self_vec, own_seqs, cross_seqs, store, side, cfg):
     parts += [np_mha(self_vec, cross, cross_valid, store, f"{side}.{stage}.external", cfg)
               for stage, (cross, cross_valid) in zip(cfg.stages, cross_seqs)]
     h = np.concatenate(parts, axis=1)
-    h = np.maximum(h @ store[f"{side}.fusion.w1"].value + store[f"{side}.fusion.b1"].value, 0.0)
+    # the first layer's two tensors, internal rows on top, as one matrix
+    w1 = np.concatenate([store[f"{side}.fusion.w1.{d}"].value for d in ("internal", "external")])
+    h = np.maximum(h @ w1 + store[f"{side}.fusion.b1"].value, 0.0)
     return h @ store[f"{side}.fusion.w2"].value + store[f"{side}.fusion.b2"].value
 
 
@@ -71,10 +73,13 @@ def np_gate(e_c, store):
 
 
 def np_ffn(x, store, i, cfg):
-    """Expert i: its column block of moe.w1 and moe.b1, then its own tail."""
+    """Expert i: its column block of the first layer (the moe.w1 tensors
+    stacked in the joint vector's order) and of moe.b1, then its own tail."""
     h1 = cfg.expert_hidden[0]
     block = slice(i * h1, (i + 1) * h1)
-    h = np.maximum(x @ store["moe.w1"].value[:, block] + store["moe.b1"].value[:, block], 0.0)
+    parts = ["fusion", "resume", "jd"] + (["same"] if cfg.ablation == "simple_match" else [])
+    w1 = np.concatenate([store[f"moe.w1.{part}"].value for part in parts])
+    h = np.maximum(x @ w1[:, block] + store["moe.b1"].value[:, block], 0.0)
     h = np.maximum(h @ store[f"moe.expert{i}.w2"].value + store[f"moe.expert{i}.b2"].value, 0.0)
     return h @ store[f"moe.expert{i}.w3"].value + store[f"moe.expert{i}.b3"].value
 

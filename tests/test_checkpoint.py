@@ -25,8 +25,10 @@ from pjfit.checkpoint import (
 from pjfit.config import ABLATIONS
 from pjfit.model import init_params, param_spec
 from pjfit.numerics import optim, seeded_rng
+from pjfit.serve import ServingIndex
+from pjfit.training import SequenceCache, score_pairs
 
-from conftest import toy_model_config
+from conftest import DatasetBuilder, toy_model_config
 
 
 @pytest.fixture
@@ -186,16 +188,66 @@ def test_value_block_is_the_float32_value_buffer(saved):
 
 def test_param_spec_is_the_layout_pinned_for_this_version():
     # a checkpoint names no tensor, so its version stands for the layout:
-    # a change to param_spec needs a new checkpoint.VERSION and a new pin
+    # a change to param_spec that changes the order or the number of the
+    # values needs a new checkpoint.VERSION and a new pin; one that keeps
+    # every value in place (a rename, a tensor cut into row blocks) only a
+    # new pin, and a file of the old layout in the test below
     pinned = json.loads((Path(__file__).parent / "data" / "checkpoint_layout.json").read_text())
     assert checkpoint.VERSION == pinned["version"], (
         "checkpoint.VERSION changed: pin its param_spec in tests/data/checkpoint_layout.json")
     for ablation in ABLATIONS:
         spec = [list(t) for t in param_spec(toy_model_config(ablation=ablation))]
         assert spec == pinned["toy_param_specs"][ablation], (
-            f"param_spec of the toy {ablation!r} config changed: checkpoints of version "
-            f"{checkpoint.VERSION} would load into the wrong tensors, so bump checkpoint.VERSION "
-            "and re-pin tests/data/checkpoint_layout.json")
+            f"param_spec of the toy {ablation!r} config changed: if a value moved, checkpoints "
+            f"of version {checkpoint.VERSION} would load into the wrong tensors, so bump "
+            "checkpoint.VERSION; either way re-pin tests/data/checkpoint_layout.json")
+
+
+def v5_dataset():
+    """The dataset the committed version 5 files in tests/data were trained
+    and scored on (see ``how`` in v5_toy_scores.json)."""
+    b = DatasetBuilder(dim=4, seed=5)
+    for c in range(4):
+        b.entity(f"c{c}", "candidate", category=("Technology", "Data")[c % 2],
+                 hist_eval=("j0", "j1", "j2")[c % 2:], hist_pass_eval=("j1",)[:c % 2])
+    for j in range(3):
+        b.entity(f"j{j}", "job", category=("Technology", "Data", "Sales")[j],
+                 hist_eval=("c0", "c1", "c2")[j:], hist_pass_interview=("c3",)[:j % 2])
+    for c in range(4):
+        for j in range(3):
+            b.pair(f"c{c}", f"j{j}", int(c % 2 == j % 2), ts=10 * c + j)
+    return b.build()
+
+
+@pytest.mark.parametrize("name", ["v5_toy_none.ckpt", "v5_toy_simple_match.ckpt"])
+def test_a_file_written_before_the_row_block_split_loads_as_it_did(name, tmp_path):
+    # written, with the same version, when fusion.w1 and moe.w1 were one
+    # tensor each; they are now consecutive row-block tensors, so every
+    # value keeps its place in the file
+    data = Path(__file__).parent / "data"
+    pinned = json.loads((data / "v5_toy_scores.json").read_text())["checkpoints"][name]
+    store, cfg = load_checkpoint(data / name)
+    values, lo = store.buffers.values, 0
+    for old, rows, cols in pinned["spec"]:
+        # a tensor of then is the tensors of now that bear its name, stacked
+        stacked = np.concatenate([p.value for new, p in store.items()
+                                  if new == old or new.startswith(old + ".")])
+        assert stacked.shape == (rows, cols), old
+        assert stacked.tobytes() == values[lo:lo + rows * cols].tobytes(), old
+        lo += rows * cols
+    assert lo == values.size
+    # the values and the config are the file's own bytes
+    save_checkpoint(store, cfg, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (data / name).read_bytes()
+    # and score as they did; a BLAS kernel other than the writer's may round
+    # otherwise, so the pin is 1e-12 relative, not bitwise
+    ds = v5_dataset()
+    candidates = [c for c in ds.candidates.values() for _ in ds.jobs]
+    jobs = [j for _ in ds.candidates for j in ds.jobs.values()]
+    got = score_pairs(candidates, jobs, store.bind(), cfg, SequenceCache(ds, cfg)).data[:, 0]
+    np.testing.assert_allclose(got, pinned["score_pairs"], rtol=1e-12, atol=1e-15)
+    got = ServingIndex(store, cfg, ds).score(candidates, jobs)
+    np.testing.assert_allclose(got, pinned["index"], rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("other", [dict(d_model=16), dict(expert_hidden=(10, 7)),

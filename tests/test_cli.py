@@ -13,7 +13,7 @@ from pjfit import cli
 from pjfit.checkpoint import load_checkpoint
 from pjfit.cli import main
 from pjfit.domain import load_data_dir, validate_records
-from pjfit.numerics import DimensionError
+from pjfit.numerics import BoundParams, DimensionError
 
 from conftest import BROKEN_EMBEDDINGS, META_DEFECTS
 
@@ -288,6 +288,28 @@ def test_internal_shape_error_is_not_a_data_error(tmp_path, monkeypatch, capsys)
                  "--report-out", str(tmp_path / "r.json")]) == 3
     err = capsys.readouterr().err
     assert "internal error" in err and "data error" not in err
+
+
+def test_a_key_error_is_an_internal_error_and_an_unknown_job_a_data_error(pipeline, tmp_path,
+                                                                          monkeypatch, capsys):
+    # every data path turns a missing id or key into a data error, so a
+    # KeyError that reaches main is a fault of the program, such as a
+    # tensor name the model looks up and the store lacks
+    argv = ["rank", "--checkpoint", str(pipeline / "model.ckpt"), "--data", str(pipeline / "aug"),
+            "--out", str(tmp_path / "rank.tsv")]
+    assert main(argv + ["--job", "ghost-job"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "'ghost-job'" in err
+    job = sorted(load_data_dir(pipeline / "aug")[0].jobs)[0]
+
+    def renamed(self, name):
+        raise KeyError(name)
+
+    monkeypatch.setattr(BoundParams, "__getitem__", renamed)
+    assert main(argv + ["--job", job]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: KeyError: " in err and "data error" not in err
+    assert not (tmp_path / "rank.tsv").exists()
 
 
 def _synth(tmp_path, **overrides):

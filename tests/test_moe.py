@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pjfit.moe import expert_forward, gate_weights, head_input, moe_scores
+from pjfit.moe import expert_forward, gate_weights, head_param_spec, moe_scores
 from pjfit.numerics import Matrix, Tape, ops, seeded_rng
 from pjfit.training import init_params
 
@@ -10,14 +10,33 @@ from gradcheck import finite_diff_check
 from reference_model import np_ffn, np_gate, np_moe
 
 
+def w1_names(cfg):
+    """The names of the head's first-layer tensors, in the joint vector's order."""
+    return [name for name, _, _ in head_param_spec(cfg) if name.startswith("moe.w1.")]
+
+
+def head_first(x, bound, cfg):
+    """The first layer on whole joint vectors x, a constant: each column
+    block of x times its moe.w1 tensor, summed, plus moe.b1."""
+    lo, first = 0, None
+    for name in w1_names(cfg):
+        w = bound[name]
+        block = Matrix(x.data[:, lo:lo + w.rows])
+        lo += w.rows
+        first = (ops.affine(block, w, bound["moe.b1"]) if first is None
+                 else ops.add(first, ops.matmul(block, w)))
+    assert lo == x.cols == cfg.joint_dim
+    return first
+
+
 def joint_scores(x, candidate_categories, job_categories, bound, cfg):
     """moe_scores of whole joint vectors: the first layer reads all of x."""
-    return moe_scores(head_input(x, bound), candidate_categories, job_categories, bound, cfg)
+    return moe_scores(head_first(x, bound, cfg), candidate_categories, job_categories, bound, cfg)
 
 
 def joint_expert(x, i, bound, cfg):
     """Expert i's output for whole joint vectors x."""
-    hidden = ops.split_cols(ops.relu(head_input(x, bound)), cfg.head_experts)
+    hidden = ops.split_cols(ops.relu(head_first(x, bound, cfg)), cfg.head_experts)
     return expert_forward(hidden[i], i, bound, cfg)
 
 
@@ -79,7 +98,7 @@ def test_expert_matches_manual_layer_oracle(cfg, store):
 
 def test_expert_index_out_of_range(cfg, store):
     bound = store.bind()
-    hidden = ops.split_cols(head_input(Matrix(np.zeros((1, cfg.joint_dim))), bound),
+    hidden = ops.split_cols(head_first(Matrix(np.zeros((1, cfg.joint_dim))), bound, cfg),
                             cfg.n_experts)
     with pytest.raises(IndexError, match="expert index"):
         expert_forward(hidden[0], cfg.n_experts, bound, cfg)
@@ -88,7 +107,8 @@ def test_expert_index_out_of_range(cfg, store):
 def test_constant_experts_make_gate_irrelevant(cfg, store):
     # all experts return exactly c: the convex combination must be c
     c = -1.7
-    store["moe.w1"].value[...] = 0.0
+    for name in w1_names(cfg):
+        store[name].value[...] = 0.0
     for i in range(cfg.n_experts):
         for layer in ("w2", "w3"):
             store[f"moe.expert{i}.{layer}"].value[...] = 0.0
@@ -136,8 +156,8 @@ def test_swapping_experts_with_gate_columns_is_a_symmetry(cfg, store):
     base = joint_scores(Matrix(x), [1], [2], store.bind(), cfg).item()
     i, j = 0, 2
     h1 = cfg.expert_hidden[0]
-    for layer in ("w1", "b1"):
-        w = store[f"moe.{layer}"].value
+    for name in w1_names(cfg) + ["moe.b1"]:
+        w = store[name].value
         w[:, i * h1:(i + 1) * h1], w[:, j * h1:(j + 1) * h1] = (
             w[:, j * h1:(j + 1) * h1].copy(), w[:, i * h1:(i + 1) * h1].copy())
     for layer in ("w2", "b2", "w3", "b3"):
@@ -197,7 +217,9 @@ def test_single_head_ablations_score_without_gate(cfg):
         acfg = toy_model_config(ablation=ablation)
         store = init_params(acfg, seeded_rng(0))
         assert "moe.gate.w1" not in store
-        assert store["moe.w1"].value.shape == (acfg.joint_dim, acfg.expert_hidden[0])
+        w1 = [store[name].value for name in w1_names(acfg)]
+        assert len(w1) == (4 if ablation == "simple_match" else 3)
+        assert np.concatenate(w1).shape == (acfg.joint_dim, acfg.expert_hidden[0])
         x = seeded_rng(2).normal(size=(1, acfg.joint_dim))
         got = joint_scores(Matrix(x), [0], [1], store.bind(), acfg).item()
         np.testing.assert_allclose(got, float(np_ffn(x, store, 0, acfg)[0, 0]), rtol=1e-12)

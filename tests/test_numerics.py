@@ -709,20 +709,19 @@ def _lifecycle_case(seed):
     rng = seeded_rng(seed)
     ints = lambda *shape: rng.integers(-3, 4, size=shape).astype(np.float64)
     return {"x1": ints(5, 4), "x2": ints(5, 4), "x3": ints(5, 3), "probe": ints(5, 3),
-            "extra": ints(8, 3)}
+            "extra": ints(4, 3)}
 
 
 def _lifecycle_step(store, data, reach_dead, grad_write_at):
-    """One taped step over "w" (8 x 3) and "dead" (3 x 3); returns the
+    """One taped step over "w" (4 x 3) and "dead" (3 x 3); returns the
     gradients accumulated from zero.
 
-    Rows [0, 4) and [2, 6) of "w" are two partly overlapping views; rows
-    [6, 8) are in neither. "dead" is bound and multiplied every step, but
-    its product reaches the loss only with ``reach_dead``, as an empty
+    Two products read "w", so two closures reach its gradient: the first
+    writes it, the second adds. "dead" is bound and multiplied every step,
+    but its product reaches the loss only with ``reach_dead``, as an empty
     stage's attention set does not. With ``grad_write_at`` 0, 1 or 2, a
-    closure adds ``extra`` to the whole of "w" through ``Param.grad``,
-    running first, between the two views' closures, or last in the
-    backward."""
+    closure adds ``extra`` to "w" through ``Param.grad``, running first,
+    between the two products' closures, or last in the backward."""
     tape = Tape()
     bound = store.bind(tape)
 
@@ -731,10 +730,10 @@ def _lifecycle_step(store, data, reach_dead, grad_write_at):
 
     if grad_write_at == 2:
         tape.record(write)
-    a = ops.matmul(Matrix(data["x1"]), bound.rows("w", 0, 4))
+    a = ops.matmul(Matrix(data["x1"]), bound["w"])
     if grad_write_at == 1:
         tape.record(write)
-    b = ops.matmul(Matrix(data["x2"]), bound.rows("w", 2, 6))
+    b = ops.matmul(Matrix(data["x2"]), bound["w"])
     dead = ops.matmul(Matrix(data["x3"]), bound["dead"])
     if grad_write_at == 0:
         tape.record(write)
@@ -743,9 +742,8 @@ def _lifecycle_step(store, data, reach_dead, grad_write_at):
     if reach_dead:
         loss = ops.add(loss, sum_all(ops.mul(dead, probe)))
     tape.backward(loss)
-    want = {"w": np.zeros((8, 3)), "dead": np.zeros((3, 3))}
-    want["w"][0:4] += data["x1"].T @ data["probe"]
-    want["w"][2:6] += data["x2"].T @ data["probe"]
+    want = {"w": data["x1"].T @ data["probe"] + data["x2"].T @ data["probe"],
+            "dead": np.zeros((3, 3))}
     if grad_write_at is not None:
         want["w"] += data["extra"]
     if reach_dead:
@@ -757,12 +755,12 @@ def _lifecycle_step(store, data, reach_dead, grad_write_at):
 @pytest.mark.parametrize("grad_write_at", [0, 1, 2])
 def test_gradients_over_two_steps_equal_accumulation_from_zero(grad_write_at, read_grads):
     # step 1 reaches "dead" and writes "w" through Param.grad; step 2 does
-    # neither, so "dead" and rows [6, 8) of "w" hold step 1's gradients
-    # until Adam zeroes them. Reading the gradients (read_grads) zeroes
-    # them itself, so the unread runs are the ones that show whether Adam
-    # would consume a stale gradient.
+    # neither, so "dead" holds step 1's gradient until Adam zeroes it.
+    # Reading the gradients (read_grads) zeroes them itself, so the unread
+    # runs are the ones that show whether Adam would consume a stale
+    # gradient.
     rng = seeded_rng(19)
-    store = store_of(("w", rng.normal(size=(8, 3))), ("dead", rng.normal(size=(3, 3))))
+    store = store_of(("w", rng.normal(size=(4, 3))), ("dead", rng.normal(size=(3, 3))))
     state = {name: {"value": p.value.copy(), "m": None, "v": None, "grad": None}
              for name, p in store.items()}
     for step, (reach_dead, write_at) in enumerate([(True, grad_write_at), (False, None)], 1):
@@ -783,45 +781,18 @@ def test_gradients_over_two_steps_equal_accumulation_from_zero(grad_write_at, re
 
 def test_a_bound_view_reads_zeros_over_a_consumed_gradient():
     # after Adam the buffer still holds the 7s of the last step; a bound
-    # view's gradient read before any closure reached it is zeros, and a
-    # product into rows [2, 5), partly read, adds to those zeros
-    store = store_of(("w", np.ones((6, 2))))
+    # parameter's gradient read before any closure reached it is zeros, and
+    # a product into it then adds to those zeros
+    store = store_of(("w", np.ones((3, 2))))
     store["w"].grad[...] = 7.0
     adam_step(store, lr=0.0, step=1)
     assert (store.buffers.grads == 7.0).all()  # consumed, not zeroed
     tape = Tape()
-    bound = store.bind(tape)
-    top = bound.rows("w", 0, 3)
-    np.testing.assert_array_equal(top.grad, np.zeros((3, 2)))
+    w = store.bind(tape)["w"]
+    np.testing.assert_array_equal(w.grad, np.zeros((3, 2)))
     x = Matrix([[1.0, 2.0, 3.0]])
-    tape.backward(sum_all(ops.matmul(x, bound.rows("w", 2, 5))))
-    want = np.zeros((6, 2))
-    want[2:5] = [[1.0], [2.0], [3.0]]
-    np.testing.assert_array_equal(store["w"].grad, want)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=6))
-def test_reached_rows_behave_as_a_set_of_rows(spans):
-    # reach_rows over any sequence of row spans, against a per-row oracle:
-    # a span no row of which was reached is written, any other is added
-    # to after its unreached rows are zeroed, and Param.grad zeroes the rest
-    p = store_of(("w", np.zeros((8, 1))))["w"]
-    grad = p.grad_rows(0, 8)
-    grad[...] = np.nan  # stale values from an earlier step
-    want, reached = np.full((8, 1), np.nan), np.zeros(8, dtype=bool)
-    for step, (lo, hi) in enumerate(sorted(span) for span in spans):
-        first = p.reach_rows(lo, hi)
-        assert first == (hi > lo and not reached[lo:hi].any())
-        if first:
-            grad[lo:hi] = want[lo:hi] = step
-        else:
-            want[lo:hi][~reached[lo:hi]] = 0.0
-            grad[lo:hi] += 1.0
-            want[lo:hi] += 1.0
-        reached[lo:hi] = True
-    want[~reached] = 0.0
-    np.testing.assert_array_equal(p.grad, want)
+    tape.backward(sum_all(ops.matmul(x, w)))
+    np.testing.assert_array_equal(store["w"].grad, [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
 
 
 # ------------------------------------------------------------- init draw
@@ -921,34 +892,6 @@ def test_constants_get_no_gradient_buffer():
     tape.backward(out)
     assert x.tape is None and not x.has_grad
     assert store["w"].has_grad and np.abs(store["w"].grad).sum() > 0
-
-
-def test_row_block_gradient_lands_in_exactly_its_rows():
-    rng = seeded_rng(12)
-    store = store_of(("w", rng.normal(size=(6, 3))))
-    p = store["w"]
-    tape = Tape()
-    bound = store.bind(tape)
-    block = bound.rows("w", 2, 5)
-    assert np.shares_memory(block.data, p.value) and np.shares_memory(block.grad, p.grad)
-    x = rng.normal(size=(4, 3))
-    probe = rng.normal(size=(4, 3))
-    out = sum_all(ops.mul(ops.matmul(Matrix(x), block), Matrix(probe)))
-    tape.backward(out)
-    want = np.zeros((6, 3))
-    want[2:5] = x.T @ probe
-    np.testing.assert_array_equal(p.grad, want)
-    # a block and the whole parameter in one graph add up
-    store.release_grads()
-    tape = Tape()
-    bound = store.bind(tape)
-    out = ops.add(sum_all(bound.rows("w", 0, 1)), sum_all(bound["w"]))
-    tape.backward(out)
-    want = np.ones((6, 3))
-    want[0] += 1.0
-    np.testing.assert_array_equal(p.grad, want)
-    with pytest.raises(IndexError, match="rows"):
-        bound.rows("w", 4, 7)
 
 
 def test_gradient_buffers_are_allocated_on_first_taped_use():

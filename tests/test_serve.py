@@ -170,7 +170,7 @@ def test_writing_to_an_indexed_store_raises():
     cands, jobs = all_pairs(ds)
     index_for(store, cfg, ds).score(cands[:3], jobs[:3])
     with pytest.raises(ValueError, match="read-only"):
-        store["cand.fusion.w1"].value[0, 0] = 1.0
+        store["cand.fusion.w1.internal"].value[0, 0] = 1.0
     before = {name: [a.copy() for a in (p.value, p.m, p.v, p.grad)] for name, p in store.items()}
     with pytest.raises(ValueError, match=f"{store.names()[0]!r} is read-only"):
         adam_step(store, 1e-3, 2)
@@ -179,18 +179,21 @@ def test_writing_to_an_indexed_store_raises():
             assert got.tobytes() == want.tobytes(), name
 
 
-def folding_config(**overrides):
-    """A width at which the serving index folds: heads * fusion_hidden (16)
-    is within FOLD_WIDTH * d_model (64), and FOLD_FACTOR * heads * U <=
-    d_model holds for U <= 4 distinct keys at a stage."""
-    return toy_model_config(d_model=32, heads=1, seq_len=2, **overrides)
+def folding_config(heads=1, **overrides):
+    """A width at which the serving index folds: heads * fusion_hidden (16
+    or 64) is within FOLD_WIDTH * d_model (64 at one head, 128 at two), and
+    FOLD_FACTOR * heads * U <= d_model holds for U <= 4 distinct keys at a
+    stage. At two heads, fold_values reads two row blocks per stage."""
+    if heads == 1:
+        return toy_model_config(d_model=32, heads=1, seq_len=2, **overrides)
+    return toy_model_config(d_model=64, heads=2, seq_len=2, fusion_hidden=32, **overrides)
 
 
-def folding_dataset():
+def folding_dataset(cfg):
     """At seq_len 2: c0 and c1 name four jobs at the evaluated stage, c2 a
     fifth; j0 names two candidates. No entity has a passed-interview
     history, so that stage attends no key."""
-    b = DatasetBuilder(dim=32)
+    b = DatasetBuilder(dim=cfg.d_model)
     b.entity("c0", "candidate", hist_eval=("j0", "j1"), hist_pass_eval=("j0",))
     b.entity("c1", "candidate", category="Data", hist_eval=("j2", "j3"), hist_pass_eval=("j2",))
     b.entity("c2", "candidate", hist_eval=("j4",))
@@ -240,10 +243,12 @@ def recording_folds(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("ablation", ["none", "no_fine_interaction"])
-def test_folding_index_scores_equal_score_pairs_and_the_oracle(ablation, monkeypatch):
-    ds = folding_dataset()
-    cfg = folding_config(ablation=ablation)
+@pytest.mark.parametrize("ablation, heads", [
+    pytest.param(ablation, heads, id=ablation + ("" if heads == 1 else "-heads2"))
+    for heads in (1, 2) for ablation in ("none", "no_fine_interaction")])
+def test_folding_index_scores_equal_score_pairs_and_the_oracle(ablation, heads, monkeypatch):
+    cfg = folding_config(heads, ablation=ablation)
+    ds = folding_dataset(cfg)
     store = random_store(cfg, 30)
     calls = recording_folds(monkeypatch)
     index = ServingIndex(store, cfg, ds)
@@ -278,15 +283,17 @@ def test_fold_rule_boundary():
 
 
 def test_cold_and_warm_index_give_the_same_bytes_on_a_folding_chunk(monkeypatch):
-    ds = folding_dataset()
-    cfg = folding_config()
-    store = random_store(cfg, 31)
     calls = recording_folds(monkeypatch)
-    (chunk, folds, _), *others = FOLDING_CHUNKS
-    cands, jobs = chunk_records(ds, chunk)
-    cold = ServingIndex(store, cfg, ds).score(cands, jobs)
-    warm = ServingIndex(store, cfg, ds)
-    for other, *_ in others:  # fill the tables, folded rows too, from other chunks
-        warm.score(*chunk_records(ds, other))
-    assert warm.score(cands, jobs).tobytes() == cold.tobytes()
-    assert calls[0] == calls[-1] == folds
+    for heads in (1, 2):
+        cfg = folding_config(heads)
+        ds = folding_dataset(cfg)
+        store = random_store(cfg, 31)
+        calls.clear()
+        (chunk, folds, _), *others = FOLDING_CHUNKS
+        cands, jobs = chunk_records(ds, chunk)
+        cold = ServingIndex(store, cfg, ds).score(cands, jobs)
+        warm = ServingIndex(store, cfg, ds)
+        for other, *_ in others:  # fill the tables, folded rows too, from other chunks
+            warm.score(*chunk_records(ds, other))
+        assert warm.score(cands, jobs).tobytes() == cold.tobytes()
+        assert calls[0] == calls[-1] == folds

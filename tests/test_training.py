@@ -246,21 +246,25 @@ def test_text_rows_are_gathered_once_per_side_for_any_expert_count(small_dataset
 
 def test_production_model_size():
     spec = param_spec(ModelConfig())
-    assert len(spec) == 71
+    assert len(spec) == 75
     assert sum(rows * cols for _, rows, cols in spec) == 54_219_978
     assert not any(name.endswith(".wo") for name, _, _ in spec)
 
 
 def _pinned_limit(cfg, name, rows, cols):
     """The Glorot limit of every value of tensor ``name`` (rows x cols):
-    each head of an attention matrix is a (d x d_k) projection, each
-    expert's columns of moe.w1 a (joint_dim x h1) one; biases are 0."""
+    each head of an attention matrix is a (d x d_k) projection, a side's
+    two fusion.w1 tensors one (fusion_in x fusion_hidden) layer, each
+    expert's columns of the moe.w1 tensors a (joint_dim x h1) one; biases
+    are 0."""
     leaf = name.rsplit(".", 1)[1]
     if leaf.startswith("b"):
         return 0.0
     if leaf in ("wq", "wk", "wv"):
         return math.sqrt(6 / (cfg.d_model + cfg.d_model // cfg.heads))
-    if name == "moe.w1":
+    if name.endswith(("fusion.w1.internal", "fusion.w1.external")):
+        return math.sqrt(6 / (cfg.fusion_in + cfg.fusion_hidden))
+    if name.startswith("moe.w1."):
         return math.sqrt(6 / (cfg.joint_dim + cfg.expert_hidden[0]))
     return math.sqrt(6 / (rows + cols))
 
@@ -357,12 +361,12 @@ def test_shared_history_entities_are_packed_once_and_score_like_the_oracle():
 def test_an_output_projection_per_set_folds_into_fusion_w1(monkeypatch, ablation):
     # The forward with a (d x d) output projection wo after every attention
     # set equals the forward without it on the store whose fusion.w1 blocks
-    # hold wo_t @ w1_t: deleting wo loses no function. Internal blocks sit at
-    # rows [t d, (t + 1) d), external ones at [(S + t) d, (S + t + 1) d); with
-    # S = 1 (no_fine_interaction) the external block starts at row d.
+    # hold wo_t @ w1_t: deleting wo loses no function. Stage t's block sits
+    # at rows [t d, (t + 1) d) of fusion.w1.internal and of
+    # fusion.w1.external.
     ds = shared_history_dataset()
     cfg = toy_model_config(ablation=ablation)
-    d, n_stages = cfg.d_model, len(cfg.stages)
+    d = cfg.d_model
     rng = seeded_rng(14)
     store = init_params(cfg, rng)
     for name, p in store.items():
@@ -371,12 +375,12 @@ def test_an_output_projection_per_set_folds_into_fusion_w1(monkeypatch, ablation
     wo = {}
     folded = store_of(*((name, p.value) for name, p in store.items()))
     for side in ("cand", "job"):
-        w1 = folded[f"{side}.fusion.w1"].value
         for t, stage in enumerate(cfg.stages):
-            for direction, block in (("internal", t), ("external", n_stages + t)):
+            for direction in ("internal", "external"):
                 prefix = f"{side}.{stage}.{direction}"
                 wo[prefix] = rng.normal(scale=d ** -0.5, size=(d, d))
-                rows = slice(block * d, (block + 1) * d)
+                w1 = folded[f"{side}.fusion.w1.{direction}"].value
+                rows = slice(t * d, (t + 1) * d)
                 w1[rows] = wo[prefix] @ w1[rows]
 
     mha = reference_model.np_mha
@@ -572,48 +576,57 @@ def sparse_history_dataset():
 def _train_lifecycle(monkeypatch, dataset, cfg, add_always):
     """train() with the gradient buffer refilled whenever a step begins (it
     is allocated filled, and refilled on each ``consume_grad``): with NaN
-    for the write-first lifecycle, so that a stale row read anywhere shows
-    in the result; with zeros when ``add_always``, where every backward
-    contribution adds into the buffer and nothing else zeroes it. Returns
-    the final value bytes, the loss trace and, per parameter, which steps
-    left its whole gradient unwritten before Adam."""
+    for the write-first lifecycle, so that a stale gradient read anywhere
+    shows in the result; with zeros when ``add_always``, where every
+    parameter counts as reached from the step's start and every backward
+    contribution to it adds into the buffer, so nothing else zeroes it.
+    Returns the final value bytes, the loss trace and, per parameter, which
+    steps left its gradient unwritten before Adam."""
     fill = 0.0 if add_always else np.nan
     names, unwritten = {}, {}
-    consume, zero_unreached = Param.consume_grad, Param.zero_unreached
+    consume, zero_unreached, slot = Param.consume_grad, Param.zero_unreached, Matrix.grad_slot
 
     def filled_init(*args):
         store = init_params(*args)
         store.buffers.grads = np.full(store.buffers.values.size, fill)
-        names.update((id(p), name) for name, p in store.items())
+        for name, p in store.items():
+            names[id(p)] = name
+            if add_always:
+                p.reached = True
         return store
 
     def record_then_zero(p):
-        grad = p.grad_rows(0, p.value.shape[0])
-        unwritten.setdefault(names[id(p)], []).append(bool(np.isnan(grad).all()))
+        # the flag is the truth: a gradient no closure wrote in the step is
+        # all NaN, and one a closure wrote holds none
+        stale = np.isnan(p.grad_view())
+        assert (stale.all() if not p.reached else not stale.any()), names[id(p)]
+        unwritten.setdefault(names[id(p)], []).append(not p.reached)
         zero_unreached(p)
 
     def refill(p):
-        p.grad_rows(0, p.value.shape[0])[...] = fill
+        p.grad_view()[...] = fill
         consume(p)
+        if add_always:
+            p.reached = True
+
+    def always_add(m):
+        return (m._grad, False) if m._param is not None else slot(m)
 
     with monkeypatch.context() as m:
         m.setattr(training, "init_params", filled_init)
         m.setattr(Param, "consume_grad", refill)
+        m.setattr(Param, "zero_unreached", record_then_zero)
         if add_always:
-            m.setattr(Param, "reach_rows", lambda p, lo, hi: False)
-            m.setattr(Param, "zero_unreached", lambda p: None)
-        else:
-            m.setattr(Param, "zero_unreached", record_then_zero)
+            m.setattr(Matrix, "grad_slot", always_add)
         result = train(dataset, cfg)
     return result.store.buffers.values.tobytes(), np.array(result.losses).tobytes(), unwritten
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_write_first_gradients_train_as_zero_then_add(monkeypatch, ablation):
-    # the model's own view layout (two row blocks of each fusion.w1, three
-    # or four of moe.w1, attention sets no pair of a batch reaches) against
-    # the textbook lifecycle: every step's gradient starts as zeros and each
-    # contribution adds
+    # the model's own parameters, each bound whole, among them attention
+    # sets no pair of a batch reaches, against the textbook lifecycle: every
+    # step's gradient starts as zeros and each contribution adds
     ds = sparse_history_dataset()
     cfg = train_config(epochs=1, batch_size=1, model=toy_model_config(ablation=ablation))
     values, losses, unwritten = _train_lifecycle(monkeypatch, ds, cfg, add_always=False)
