@@ -17,15 +17,14 @@ class Matrix:
     A backward closure adds its contribution through ``grad_slot``: the
     first contribution to an activation's gradient becomes that gradient,
     with no zeros allocated and added to. A parameter bound through a
-    ParamStore (``BoundParams``) passes its gradient view and itself in,
-    and the parameter's ``reached`` flag says whether a contribution is
-    the first of the step; see ``params``.
+    ParamStore (``BoundParams``) passes itself in, and its gradient is the
+    parameter's: ``grad_slot`` is ``Param.grad_slot``, and ``ops`` hands a
+    product x^T dy to ``Param.add_product``; see ``params``.
     """
 
     __slots__ = ("data", "tape", "_grad", "_param")
 
-    def __init__(self, data, tape: Tape | None = None, grad: np.ndarray | None = None,
-                 param=None):
+    def __init__(self, data, tape: Tape | None = None, param=None):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
@@ -33,8 +32,8 @@ class Matrix:
             raise DimensionError(f"expected 2-D data, got shape {arr.shape}")
         self.data = arr
         self.tape = tape
-        self._grad = grad
-        # the Param whose gradient view ``grad`` is
+        self._grad = None
+        # the Param whose value ``data`` is and whose gradient this is
         self._param = param
 
     @property
@@ -56,10 +55,8 @@ class Matrix:
         reached it yet in this backward pass. When ``first``, its contents
         are undefined and the caller must write all of it; otherwise the
         caller adds into it. Either way the gradient counts as reached."""
-        param = self._param
-        if param is not None:
-            first, param.reached = not param.reached, True
-            return self._grad, first
+        if self._param is not None:
+            return self._param.grad_slot()
         if self._grad is None:
             self._grad = np.empty_like(self.data)
             return self._grad, True
@@ -67,6 +64,8 @@ class Matrix:
 
     @property
     def has_grad(self) -> bool:
+        if self._param is not None:
+            return self._param.reached
         return self._grad is not None
 
     @property

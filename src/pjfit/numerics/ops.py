@@ -5,7 +5,10 @@ records one closure that accumulates exact gradients into the inputs that
 sit on that tape. Untaped inputs (constants) get no gradient computed.
 The first contribution a closure makes to a gradient in a backward pass
 is written into it (``Matrix.grad_slot``), later ones are added, and the
-tape skips a closure whose output nothing reached.
+tape skips a closure whose output nothing reached. A bound weight's
+product x^T dy in ``matmul`` and ``affine`` is handed to its parameter,
+which keeps it as the pair (x, dy) where it can (``params``), for Adam to
+multiply out.
 
 The vocabulary is the ten ops the model calls, all on 2-D matrices:
 ``matmul``, ``affine``, ``relu``, ``softmax_rows``, ``segment_attention``,
@@ -54,6 +57,15 @@ def _add_value(m: Matrix, value: np.ndarray) -> None:
         grad += value
 
 
+def _add_product(w: Matrix, x: np.ndarray, dy: np.ndarray) -> None:
+    """w's gradient += x^T dy. A bound parameter takes the product as its
+    factors (``Param.add_product``), which it may keep as they are."""
+    if w._param is not None:
+        w._param.add_product(x, dy)
+    else:
+        _add_result(w, np.matmul, x.T, dy)
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise DimensionError(f"matmul: {a.shape} @ {b.shape}")
@@ -64,7 +76,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             if a.tape is not None:
                 _add_result(a, np.matmul, out.grad, b.data.T)
             if b.tape is not None:
-                _add_result(b, np.matmul, a.data.T, out.grad)
+                _add_product(b, a.data, out.grad)
         tape.record(backward, out)
     return out
 
@@ -86,7 +98,7 @@ def affine(x: Matrix, w: Matrix, b: Matrix) -> Matrix:
             if x.tape is not None:
                 _add_result(x, np.matmul, out.grad, w.data.T)
             if w.tape is not None:
-                _add_result(w, np.matmul, x.data.T, out.grad)
+                _add_product(w, x.data, out.grad)
             if b.tape is not None and b.rows < out.rows:
                 _add_result(b, np.sum, out.grad, axis=0, keepdims=True)
             elif b.tape is not None:

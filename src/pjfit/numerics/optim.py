@@ -10,57 +10,50 @@ process's affinity mask. The calling thread works the first shard; the
 rest run on a pool of at most W - 1 threads that the call starts and
 joins, so no thread outlives it. numpy releases the interpreter lock
 inside each block's operations, so the shards run in parallel. Every
-operation of both passes is elementwise, and a shard of the draw starts
-its own generator at its offset, so where the shard and block cuts fall
-changes no bit: the result is the same for every W and every BLOCK.
+operation of the draw and of the update is elementwise, and a shard of
+the draw starts its own generator at its offset, so where the shard and
+block cuts fall changes no bit: the result is the same for every W and
+every BLOCK.
 
-Who zeroes the gradients: nobody, as a pass of its own. A backward pass
-writes the first contribution to a parameter and adds the rest
-(``params``); ``adam_step`` zeroes only the parameters nothing reached in
-the step (the attention sets of a stage that was empty in the batch:
-11.6% of the d=1024 store on the first step of ``sparse-d1024`` at seed
-1), reads the whole buffer, and clears every parameter's reached flag:
-the gradients read as zeros through ``Param.grad`` from then on, and the
-next backward overwrites them.
+The gradients are not a buffer (``params``). A shard walks its element
+range parameter by parameter and reads each gradient where it is: zeros
+for a parameter nothing reached in the step (the attention sets of a
+stage that was empty in the batch), the parameter's dense array, or its
+kept pairs (x, dy), which the shard multiplies out a row block at a time
+into a scratch array right before it updates those rows. A block of rows
+of x^T dy has the bits of the same rows of the full product when it has
+at least ``params.MIN_ROWS`` rows, so neither the blocks nor the cuts
+change a bit. When shards run side by side (W >= 2), each GEMM of a block
+is at most ``params.GEMM_CAP`` multiply-adds, which OpenBLAS runs on the
+calling thread; larger ones, issued from both shards at once, fight over
+OpenBLAS's own threads (64-row blocks, 1.6M multiply-adds at d=1024 and
+K = 25, made a step 2x slower). On one shard a block fills a whole
+BLOCK.
 
-Measured on 2 vCPUs with a 2 MiB L2 each, float64, on the d=1024 store
-(54,219,978 values, so W = 2), two runs of 7 steps per setting, the
-settings alternating: a step after the first takes a median 0.34 s on
-two threads (0.29-0.38) against 0.58 s on one (0.54-0.71), and the first
-step, which writes the moments without reading them, 0.39 s against
-0.63 s. The init draw of that store takes a median 0.20 s on two
-threads against 0.38 s on one (6 draws each, alternating). BLOCK was
-measured on this store at W = 2, 6 steps per size in alternating order:
-16384 elements took 0.50 s per step, 32768 0.38 s, 65536 0.37 s and
-131072 0.39 s. On the d=64 store (W = 1) the sizes read 28-31 ms, with
-no order beyond the noise. A block's six arrays (3 MiB at 65536) do not
-fit in L2, so 65536 stays because it measured fastest, not for cache
-residency.
-
-CUTOFF keeps small stores on the calling thread, since inside training
-two threads lose there: on ``converge-d64`` (2.4M values) a CUTOFF of
-2^20, so W = 2, trained at a median 383 pairs/s against 428 at W = 1 (6
-runs each, seeds 971-976, slower on every seed). On a bare 2.4M-value
-store two threads take 19 ms per step against 31 ms on one, but 36 ms
-against 32 ms right after twenty (256 x 256) GEMMs, and 20 ms again
-after a 0.5 s pause: OpenBLAS's threads go on spinning for a while after
-a GEMM, and the backward ends in GEMMs. 2^22 elements per shard keeps
-the 2.4M-value store on one thread and splits the 54.2M-value one.
+The constants were measured on 2 vCPUs with a 2 MiB L2 each (the timings
+are in CHANGES.md):
+- BLOCK, 65536 elements, measured fastest at d=1024 among 16384-131072,
+  and no size was faster at d=64;
+- CUTOFF, 2^22 elements per shard, keeps the d=64 store (2.4M values) on
+  one thread: inside training two threads lost there, since OpenBLAS's
+  threads go on spinning for a while after the backward's GEMMs; the
+  54.2M-value d=1024 store splits in two.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from pjfit.numerics.params import Buffers, ParamStore
+from pjfit.numerics.params import GEMM_CAP, MIN_ROWS, Buffers, Param, ParamStore
 
-# Elements per block of the fused update: value, gradient, both moments and
-# two scratch buffers of 512 KiB each. The fastest of the sizes measured at
-# d=1024 (module docstring), though the six arrays exceed a core's L2.
+# Elements per block of the update: value, gradient, both moments and two
+# scratch buffers of 512 KiB each. The fastest of the sizes measured at
+# d=1024, though the six arrays exceed a core's L2.
 BLOCK = 65536
 # Elements per shard at least: a store smaller than 2 * CUTOFF updates on
 # the calling thread alone.
@@ -79,15 +72,15 @@ def adam_step(store: ParamStore, lr: float, step: int,
     a read-only value (a store frozen by a serving index) raises
     ValueError naming the parameter, and a non-finite gradient raises
     TrainingDivergedError naming the first such parameter in store order.
-    The gradient check runs on the shards, like the update.
+    Kept pairs are checked without multiplying them out (``_bounded``);
+    only a pair that fails that test is multiplied out and checked.
 
-    Before that, the gradients nothing reached in the step are zeroed
-    (``Param.zero_unreached``): a parameter nobody asked about reads as a
-    zero gradient. Then each shard walks its elements in blocks of BLOCK,
-    reading value, gradient and moments once and writing value and
-    moments once: the moments are updated and the value takes its step.
-    The gradients are consumed, not zeroed (``Param.consume_grad``): they
-    read as zeros afterwards without a pass over them.
+    Then each shard walks its elements, reading value, gradient and
+    moments once and writing value and moments once: the moments are
+    updated and the value takes its step. A gradient nothing reached in
+    the step reads as zeros. The gradients are consumed
+    (``Param.consume_grad``): their pairs are dropped, and they read as
+    zeros afterwards without a pass over them.
 
     The arithmetic is the textbook expression's, operation for operation,
     so the result is bitwise equal to it:
@@ -110,28 +103,66 @@ def adam_step(store: ParamStore, lr: float, step: int,
     for name, p in store.items():
         if not p.value.flags.writeable:
             raise ValueError(f"parameter {name!r} is read-only")
+    for name, p in store.items():
+        if p.factors and not _bounded(p.factors):
+            with np.errstate(over="ignore", invalid="ignore"):
+                p.grad_slot()  # multiplies the pairs out, to be checked
+        if p.reached and not p.factors and not _finite(p.dense):
+            raise TrainingDivergedError(f"non-finite gradient in parameter {name!r}")
     buffers = store.buffers
-    if buffers.grads is None:
-        buffers.grads = np.empty(buffers.values.size)
-    for _, p in store.items():
-        p.zero_unreached()
-    bad = [i for i in _sharded(buffers, _first_non_finite) if i is not None]
-    if bad:
-        first = min(bad)
-        for name, p in store.items():
-            first -= p.value.size
-            if first < 0:
-                raise TrainingDivergedError(f"non-finite gradient in parameter {name!r}")
     first = buffers.m is None
     if first:
         buffers.m = np.empty(buffers.values.size)
         buffers.v = np.empty(buffers.values.size)
     c1 = 1.0 - beta1 ** step
     c2 = 1.0 - beta2 ** step
-    _sharded(buffers, _update, lr, c1, c2, beta1, beta2, eps, first)
+    cuts = shards(buffers.values.size)
+    plan = [(p, _group_rows(p, len(cuts))) for _, p in store.items()]
+    run_calls([(_update, buffers, lo, hi, plan, lr, c1, c2, beta1, beta2, eps, first)
+               for lo, hi in cuts])
     for _, p in store.items():
         p.consume_grad()
     return store
+
+
+def _bounded(factors: list[tuple[np.ndarray, np.ndarray]]) -> bool:
+    """Whether the sum of the pairs' products x^T dy is finite for sure:
+    by Cauchy-Schwarz, every entry of a product, and every partial sum of
+    one, is at most |x| |dy| in magnitude (Frobenius norms), and the sum
+    of those over the pairs is below 1e300. A non-finite factor, or a norm
+    whose square overflows, makes it NaN or infinite."""
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, dy in factors:
+            total += _norm(x) * _norm(dy)
+    return total < 1e300
+
+
+def _norm(a: np.ndarray) -> float:
+    """The Frobenius norm of ``a``, read in one pass."""
+    flat = a.ravel()
+    return math.sqrt(float(np.dot(flat, flat)))
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, read in one pass without a
+    temporary array when it is: a sum with an infinite or NaN term is
+    infinite or NaN, and only a sum that overflows, or holds such a term,
+    is checked entry by entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
+
+
+def _group_rows(p: Param, workers: int) -> int:
+    """Rows per GEMM when a shard multiplies p's pairs out: a whole block's
+    on one worker; side by side, at most GEMM_CAP multiply-adds per GEMM.
+    Never fewer than MIN_ROWS."""
+    cols = p.value.shape[1]
+    rows = max(MIN_ROWS, BLOCK // cols)
+    if workers == 1 or not p.factors:
+        return rows
+    k = max(dy.shape[0] for _, dy in p.factors)
+    return max(MIN_ROWS, min(rows, GEMM_CAP // (cols * k)))
 
 
 def worker_count(elements: int) -> int:
@@ -155,12 +186,6 @@ def run_calls(calls: list[tuple]) -> list:
     with ThreadPoolExecutor(max(1, len(calls) - 1)) as pool:
         rest = [pool.submit(*call) for call in calls[1:]]
         return [calls[0][0](*calls[0][1:])] + [f.result() for f in rest]
-
-
-def _sharded(buffers: Buffers, shard, *args) -> list:
-    """``shard(buffers, lo, hi, *args)`` for each shard [lo, hi) of the
-    elements of ``buffers`` (``shards``), in shard order (``run_calls``)."""
-    return run_calls([(shard, buffers, lo, hi, *args) for lo, hi in shards(buffers.values.size)])
 
 
 def glorot_fill(values: np.ndarray, limits: list[tuple[int, float]],
@@ -208,45 +233,79 @@ def _blocks(lo: int, hi: int):
         yield start, min(start + BLOCK, hi)
 
 
-def _first_non_finite(buffers: Buffers, lo: int, hi: int) -> int | None:
-    """The first element of [lo, hi) with a non-finite gradient, or None."""
-    finite = np.empty(BLOCK, dtype=bool)
-    for start, stop in _blocks(lo, hi):
-        ok = np.isfinite(buffers.grads[start:stop], out=finite[:stop - start])
-        if not ok.all():
-            return start + int(np.argmin(ok))
-    return None
+def _update(buffers: Buffers, lo: int, hi: int, plan: list[tuple[Param, int]], lr: float,
+            c1: float, c2: float, beta1: float, beta2: float, eps: float, first: bool) -> None:
+    """The update of elements [lo, hi): for each (parameter, GEMM rows) of
+    ``plan``, in store order, the Adam ops on each block of its gradient
+    (``_gradient``) that falls in the range."""
+    # a block is at most BLOCK elements, or MIN_ROWS rows, of one parameter
+    size = max(min(p.value.size, max(BLOCK, MIN_ROWS * p.value.shape[1])) for p, _ in plan)
+    scratch, scratch_a, scratch_b = np.empty(size), np.empty(size), np.empty(size)
+    for p, group_rows in plan:
+        start = p.offset
+        a, b = max(lo, start) - start, min(hi, start + p.value.size) - start
+        for g, s, e in _gradient(p, a, b, scratch, group_rows):
+            at = slice(start + s, start + e)
+            _adam(buffers.values[at], g, buffers.m[at], buffers.v[at],
+                  scratch_a[:e - s], scratch_b[:e - s], lr, c1, c2, beta1, beta2, eps, first)
 
 
-def _update(buffers: Buffers, lo: int, hi: int, lr: float, c1: float, c2: float,
-            beta1: float, beta2: float, eps: float, first: bool) -> None:
-    scratch_a = np.empty(BLOCK)
-    scratch_b = np.empty(BLOCK)
-    for start, stop in _blocks(lo, hi):
-        w = buffers.values[start:stop]
-        g = buffers.grads[start:stop]
-        mb, vb = buffers.m[start:stop], buffers.v[start:stop]
-        a, b = scratch_a[:stop - start], scratch_b[:stop - start]
-        if first:
-            # the update from zero moments without reading them: 0 * beta
-            # is +0.0, so m is (1 - beta1) g + 0.0, which also turns -0.0 to +0.0
-            np.multiply(g, 1.0 - beta1, out=mb)
-            mb += 0.0
-            np.square(g, out=vb)
-            vb *= 1.0 - beta2
-            vb += 0.0
-        else:
-            mb *= beta1
-            vb *= beta2
-            np.multiply(g, 1.0 - beta1, out=a)
-            mb += a
-            np.square(g, out=a)
-            a *= 1.0 - beta2
-            vb += a
-        np.divide(vb, c2, out=a)
-        np.sqrt(a, out=a)
-        a += eps
-        np.divide(mb, c1, out=b)
-        b *= lr
-        b /= a
-        w -= b
+def _gradient(p: Param, lo: int, hi: int, scratch: np.ndarray, group_rows: int):
+    """(g, start, stop) for each block [start, stop) of p's elements [lo,
+    hi), in order, g its gradient: zeros when nothing reached it, its dense
+    array, or its pairs multiplied out into ``scratch``, the rows that hold
+    at most BLOCK elements at a time. A block of fewer than MIN_ROWS rows
+    (at the ends of the range) is multiplied out with its neighbours, up to
+    MIN_ROWS rows, and only its own elements are read."""
+    if lo >= hi:
+        return
+    if not p.reached:
+        zeros = scratch[:min(BLOCK, hi - lo)]
+        zeros.fill(0.0)
+        for start, stop in _blocks(lo, hi):
+            yield zeros[:stop - start], start, stop
+        return
+    if not p.factors:
+        flat = p.dense.reshape(-1)
+        for start, stop in _blocks(lo, hi):
+            yield flat[start:stop], start, stop
+        return
+    rows, cols = p.value.shape
+    chunk, end = max(MIN_ROWS, BLOCK // cols), -(-hi // cols)
+    for r in range(lo // cols, end, chunk):
+        r_end = min(r + chunk, end)
+        top = max(0, min(r, r_end - MIN_ROWS))
+        bottom = min(rows, max(r_end, top + MIN_ROWS))
+        p.multiply_rows(top, bottom, scratch, group_rows)
+        start, stop = max(lo, r * cols), min(hi, r_end * cols)
+        yield scratch[start - top * cols:stop - top * cols], start, stop
+
+
+def _adam(w: np.ndarray, g: np.ndarray, mb: np.ndarray, vb: np.ndarray, a: np.ndarray,
+          b: np.ndarray, lr: float, c1: float, c2: float, beta1: float, beta2: float,
+          eps: float, first: bool) -> None:
+    """The update of one block in place: w, g, mb and vb the value,
+    gradient and moments, a and b scratch arrays of the same length."""
+    if first:
+        # the update from zero moments without reading them: 0 * beta
+        # is +0.0, so m is (1 - beta1) g + 0.0, which also turns -0.0 to +0.0
+        np.multiply(g, 1.0 - beta1, out=mb)
+        mb += 0.0
+        np.square(g, out=vb)
+        vb *= 1.0 - beta2
+        vb += 0.0
+    else:
+        mb *= beta1
+        vb *= beta2
+        np.multiply(g, 1.0 - beta1, out=a)
+        mb += a
+        np.square(g, out=a)
+        a *= 1.0 - beta2
+        vb += a
+    np.divide(vb, c2, out=a)
+    np.sqrt(a, out=a)
+    a += eps
+    np.divide(mb, c1, out=b)
+    b *= lr
+    b /= a
+    w -= b

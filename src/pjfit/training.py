@@ -97,7 +97,7 @@ class TrainResult:
 def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
     """Deterministic training run: sample pair batches, Adam-step per batch.
 
-    The returned store holds the trained values only: no gradient buffers
+    The returned store holds the trained values only: no gradients
     and no Adam moments. Raises TrainingDivergedError naming the batch index if the
     loss goes non-finite.
     """

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pjfit.config import ABLATIONS, ModelConfig
+from pjfit.model import param_spec
 from pjfit.numerics import (
     DimensionError,
     Matrix,
@@ -20,7 +22,7 @@ from pjfit.numerics import (
     ops,
     seeded_rng,
 )
-from pjfit.numerics import optim
+from pjfit.numerics import optim, params
 
 
 from conftest import store_of
@@ -513,7 +515,7 @@ def test_blocked_adam_is_bitwise_equal_to_the_textbook_update():
     shapes = {
         "big": (3, optim.BLOCK + 5),  # four blocks, the last one ragged
         "bias": (1, 1),
-        "sometimes": (4, 7),  # no gradient buffer on steps 1 and 4
+        "sometimes": (4, 7),  # no gradient on steps 1 and 4
     }
     values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
     store = store_of(*values.items())
@@ -607,7 +609,16 @@ def test_sharded_adam_is_bitwise_equal_to_the_textbook_update(monkeypatch, worke
         store.release_grads()
         for name, p in store.items():
             if name == "sometimes" and step in (1, 3):
-                state[name]["grad"] = None  # reads its zeros in the gradient buffer
+                state[name]["grad"] = None  # nothing reached it: reads as zeros
+                continue
+            if name == "big" and step % 2 == 0:
+                # two kept pairs, multiplied out by each shard that holds a
+                # row of them: the cuts fall inside rows
+                pairs = [(rng.normal(size=(k, 3)), rng.normal(size=(k, 37))) for k in (2, 5)]
+                for x, dy in pairs:
+                    p.add_product(x, dy)
+                assert len(p.factors) == 2
+                state[name]["grad"] = _dense_sum(pairs)
                 continue
             grad = rng.normal(size=p.value.shape)
             grad[rng.random(size=grad.shape) < 0.2] = -0.0
@@ -780,19 +791,174 @@ def test_gradients_over_two_steps_equal_accumulation_from_zero(grad_write_at, re
 
 
 def test_a_bound_view_reads_zeros_over_a_consumed_gradient():
-    # after Adam the buffer still holds the 7s of the last step; a bound
-    # parameter's gradient read before any closure reached it is zeros, and
-    # a product into it then adds to those zeros
+    # after Adam the dense gradient still holds the 7s of the last step; a
+    # bound parameter's gradient read before any closure reached it is
+    # zeros, and a product into it then adds to those zeros
     store = store_of(("w", np.ones((3, 2))))
     store["w"].grad[...] = 7.0
     adam_step(store, lr=0.0, step=1)
-    assert (store.buffers.grads == 7.0).all()  # consumed, not zeroed
+    assert (store["w"].dense == 7.0).all()  # consumed, not zeroed
     tape = Tape()
     w = store.bind(tape)["w"]
     np.testing.assert_array_equal(w.grad, np.zeros((3, 2)))
     x = Matrix([[1.0, 2.0, 3.0]])
     tape.backward(sum_all(ops.matmul(x, w)))
     np.testing.assert_array_equal(store["w"].grad, [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+
+
+# ------------------------------------------------------- factored gradients
+
+
+def _model_shapes(d_model):
+    """Every tensor shape of the d_model specs, all ablations."""
+    return sorted({(rows, cols) for ablation in ABLATIONS
+                   for _, rows, cols in param_spec(ModelConfig(d_model=d_model, ablation=ablation))})
+
+
+def _pieces(p, lo, hi, workers):
+    """p's gradient over elements [lo, hi), as adam_step's shards read it
+    with ``workers`` shards side by side."""
+    scratch = np.empty(max(optim.BLOCK, params.MIN_ROWS * p.value.shape[1]))
+    group_rows = optim._group_rows(p, workers)
+    return [g.copy() for g, _, _ in optim._gradient(p, lo, hi, scratch, group_rows)]
+
+
+@pytest.mark.parametrize("k", [1, 4, 25, 32])
+@pytest.mark.parametrize("d_model", [1024, 64])
+def test_row_blocks_multiply_out_to_the_full_products_bytes(d_model, k):
+    # two pairs per tensor, read whole and as two shards cut near the
+    # middle, with the GEMM rows used on one worker and side by side: the
+    # bytes of the first product written and the second added
+    rng = seeded_rng(23)
+    for rows, cols in _model_shapes(d_model):
+        p = ParamStore([("w", rows, cols)])["w"]
+        pairs = [(rng.normal(size=(k, rows)), rng.normal(size=(k, cols))) for _ in range(2)]
+        for x, dy in pairs:
+            p.add_product(x, dy)
+        want = np.matmul(pairs[0][0].T, pairs[0][1])
+        want += pairs[1][0].T @ pairs[1][1]
+        if not p.factors:
+            # at d=1024 every shape of two columns or more keeps its pairs
+            # up to K = 25, as a batch of four pairs needs
+            assert not (d_model == 1024 and k <= 25 and cols > 1), (rows, cols)
+            assert cols == 1 or params.FACTOR_ROWS * cols * k > params.GEMM_CAP
+            assert _same_bits(p.dense, want), (rows, cols)
+            continue
+        n = rows * cols
+        cut = min(n - 1, n // 2 + 3)
+        for workers in (1, 2):
+            if workers == 2:
+                assert optim._group_rows(p, 2) * cols * k <= params.GEMM_CAP
+            assert optim._group_rows(p, workers) >= params.MIN_ROWS
+            for cuts in ([(0, n)], [(0, cut), (cut, n)]):
+                got = np.concatenate([g for lo, hi in cuts for g in _pieces(p, lo, hi, workers)])
+                assert got.tobytes() == want.tobytes(), (rows, cols, workers, cuts)
+
+
+def _add_pairs(store, rng, x_scale=1.0, dy_scale=1.0):
+    """Two kept pairs (x, dy) of three rows each for every parameter;
+    returns them by name."""
+    pairs = {}
+    for name, p in store.items():
+        rows, cols = p.value.shape
+        pairs[name] = [(rng.normal(size=(3, rows)) * x_scale, rng.normal(size=(3, cols)) * dy_scale)
+                       for _ in range(2)]
+        for x, dy in pairs[name]:
+            p.add_product(x, dy)
+        assert len(p.factors) == 2, name
+    return pairs
+
+
+def _dense_sum(pairs):
+    """The textbook gradient of two pairs: the first product written, the
+    second added."""
+    grad = np.matmul(pairs[0][0].T, pairs[0][1])
+    grad += pairs[1][0].T @ pairs[1][1]
+    return grad
+
+
+_FACTORED = [("a", (6, 5)), ("b", (8, 4)), ("c", (5, 7))]
+
+
+@pytest.mark.parametrize("where, bad", [
+    ("x", np.nan), ("x", np.inf), ("dy", np.nan), ("dy", -np.inf), ("both", 1e200)])
+def test_non_finite_factors_name_the_first_bad_parameter_and_change_nothing(where, bad):
+    # "b" and "c" go bad; in "both", finite factors of 1e200 meet in one
+    # entry of the product, which overflows
+    rng = seeded_rng(24)
+    store = _store_with(rng, _FACTORED)
+    _add_pairs(store, rng)
+    adam_step(store, lr=1e-2, step=1)
+    rows = {name: p.value.shape[0] for name, p in store.items()}
+    pairs = {name: [(rng.normal(size=(3, rows[name])), rng.normal(size=(3, p.value.shape[1])))
+                    for _ in range(2)] for name, p in store.items()}
+    for name in ("b", "c"):
+        x, dy = pairs[name][1]
+        if where in ("x", "both"):
+            x[1, 2] = bad
+        if where in ("dy", "both"):
+            dy[1, 1] = bad
+    for name, p in store.items():
+        for x, dy in pairs[name]:
+            p.add_product(x, dy)
+        assert len(p.factors) == 2
+    before = {name: [a.copy() for a in (p.value, p.m, p.v)] for name, p in store.items()}
+    with pytest.raises(TrainingDivergedError, match="'b'"):
+        adam_step(store, lr=1e-2, step=2)
+    for name, p in store.items():
+        for got, want in zip((p.value, p.m, p.v), before[name]):
+            assert _same_bits(got, want), name
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert _same_bits(p.grad, _dense_sum(pairs[name])), name
+
+
+def test_factors_beyond_the_bound_with_a_finite_product_train_as_dense():
+    # x's 1e150 meets only dy's zero row, and dy's 1e151 only x's small
+    # row: sum K max|x| max|dy| passes 1e300, so the pairs are multiplied
+    # out and checked, and their finite products (~1e148) take the step
+    rng = seeded_rng(26)
+    store = _store_with(rng, _FACTORED)
+    state = {name: {"value": p.value.copy(), "m": None, "v": None, "grad": None}
+             for name, p in store.items()}
+    for step in (1, 2):
+        pairs = {}
+        for name, p in store.items():
+            rows, cols = p.value.shape
+            pairs[name] = []
+            for _ in range(2):
+                x, dy = rng.normal(size=(3, rows)) * 1e-3, rng.normal(size=(3, cols))
+                if step == 1:
+                    x[0, 0], dy[0], dy[1, 0] = 1e150, 0.0, 1e151
+                pairs[name].append((x, dy))
+                p.add_product(x, dy)
+            assert len(p.factors) == 2 and optim._bounded(p.factors) == (step == 2)
+            state[name]["grad"] = _dense_sum(pairs[name])
+        adam_step(store, lr=1e-2, step=step)
+        _textbook_adam_step(state, lr=1e-2, step=step)
+        for name, p in store.items():
+            assert _same_bits(p.value, state[name]["value"]), (name, step)
+            assert _same_bits(p.m, state[name]["m"]) and _same_bits(p.v, state[name]["v"])
+
+
+def test_a_product_of_two_bound_parameters_trains_as_dense_gradients():
+    # b's product reads a's value, which Adam rewrites before it reaches b:
+    # kept as a pair, b's gradient would be multiplied out from a's new value
+    rng = seeded_rng(27)
+    store = _store_with(rng, [("a", (3, 4)), ("b", (4, 5))])
+    state = {name: {"value": p.value.copy(), "m": None, "v": None, "grad": None}
+             for name, p in store.items()}
+    probe = rng.normal(size=(3, 5))
+    for step in (1, 2):
+        a, b = state["a"]["value"], state["b"]["value"]
+        state["a"]["grad"], state["b"]["grad"] = probe @ b.T, a.T @ probe
+        tape = Tape()
+        bound = store.bind(tape)
+        tape.backward(sum_all(ops.mul(ops.matmul(bound["a"], bound["b"]), Matrix(probe))))
+        assert not store["b"].factors
+        adam_step(store, lr=1e-1, step=step)
+        _textbook_adam_step(state, lr=1e-1, step=step)
+        for name, p in store.items():
+            assert _same_bits(p.value, state[name]["value"]), (name, step)
 
 
 # ------------------------------------------------------------- init draw

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from pjfit.checkpoint import load_checkpoint, save_checkpoint
 from pjfit.config import ABLATIONS, ModelConfig, TrainConfig
 from pjfit.domain import DatasetError, sample_training_pairs
 from pjfit.model import param_spec
-from pjfit.numerics import Matrix, Tape, ops, optim, seeded_rng, spawn_rngs
+from pjfit.numerics import Matrix, Tape, ops, optim, params, seeded_rng, spawn_rngs
 from pjfit.numerics.params import Param
 from pjfit.synth import SynthConfig, generate_dataset
 from pjfit.training import (
@@ -523,6 +524,24 @@ def test_trained_store_holds_no_gradient_buffers():
     assert all(p.m is None and p.v is None for _, p in result.store.items())
 
 
+def test_training_holds_no_store_sized_gradient():
+    # the values and both moments take 3 x 8n bytes for n values; the kept
+    # pairs, the other gradients, the activations and Adam's scratch stay
+    # below 0.6 x 8n more at d=64 (3.27 x 8n in all), where one gradient
+    # buffer over the store would add 8n (4.26 x 8n)
+    ds, meta = synth_toy(embedding_dim=64)
+    train_ds, _ = ds.split_temporal(meta["split_ts"])
+    model = ModelConfig(d_model=64, fusion_hidden=256, n_categories=len(TOY_VOCAB_NAMES))
+    n = sum(rows * cols for _, rows, cols in param_spec(model))
+    tracemalloc.start()
+    try:
+        train(train_ds, train_config(batch_size=8, epochs=1, model=model))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6 * 8 * n, peak / (8 * n)
+
+
 def test_training_is_bitwise_deterministic():
     ds, meta = synth_toy()
     train_ds, _ = ds.split_temporal(meta["split_ts"])
@@ -573,70 +592,63 @@ def sparse_history_dataset():
     return b.build()
 
 
-def _train_lifecycle(monkeypatch, dataset, cfg, add_always):
-    """train() with the gradient buffer refilled whenever a step begins (it
-    is allocated filled, and refilled on each ``consume_grad``): with NaN
-    for the write-first lifecycle, so that a stale gradient read anywhere
-    shows in the result; with zeros when ``add_always``, where every
-    parameter counts as reached from the step's start and every backward
-    contribution to it adds into the buffer, so nothing else zeroes it.
+def _train_lifecycle(monkeypatch, dataset, cfg, textbook):
+    """train() with every parameter's dense gradient refilled whenever a
+    step begins. For the write-first lifecycle it is refilled with NaN, so
+    that a stale gradient read anywhere shows in the result, and weights
+    keep their products as pairs. For the ``textbook`` one no pair is kept
+    (a GEMM cap of 0) and every gradient is zeroed and marked reached at
+    the step's start, so that every backward contribution adds into it.
     Returns the final value bytes, the loss trace and, per parameter, which
-    steps left its gradient unwritten before Adam."""
-    fill = 0.0 if add_always else np.nan
-    names, unwritten = {}, {}
-    consume, zero_unreached, slot = Param.consume_grad, Param.zero_unreached, Matrix.grad_slot
+    steps left its gradient unreached and which kept it as pairs."""
+    names, unreached, factored = {}, {}, {}
+    consume = Param.consume_grad
 
     def filled_init(*args):
         store = init_params(*args)
-        store.buffers.grads = np.full(store.buffers.values.size, fill)
         for name, p in store.items():
             names[id(p)] = name
-            if add_always:
-                p.reached = True
+            if textbook:
+                p.grad
         return store
 
-    def record_then_zero(p):
-        # the flag is the truth: a gradient no closure wrote in the step is
-        # all NaN, and one a closure wrote holds none
-        stale = np.isnan(p.grad_view())
-        assert (stale.all() if not p.reached else not stale.any()), names[id(p)]
-        unwritten.setdefault(names[id(p)], []).append(not p.reached)
-        zero_unreached(p)
-
     def refill(p):
-        p.grad_view()[...] = fill
+        unreached.setdefault(names[id(p)], []).append(not p.reached)
+        factored.setdefault(names[id(p)], []).append(bool(p.factors))
+        if p.dense is not None:
+            p.dense[...] = np.nan
         consume(p)
-        if add_always:
-            p.reached = True
-
-    def always_add(m):
-        return (m._grad, False) if m._param is not None else slot(m)
+        if textbook:
+            p.grad
 
     with monkeypatch.context() as m:
         m.setattr(training, "init_params", filled_init)
         m.setattr(Param, "consume_grad", refill)
-        m.setattr(Param, "zero_unreached", record_then_zero)
-        if add_always:
-            m.setattr(Matrix, "grad_slot", always_add)
+        if textbook:
+            m.setattr(params, "GEMM_CAP", 0)
         result = train(dataset, cfg)
-    return result.store.buffers.values.tobytes(), np.array(result.losses).tobytes(), unwritten
+    return (result.store.buffers.values.tobytes(), np.array(result.losses).tobytes(),
+            unreached, factored)
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_write_first_gradients_train_as_zero_then_add(monkeypatch, ablation):
     # the model's own parameters, each bound whole, among them attention
-    # sets no pair of a batch reaches, against the textbook lifecycle: every
-    # step's gradient starts as zeros and each contribution adds
+    # sets no pair of a batch reaches and weights whose products are kept
+    # as pairs, against the textbook lifecycle: every step's gradient is a
+    # dense array that starts as zeros and each contribution adds
     ds = sparse_history_dataset()
     cfg = train_config(epochs=1, batch_size=1, model=toy_model_config(ablation=ablation))
-    values, losses, unwritten = _train_lifecycle(monkeypatch, ds, cfg, add_always=False)
-    want_values, want_losses, _ = _train_lifecycle(monkeypatch, ds, cfg, add_always=True)
+    values, losses, unreached, factored = _train_lifecycle(monkeypatch, ds, cfg, textbook=False)
+    want_values, want_losses, _, dense = _train_lifecycle(monkeypatch, ds, cfg, textbook=True)
     assert losses == want_losses
     assert values == want_values
-    # the premise: some attention set is left unreached by one step and
-    # reached by another
+    # the premises: some attention set is left unreached by one step and
+    # reached by another; some weight keeps pairs, and none in the textbook run
     assert any(".internal." in name or ".external." in name
-               for name, steps in unwritten.items() if any(steps) and not all(steps))
+               for name, steps in unreached.items() if any(steps) and not all(steps))
+    assert any(any(steps) for steps in factored.values())
+    assert not any(any(steps) for steps in dense.values())
 
 
 def test_init_params_values_are_views_of_one_buffer():
