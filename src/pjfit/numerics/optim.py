@@ -23,12 +23,11 @@ kept pairs (x, dy), which the shard multiplies out a row block at a time
 into a scratch array right before it updates those rows. A block of rows
 of x^T dy has the bits of the same rows of the full product when it has
 at least ``params.MIN_ROWS`` rows, so neither the blocks nor the cuts
-change a bit. When shards run side by side (W >= 2), each GEMM of a block
-is at most ``params.GEMM_CAP`` multiply-adds, which OpenBLAS runs on the
-calling thread; larger ones, issued from both shards at once, fight over
-OpenBLAS's own threads (64-row blocks, 1.6M multiply-adds at d=1024 and
-K = 25, made a step 2x slower). On one shard a block fills a whole
-BLOCK.
+change a bit. Each GEMM of a block is at most ``params.GEMM_CAP``
+multiply-adds, which OpenBLAS runs on the calling thread; larger ones,
+issued from two shards at once, fight over OpenBLAS's own threads
+(64-row blocks, 1.6M multiply-adds at d=1024 and K = 25, made a step 2x
+slower).
 
 The constants were measured on 2 vCPUs with a 2 MiB L2 each (the timings
 are in CHANGES.md):
@@ -116,10 +115,9 @@ def adam_step(store: ParamStore, lr: float, step: int,
         buffers.v = np.empty(buffers.values.size)
     c1 = 1.0 - beta1 ** step
     c2 = 1.0 - beta2 ** step
-    cuts = shards(buffers.values.size)
-    plan = [(p, _group_rows(p, len(cuts))) for _, p in store.items()]
-    run_calls([(_update, buffers, lo, hi, plan, lr, c1, c2, beta1, beta2, eps, first)
-               for lo, hi in cuts])
+    parameters = [p for _, p in store.items()]
+    run_calls([(_update, buffers, lo, hi, parameters, lr, c1, c2, beta1, beta2, eps, first)
+               for lo, hi in shards(buffers.values.size)])
     for _, p in store.items():
         p.consume_grad()
     return store
@@ -153,16 +151,12 @@ def _finite(a: np.ndarray) -> bool:
         return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
 
 
-def _group_rows(p: Param, workers: int) -> int:
-    """Rows per GEMM when a shard multiplies p's pairs out: a whole block's
-    on one worker; side by side, at most GEMM_CAP multiply-adds per GEMM.
-    Never fewer than MIN_ROWS."""
+def _group_rows(p: Param) -> int:
+    """Rows per GEMM when a shard multiplies p's pairs out: a block's, at
+    most GEMM_CAP multiply-adds per GEMM, and never fewer than MIN_ROWS."""
     cols = p.value.shape[1]
-    rows = max(MIN_ROWS, BLOCK // cols)
-    if workers == 1 or not p.factors:
-        return rows
     k = max(dy.shape[0] for _, dy in p.factors)
-    return max(MIN_ROWS, min(rows, GEMM_CAP // (cols * k)))
+    return max(MIN_ROWS, min(BLOCK // cols, GEMM_CAP // (cols * k)))
 
 
 def worker_count(elements: int) -> int:
@@ -233,30 +227,31 @@ def _blocks(lo: int, hi: int):
         yield start, min(start + BLOCK, hi)
 
 
-def _update(buffers: Buffers, lo: int, hi: int, plan: list[tuple[Param, int]], lr: float,
+def _update(buffers: Buffers, lo: int, hi: int, parameters: list[Param], lr: float,
             c1: float, c2: float, beta1: float, beta2: float, eps: float, first: bool) -> None:
-    """The update of elements [lo, hi): for each (parameter, GEMM rows) of
-    ``plan``, in store order, the Adam ops on each block of its gradient
-    (``_gradient``) that falls in the range."""
+    """The update of elements [lo, hi): for each of ``parameters``, in
+    store order, the Adam ops on each block of its gradient (``_gradient``)
+    that falls in the range."""
     # a block is at most BLOCK elements, or MIN_ROWS rows, of one parameter
-    size = max(min(p.value.size, max(BLOCK, MIN_ROWS * p.value.shape[1])) for p, _ in plan)
+    size = max(min(p.value.size, max(BLOCK, MIN_ROWS * p.value.shape[1])) for p in parameters)
     scratch, scratch_a, scratch_b = np.empty(size), np.empty(size), np.empty(size)
-    for p, group_rows in plan:
+    for p in parameters:
         start = p.offset
         a, b = max(lo, start) - start, min(hi, start + p.value.size) - start
-        for g, s, e in _gradient(p, a, b, scratch, group_rows):
+        for g, s, e in _gradient(p, a, b, scratch):
             at = slice(start + s, start + e)
             _adam(buffers.values[at], g, buffers.m[at], buffers.v[at],
                   scratch_a[:e - s], scratch_b[:e - s], lr, c1, c2, beta1, beta2, eps, first)
 
 
-def _gradient(p: Param, lo: int, hi: int, scratch: np.ndarray, group_rows: int):
+def _gradient(p: Param, lo: int, hi: int, scratch: np.ndarray):
     """(g, start, stop) for each block [start, stop) of p's elements [lo,
     hi), in order, g its gradient: zeros when nothing reached it, its dense
     array, or its pairs multiplied out into ``scratch``, the rows that hold
-    at most BLOCK elements at a time. A block of fewer than MIN_ROWS rows
-    (at the ends of the range) is multiplied out with its neighbours, up to
-    MIN_ROWS rows, and only its own elements are read."""
+    at most BLOCK elements at a time, in GEMMs of ``_group_rows`` rows. A
+    block of fewer than MIN_ROWS rows (at the ends of the range) is
+    multiplied out with its neighbours, up to MIN_ROWS rows, and only its
+    own elements are read."""
     if lo >= hi:
         return
     if not p.reached:
@@ -271,7 +266,7 @@ def _gradient(p: Param, lo: int, hi: int, scratch: np.ndarray, group_rows: int):
             yield flat[start:stop], start, stop
         return
     rows, cols = p.value.shape
-    chunk, end = max(MIN_ROWS, BLOCK // cols), -(-hi // cols)
+    chunk, end, group_rows = max(MIN_ROWS, BLOCK // cols), -(-hi // cols), _group_rows(p)
     for r in range(lo // cols, end, chunk):
         r_end = min(r + chunk, end)
         top = max(0, min(r, r_end - MIN_ROWS))

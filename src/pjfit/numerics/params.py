@@ -61,15 +61,19 @@ from pjfit.numerics.matrix import Matrix, Tape
 # OpenBLAS runs a GEMM of at most 2^18 multiply-adds on the calling thread
 # (interface/gemm.c: 65536 * GEMM_MULTITHREAD_THRESHOLD, which is 4).
 GEMM_CAP = 1 << 18
-# Rows of the block of a product that must fit GEMM_CAP for the pair to be
-# kept; it leaves Adam room for blocks of MIN_ROWS rows and more.
-FACTOR_ROWS = 8
 # Rows of the smallest block Adam multiplies out: a one-row block is a
 # matrix-vector product whose bits differ from the full product's, while
 # blocks of 2 rows or more matched them for every tensor shape of the d=64
-# and d=1024 models at K = 1, 2, 3, 4, 25, 32 and 100 (OpenBLAS 0.3.31,
-# Haswell kernels); 4 leaves a margin.
+# and d=1024 models at K = 1, 2, 3, 4, 25, 32 and 100. That was verified
+# on OpenBLAS 0.3.31 with its Haswell kernels only; other kernels may
+# differ, which the row-block test of test_numerics.py would show. 4 rows,
+# twice the measured 2, is a chosen margin, not a measured bound.
 MIN_ROWS = 4
+# Rows of the block of a product that must fit GEMM_CAP for the pair to be
+# kept: twice MIN_ROWS, a choice, not a measurement, so that Adam's capped
+# GEMMs of a kept product hold at least twice the rows of the smallest
+# exact block. At 1024 columns it keeps products of K <= 32 rows.
+FACTOR_ROWS = 2 * MIN_ROWS
 
 
 class Buffers:
@@ -91,8 +95,9 @@ class Param:
     The gradient is the sum of ``factors``' products x^T dy when that
     list is not empty, else the dense array; it is zeros when nothing
     reached it (``reached`` false). ``has_grad`` says whether a tape bound
-    the parameter, or anything contributed to or read its gradient, since
-    the last ``release_grads``.
+    the parameter (pairs come only from a bound parameter's products) or
+    anything asked for its dense gradient (``grad_slot``) since the last
+    ``release_grads``.
     """
 
     __slots__ = ("value", "reached", "factors", "has_grad", "_buffers", "_span", "_dense")
@@ -114,7 +119,6 @@ class Param:
     def add_product(self, x: np.ndarray, dy: np.ndarray) -> None:
         """gradient += x^T dy, kept as the pair when the rules of the
         module docstring allow it, else added to the dense gradient."""
-        self.has_grad = True
         k, cols = dy.shape
         if (k >= 1 and cols >= 2 and FACTOR_ROWS * cols * k <= GEMM_CAP
                 and (self.factors or not self.reached)
@@ -134,6 +138,7 @@ class Param:
         When ``first``, its contents are undefined and the caller must
         write all of it; otherwise the caller adds into it. Either way the
         gradient counts as reached."""
+        self.has_grad = True
         if self._dense is None:
             self._dense = np.empty(self.value.shape)
         if self.factors:
@@ -165,7 +170,6 @@ class Param:
         """The gradient as a dense array: the pairs multiplied out, or
         zeros when nothing reached it in this step, and reached from then
         on. Inference never allocates one."""
-        self.has_grad = True
         grad, first = self.grad_slot()
         if first:
             grad.fill(0.0)

@@ -616,6 +616,10 @@ def _train_lifecycle(monkeypatch, dataset, cfg, textbook):
         unreached.setdefault(names[id(p)], []).append(not p.reached)
         factored.setdefault(names[id(p)], []).append(bool(p.factors))
         if p.dense is not None:
+            if not p.factors:
+                # a dense gradient no closure wrote is still all NaN, and
+                # one that a closure wrote holds no NaN
+                assert np.isnan(p.dense).all() if not p.reached else not np.isnan(p.dense).any()
             p.dense[...] = np.nan
         consume(p)
         if textbook:
