@@ -32,20 +32,21 @@ at d=64. No thread outlives the call.
   chunk is written with ``os.pwrite`` at its place in the file, so no
   store-sized float32 copy exists and no shard waits for another.
 - Load: each shard is read with ``os.preadv`` on the checked file's
-  descriptor into a float32 scratch of its own, ``WIDEN_CHUNK`` values at
-  a time, widened into the value buffer and checked while in cache. Each
-  shard stops at its first non-finite value, or where the file ends if it
-  shrank after its size was checked, and the error names the earliest of
-  these over all shards: the one a sequential scan would meet first, so
-  the message does not depend on W.
+  descriptor into a float32 scratch of its own, ``optim.BLOCK`` values
+  at a time, widened into the value buffer and checked while in cache.
+  Each shard stops at its first non-finite value, or where the file
+  ends if it shrank after its size was checked, and the error names the
+  earliest of these over all shards: the one a sequential scan would
+  meet first, so the message does not depend on W.
 
 Measured on 2 vCPUs at d=1024 (W = 2): in the benchmark's set-up order
 (train, then three save+reload cycles; medians over 6 runs) a reload
 takes 74 ms against 137 ms on one thread; a save with no old file to
 replace takes a median 67 ms (57-76) against 119 ms (102-129) on one
 CPU, 6 saves each. A save over the file saved moments earlier spends
-another 50-130 ms in ``os.replace``, which waits for the old file's
-writeback. At d=64 (W = 1) a load takes 3.6-4.1 ms and a save 5-7 ms.
+another 0.1-0.2 s in ``os.replace``, which releases the replaced 217 MB
+file (``records.atomic_files``). At d=64 (W = 1) a load takes 3.6-4.1 ms
+and a save 5-7 ms.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ MAGIC = b"PJF1"
 VERSION = 5
 # Values per narrowed chunk: 1 MiB of float32 per shard. A d=1024 save
 # with no old file to replace took a median 75 ms at this size against
-# 70-110 ms at 1 << 16, 1 << 17 and 1 << 20 (6 saves each, 2 vCPUs).
+# 70-110 ms at 1 << 16, 1 << 17 and 1 << 20 (6 saves each, 2 vCPUs), and
+# 88-90 ms against 98-100 ms at optim.BLOCK (1 << 16; 12-16 saves each).
 WRITE_CHUNK = 1 << 18
-WIDEN_CHUNK = 1 << 16
 
 
 class CheckpointError(ValueError):
@@ -194,18 +195,19 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig]:
 def _read_widened(fd: int, offset: int, values: np.ndarray, lo: int,
                   hi: int) -> tuple[int, bool] | None:
     """Reads the float32 values [lo, hi) of the block that starts at byte
-    ``offset`` of ``fd`` into ``values[lo:hi]``, ``WIDEN_CHUNK`` at a time
-    through a scratch of its own. Returns None, or (i, False) for the first
-    value i that is not finite, or (i, True) if the file ends before value i.
+    ``offset`` of ``fd`` into ``values[lo:hi]``, one ``optim._blocks``
+    chunk at a time through a scratch of its own. Returns None, or (i,
+    False) for the first value i that is not finite, or (i, True) if the
+    file ends before value i.
 
-    Each widened chunk is checked while in cache by its float64 sum:
-    WIDEN_CHUNK float32 magnitudes (< 3.5e38 each) cannot overflow it, so
-    only a NaN or an Inf makes it non-finite, and only then is the chunk
-    scanned; errstate (per thread) keeps inf - inf from warning."""
-    scratch = np.empty(min(WIDEN_CHUNK, hi - lo), dtype="<f4")
+    Each widened chunk is checked while in cache by its float64 sum: its
+    float32 magnitudes (< 3.5e38 each) cannot overflow it, so only a NaN
+    or an Inf makes it non-finite, and only then is the chunk scanned;
+    errstate (per thread) keeps inf - inf from warning."""
+    scratch = np.empty(min(optim.BLOCK, hi - lo), dtype="<f4")
     with np.errstate(all="ignore"):
-        for a in range(lo, hi, WIDEN_CHUNK):
-            part = scratch[:min(WIDEN_CHUNK, hi - a)]
+        for a, b in optim._blocks(lo, hi):
+            part = scratch[:b - a]
             n = os.preadv(fd, [part], offset + 4 * a) // 4
             chunk = values[a:a + n]
             chunk[...] = part[:n]

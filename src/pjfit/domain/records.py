@@ -279,9 +279,12 @@ def atomic_files(*paths):
     - Durability across a crash. Nothing calls ``fsync`` on a tmp file or
       on the directory, so a file survives a power loss only because ext4
       (with its default ``auto_da_alloc``) writes a file's data back
-      before a rename over an existing file commits. Writeback is also
-      what ``os.replace`` waits 0.05-0.14 s for when it replaces a d=1024
-      checkpoint saved moments before.
+      before a rename over an existing file commits. That writeback is not
+      what ``os.replace`` spends 0.1-0.2 s on when it replaces a d=1024
+      checkpoint saved moments before: an ``fdatasync`` of the old file
+      just before the save returns at once, and with the old file linked
+      aside first the replace takes 0.01-0.07 s and unlinking the aside
+      link 0.08-0.17 s. The time goes to releasing the replaced file.
     - A consistent set. The paths are replaced one ``os.replace`` at a
       time, so a failure between two of them leaves the earlier paths new
       and the later ones old.

@@ -15,19 +15,11 @@ the draw starts its own generator at its offset, so where the shard and
 block cuts fall changes no bit: the result is the same for every W and
 every BLOCK.
 
-The gradients are not a buffer (``params``). A shard walks its element
-range parameter by parameter and reads each gradient where it is: zeros
-for a parameter nothing reached in the step (the attention sets of a
-stage that was empty in the batch), the parameter's dense array, or its
-kept pairs (x, dy), which the shard multiplies out a row block at a time
-into a scratch array right before it updates those rows. A block of rows
-of x^T dy has the bits of the same rows of the full product when it has
-at least ``params.MIN_ROWS`` rows, so neither the blocks nor the cuts
-change a bit. Each GEMM of a block is at most ``params.GEMM_CAP``
-multiply-adds, which OpenBLAS runs on the calling thread; larger ones,
-issued from two shards at once, fight over OpenBLAS's own threads
-(64-row blocks, 1.6M multiply-adds at d=1024 and K = 25, made a step 2x
-slower).
+The gradients are not a buffer. A shard walks its element range
+parameter by parameter and reads each gradient through its Param
+(``Param.grad_blocks``), which also says whether it is finite
+(``Param.grad_is_finite``). How a gradient is held, and that the walk
+gives the same bits wherever a cut falls, is ``params``' rule.
 
 The constants were measured on 2 vCPUs with a 2 MiB L2 each (the timings
 are in CHANGES.md):
@@ -42,13 +34,12 @@ are in CHANGES.md):
 from __future__ import annotations
 
 import copy
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from pjfit.numerics.params import GEMM_CAP, MIN_ROWS, Buffers, Param, ParamStore
+from pjfit.numerics.params import Buffers, Param, ParamStore
 
 # Elements per block of the update: value, gradient, both moments and two
 # scratch buffers of 512 KiB each. The fastest of the sizes measured at
@@ -70,9 +61,8 @@ def adam_step(store: ParamStore, lr: float, step: int,
     First every parameter is checked, and nothing changes unless all pass:
     a read-only value (a store frozen by a serving index) raises
     ValueError naming the parameter, and a non-finite gradient raises
-    TrainingDivergedError naming the first such parameter in store order.
-    Kept pairs are checked without multiplying them out (``_bounded``);
-    only a pair that fails that test is multiplied out and checked.
+    TrainingDivergedError naming the first such parameter in store order
+    (``Param.grad_is_finite``).
 
     Then each shard walks its elements, reading value, gradient and
     moments once and writing value and moments once: the moments are
@@ -103,10 +93,7 @@ def adam_step(store: ParamStore, lr: float, step: int,
         if not p.value.flags.writeable:
             raise ValueError(f"parameter {name!r} is read-only")
     for name, p in store.items():
-        if p.factors and not _bounded(p.factors):
-            with np.errstate(over="ignore", invalid="ignore"):
-                p.grad_slot()  # multiplies the pairs out, to be checked
-        if p.reached and not p.factors and not _finite(p.dense):
+        if not p.grad_is_finite():
             raise TrainingDivergedError(f"non-finite gradient in parameter {name!r}")
     buffers = store.buffers
     first = buffers.m is None
@@ -121,42 +108,6 @@ def adam_step(store: ParamStore, lr: float, step: int,
     for _, p in store.items():
         p.consume_grad()
     return store
-
-
-def _bounded(factors: list[tuple[np.ndarray, np.ndarray]]) -> bool:
-    """Whether the sum of the pairs' products x^T dy is finite for sure:
-    by Cauchy-Schwarz, every entry of a product, and every partial sum of
-    one, is at most |x| |dy| in magnitude (Frobenius norms), and the sum
-    of those over the pairs is below 1e300. A non-finite factor, or a norm
-    whose square overflows, makes it NaN or infinite."""
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x, dy in factors:
-            total += _norm(x) * _norm(dy)
-    return total < 1e300
-
-
-def _norm(a: np.ndarray) -> float:
-    """The Frobenius norm of ``a``, read in one pass."""
-    flat = a.ravel()
-    return math.sqrt(float(np.dot(flat, flat)))
-
-
-def _finite(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` is finite, read in one pass without a
-    temporary array when it is: a sum with an infinite or NaN term is
-    infinite or NaN, and only a sum that overflows, or holds such a term,
-    is checked entry by entry."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
-
-
-def _group_rows(p: Param) -> int:
-    """Rows per GEMM when a shard multiplies p's pairs out: a block's, at
-    most GEMM_CAP multiply-adds per GEMM, and never fewer than MIN_ROWS."""
-    cols = p.value.shape[1]
-    k = max(dy.shape[0] for _, dy in p.factors)
-    return max(MIN_ROWS, min(BLOCK // cols, GEMM_CAP // (cols * k)))
 
 
 def worker_count(elements: int) -> int:
@@ -230,50 +181,17 @@ def _blocks(lo: int, hi: int):
 def _update(buffers: Buffers, lo: int, hi: int, parameters: list[Param], lr: float,
             c1: float, c2: float, beta1: float, beta2: float, eps: float, first: bool) -> None:
     """The update of elements [lo, hi): for each of ``parameters``, in
-    store order, the Adam ops on each block of its gradient (``_gradient``)
-    that falls in the range."""
-    # a block is at most BLOCK elements, or MIN_ROWS rows, of one parameter
-    size = max(min(p.value.size, max(BLOCK, MIN_ROWS * p.value.shape[1])) for p in parameters)
+    store order, the Adam ops on each block of its gradient
+    (``Param.grad_blocks``) that falls in the range."""
+    size = max(p.block_size(BLOCK) for p in parameters)
     scratch, scratch_a, scratch_b = np.empty(size), np.empty(size), np.empty(size)
     for p in parameters:
         start = p.offset
         a, b = max(lo, start) - start, min(hi, start + p.value.size) - start
-        for g, s, e in _gradient(p, a, b, scratch):
+        for g, s, e in p.grad_blocks(a, b, BLOCK, scratch):
             at = slice(start + s, start + e)
             _adam(buffers.values[at], g, buffers.m[at], buffers.v[at],
                   scratch_a[:e - s], scratch_b[:e - s], lr, c1, c2, beta1, beta2, eps, first)
-
-
-def _gradient(p: Param, lo: int, hi: int, scratch: np.ndarray):
-    """(g, start, stop) for each block [start, stop) of p's elements [lo,
-    hi), in order, g its gradient: zeros when nothing reached it, its dense
-    array, or its pairs multiplied out into ``scratch``, the rows that hold
-    at most BLOCK elements at a time, in GEMMs of ``_group_rows`` rows. A
-    block of fewer than MIN_ROWS rows (at the ends of the range) is
-    multiplied out with its neighbours, up to MIN_ROWS rows, and only its
-    own elements are read."""
-    if lo >= hi:
-        return
-    if not p.reached:
-        zeros = scratch[:min(BLOCK, hi - lo)]
-        zeros.fill(0.0)
-        for start, stop in _blocks(lo, hi):
-            yield zeros[:stop - start], start, stop
-        return
-    if not p.factors:
-        flat = p.dense.reshape(-1)
-        for start, stop in _blocks(lo, hi):
-            yield flat[start:stop], start, stop
-        return
-    rows, cols = p.value.shape
-    chunk, end, group_rows = max(MIN_ROWS, BLOCK // cols), -(-hi // cols), _group_rows(p)
-    for r in range(lo // cols, end, chunk):
-        r_end = min(r + chunk, end)
-        top = max(0, min(r, r_end - MIN_ROWS))
-        bottom = min(rows, max(r_end, top + MIN_ROWS))
-        p.multiply_rows(top, bottom, scratch, group_rows)
-        start, stop = max(lo, r * cols), min(hi, r_end * cols)
-        yield scratch[start - top * cols:stop - top * cols], start, stop
 
 
 def _adam(w: np.ndarray, g: np.ndarray, mb: np.ndarray, vb: np.ndarray, a: np.ndarray,

@@ -15,10 +15,10 @@ There is no gradient buffer. A weight's gradient is a sum of products x^T
 dy, one per use in ``ops.matmul`` or ``ops.affine``, and a parameter keeps
 each as the pair (x, dy) of arrays the backward pass holds anyway
 (``Param.add_product``). Adam multiplies the pairs out a few rows at a
-time, right before it updates those rows (``optim``), so no whole-store
-gradient is ever held: at d=1024 with four pairs per batch, the pairs'
-arrays hold ~1.2% as many values as the weights they stand for. A pair
-is kept only when
+time, right before it updates those rows, so no whole-store gradient is
+ever held: at d=1024 with four pairs per batch, the pairs' arrays hold
+~1.2% as many values as the weights they stand for. A pair is kept only
+when
 
 - a FACTOR_ROWS-row block of its product is a GEMM of at most GEMM_CAP
   multiply-adds, so that Adam's shards can multiply it out in blocks that
@@ -35,7 +35,8 @@ category table, a weight used with more rows than the cap allows, and a
 weight's product after a dense contribution. A dense contribution that
 finds pairs multiplies them out first. Either way the contributions are
 summed in the order the backward pass makes them, the first written and
-the rest added, so the gradient has the bits of one dense buffer's.
+the rest added, so the gradient has the bits of one dense buffer's
+wherever a pair's row blocks have the bits of its whole product (below).
 
 Nothing zeroes a gradient ahead of a step. Each parameter keeps one flag,
 ``reached``: whether a backward pass contributed to its gradient in the
@@ -43,7 +44,33 @@ current step. A gradient nothing reached reads as zeros: ``Param.grad``
 zeroes the dense array first, and Adam reads zeros. ``Param.grad``
 multiplies the pairs out into the dense array, for tests and the
 gradchecks. ``adam_step`` consumes every gradient (``consume_grad``):
-the pairs are dropped and the flags cleared.
+the pairs are dropped and the flag cleared.
+
+Adam (``optim``) reads a gradient through two operations of its Param:
+
+- ``grad_is_finite``, before any value changes. Kept pairs are checked
+  without multiplying them out, by a Cauchy-Schwarz bound on their
+  factors (``_bounded``); only a pair that fails it is multiplied out
+  into the dense array, which is scanned like any dense gradient.
+- ``grad_blocks``, a walk over an element range of the gradient in
+  blocks: zeros for a parameter nothing reached (the attention sets of a
+  stage that was empty in the batch), slices of the dense array, or the
+  pairs multiplied out a row block at a time into the caller's scratch.
+  Each GEMM of a block is at most GEMM_CAP multiply-adds, which OpenBLAS
+  runs on the calling thread; larger ones, issued from two shards at
+  once, fight over OpenBLAS's own threads (64-row blocks, 1.6M
+  multiply-adds at d=1024 and K = 25, made a step 2x slower).
+
+Pairs are multiplied out in such GEMMs everywhere, ``Param.grad``
+included, each of MIN_ROWS rows or more. On OpenBLAS 0.3.31's Haswell
+kernels, row blocks like these gave the same bits wherever they were
+cut, for every tensor shape of the model at every K a kept pair may
+have, so neither the blocks nor the cuts between Adam's shards change a
+bit, and ``Param.grad`` has the walk's bits. They also gave the bits of the whole
+product in one GEMM, as a dense gradient has them, at the K the model
+uses (MIN_ROWS below); but not at a K near the cap of a narrow tensor (64
+columns and K >= 400, 5 columns and K = 6553), where the one GEMM is
+large enough for OpenBLAS to split its sum over K.
 
 A ``BoundParams`` holds a store's name -> Param map, not the store, so
 the serving index keeps no store alive. A writer goes through a
@@ -53,6 +80,8 @@ writes, though it writes through the buffers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -66,7 +95,7 @@ GEMM_CAP = 1 << 18
 # blocks of 2 rows or more matched them for every tensor shape of the d=64
 # and d=1024 models at K = 1, 2, 3, 4, 25, 32 and 100. That was verified
 # on OpenBLAS 0.3.31 with its Haswell kernels only; other kernels may
-# differ, which the row-block test of test_numerics.py would show. 4 rows,
+# differ, which the row-block tests of test_numerics.py would show. 4 rows,
 # twice the measured 2, is a chosen margin, not a measured bound.
 MIN_ROWS = 4
 # Rows of the block of a product that must fit GEMM_CAP for the pair to be
@@ -94,13 +123,10 @@ class Param:
 
     The gradient is the sum of ``factors``' products x^T dy when that
     list is not empty, else the dense array; it is zeros when nothing
-    reached it (``reached`` false). ``has_grad`` says whether a tape bound
-    the parameter (pairs come only from a bound parameter's products) or
-    anything asked for its dense gradient (``grad_slot``) since the last
-    ``release_grads``.
+    reached it (``reached`` false).
     """
 
-    __slots__ = ("value", "reached", "factors", "has_grad", "_buffers", "_span", "_dense")
+    __slots__ = ("value", "reached", "factors", "_buffers", "_span", "_dense")
 
     def __init__(self, buffers: Buffers, lo: int, shape: tuple[int, int]):
         self._buffers = buffers
@@ -108,7 +134,6 @@ class Param:
         self.value = buffers.values[self._span].reshape(shape)
         self.reached = False
         self.factors: list[tuple[np.ndarray, np.ndarray]] = []
-        self.has_grad = False
         self._dense: np.ndarray | None = None
 
     @property
@@ -138,18 +163,77 @@ class Param:
         When ``first``, its contents are undefined and the caller must
         write all of it; otherwise the caller adds into it. Either way the
         gradient counts as reached."""
-        self.has_grad = True
         if self._dense is None:
             self._dense = np.empty(self.value.shape)
         if self.factors:
-            rows = self.value.shape[0]
-            self.multiply_rows(0, rows, self._dense.reshape(-1), rows)
+            # in the capped GEMMs of grad_blocks, whose bits it then has
+            self._multiply_rows(0, self.value.shape[0], self._dense.reshape(-1),
+                                self._group_rows(self.value.size))
             self.factors = []
             return self._dense, False
         first, self.reached = not self.reached, True
         return self._dense, first
 
-    def multiply_rows(self, top: int, bottom: int, out: np.ndarray, group_rows: int) -> None:
+    def grad_is_finite(self) -> bool:
+        """Whether every entry of the gradient is finite. Kept pairs that
+        pass ``_bounded`` are finite without being multiplied out; pairs
+        that fail it are multiplied out into the dense array, which is
+        then scanned. A gradient nothing reached is zeros."""
+        if self.factors and not _bounded(self.factors):
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.grad_slot()  # multiplies the pairs out, to be checked
+        return not self.reached or bool(self.factors) or _finite(self._dense)
+
+    def block_size(self, block: int) -> int:
+        """The most elements ``grad_blocks`` yields at once, or writes into
+        its scratch, for ``block``: ``block``, or MIN_ROWS rows when they
+        hold more, and never more than the parameter holds."""
+        return min(self.value.size, max(block, MIN_ROWS * self.value.shape[1]))
+
+    def grad_blocks(self, lo: int, hi: int, block: int, scratch: np.ndarray):
+        """(g, start, stop) for each block [start, stop) of the gradient's
+        elements [lo, hi), in order, g its gradient there: zeros when
+        nothing reached it, its dense array, or its pairs multiplied out
+        into ``scratch`` (``block_size(block)`` elements at least), the rows
+        that hold at most ``block`` elements at a time, in GEMMs of
+        ``_group_rows`` rows. A block of fewer than MIN_ROWS rows (at the
+        ends of the range) is multiplied out with its neighbours, up to
+        MIN_ROWS rows, and only its own elements are read. A g in
+        ``scratch`` holds until the walk takes its next step."""
+        if lo >= hi:
+            return
+        if not self.reached:
+            zeros = scratch[:min(block, hi - lo)]
+            zeros.fill(0.0)
+            for start in range(lo, hi, block):
+                stop = min(start + block, hi)
+                yield zeros[:stop - start], start, stop
+            return
+        if not self.factors:
+            flat = self._dense.reshape(-1)
+            for start in range(lo, hi, block):
+                stop = min(start + block, hi)
+                yield flat[start:stop], start, stop
+            return
+        rows, cols = self.value.shape
+        chunk, end, group_rows = max(MIN_ROWS, block // cols), -(-hi // cols), self._group_rows(block)
+        for r in range(lo // cols, end, chunk):
+            r_end = min(r + chunk, end)
+            top = max(0, min(r, r_end - MIN_ROWS))
+            bottom = min(rows, max(r_end, top + MIN_ROWS))
+            self._multiply_rows(top, bottom, scratch, group_rows)
+            start, stop = max(lo, r * cols), min(hi, r_end * cols)
+            yield scratch[start - top * cols:stop - top * cols], start, stop
+
+    def _group_rows(self, block: int) -> int:
+        """Rows per GEMM when the pairs are multiplied out for pieces of
+        ``block`` elements: a piece's rows, at most GEMM_CAP multiply-adds
+        per GEMM, and never fewer than MIN_ROWS."""
+        cols = self.value.shape[1]
+        k = max(dy.shape[0] for _, dy in self.factors)
+        return max(MIN_ROWS, min(block // cols, GEMM_CAP // (cols * k)))
+
+    def _multiply_rows(self, top: int, bottom: int, out: np.ndarray, group_rows: int) -> None:
         """Rows [top, bottom) of the sum of the pairs' products x^T dy into
         the start of the 1-D array ``out``, in GEMMs of at most
         ``group_rows`` rows and at least MIN_ROWS (all of them when fewer):
@@ -239,7 +323,6 @@ class ParamStore:
         for p in self._params.values():
             p.consume_grad()
             p._dense = None
-            p.has_grad = False
 
     def release_training_buffers(self) -> None:
         """Drop the gradients and the moment buffers; only the values stay."""
@@ -269,10 +352,34 @@ class BoundParams:
         m = self._cache.get(name)
         if m is None:
             p = self._params[name]
-            if self.tape is None:
-                m = Matrix(p.value)
-            else:
-                p.has_grad = True
-                m = Matrix(p.value, tape=self.tape, param=p)
+            m = Matrix(p.value) if self.tape is None else Matrix(p.value, tape=self.tape, param=p)
             self._cache[name] = m
         return m
+
+
+def _bounded(factors: list[tuple[np.ndarray, np.ndarray]]) -> bool:
+    """Whether the sum of the pairs' products x^T dy is finite for sure:
+    by Cauchy-Schwarz, every entry of a product, and every partial sum of
+    one, is at most |x| |dy| in magnitude (Frobenius norms), and the sum
+    of those over the pairs is below 1e300. A non-finite factor, or a norm
+    whose square overflows, makes it NaN or infinite."""
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, dy in factors:
+            total += _norm(x) * _norm(dy)
+    return total < 1e300
+
+
+def _norm(a: np.ndarray) -> float:
+    """The Frobenius norm of ``a``, read in one pass."""
+    flat = a.ravel()
+    return math.sqrt(float(np.dot(flat, flat)))
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, read in one pass without a
+    temporary array when it is: a sum with an infinite or NaN term is
+    infinite or NaN, and only a sum that overflows, or holds such a term,
+    is checked entry by entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(a.sum()) or np.isfinite(a).all())

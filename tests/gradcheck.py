@@ -25,7 +25,7 @@ def finite_diff_check(f, store: ParamStore, h: float = 1e-5,
     if not isinstance(out, Matrix) or out.tape is None:
         raise TypeError("f must return a taped scalar Matrix")
     out.tape.backward(out)
-    analytic = {name: p.grad.copy() if p.has_grad else np.zeros_like(p.value)
+    analytic = {name: p.grad.copy() if p.reached else np.zeros_like(p.value)
                 for name, p in store.items()}
     store.release_grads()
 

@@ -55,7 +55,7 @@ def test_widening_in_chunks_reads_every_value(saved, monkeypatch, chunk):
     # a tensor is widened in place over several chunks, some of whose
     # float32 sources overlap their float64 destinations
     cfg, store, path = saved
-    monkeypatch.setattr(checkpoint, "WIDEN_CHUNK", chunk)
+    monkeypatch.setattr(optim, "BLOCK", chunk)
     loaded, _ = load_checkpoint(path)
     for name, p in store.items():
         assert loaded[name].value.tobytes() == p.value.astype(np.float32).astype(np.float64).tobytes()
@@ -147,7 +147,7 @@ def test_non_finite_value_is_refused_naming_the_tensor_and_element(saved, monkey
     # row 1, column 2 of the second tensor; raised as CheckpointError even
     # with RuntimeWarnings as errors
     cfg, _, path = saved
-    monkeypatch.setattr(checkpoint, "WIDEN_CHUNK", chunk)
+    monkeypatch.setattr(optim, "BLOCK", chunk)
     (_, rows0, cols0), (name, _, cols) = param_spec(cfg)[:2]
     _set_values(path, rows0 * cols0 + cols + 2, [bad])
     with warnings.catch_warnings():
@@ -297,7 +297,7 @@ def _split_io(monkeypatch, elements, workers):
     monkeypatch.setattr(optim, "CUTOFF", elements // workers)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     monkeypatch.setattr(checkpoint, "WRITE_CHUNK", 64)
-    monkeypatch.setattr(checkpoint, "WIDEN_CHUNK", 100)
+    monkeypatch.setattr(optim, "BLOCK", 100)
     assert len(optim.shards(elements)) == workers
     calls = []
     write, read = checkpoint._write_narrowed, checkpoint._read_widened

@@ -284,4 +284,4 @@ def test_fold_values_refuses_a_tape(cfg):
     tape = Tape()
     with pytest.raises(ValueError, match="tape"):
         fold_values(v, store.bind(tape), "cand", cfg.stages[0], cfg)
-    assert len(tape) == 0 and not any(p.has_grad for _, p in store.items())
+    assert len(tape) == 0 and not any(p.reached or p.dense is not None for _, p in store.items())

@@ -537,6 +537,8 @@ def test_blocked_adam_is_bitwise_equal_to_the_textbook_update():
             grad[rng.random(size=grad.shape) < 0.2] = -0.0
             p.grad[...] = grad
             state[name]["grad"] = grad.copy()
+        for name, p in store.items():
+            assert p.reached == (state[name]["grad"] is not None)
         adam_step(store, lr=1e-2, step=step)
         _textbook_adam_step(state, lr=1e-2, step=step)
         for name, p in store.items():
@@ -546,8 +548,7 @@ def test_blocked_adam_is_bitwise_equal_to_the_textbook_update():
                 assert p.m is None and p.v is None
             else:
                 assert _same_bits(p.m, want["m"]) and _same_bits(p.v, want["v"]), (name, step)
-            assert p.has_grad == (want["grad"] is not None)
-            if p.has_grad:
+            if want["grad"] is not None:
                 assert _same_bits(p.grad, want["grad"]), (name, step)
 
 
@@ -626,6 +627,8 @@ def test_sharded_adam_is_bitwise_equal_to_the_textbook_update(monkeypatch, worke
             grad[rng.random(size=grad.shape) < 0.2] = -0.0
             p.grad[...] = grad
             state[name]["grad"] = grad.copy()
+        for name, p in store.items():
+            assert p.reached == (state[name]["grad"] is not None)
         del shards[:]
         adam_step(store, lr=1e-2, step=step)
         _textbook_adam_step(state, lr=1e-2, step=step)
@@ -638,8 +641,7 @@ def test_sharded_adam_is_bitwise_equal_to_the_textbook_update(monkeypatch, worke
             want = state[name]
             assert _same_bits(p.value, want["value"]), (name, step)
             assert _same_bits(p.m, want["m"]) and _same_bits(p.v, want["v"]), (name, step)
-            assert p.has_grad == (want["grad"] is not None)
-            if p.has_grad:
+            if want["grad"] is not None:
                 assert _same_bits(p.grad, want["grad"]), (name, step)
 
 
@@ -819,8 +821,8 @@ def _model_shapes(d_model):
 
 def _pieces(p, lo, hi):
     """p's gradient over elements [lo, hi), as an adam_step shard reads it."""
-    scratch = np.empty(max(optim.BLOCK, params.MIN_ROWS * p.value.shape[1]))
-    return [g.copy() for g, _, _ in optim._gradient(p, lo, hi, scratch)]
+    scratch = np.empty(p.block_size(optim.BLOCK))
+    return [g.copy() for g, _, _ in p.grad_blocks(lo, hi, optim.BLOCK, scratch)]
 
 
 def _blas():
@@ -852,11 +854,64 @@ def test_row_blocks_multiply_out_to_the_full_products_bytes(d_model, k):
             continue
         n = rows * cols
         cut = min(n - 1, n // 2 + 3)
-        assert params.MIN_ROWS <= optim._group_rows(p)
-        assert optim._group_rows(p) * cols * k <= params.GEMM_CAP
+        assert params.MIN_ROWS <= p._group_rows(optim.BLOCK)
+        assert p._group_rows(optim.BLOCK) * cols * k <= params.GEMM_CAP
         for cuts in ([(0, n)], [(0, cut), (cut, n)]):
             got = np.concatenate([g for lo, hi in cuts for g in _pieces(p, lo, hi)])
             assert got.tobytes() == want.tobytes(), (rows, cols, cuts, _blas())
+
+
+def _recording(x, gemms):
+    """x as an array whose products x[:, a:b].T @ dy append (rows, multiply-adds)
+    to ``gemms``."""
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                (rows, k), (_, cols) = inputs[0].shape, inputs[1].shape
+                gemms.append((rows, rows * k * cols))
+            inputs = [a.view(np.ndarray) if isinstance(a, Recorded) else a for a in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return x.view(Recorded)
+
+
+@pytest.mark.parametrize("dense, ks", [(False, ()), (True, ()), (False, (5,)), (False, (5, "cap")),
+                                       (False, ("cap", 3))],
+                         ids=["unreached", "dense", "one_pair", "small_then_cap", "cap_then_small"])
+@pytest.mark.parametrize("rows, cols", [(3, 40), (37, 24), (50, 64)])
+def test_the_gradient_walk_reads_the_bytes_of_param_grad(rows, cols, dense, ks):
+    # any [lo, hi), cut inside rows and in blocks that are not whole rows:
+    # the walk's pieces tile the range and hold the bytes of that slice of
+    # Param.grad; each GEMM of a walk has MIN_ROWS rows or more (all of
+    # them in a 3-row tensor) and at most GEMM_CAP multiply-adds, also at
+    # the largest K a kept pair may have ("cap")
+    rng = seeded_rng(29)
+    p = ParamStore([("w", rows, cols)])["w"]
+    gemms = []
+    if dense:
+        p.grad[...] = rng.normal(size=(rows, cols))
+    for k in ks:
+        k = params.GEMM_CAP // (params.FACTOR_ROWS * cols) if k == "cap" else k
+        p.add_product(_recording(rng.normal(size=(k, rows)), gemms), rng.normal(size=(k, cols)))
+    assert len(p.factors) == len(ks)
+    n = rows * cols
+    cuts = [(0, n), (1, n - 1), (cols + 3, 3 * cols - 2), (n - 5, n), (7, 7)]
+    cuts += [tuple(sorted(rng.integers(0, n + 1, size=2))) for _ in range(6)]
+    walks = []
+    for block in (optim.BLOCK, 100, 2 * cols + 5):
+        scratch = np.full(p.block_size(block), np.nan)
+        for lo, hi in cuts:
+            # a piece in the scratch holds until the walk takes its next step
+            pieces = [(g.copy(), s, e) for g, s, e in p.grad_blocks(lo, hi, block, scratch)]
+            ends = [lo] + [e for _, _, e in pieces]
+            assert [s for _, s, _ in pieces] == ends[:-1] and ends[-1] == hi
+            assert all(g.size == e - s for g, s, e in pieces)
+            walks.append((lo, hi, np.concatenate([g for g, _, _ in pieces] + [np.empty(0)])))
+    assert bool(gemms) == bool(ks)
+    assert all(min(rows, params.MIN_ROWS) <= r and madds <= params.GEMM_CAP for r, madds in gemms)
+    want = p.grad.reshape(-1)
+    for lo, hi, got in walks:
+        assert got.tobytes() == want[lo:hi].tobytes(), (lo, hi, _blas())
 
 
 def _add_pairs(store, rng, x_scale=1.0, dy_scale=1.0):
@@ -935,7 +990,7 @@ def test_factors_beyond_the_bound_with_a_finite_product_train_as_dense():
                     x[0, 0], dy[0], dy[1, 0] = 1e150, 0.0, 1e151
                 pairs[name].append((x, dy))
                 p.add_product(x, dy)
-            assert len(p.factors) == 2 and optim._bounded(p.factors) == (step == 2)
+            assert len(p.factors) == 2 and params._bounded(p.factors) == (step == 2)
             state[name]["grad"] = _dense_sum(pairs[name])
         adam_step(store, lr=1e-2, step=step)
         _textbook_adam_step(state, lr=1e-2, step=step)
@@ -1061,7 +1116,7 @@ def test_constants_get_no_gradient_buffer():
     out = sum_all(ops.mul(joined, joined))
     tape.backward(out)
     assert x.tape is None and not x.has_grad
-    assert store["w"].has_grad and np.abs(store["w"].grad).sum() > 0
+    assert store["w"].reached and np.abs(store["w"].grad).sum() > 0
 
 
 def test_gradient_buffers_are_allocated_on_first_taped_use():
@@ -1069,17 +1124,20 @@ def test_gradient_buffers_are_allocated_on_first_taped_use():
     p = store["w"]
     w = store.bind()["w"]
     ops.mul(w, w)  # untaped: inference allocates nothing
-    assert not p.has_grad
+    assert p.dense is None
     adam_step(store, lr=0.1, step=1)  # no buffer reads as a zero gradient
     np.testing.assert_array_equal(p.value, [[2.0]])
-    assert not p.has_grad
+    assert p.dense is None
 
     def f(s):
         bound = s.bind(Tape())
         return sum_all(ops.mul(bound["w"], bound["w"]))
 
     assert finite_diff_check(f, store) < 1e-9  # "unused" never gets a buffer
-    assert p.has_grad and not store["unused"].has_grad
+    assert store["unused"].dense is None
+    out = f(store)
+    out.tape.backward(out)
+    assert p.dense is not None and store["unused"].dense is None
 
 
 def test_mixing_tapes_is_an_error():

@@ -512,7 +512,7 @@ def test_inference_allocates_no_gradient_buffers(tmp_path):
     store, model_cfg = load_checkpoint(tmp_path / "model.ckpt")
     evaluate(test_ds, store, model_cfg)
     rank_candidates(test_ds.pairs[0].job_id, sorted(ds.candidates)[:5], store, model_cfg, ds)
-    assert not any(p.has_grad for _, p in store.items())
+    assert not any(p.reached or p.dense is not None for _, p in store.items())
 
 
 def test_trained_store_holds_no_gradient_buffers():
@@ -520,7 +520,7 @@ def test_trained_store_holds_no_gradient_buffers():
     train_ds, _ = ds.split_temporal(meta["split_ts"])
     result = train(train_ds, train_config(epochs=1))
     assert result.steps > 0
-    assert not any(p.has_grad for _, p in result.store.items())
+    assert not any(p.reached or p.dense is not None for _, p in result.store.items())
     assert all(p.m is None and p.v is None for _, p in result.store.items())
 
 
