@@ -136,7 +136,10 @@ def load_template_dir(path, category_names=()) -> TemplateLibrary:
 
 
 def _parse_template_file(path: Path) -> PromptTemplate:
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TemplateError(f"{path}: not valid UTF-8 ({exc})") from None
     if "\n---\n" not in text:
         raise TemplateError(f"{path}: expected a '---' line between system and user sections")
     system, body = text.split("\n---\n", 1)

@@ -61,7 +61,7 @@ import struct
 import numpy as np
 
 from pjfit.config import ModelConfig, model_config_from_dict
-from pjfit.domain.records import atomic_files
+from pjfit.domain.records import DatasetError, atomic_files, decode_json
 from pjfit.model import param_spec
 from pjfit.numerics import ParamStore, optim
 
@@ -154,8 +154,10 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig]:
             raise UnsupportedVersionError(f"{path}: unsupported format version {version}")
         config_len, = struct.unpack("<I", take(4, "config length"))
         try:
-            config_doc = json.loads(take(config_len, "config").decode("utf-8"))
+            config_doc = decode_json(take(config_len, "config"), f"{path}: embedded config")
             cfg = model_config_from_dict(config_doc["model"])
+        except DatasetError as exc:
+            raise CheckpointError(str(exc)) from None
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: invalid embedded config: {exc}") from exc
 

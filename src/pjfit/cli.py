@@ -12,8 +12,10 @@ across reruns.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 runtime,
 divergence or internal error (an operand shape mismatch inside the model,
-or a ``KeyError``: every data path turns a missing id or key into a data
-error, so one that reaches ``main`` is a fault of the program).
+or a ``LookupError``: every data path turns a missing id or key into a
+data error, and the model's index checks only see ids the boundary has
+checked, so a ``KeyError`` or ``IndexError`` that reaches ``main`` is a
+fault of the program).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from pjfit.augment import (
 from pjfit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pjfit.config import ABLATIONS, TrainConfig, train_config_from_dict
 from pjfit.domain import Dataset, DatasetError, load_data_dir, validate_records
-from pjfit.domain.records import save_data_dir
+from pjfit.domain.records import decode_json, save_data_dir
 from pjfit.metrics import UndefinedMetricError
 from pjfit.numerics import DimensionError, TrainingDivergedError
 from pjfit.synth import SynthConfig, generate_dataset, synth_config_from_dict
@@ -244,10 +246,7 @@ def cmd_rank(args) -> int:
 
 
 def _load_json(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise DatasetError(f"cannot read config {path}: {exc}") from exc
+    doc = decode_json(Path(path).read_bytes(), path)
     if not isinstance(doc, dict):
         raise DatasetError(f"config {path} must hold a JSON object, not {type(doc).__name__}")
     return doc
@@ -316,7 +315,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DimensionError, KeyError) as exc:
+    except (DimensionError, LookupError) as exc:
         # a bug in the program, not bad input; caught before ValueError
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -37,6 +37,14 @@ holds four files:
 * ``meta.json`` (optional): a JSON object carrying the category list
   ``categories`` (a list of unique strings), the temporal split point
   ``split_ts`` (an integer) and generator bookkeeping.
+
+Every JSON input of the program (these files, a ``--config`` file and a
+checkpoint's embedded config) is read through ``decode_json``: input
+that does not decode (bytes that are not UTF-8, malformed JSON, nesting
+too deep for the parser, an integer too long to convert) raises
+``DatasetError`` naming the file, and the line in a ``.jsonl`` file. A
+``.jsonl`` line ends at a newline byte and is decoded on its own, so the
+line number is exact; a line of ASCII whitespace is skipped.
 """
 
 from __future__ import annotations
@@ -216,15 +224,23 @@ def _load_embeddings(path, ids: list[str]) -> np.ndarray:
     return values
 
 
+def decode_json(data: bytes, where) -> object:
+    """The JSON document in the UTF-8 bytes ``data``, read from ``where``
+    (a file, or file:line). Bytes that are not UTF-8, malformed JSON,
+    arrays or objects nested too deep for the parser, and integers too
+    long to convert raise DatasetError naming ``where``."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise DatasetError(f"{where}: not valid JSON ({exc})") from None
+
+
 def _iter_jsonl(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+            doc = decode_json(line, f"{path}:{lineno}")
             if not isinstance(doc, dict):
                 raise DatasetError(f"{path}:{lineno}: a line must hold a JSON object")
             yield lineno, doc
@@ -308,10 +324,7 @@ def _load_meta(path: Path) -> tuple[dict, CategoryVocab]:
     ``split_ts`` is an integer. Without the file, the default vocabulary."""
     if not path.exists():
         return {}, CategoryVocab()
-    try:
-        meta = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise DatasetError(f"{path}: not valid JSON ({exc})") from None
+    meta = decode_json(path.read_bytes(), path)
     if not isinstance(meta, dict):
         raise DatasetError(f"{path}: must hold a JSON object, not {type(meta).__name__}")
     # a bool is not an int here, nor is a float such as 1000420.9

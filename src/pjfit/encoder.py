@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from pjfit.config import ModelConfig
-from pjfit.numerics import BoundParams, Matrix, ops
+from pjfit.numerics import Matrix, ops
 
 SIDES = ("cand", "job")
 
@@ -63,7 +63,7 @@ def encoder_param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
 
 
 def interaction(query: Matrix, rows: Matrix, row_map: np.ndarray, ranges: np.ndarray,
-                bound: BoundParams, prefix: str, heads: int) -> Matrix:
+                bound: dict[str, Matrix], prefix: str, heads: int) -> Matrix:
     """Attention of ``query Wq`` over ``rows Wk`` and ``rows Wv`` in ``heads``
     column blocks, its heads side by side.
 
@@ -83,12 +83,13 @@ def _check_stages(seqs, cfg: ModelConfig) -> None:
         raise ValueError(f"expected {len(cfg.stages)} sequences per direction, got {len(seqs)}")
 
 
-def external_queries(text: Matrix, bound: BoundParams, side: str, cfg: ModelConfig) -> list[Matrix]:
+def external_queries(text: Matrix, bound: dict[str, Matrix], side: str,
+                     cfg: ModelConfig) -> list[Matrix]:
     """(U, d) query rows of U texts, all heads side by side, per stage."""
     return [ops.matmul(text, bound[f"{side}.{stage}.external.wq"]) for stage in cfg.stages]
 
 
-def external_keys(rows: Matrix, bound: BoundParams, side: str, stage: str,
+def external_keys(rows: Matrix, bound: dict[str, Matrix], side: str, stage: str,
                   cfg: ModelConfig) -> list[Matrix]:
     """[K, V]: the (n, d) keys and values, all heads side by side, of
     history entities (their (n, d) embeddings ``rows``) under the side's
@@ -96,7 +97,8 @@ def external_keys(rows: Matrix, bound: BoundParams, side: str, stage: str,
     return [ops.matmul(rows, bound[f"{side}.{stage}.external.{w}"]) for w in ("wk", "wv")]
 
 
-def internal_hidden(text: Matrix, own, bound: BoundParams, side: str, cfg: ModelConfig) -> Matrix:
+def internal_hidden(text: Matrix, own, bound: dict[str, Matrix], side: str,
+                    cfg: ModelConfig) -> Matrix:
     """(U, fusion_hidden): the internal interactions of U entities (texts
     ``text``, own histories ``own``, one (rows, row_map, ranges) per stage)
     side by side, times ``fusion.w1.internal``, plus ``fusion.b1``.
@@ -107,7 +109,8 @@ def internal_hidden(text: Matrix, own, bound: BoundParams, side: str, cfg: Model
     return ops.affine(out, bound[f"{side}.fusion.w1.internal"], bound[f"{side}.fusion.b1"])
 
 
-def fold_values(v: Matrix, bound: BoundParams, side: str, stage: str, cfg: ModelConfig) -> Matrix:
+def fold_values(v: Matrix, bound: dict[str, Matrix], side: str, stage: str,
+                cfg: ModelConfig) -> Matrix:
     """(n, heads fusion_hidden): the (n, d) external values ``v`` of one
     stage folded through ``fusion.w1.external``, per head its column block
     of ``v`` times that head's rows of the stage's block, heads side by
@@ -115,16 +118,16 @@ def fold_values(v: Matrix, bound: BoundParams, side: str, stage: str, cfg: Model
 
     The only reader of part of a parameter, so it runs on frozen weights
     only: a taped ``bound`` raises ValueError."""
-    if bound.tape is not None:
+    w1 = bound[f"{side}.fusion.w1.external"]
+    if w1.tape is not None:
         raise ValueError("fold_values reads rows of fusion.w1.external, which a tape cannot bind")
-    w1 = bound[f"{side}.fusion.w1.external"].data
     lo, w = cfg.stages.index(stage) * cfg.d_model, cfg.head_dim
-    return ops.concat_cols([ops.matmul(part, Matrix(w1[lo + h * w:lo + (h + 1) * w]))
+    return ops.concat_cols([ops.matmul(part, Matrix(w1.data[lo + h * w:lo + (h + 1) * w]))
                             for h, part in enumerate(ops.split_cols(v, cfg.heads))])
 
 
 def fuse_pairs(queries: list[Matrix], hidden: Matrix, index: np.ndarray, keys,
-               bound: BoundParams, side: str, cfg: ModelConfig, folded: bool) -> Matrix:
+               bound: dict[str, Matrix], side: str, cfg: ModelConfig, folded: bool) -> Matrix:
     """(B, fusion_out) fused representations of one side of B pairs.
 
     ``queries`` and ``hidden`` are the side's ``external_queries`` and

@@ -40,7 +40,7 @@ from pjfit.encoder import (
     internal_hidden,
 )
 from pjfit.moe import head_param_spec, moe_scores
-from pjfit.numerics import BoundParams, Matrix, ParamStore, glorot_fill, ops
+from pjfit.numerics import Matrix, ParamStore, glorot_fill, ops
 
 # entity kind -> the encoder side that its text is the query of
 SIDE = dict(zip(("candidate", "job"), SIDES))
@@ -96,7 +96,8 @@ def check_fits(cfg: ModelConfig, dataset: Dataset) -> None:
                            f"is outside the model's {cfg.n_categories} categories")
 
 
-def entity_rows(text: Matrix, own, bound: BoundParams, side: str, cfg: ModelConfig) -> list[Matrix]:
+def entity_rows(text: Matrix, own, bound: dict[str, Matrix], side: str,
+                cfg: ModelConfig) -> list[Matrix]:
     """The per-entity outputs of U entities of one side, from their (U, d)
     texts and own histories (one (rows, row_map, ranges) per stage): the
     external query rows per stage, the internal hidden row, and the text
@@ -116,7 +117,7 @@ def pair_rows(candidates, jobs, cache: SequenceCache) -> list[np.ndarray]:
 
 
 def pair_scores(sides, candidate_categories: np.ndarray, job_categories: np.ndarray,
-                bound: BoundParams, cfg: ModelConfig) -> Matrix:
+                bound: dict[str, Matrix], cfg: ModelConfig) -> Matrix:
     """(B, 1) scores of B pairs.
 
     ``sides`` holds, in ``SIDES`` order, (rows, index, keys, folded) per
@@ -138,7 +139,7 @@ def pair_scores(sides, candidate_categories: np.ndarray, job_categories: np.ndar
     return moe_scores(first, candidate_categories, job_categories, bound, cfg)
 
 
-def score_pairs(candidates, jobs, bound: BoundParams, cfg: ModelConfig,
+def score_pairs(candidates, jobs, bound: dict[str, Matrix], cfg: ModelConfig,
                 cache: SequenceCache) -> Matrix:
     """Match scores of the pairs (candidates[i], jobs[i]) as a (B, 1) column.
 

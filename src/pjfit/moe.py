@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from pjfit.config import ModelConfig
-from pjfit.numerics import BoundParams, DimensionError, Matrix, ops
+from pjfit.numerics import DimensionError, Matrix, ops
 
 
 def head_param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
@@ -58,13 +58,13 @@ def head_param_spec(cfg: ModelConfig) -> list[tuple[str, int, int]]:
     return spec
 
 
-def gate_weights(e_c: Matrix, bound: BoundParams) -> Matrix:
+def gate_weights(e_c: Matrix, bound: dict[str, Matrix]) -> Matrix:
     """softmax(W2 relu(W1 e_c + b1) + b2): nonnegative, sums to 1."""
     hidden = ops.relu(ops.affine(e_c, bound["moe.gate.w1"], bound["moe.gate.b1"]))
     return ops.softmax_rows(ops.affine(hidden, bound["moe.gate.w2"], bound["moe.gate.b2"]))
 
 
-def expert_forward(hidden: Matrix, i: int, bound: BoundParams, cfg: ModelConfig) -> Matrix:
+def expert_forward(hidden: Matrix, i: int, bound: dict[str, Matrix], cfg: ModelConfig) -> Matrix:
     """Expert i's (B, 1) output from its (B, h1) first hidden layer, after
     the ReLU."""
     if not 0 <= i < cfg.head_experts:
@@ -74,7 +74,7 @@ def expert_forward(hidden: Matrix, i: int, bound: BoundParams, cfg: ModelConfig)
 
 
 def moe_scores(first: Matrix, candidate_categories, job_categories,
-               bound: BoundParams, cfg: ModelConfig) -> Matrix:
+               bound: dict[str, Matrix], cfg: ModelConfig) -> Matrix:
     """(B, 1) gate-weighted sums of expert outputs, one per pair.
 
     ``first`` is the (B, n h1) first-layer pre-activation of all experts

@@ -9,7 +9,7 @@ the training loss is one node of its own (``training.bpr_loss_graph``).
 """
 
 from pjfit.numerics.matrix import DimensionError, Matrix, Tape
-from pjfit.numerics.params import BoundParams, Param, ParamStore
+from pjfit.numerics.params import Param, ParamStore
 from pjfit.numerics.optim import TrainingDivergedError, adam_step, glorot_fill
 from pjfit.numerics.rng import seeded_rng, spawn_rngs
 from pjfit.numerics import ops
@@ -20,7 +20,6 @@ __all__ = [
     "Tape",
     "Param",
     "ParamStore",
-    "BoundParams",
     "TrainingDivergedError",
     "adam_step",
     "glorot_fill",

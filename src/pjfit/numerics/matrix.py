@@ -16,8 +16,8 @@ class Matrix:
     into matrices on a tape; an untaped input (a constant) never gets one.
     A backward closure adds its contribution through ``grad_slot``: the
     first contribution to an activation's gradient becomes that gradient,
-    with no zeros allocated and added to. A parameter bound through a
-    ParamStore (``BoundParams``) passes itself in, and its gradient is the
+    with no zeros allocated and added to. A parameter bound on a tape
+    (``ParamStore.bind``) passes itself in, and its gradient is the
     parameter's: ``grad_slot`` is ``Param.grad_slot``, and ``ops`` hands a
     product x^T dy to ``Param.add_product``; see ``params``.
     """

@@ -72,11 +72,14 @@ uses (MIN_ROWS below); but not at a K near the cap of a narrow tensor (64
 columns and K >= 400, 5 columns and K = 6553), where the one GEMM is
 large enough for OpenBLAS to split its sum over K.
 
-A ``BoundParams`` holds a store's name -> Param map, not the store, so
-the serving index keeps no store alive. A writer goes through a
-parameter's views, so making a value view read-only (as the serving
-index does) stops it: ``adam_step`` checks every value view before it
-writes, though it writes through the buffers.
+``ParamStore.bind`` returns a plain name -> Matrix dict over the values.
+On a tape, each Matrix holds its Param, so a backward pass hands its
+contributions to the Param (``Matrix.grad_slot``, ``ops``'s products).
+Without one, each is a constant over the value view and holds no Param,
+so whatever keeps it (the serving index) pins only the values. A writer
+goes through a parameter's views, so making a value view read-only (as
+the serving index does) stops it: ``adam_step`` checks every value view
+before it writes, though it writes through the buffers.
 """
 
 from __future__ import annotations
@@ -329,32 +332,11 @@ class ParamStore:
         self.release_grads()
         self.buffers.m = self.buffers.v = None
 
-    def bind(self, tape: Tape | None = None) -> "BoundParams":
-        return BoundParams(self._params, tape)
-
-
-class BoundParams:
-    """The parameters of a name -> Param map (a store's own, from
-    ``ParamStore.bind``) viewed as Matrix nodes on one tape, each bound
-    whole.
-
-    On a tape, each Matrix holds its Param, so a backward pass hands its
-    contributions to the Param (``Matrix.grad_slot``, ``ops``'s products).
-    Without a tape no gradient is touched.
-    """
-
-    def __init__(self, params: dict[str, Param], tape: Tape | None = None):
-        self._params = params
-        self.tape = tape
-        self._cache: dict[str, Matrix] = {}
-
-    def __getitem__(self, name: str) -> Matrix:
-        m = self._cache.get(name)
-        if m is None:
-            p = self._params[name]
-            m = Matrix(p.value) if self.tape is None else Matrix(p.value, tape=self.tape, param=p)
-            self._cache[name] = m
-        return m
+    def bind(self, tape: Tape | None = None) -> dict[str, Matrix]:
+        """Every parameter as a Matrix over its value view: on ``tape``
+        holding its Param, or, without one, a constant."""
+        return {name: Matrix(p.value, tape, None if tape is None else p)
+                for name, p in self._params.items()}
 
 
 def _bounded(factors: list[tuple[np.ndarray, np.ndarray]]) -> bool:

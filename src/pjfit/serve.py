@@ -82,12 +82,13 @@ to 1e-12 relative. An index returns bitwise the same scores for the same
 chunk of pairs however warm it is.
 
 Lifetime: ``index_for`` keeps one index per ``ParamStore``, held weakly.
-The index binds the store's own name -> Param map, not the store, so it
-copies no weight (its weights are views of the store's value buffer) and
-keeps no store alive. An index serves while the model config is equal
-and the dataset's ``candidates`` and ``jobs`` are the same dict objects.
-Datasets are immutable after load, and the splits of one dataset share
-those dicts, so eval and rank on one data directory share one index.
+The index holds the store's untaped ``bind``, constants over the value
+views, so it copies no weight and pins only the values: no store,
+``Param``, moment or gradient array. An index serves while the model
+config is equal and the dataset's ``candidates`` and ``jobs`` are the
+same dict objects. Datasets are immutable after load, and the splits of
+one dataset share those dicts, so eval and rank on one data directory
+share one index.
 Building an index makes every value view of the store read-only: an
 in-place update after it (an optimizer step) raises instead of leaving
 the index serving stale entries.
@@ -103,7 +104,7 @@ from pjfit.config import ModelConfig
 from pjfit.domain import COUNTERPART, Dataset, SequenceCache, first_seen
 from pjfit.encoder import external_keys, fold_values
 from pjfit.model import SIDE, check_fits, entity_rows, pair_rows, pair_scores
-from pjfit.numerics import BoundParams, Matrix, ParamStore
+from pjfit.numerics import Matrix, ParamStore
 
 
 # A side of a call folds its keys' values through fusion.w1.external when
@@ -152,10 +153,10 @@ class ServingIndex:
         self.cfg = cfg
         self._records = {"candidate": dataset.candidates, "job": dataset.jobs}
         self._cache = SequenceCache(dataset, cfg)
-        # the store's own Params, bound without the store (see Lifetime)
+        # constants over the frozen value views, without the store (see Lifetime)
         for _, p in store.items():
             p.value.setflags(write=False)
-        self._bound = BoundParams(dict(store.items()))
+        self._bound = store.bind()
         n = {kind: len(rows) for kind, rows in self._cache.row.items()}
         self._entities = {kind: _Table(n[kind]) for kind in SIDE}
         self._keys = {(kind, stage): _Table(n[kind]) for kind in SIDE for stage in cfg.stages}

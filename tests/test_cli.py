@@ -13,7 +13,8 @@ from pjfit import cli
 from pjfit.checkpoint import load_checkpoint
 from pjfit.cli import main
 from pjfit.domain import load_data_dir, validate_records
-from pjfit.numerics import BoundParams, DimensionError
+from pjfit.numerics import DimensionError, ParamStore
+from pjfit.serve import ServingIndex
 
 from conftest import BROKEN_EMBEDDINGS, META_DEFECTS
 
@@ -302,13 +303,31 @@ def test_a_key_error_is_an_internal_error_and_an_unknown_job_a_data_error(pipeli
     assert "data error" in err and "'ghost-job'" in err
     job = sorted(load_data_dir(pipeline / "aug")[0].jobs)[0]
 
-    def renamed(self, name):
-        raise KeyError(name)
+    bind = ParamStore.bind
 
-    monkeypatch.setattr(BoundParams, "__getitem__", renamed)
+    def renamed(self, tape=None):
+        return {f"renamed.{name}": m for name, m in bind(self, tape).items()}
+
+    monkeypatch.setattr(ParamStore, "bind", renamed)
     assert main(argv + ["--job", job]) == 3
     err = capsys.readouterr().err
     assert "internal error: KeyError: " in err and "data error" not in err
+    assert not (tmp_path / "rank.tsv").exists()
+
+
+def test_an_index_error_is_an_internal_error(pipeline, tmp_path, monkeypatch, capsys):
+    # the model's index checks (ops.gather_rows, ops.segment_attention,
+    # moe) see only ids the boundary has checked, so an IndexError that
+    # reaches main is a fault of the program
+    def broken(self, candidates, jobs):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(ServingIndex, "score", broken)
+    job = sorted(load_data_dir(pipeline / "aug")[0].jobs)[0]
+    assert main(["rank", "--checkpoint", str(pipeline / "model.ckpt"), "--data",
+                 str(pipeline / "aug"), "--job", job, "--out", str(tmp_path / "rank.tsv")]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: IndexError: " in err and "data error" not in err
     assert not (tmp_path / "rank.tsv").exists()
 
 
@@ -454,16 +473,22 @@ def synth_dir(tmp_path_factory):
     return root / "data"
 
 
-def _augment_error(data, tmp_path, capsys):
-    """stderr of `augment` on ``data``, after checking that it exits 2 and
-    writes nothing."""
+def _data_error(argv, out, capsys):
+    """stderr of ``main(argv)``, after checking that it exits 2 and writes
+    no ``out``."""
     capsys.readouterr()
-    assert main(["augment", "--data", str(data), "--client", "mock",
-                 "--out", str(tmp_path / "aug")]) == 2
-    assert not (tmp_path / "aug").exists()
+    assert main([str(a) for a in argv]) == 2
+    assert not out.exists()
     err = capsys.readouterr().err
     assert "data error" in err and "Traceback" not in err
     return err
+
+
+def _augment_error(data, tmp_path, capsys):
+    """stderr of `augment` on ``data``, after checking that it exits 2 and
+    writes nothing."""
+    return _data_error(["augment", "--data", data, "--client", "mock", "--out", tmp_path / "aug"],
+                       tmp_path / "aug", capsys)
 
 
 @pytest.mark.parametrize("damage, message", BROKEN_EMBEDDINGS)
@@ -492,6 +517,59 @@ def test_data_directory_with_inline_embeddings_is_a_data_error(synth_dir, tmp_pa
     (data / "embeddings.npz").unlink()
     err = _augment_error(data, tmp_path, capsys)
     assert f"{data / 'entities.jsonl'}:1: inline embeddings" in err and "embeddings.npz" in err
+
+
+# Bytes that decode to no JSON document: a byte that is not UTF-8, arrays
+# nested past the parser's recursion limit, and an integer longer than
+# Python's 4300-digit conversion limit (from 3.11; 3.10 reads it, and the
+# document is then refused for not being an object)
+UNDECODABLE = [
+    pytest.param(b'{"id": "' + b"\xff" * 4 + b'"}', id="not-utf-8"),
+    pytest.param(b"[" * 100_000, id="nested-too-deep"),
+    pytest.param(b"1" * 5000, id="integer-too-long"),
+]
+
+
+@pytest.mark.parametrize("name", ["entities.jsonl", "pairs.jsonl"])
+@pytest.mark.parametrize("bad", UNDECODABLE)
+def test_an_undecodable_line_is_a_data_error_naming_its_line(synth_dir, tmp_path, capsys,
+                                                             name, bad):
+    data = shutil.copytree(synth_dir, tmp_path / "data")
+    first, _, *rest = (data / name).read_bytes().splitlines(keepends=True)
+    (data / name).write_bytes(b"".join([first, bad + b"\n", *rest]))
+    assert f"{data / name}:2: " in _augment_error(data, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("bad", UNDECODABLE)
+def test_an_undecodable_meta_config_or_embedded_config_is_a_data_error_naming_its_file(
+        synth_dir, pipeline, tmp_path, capsys, bad):
+    data = shutil.copytree(synth_dir, tmp_path / "data")
+    (data / "meta.json").write_bytes(bad)
+    assert f"{data / 'meta.json'}: " in _augment_error(data, tmp_path, capsys)
+
+    config = tmp_path / "synth.json"
+    config.write_bytes(bad)
+    err = _data_error(["synth", "--config", config, "--out", tmp_path / "out"],
+                      tmp_path / "out", capsys)
+    assert f"{config}: " in err
+
+    blob = (pipeline / "model.ckpt").read_bytes()
+    n = int.from_bytes(blob[8:12], "little")
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(blob[:8] + len(bad).to_bytes(4, "little") + bad + blob[12 + n:])
+    err = _data_error(["eval", "--data", pipeline / "aug", "--checkpoint", ckpt,
+                       "--report-out", tmp_path / "r.json"], tmp_path / "r.json", capsys)
+    assert f"{ckpt}: " in err
+
+
+def test_a_template_that_is_not_utf_8_is_a_data_error_naming_its_file(synth_dir, tmp_path,
+                                                                      capsys):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "default.txt").write_bytes(b"system\n---\nuser \xff {original_jd}\n")
+    err = _data_error(["augment", "--data", synth_dir, "--template-dir", templates,
+                       "--out", tmp_path / "aug"], tmp_path / "aug", capsys)
+    assert f"{templates / 'default.txt'}: " in err
 
 
 def test_original_jd_text_reports_the_pre_augmentation_short_jds(pipeline, tmp_path):

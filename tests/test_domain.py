@@ -212,7 +212,7 @@ def test_malformed_line_reports_line_number(paths):
     write_entities(paths, [entity_doc("c1", "candidate")])
     entities.write_text(json.dumps(entity_doc("c1", "candidate")) + "\n{broken\n", encoding="utf-8")
     write_jsonl(pairs, [])
-    with pytest.raises(DatasetError, match=r":2: malformed JSON"):
+    with pytest.raises(DatasetError, match=r":2: not valid JSON"):
         load(paths)
 
 

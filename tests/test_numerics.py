@@ -1,5 +1,6 @@
 """Primitive-level oracles, gradient checks, and optimizer behavior."""
 
+import gc
 import math
 import os
 import threading
@@ -1117,6 +1118,34 @@ def test_constants_get_no_gradient_buffer():
     tape.backward(out)
     assert x.tape is None and not x.has_grad
     assert store["w"].reached and np.abs(store["w"].grad).sum() > 0
+
+
+def test_an_untaped_bind_holds_value_views_and_no_param():
+    # what the serving index keeps: a Param reachable from it would pin
+    # the gradient arrays and the moment buffers. Param has no weakref
+    # slot, so the check walks the references instead
+    store = store_of(("w", [[2.0, -1.0], [0.5, 3.0]]), ("b", [[1.0, 4.0]]))
+    bound = store.bind()
+    seen, todo = set(), [bound]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (params.Param, params.Buffers, ParamStore)), obj
+        todo.extend(gc.get_referents(obj))
+    assert list(bound) == ["w", "b"]
+    for name, m in bound.items():
+        assert m.tape is None and np.shares_memory(m.data, store.buffers.values)
+        np.testing.assert_array_equal(m.data, store[name].value)
+
+    # a taped bind still hands the backward's contributions to the Params
+    tape = Tape()
+    bound = store.bind(tape)
+    x = np.array([[1.0, 2.0], [3.0, -1.0]])
+    tape.backward(sum_all(ops.affine(Matrix(x), bound["w"], bound["b"])))
+    np.testing.assert_array_equal(store["w"].grad, x.T @ np.ones((2, 2)))
+    np.testing.assert_array_equal(store["b"].grad, [[2.0, 2.0]])
 
 
 def test_gradient_buffers_are_allocated_on_first_taped_use():
