@@ -8,8 +8,9 @@ array per role, see ``params``) into W contiguous shards [lo, hi), W =
 max(1, min(usable CPUs, n // CUTOFF)), where the usable CPUs are the
 process's affinity mask. The calling thread works the first shard; the
 rest run on a pool of at most W - 1 threads that the call starts and
-joins, so no thread outlives it. numpy releases the interpreter lock
-inside each block's operations, so the shards run in parallel. Every
+joins, so no thread outlives it (one pool for all of an Adam step).
+numpy releases the interpreter lock inside each block's operations, so
+the shards run in parallel. Every
 operation of the draw and of the update is elementwise, and a shard of
 the draw starts its own generator at its offset, so where the shard and
 block cuts fall changes no bit: the result is the same for every W and
@@ -20,6 +21,17 @@ parameter by parameter and reads each gradient through its Param
 (``Param.grad_blocks``), which also says whether it is finite
 (``Param.grad_is_finite``). How a gradient is held, and that the walk
 gives the same bits wherever a cut falls, is ``params``' rule.
+
+The walk skips the parameters whose gradient holds a wide pair
+(``Param.wide``): products too large for a GEMM that stays on its
+shard's thread. A wide pass after the walk updates them one at a time.
+The calling thread alone multiplies a parameter's pairs out, a block of
+BLOCK elements per worker (and WIDE_ROWS rows at least) at a time, in
+GEMMs that OpenBLAS may spread over its own threads; then the W workers
+split that block's elementwise update in W equal parts, and the caller
+goes on to the next block. The two phases do not overlap, and after a
+GEMM OpenBLAS's idle threads keep a CPU busy for a while, so on 2 CPUs
+the split update of a block runs slower than the walk's (CHANGES.md).
 
 The constants were measured on 2 vCPUs with a 2 MiB L2 each (the timings
 are in CHANGES.md):
@@ -100,12 +112,15 @@ def adam_step(store: ParamStore, lr: float, step: int,
     if first:
         buffers.m = np.empty(buffers.values.size)
         buffers.v = np.empty(buffers.values.size)
-    c1 = 1.0 - beta1 ** step
-    c2 = 1.0 - beta2 ** step
+    args = (lr, 1.0 - beta1 ** step, 1.0 - beta2 ** step, beta1, beta2, eps, first)
     parameters = [p for _, p in store.items()]
-    run_calls([(_update, buffers, lo, hi, parameters, lr, c1, c2, beta1, beta2, eps, first)
-               for lo, hi in shards(buffers.values.size)])
-    for _, p in store.items():
+    wide = [p.wide for p in parameters]
+    cuts = shards(buffers.values.size)
+    with ThreadPoolExecutor(max(1, len(cuts) - 1)) as pool:
+        narrow = [p for p, w in zip(parameters, wide) if not w]
+        run_calls([(_update, buffers, lo, hi, narrow, *args) for lo, hi in cuts], pool)
+        _update_wide(pool, len(cuts), buffers, [p for p, w in zip(parameters, wide) if w], *args)
+    for p in parameters:
         p.consume_grad()
     return store
 
@@ -123,14 +138,16 @@ def shards(elements: int) -> list[tuple[int, int]]:
     return [(elements * i // w, elements * (i + 1) // w) for i in range(w)]
 
 
-def run_calls(calls: list[tuple]) -> list:
+def run_calls(calls: list[tuple], pool: ThreadPoolExecutor | None = None) -> list:
     """The results of ``fn(*args)`` for each (fn, *args) of ``calls``, in
-    order: the first on the calling thread, the rest on threads that are
-    joined before this returns. An exception in any call is raised here,
-    the first call's before the others'."""
-    with ThreadPoolExecutor(max(1, len(calls) - 1)) as pool:
-        rest = [pool.submit(*call) for call in calls[1:]]
-        return [calls[0][0](*calls[0][1:])] + [f.result() for f in rest]
+    order: the first on the calling thread, the rest on ``pool``'s threads,
+    or on threads that are joined before this returns. An exception in any
+    call is raised here, the first call's before the others'."""
+    if pool is None:
+        with ThreadPoolExecutor(max(1, len(calls) - 1)) as pool:
+            return run_calls(calls, pool)
+    rest = [pool.submit(*call) for call in calls[1:]]
+    return [calls[0][0](*calls[0][1:])] + [f.result() for f in rest]
 
 
 def glorot_fill(values: np.ndarray, limits: list[tuple[int, float]],
@@ -178,20 +195,45 @@ def _blocks(lo: int, hi: int):
         yield start, min(start + BLOCK, hi)
 
 
-def _update(buffers: Buffers, lo: int, hi: int, parameters: list[Param], lr: float,
-            c1: float, c2: float, beta1: float, beta2: float, eps: float, first: bool) -> None:
+def _update(buffers: Buffers, lo: int, hi: int, parameters: list[Param], *args) -> None:
     """The update of elements [lo, hi): for each of ``parameters``, in
     store order, the Adam ops on each block of its gradient
-    (``Param.grad_blocks``) that falls in the range."""
-    size = max(p.block_size(BLOCK) for p in parameters)
+    (``Param.grad_blocks``) that falls in the range. ``args`` are
+    ``_adam``'s from ``lr`` on."""
+    size = max((p.block_size(BLOCK) for p in parameters), default=0)
     scratch, scratch_a, scratch_b = np.empty(size), np.empty(size), np.empty(size)
     for p in parameters:
         start = p.offset
         a, b = max(lo, start) - start, min(hi, start + p.value.size) - start
-        for g, s, e in p.grad_blocks(a, b, BLOCK, scratch):
-            at = slice(start + s, start + e)
-            _adam(buffers.values[at], g, buffers.m[at], buffers.v[at],
-                  scratch_a[:e - s], scratch_b[:e - s], lr, c1, c2, beta1, beta2, eps, first)
+        for g, s, _ in p.grad_blocks(a, b, BLOCK, scratch):
+            _adam_at(buffers, start + s, g, scratch_a, scratch_b, *args)
+
+
+def _update_wide(pool: ThreadPoolExecutor, workers: int, buffers: Buffers,
+                 parameters: list[Param], *args) -> None:
+    """The update of every element of ``parameters``: each block of a
+    gradient (BLOCK elements per worker, or WIDE_ROWS rows when they hold
+    more) multiplied out on the calling thread, then its Adam ops split in
+    ``workers`` parts, the first on the calling thread and the rest on
+    ``pool``."""
+    block = BLOCK * workers
+    size = max((p.block_size(block) for p in parameters), default=0)
+    scratch, part = np.empty(size), -(-size // workers)
+    scratches = [(np.empty(part), np.empty(part)) for _ in range(workers)]
+    for p in parameters:
+        for g, s, _ in p.grad_blocks(0, p.value.size, block, scratch):
+            cuts = [g.size * i // workers for i in range(workers + 1)]
+            run_calls([(_adam_at, buffers, p.offset + s + c, g[c:d], a, b, *args)
+                       for c, d, (a, b) in zip(cuts, cuts[1:], scratches)], pool)
+
+
+def _adam_at(buffers: Buffers, at: int, g: np.ndarray, a: np.ndarray, b: np.ndarray,
+             *args) -> None:
+    """The update of elements [at, at + g.size) from their gradient g,
+    with scratch arrays a and b of that many elements at least."""
+    span = slice(at, at + g.size)
+    _adam(buffers.values[span], g, buffers.m[span], buffers.v[span], a[:g.size], b[:g.size],
+          *args)
 
 
 def _adam(w: np.ndarray, g: np.ndarray, mb: np.ndarray, vb: np.ndarray, a: np.ndarray,

@@ -16,13 +16,10 @@ dy, one per use in ``ops.matmul`` or ``ops.affine``, and a parameter keeps
 each as the pair (x, dy) of arrays the backward pass holds anyway
 (``Param.add_product``). Adam multiplies the pairs out a few rows at a
 time, right before it updates those rows, so no whole-store gradient is
-ever held: at d=1024 with four pairs per batch, the pairs' arrays hold
-~1.2% as many values as the weights they stand for. A pair is kept only
-when
+ever held. A pair of K rows (x is K x rows, dy K x cols) is kept when
 
-- a FACTOR_ROWS-row block of its product is a GEMM of at most GEMM_CAP
-  multiply-adds, so that Adam's shards can multiply it out in blocks that
-  stay on their own threads;
+- its factors hold fewer values than its product, K (rows + cols) <
+  rows cols (``_keeps``);
 - the product has at least two columns: OpenBLAS computes a one-column
   product as a matrix-vector product, whose bits change with the rows
   asked for;
@@ -31,12 +28,33 @@ when
 
 Any other contribution goes to a dense gradient array the parameter owns
 (kept across steps, dropped by ``ParamStore.release_grads``): biases, the
-category table, a weight used with more rows than the cap allows, and a
+category table, a weight used with more rows than the rule allows, and a
 weight's product after a dense contribution. A dense contribution that
 finds pairs multiplies them out first. Either way the contributions are
 summed in the order the backward pass makes them, the first written and
 the rest added, so the gradient has the bits of one dense buffer's
 wherever a pair's row blocks have the bits of its whole product (below).
+
+Kept pairs are multiplied out in one of two ways:
+
+- **narrow** pairs, those whose FACTOR_ROWS-row block is a GEMM of at most
+  GEMM_CAP multiply-adds, by Adam's shards, each GEMM at most GEMM_CAP
+  multiply-adds and MIN_ROWS rows or more. OpenBLAS runs such a GEMM on
+  the calling thread; larger ones, issued from two shards at once, fight
+  over OpenBLAS's own threads (64-row blocks, 1.6M multiply-adds at
+  d=1024 and K = 25, made a step 2x slower);
+- a parameter with a **wide** pair (kept, but not narrow) by the calling
+  thread alone (``optim``'s wide pass), in blocks of WIDE_ROWS rows or
+  more, one GEMM per pair, which OpenBLAS may spread over its threads.
+
+``Param.grad`` multiplies out in the same GEMMs. On OpenBLAS 0.3.31 (a
+DYNAMIC_ARCH build, which picks its SkylakeX kernels on the development
+machine), for every tensor shape of the model at K = 1, 4, 25, 32 and at
+the largest K the rule keeps (767 at d=1024), row blocks like these gave
+the bits of the whole product in one GEMM, as a dense gradient has them,
+wherever they were cut and on 1 and 2 threads: so neither the blocks,
+nor the cuts between Adam's shards, nor keeping a pair changes a bit.
+The row-block tests of test_numerics.py check this on the BLAS at hand.
 
 Nothing zeroes a gradient ahead of a step. Each parameter keeps one flag,
 ``reached``: whether a backward pass contributed to its gradient in the
@@ -56,21 +74,6 @@ Adam (``optim``) reads a gradient through two operations of its Param:
   blocks: zeros for a parameter nothing reached (the attention sets of a
   stage that was empty in the batch), slices of the dense array, or the
   pairs multiplied out a row block at a time into the caller's scratch.
-  Each GEMM of a block is at most GEMM_CAP multiply-adds, which OpenBLAS
-  runs on the calling thread; larger ones, issued from two shards at
-  once, fight over OpenBLAS's own threads (64-row blocks, 1.6M
-  multiply-adds at d=1024 and K = 25, made a step 2x slower).
-
-Pairs are multiplied out in such GEMMs everywhere, ``Param.grad``
-included, each of MIN_ROWS rows or more. On OpenBLAS 0.3.31's Haswell
-kernels, row blocks like these gave the same bits wherever they were
-cut, for every tensor shape of the model at every K a kept pair may
-have, so neither the blocks nor the cuts between Adam's shards change a
-bit, and ``Param.grad`` has the walk's bits. They also gave the bits of the whole
-product in one GEMM, as a dense gradient has them, at the K the model
-uses (MIN_ROWS below); but not at a K near the cap of a narrow tensor (64
-columns and K >= 400, 5 columns and K = 6553), where the one GEMM is
-large enough for OpenBLAS to split its sum over K.
 
 ``ParamStore.bind`` returns a plain name -> Matrix dict over the values.
 On a tape, each Matrix holds its Param, so a backward pass hands its
@@ -102,10 +105,15 @@ GEMM_CAP = 1 << 18
 # twice the measured 2, is a chosen margin, not a measured bound.
 MIN_ROWS = 4
 # Rows of the block of a product that must fit GEMM_CAP for the pair to be
-# kept: twice MIN_ROWS, a choice, not a measurement, so that Adam's capped
-# GEMMs of a kept product hold at least twice the rows of the smallest
-# exact block. At 1024 columns it keeps products of K <= 32 rows.
+# narrow: twice MIN_ROWS, a choice, not a measurement, so that Adam's capped
+# GEMMs of a narrow product hold at least twice the rows of the smallest
+# exact block. At 1024 columns, pairs of K <= 32 rows are narrow.
 FACTOR_ROWS = 2 * MIN_ROWS
+# Rows of the smallest block a wide pair is multiplied out in: blocks of
+# 64 rows or more gave the one-GEMM product's bits for every tensor shape
+# of the model at every K up to 2048, on 1 and 2 threads, while 4-row
+# blocks did not at K = 512 (OpenBLAS 0.3.31).
+WIDE_ROWS = 64
 
 
 class Buffers:
@@ -147,9 +155,7 @@ class Param:
     def add_product(self, x: np.ndarray, dy: np.ndarray) -> None:
         """gradient += x^T dy, kept as the pair when the rules of the
         module docstring allow it, else added to the dense gradient."""
-        k, cols = dy.shape
-        if (k >= 1 and cols >= 2 and FACTOR_ROWS * cols * k <= GEMM_CAP
-                and (self.factors or not self.reached)
+        if (_keeps(len(dy), *self.value.shape) and (self.factors or not self.reached)
                 and not np.may_share_memory(x, self._buffers.values)):
             self.factors.append((x, dy))
             self.reached = True
@@ -169,9 +175,9 @@ class Param:
         if self._dense is None:
             self._dense = np.empty(self.value.shape)
         if self.factors:
-            # in the capped GEMMs of grad_blocks, whose bits it then has
+            # in the GEMMs of grad_blocks, whose bits it then has
             self._multiply_rows(0, self.value.shape[0], self._dense.reshape(-1),
-                                self._group_rows(self.value.size))
+                                self._group_rows(self.value.size), np.empty(self.value.size))
             self.factors = []
             return self._dense, False
         first, self.reached = not self.reached, True
@@ -187,11 +193,18 @@ class Param:
                 self.grad_slot()  # multiplies the pairs out, to be checked
         return not self.reached or bool(self.factors) or _finite(self._dense)
 
+    @property
+    def wide(self) -> bool:
+        """Whether the gradient holds a wide pair (module docstring), so
+        that it is multiplied out in blocks of WIDE_ROWS rows or more."""
+        return any(FACTOR_ROWS * dy.size > GEMM_CAP for _, dy in self.factors)
+
     def block_size(self, block: int) -> int:
         """The most elements ``grad_blocks`` yields at once, or writes into
-        its scratch, for ``block``: ``block``, or MIN_ROWS rows when they
-        hold more, and never more than the parameter holds."""
-        return min(self.value.size, max(block, MIN_ROWS * self.value.shape[1]))
+        its scratch, for ``block``: ``block``, or the rows of a GEMM of the
+        pairs when they hold more, and never more than the parameter
+        holds."""
+        return min(self.value.size, max(block, self._group_rows(block) * self.value.shape[1]))
 
     def grad_blocks(self, lo: int, hi: int, block: int, scratch: np.ndarray):
         """(g, start, stop) for each block [start, stop) of the gradient's
@@ -199,58 +212,62 @@ class Param:
         nothing reached it, its dense array, or its pairs multiplied out
         into ``scratch`` (``block_size(block)`` elements at least), the rows
         that hold at most ``block`` elements at a time, in GEMMs of
-        ``_group_rows`` rows. A block of fewer than MIN_ROWS rows (at the
-        ends of the range) is multiplied out with its neighbours, up to
-        MIN_ROWS rows, and only its own elements are read. A g in
-        ``scratch`` holds until the walk takes its next step."""
+        ``_group_rows`` rows. A block of fewer rows (at the ends of the
+        range) is multiplied out with its neighbours, up to that many rows,
+        and only its own elements are read. A g in ``scratch`` holds until
+        the walk takes its next step."""
         if lo >= hi:
             return
-        if not self.reached:
-            zeros = scratch[:min(block, hi - lo)]
-            zeros.fill(0.0)
-            for start in range(lo, hi, block):
-                stop = min(start + block, hi)
-                yield zeros[:stop - start], start, stop
-            return
         if not self.factors:
-            flat = self._dense.reshape(-1)
+            flat = self._dense.reshape(-1) if self.reached else None
+            if flat is None:
+                scratch[:min(block, hi - lo)] = 0.0
             for start in range(lo, hi, block):
                 stop = min(start + block, hi)
-                yield flat[start:stop], start, stop
+                yield scratch[:stop - start] if flat is None else flat[start:stop], start, stop
             return
-        rows, cols = self.value.shape
-        chunk, end, group_rows = max(MIN_ROWS, block // cols), -(-hi // cols), self._group_rows(block)
+        (rows, cols), group_rows = self.value.shape, self._group_rows(block)
+        chunk, end = max(group_rows, block // cols), -(-hi // cols)
+        # where the pairs after the first are multiplied before they are added
+        product = np.empty(self.block_size(block))
         for r in range(lo // cols, end, chunk):
             r_end = min(r + chunk, end)
-            top = max(0, min(r, r_end - MIN_ROWS))
-            bottom = min(rows, max(r_end, top + MIN_ROWS))
-            self._multiply_rows(top, bottom, scratch, group_rows)
+            top = max(0, min(r, r_end - group_rows))
+            bottom = min(rows, max(r_end, top + group_rows))
+            self._multiply_rows(top, bottom, scratch, group_rows, product)
             start, stop = max(lo, r * cols), min(hi, r_end * cols)
             yield scratch[start - top * cols:stop - top * cols], start, stop
 
     def _group_rows(self, block: int) -> int:
         """Rows per GEMM when the pairs are multiplied out for pieces of
-        ``block`` elements: a piece's rows, at most GEMM_CAP multiply-adds
-        per GEMM, and never fewer than MIN_ROWS."""
+        ``block`` elements: a piece's rows, and never fewer than WIDE_ROWS
+        when wide; else never fewer than MIN_ROWS, and at most GEMM_CAP
+        multiply-adds per GEMM."""
         cols = self.value.shape[1]
-        k = max(dy.shape[0] for _, dy in self.factors)
-        return max(MIN_ROWS, min(block // cols, GEMM_CAP // (cols * k)))
+        if self.wide:
+            return max(WIDE_ROWS, block // cols)
+        return max(MIN_ROWS, min([block // cols] + [GEMM_CAP // dy.size for _, dy in self.factors]))
 
-    def _multiply_rows(self, top: int, bottom: int, out: np.ndarray, group_rows: int) -> None:
+    def _multiply_rows(self, top: int, bottom: int, out: np.ndarray, group_rows: int,
+                       product: np.ndarray) -> None:
         """Rows [top, bottom) of the sum of the pairs' products x^T dy into
         the start of the 1-D array ``out``, in GEMMs of at most
-        ``group_rows`` rows and at least MIN_ROWS (all of them when fewer):
-        the first pair written, the rest added, in the order the backward
-        pass made them."""
+        ``group_rows`` rows and at least MIN_ROWS (all of them when fewer;
+        the callers of a wide pair ask for one GEMM): the first pair
+        written, each later one multiplied into ``product`` (as many
+        elements as a GEMM's result at least) and added, in the order the
+        backward pass made them."""
         rows, cols = bottom - top, self.value.shape[1]
         n = max(1, min(-(-rows // group_rows), rows // MIN_ROWS))
+        (x, dy), *rest = self.factors
         for i in range(n):
             a, b = top + rows * i // n, top + rows * (i + 1) // n
             block = out[(a - top) * cols:(b - top) * cols].reshape(b - a, cols)
-            (x, dy), *rest = self.factors
             np.matmul(x[:, a:b].T, dy, out=block)
-            for x, dy in rest:
-                block += x[:, a:b].T @ dy
+            for x_later, dy_later in rest:
+                later = product[:block.size].reshape(block.shape)
+                np.matmul(x_later[:, a:b].T, dy_later, out=later)
+                block += later
 
     @property
     def grad(self) -> np.ndarray:
@@ -271,8 +288,7 @@ class Param:
     def consume_grad(self) -> None:
         """Start a new step: the pairs are dropped and the gradient counts
         as not reached, so it reads as zeros again without a pass over it."""
-        self.factors = []
-        self.reached = False
+        self.factors, self.reached = [], False
 
     def _view(self, flat: np.ndarray) -> np.ndarray:
         return flat[self._span].reshape(self.value.shape)
@@ -339,17 +355,21 @@ class ParamStore:
                 for name, p in self._params.items()}
 
 
+def _keeps(k: int, rows: int, cols: int) -> bool:
+    """Whether a product of K = ``k`` rows into a (rows x cols) gradient
+    may be kept as its pair: it has two columns or more, and its factors
+    hold fewer values than it does."""
+    return cols >= 2 and 0 < k * (rows + cols) < rows * cols
+
+
 def _bounded(factors: list[tuple[np.ndarray, np.ndarray]]) -> bool:
     """Whether the sum of the pairs' products x^T dy is finite for sure:
     by Cauchy-Schwarz, every entry of a product, and every partial sum of
     one, is at most |x| |dy| in magnitude (Frobenius norms), and the sum
     of those over the pairs is below 1e300. A non-finite factor, or a norm
     whose square overflows, makes it NaN or infinite."""
-    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, dy in factors:
-            total += _norm(x) * _norm(dy)
-    return total < 1e300
+        return sum(_norm(x) * _norm(dy) for x, dy in factors) < 1e300
 
 
 def _norm(a: np.ndarray) -> float:

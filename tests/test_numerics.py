@@ -618,7 +618,7 @@ def test_sharded_adam_is_bitwise_equal_to_the_textbook_update(monkeypatch, worke
                 # row of them: the cuts fall inside rows. Bound on a tape
                 # first, as a backward pass's products are.
                 store.bind(Tape())[name]
-                pairs = [(rng.normal(size=(k, 3)), rng.normal(size=(k, 37))) for k in (2, 5)]
+                pairs = [(rng.normal(size=(k, 3)), rng.normal(size=(k, 37))) for k in (1, 2)]
                 for x, dy in pairs:
                     p.add_product(x, dy)
                 assert len(p.factors) == 2
@@ -833,33 +833,51 @@ def _blas():
     return blas.get("openblas configuration") or blas.get("name")
 
 
-@pytest.mark.parametrize("k", [1, 4, 25, 32])
+def _largest_kept(rows, cols):
+    """The largest K of a pair the keep rule keeps for a (rows x cols)
+    gradient, K (rows + cols) < rows cols, or 0 when it keeps none."""
+    return 0 if cols < 2 else (rows * cols - 1) // (rows + cols)
+
+
+@pytest.mark.parametrize("k", [1, 4, 25, 32, "largest"])
 @pytest.mark.parametrize("d_model", [1024, 64])
 def test_row_blocks_multiply_out_to_the_full_products_bytes(d_model, k):
     # two pairs per tensor, read whole and as two shards cut near the
-    # middle: the bytes of the first product written and the second added
+    # middle: the bytes of the first product written and the second added,
+    # which a dense gradient holds. "largest" is each shape's largest kept
+    # K: narrow pairs go through GEMMs of at most GEMM_CAP multiply-adds,
+    # wide ones (up to K = 767 at d=1024) through blocks of WIDE_ROWS rows
+    # or more
     rng = seeded_rng(23)
     for rows, cols in _model_shapes(d_model):
+        k_rows = max(1, _largest_kept(rows, cols)) if k == "largest" else k
         p = ParamStore([("w", rows, cols)])["w"]
-        pairs = [(rng.normal(size=(k, rows)), rng.normal(size=(k, cols))) for _ in range(2)]
+        gemms = []
+        pairs = [(rng.normal(size=(k_rows, rows)), rng.normal(size=(k_rows, cols)))
+                 for _ in range(2)]
         for x, dy in pairs:
-            p.add_product(x, dy)
+            p.add_product(_recording(x, gemms), dy)
         want = np.matmul(pairs[0][0].T, pairs[0][1])
         want += pairs[1][0].T @ pairs[1][1]
         if not p.factors:
-            # at d=1024 every shape of two columns or more keeps its pairs
-            # up to K = 25, as a batch of four pairs needs
-            assert not (d_model == 1024 and k <= 25 and cols > 1), (rows, cols)
-            assert cols == 1 or params.FACTOR_ROWS * cols * k > params.GEMM_CAP
+            # the 1024 x 1024 and larger tensors of d=1024 keep their pairs
+            # up to K = 511, past every K asked here
+            assert not (d_model == 1024 and min(rows, cols) >= 1024 and k != "largest"), (rows, cols)
+            assert cols == 1 or k_rows * (rows + cols) >= rows * cols
             assert _same_bits(p.dense, want), (rows, cols)
             continue
         n = rows * cols
         cut = min(n - 1, n // 2 + 3)
-        assert params.MIN_ROWS <= p._group_rows(optim.BLOCK)
-        assert p._group_rows(optim.BLOCK) * cols * k <= params.GEMM_CAP
+        if p.wide:
+            assert params.FACTOR_ROWS * cols * k_rows > params.GEMM_CAP
+        else:
+            assert params.MIN_ROWS <= p._group_rows(optim.BLOCK)
+            assert p._group_rows(optim.BLOCK) * cols * k_rows <= params.GEMM_CAP
+        least = min(rows, params.WIDE_ROWS if p.wide else params.MIN_ROWS)
         for cuts in ([(0, n)], [(0, cut), (cut, n)]):
             got = np.concatenate([g for lo, hi in cuts for g in _pieces(p, lo, hi)])
-            assert got.tobytes() == want.tobytes(), (rows, cols, cuts, _blas())
+            assert got.tobytes() == want.tobytes(), (rows, cols, k_rows, cuts, _blas())
+        assert gemms and all(least <= r for r, _ in gemms), (rows, cols, k_rows)
 
 
 def _recording(x, gemms):
@@ -879,22 +897,26 @@ def _recording(x, gemms):
 @pytest.mark.parametrize("dense, ks", [(False, ()), (True, ()), (False, (5,)), (False, (5, "cap")),
                                        (False, ("cap", 3))],
                          ids=["unreached", "dense", "one_pair", "small_then_cap", "cap_then_small"])
-@pytest.mark.parametrize("rows, cols", [(3, 40), (37, 24), (50, 64)])
+@pytest.mark.parametrize("rows, cols", [(3, 40), (37, 24), (50, 64), (130, 600)])
 def test_the_gradient_walk_reads_the_bytes_of_param_grad(rows, cols, dense, ks):
     # any [lo, hi), cut inside rows and in blocks that are not whole rows:
     # the walk's pieces tile the range and hold the bytes of that slice of
-    # Param.grad; each GEMM of a walk has MIN_ROWS rows or more (all of
-    # them in a 3-row tensor) and at most GEMM_CAP multiply-adds, also at
-    # the largest K a kept pair may have ("cap")
+    # Param.grad; each GEMM of a walk of narrow pairs has MIN_ROWS rows or
+    # more (all of them in a 3-row tensor) and at most GEMM_CAP
+    # multiply-adds, also at the largest K the keep rule allows ("cap"),
+    # and each GEMM of wide pairs (130 x 600 at that K) WIDE_ROWS rows or
+    # more. A small K is cut to the largest kept where that is smaller.
     rng = seeded_rng(29)
     p = ParamStore([("w", rows, cols)])["w"]
     gemms = []
     if dense:
         p.grad[...] = rng.normal(size=(rows, cols))
     for k in ks:
-        k = params.GEMM_CAP // (params.FACTOR_ROWS * cols) if k == "cap" else k
+        k = _largest_kept(rows, cols) if k == "cap" else min(k, _largest_kept(rows, cols))
         p.add_product(_recording(rng.normal(size=(k, rows)), gemms), rng.normal(size=(k, cols)))
     assert len(p.factors) == len(ks)
+    least, cap = (params.WIDE_ROWS, math.inf) if p.wide else (params.MIN_ROWS, params.GEMM_CAP)
+    assert p.wide == ((rows, cols) == (130, 600) and "cap" in ks)
     n = rows * cols
     cuts = [(0, n), (1, n - 1), (cols + 3, 3 * cols - 2), (n - 5, n), (7, 7)]
     cuts += [tuple(sorted(rng.integers(0, n + 1, size=2))) for _ in range(6)]
@@ -909,19 +931,19 @@ def test_the_gradient_walk_reads_the_bytes_of_param_grad(rows, cols, dense, ks):
             assert all(g.size == e - s for g, s, e in pieces)
             walks.append((lo, hi, np.concatenate([g for g, _, _ in pieces] + [np.empty(0)])))
     assert bool(gemms) == bool(ks)
-    assert all(min(rows, params.MIN_ROWS) <= r and madds <= params.GEMM_CAP for r, madds in gemms)
+    assert all(min(rows, least) <= r and madds <= cap for r, madds in gemms)
     want = p.grad.reshape(-1)
     for lo, hi, got in walks:
         assert got.tobytes() == want[lo:hi].tobytes(), (lo, hi, _blas())
 
 
 def _add_pairs(store, rng, x_scale=1.0, dy_scale=1.0):
-    """Two kept pairs (x, dy) of three rows each for every parameter;
+    """Two kept pairs (x, dy) of two rows each for every parameter;
     returns them by name."""
     pairs = {}
     for name, p in store.items():
         rows, cols = p.value.shape
-        pairs[name] = [(rng.normal(size=(3, rows)) * x_scale, rng.normal(size=(3, cols)) * dy_scale)
+        pairs[name] = [(rng.normal(size=(2, rows)) * x_scale, rng.normal(size=(2, cols)) * dy_scale)
                        for _ in range(2)]
         for x, dy in pairs[name]:
             p.add_product(x, dy)
@@ -950,7 +972,7 @@ def test_non_finite_factors_name_the_first_bad_parameter_and_change_nothing(wher
     _add_pairs(store, rng)
     adam_step(store, lr=1e-2, step=1)
     rows = {name: p.value.shape[0] for name, p in store.items()}
-    pairs = {name: [(rng.normal(size=(3, rows[name])), rng.normal(size=(3, p.value.shape[1])))
+    pairs = {name: [(rng.normal(size=(2, rows[name])), rng.normal(size=(2, p.value.shape[1])))
                     for _ in range(2)] for name, p in store.items()}
     for name in ("b", "c"):
         x, dy = pairs[name][1]
@@ -986,7 +1008,7 @@ def test_factors_beyond_the_bound_with_a_finite_product_train_as_dense():
             rows, cols = p.value.shape
             pairs[name] = []
             for _ in range(2):
-                x, dy = rng.normal(size=(3, rows)) * 1e-3, rng.normal(size=(3, cols))
+                x, dy = rng.normal(size=(2, rows)) * 1e-3, rng.normal(size=(2, cols))
                 if step == 1:
                     x[0, 0], dy[0], dy[1, 0] = 1e150, 0.0, 1e151
                 pairs[name].append((x, dy))

@@ -597,8 +597,9 @@ def _train_lifecycle(monkeypatch, dataset, cfg, textbook):
     step begins. For the write-first lifecycle it is refilled with NaN, so
     that a stale gradient read anywhere shows in the result, and weights
     keep their products as pairs. For the ``textbook`` one no pair is kept
-    (a GEMM cap of 0) and every gradient is zeroed and marked reached at
-    the step's start, so that every backward contribution adds into it.
+    (a keep rule that refuses every pair) and every gradient is zeroed and
+    marked reached at the step's start, so that every backward
+    contribution adds into it.
     Returns the final value bytes, the loss trace and, per parameter, which
     steps left its gradient unreached and which kept it as pairs."""
     names, unreached, factored = {}, {}, {}
@@ -629,7 +630,7 @@ def _train_lifecycle(monkeypatch, dataset, cfg, textbook):
         m.setattr(training, "init_params", filled_init)
         m.setattr(Param, "consume_grad", refill)
         if textbook:
-            m.setattr(params, "GEMM_CAP", 0)
+            m.setattr(params, "_keeps", lambda k, rows, cols: False)
         result = train(dataset, cfg)
     return (result.store.buffers.values.tobytes(), np.array(result.losses).tobytes(),
             unreached, factored)
@@ -653,6 +654,39 @@ def test_write_first_gradients_train_as_zero_then_add(monkeypatch, ablation):
                for name, steps in unreached.items() if any(steps) and not all(steps))
     assert any(any(steps) for steps in factored.values())
     assert not any(any(steps) for steps in dense.values())
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_kept_pairs_train_bitwise_as_dense_gradients(monkeypatch, workers):
+    # d=64 at batch 16: moe.w1.fusion's products (512 x 1280, K = 32) are
+    # wide, fusion.w1's (192 x 1024) narrow, and other weights' go dense.
+    # Two epochs of steps, against the same training with a keep rule that
+    # refuses every pair, on one shard and on three in blocks of 4096
+    ds, meta = synth_toy(embedding_dim=64)
+    train_ds, _ = ds.split_temporal(meta["split_ts"])
+    cfg = train_config(batch_size=16, model=toy_model_config(
+        d_model=64, fusion_hidden=1024, fusion_out=256, n_experts=5, expert_hidden=(256, 64)))
+    if workers > 1:
+        monkeypatch.setattr(optim, "BLOCK", 4096)
+        monkeypatch.setattr(optim, "CUTOFF", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    seen = set()
+    consume = Param.consume_grad
+
+    def recorded(p):
+        seen.add("wide" if p.wide else "narrow" if p.factors else "dense" if p.reached else "unreached")
+        consume(p)
+
+    with monkeypatch.context() as m:
+        m.setattr(Param, "consume_grad", recorded)
+        kept = train(train_ds, cfg)
+    assert seen >= {"wide", "narrow", "dense"}
+    assert kept.steps >= 2
+    with monkeypatch.context() as m:
+        m.setattr(params, "_keeps", lambda k, rows, cols: False)
+        dense = train(train_ds, cfg)
+    assert np.array(kept.losses).tobytes() == np.array(dense.losses).tobytes()
+    assert kept.store.buffers.values.tobytes() == dense.store.buffers.values.tobytes()
 
 
 def test_init_params_values_are_views_of_one_buffer():
