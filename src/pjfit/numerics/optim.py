@@ -8,9 +8,8 @@ array per role, see ``params``) into W contiguous shards [lo, hi), W =
 max(1, min(usable CPUs, n // CUTOFF)), where the usable CPUs are the
 process's affinity mask. The calling thread works the first shard; the
 rest run on a pool of at most W - 1 threads that the call starts and
-joins, so no thread outlives it (one pool for all of an Adam step).
-numpy releases the interpreter lock inside each block's operations, so
-the shards run in parallel. Every
+joins, so no thread outlives it. numpy releases the interpreter lock
+inside each block's operations, so the shards run in parallel. Every
 operation of the draw and of the update is elementwise, and a shard of
 the draw starts its own generator at its offset, so where the shard and
 block cuts fall changes no bit: the result is the same for every W and
@@ -22,16 +21,21 @@ parameter by parameter and reads each gradient through its Param
 (``Param.grad_is_finite``). How a gradient is held, and that the walk
 gives the same bits wherever a cut falls, is ``params``' rule.
 
-The walk skips the parameters whose gradient holds a wide pair
-(``Param.wide``): products too large for a GEMM that stays on its
-shard's thread. A wide pass after the walk updates them one at a time.
-The calling thread alone multiplies a parameter's pairs out, a block of
-BLOCK elements per worker (and WIDE_ROWS rows at least) at a time, in
-GEMMs that OpenBLAS may spread over its own threads; then the W workers
-split that block's elementwise update in W equal parts, and the caller
-goes on to the next block. The two phases do not overlap, and after a
-GEMM OpenBLAS's idle threads keep a CPU busy for a while, so on 2 CPUs
-the split update of a block runs slower than the walk's (CHANGES.md).
+A gradient's pairs are multiplied out in each shard's walk, in GEMMs of
+a few rows (``params``). A narrow pair's GEMM is small enough that
+OpenBLAS runs it on the calling thread; a wide pair's is not, and two
+shards that both hand one to OpenBLAS fight over its threads, which go on
+spinning after each GEMM. So while more than one shard runs, Adam holds
+OpenBLAS to one thread (``_one_blas_thread``) and restores its thread
+count after: each shard multiplies out and updates its own rows on its
+own CPU. A pair's row blocks have the same bits on 1 and 2 threads, so
+this changes no bit. The count is the process's, so another thread's
+GEMM during the step runs on one thread too. When numpy's BLAS is not an
+OpenBLAS found among the process's mapped libraries, nothing is held:
+the result is the same, only slower. A batch-32 d=1024 training
+(CHANGES.md) ran ~10% faster than with dense gradients this way, and
+~20% slower with the wide pairs multiplied out and updated on the
+calling thread after the walk.
 
 The constants were measured on 2 vCPUs with a 2 MiB L2 each (the timings
 are in CHANGES.md):
@@ -45,7 +49,9 @@ are in CHANGES.md):
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -114,12 +120,9 @@ def adam_step(store: ParamStore, lr: float, step: int,
         buffers.v = np.empty(buffers.values.size)
     args = (lr, 1.0 - beta1 ** step, 1.0 - beta2 ** step, beta1, beta2, eps, first)
     parameters = [p for _, p in store.items()]
-    wide = [p.wide for p in parameters]
     cuts = shards(buffers.values.size)
-    with ThreadPoolExecutor(max(1, len(cuts) - 1)) as pool:
-        narrow = [p for p, w in zip(parameters, wide) if not w]
-        run_calls([(_update, buffers, lo, hi, narrow, *args) for lo, hi in cuts], pool)
-        _update_wide(pool, len(cuts), buffers, [p for p, w in zip(parameters, wide) if w], *args)
+    with _one_blas_thread(len(cuts) > 1):
+        run_calls([(_update, buffers, lo, hi, parameters, *args) for lo, hi in cuts])
     for p in parameters:
         p.consume_grad()
     return store
@@ -138,16 +141,52 @@ def shards(elements: int) -> list[tuple[int, int]]:
     return [(elements * i // w, elements * (i + 1) // w) for i in range(w)]
 
 
-def run_calls(calls: list[tuple], pool: ThreadPoolExecutor | None = None) -> list:
+def run_calls(calls: list[tuple]) -> list:
     """The results of ``fn(*args)`` for each (fn, *args) of ``calls``, in
-    order: the first on the calling thread, the rest on ``pool``'s threads,
-    or on threads that are joined before this returns. An exception in any
-    call is raised here, the first call's before the others'."""
-    if pool is None:
-        with ThreadPoolExecutor(max(1, len(calls) - 1)) as pool:
-            return run_calls(calls, pool)
-    rest = [pool.submit(*call) for call in calls[1:]]
-    return [calls[0][0](*calls[0][1:])] + [f.result() for f in rest]
+    order: the first on the calling thread, the rest on threads that are
+    joined before this returns. An exception in any call is raised here,
+    the first call's before the others'."""
+    with ThreadPoolExecutor(max(1, len(calls) - 1)) as pool:
+        rest = [pool.submit(*call) for call in calls[1:]]
+        return [calls[0][0](*calls[0][1:])] + [f.result() for f in rest]
+
+
+def _openblas_threads():
+    """The (get, set) functions of the thread count of the OpenBLAS that the
+    process has loaded (numpy's), or None when none is found: no
+    /proc/self/maps, or no mapped library whose name holds "openblas"
+    exports them under one of the names OpenBLAS builds use."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line[line.index("/"):].strip() for line in maps
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get and put:
+                return get, put
+    return None
+
+
+_OPENBLAS = _openblas_threads()
+
+
+@contextlib.contextmanager
+def _one_blas_thread(hold: bool):
+    """OpenBLAS held to one thread inside the block when ``hold``, and its
+    thread count restored after it; nothing when not, or when
+    ``_openblas_threads`` found no OpenBLAS."""
+    get, put = _OPENBLAS if hold and _OPENBLAS else (lambda: None, lambda threads: None)
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
 
 
 def glorot_fill(values: np.ndarray, limits: list[tuple[int, float]],
@@ -205,35 +244,10 @@ def _update(buffers: Buffers, lo: int, hi: int, parameters: list[Param], *args) 
     for p in parameters:
         start = p.offset
         a, b = max(lo, start) - start, min(hi, start + p.value.size) - start
-        for g, s, _ in p.grad_blocks(a, b, BLOCK, scratch):
-            _adam_at(buffers, start + s, g, scratch_a, scratch_b, *args)
-
-
-def _update_wide(pool: ThreadPoolExecutor, workers: int, buffers: Buffers,
-                 parameters: list[Param], *args) -> None:
-    """The update of every element of ``parameters``: each block of a
-    gradient (BLOCK elements per worker, or WIDE_ROWS rows when they hold
-    more) multiplied out on the calling thread, then its Adam ops split in
-    ``workers`` parts, the first on the calling thread and the rest on
-    ``pool``."""
-    block = BLOCK * workers
-    size = max((p.block_size(block) for p in parameters), default=0)
-    scratch, part = np.empty(size), -(-size // workers)
-    scratches = [(np.empty(part), np.empty(part)) for _ in range(workers)]
-    for p in parameters:
-        for g, s, _ in p.grad_blocks(0, p.value.size, block, scratch):
-            cuts = [g.size * i // workers for i in range(workers + 1)]
-            run_calls([(_adam_at, buffers, p.offset + s + c, g[c:d], a, b, *args)
-                       for c, d, (a, b) in zip(cuts, cuts[1:], scratches)], pool)
-
-
-def _adam_at(buffers: Buffers, at: int, g: np.ndarray, a: np.ndarray, b: np.ndarray,
-             *args) -> None:
-    """The update of elements [at, at + g.size) from their gradient g,
-    with scratch arrays a and b of that many elements at least."""
-    span = slice(at, at + g.size)
-    _adam(buffers.values[span], g, buffers.m[span], buffers.v[span], a[:g.size], b[:g.size],
-          *args)
+        for g, s, e in p.grad_blocks(a, b, BLOCK, scratch):
+            at = slice(start + s, start + e)
+            _adam(buffers.values[at], g, buffers.m[at], buffers.v[at],
+                  scratch_a[:e - s], scratch_b[:e - s], *args)
 
 
 def _adam(w: np.ndarray, g: np.ndarray, mb: np.ndarray, vb: np.ndarray, a: np.ndarray,

@@ -35,17 +35,18 @@ summed in the order the backward pass makes them, the first written and
 the rest added, so the gradient has the bits of one dense buffer's
 wherever a pair's row blocks have the bits of its whole product (below).
 
-Kept pairs are multiplied out in one of two ways:
+Adam's shards multiply the kept pairs out, each the rows of its own
+range, in one of two ways:
 
 - **narrow** pairs, those whose FACTOR_ROWS-row block is a GEMM of at most
-  GEMM_CAP multiply-adds, by Adam's shards, each GEMM at most GEMM_CAP
-  multiply-adds and MIN_ROWS rows or more. OpenBLAS runs such a GEMM on
-  the calling thread; larger ones, issued from two shards at once, fight
-  over OpenBLAS's own threads (64-row blocks, 1.6M multiply-adds at
-  d=1024 and K = 25, made a step 2x slower);
-- a parameter with a **wide** pair (kept, but not narrow) by the calling
-  thread alone (``optim``'s wide pass), in blocks of WIDE_ROWS rows or
-  more, one GEMM per pair, which OpenBLAS may spread over its threads.
+  GEMM_CAP multiply-adds, in GEMMs of at most GEMM_CAP multiply-adds and
+  MIN_ROWS rows or more, which OpenBLAS runs on the calling thread;
+- a parameter with a **wide** pair (kept, but not narrow) in blocks of
+  WIDE_ROWS rows or more, one GEMM per pair. OpenBLAS would spread such a
+  GEMM over its own threads, and two shards doing so at once fight over
+  them (64-row blocks, 1.6M multiply-adds at d=1024 and K = 25, made a
+  step 2x slower), so Adam holds OpenBLAS to one thread while its shards
+  run (``optim``).
 
 ``Param.grad`` multiplies out in the same GEMMs. On OpenBLAS 0.3.31 (a
 DYNAMIC_ARCH build, which picks its SkylakeX kernels on the development
@@ -100,8 +101,10 @@ GEMM_CAP = 1 << 18
 # matrix-vector product whose bits differ from the full product's, while
 # blocks of 2 rows or more matched them for every tensor shape of the d=64
 # and d=1024 models at K = 1, 2, 3, 4, 25, 32 and 100. That was verified
-# on OpenBLAS 0.3.31 with its Haswell kernels only; other kernels may
-# differ, which the row-block tests of test_numerics.py would show. 4 rows,
+# on OpenBLAS 0.3.31 only, a DYNAMIC_ARCH build whose build string names
+# Haswell but which picks its kernels by CPU (SkylakeX on the development
+# machine; which set ran then was not recorded); other kernels may differ,
+# which the row-block tests of test_numerics.py would show. 4 rows,
 # twice the measured 2, is a chosen margin, not a measured bound.
 MIN_ROWS = 4
 # Rows of the block of a product that must fit GEMM_CAP for the pair to be

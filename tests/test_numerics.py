@@ -827,8 +827,9 @@ def _pieces(p, lo, hi):
 
 
 def _blas():
-    """The BLAS numpy runs on, with OpenBLAS's kernel set when it reports one:
-    the row blocks' exactness was verified on OpenBLAS's Haswell kernels only."""
+    """The BLAS numpy runs on, as its build string names it. The row blocks'
+    exactness was verified on OpenBLAS 0.3.31 only, a DYNAMIC_ARCH build
+    whose string names Haswell but which ran its SkylakeX kernels."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return blas.get("openblas configuration") or blas.get("name")
 

@@ -661,7 +661,8 @@ def test_kept_pairs_train_bitwise_as_dense_gradients(monkeypatch, workers):
     # d=64 at batch 16: moe.w1.fusion's products (512 x 1280, K = 32) are
     # wide, fusion.w1's (192 x 1024) narrow, and other weights' go dense.
     # Two epochs of steps, against the same training with a keep rule that
-    # refuses every pair, on one shard and on three in blocks of 4096
+    # refuses every pair, on one shard and on three in blocks of 4096. On
+    # three, the walk runs with OpenBLAS held to one thread and restored after
     ds, meta = synth_toy(embedding_dim=64)
     train_ds, _ = ds.split_temporal(meta["split_ts"])
     cfg = train_config(batch_size=16, model=toy_model_config(
@@ -670,17 +671,26 @@ def test_kept_pairs_train_bitwise_as_dense_gradients(monkeypatch, workers):
         monkeypatch.setattr(optim, "BLOCK", 4096)
         monkeypatch.setattr(optim, "CUTOFF", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
-    seen = set()
-    consume = Param.consume_grad
+    seen, held = set(), set()
+    consume, update, blas = Param.consume_grad, optim._update, optim._OPENBLAS
+    threads = blas[0]() if blas else None
 
     def recorded(p):
         seen.add("wide" if p.wide else "narrow" if p.factors else "dense" if p.reached else "unreached")
         consume(p)
 
+    def counted(*args):
+        held.add(blas[0]() if blas else None)
+        update(*args)
+
     with monkeypatch.context() as m:
         m.setattr(Param, "consume_grad", recorded)
+        m.setattr(optim, "_update", counted)
         kept = train(train_ds, cfg)
     assert seen >= {"wide", "narrow", "dense"}
+    if blas:
+        assert held == {1 if workers > 1 else threads}
+        assert blas[0]() == threads
     assert kept.steps >= 2
     with monkeypatch.context() as m:
         m.setattr(params, "_keeps", lambda k, rows, cols: False)
