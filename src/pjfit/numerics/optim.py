@@ -22,20 +22,20 @@ parameter by parameter and reads each gradient through its Param
 gives the same bits wherever a cut falls, is ``params``' rule.
 
 A gradient's pairs are multiplied out in each shard's walk, in GEMMs of
-a few rows (``params``). A narrow pair's GEMM is small enough that
-OpenBLAS runs it on the calling thread; a wide pair's is not, and two
-shards that both hand one to OpenBLAS fight over its threads, which go on
-spinning after each GEMM. So while more than one shard runs, Adam holds
-OpenBLAS to one thread (``_one_blas_thread``) and restores its thread
-count after: each shard multiplies out and updates its own rows on its
-own CPU. A pair's row blocks have the same bits on 1 and 2 threads, so
-this changes no bit. The count is the process's, so another thread's
-GEMM during the step runs on one thread too. When numpy's BLAS is not an
-OpenBLAS found among the process's mapped libraries, nothing is held:
-the result is the same, only slower. A batch-32 d=1024 training
-(CHANGES.md) ran ~10% faster than with dense gradients this way, and
-~20% slower with the wide pairs multiplied out and updated on the
-calling thread after the walk.
+``params.MIN_ROWS`` rows or more. OpenBLAS may spread such a GEMM over
+its own threads, and two shards that both hand one to OpenBLAS fight over
+its threads, which go on spinning after each GEMM. So while more than one
+shard runs, Adam holds OpenBLAS to one thread (``_one_blas_thread``) and
+restores its thread count after: each shard multiplies out and updates
+its own rows on its own CPU. A pair's row blocks have the same bits on 1
+and 2 threads, so this changes no bit. The count is the process's, so
+another thread's GEMM during the step runs on one thread too. When
+numpy's BLAS is not an OpenBLAS found among the process's mapped
+libraries, nothing is held: the result is the same, only slower. A
+batch-32 d=1024 training (CHANGES.md) ran ~10% faster than with dense
+gradients this way, and ~20% slower with its larger pairs (K > 32 at
+1024 columns) multiplied out and updated on the calling thread after the
+walk.
 
 The constants were measured on 2 vCPUs with a 2 MiB L2 each (the timings
 are in CHANGES.md):

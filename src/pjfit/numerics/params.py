@@ -36,26 +36,17 @@ the rest added, so the gradient has the bits of one dense buffer's
 wherever a pair's row blocks have the bits of its whole product (below).
 
 Adam's shards multiply the kept pairs out, each the rows of its own
-range, in one of two ways:
-
-- **narrow** pairs, those whose FACTOR_ROWS-row block is a GEMM of at most
-  GEMM_CAP multiply-adds, in GEMMs of at most GEMM_CAP multiply-adds and
-  MIN_ROWS rows or more, which OpenBLAS runs on the calling thread;
-- a parameter with a **wide** pair (kept, but not narrow) in blocks of
-  WIDE_ROWS rows or more, one GEMM per pair. OpenBLAS would spread such a
-  GEMM over its own threads, and two shards doing so at once fight over
-  them (64-row blocks, 1.6M multiply-adds at d=1024 and K = 25, made a
-  step 2x slower), so Adam holds OpenBLAS to one thread while its shards
-  run (``optim``).
-
-``Param.grad`` multiplies out in the same GEMMs. On OpenBLAS 0.3.31 (a
-DYNAMIC_ARCH build, which picks its SkylakeX kernels on the development
-machine), for every tensor shape of the model at K = 1, 4, 25, 32 and at
-the largest K the rule keeps (767 at d=1024), row blocks like these gave
-the bits of the whole product in one GEMM, as a dense gradient has them,
-wherever they were cut and on 1 and 2 threads: so neither the blocks,
-nor the cuts between Adam's shards, nor keeping a pair changes a bit.
-The row-block tests of test_numerics.py check this on the BLAS at hand.
+range, in blocks of MIN_ROWS rows or more, one GEMM per pair
+(``Param.grad_blocks``), with OpenBLAS held to one thread (``optim``);
+``Param.grad`` multiplies them out in one GEMM per pair over the whole
+tensor. On OpenBLAS 0.3.31 (a DYNAMIC_ARCH build, which picks its
+SkylakeX kernels on an AVX-512 Xeon), for every tensor shape of the
+model at K = 1, 4, 25, 32 and at the largest K the rule keeps (767 at
+d=1024), such row blocks gave the bits of the whole product in one
+GEMM, as a dense gradient has them, wherever they were cut and on 1 and
+2 threads: so neither the blocks, nor the cuts between Adam's shards,
+nor keeping a pair changes a bit. The row-block tests of
+test_numerics.py check this on the BLAS at hand.
 
 Nothing zeroes a gradient ahead of a step. Each parameter keeps one flag,
 ``reached``: whether a backward pass contributed to its gradient in the
@@ -94,29 +85,11 @@ import numpy as np
 
 from pjfit.numerics.matrix import Matrix, Tape
 
-# OpenBLAS runs a GEMM of at most 2^18 multiply-adds on the calling thread
-# (interface/gemm.c: 65536 * GEMM_MULTITHREAD_THRESHOLD, which is 4).
-GEMM_CAP = 1 << 18
-# Rows of the smallest block Adam multiplies out: a one-row block is a
-# matrix-vector product whose bits differ from the full product's, while
-# blocks of 2 rows or more matched them for every tensor shape of the d=64
-# and d=1024 models at K = 1, 2, 3, 4, 25, 32 and 100. That was verified
-# on OpenBLAS 0.3.31 only, a DYNAMIC_ARCH build whose build string names
-# Haswell but which picks its kernels by CPU (SkylakeX on the development
-# machine; which set ran then was not recorded); other kernels may differ,
-# which the row-block tests of test_numerics.py would show. 4 rows,
-# twice the measured 2, is a chosen margin, not a measured bound.
-MIN_ROWS = 4
-# Rows of the block of a product that must fit GEMM_CAP for the pair to be
-# narrow: twice MIN_ROWS, a choice, not a measurement, so that Adam's capped
-# GEMMs of a narrow product hold at least twice the rows of the smallest
-# exact block. At 1024 columns, pairs of K <= 32 rows are narrow.
-FACTOR_ROWS = 2 * MIN_ROWS
-# Rows of the smallest block a wide pair is multiplied out in: blocks of
-# 64 rows or more gave the one-GEMM product's bits for every tensor shape
-# of the model at every K up to 2048, on 1 and 2 threads, while 4-row
-# blocks did not at K = 512 (OpenBLAS 0.3.31).
-WIDE_ROWS = 64
+# Rows of the smallest block Adam multiplies a pair out in: blocks of 64
+# rows or more gave the one-GEMM product's bits for every tensor shape of
+# the model at every K up to 2048, on 1 and 2 threads, while 4-row blocks
+# did not at K = 512 (OpenBLAS 0.3.31).
+MIN_ROWS = 64
 
 
 class Buffers:
@@ -178,9 +151,8 @@ class Param:
         if self._dense is None:
             self._dense = np.empty(self.value.shape)
         if self.factors:
-            # in the GEMMs of grad_blocks, whose bits it then has
             self._multiply_rows(0, self.value.shape[0], self._dense.reshape(-1),
-                                self._group_rows(self.value.size), np.empty(self.value.size))
+                                np.empty(self.value.size))
             self.factors = []
             return self._dense, False
         first, self.reached = not self.reached, True
@@ -195,12 +167,6 @@ class Param:
             with np.errstate(over="ignore", invalid="ignore"):
                 self.grad_slot()  # multiplies the pairs out, to be checked
         return not self.reached or bool(self.factors) or _finite(self._dense)
-
-    @property
-    def wide(self) -> bool:
-        """Whether the gradient holds a wide pair (module docstring), so
-        that it is multiplied out in blocks of WIDE_ROWS rows or more."""
-        return any(FACTOR_ROWS * dy.size > GEMM_CAP for _, dy in self.factors)
 
     def block_size(self, block: int) -> int:
         """The most elements ``grad_blocks`` yields at once, or writes into
@@ -230,47 +196,36 @@ class Param:
                 yield scratch[:stop - start] if flat is None else flat[start:stop], start, stop
             return
         (rows, cols), group_rows = self.value.shape, self._group_rows(block)
-        chunk, end = max(group_rows, block // cols), -(-hi // cols)
+        end = -(-hi // cols)
         # where the pairs after the first are multiplied before they are added
         product = np.empty(self.block_size(block))
-        for r in range(lo // cols, end, chunk):
-            r_end = min(r + chunk, end)
-            top = max(0, min(r, r_end - group_rows))
-            bottom = min(rows, max(r_end, top + group_rows))
-            self._multiply_rows(top, bottom, scratch, group_rows, product)
+        for r in range(lo // cols, end, group_rows):
+            r_end = min(r + group_rows, end)
+            top = max(0, r_end - group_rows)
+            bottom = min(rows, top + group_rows)
+            self._multiply_rows(top, bottom, scratch, product)
             start, stop = max(lo, r * cols), min(hi, r_end * cols)
             yield scratch[start - top * cols:stop - top * cols], start, stop
 
     def _group_rows(self, block: int) -> int:
         """Rows per GEMM when the pairs are multiplied out for pieces of
-        ``block`` elements: a piece's rows, and never fewer than WIDE_ROWS
-        when wide; else never fewer than MIN_ROWS, and at most GEMM_CAP
-        multiply-adds per GEMM."""
-        cols = self.value.shape[1]
-        if self.wide:
-            return max(WIDE_ROWS, block // cols)
-        return max(MIN_ROWS, min([block // cols] + [GEMM_CAP // dy.size for _, dy in self.factors]))
+        ``block`` elements: a piece's rows, and never fewer than MIN_ROWS."""
+        return max(MIN_ROWS, block // self.value.shape[1])
 
-    def _multiply_rows(self, top: int, bottom: int, out: np.ndarray, group_rows: int,
-                       product: np.ndarray) -> None:
+    def _multiply_rows(self, top: int, bottom: int, out: np.ndarray, product: np.ndarray) -> None:
         """Rows [top, bottom) of the sum of the pairs' products x^T dy into
-        the start of the 1-D array ``out``, in GEMMs of at most
-        ``group_rows`` rows and at least MIN_ROWS (all of them when fewer;
-        the callers of a wide pair ask for one GEMM): the first pair
-        written, each later one multiplied into ``product`` (as many
-        elements as a GEMM's result at least) and added, in the order the
+        the start of the 1-D array ``out``, one GEMM per pair: the first
+        pair written, each later one multiplied into ``product`` (as many
+        elements as the rows hold at least) and added, in the order the
         backward pass made them."""
         rows, cols = bottom - top, self.value.shape[1]
-        n = max(1, min(-(-rows // group_rows), rows // MIN_ROWS))
+        block = out[:rows * cols].reshape(rows, cols)
         (x, dy), *rest = self.factors
-        for i in range(n):
-            a, b = top + rows * i // n, top + rows * (i + 1) // n
-            block = out[(a - top) * cols:(b - top) * cols].reshape(b - a, cols)
-            np.matmul(x[:, a:b].T, dy, out=block)
-            for x_later, dy_later in rest:
-                later = product[:block.size].reshape(block.shape)
-                np.matmul(x_later[:, a:b].T, dy_later, out=later)
-                block += later
+        np.matmul(x[:, top:bottom].T, dy, out=block)
+        for x_later, dy_later in rest:
+            later = product[:block.size].reshape(block.shape)
+            np.matmul(x_later[:, top:bottom].T, dy_later, out=later)
+            block += later
 
     @property
     def grad(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Primitive-level oracles, gradient checks, and optimizer behavior."""
 
+import ctypes
 import gc
 import math
 import os
@@ -681,11 +682,14 @@ def test_an_exception_in_a_worker_shard_is_raised_to_the_caller(monkeypatch):
         return update(buffers, lo, hi, *args)
 
     monkeypatch.setattr(optim, "_update", failing)
-    threads = threading.active_count()
+    threads, blas = threading.active_count(), optim._OPENBLAS
+    blas_threads = blas[0]() if blas else None
     with pytest.raises(MemoryError, match=r"shard \[30, 60\)"):
         adam_step(store, lr=1e-2, step=1)
     assert sorted(ran) == [0, 30, 60]
     assert threading.active_count() == threads
+    if blas:  # the hold of three shards is let go on the way out
+        assert blas[0]() == blas_threads
 
 
 def test_adam_first_step_writes_the_moments_bitwise_as_the_textbook_update():
@@ -827,11 +831,36 @@ def _pieces(p, lo, hi):
 
 
 def _blas():
-    """The BLAS numpy runs on, as its build string names it. The row blocks'
-    exactness was verified on OpenBLAS 0.3.31 only, a DYNAMIC_ARCH build
-    whose string names Haswell but which ran its SkylakeX kernels."""
+    """The BLAS numpy runs on: its build string, and the core whose kernels
+    an OpenBLAS runs when it reports one. A DYNAMIC_ARCH build picks its
+    kernels at run time, so its build string may name another core. The
+    row blocks' exactness was verified on OpenBLAS 0.3.31 only, a
+    DYNAMIC_ARCH build whose string names Haswell but which ran its
+    SkylakeX kernels."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return blas.get("openblas configuration") or blas.get("name")
+    build = blas.get("openblas configuration") or blas.get("name")
+    core = _openblas_core()
+    return build if core is None else f"{build}; running {core} kernels"
+
+
+def _openblas_core():
+    """The core name that an OpenBLAS mapped into the process reports, as
+    ``optim._openblas_threads`` finds its functions, or None when none is
+    mapped or none exports a corename function."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line[line.index("/"):].strip() for line in maps
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def _largest_kept(rows, cols):
@@ -846,9 +875,8 @@ def test_row_blocks_multiply_out_to_the_full_products_bytes(d_model, k):
     # two pairs per tensor, read whole and as two shards cut near the
     # middle: the bytes of the first product written and the second added,
     # which a dense gradient holds. "largest" is each shape's largest kept
-    # K: narrow pairs go through GEMMs of at most GEMM_CAP multiply-adds,
-    # wide ones (up to K = 767 at d=1024) through blocks of WIDE_ROWS rows
-    # or more
+    # K (up to 767 at d=1024); every GEMM has MIN_ROWS rows or more, or all
+    # of a smaller tensor's
     rng = seeded_rng(23)
     for rows, cols in _model_shapes(d_model):
         k_rows = max(1, _largest_kept(rows, cols)) if k == "largest" else k
@@ -869,12 +897,7 @@ def test_row_blocks_multiply_out_to_the_full_products_bytes(d_model, k):
             continue
         n = rows * cols
         cut = min(n - 1, n // 2 + 3)
-        if p.wide:
-            assert params.FACTOR_ROWS * cols * k_rows > params.GEMM_CAP
-        else:
-            assert params.MIN_ROWS <= p._group_rows(optim.BLOCK)
-            assert p._group_rows(optim.BLOCK) * cols * k_rows <= params.GEMM_CAP
-        least = min(rows, params.WIDE_ROWS if p.wide else params.MIN_ROWS)
+        least = min(rows, params.MIN_ROWS)
         for cuts in ([(0, n)], [(0, cut), (cut, n)]):
             got = np.concatenate([g for lo, hi in cuts for g in _pieces(p, lo, hi)])
             assert got.tobytes() == want.tobytes(), (rows, cols, k_rows, cuts, _blas())
@@ -902,11 +925,9 @@ def _recording(x, gemms):
 def test_the_gradient_walk_reads_the_bytes_of_param_grad(rows, cols, dense, ks):
     # any [lo, hi), cut inside rows and in blocks that are not whole rows:
     # the walk's pieces tile the range and hold the bytes of that slice of
-    # Param.grad; each GEMM of a walk of narrow pairs has MIN_ROWS rows or
-    # more (all of them in a 3-row tensor) and at most GEMM_CAP
-    # multiply-adds, also at the largest K the keep rule allows ("cap"),
-    # and each GEMM of wide pairs (130 x 600 at that K) WIDE_ROWS rows or
-    # more. A small K is cut to the largest kept where that is smaller.
+    # Param.grad; each GEMM of a walk has MIN_ROWS rows or more (all of
+    # them in a 3-row tensor), also at the largest K the keep rule allows
+    # ("cap"). A small K is cut to the largest kept where that is smaller.
     rng = seeded_rng(29)
     p = ParamStore([("w", rows, cols)])["w"]
     gemms = []
@@ -916,8 +937,6 @@ def test_the_gradient_walk_reads_the_bytes_of_param_grad(rows, cols, dense, ks):
         k = _largest_kept(rows, cols) if k == "cap" else min(k, _largest_kept(rows, cols))
         p.add_product(_recording(rng.normal(size=(k, rows)), gemms), rng.normal(size=(k, cols)))
     assert len(p.factors) == len(ks)
-    least, cap = (params.WIDE_ROWS, math.inf) if p.wide else (params.MIN_ROWS, params.GEMM_CAP)
-    assert p.wide == ((rows, cols) == (130, 600) and "cap" in ks)
     n = rows * cols
     cuts = [(0, n), (1, n - 1), (cols + 3, 3 * cols - 2), (n - 5, n), (7, 7)]
     cuts += [tuple(sorted(rng.integers(0, n + 1, size=2))) for _ in range(6)]
@@ -932,7 +951,7 @@ def test_the_gradient_walk_reads_the_bytes_of_param_grad(rows, cols, dense, ks):
             assert all(g.size == e - s for g, s, e in pieces)
             walks.append((lo, hi, np.concatenate([g for g, _, _ in pieces] + [np.empty(0)])))
     assert bool(gemms) == bool(ks)
-    assert all(min(rows, least) <= r and madds <= cap for r, madds in gemms)
+    assert all(min(rows, params.MIN_ROWS) <= r for r, _ in gemms)
     want = p.grad.reshape(-1)
     for lo, hi, got in walks:
         assert got.tobytes() == want[lo:hi].tobytes(), (lo, hi, _blas())

@@ -656,13 +656,16 @@ def test_write_first_gradients_train_as_zero_then_add(monkeypatch, ablation):
     assert not any(any(steps) for steps in dense.values())
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_kept_pairs_train_bitwise_as_dense_gradients(monkeypatch, workers):
-    # d=64 at batch 16: moe.w1.fusion's products (512 x 1280, K = 32) are
-    # wide, fusion.w1's (192 x 1024) narrow, and other weights' go dense.
-    # Two epochs of steps, against the same training with a keep rule that
+@pytest.mark.parametrize("workers, found", [(1, True), (3, True), (3, False)],
+                         ids=["1", "3", "3-no-openblas"])
+def test_kept_pairs_train_bitwise_as_dense_gradients(monkeypatch, workers, found):
+    # d=64 at batch 16: moe.w1.fusion's (512 x 1280, K = 32) and fusion.w1's
+    # (192 x 1024) products are kept, and other weights' go dense. Two
+    # epochs of steps, against the same training with a keep rule that
     # refuses every pair, on one shard and on three in blocks of 4096. On
-    # three, the walk runs with OpenBLAS held to one thread and restored after
+    # three, the walk runs with OpenBLAS held to one thread and restored
+    # after; with no OpenBLAS found (not ``found``), nothing is held and the
+    # values and losses are the held run's
     ds, meta = synth_toy(embedding_dim=64)
     train_ds, _ = ds.split_temporal(meta["split_ts"])
     cfg = train_config(batch_size=16, model=toy_model_config(
@@ -676,7 +679,7 @@ def test_kept_pairs_train_bitwise_as_dense_gradients(monkeypatch, workers):
     threads = blas[0]() if blas else None
 
     def recorded(p):
-        seen.add("wide" if p.wide else "narrow" if p.factors else "dense" if p.reached else "unreached")
+        seen.add("kept" if p.factors else "dense" if p.reached else "unreached")
         consume(p)
 
     def counted(*args):
@@ -686,17 +689,20 @@ def test_kept_pairs_train_bitwise_as_dense_gradients(monkeypatch, workers):
     with monkeypatch.context() as m:
         m.setattr(Param, "consume_grad", recorded)
         m.setattr(optim, "_update", counted)
+        if not found:
+            m.setattr(optim, "_OPENBLAS", None)
         kept = train(train_ds, cfg)
-    assert seen >= {"wide", "narrow", "dense"}
+    assert seen >= {"kept", "dense"}
     if blas:
-        assert held == {1 if workers > 1 else threads}
+        assert held == {1 if workers > 1 and found else threads}
         assert blas[0]() == threads
     assert kept.steps >= 2
     with monkeypatch.context() as m:
-        m.setattr(params, "_keeps", lambda k, rows, cols: False)
-        dense = train(train_ds, cfg)
-    assert np.array(kept.losses).tobytes() == np.array(dense.losses).tobytes()
-    assert kept.store.buffers.values.tobytes() == dense.store.buffers.values.tobytes()
+        if found:
+            m.setattr(params, "_keeps", lambda k, rows, cols: False)
+        want = train(train_ds, cfg)  # all dense, or else the held run
+    assert np.array(kept.losses).tobytes() == np.array(want.losses).tobytes()
+    assert kept.store.buffers.values.tobytes() == want.store.buffers.values.tobytes()
 
 
 def test_init_params_values_are_views_of_one_buffer():
