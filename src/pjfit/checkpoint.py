@@ -23,8 +23,8 @@ value is finite, naming the tensor and element of the first that is not.
 
 Both passes over the values are split by ``optim``'s rule: W = max(1,
 min(usable CPUs, n // optim.CUTOFF)) contiguous shards of the n values
-(``optim.shards``), so W = 2 for the d=1024 store on two CPUs and W = 1
-at d=64. No thread outlives the call.
+(``optim.shards``), so W = 2 for the d=1024 and the d=64 store on two
+CPUs. No thread outlives the call.
 
 - Save: the calling thread writes and flushes the header through the
   handle ``atomic_files`` yields. Then each shard is narrowed into a
@@ -45,8 +45,10 @@ takes 74 ms against 137 ms on one thread; a save with no old file to
 replace takes a median 67 ms (57-76) against 119 ms (102-129) on one
 CPU, 6 saves each. A save over the file saved moments earlier spends
 another 0.1-0.2 s in ``os.replace``, which releases the replaced 217 MB
-file (``records.atomic_files``). At d=64 (W = 1) a load takes 3.6-4.1 ms
-and a save 5-7 ms.
+file (``records.atomic_files``). At d=64, W = 2 is slightly slower than
+one thread: over the file saved before it, a save took a median 16.3 ms
+against 15.6 ms and a load 9.1 ms against 8.7 ms (40 alternating
+repetitions; W = 2 was faster in 8 and 6 of them).
 """
 
 from __future__ import annotations

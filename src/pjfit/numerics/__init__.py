@@ -10,7 +10,7 @@ the training loss is one node of its own (``training.bpr_loss_graph``).
 
 from pjfit.numerics.matrix import DimensionError, Matrix, Tape
 from pjfit.numerics.params import Param, ParamStore
-from pjfit.numerics.optim import TrainingDivergedError, adam_step, glorot_fill
+from pjfit.numerics.optim import TrainingDivergedError, adam_step, glorot_fill, training_hold
 from pjfit.numerics.rng import seeded_rng, spawn_rngs
 from pjfit.numerics import ops
 
@@ -25,5 +25,6 @@ __all__ = [
     "glorot_fill",
     "seeded_rng",
     "spawn_rngs",
+    "training_hold",
     "ops",
 ]

@@ -24,27 +24,55 @@ gives the same bits wherever a cut falls, is ``params``' rule.
 A gradient's pairs are multiplied out in each shard's walk, in GEMMs of
 ``params.MIN_ROWS`` rows or more. OpenBLAS may spread such a GEMM over
 its own threads, and two shards that both hand one to OpenBLAS fight over
-its threads, which go on spinning after each GEMM. So while more than one
-shard runs, Adam holds OpenBLAS to one thread (``_one_blas_thread``) and
-restores its thread count after: each shard multiplies out and updates
-its own rows on its own CPU. A pair's row blocks have the same bits on 1
-and 2 threads, so this changes no bit. The count is the process's, so
-another thread's GEMM during the step runs on one thread too. When
-numpy's BLAS is not an OpenBLAS found among the process's mapped
-libraries, nothing is held: the result is the same, only slower. A
-batch-32 d=1024 training (CHANGES.md) ran ~10% faster than with dense
-gradients this way, and ~20% slower with its larger pairs (K > 32 at
-1024 columns) multiplied out and updated on the calling thread after the
-walk.
+its threads, which go on spinning after each GEMM. So OpenBLAS is held to
+one thread (``_one_blas_thread``) and its thread count restored after, in
+one of two scopes:
+
+- Adam's step. While more than one shard runs, ``adam_step`` holds it
+  from its first gradient check to its last shard, so each shard
+  multiplies out and updates its own rows on its own CPU. The checks run
+  held too: the norms of the Cauchy-Schwarz bound (``params._norm``, an
+  ``np.dot`` that OpenBLAS threads above ~10k values) woke OpenBLAS's
+  worker, which then spun on a CPU that a shard needed: 12 ticks at 100
+  Hz after one norm of 20,000 values, none when held.
+- The whole training of a small store. ``training.train`` keeps
+  ``training_hold`` around its loop over batches: for a store of fewer
+  than SMALL_STORE values OpenBLAS stays on one thread in the forward and
+  the backward too, and Adam's own hold inside it is a no-op. At d=64 the
+  forward's and backward's GEMMs, run on two threads, kept the worker
+  spinning through each Adam step: it took 1.5-1.7 s of CPU in a warm
+  1.7 s ``converge-d64`` call, so a second shard got half a CPU. Held
+  throughout, it took none.
+
+A pair's row blocks have the same bits on 1 and 2 threads, so Adam's hold
+changes no bit. The forward's and backward's GEMMs can give other bits on
+one thread than on two (ROADMAP item 6): on ``converge-d64`` seeds 1-3
+they did not, so its training has the same bits as before the hold. The
+count is the process's, so another thread's GEMM inside a hold runs on
+one thread too. When numpy's BLAS is not an OpenBLAS found among the
+process's mapped libraries, nothing is held: the result is the same, only
+slower. A batch-32 d=1024 training (CHANGES.md) ran ~10% faster than with
+dense gradients with Adam's hold, and ~20% slower with its larger pairs
+(K > 32 at 1024 columns) multiplied out and updated on the calling thread
+after the walk.
 
 The constants were measured on 2 vCPUs with a 2 MiB L2 each (the timings
 are in CHANGES.md):
 - BLOCK, 65536 elements, measured fastest at d=1024 among 16384-131072,
   and no size was faster at d=64;
-- CUTOFF, 2^22 elements per shard, keeps the d=64 store (2.4M values) on
-  one thread: inside training two threads lost there, since OpenBLAS's
-  threads go on spinning for a while after the backward's GEMMs; the
-  54.2M-value d=1024 store splits in two.
+- CUTOFF, 2^20 elements per shard, splits the d=64 store (2.4M values)
+  in two, which gains only with it trained on one BLAS thread (above),
+  and keeps the test stores of a few thousand values on one thread; the
+  54.2M-value d=1024 store splits in two;
+- SMALL_STORE, 2^23 values, lies between the store sizes where training
+  held throughout gained and where it lost. Warm ``train()`` calls on
+  ``converge-d64``'s generator in one process, held throughout against
+  Adam's hold alone (both at CUTOFF 2^20; medians, and the pairs of
+  alternating calls that the hold won): d=64 (2.4M values) 1.41 against
+  1.73 s (8/8), d=256 (7.4M) 4.18 against 4.78 s (4/4), d=512 (18.3M)
+  8.99 against 8.29 s (0/4), and d=1024 at batch 32 (54.2M) 9.55 against
+  8.30 s (1/4), where the forward's and backward's larger GEMMs gain
+  from two threads (and where one thread changed the bits).
 """
 
 from __future__ import annotations
@@ -65,7 +93,10 @@ from pjfit.numerics.params import Buffers, Param, ParamStore
 BLOCK = 65536
 # Elements per shard at least: a store smaller than 2 * CUTOFF updates on
 # the calling thread alone.
-CUTOFF = 1 << 22
+CUTOFF = 1 << 20
+# Values in a store below which its training holds OpenBLAS to one thread
+# throughout (``training_hold``), not only inside Adam's steps.
+SMALL_STORE = 1 << 23
 
 
 class TrainingDivergedError(RuntimeError):
@@ -110,18 +141,18 @@ def adam_step(store: ParamStore, lr: float, step: int,
     for name, p in store.items():
         if not p.value.flags.writeable:
             raise ValueError(f"parameter {name!r} is read-only")
-    for name, p in store.items():
-        if not p.grad_is_finite():
-            raise TrainingDivergedError(f"non-finite gradient in parameter {name!r}")
     buffers = store.buffers
-    first = buffers.m is None
-    if first:
-        buffers.m = np.empty(buffers.values.size)
-        buffers.v = np.empty(buffers.values.size)
-    args = (lr, 1.0 - beta1 ** step, 1.0 - beta2 ** step, beta1, beta2, eps, first)
     parameters = [p for _, p in store.items()]
     cuts = shards(buffers.values.size)
     with _one_blas_thread(len(cuts) > 1):
+        for name, p in store.items():
+            if not p.grad_is_finite():
+                raise TrainingDivergedError(f"non-finite gradient in parameter {name!r}")
+        first = buffers.m is None
+        if first:
+            buffers.m = np.empty(buffers.values.size)
+            buffers.v = np.empty(buffers.values.size)
+        args = (lr, 1.0 - beta1 ** step, 1.0 - beta2 ** step, beta1, beta2, eps, first)
         run_calls([(_update, buffers, lo, hi, parameters, *args) for lo, hi in cuts])
     for p in parameters:
         p.consume_grad()
@@ -187,6 +218,14 @@ def _one_blas_thread(hold: bool):
         yield
     finally:
         put(threads)
+
+
+def training_hold(store: ParamStore):
+    """The hold ``training.train`` keeps around its loop over batches:
+    OpenBLAS held to one thread (``_one_blas_thread``) for a store of fewer
+    than SMALL_STORE values, nothing for a larger one. Inside it, Adam's
+    own hold is a no-op."""
+    return _one_blas_thread(store.buffers.values.size < SMALL_STORE)
 
 
 def glorot_fill(values: np.ndarray, limits: list[tuple[int, float]],

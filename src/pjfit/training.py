@@ -30,7 +30,7 @@ from pjfit.metrics import RankedPrediction, ap, auc, gauc, ndcg
 # param_spec, init_params and score_pairs are read from this module too
 from pjfit.model import check_fits, init_params, param_spec, score_pairs
 from pjfit.numerics import Matrix, ParamStore, Tape, TrainingDivergedError, adam_step
-from pjfit.numerics import spawn_rngs
+from pjfit.numerics import spawn_rngs, training_hold
 from pjfit.serve import index_for
 
 
@@ -110,28 +110,30 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
     cache = SequenceCache(train_dataset, config.model)
     result = TrainResult(store=store)
 
-    for _ in range(config.epochs):
-        epoch = sample_training_pairs(
-            train_dataset, rng_sample,
-            per_positive_negatives=config.negatives_per_positive,
-            batch_size=config.batch_size)
-        result.skipped_positives += epoch.skipped_positives
-        for batch_index, batch in enumerate(epoch.batches):
-            tape = Tape()
-            bound = store.bind(tape)
-            # positives first, then their negatives, in one graph
-            pairs = [pos for pos, _ in batch.entries] + [neg for _, neg in batch.entries]
-            scores = score_pairs([train_dataset.candidates[p.candidate_id] for p in pairs],
-                                 [train_dataset.jobs[p.job_id] for p in pairs],
-                                 bound, config.model, cache)
-            loss = bpr_loss_graph(scores, len(batch), config.lambda_reg)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise TrainingDivergedError(f"non-finite loss at batch {batch_index}")
-            tape.backward(loss)
-            result.steps += 1
-            adam_step(store, config.learning_rate, result.steps)
-            result.losses.append(loss_value)
+    # OpenBLAS's thread count while the batches run is optim's rule
+    with training_hold(store):
+        for _ in range(config.epochs):
+            epoch = sample_training_pairs(
+                train_dataset, rng_sample,
+                per_positive_negatives=config.negatives_per_positive,
+                batch_size=config.batch_size)
+            result.skipped_positives += epoch.skipped_positives
+            for batch_index, batch in enumerate(epoch.batches):
+                tape = Tape()
+                bound = store.bind(tape)
+                # positives first, then their negatives, in one graph
+                pairs = [pos for pos, _ in batch.entries] + [neg for _, neg in batch.entries]
+                scores = score_pairs([train_dataset.candidates[p.candidate_id] for p in pairs],
+                                     [train_dataset.jobs[p.job_id] for p in pairs],
+                                     bound, config.model, cache)
+                loss = bpr_loss_graph(scores, len(batch), config.lambda_reg)
+                loss_value = loss.item()
+                if not np.isfinite(loss_value):
+                    raise TrainingDivergedError(f"non-finite loss at batch {batch_index}")
+                tape.backward(loss)
+                result.steps += 1
+                adam_step(store, config.learning_rate, result.steps)
+                result.losses.append(loss_value)
     # nothing reads the gradients (consumed by the last step) or the
     # moments after training; at d=1024 the moments alone take ~1 GB
     store.release_training_buffers()

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # local oracles module
 
 from pjfit.config import ModelConfig
 from pjfit.domain import CategoryVocab, Dataset, EntityRecord, Pair, records
-from pjfit.numerics import ParamStore, seeded_rng
+from pjfit.numerics import ParamStore, optim, seeded_rng
 
 TOY_VOCAB_NAMES = ("Technology", "Data", "Sales", "Design")
 
@@ -127,6 +127,30 @@ def full_disk(monkeypatch):
 
     monkeypatch.setattr(records, "open", lambda *args: _FullDisk(open(*args), opened), raising=False)
     monkeypatch.setattr(os, "pwrite", full_pwrite)
+
+
+class FakeBlas:
+    """A stand-in for OpenBLAS's thread count in ``optim._OPENBLAS``:
+    ``threads`` is the count, ``puts`` every count set, in order."""
+
+    def __init__(self, threads: int):
+        self.threads, self.puts = threads, []
+
+    def get(self) -> int:
+        return self.threads
+
+    def put(self, threads: int) -> None:
+        self.puts.append(threads)
+        self.threads = threads
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """``optim``'s holds set a FakeBlas at 2 threads, not the real OpenBLAS,
+    so they can be checked wherever no OpenBLAS is found."""
+    fake = FakeBlas(2)
+    monkeypatch.setattr(optim, "_OPENBLAS", (fake.get, fake.put))
+    return fake
 
 
 def store_of(*params) -> ParamStore:

@@ -692,6 +692,30 @@ def test_an_exception_in_a_worker_shard_is_raised_to_the_caller(monkeypatch):
         assert blas[0]() == blas_threads
 
 
+def test_adam_checks_the_gradients_under_its_hold(monkeypatch, fake_blas):
+    # two shards hold OpenBLAS to one thread from the first gradient check
+    # on: the norms of the Cauchy-Schwarz bound (np.dot, which OpenBLAS
+    # spreads over its threads above ~10k values) run held, and the count
+    # comes back after the step and when a non-finite gradient raises
+    _shard_into(monkeypatch, 2, 90, 8)
+    counts = []
+    norm = params._norm
+    monkeypatch.setattr(params, "_norm", lambda a: counts.append(fake_blas.threads) or norm(a))
+    rng = seeded_rng(25)
+    store = _store_with(rng, _FACTORED)
+    _add_pairs(store, rng)
+    adam_step(store, lr=1e-2, step=1)
+    assert len(counts) == 12 and set(counts) == {1}
+    assert fake_blas.puts == [1, 2]
+    pairs = _add_pairs(store, rng)
+    pairs["c"][1][0][1, 2] = np.inf
+    del counts[:]
+    with pytest.raises(TrainingDivergedError, match="'c'"):
+        adam_step(store, lr=1e-2, step=2)
+    assert counts and set(counts) == {1}
+    assert fake_blas.puts == [1, 2, 1, 2]
+
+
 def test_adam_first_step_writes_the_moments_bitwise_as_the_textbook_update():
     # the first step writes m and v without reading them: -0.0, +0.0 and
     # denormal gradients give the bits of the update from zero moments,

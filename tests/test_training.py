@@ -662,18 +662,19 @@ def test_kept_pairs_train_bitwise_as_dense_gradients(monkeypatch, workers, found
     # d=64 at batch 16: moe.w1.fusion's (512 x 1280, K = 32) and fusion.w1's
     # (192 x 1024) products are kept, and other weights' go dense. Two
     # epochs of steps, against the same training with a keep rule that
-    # refuses every pair, on one shard and on three in blocks of 4096. On
-    # three, the walk runs with OpenBLAS held to one thread and restored
-    # after; with no OpenBLAS found (not ``found``), nothing is held and the
-    # values and losses are the held run's
+    # refuses every pair, on one shard and on three in blocks of 4096. The
+    # store is below optim.SMALL_STORE, so on either the walk runs with
+    # OpenBLAS held to one thread, and the count is restored after; with no
+    # OpenBLAS found (not ``found``), nothing is held and the values and
+    # losses are the held run's
     ds, meta = synth_toy(embedding_dim=64)
     train_ds, _ = ds.split_temporal(meta["split_ts"])
     cfg = train_config(batch_size=16, model=toy_model_config(
         d_model=64, fusion_hidden=1024, fusion_out=256, n_experts=5, expert_hidden=(256, 64)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     if workers > 1:
         monkeypatch.setattr(optim, "BLOCK", 4096)
         monkeypatch.setattr(optim, "CUTOFF", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     seen, held = set(), set()
     consume, update, blas = Param.consume_grad, optim._update, optim._OPENBLAS
     threads = blas[0]() if blas else None
@@ -694,7 +695,7 @@ def test_kept_pairs_train_bitwise_as_dense_gradients(monkeypatch, workers, found
         kept = train(train_ds, cfg)
     assert seen >= {"kept", "dense"}
     if blas:
-        assert held == {1 if workers > 1 and found else threads}
+        assert held == {1 if found else threads}
         assert blas[0]() == threads
     assert kept.steps >= 2
     with monkeypatch.context() as m:
@@ -703,6 +704,69 @@ def test_kept_pairs_train_bitwise_as_dense_gradients(monkeypatch, workers, found
         want = train(train_ds, cfg)  # all dense, or else the held run
     assert np.array(kept.losses).tobytes() == np.array(want.losses).tobytes()
     assert kept.store.buffers.values.tobytes() == want.store.buffers.values.tobytes()
+
+
+def _train_recording_holds(monkeypatch, fake_blas):
+    """train() of the toy store (5428 values) over a few steps, with the
+    fake's thread count recorded at each forward ("forward"),
+    Tape.backward ("backward") and Adam walk ("walk"), and the result."""
+    ds, meta = synth_toy()
+    train_ds, _ = ds.split_temporal(meta["split_ts"])
+    counts = {"forward": [], "backward": [], "walk": []}
+    forward, backward, update = training.score_pairs, Tape.backward, optim._update
+
+    def recorded(key, fn):
+        return lambda *args: counts[key].append(fake_blas.threads) or fn(*args)
+
+    monkeypatch.setattr(training, "score_pairs", recorded("forward", forward))
+    monkeypatch.setattr(Tape, "backward", recorded("backward", backward))
+    monkeypatch.setattr(optim, "_update", recorded("walk", update))
+    return counts, train(train_ds, train_config(batch_size=8, epochs=1))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_training_hold_keeps_a_small_store_on_one_thread_throughout(monkeypatch, fake_blas,
+                                                                    workers):
+    # from the first forward to the last walk, whether Adam's step holds
+    # on its own (two shards) or not (one): inside the training's hold,
+    # Adam's sets the count it finds
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    monkeypatch.setattr(optim, "CUTOFF", 1)
+    counts, result = _train_recording_holds(monkeypatch, fake_blas)
+    assert result.steps >= 2
+    assert counts["forward"] and counts["walk"] == [1] * result.steps * workers
+    assert set(counts["forward"]) == set(counts["backward"]) == {1}
+    assert fake_blas.threads == 2
+    assert fake_blas.puts == [1] + [1, 1] * result.steps * (workers > 1) + [2]
+
+
+def test_training_hold_is_let_go_when_training_diverges(monkeypatch, fake_blas):
+    # the loss of the second batch goes non-finite
+    loss_graph = training.bpr_loss_graph
+    calls = []
+
+    def diverging(scores, n, lambda_reg):
+        calls.append(n)
+        loss = loss_graph(scores, n, lambda_reg)
+        return Matrix([[np.nan]], scores.tape) if len(calls) == 2 else loss
+
+    monkeypatch.setattr(training, "bpr_loss_graph", diverging)
+    with pytest.raises(training.TrainingDivergedError, match="batch 1"):
+        _train_recording_holds(monkeypatch, fake_blas)
+    assert len(calls) == 2
+    assert fake_blas.threads == 2 and fake_blas.puts == [1, 2]
+
+
+def test_training_hold_leaves_a_store_at_the_threshold_to_adam(monkeypatch, fake_blas):
+    # the toy store at optim.SMALL_STORE values: the forward and backward
+    # run on the count they find, and only Adam's two shards hold
+    monkeypatch.setattr(optim, "SMALL_STORE", 5428)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(optim, "CUTOFF", 1)
+    counts, result = _train_recording_holds(monkeypatch, fake_blas)
+    assert set(counts["forward"]) == set(counts["backward"]) == {2}
+    assert counts["walk"] == [1] * result.steps * 2
+    assert fake_blas.puts == [1, 2] * result.steps
 
 
 def test_init_params_values_are_views_of_one_buffer():
