@@ -111,7 +111,7 @@ def save_checkpoint(store: ParamStore, cfg: ModelConfig, path) -> None:
     config_bytes = json.dumps({"model": dataclasses.asdict(cfg)},
                               sort_keys=True).encode("utf-8")
     header = MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes
-    values = store.buffers.values
+    values = store.values
     with atomic_files(path) as (fh,):
         fh.write(header)
         fh.flush()
@@ -180,7 +180,7 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig]:
         if stored > 4 * ends[-1]:
             raise CheckpointError(f"{path}: {stored - 4 * ends[-1]} trailing bytes")
         store = ParamStore(spec)
-        values = store.buffers.values
+        values = store.values
         found = [f for f in optim.run_calls([(_read_widened, fh.fileno(), offset, values, lo, hi)
                                              for lo, hi in optim.shards(values.size)])
                  if f is not None]

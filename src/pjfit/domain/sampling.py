@@ -14,11 +14,19 @@ COUNTERPART = {"candidate": "job", "job": "candidate"}
 
 
 def first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of a 1-D integer array in first-seen order, and
-    each entry's index among them."""
-    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return distinct[order], np.argsort(order)[inverse]
+    """The distinct entries of a 1-D array of row ids (non-negative
+    integers) in first-seen order, and each entry's index among them.
+
+    Sort-free: a table over the ids holds each id's first index, so an
+    entry is a first occurrence where its id's table entry is its own
+    index, and the first occurrences are already in first-seen order."""
+    at = np.arange(values.size)
+    first = np.full(values.max(initial=-1) + 1, values.size)
+    np.minimum.at(first, values, at)
+    distinct = values[first[values] == at]
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[distinct] = np.arange(distinct.size)
+    return distinct, rank[values]
 
 
 def _embedding_rows(rows: list[np.ndarray], dim: int) -> np.ndarray:

@@ -79,7 +79,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
         elif layer == "moe.w1":
             rows, cols = cfg.joint_dim, cfg.expert_hidden[0]
         limits.append((p.value.size, 0.0 if leaf.startswith("b") else np.sqrt(6.0 / (rows + cols))))
-    glorot_fill(store.buffers.values, limits, rng)
+    glorot_fill(store.values, limits, rng)
     return store
 
 

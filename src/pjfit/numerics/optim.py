@@ -1,19 +1,20 @@
 """The passes over every value of a ParamStore, split across the usable
 CPUs: the initial draw (``glorot_fill``) and the Adam update.
 ``checkpoint`` splits its save and load by the same rule (``shards``,
-``run_calls``).
+``run_calls``). Adam's moments are not the store's: ``adam_step`` takes
+them from its caller, ``training.train``, as two arrays over the store's
+elements.
 
-Each pass cuts the element range [0, n) of the store's ``Buffers`` (one
-array per role, see ``params``) into W contiguous shards [lo, hi), W =
-max(1, min(usable CPUs, n // CUTOFF)), where the usable CPUs are the
-process's affinity mask. The calling thread works the first shard; the
-rest run on a pool of at most W - 1 threads that the call starts and
-joins, so no thread outlives it. numpy releases the interpreter lock
-inside each block's operations, so the shards run in parallel. Every
-operation of the draw and of the update is elementwise, and a shard of
-the draw starts its own generator at its offset, so where the shard and
-block cuts fall changes no bit: the result is the same for every W and
-every BLOCK.
+Each pass cuts the element range [0, n) of the store's values (and of
+the moments) into W contiguous shards [lo, hi), W = max(1, min(usable
+CPUs, n // CUTOFF)), where the usable CPUs are the process's affinity
+mask. The calling thread works the first shard; the rest run on a pool
+of at most W - 1 threads that the call starts and joins, so no thread
+outlives it. numpy releases the interpreter lock inside each block's
+operations, so the shards run in parallel. Every operation of the draw
+and of the update is elementwise, and a shard of the draw starts its own
+generator at its offset, so where the shard and block cuts fall changes
+no bit: the result is the same for every W and every BLOCK.
 
 The gradients are not a buffer. A shard walks its element range
 parameter by parameter and reads each gradient through its Param
@@ -85,7 +86,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from pjfit.numerics.params import Buffers, Param, ParamStore
+from pjfit.numerics.params import Param, ParamStore
 
 # Elements per block of the update: value, gradient, both moments and two
 # scratch buffers of 512 KiB each. The fastest of the sizes measured at
@@ -103,15 +104,20 @@ class TrainingDivergedError(RuntimeError):
     """A gradient or loss went non-finite."""
 
 
-def adam_step(store: ParamStore, lr: float, step: int,
+def adam_step(store: ParamStore, m: np.ndarray, v: np.ndarray, lr: float, step: int,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> ParamStore:
     """One Adam update with bias correction, in place; ``step`` is 1-based.
 
-    First every parameter is checked, and nothing changes unless all pass:
-    a read-only value (a store frozen by a serving index) raises
-    ValueError naming the parameter, and a non-finite gradient raises
-    TrainingDivergedError naming the first such parameter in store order
-    (``Param.grad_is_finite``).
+    ``m`` and ``v`` are the moments, the caller's: 1-D float64 arrays over
+    the store's elements, zeros before step 1. ``training.train`` owns
+    them for the length of a run; the store holds no optimizer state.
+
+    First the moments and every parameter are checked, and nothing changes
+    unless all pass: moments of another size or dtype, or read-only, raise
+    ValueError; a read-only value (a store frozen by a serving index)
+    raises ValueError naming the parameter; and a non-finite gradient
+    raises TrainingDivergedError naming the first such parameter in store
+    order (``Param.grad_is_finite``).
 
     Then each shard walks its elements, reading value, gradient and
     moments once and writing value and moments once: the moments are
@@ -128,32 +134,28 @@ def adam_step(store: ParamStore, lr: float, step: int,
 
     with c1 = 1 - beta1**step and c2 = 1 - beta2**step. A zero gradient is
     still added ((1 - beta1) * 0.0 is +0.0, which turns a -0.0 moment into
-    +0.0). On the first step the moments are allocated with ``np.empty``
-    and written without being read, as m = (1 - beta1) * g + 0.0 and v =
-    (1 - beta2) * g^2 + 0.0: from zero moments, m * beta1 is +0.0, and
-    adding +0.0 gives the same bits as adding it first, the sign of a zero
-    included.
+    +0.0).
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
     if step < 1:
         raise ValueError("step is 1-based")
+    for moment in (m, v):
+        if (moment.shape != store.values.shape or moment.dtype != np.float64
+                or not moment.flags.writeable):
+            raise ValueError(f"Adam's moments must be writable float64 arrays of shape "
+                             f"{store.values.shape}")
     for name, p in store.items():
         if not p.value.flags.writeable:
             raise ValueError(f"parameter {name!r} is read-only")
-    buffers = store.buffers
     parameters = [p for _, p in store.items()]
-    cuts = shards(buffers.values.size)
+    cuts = shards(store.values.size)
     with _one_blas_thread(len(cuts) > 1):
         for name, p in store.items():
             if not p.grad_is_finite():
                 raise TrainingDivergedError(f"non-finite gradient in parameter {name!r}")
-        first = buffers.m is None
-        if first:
-            buffers.m = np.empty(buffers.values.size)
-            buffers.v = np.empty(buffers.values.size)
-        args = (lr, 1.0 - beta1 ** step, 1.0 - beta2 ** step, beta1, beta2, eps, first)
-        run_calls([(_update, buffers, lo, hi, parameters, *args) for lo, hi in cuts])
+        args = (lr, 1.0 - beta1 ** step, 1.0 - beta2 ** step, beta1, beta2, eps)
+        run_calls([(_update, lo, hi, store.values, m, v, parameters, *args) for lo, hi in cuts])
     for p in parameters:
         p.consume_grad()
     return store
@@ -225,7 +227,7 @@ def training_hold(store: ParamStore):
     OpenBLAS held to one thread (``_one_blas_thread``) for a store of fewer
     than SMALL_STORE values, nothing for a larger one. Inside it, Adam's
     own hold is a no-op."""
-    return _one_blas_thread(store.buffers.values.size < SMALL_STORE)
+    return _one_blas_thread(store.values.size < SMALL_STORE)
 
 
 def glorot_fill(values: np.ndarray, limits: list[tuple[int, float]],
@@ -273,11 +275,12 @@ def _blocks(lo: int, hi: int):
         yield start, min(start + BLOCK, hi)
 
 
-def _update(buffers: Buffers, lo: int, hi: int, parameters: list[Param], *args) -> None:
-    """The update of elements [lo, hi): for each of ``parameters``, in
-    store order, the Adam ops on each block of its gradient
-    (``Param.grad_blocks``) that falls in the range. ``args`` are
-    ``_adam``'s from ``lr`` on."""
+def _update(lo: int, hi: int, values: np.ndarray, m: np.ndarray, v: np.ndarray,
+            parameters: list[Param], *args) -> None:
+    """The update of elements [lo, hi) of ``values`` and the moments ``m``
+    and ``v``: for each of ``parameters``, in store order, the Adam ops on
+    each block of its gradient (``Param.grad_blocks``) that falls in the
+    range. ``args`` are ``_adam``'s from ``lr`` on."""
     size = max((p.block_size(BLOCK) for p in parameters), default=0)
     scratch, scratch_a, scratch_b = np.empty(size), np.empty(size), np.empty(size)
     for p in parameters:
@@ -285,31 +288,21 @@ def _update(buffers: Buffers, lo: int, hi: int, parameters: list[Param], *args) 
         a, b = max(lo, start) - start, min(hi, start + p.value.size) - start
         for g, s, e in p.grad_blocks(a, b, BLOCK, scratch):
             at = slice(start + s, start + e)
-            _adam(buffers.values[at], g, buffers.m[at], buffers.v[at],
-                  scratch_a[:e - s], scratch_b[:e - s], *args)
+            _adam(values[at], g, m[at], v[at], scratch_a[:e - s], scratch_b[:e - s], *args)
 
 
 def _adam(w: np.ndarray, g: np.ndarray, mb: np.ndarray, vb: np.ndarray, a: np.ndarray,
           b: np.ndarray, lr: float, c1: float, c2: float, beta1: float, beta2: float,
-          eps: float, first: bool) -> None:
+          eps: float) -> None:
     """The update of one block in place: w, g, mb and vb the value,
     gradient and moments, a and b scratch arrays of the same length."""
-    if first:
-        # the update from zero moments without reading them: 0 * beta
-        # is +0.0, so m is (1 - beta1) g + 0.0, which also turns -0.0 to +0.0
-        np.multiply(g, 1.0 - beta1, out=mb)
-        mb += 0.0
-        np.square(g, out=vb)
-        vb *= 1.0 - beta2
-        vb += 0.0
-    else:
-        mb *= beta1
-        vb *= beta2
-        np.multiply(g, 1.0 - beta1, out=a)
-        mb += a
-        np.square(g, out=a)
-        a *= 1.0 - beta2
-        vb += a
+    mb *= beta1
+    vb *= beta2
+    np.multiply(g, 1.0 - beta1, out=a)
+    mb += a
+    np.square(g, out=a)
+    a *= 1.0 - beta2
+    vb += a
     np.divide(vb, c2, out=a)
     np.sqrt(a, out=a)
     a += eps

@@ -1,15 +1,13 @@
-"""Named parameters as views of one float64 buffer per role, and their
+"""Named parameters as views of one float64 value buffer, and their
 gradients, kept factored where that is exact.
 
-The roles are the values and Adam's moments ``m`` and ``v``. A
-``ParamStore`` is built from a spec, a list of (name, rows, cols): its
-``Buffers`` holds one 1-D array per role over all its parameters, in spec
-order, and each parameter's arrays are (rows x cols) views of its span of
-them. ``model.init_params`` and ``checkpoint.load_checkpoint`` fill the
-zero values a new store starts with; ``optim``'s passes cut the element
-range into shards. The value buffer exists from the start, the moments
-from the first optimizer step, allocated with ``np.empty``: nothing reads
-a value that was not written.
+A ``ParamStore`` is built from a spec, a list of (name, rows, cols): its
+``values`` is one 1-D array over all its parameters, in spec order, and
+each parameter's value is a (rows x cols) view of its span of it.
+``model.init_params`` and ``checkpoint.load_checkpoint`` fill the zero
+values a new store starts with; ``optim``'s passes cut the element range
+into shards. The store holds no optimizer state: Adam's moments are
+arrays over the same element range that ``training.train`` owns.
 
 There is no gradient buffer. A weight's gradient is a sum of products x^T
 dy, one per use in ``ops.matmul`` or ``ops.affine``, and a parameter keeps
@@ -74,7 +72,7 @@ Without one, each is a constant over the value view and holds no Param,
 so whatever keeps it (the serving index) pins only the values. A writer
 goes through a parameter's views, so making a value view read-only (as
 the serving index does) stops it: ``adam_step`` checks every value view
-before it writes, though it writes through the buffers.
+before it writes, though it writes through ``values``.
 """
 
 from __future__ import annotations
@@ -92,47 +90,30 @@ from pjfit.numerics.matrix import Matrix, Tape
 MIN_ROWS = 64
 
 
-class Buffers:
-    """One 1-D float64 array per role over consecutive parameters; the
-    moments are None until the first optimizer step."""
-
-    __slots__ = ("values", "m", "v")
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-        self.m: np.ndarray | None = None
-        self.v: np.ndarray | None = None
-
-
 class Param:
-    """Elements [lo, lo + rows * cols) of a ``Buffers``, as (rows, cols)
-    views, and the parameter's gradient in the current step.
+    """Elements [offset, offset + rows * cols) of a store's values, as a
+    (rows, cols) view, and the parameter's gradient in the current step.
 
     The gradient is the sum of ``factors``' products x^T dy when that
     list is not empty, else the dense array; it is zeros when nothing
     reached it (``reached`` false).
     """
 
-    __slots__ = ("value", "reached", "factors", "_buffers", "_span", "_dense")
+    __slots__ = ("value", "offset", "reached", "factors", "_values", "_dense")
 
-    def __init__(self, buffers: Buffers, lo: int, shape: tuple[int, int]):
-        self._buffers = buffers
-        self._span = slice(lo, lo + shape[0] * shape[1])
-        self.value = buffers.values[self._span].reshape(shape)
+    def __init__(self, values: np.ndarray, offset: int, shape: tuple[int, int]):
+        self._values = values
+        self.offset = offset
+        self.value = values[offset:offset + shape[0] * shape[1]].reshape(shape)
         self.reached = False
         self.factors: list[tuple[np.ndarray, np.ndarray]] = []
         self._dense: np.ndarray | None = None
-
-    @property
-    def offset(self) -> int:
-        """The index of the parameter's first element in its buffers."""
-        return self._span.start
 
     def add_product(self, x: np.ndarray, dy: np.ndarray) -> None:
         """gradient += x^T dy, kept as the pair when the rules of the
         module docstring allow it, else added to the dense gradient."""
         if (_keeps(len(dy), *self.value.shape) and (self.factors or not self.reached)
-                and not np.may_share_memory(x, self._buffers.values)):
+                and not np.may_share_memory(x, self._values)):
             self.factors.append((x, dy))
             self.reached = True
             return
@@ -248,35 +229,22 @@ class Param:
         as not reached, so it reads as zeros again without a pass over it."""
         self.factors, self.reached = [], False
 
-    def _view(self, flat: np.ndarray) -> np.ndarray:
-        return flat[self._span].reshape(self.value.shape)
-
-    @property
-    def m(self) -> np.ndarray | None:
-        """Adam's first moment, None before the first optimizer step."""
-        return None if self._buffers.m is None else self._view(self._buffers.m)
-
-    @property
-    def v(self) -> np.ndarray | None:
-        """Adam's second moment, None before the first optimizer step."""
-        return None if self._buffers.v is None else self._view(self._buffers.v)
-
 
 class ParamStore:
-    """Ordered name -> Param map over one ``Buffers`` (``store.buffers``).
+    """Ordered name -> Param map over one 1-D value buffer (``store.values``).
     Iteration order is spec order, which fixes checkpoint layout and makes
     runs reproducible."""
 
     def __init__(self, spec: list[tuple[str, int, int]]) -> None:
         """Zero-valued parameters, one per (name, rows, cols) of ``spec``,
         as views of the value buffer in spec order."""
-        self.buffers = Buffers(np.zeros(sum(rows * cols for _, rows, cols in spec)))
+        self.values = np.zeros(sum(rows * cols for _, rows, cols in spec))
         self._params: dict[str, Param] = {}
         lo = 0
         for name, rows, cols in spec:
             if name in self._params:
                 raise ValueError(f"duplicate parameter name {name!r}")
-            self._params[name] = Param(self.buffers, lo, (rows, cols))
+            self._params[name] = Param(self.values, lo, (rows, cols))
             lo += rows * cols
 
     def __getitem__(self, name: str) -> Param:
@@ -300,11 +268,6 @@ class ParamStore:
         for p in self._params.values():
             p.consume_grad()
             p._dense = None
-
-    def release_training_buffers(self) -> None:
-        """Drop the gradients and the moment buffers; only the values stay."""
-        self.release_grads()
-        self.buffers.m = self.buffers.v = None
 
     def bind(self, tape: Tape | None = None) -> dict[str, Matrix]:
         """Every parameter as a Matrix over its value view: on ``tape``

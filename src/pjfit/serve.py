@@ -84,7 +84,7 @@ chunk of pairs however warm it is.
 Lifetime: ``index_for`` keeps one index per ``ParamStore``, held weakly.
 The index holds the store's untaped ``bind``, constants over the value
 views, so it copies no weight and pins only the values: no store,
-``Param``, moment or gradient array. An index serves while the model
+``Param`` or gradient array. An index serves while the model
 config is equal and the dataset's ``candidates`` and ``jobs`` are the
 same dict objects. Datasets are immutable after load, and the splits of
 one dataset share those dicts, so eval and rank on one data directory

@@ -149,19 +149,19 @@ def generate_dataset(cfg: SynthConfig) -> tuple[Dataset, dict]:
 
     # per-job event streams: positives from the job's category, negatives
     # hard (confusable partner) or easy (any other category)
-    per_job_events: dict[str, list[tuple[str, int, bool]]] = {}
+    per_job_events: dict[str, list[tuple[str, int]]] = {}
     n_hard = 0
     for jid, cat in job_category.items():
         k_pos = 1 + int(rng.poisson(max(cfg.positives_per_job - 1.0, 0.0)))
         pool = by_category[cat]
         chosen = [pool[int(rng.integers(len(pool)))] for _ in range(k_pos)]
-        events: list[tuple[str, int, bool]] = []
+        events: list[tuple[str, int]] = []
         seen = set()
         for cid in chosen:
             if cid in seen:
                 continue
             seen.add(cid)
-            events.append((cid, 1, False))
+            events.append((cid, 1))
             hard = rng.random() < cfg.hard_negative_fraction and cat in partner
             easy_cats = [c for c in cfg.categories if c != cat and partner.get(cat) != c]
             if hard or not easy_cats:
@@ -170,13 +170,12 @@ def generate_dataset(cfg: SynthConfig) -> tuple[Dataset, dict]:
             else:
                 neg_cat = easy_cats[int(rng.integers(len(easy_cats)))]
             neg_pool = by_category[neg_cat]
-            events.append((neg_pool[int(rng.integers(len(neg_pool)))], 0, hard))
+            events.append((neg_pool[int(rng.integers(len(neg_pool)))], 0))
             n_hard += int(hard)
         per_job_events[jid] = events
 
     # interleave across jobs so each job spans the whole timeline
     pairs: list[Pair] = []
-    hard_flags: list[bool] = []
     ts = 1_000_000
     cursors = {jid: 0 for jid in per_job_events}
     remaining = sum(len(v) for v in per_job_events.values())
@@ -185,9 +184,8 @@ def generate_dataset(cfg: SynthConfig) -> tuple[Dataset, dict]:
             i = cursors[jid]
             if i >= len(events):
                 continue
-            cid, label, hard = events[i]
+            cid, label = events[i]
             pairs.append(Pair(cid, jid, label, ts))
-            hard_flags.append(hard)
             ts += 10
             cursors[jid] += 1
             remaining -= 1

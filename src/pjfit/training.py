@@ -11,10 +11,12 @@ minimizes the pairwise (BPR) loss
 
     L = -(1/|B|) sum log sigma(y+ - y-) + lambda (1/|B|) sum ((y+)^2 + (y-)^2)
 
-with Adam. ``bpr_loss_graph`` records it as one tape node over the
-batch's score column, with its own gradient (see there), so the op
-library holds only the model's ops. Text embeddings enter as constants
-and are never trained; the category table and every network weight are.
+with Adam, whose moments ``train`` owns: two zero arrays over the store's
+elements, allocated when a run starts and dropped when it returns.
+``bpr_loss_graph`` records the loss as one tape node over the batch's
+score column, with its own gradient (see there), so the op library holds
+only the model's ops. Text embeddings enter as constants and are never
+trained; the category table and every network weight are.
 """
 
 from __future__ import annotations
@@ -97,8 +99,10 @@ class TrainResult:
 def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
     """Deterministic training run: sample pair batches, Adam-step per batch.
 
-    The returned store holds the trained values only: no gradients
-    and no Adam moments. Raises TrainingDivergedError naming the batch index if the
+    Adam's moments are this call's: ``np.zeros`` arrays the size of the
+    store's values, whose pages the first step writes, dropped on return.
+    The returned store holds the trained values only: no gradients and no
+    moments. Raises TrainingDivergedError naming the batch index if the
     loss goes non-finite.
     """
     if not any(p.label == 1 for p in train_dataset.pairs):
@@ -109,6 +113,7 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
     store = init_params(config.model, rng_init)
     cache = SequenceCache(train_dataset, config.model)
     result = TrainResult(store=store)
+    m, v = np.zeros(store.values.size), np.zeros(store.values.size)
 
     # OpenBLAS's thread count while the batches run is optim's rule
     with training_hold(store):
@@ -132,11 +137,10 @@ def train(train_dataset: Dataset, config: TrainConfig) -> TrainResult:
                     raise TrainingDivergedError(f"non-finite loss at batch {batch_index}")
                 tape.backward(loss)
                 result.steps += 1
-                adam_step(store, config.learning_rate, result.steps)
+                adam_step(store, m, v, config.learning_rate, result.steps)
                 result.losses.append(loss_value)
-    # nothing reads the gradients (consumed by the last step) or the
-    # moments after training; at d=1024 the moments alone take ~1 GB
-    store.release_training_buffers()
+    # nothing reads the gradients (consumed by the last step) after training
+    store.release_grads()
     return result
 
 

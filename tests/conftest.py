@@ -163,6 +163,18 @@ def store_of(*params) -> ParamStore:
     return store
 
 
+def adam_moments(store: ParamStore) -> tuple[np.ndarray, np.ndarray]:
+    """Adam's m and v for ``store`` as ``training.train`` allocates them:
+    zeros the size of its value buffer."""
+    return np.zeros(store.values.size), np.zeros(store.values.size)
+
+
+def moments_of(p, m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter ``p``'s (rows, cols) views of the moments ``m`` and ``v``."""
+    span = slice(p.offset, p.offset + p.value.size)
+    return m[span].reshape(p.value.shape), v[span].reshape(p.value.shape)
+
+
 def toy_model_config(**overrides) -> ModelConfig:
     """Tiny dims used by gradient checks: d_model=8, h=2, seq=4, 3 experts."""
     base = dict(

@@ -72,8 +72,7 @@ def test_save_load_save_is_byte_stable(saved, tmp_path):
 def test_loaded_values_are_views_of_one_buffer(saved):
     _, _, path = saved
     loaded, _ = load_checkpoint(path)
-    buffers = loaded.buffers
-    assert all(np.shares_memory(p.value, buffers.values) for _, p in loaded.items())
+    assert all(np.shares_memory(p.value, loaded.values) for _, p in loaded.items())
 
 
 def test_config_larger_than_the_file_fails_before_allocating(saved):
@@ -160,7 +159,7 @@ def test_non_finite_value_is_refused_naming_the_tensor_and_element(saved, monkey
 def test_opposite_infinities_in_one_chunk_are_refused(saved):
     # their float64 sum is NaN, not Inf; the first one is named
     _, store, path = saved
-    _set_values(path, store.buffers.values.size - 2, [np.inf, -np.inf])
+    _set_values(path, store.values.size - 2, [np.inf, -np.inf])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(CheckpointError, match=re.escape("(inf)")):
@@ -170,20 +169,20 @@ def test_opposite_infinities_in_one_chunk_are_refused(saved):
 def test_largest_finite_float32_values_load(saved):
     # every value at the float32 extremes: each chunk's float64 sum stays finite
     _, store, path = saved
-    n = store.buffers.values.size
+    n = store.values.size
     top = np.finfo(np.float32).max
     _set_values(path, 0, np.where(np.arange(n) % 3 == 0, -top, top))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         loaded, _ = load_checkpoint(path)
-    assert np.abs(loaded.buffers.values).min() == top
+    assert np.abs(loaded.values).min() == top
 
 
 def test_value_block_is_the_float32_value_buffer(saved):
     _, store, path = saved
     blob = path.read_bytes()
     config_len = int.from_bytes(blob[8:12], "little")
-    assert blob[12 + config_len:] == store.buffers.values.astype("<f4").tobytes()
+    assert blob[12 + config_len:] == store.values.astype("<f4").tobytes()
 
 
 def test_param_spec_is_the_layout_pinned_for_this_version():
@@ -227,7 +226,7 @@ def test_a_file_written_before_the_row_block_split_loads_as_it_did(name, tmp_pat
     data = Path(__file__).parent / "data"
     pinned = json.loads((data / "v5_toy_scores.json").read_text())["checkpoints"][name]
     store, cfg = load_checkpoint(data / name)
-    values, lo = store.buffers.values, 0
+    values, lo = store.values, 0
     for old, rows, cols in pinned["spec"]:
         # a tensor of then is the tensors of now that bear its name, stacked
         stacked = np.concatenate([p.value for new, p in store.items()
@@ -283,10 +282,10 @@ def test_a_file_cut_after_its_size_was_checked_is_truncated_not_zeros(saved, mon
     size = path.stat().st_size
     path.write_bytes(path.read_bytes()[:-400])
     monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=size))
-    name, _, _ = _tensor_at(cfg, store.buffers.values.size - 100)
+    name, _, _ = _tensor_at(cfg, store.values.size - 100)
     with pytest.raises(TruncatedCheckpointError, match=re.escape(
             f"{path}: file ends inside tensor {name!r}, before the "
-            f"{store.buffers.values.size} values its config implies")):
+            f"{store.values.size} values its config implies")):
         load_checkpoint(path)
 
 
@@ -321,7 +320,7 @@ def test_split_save_and_load_give_the_same_bytes_for_every_worker_count(saved, t
     # ``saved`` was written by one worker in the default chunks; a short
     # switch interval interleaves the shards' threads finely
     cfg, store, path = saved
-    n = store.buffers.values.size
+    n = store.values.size
     calls = _split_io(monkeypatch, n, workers)
     threads = threading.active_count()
     split = tmp_path / "split.ckpt"
@@ -334,7 +333,7 @@ def test_split_save_and_load_give_the_same_bytes_for_every_worker_count(saved, t
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
     assert split.read_bytes() == path.read_bytes()
-    assert loaded.buffers.values.tobytes() == store.buffers.values.astype("<f4").astype(np.float64).tobytes()
+    assert loaded.values.tobytes() == store.values.astype("<f4").astype(np.float64).tobytes()
     cuts = [n * i // workers for i in range(workers + 1)]
     for kind in ("write", "read"):
         assert sorted(c[1:3] for c in calls if c[0] == kind) == list(zip(cuts, cuts[1:]))
@@ -345,7 +344,7 @@ def test_split_save_and_load_give_the_same_bytes_for_every_worker_count(saved, t
 def test_short_positional_writes_are_continued(saved, tmp_path, monkeypatch):
     # a write that takes 3 bytes of a chunk must be followed by the rest
     cfg, store, path = saved
-    _split_io(monkeypatch, store.buffers.values.size, 2)
+    _split_io(monkeypatch, store.values.size, 2)
     pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:3], offset))
     short = tmp_path / "short.ckpt"
@@ -358,7 +357,7 @@ def test_the_earliest_non_finite_value_over_all_shards_is_named(saved, monkeypat
     # the last value of the first shard, and the first value of every later
     # shard, which those shards meet at once
     cfg, store, path = saved
-    n = store.buffers.values.size
+    n = store.values.size
     _split_io(monkeypatch, n, workers)
     starts = [n * i // workers for i in range(1, workers)]
     for at in [starts[0] - 1] + starts:
@@ -374,8 +373,8 @@ def test_the_earliest_non_finite_value_over_all_shards_is_named(saved, monkeypat
 def test_opposite_infinities_in_a_later_shard_are_refused_without_a_warning(saved, monkeypatch):
     # errstate is per thread: the second shard's inf - inf must not warn
     _, store, path = saved
-    _split_io(monkeypatch, store.buffers.values.size, 2)
-    _set_values(path, store.buffers.values.size - 2, [np.inf, -np.inf])
+    _split_io(monkeypatch, store.values.size, 2)
+    _set_values(path, store.values.size - 2, [np.inf, -np.inf])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(CheckpointError, match=re.escape("(inf)")):
@@ -384,7 +383,7 @@ def test_opposite_infinities_in_a_later_shard_are_refused_without_a_warning(save
 
 def test_failed_split_write_keeps_the_old_file_and_leaves_no_tmp(saved, monkeypatch, full_disk):
     cfg, store, path = saved
-    _split_io(monkeypatch, store.buffers.values.size, 2)
+    _split_io(monkeypatch, store.values.size, 2)
     old = path.read_bytes()
     threads = threading.active_count()
     with pytest.raises(OSError, match="No space left"):
@@ -409,7 +408,7 @@ class _FailsFrom:
 @pytest.mark.parametrize("failing_shard", [0, 1])
 def test_a_failed_narrowing_thread_fails_the_save_without_a_hang(saved, monkeypatch, failing_shard):
     cfg, store, path = saved
-    n = store.buffers.values.size
+    n = store.values.size
     _split_io(monkeypatch, n, 2)
     write = checkpoint._write_narrowed
 

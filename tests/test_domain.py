@@ -15,6 +15,7 @@ from pjfit.domain import (
     Dataset,
     DatasetError,
     SequenceCache,
+    first_seen,
     load_data_dir,
     sample_training_pairs,
     validate_records,
@@ -353,6 +354,27 @@ def test_pad_mask_has_exactly_min_len_positions(n_ids):
 
 
 # ------------------------------------------------------------ sequence cache
+
+
+def _first_seen_by_sorting(values):
+    """first_seen's oracle: np.unique's distinct values, reordered by their
+    first index."""
+    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return distinct[order], np.argsort(order)[inverse]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(st.integers(0, 40), max_size=120), table=st.integers(0, 2000))
+def test_first_seen_equals_the_sorting_oracle(ids, table):
+    # empty inputs included; ``table`` raises the largest id, as rows of a
+    # large kind do
+    values = np.array(ids + ([table] if table % 2 else []), dtype=np.intp)
+    got, want = first_seen(values), _first_seen_by_sorting(values)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist()
+    distinct, inverse = got
+    assert distinct[inverse].tolist() == values.tolist()
 
 
 @settings(max_examples=80, deadline=None)

@@ -27,7 +27,7 @@ from pjfit.numerics import (
 from pjfit.numerics import optim, params
 
 
-from conftest import store_of
+from conftest import adam_moments, moments_of, store_of
 from gradcheck import finite_diff_check, sum_all
 from reference_model import np_attention
 
@@ -450,10 +450,12 @@ def test_split_cols_parts_must_divide_the_width(parts):
 def test_adam_zero_gradient_leaves_parameter_and_moments_alone():
     store = store_of(("w", [[1.0, 2.0]]))
     p = store["w"]
-    adam_step(store, lr=0.1, step=1)
+    m, v = adam_moments(store)
+    adam_step(store, m, v, lr=0.1, step=1)
     np.testing.assert_array_equal(p.value, [[1.0, 2.0]])
-    np.testing.assert_array_equal(p.m, np.zeros((1, 2)))
-    np.testing.assert_array_equal(p.v, np.zeros((1, 2)))
+    pm, pv = moments_of(p, m, v)
+    np.testing.assert_array_equal(pm, np.zeros((1, 2)))
+    np.testing.assert_array_equal(pv, np.zeros((1, 2)))
 
 
 def test_adam_first_step_matches_hand_evaluated_recurrence():
@@ -461,7 +463,7 @@ def test_adam_first_step_matches_hand_evaluated_recurrence():
     store = store_of(("w", [[0.0]]))
     p = store["w"]
     p.grad[...] = 1.0
-    adam_step(store, lr=1e-4, step=1)
+    adam_step(store, *adam_moments(store), lr=1e-4, step=1)
     expected = -1e-4 * 1.0 / (1.0 + 1e-8)
     np.testing.assert_allclose(p.value, [[expected]], rtol=1e-12)
     assert abs(p.value[0, 0] + 1e-4) < 1e-10
@@ -472,20 +474,38 @@ def test_adam_nan_gradient_names_parameter():
     bad = store["gate.w1"]
     bad.grad[...] = np.nan
     with pytest.raises(TrainingDivergedError, match="gate.w1"):
-        adam_step(store, lr=0.1, step=1)
+        adam_step(store, *adam_moments(store), lr=0.1, step=1)
+
+
+@pytest.mark.parametrize("bad", ["short", "float32", "read-only"])
+def test_adam_refuses_moments_that_do_not_fit_before_any_write(bad):
+    store = store_of(("w", [[1.0, 2.0]]), ("b", [[3.0]]))
+    store["w"].grad[...] = 1.0
+    m, v = adam_moments(store)
+    if bad == "short":
+        v = v[:-1]
+    elif bad == "float32":
+        v = v.astype(np.float32)
+    else:
+        v.flags.writeable = False
+    with pytest.raises(ValueError, match=r"moments must be writable float64 arrays of shape \(3,\)"):
+        adam_step(store, m, v, lr=0.1, step=1)
+    assert store.values.tolist() == [1.0, 2.0, 3.0] and not m.any()
+    assert store["w"].reached
 
 
 def test_adam_run_is_bitwise_deterministic():
     def run():
         rng = seeded_rng(11)
         store = store_of(("w", rng.uniform(-1.0, 1.0, (4, 4))))
+        m, v = adam_moments(store)
         for step in range(1, 6):
             tape = Tape()
             bound = store.bind(tape)
             r = ops.relu(bound["w"])
             out = sum_all(ops.mul(r, r))
             tape.backward(out)
-            adam_step(store, lr=1e-2, step=step)
+            adam_step(store, m, v, lr=1e-2, step=step)
         return store["w"].value.copy()
 
     a, b = run(), run()
@@ -523,6 +543,7 @@ def test_blocked_adam_is_bitwise_equal_to_the_textbook_update():
     store = store_of(*values.items())
     state = {name: {"value": value.copy(), "m": None, "v": None, "grad": None}
              for name, value in values.items()}
+    m, v = adam_moments(store)
     for step in range(1, 6):
         store.release_grads()
         for name, p in store.items():
@@ -531,8 +552,8 @@ def test_blocked_adam_is_bitwise_equal_to_the_textbook_update():
                 if step == 4:
                     # moments set from outside may hold -0.0; the absent
                     # gradient still adds 0.0, which turns them into +0.0
-                    for key in ("m", "v"):
-                        getattr(p, key)[0, :3] = -0.0
+                    for key, moment in zip(("m", "v"), moments_of(p, m, v)):
+                        moment[0, :3] = -0.0
                         state[name][key][0, :3] = -0.0
                 continue
             grad = rng.normal(size=p.value.shape)
@@ -541,15 +562,13 @@ def test_blocked_adam_is_bitwise_equal_to_the_textbook_update():
             state[name]["grad"] = grad.copy()
         for name, p in store.items():
             assert p.reached == (state[name]["grad"] is not None)
-        adam_step(store, lr=1e-2, step=step)
+        adam_step(store, m, v, lr=1e-2, step=step)
         _textbook_adam_step(state, lr=1e-2, step=step)
         for name, p in store.items():
             want = state[name]
             assert _same_bits(p.value, want["value"]), (name, step)
-            if want["m"] is None:
-                assert p.m is None and p.v is None
-            else:
-                assert _same_bits(p.m, want["m"]) and _same_bits(p.v, want["v"]), (name, step)
+            pm, pv = moments_of(p, m, v)
+            assert _same_bits(pm, want["m"]) and _same_bits(pv, want["v"]), (name, step)
             if want["grad"] is not None:
                 assert _same_bits(p.grad, want["grad"]), (name, step)
 
@@ -559,16 +578,17 @@ def test_divergent_gradient_changes_nothing():
     store = store_of(*((name, rng.normal(size=(2, optim.BLOCK + 3))) for name in ("a", "b", "c")))
     for _, p in store.items():
         p.grad[...] = rng.normal(size=p.value.shape)
-    adam_step(store, lr=1e-2, step=1)
+    m, v = adam_moments(store)
+    adam_step(store, m, v, lr=1e-2, step=1)
     for _, p in store.items():
         p.grad[...] = rng.normal(size=p.value.shape)
     store["c"].grad[1, -1] = np.nan  # the last element of the last parameter
-    before = {name: [a.copy() for a in (p.value, p.m, p.v, p.grad)]
+    before = {name: [a.copy() for a in (p.value, *moments_of(p, m, v), p.grad)]
               for name, p in store.items()}
     with pytest.raises(TrainingDivergedError, match="'c'"):
-        adam_step(store, lr=1e-2, step=2)
+        adam_step(store, m, v, lr=1e-2, step=2)
     for name, p in store.items():
-        for got, want in zip((p.value, p.m, p.v, p.grad), before[name]):
+        for got, want in zip((p.value, *moments_of(p, m, v), p.grad), before[name]):
             assert _same_bits(got, want), name
 
 
@@ -583,9 +603,9 @@ def _shard_into(monkeypatch, workers, elements, block):
     shards = []
     update = optim._update
 
-    def recorded(buffers, lo, hi, *args):
+    def recorded(lo, hi, *args):
         shards.append((lo, hi, threading.get_ident()))
-        return update(buffers, lo, hi, *args)
+        return update(lo, hi, *args)
 
     monkeypatch.setattr(optim, "_update", recorded)
     return shards
@@ -607,6 +627,7 @@ def test_sharded_adam_is_bitwise_equal_to_the_textbook_update(monkeypatch, worke
     store = _store_with(rng, shapes.items())
     state = {name: {"value": p.value.copy(), "m": None, "v": None, "grad": None}
              for name, p in store.items()}
+    m, v = adam_moments(store)
     threads = threading.active_count()
     for step in range(1, 5):
         store.release_grads()
@@ -632,7 +653,7 @@ def test_sharded_adam_is_bitwise_equal_to_the_textbook_update(monkeypatch, worke
         for name, p in store.items():
             assert p.reached == (state[name]["grad"] is not None)
         del shards[:]
-        adam_step(store, lr=1e-2, step=step)
+        adam_step(store, m, v, lr=1e-2, step=step)
         _textbook_adam_step(state, lr=1e-2, step=step)
         cuts = [140 * i // workers for i in range(workers + 1)]
         assert sorted(s[:2] for s in shards) == list(zip(cuts, cuts[1:]))
@@ -642,7 +663,8 @@ def test_sharded_adam_is_bitwise_equal_to_the_textbook_update(monkeypatch, worke
         for name, p in store.items():
             want = state[name]
             assert _same_bits(p.value, want["value"]), (name, step)
-            assert _same_bits(p.m, want["m"]) and _same_bits(p.v, want["v"]), (name, step)
+            pm, pv = moments_of(p, m, v)
+            assert _same_bits(pm, want["m"]) and _same_bits(pv, want["v"]), (name, step)
             if want["grad"] is not None:
                 assert _same_bits(p.grad, want["grad"]), (name, step)
 
@@ -655,17 +677,18 @@ def test_non_finite_check_names_the_first_bad_parameter_across_shards(monkeypatc
     store = _store_with(rng, [("a", (2, 10)), ("b", (4, 5)), ("c", (3, 10)), ("d", (1, 10))])
     for _, p in store.items():
         p.grad[...] = rng.normal(size=p.value.shape)
-    adam_step(store, lr=1e-2, step=1)
+    m, v = adam_moments(store)
+    adam_step(store, m, v, lr=1e-2, step=1)
     for name, p in store.items():
         p.grad[...] = rng.normal(size=p.value.shape)
     for name in bad:
         store[name].grad[-1, -1] = np.inf
-    before = {name: [a.copy() for a in (p.value, p.m, p.v, p.grad)]
+    before = {name: [a.copy() for a in (p.value, *moments_of(p, m, v), p.grad)]
               for name, p in store.items()}
     with pytest.raises(TrainingDivergedError, match=f"'{bad[0]}'"):
-        adam_step(store, lr=1e-2, step=2)
+        adam_step(store, m, v, lr=1e-2, step=2)
     for name, p in store.items():
-        for got, want in zip((p.value, p.m, p.v, p.grad), before[name]):
+        for got, want in zip((p.value, *moments_of(p, m, v), p.grad), before[name]):
             assert _same_bits(got, want), name
 
 
@@ -675,17 +698,17 @@ def test_an_exception_in_a_worker_shard_is_raised_to_the_caller(monkeypatch):
     update = optim._update
     ran = []
 
-    def failing(buffers, lo, hi, *args):
+    def failing(lo, hi, *args):
         ran.append(lo)
         if lo == 30:
             raise MemoryError("shard [30, 60)")
-        return update(buffers, lo, hi, *args)
+        return update(lo, hi, *args)
 
     monkeypatch.setattr(optim, "_update", failing)
     threads, blas = threading.active_count(), optim._OPENBLAS
     blas_threads = blas[0]() if blas else None
     with pytest.raises(MemoryError, match=r"shard \[30, 60\)"):
-        adam_step(store, lr=1e-2, step=1)
+        adam_step(store, *adam_moments(store), lr=1e-2, step=1)
     assert sorted(ran) == [0, 30, 60]
     assert threading.active_count() == threads
     if blas:  # the hold of three shards is let go on the way out
@@ -704,22 +727,22 @@ def test_adam_checks_the_gradients_under_its_hold(monkeypatch, fake_blas):
     rng = seeded_rng(25)
     store = _store_with(rng, _FACTORED)
     _add_pairs(store, rng)
-    adam_step(store, lr=1e-2, step=1)
+    m, v = adam_moments(store)
+    adam_step(store, m, v, lr=1e-2, step=1)
     assert len(counts) == 12 and set(counts) == {1}
     assert fake_blas.puts == [1, 2]
     pairs = _add_pairs(store, rng)
     pairs["c"][1][0][1, 2] = np.inf
     del counts[:]
     with pytest.raises(TrainingDivergedError, match="'c'"):
-        adam_step(store, lr=1e-2, step=2)
+        adam_step(store, m, v, lr=1e-2, step=2)
     assert counts and set(counts) == {1}
     assert fake_blas.puts == [1, 2, 1, 2]
 
 
 def test_adam_first_step_writes_the_moments_bitwise_as_the_textbook_update():
-    # the first step writes m and v without reading them: -0.0, +0.0 and
-    # denormal gradients give the bits of the update from zero moments,
-    # +0.0 moments included
+    # the first step, from zero moments: -0.0, +0.0 and denormal gradients
+    # give the bits of the textbook update, +0.0 moments included
     rng = seeded_rng(18)
     grad = rng.normal(size=(3, 40))
     grad[0, :8] = -0.0
@@ -728,21 +751,23 @@ def test_adam_first_step_writes_the_moments_bitwise_as_the_textbook_update():
     store = store_of(("w", rng.normal(size=(3, 40))))
     state = {"w": {"value": store["w"].value.copy(), "m": None, "v": None, "grad": grad.copy()}}
     store["w"].grad[...] = grad
-    adam_step(store, lr=1e-2, step=1)
+    m, v = adam_moments(store)
+    adam_step(store, m, v, lr=1e-2, step=1)
     _textbook_adam_step(state, lr=1e-2, step=1)
     p, want = store["w"], state["w"]
+    pm, pv = moments_of(p, m, v)
     assert _same_bits(p.value, want["value"])
-    assert _same_bits(p.m, want["m"]) and _same_bits(p.v, want["v"])
-    assert not np.signbit(p.m[p.m == 0.0]).any()
-    # moments that exist take the general path, which reads them
-    p.m[...] = want["m"] = rng.normal(size=(3, 40))
-    p.v[...] = want["v"] = rng.random(size=(3, 40))
-    p.m[0, :3] = want["m"][0, :3] = -0.0
+    assert _same_bits(pm, want["m"]) and _same_bits(pv, want["v"])
+    assert not np.signbit(pm[pm == 0.0]).any()
+    # moments set from outside, -0.0 among them, are read as they are
+    pm[...] = want["m"] = rng.normal(size=(3, 40))
+    pv[...] = want["v"] = rng.random(size=(3, 40))
+    pm[0, :3] = want["m"][0, :3] = -0.0
     p.grad[...] = want["grad"] = grad[::-1].copy()
-    adam_step(store, lr=1e-2, step=2)
+    adam_step(store, m, v, lr=1e-2, step=2)
     _textbook_adam_step(state, lr=1e-2, step=2)
     assert _same_bits(p.value, want["value"])
-    assert _same_bits(p.m, want["m"]) and _same_bits(p.v, want["v"])
+    assert _same_bits(pm, want["m"]) and _same_bits(pv, want["v"])
 
 
 # ------------------------------------------------------- gradient lifecycle
@@ -807,6 +832,7 @@ def test_gradients_over_two_steps_equal_accumulation_from_zero(grad_write_at, re
     store = store_of(("w", rng.normal(size=(4, 3))), ("dead", rng.normal(size=(3, 3))))
     state = {name: {"value": p.value.copy(), "m": None, "v": None, "grad": None}
              for name, p in store.items()}
+    m, v = adam_moments(store)
     for step, (reach_dead, write_at) in enumerate([(True, grad_write_at), (False, None)], 1):
         want = _lifecycle_step(store, _lifecycle_case(step), reach_dead, write_at)
         if read_grads:
@@ -814,11 +840,12 @@ def test_gradients_over_two_steps_equal_accumulation_from_zero(grad_write_at, re
                 np.testing.assert_array_equal(p.grad, want[name], err_msg=f"{name}, step {step}")
         for name in store.names():
             state[name]["grad"] = want[name]
-        adam_step(store, lr=1e-2, step=step)
+        adam_step(store, m, v, lr=1e-2, step=step)
         _textbook_adam_step(state, lr=1e-2, step=step)
         for name, p in store.items():
             assert _same_bits(p.value, state[name]["value"]), (name, step)
-            assert _same_bits(p.m, state[name]["m"]) and _same_bits(p.v, state[name]["v"]), (name, step)
+            pm, pv = moments_of(p, m, v)
+            assert _same_bits(pm, state[name]["m"]) and _same_bits(pv, state[name]["v"]), (name, step)
     for name, p in store.items():
         assert _same_bits(p.grad, np.zeros_like(p.value)), name  # consumed: reads as zeros
 
@@ -829,7 +856,7 @@ def test_a_bound_view_reads_zeros_over_a_consumed_gradient():
     # zeros, and a product into it then adds to those zeros
     store = store_of(("w", np.ones((3, 2))))
     store["w"].grad[...] = 7.0
-    adam_step(store, lr=0.0, step=1)
+    adam_step(store, *adam_moments(store), lr=0.0, step=1)
     assert (store["w"].dense == 7.0).all()  # consumed, not zeroed
     tape = Tape()
     w = store.bind(tape)["w"]
@@ -1014,7 +1041,8 @@ def test_non_finite_factors_name_the_first_bad_parameter_and_change_nothing(wher
     rng = seeded_rng(24)
     store = _store_with(rng, _FACTORED)
     _add_pairs(store, rng)
-    adam_step(store, lr=1e-2, step=1)
+    m, v = adam_moments(store)
+    adam_step(store, m, v, lr=1e-2, step=1)
     rows = {name: p.value.shape[0] for name, p in store.items()}
     pairs = {name: [(rng.normal(size=(2, rows[name])), rng.normal(size=(2, p.value.shape[1])))
                     for _ in range(2)] for name, p in store.items()}
@@ -1028,11 +1056,12 @@ def test_non_finite_factors_name_the_first_bad_parameter_and_change_nothing(wher
         for x, dy in pairs[name]:
             p.add_product(x, dy)
         assert len(p.factors) == 2
-    before = {name: [a.copy() for a in (p.value, p.m, p.v)] for name, p in store.items()}
+    before = {name: [a.copy() for a in (p.value, *moments_of(p, m, v))]
+              for name, p in store.items()}
     with pytest.raises(TrainingDivergedError, match="'b'"):
-        adam_step(store, lr=1e-2, step=2)
+        adam_step(store, m, v, lr=1e-2, step=2)
     for name, p in store.items():
-        for got, want in zip((p.value, p.m, p.v), before[name]):
+        for got, want in zip((p.value, *moments_of(p, m, v)), before[name]):
             assert _same_bits(got, want), name
         with np.errstate(invalid="ignore", over="ignore"):
             assert _same_bits(p.grad, _dense_sum(pairs[name])), name
@@ -1046,6 +1075,7 @@ def test_factors_beyond_the_bound_with_a_finite_product_train_as_dense():
     store = _store_with(rng, _FACTORED)
     state = {name: {"value": p.value.copy(), "m": None, "v": None, "grad": None}
              for name, p in store.items()}
+    m, v = adam_moments(store)
     for step in (1, 2):
         pairs = {}
         for name, p in store.items():
@@ -1059,11 +1089,12 @@ def test_factors_beyond_the_bound_with_a_finite_product_train_as_dense():
                 p.add_product(x, dy)
             assert len(p.factors) == 2 and params._bounded(p.factors) == (step == 2)
             state[name]["grad"] = _dense_sum(pairs[name])
-        adam_step(store, lr=1e-2, step=step)
+        adam_step(store, m, v, lr=1e-2, step=step)
         _textbook_adam_step(state, lr=1e-2, step=step)
         for name, p in store.items():
             assert _same_bits(p.value, state[name]["value"]), (name, step)
-            assert _same_bits(p.m, state[name]["m"]) and _same_bits(p.v, state[name]["v"])
+            pm, pv = moments_of(p, m, v)
+            assert _same_bits(pm, state[name]["m"]) and _same_bits(pv, state[name]["v"])
 
 
 def test_a_product_of_two_bound_parameters_trains_as_dense_gradients():
@@ -1074,6 +1105,7 @@ def test_a_product_of_two_bound_parameters_trains_as_dense_gradients():
     state = {name: {"value": p.value.copy(), "m": None, "v": None, "grad": None}
              for name, p in store.items()}
     probe = rng.normal(size=(3, 5))
+    m, v = adam_moments(store)
     for step in (1, 2):
         a, b = state["a"]["value"], state["b"]["value"]
         state["a"]["grad"], state["b"]["grad"] = probe @ b.T, a.T @ probe
@@ -1081,7 +1113,7 @@ def test_a_product_of_two_bound_parameters_trains_as_dense_gradients():
         bound = store.bind(tape)
         tape.backward(sum_all(ops.mul(ops.matmul(bound["a"], bound["b"]), Matrix(probe))))
         assert not store["b"].factors
-        adam_step(store, lr=1e-1, step=step)
+        adam_step(store, m, v, lr=1e-1, step=step)
         _textbook_adam_step(state, lr=1e-1, step=step)
         for name, p in store.items():
             assert _same_bits(p.value, state[name]["value"]), (name, step)
@@ -1188,8 +1220,8 @@ def test_constants_get_no_gradient_buffer():
 
 def test_an_untaped_bind_holds_value_views_and_no_param():
     # what the serving index keeps: a Param reachable from it would pin
-    # the gradient arrays and the moment buffers. Param has no weakref
-    # slot, so the check walks the references instead
+    # the gradient arrays. Param has no weakref slot, so the check walks
+    # the references instead
     store = store_of(("w", [[2.0, -1.0], [0.5, 3.0]]), ("b", [[1.0, 4.0]]))
     bound = store.bind()
     seen, todo = set(), [bound]
@@ -1198,11 +1230,11 @@ def test_an_untaped_bind_holds_value_views_and_no_param():
         if id(obj) in seen or isinstance(obj, type):
             continue
         seen.add(id(obj))
-        assert not isinstance(obj, (params.Param, params.Buffers, ParamStore)), obj
+        assert not isinstance(obj, (params.Param, ParamStore)), obj
         todo.extend(gc.get_referents(obj))
     assert list(bound) == ["w", "b"]
     for name, m in bound.items():
-        assert m.tape is None and np.shares_memory(m.data, store.buffers.values)
+        assert m.tape is None and np.shares_memory(m.data, store.values)
         np.testing.assert_array_equal(m.data, store[name].value)
 
     # a taped bind still hands the backward's contributions to the Params
@@ -1220,7 +1252,7 @@ def test_gradient_buffers_are_allocated_on_first_taped_use():
     w = store.bind()["w"]
     ops.mul(w, w)  # untaped: inference allocates nothing
     assert p.dense is None
-    adam_step(store, lr=0.1, step=1)  # no buffer reads as a zero gradient
+    adam_step(store, *adam_moments(store), lr=0.1, step=1)  # no buffer reads as a zero gradient
     np.testing.assert_array_equal(p.value, [[2.0]])
     assert p.dense is None
 

@@ -11,7 +11,7 @@ from pjfit.numerics import adam_step, seeded_rng
 from pjfit.serve import ServingIndex, index_for
 from pjfit.training import SequenceCache, evaluate, init_params, rank_candidates, score_pairs
 
-from conftest import DatasetBuilder, toy_model_config
+from conftest import DatasetBuilder, adam_moments, moments_of, toy_model_config
 from reference_model import np_score_pair
 
 # Index scores against score_pairs. Both are float64; batching per entity
@@ -148,7 +148,7 @@ def test_index_binds_the_store_values_and_does_not_keep_the_store_alive():
     indexes = len(serve._INDEXES)  # stores of earlier tests may still be alive
     index = index_for(store, cfg, ds)
     index.score(cands[:3], jobs[:3])
-    values = store.buffers.values
+    values = store.values
     assert all(np.shares_memory(index._bound[name].data, values) for name in store.names())
     alive = weakref.ref(store)
     del store
@@ -164,18 +164,20 @@ def test_writing_to_an_indexed_store_raises():
     rng = seeded_rng(11)
     for _, p in store.items():
         p.grad[...] = rng.normal(size=p.value.shape)
-    adam_step(store, 1e-3, 1)  # moments exist before the index freezes the store
+    m, v = adam_moments(store)
+    adam_step(store, m, v, 1e-3, 1)  # nonzero moments before the index freezes the store
     for _, p in store.items():
         p.grad[...] = rng.normal(size=p.value.shape)
     cands, jobs = all_pairs(ds)
     index_for(store, cfg, ds).score(cands[:3], jobs[:3])
     with pytest.raises(ValueError, match="read-only"):
         store["cand.fusion.w1.internal"].value[0, 0] = 1.0
-    before = {name: [a.copy() for a in (p.value, p.m, p.v, p.grad)] for name, p in store.items()}
+    before = {name: [a.copy() for a in (p.value, *moments_of(p, m, v), p.grad)]
+              for name, p in store.items()}
     with pytest.raises(ValueError, match=f"{store.names()[0]!r} is read-only"):
-        adam_step(store, 1e-3, 2)
+        adam_step(store, m, v, 1e-3, 2)
     for name, p in store.items():
-        for got, want in zip((p.value, p.m, p.v, p.grad), before[name]):
+        for got, want in zip((p.value, *moments_of(p, m, v), p.grad), before[name]):
             assert got.tobytes() == want.tobytes(), name
 
 

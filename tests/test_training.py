@@ -1,10 +1,12 @@
 import bisect
+import gc
 import itertools
 import math
 import os
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -279,10 +281,10 @@ def test_init_params_draws_every_value_in_buffer_order(heads, ablation):
     rng = seeded_rng(3)
     store = init_params(cfg, rng)
     want = seeded_rng(3)
-    draws = want.random(store.buffers.values.size)
+    draws = want.random(store.values.size)
     limits = np.concatenate([np.full(rows * cols, _pinned_limit(cfg, name, rows, cols))
                              for name, rows, cols in param_spec(cfg)])
-    assert store.buffers.values.tobytes() == (draws * (limits - -limits) + -limits).tobytes()
+    assert store.values.tobytes() == (draws * (limits - -limits) + -limits).tobytes()
     assert rng.bit_generator.state == want.bit_generator.state
     biases = [p.value for name, p in store.items() if name.rsplit(".", 1)[1].startswith("b")]
     assert biases and not any(b.any() or np.signbit(b).any() for b in biases)
@@ -296,7 +298,7 @@ def test_init_params_draws_bitwise_alike_on_any_worker_count(monkeypatch, worker
     cfg = toy_model_config()
     sequential_rng = seeded_rng(3)
     sequential = init_params(cfg, sequential_rng)
-    n = sequential.buffers.values.size
+    n = sequential.values.size
     assert optim.worker_count(n) == 1
     spec = param_spec(cfg)
     starts = [0, *itertools.accumulate(rows * cols for _, rows, cols in spec)]
@@ -312,7 +314,7 @@ def test_init_params_draws_bitwise_alike_on_any_worker_count(monkeypatch, worker
     rng = seeded_rng(3)
     store = init_params(cfg, rng)
     assert sorted(shards) == [(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
-    assert store.buffers.values.tobytes() == sequential.buffers.values.tobytes()
+    assert store.values.tobytes() == sequential.values.tobytes()
     assert rng.bit_generator.state == sequential_rng.bit_generator.state
 
 
@@ -521,7 +523,36 @@ def test_trained_store_holds_no_gradient_buffers():
     result = train(train_ds, train_config(epochs=1))
     assert result.steps > 0
     assert not any(p.reached or p.dense is not None for _, p in result.store.items())
-    assert all(p.m is None and p.v is None for _, p in result.store.items())
+
+
+def test_trained_result_reaches_no_store_sized_array_but_the_values(monkeypatch):
+    # Adam's moments are train()'s own, dropped when it returns: the result
+    # reaches no other array of the value buffer's size. Param has no
+    # weakref slot, so the check walks the references
+    ds, meta = synth_toy()
+    train_ds, _ = ds.split_temporal(meta["split_ts"])
+    moments, step = [], training.adam_step
+
+    def recorded(store, m, v, *args):
+        moments[:] = [weakref.ref(m), weakref.ref(v)]
+        return step(store, m, v, *args)
+
+    monkeypatch.setattr(training, "adam_step", recorded)
+    result = train(train_ds, train_config(epochs=1))
+    assert result.steps > 0
+    gc.collect()
+    assert moments and all(ref() is None for ref in moments)
+    values = result.store.values
+    seen, todo, sized = set(), [result], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray) and obj.size == values.size:
+            sized.append(obj)
+        todo.extend(gc.get_referents(obj))
+    assert len(sized) == 1 and sized[0] is values
 
 
 def test_training_holds_no_store_sized_gradient():
@@ -632,7 +663,7 @@ def _train_lifecycle(monkeypatch, dataset, cfg, textbook):
         if textbook:
             m.setattr(params, "_keeps", lambda k, rows, cols: False)
         result = train(dataset, cfg)
-    return (result.store.buffers.values.tobytes(), np.array(result.losses).tobytes(),
+    return (result.store.values.tobytes(), np.array(result.losses).tobytes(),
             unreached, factored)
 
 
@@ -703,7 +734,7 @@ def test_kept_pairs_train_bitwise_as_dense_gradients(monkeypatch, workers, found
             m.setattr(params, "_keeps", lambda k, rows, cols: False)
         want = train(train_ds, cfg)  # all dense, or else the held run
     assert np.array(kept.losses).tobytes() == np.array(want.losses).tobytes()
-    assert kept.store.buffers.values.tobytes() == want.store.buffers.values.tobytes()
+    assert kept.store.values.tobytes() == want.store.values.tobytes()
 
 
 def _train_recording_holds(monkeypatch, fake_blas):
@@ -771,11 +802,10 @@ def test_training_hold_leaves_a_store_at_the_threshold_to_adam(monkeypatch, fake
 
 def test_init_params_values_are_views_of_one_buffer():
     store = init_params(toy_model_config(), seeded_rng(0))
-    buffers = store.buffers
-    assert all(np.shares_memory(p.value, buffers.values) for _, p in store.items())
+    assert all(np.shares_memory(p.value, store.values) for _, p in store.items())
     # end to end in param_spec order
     assert np.concatenate([p.value.ravel() for _, p in store.items()]).tobytes() \
-        == buffers.values.tobytes()
+        == store.values.tobytes()
 
 
 def test_training_reduces_loss_on_synthetic_data():
