@@ -19,7 +19,9 @@ class Matrix:
     with no zeros allocated and added to. A parameter bound on a tape
     (``ParamStore.bind``) passes itself in, and its gradient is the
     parameter's: ``grad_slot`` is ``Param.grad_slot``, and ``ops`` hands a
-    product x^T dy to ``Param.add_product``; see ``params``.
+    product x^T dy to ``Param.add_product``, which keeps a step's first as
+    its pair where it can; see ``params``. The gradient has no setter: add
+    into it in place (``m.grad[...] += g``).
     """
 
     __slots__ = ("data", "tape", "_grad", "_param")
@@ -44,11 +46,6 @@ class Matrix:
         if first:
             grad.fill(0.0)
         return grad
-
-    @grad.setter
-    def grad(self, value: np.ndarray) -> None:
-        # in-place ops on the property (grad += g) assign back through here
-        self._grad = value
 
     def grad_slot(self) -> tuple[np.ndarray, bool]:
         """(buffer, first): the gradient buffer, and whether nothing has

@@ -7,8 +7,8 @@ The first contribution a closure makes to a gradient in a backward pass
 is written into it (``Matrix.grad_slot``), later ones are added, and the
 tape skips a closure whose output nothing reached. A bound weight's
 product x^T dy in ``matmul`` and ``affine`` is handed to its parameter,
-which keeps it as the pair (x, dy) where it can (``params``), for Adam to
-multiply out.
+which keeps its step's first product as the pair (x, dy) where it can
+(``params``), for Adam to multiply out.
 
 The vocabulary is the ten ops the model calls, all on 2-D matrices:
 ``matmul``, ``affine``, ``relu``, ``softmax_rows``, ``segment_attention``,
@@ -58,8 +58,9 @@ def _add_value(m: Matrix, value: np.ndarray) -> None:
 
 
 def _add_product(w: Matrix, x: np.ndarray, dy: np.ndarray) -> None:
-    """w's gradient += x^T dy. A bound parameter takes the product as its
-    factors (``Param.add_product``), which it may keep as they are."""
+    """w's gradient += x^T dy. A bound parameter takes the product as the
+    pair (x, dy) (``Param.add_product``), which it keeps unmultiplied when
+    the product is its step's first and the keep rule allows."""
     if w._param is not None:
         w._param.add_product(x, dy)
     else:

@@ -22,7 +22,7 @@ parameter by parameter and reads each gradient through its Param
 (``Param.grad_is_finite``). How a gradient is held, and that the walk
 gives the same bits wherever a cut falls, is ``params``' rule.
 
-A gradient's pairs are multiplied out in each shard's walk, in GEMMs of
+A kept pair is multiplied out in each shard's walk, in GEMMs of
 ``params.MIN_ROWS`` rows or more. OpenBLAS may spread such a GEMM over
 its own threads, and two shards that both hand one to OpenBLAS fight over
 its threads, which go on spinning after each GEMM. So OpenBLAS is held to
@@ -123,7 +123,7 @@ def adam_step(store: ParamStore, m: np.ndarray, v: np.ndarray, lr: float, step: 
     moments once and writing value and moments once: the moments are
     updated and the value takes its step. A gradient nothing reached in
     the step reads as zeros. The gradients are consumed
-    (``Param.consume_grad``): their pairs are dropped, and they read as
+    (``Param.consume_grad``): a kept pair is dropped, and they read as
     zeros afterwards without a pass over them.
 
     The arithmetic is the textbook expression's, operation for operation,

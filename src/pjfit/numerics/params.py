@@ -10,11 +10,13 @@ into shards. The store holds no optimizer state: Adam's moments are
 arrays over the same element range that ``training.train`` owns.
 
 There is no gradient buffer. A weight's gradient is a sum of products x^T
-dy, one per use in ``ops.matmul`` or ``ops.affine``, and a parameter keeps
-each as the pair (x, dy) of arrays the backward pass holds anyway
-(``Param.add_product``). Adam multiplies the pairs out a few rows at a
-time, right before it updates those rows, so no whole-store gradient is
-ever held. A pair of K rows (x is K x rows, dy K x cols) is kept when
+dy, one per use in ``ops.matmul`` or ``ops.affine``. The model reads each
+weight once per forward pass, so its backward pass makes one product per
+weight, and a parameter keeps it as the pair (x, dy) of arrays the
+backward pass holds anyway (``Param.add_product``). Adam multiplies the
+pair out a few rows at a time, right before it updates those rows, so no
+whole-store gradient is ever held. A product of K rows (x is K x rows,
+dy K x cols) is kept when
 
 - its factors hold fewer values than its product, K (rows + cols) <
   rows cols (``_keeps``);
@@ -22,48 +24,50 @@ ever held. A pair of K rows (x is K x rows, dy K x cols) is kept when
   product as a matrix-vector product, whose bits change with the rows
   asked for;
 - x holds no value of this store, since Adam rewrites values in place;
-- every contribution to the gradient so far was a kept pair.
+- it is the step's first contribution to the gradient.
 
 Any other contribution goes to a dense gradient array the parameter owns
 (kept across steps, dropped by ``ParamStore.release_grads``): biases, the
-category table, a weight used with more rows than the rule allows, and a
-weight's product after a dense contribution. A dense contribution that
-finds pairs multiplies them out first. Either way the contributions are
-summed in the order the backward pass makes them, the first written and
-the rest added, so the gradient has the bits of one dense buffer's
-wherever a pair's row blocks have the bits of its whole product (below).
+category table, a weight used with more rows than the rule allows, and
+every contribution after a step's first. A contribution that finds a
+kept pair multiplies it out into the dense array first, in one GEMM over
+the whole tensor, and adds to it. So a gradient is summed in the order
+the backward pass makes its contributions, the first written and the
+rest added, with the bits of one dense buffer's wherever a pair's row
+blocks have the bits of its whole product (below).
 
-Adam's shards multiply the kept pairs out, each the rows of its own
-range, in blocks of MIN_ROWS rows or more, one GEMM per pair
+Adam's shards multiply a kept pair out, each the rows of its own range,
+in blocks of MIN_ROWS rows or more, one GEMM per block
 (``Param.grad_blocks``), with OpenBLAS held to one thread (``optim``);
-``Param.grad`` multiplies them out in one GEMM per pair over the whole
-tensor. On OpenBLAS 0.3.31 (a DYNAMIC_ARCH build, which picks its
-SkylakeX kernels on an AVX-512 Xeon), for every tensor shape of the
-model at K = 1, 4, 25, 32 and at the largest K the rule keeps (767 at
-d=1024), such row blocks gave the bits of the whole product in one
-GEMM, as a dense gradient has them, wherever they were cut and on 1 and
-2 threads: so neither the blocks, nor the cuts between Adam's shards,
-nor keeping a pair changes a bit. The row-block tests of
-test_numerics.py check this on the BLAS at hand.
+``Param.grad`` multiplies it out in one GEMM over the whole tensor. On
+OpenBLAS 0.3.31 (a DYNAMIC_ARCH build, which picks its SkylakeX kernels
+on an AVX-512 Xeon), for every tensor shape of the model at K = 1, 4,
+25, 32 and at the largest K the rule keeps (767 at d=1024), such row
+blocks gave the bits of the whole product in one GEMM, as a dense
+gradient has them, wherever they were cut and on 1 and 2 threads: so
+neither the blocks, nor the cuts between Adam's shards, nor keeping a
+pair changes a bit. The row-block tests of test_numerics.py check this
+on the BLAS at hand.
 
 Nothing zeroes a gradient ahead of a step. Each parameter keeps one flag,
 ``reached``: whether a backward pass contributed to its gradient in the
 current step. A gradient nothing reached reads as zeros: ``Param.grad``
 zeroes the dense array first, and Adam reads zeros. ``Param.grad``
-multiplies the pairs out into the dense array, for tests and the
+multiplies a kept pair out into the dense array, for tests and the
 gradchecks. ``adam_step`` consumes every gradient (``consume_grad``):
-the pairs are dropped and the flag cleared.
+the pair is dropped and the flag cleared.
 
 Adam (``optim``) reads a gradient through two operations of its Param:
 
-- ``grad_is_finite``, before any value changes. Kept pairs are checked
-  without multiplying them out, by a Cauchy-Schwarz bound on their
-  factors (``_bounded``); only a pair that fails it is multiplied out
-  into the dense array, which is scanned like any dense gradient.
+- ``grad_is_finite``, before any value changes. A kept pair is checked
+  without multiplying it out, by a Cauchy-Schwarz bound on its factors
+  (``_bounded``); only a pair that fails it is multiplied out into the
+  dense array, which is scanned like any dense gradient.
 - ``grad_blocks``, a walk over an element range of the gradient in
   blocks: zeros for a parameter nothing reached (the attention sets of a
   stage that was empty in the batch), slices of the dense array, or the
-  pairs multiplied out a row block at a time into the caller's scratch.
+  kept pair multiplied out a row block at a time into the caller's
+  scratch.
 
 ``ParamStore.bind`` returns a plain name -> Matrix dict over the values.
 On a tape, each Matrix holds its Param, so a backward pass hands its
@@ -94,28 +98,27 @@ class Param:
     """Elements [offset, offset + rows * cols) of a store's values, as a
     (rows, cols) view, and the parameter's gradient in the current step.
 
-    The gradient is the sum of ``factors``' products x^T dy when that
-    list is not empty, else the dense array; it is zeros when nothing
-    reached it (``reached`` false).
+    The gradient is the product x^T dy of ``pair`` when it holds one, else
+    the dense array; it is zeros when nothing reached it (``reached``
+    false).
     """
 
-    __slots__ = ("value", "offset", "reached", "factors", "_values", "_dense")
+    __slots__ = ("value", "offset", "reached", "pair", "_values", "_dense")
 
     def __init__(self, values: np.ndarray, offset: int, shape: tuple[int, int]):
         self._values = values
         self.offset = offset
         self.value = values[offset:offset + shape[0] * shape[1]].reshape(shape)
         self.reached = False
-        self.factors: list[tuple[np.ndarray, np.ndarray]] = []
+        self.pair: tuple[np.ndarray, np.ndarray] | None = None
         self._dense: np.ndarray | None = None
 
     def add_product(self, x: np.ndarray, dy: np.ndarray) -> None:
         """gradient += x^T dy, kept as the pair when the rules of the
         module docstring allow it, else added to the dense gradient."""
-        if (_keeps(len(dy), *self.value.shape) and (self.factors or not self.reached)
+        if (not self.reached and _keeps(len(dy), *self.value.shape)
                 and not np.may_share_memory(x, self._values)):
-            self.factors.append((x, dy))
-            self.reached = True
+            self.pair, self.reached = (x, dy), True
             return
         grad, first = self.grad_slot()
         if first:
@@ -124,51 +127,51 @@ class Param:
             grad += x.T @ dy
 
     def grad_slot(self) -> tuple[np.ndarray, bool]:
-        """(dense, first): the dense gradient, with the pairs multiplied
-        out into it, and whether nothing has reached it yet in this step.
-        When ``first``, its contents are undefined and the caller must
-        write all of it; otherwise the caller adds into it. Either way the
-        gradient counts as reached."""
+        """(dense, first): the dense gradient, with a kept pair multiplied
+        out into it in one GEMM, and whether nothing has reached it yet in
+        this step. When ``first``, its contents are undefined and the
+        caller must write all of it; otherwise the caller adds into it.
+        Either way the gradient counts as reached."""
         if self._dense is None:
             self._dense = np.empty(self.value.shape)
-        if self.factors:
-            self._multiply_rows(0, self.value.shape[0], self._dense.reshape(-1),
-                                np.empty(self.value.size))
-            self.factors = []
+        if self.pair is not None:
+            x, dy = self.pair
+            np.matmul(x.T, dy, out=self._dense)
+            self.pair = None
             return self._dense, False
         first, self.reached = not self.reached, True
         return self._dense, first
 
     def grad_is_finite(self) -> bool:
-        """Whether every entry of the gradient is finite. Kept pairs that
-        pass ``_bounded`` are finite without being multiplied out; pairs
-        that fail it are multiplied out into the dense array, which is
+        """Whether every entry of the gradient is finite. A kept pair that
+        passes ``_bounded`` is finite without being multiplied out; a pair
+        that fails it is multiplied out into the dense array, which is
         then scanned. A gradient nothing reached is zeros."""
-        if self.factors and not _bounded(self.factors):
+        if self.pair is not None and not _bounded(*self.pair):
             with np.errstate(over="ignore", invalid="ignore"):
-                self.grad_slot()  # multiplies the pairs out, to be checked
-        return not self.reached or bool(self.factors) or _finite(self._dense)
+                self.grad_slot()  # multiplies the pair out, to be checked
+        return not self.reached or self.pair is not None or _finite(self._dense)
 
     def block_size(self, block: int) -> int:
         """The most elements ``grad_blocks`` yields at once, or writes into
-        its scratch, for ``block``: ``block``, or the rows of a GEMM of the
-        pairs when they hold more, and never more than the parameter
+        its scratch, for ``block``: ``block``, or the rows of a GEMM of a
+        kept pair when they hold more, and never more than the parameter
         holds."""
         return min(self.value.size, max(block, self._group_rows(block) * self.value.shape[1]))
 
     def grad_blocks(self, lo: int, hi: int, block: int, scratch: np.ndarray):
         """(g, start, stop) for each block [start, stop) of the gradient's
         elements [lo, hi), in order, g its gradient there: zeros when
-        nothing reached it, its dense array, or its pairs multiplied out
-        into ``scratch`` (``block_size(block)`` elements at least), the rows
-        that hold at most ``block`` elements at a time, in GEMMs of
+        nothing reached it, its dense array, or its kept pair multiplied
+        out into ``scratch`` (``block_size(block)`` elements at least), the
+        rows that hold at most ``block`` elements at a time, in GEMMs of
         ``_group_rows`` rows. A block of fewer rows (at the ends of the
         range) is multiplied out with its neighbours, up to that many rows,
         and only its own elements are read. A g in ``scratch`` holds until
         the walk takes its next step."""
         if lo >= hi:
             return
-        if not self.factors:
+        if self.pair is None:
             flat = self._dense.reshape(-1) if self.reached else None
             if flat is None:
                 scratch[:min(block, hi - lo)] = 0.0
@@ -176,41 +179,26 @@ class Param:
                 stop = min(start + block, hi)
                 yield scratch[:stop - start] if flat is None else flat[start:stop], start, stop
             return
-        (rows, cols), group_rows = self.value.shape, self._group_rows(block)
+        (x, dy), (rows, cols) = self.pair, self.value.shape
+        group_rows = self._group_rows(block)
         end = -(-hi // cols)
-        # where the pairs after the first are multiplied before they are added
-        product = np.empty(self.block_size(block))
         for r in range(lo // cols, end, group_rows):
             r_end = min(r + group_rows, end)
             top = max(0, r_end - group_rows)
             bottom = min(rows, top + group_rows)
-            self._multiply_rows(top, bottom, scratch, product)
+            out = scratch[:(bottom - top) * cols].reshape(bottom - top, cols)
+            np.matmul(x[:, top:bottom].T, dy, out=out)
             start, stop = max(lo, r * cols), min(hi, r_end * cols)
             yield scratch[start - top * cols:stop - top * cols], start, stop
 
     def _group_rows(self, block: int) -> int:
-        """Rows per GEMM when the pairs are multiplied out for pieces of
+        """Rows per GEMM when a kept pair is multiplied out for pieces of
         ``block`` elements: a piece's rows, and never fewer than MIN_ROWS."""
         return max(MIN_ROWS, block // self.value.shape[1])
 
-    def _multiply_rows(self, top: int, bottom: int, out: np.ndarray, product: np.ndarray) -> None:
-        """Rows [top, bottom) of the sum of the pairs' products x^T dy into
-        the start of the 1-D array ``out``, one GEMM per pair: the first
-        pair written, each later one multiplied into ``product`` (as many
-        elements as the rows hold at least) and added, in the order the
-        backward pass made them."""
-        rows, cols = bottom - top, self.value.shape[1]
-        block = out[:rows * cols].reshape(rows, cols)
-        (x, dy), *rest = self.factors
-        np.matmul(x[:, top:bottom].T, dy, out=block)
-        for x_later, dy_later in rest:
-            later = product[:block.size].reshape(block.shape)
-            np.matmul(x_later[:, top:bottom].T, dy_later, out=later)
-            block += later
-
     @property
     def grad(self) -> np.ndarray:
-        """The gradient as a dense array: the pairs multiplied out, or
+        """The gradient as a dense array: a kept pair multiplied out, or
         zeros when nothing reached it in this step, and reached from then
         on. Inference never allocates one."""
         grad, first = self.grad_slot()
@@ -221,13 +209,13 @@ class Param:
     @property
     def dense(self) -> np.ndarray | None:
         """The dense gradient array as it is, valid only when the parameter
-        is reached and holds no pairs."""
+        is reached and holds no pair."""
         return self._dense
 
     def consume_grad(self) -> None:
-        """Start a new step: the pairs are dropped and the gradient counts
+        """Start a new step: a kept pair is dropped and the gradient counts
         as not reached, so it reads as zeros again without a pass over it."""
-        self.factors, self.reached = [], False
+        self.pair, self.reached = None, False
 
 
 class ParamStore:
@@ -283,14 +271,13 @@ def _keeps(k: int, rows: int, cols: int) -> bool:
     return cols >= 2 and 0 < k * (rows + cols) < rows * cols
 
 
-def _bounded(factors: list[tuple[np.ndarray, np.ndarray]]) -> bool:
-    """Whether the sum of the pairs' products x^T dy is finite for sure:
-    by Cauchy-Schwarz, every entry of a product, and every partial sum of
-    one, is at most |x| |dy| in magnitude (Frobenius norms), and the sum
-    of those over the pairs is below 1e300. A non-finite factor, or a norm
-    whose square overflows, makes it NaN or infinite."""
+def _bounded(x: np.ndarray, dy: np.ndarray) -> bool:
+    """Whether the product x^T dy is finite for sure: by Cauchy-Schwarz,
+    every entry of it, and every partial sum of one, is at most |x| |dy|
+    in magnitude (Frobenius norms), and that is below 1e300. A non-finite
+    factor, or a norm whose square overflows, makes it NaN or infinite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return sum(_norm(x) * _norm(dy) for x, dy in factors) < 1e300
+        return _norm(x) * _norm(dy) < 1e300
 
 
 def _norm(a: np.ndarray) -> float:

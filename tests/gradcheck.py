@@ -56,7 +56,7 @@ def sum_all(x: Matrix) -> Matrix:
     out = Matrix(np.array([[x.data.sum()]]), x.tape)
     if x.tape is not None:
         def backward():
-            x.grad += out.grad[0, 0]
+            x.grad[...] += out.grad[0, 0]
         x.tape.record(backward)
     return out
 

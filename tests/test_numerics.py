@@ -636,14 +636,17 @@ def test_sharded_adam_is_bitwise_equal_to_the_textbook_update(monkeypatch, worke
                 state[name]["grad"] = None  # nothing reached it: reads as zeros
                 continue
             if name == "big" and step % 2 == 0:
-                # two kept pairs, multiplied out by each shard that holds a
-                # row of them: the cuts fall inside rows. Bound on a tape
-                # first, as a backward pass's products are.
+                # a kept pair, multiplied out by each shard that holds a
+                # row of it: the cuts fall inside rows. At step 4 a second
+                # product follows and goes dense, the pair's product
+                # written and the second added. Bound on a tape first, as
+                # a backward pass's products are.
                 store.bind(Tape())[name]
                 pairs = [(rng.normal(size=(k, 3)), rng.normal(size=(k, 37))) for k in (1, 2)]
+                pairs = pairs[:step // 2]
                 for x, dy in pairs:
                     p.add_product(x, dy)
-                assert len(p.factors) == 2
+                assert (p.pair is not None) == (step == 2)
                 state[name]["grad"] = _dense_sum(pairs)
                 continue
             grad = rng.normal(size=p.value.shape)
@@ -729,10 +732,10 @@ def test_adam_checks_the_gradients_under_its_hold(monkeypatch, fake_blas):
     _add_pairs(store, rng)
     m, v = adam_moments(store)
     adam_step(store, m, v, lr=1e-2, step=1)
-    assert len(counts) == 12 and set(counts) == {1}
+    assert len(counts) == 6 and set(counts) == {1}  # 3 kept pairs, 2 norms each
     assert fake_blas.puts == [1, 2]
     pairs = _add_pairs(store, rng)
-    pairs["c"][1][0][1, 2] = np.inf
+    pairs["c"][0][1, 2] = np.inf
     del counts[:]
     with pytest.raises(TrainingDivergedError, match="'c'"):
         adam_step(store, m, v, lr=1e-2, step=2)
@@ -923,11 +926,12 @@ def _largest_kept(rows, cols):
 @pytest.mark.parametrize("k", [1, 4, 25, 32, "largest"])
 @pytest.mark.parametrize("d_model", [1024, 64])
 def test_row_blocks_multiply_out_to_the_full_products_bytes(d_model, k):
-    # two pairs per tensor, read whole and as two shards cut near the
-    # middle: the bytes of the first product written and the second added,
-    # which a dense gradient holds. "largest" is each shape's largest kept
-    # K (up to 767 at d=1024); every GEMM has MIN_ROWS rows or more, or all
-    # of a smaller tensor's
+    # one pair per tensor, read whole and as two shards cut near the
+    # middle: the bytes of its product in one GEMM, which a dense gradient
+    # holds. A second product then goes dense: the pair's product written
+    # and the second added. "largest" is each shape's largest kept K (up
+    # to 767 at d=1024); every GEMM of the walk has MIN_ROWS rows or more,
+    # or all of a smaller tensor's
     rng = seeded_rng(23)
     for rows, cols in _model_shapes(d_model):
         k_rows = max(1, _largest_kept(rows, cols)) if k == "largest" else k
@@ -935,24 +939,24 @@ def test_row_blocks_multiply_out_to_the_full_products_bytes(d_model, k):
         gemms = []
         pairs = [(rng.normal(size=(k_rows, rows)), rng.normal(size=(k_rows, cols)))
                  for _ in range(2)]
-        for x, dy in pairs:
-            p.add_product(_recording(x, gemms), dy)
+        p.add_product(_recording(pairs[0][0], gemms), pairs[0][1])
         want = np.matmul(pairs[0][0].T, pairs[0][1])
-        want += pairs[1][0].T @ pairs[1][1]
-        if not p.factors:
+        if p.pair is None:
             # the 1024 x 1024 and larger tensors of d=1024 keep their pairs
             # up to K = 511, past every K asked here
             assert not (d_model == 1024 and min(rows, cols) >= 1024 and k != "largest"), (rows, cols)
             assert cols == 1 or k_rows * (rows + cols) >= rows * cols
             assert _same_bits(p.dense, want), (rows, cols)
-            continue
-        n = rows * cols
-        cut = min(n - 1, n // 2 + 3)
-        least = min(rows, params.MIN_ROWS)
-        for cuts in ([(0, n)], [(0, cut), (cut, n)]):
-            got = np.concatenate([g for lo, hi in cuts for g in _pieces(p, lo, hi)])
-            assert got.tobytes() == want.tobytes(), (rows, cols, k_rows, cuts, _blas())
-        assert gemms and all(least <= r for r, _ in gemms), (rows, cols, k_rows)
+        else:
+            n = rows * cols
+            cut = min(n - 1, n // 2 + 3)
+            least = min(rows, params.MIN_ROWS)
+            for cuts in ([(0, n)], [(0, cut), (cut, n)]):
+                got = np.concatenate([g for lo, hi in cuts for g in _pieces(p, lo, hi)])
+                assert got.tobytes() == want.tobytes(), (rows, cols, k_rows, cuts, _blas())
+            assert gemms and all(least <= r for r, _ in gemms), (rows, cols, k_rows)
+        p.add_product(*pairs[1])
+        assert p.pair is None and _same_bits(p.dense, _dense_sum(pairs)), (rows, cols)
 
 
 def _recording(x, gemms):
@@ -979,15 +983,19 @@ def test_the_gradient_walk_reads_the_bytes_of_param_grad(rows, cols, dense, ks):
     # Param.grad; each GEMM of a walk has MIN_ROWS rows or more (all of
     # them in a 3-row tensor), also at the largest K the keep rule allows
     # ("cap"). A small K is cut to the largest kept where that is smaller.
+    # Of two products ("small_then_cap", "cap_then_small") the first is
+    # kept and the second goes dense: the pair's product written and the
+    # second added
     rng = seeded_rng(29)
     p = ParamStore([("w", rows, cols)])["w"]
-    gemms = []
+    gemms, products = [], []
     if dense:
         p.grad[...] = rng.normal(size=(rows, cols))
     for k in ks:
         k = _largest_kept(rows, cols) if k == "cap" else min(k, _largest_kept(rows, cols))
-        p.add_product(_recording(rng.normal(size=(k, rows)), gemms), rng.normal(size=(k, cols)))
-    assert len(p.factors) == len(ks)
+        products.append((rng.normal(size=(k, rows)), rng.normal(size=(k, cols))))
+        p.add_product(_recording(products[-1][0], gemms), products[-1][1])
+    assert (p.pair is not None) == (len(ks) == 1)
     n = rows * cols
     cuts = [(0, n), (1, n - 1), (cols + 3, 3 * cols - 2), (n - 5, n), (7, 7)]
     cuts += [tuple(sorted(rng.integers(0, n + 1, size=2))) for _ in range(6)]
@@ -1006,27 +1014,29 @@ def test_the_gradient_walk_reads_the_bytes_of_param_grad(rows, cols, dense, ks):
     want = p.grad.reshape(-1)
     for lo, hi, got in walks:
         assert got.tobytes() == want[lo:hi].tobytes(), (lo, hi, _blas())
+    if products:
+        assert _same_bits(p.grad, _dense_sum(products))
 
 
-def _add_pairs(store, rng, x_scale=1.0, dy_scale=1.0):
-    """Two kept pairs (x, dy) of two rows each for every parameter;
-    returns them by name."""
+def _add_pairs(store, rng):
+    """One kept pair (x, dy) of two rows for every parameter; returns them
+    by name."""
     pairs = {}
     for name, p in store.items():
         rows, cols = p.value.shape
-        pairs[name] = [(rng.normal(size=(2, rows)) * x_scale, rng.normal(size=(2, cols)) * dy_scale)
-                       for _ in range(2)]
-        for x, dy in pairs[name]:
-            p.add_product(x, dy)
-        assert len(p.factors) == 2, name
+        pairs[name] = x, dy = rng.normal(size=(2, rows)), rng.normal(size=(2, cols))
+        p.add_product(x, dy)
+        assert p.pair is not None, name
     return pairs
 
 
 def _dense_sum(pairs):
-    """The textbook gradient of two pairs: the first product written, the
-    second added."""
-    grad = np.matmul(pairs[0][0].T, pairs[0][1])
-    grad += pairs[1][0].T @ pairs[1][1]
+    """The textbook gradient of products x^T dy: the first written, the
+    rest added."""
+    (x, dy), *rest = pairs
+    grad = np.matmul(x.T, dy)
+    for x, dy in rest:
+        grad += x.T @ dy
     return grad
 
 
@@ -1036,7 +1046,9 @@ _FACTORED = [("a", (6, 5)), ("b", (8, 4)), ("c", (5, 7))]
 @pytest.mark.parametrize("where, bad", [
     ("x", np.nan), ("x", np.inf), ("dy", np.nan), ("dy", -np.inf), ("both", 1e200)])
 def test_non_finite_factors_name_the_first_bad_parameter_and_change_nothing(where, bad):
-    # "b" and "c" go bad; in "both", finite factors of 1e200 meet in one
+    # "b" goes bad in its kept pair, which fails the bound; "a" and "c"
+    # take a kept pair and a second product, which goes dense, and "c"
+    # goes bad in that one. In "both", finite factors of 1e200 meet in one
     # entry of the product, which overflows
     rng = seeded_rng(24)
     store = _store_with(rng, _FACTORED)
@@ -1046,16 +1058,18 @@ def test_non_finite_factors_name_the_first_bad_parameter_and_change_nothing(wher
     rows = {name: p.value.shape[0] for name, p in store.items()}
     pairs = {name: [(rng.normal(size=(2, rows[name])), rng.normal(size=(2, p.value.shape[1])))
                     for _ in range(2)] for name, p in store.items()}
+    pairs["b"] = pairs["b"][:1]
     for name in ("b", "c"):
-        x, dy = pairs[name][1]
+        x, dy = pairs[name][-1]
         if where in ("x", "both"):
             x[1, 2] = bad
         if where in ("dy", "both"):
             dy[1, 1] = bad
     for name, p in store.items():
-        for x, dy in pairs[name]:
-            p.add_product(x, dy)
-        assert len(p.factors) == 2
+        with np.errstate(invalid="ignore", over="ignore"):
+            for x, dy in pairs[name]:
+                p.add_product(x, dy)
+        assert (p.pair is not None) == (name == "b")
     before = {name: [a.copy() for a in (p.value, *moments_of(p, m, v))]
               for name, p in store.items()}
     with pytest.raises(TrainingDivergedError, match="'b'"):
@@ -1069,25 +1083,30 @@ def test_non_finite_factors_name_the_first_bad_parameter_and_change_nothing(wher
 
 def test_factors_beyond_the_bound_with_a_finite_product_train_as_dense():
     # x's 1e150 meets only dy's zero row, and dy's 1e151 only x's small
-    # row: sum K max|x| max|dy| passes 1e300, so the pairs are multiplied
-    # out and checked, and their finite products (~1e148) take the step
+    # row: |x| |dy| passes 1e300, so at step 1 the kept pair is multiplied
+    # out and checked, and its finite product (~1e148) takes the step. At
+    # step 3 a second product follows each pair and goes dense, the pair's
+    # product written and the second added
     rng = seeded_rng(26)
     store = _store_with(rng, _FACTORED)
     state = {name: {"value": p.value.copy(), "m": None, "v": None, "grad": None}
              for name, p in store.items()}
     m, v = adam_moments(store)
-    for step in (1, 2):
+    for step in (1, 2, 3):
         pairs = {}
         for name, p in store.items():
             rows, cols = p.value.shape
             pairs[name] = []
-            for _ in range(2):
+            for _ in range(2 if step == 3 else 1):
                 x, dy = rng.normal(size=(2, rows)) * 1e-3, rng.normal(size=(2, cols))
                 if step == 1:
                     x[0, 0], dy[0], dy[1, 0] = 1e150, 0.0, 1e151
                 pairs[name].append((x, dy))
                 p.add_product(x, dy)
-            assert len(p.factors) == 2 and params._bounded(p.factors) == (step == 2)
+            if step < 3:
+                assert p.pair is not None and params._bounded(*p.pair) == (step == 2)
+            else:
+                assert p.pair is None
             state[name]["grad"] = _dense_sum(pairs[name])
         adam_step(store, m, v, lr=1e-2, step=step)
         _textbook_adam_step(state, lr=1e-2, step=step)
@@ -1112,7 +1131,7 @@ def test_a_product_of_two_bound_parameters_trains_as_dense_gradients():
         tape = Tape()
         bound = store.bind(tape)
         tape.backward(sum_all(ops.mul(ops.matmul(bound["a"], bound["b"]), Matrix(probe))))
-        assert not store["b"].factors
+        assert store["b"].pair is None
         adam_step(store, m, v, lr=1e-1, step=step)
         _textbook_adam_step(state, lr=1e-1, step=step)
         for name, p in store.items():

@@ -631,10 +631,18 @@ def _train_lifecycle(monkeypatch, dataset, cfg, textbook):
     (a keep rule that refuses every pair) and every gradient is zeroed and
     marked reached at the step's start, so that every backward
     contribution adds into it.
+    Every step hands each parameter one product x^T dy at most
+    (``Param.add_product``): the model reads each weight once per forward
+    pass, and the keep rule keeps only a step's first product, so a second
+    one would go dense.
     Returns the final value bytes, the loss trace and, per parameter, which
-    steps left its gradient unreached and which kept it as pairs."""
-    names, unreached, factored = {}, {}, {}
-    consume = Param.consume_grad
+    steps left its gradient unreached and which kept it as a pair."""
+    names, unreached, factored, products = {}, {}, {}, {}
+    consume, add_product = Param.consume_grad, Param.add_product
+
+    def counted(p, x, dy):
+        products[id(p)] = products.get(id(p), 0) + 1
+        add_product(p, x, dy)
 
     def filled_init(*args):
         store = init_params(*args)
@@ -645,10 +653,11 @@ def _train_lifecycle(monkeypatch, dataset, cfg, textbook):
         return store
 
     def refill(p):
+        assert products.pop(id(p), 0) <= 1, names[id(p)]
         unreached.setdefault(names[id(p)], []).append(not p.reached)
-        factored.setdefault(names[id(p)], []).append(bool(p.factors))
+        factored.setdefault(names[id(p)], []).append(p.pair is not None)
         if p.dense is not None:
-            if not p.factors:
+            if p.pair is None:
                 # a dense gradient no closure wrote is still all NaN, and
                 # one that a closure wrote holds no NaN
                 assert np.isnan(p.dense).all() if not p.reached else not np.isnan(p.dense).any()
@@ -660,6 +669,7 @@ def _train_lifecycle(monkeypatch, dataset, cfg, textbook):
     with monkeypatch.context() as m:
         m.setattr(training, "init_params", filled_init)
         m.setattr(Param, "consume_grad", refill)
+        m.setattr(Param, "add_product", counted)
         if textbook:
             m.setattr(params, "_keeps", lambda k, rows, cols: False)
         result = train(dataset, cfg)
@@ -711,7 +721,7 @@ def test_kept_pairs_train_bitwise_as_dense_gradients(monkeypatch, workers, found
     threads = blas[0]() if blas else None
 
     def recorded(p):
-        seen.add("kept" if p.factors else "dense" if p.reached else "unreached")
+        seen.add("kept" if p.pair is not None else "dense" if p.reached else "unreached")
         consume(p)
 
     def counted(*args):
